@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation (one per figure) plus the
-// ablations listed in DESIGN.md. The figure benchmarks scale the paper's
+// ablations listed in ARCHITECTURE.md. The figure benchmarks scale the paper's
 // think time down (D10) so `go test -bench` stays tractable; run
 // cmd/pnstm-bench -paperscale for published parameters.
 package pnstm_test

@@ -9,7 +9,7 @@ import (
 
 // FigureConfig parameterizes a figure sweep. The zero value plus
 // fillDefaults reproduces the paper's parameter grid at a 1000× shorter
-// think time (DESIGN.md D10).
+// think time (ARCHITECTURE.md D10).
 type FigureConfig struct {
 	LeafCounts []int         // x-axis: total leaf transactions N (paper: 1..64)
 	MaxDepth   int           // deepest series D (paper: 6)

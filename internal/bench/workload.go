@@ -4,7 +4,7 @@
 // The synthetic benchmark: a single top-level transaction T executes N
 // leaf transactions Tl_i. Every leaf first sleeps for a uniformly random
 // think time (the paper uses up to 2 s; we scale down by default, see
-// DESIGN.md D10) and then writes K=2000 shared objects, the first half
+// ARCHITECTURE.md D10) and then writes K=2000 shared objects, the first half
 // shared with leaf i−1 and the second half with leaf i+1. Leaves are
 // organized in a binary tree of transactions D levels deep; each tree leaf
 // runs N/2^D transactions in parallel. With D=0 all leaves are parallel

@@ -80,7 +80,7 @@ func (q *Queue) Release(bn bitvec.Bitnum, minEp epoch.Epoch) {
 // can never all starve.
 //
 // Unlike the paper, the limit applies to every fork, transactional or not
-// (DESIGN.md D8): a parked continuation pins its block's bitnum either way.
+// (ARCHITECTURE.md D8): a parked continuation pins its block's bitnum either way.
 type Limiter struct {
 	mu    sync.Mutex
 	limit int

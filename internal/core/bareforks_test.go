@@ -8,7 +8,7 @@ import (
 // do not start transactions of their own before forking again — put
 // several simultaneously live joins under one base transaction. The §6.2
 // single-child optimizations must consult the transaction-wide live-block
-// count, not one join's (DESIGN.md D15); before that fix, the last block
+// count, not one join's (ARCHITECTURE.md D15); before that fix, the last block
 // of one join could borrow the base transaction's identity while blocks of
 // sibling joins were still active, making its entries look ancestor-owned
 // to everyone and losing updates without a single abort.

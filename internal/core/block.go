@@ -29,7 +29,7 @@ type block struct {
 
 	// comDesc carries the forker's committed-descendant notes into the
 	// child context (an extension over the paper: the notes are safe in
-	// any context, see DESIGN.md D12).
+	// any context, see ARCHITECTURE.md D12).
 	comDesc []comNote
 
 	// done receives the root block's completion; nil for non-root blocks.
@@ -135,7 +135,7 @@ func (j *join) removeLive(bn bitvec.Bitnum) {
 // which happens during the discard publication that precedes any re-use of
 // bn. Keeping the epoch per note (rather than one epoch per block as in
 // the paper's Fig. 5) is required for joins with several children whose
-// finish epochs differ (DESIGN.md D12).
+// finish epochs differ (ARCHITECTURE.md D12).
 type comNote struct {
 	bn bitvec.Bitnum
 	ep epoch.Epoch

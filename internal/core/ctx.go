@@ -79,10 +79,13 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // additional epochs whose committed masks must be subtracted — in
 // particular the block's minimum epoch at dispatch, which is what catches
 // unilaterally discarded ancestor bitnums when the dispatch epoch jumps
-// past their publication horizon (DESIGN.md D11).
+// past their publication horizon (ARCHITECTURE.md D11).
 func (c *Ctx) adoptSlot(sl *slot, minEp epoch.Epoch, extraErase ...epoch.Epoch) {
 	target := epoch.Max(c.ep, minEp)
-	eps := append(extraErase, c.ep, target)
+	// Callers pass at most two extra epochs; the fixed buffer keeps the
+	// erase list on the stack.
+	var buf [4]epoch.Epoch
+	eps := append(append(buf[:0], extraErase...), c.ep, target)
 	c.ancBase = c.rt.st.Erase(c.ancBase, eps...)
 	c.ep = target
 	c.slot = sl
@@ -319,7 +322,8 @@ func (c *Ctx) begin() *txDesc {
 
 // commit finishes the current transaction (paper commitTx): record the
 // commit epoch for the publisher (unless borrowed, D4), advance the epoch,
-// and splice the undo log into the parent in O(1).
+// and splice the undo log into the parent in O(1). A root has no parent to
+// undo it: its log dies here and its chunks go back to the pool (D6).
 func (c *Ctx) commit(tx *txDesc) {
 	if !tx.borrowed && !c.rt.cfg.Serial && !c.bnWasDiscarded(tx) {
 		c.rt.st.RecordCommit(tx.bitnum, c.ep)
@@ -327,6 +331,8 @@ func (c *Ctx) commit(tx *txDesc) {
 	c.advanceEpoch()
 	if tx.parent != nil {
 		tx.spliceInto(tx.parent)
+	} else {
+		tx.releaseUndo(c.rt.undoReleaseHook)
 	}
 	c.popTx(tx)
 	c.rt.stats.committed.Add(1)
@@ -372,10 +378,11 @@ func (c *Ctx) popTx(tx *txDesc) {
 }
 
 // rollback undoes every write of tx — its own and those merged from
-// committed descendants — newest first, popping the matching stack
-// entries. A rolling-back transaction has no active descendants (only the
-// innermost running transaction aborts), so its entries are on top of
-// every stack it touched.
+// committed descendants — newest first (chunks head-first, each chunk from
+// its last record down), popping the matching stack entries, and then
+// recycles the log's chunks. A rolling-back transaction has no active
+// descendants (only the innermost running transaction aborts), so its
+// entries are on top of every stack it touched.
 func (c *Ctx) rollback(tx *txDesc) {
 	serial := c.rt.cfg.Serial
 	// floors remembers, per object, the oldest (lowest-seq) record restored
@@ -383,55 +390,67 @@ func (c *Ctx) rollback(tx *txDesc) {
 	// per-object stack order (a merged victim's entries may sit below a
 	// sibling's), so value restoration must be guarded: only a record
 	// older than everything restored so far may write the value (D16).
-	// The map is allocated lazily — only when a second record touches an
-	// already-restored object out of the common LIFO pattern.
+	// A newer record for the same object can only still be pending when
+	// its entry sits above this record's on the stack, so the map is
+	// created — and from then on consulted — only once a record's entry is
+	// found anywhere but on top; a rollback in plain LIFO order never
+	// allocates it.
 	var floors map[*Object]uint64
-	for r := tx.undoHead; r != nil; r = r.next {
-		o := r.obj
-		if r.read {
-			// Retract the reader entry: an aborted reader's bitnum is
-			// never published, so leaving it would block non-ancestor
-			// writers until the block's discard (D16).
+	for ch := tx.undoHead; ch != nil; ch = ch.next {
+		for i := ch.n - 1; i >= 0; i-- {
+			r := &ch.recs[i]
+			o := r.obj
+			if r.read {
+				// Retract the reader entry: an aborted reader's bitnum is
+				// never published, so leaving it would block non-ancestor
+				// writers until the block's discard (D16).
+				o.mu.lock()
+				o.readers.retract(r.anc, r.ep)
+				o.mu.unlock()
+				continue
+			}
+			if serial {
+				o.val = r.saved
+				continue
+			}
 			o.mu.lock()
-			o.readers.retract(r.anc, r.ep)
+			// Remove exactly this record's entry, wherever it sits (usually
+			// the top). An entry that is not found counts as out of order.
+			onTop := false
+			for j := len(o.stack) - 1; j >= o.head; j-- {
+				if o.stack[j].seq == r.seq {
+					onTop = j == len(o.stack)-1
+					copy(o.stack[j:], o.stack[j+1:])
+					o.stack[len(o.stack)-1] = objEntry{}
+					o.stack = o.stack[:len(o.stack)-1]
+					break
+				}
+			}
+			restore := true
+			if floors != nil {
+				if floor, ok := floors[o]; ok {
+					restore = r.seq < floor
+				}
+			}
+			if restore {
+				o.val = r.saved
+				if !onTop {
+					if floors == nil {
+						floors = make(map[*Object]uint64, 8)
+					}
+					floors[o] = r.seq
+				}
+			}
 			o.mu.unlock()
-			continue
 		}
-		if serial {
-			o.val = r.saved
-			continue
-		}
-		o.mu.lock()
-		// Remove exactly this record's entry, wherever it sits (usually
-		// the top).
-		for i := len(o.stack) - 1; i >= o.head; i-- {
-			if o.stack[i].seq == r.seq {
-				copy(o.stack[i:], o.stack[i+1:])
-				o.stack[len(o.stack)-1] = objEntry{}
-				o.stack = o.stack[:len(o.stack)-1]
-				break
-			}
-		}
-		restore := true
-		if floor, ok := floors[o]; ok {
-			restore = r.seq < floor
-		}
-		if restore {
-			o.val = r.saved
-			if floors == nil {
-				floors = make(map[*Object]uint64, 8)
-			}
-			floors[o] = r.seq
-		}
-		o.mu.unlock()
 	}
-	tx.undoHead, tx.undoTail, tx.writes = nil, nil, 0
+	tx.releaseUndo(c.rt.undoReleaseHook)
 }
 
 // backoff sleeps for a randomized, exponentially growing interval after an
 // abort, and yields the worker slot after repeated failures so that queued
 // blocks — possibly the descendants whose completion will resolve the
-// conflict — can run (DESIGN.md D6).
+// conflict — can run (ARCHITECTURE.md D6).
 func (c *Ctx) backoff() {
 	if c.rt.cfg.Serial {
 		return

@@ -27,7 +27,7 @@ type Object struct {
 	// own entries. After a unilateral discard (§6.2), a merged victim's
 	// active entries read as base-transaction-owned, and a sibling may
 	// legitimately stack above them; a blind LIFO pop would then remove
-	// the wrong entry (DESIGN.md D16).
+	// the wrong entry (ARCHITECTURE.md D16).
 	pushSeq uint64
 	// head indexes the first live stack entry. Entries below head are
 	// dead — every transaction in their ancestor sets has committed and
@@ -239,7 +239,7 @@ func (c *Ctx) tryAccess(o *Object, tx *txDesc) bool {
 	// Refresh our own ancestor set before the subset test: a unilaterally
 	// discarded ancestor bitnum may have been re-used by a concurrent
 	// transaction, and a stale bit on our side would make the test pass
-	// wrongly (DESIGN.md D11).
+	// wrongly (ARCHITECTURE.md D11).
 	c.refreshAnc()
 	// Paper noConflict: the access is safe iff every still-active
 	// transaction that accessed the object is our ancestor.

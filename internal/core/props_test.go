@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,55 +13,47 @@ import (
 // Property tests on the core bookkeeping structures.
 
 // Undo splicing must preserve newest-first order and record counts across
-// arbitrary child/parent interleavings.
+// arbitrary child/parent interleavings: the child's records come first,
+// each log newest-first within itself.
 func TestUndoSpliceProperties(t *testing.T) {
 	f := func(parentWrites, childWrites uint8, interleave bool) bool {
 		parent := &txDesc{}
 		child := &txDesc{parent: parent}
 		obj := NewObject(0)
 		seq := uint64(1)
-		var wantOrder []uint64
+		var parentSeqs, childSeqs []uint64 // oldest first
 
-		push := func(tx *txDesc) {
+		push := func(tx *txDesc, seqs *[]uint64) {
 			tx.pushUndo(obj, int(seq), seq)
-			wantOrder = append(wantOrder, seq)
+			*seqs = append(*seqs, seq)
 			seq++
 		}
-		pw, cw := int(parentWrites%8), int(childWrites%8)
+		// Up to 2N+1 records each, so logs of zero, one and several chunks
+		// meet in every combination.
+		pw, cw := int(parentWrites)%(2*undoChunkLen+2), int(childWrites)%(2*undoChunkLen+2)
 		if interleave {
 			for i := 0; i < pw || i < cw; i++ {
 				if i < pw {
-					push(parent)
+					push(parent, &parentSeqs)
 				}
 				if i < cw {
-					push(child)
+					push(child, &childSeqs)
 				}
 			}
 		} else {
 			for i := 0; i < pw; i++ {
-				push(parent)
+				push(parent, &parentSeqs)
 			}
 			for i := 0; i < cw; i++ {
-				push(child)
+				push(child, &childSeqs)
 			}
 		}
 		child.spliceInto(parent)
-		if child.undoHead != nil || child.undoTail != nil {
+		if child.undoHead != nil || child.undoTail != nil || child.writes != 0 {
 			return false
 		}
-		// Collect the merged list; it must contain every record exactly
-		// once, and the child's records must appear before any parent
-		// record that is older than the splice point.
-		seen := map[uint64]bool{}
-		n := 0
-		for r := parent.undoHead; r != nil; r = r.next {
-			if seen[r.seq] {
-				return false
-			}
-			seen[r.seq] = true
-			n++
-		}
-		return n == len(wantOrder) && parent.writes == n
+		want := append(reversed(childSeqs), reversed(parentSeqs)...)
+		return slices.Equal(undoSeqs(parent), want) && parent.writes == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -158,8 +151,8 @@ func TestRollbackOrderRobustness(t *testing.T) {
 	o := NewObject("v0")
 	tx := &txDesc{}
 	// Simulate: entry seq 1 (saved v0), then seq 2 (saved v1), but the
-	// records arrive in splice order [older, newer] — i.e. the list head
-	// is the OLDER record, as can happen after a merged victim's abort
+	// records arrive in splice order [older, newer] — i.e. the log's newest
+	// record is the OLDER entry's, as can happen after a merged victim's abort
 	// splice races a sibling's commit splice.
 	o.stack = append(o.stack,
 		objEntry{anc: bitvec.Of(0), ep: 1, seq: 1},
@@ -167,9 +160,10 @@ func TestRollbackOrderRobustness(t *testing.T) {
 	)
 	o.pushSeq = 2
 	o.val = "v2"
-	// Build list with head = seq 1 (older first — the adversarial order).
-	tx.pushUndo(o, "v1", 2) // tail after next push
-	tx.pushUndo(o, "v0", 1) // head
+	// Build the log with seq 1 newest (older entry first — the adversarial
+	// order).
+	tx.pushUndo(o, "v1", 2) // older in the log
+	tx.pushUndo(o, "v0", 1) // newest in the log: rolled back first
 	ctx := &Ctx{rt: rt}
 	ctx.rollback(tx)
 	if got := o.Peek(); got != "v0" {
@@ -187,7 +181,7 @@ func TestRollbackShuffledRecordsProperty(t *testing.T) {
 	rt := newRT(t, 2)
 	for round := 0; round < 200; round++ {
 		o := NewObject(0)
-		k := 1 + rng.Intn(6)
+		k := 1 + rng.Intn(2*undoChunkLen+2) // up to three chunks of records
 		type rec struct {
 			seq   uint64
 			saved int
@@ -202,7 +196,7 @@ func TestRollbackShuffledRecordsProperty(t *testing.T) {
 		o.val = k
 		rng.Shuffle(k, func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 		tx := &txDesc{}
-		for i := k - 1; i >= 0; i-- { // pushUndo prepends; list order = recs order
+		for i := k - 1; i >= 0; i-- { // last pushed is rolled back first: rollback order = recs order
 			tx.pushUndo(o, recs[i].saved, recs[i].seq)
 		}
 		ctx := &Ctx{rt: rt}

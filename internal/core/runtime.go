@@ -174,6 +174,10 @@ type Runtime struct {
 	// testHook, when non-nil, receives diagnostic scheduling events
 	// (dispatch decisions, borrow conversions). Tests only.
 	testHook func(format string, args ...any)
+
+	// undoReleaseHook, when non-nil, is handed every undo-log chunk on its
+	// way back to the pool, after its records were cleared. Tests only.
+	undoReleaseHook func(*undoChunk)
 }
 
 func (rt *Runtime) hook(format string, args ...any) {

@@ -10,14 +10,14 @@ import (
 // slot is one of the P worker "threads" of the paper (§3). In this
 // implementation worker identity is a token, not a goroutine: the goroutine
 // currently running a block holds the slot and carries the per-thread state
-// with it (DESIGN.md D2). When a context parks at a fork it releases the
+// with it (ARCHITECTURE.md D2). When a context parks at a fork it releases the
 // slot; when the last child finishes it hands its slot to the parked
 // continuation.
 type slot struct {
 	id int
 
 	// ep is the slot's published epoch. It is monotone non-decreasing
-	// (DESIGN.md D11) so that the publisher's maxEpoch() sample dominates
+	// (ARCHITECTURE.md D11) so that the publisher's maxEpoch() sample dominates
 	// the epoch of every context that ever ran — including contexts that
 	// are currently parked. Only the slot's holder stores; the publisher
 	// loads concurrently.

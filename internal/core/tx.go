@@ -19,7 +19,7 @@ type txDesc struct {
 
 	// anc is the ancestor set at begin time (self included). It is an
 	// immutable snapshot: child blocks read it when they are dispatched
-	// and apply their own erasures (DESIGN.md D11); the owning context
+	// and apply their own erasures (ARCHITECTURE.md D11); the owning context
 	// keeps the live, erased version in Ctx.ancBase.
 	anc bitvec.Vec
 
@@ -49,22 +49,22 @@ type txDesc struct {
 	// block's bitnum only when the two of them are all that is left
 	// (liveBlocks == 2). Checking only one join's count is unsound: bare
 	// nested forks put several simultaneously active joins under one
-	// transaction (DESIGN.md D15).
+	// transaction (ARCHITECTURE.md D15).
 	liveBlocks atomic.Int32
 
-	// Undo log: a newest-first singly linked list. The log exists so that
-	// aborting a transaction — including one whose children already
-	// committed into it — can restore every overwritten value; commit
-	// splices the whole list into the parent in O(1), which is what keeps
-	// commit depth-independent while still supporting cascading undo
-	// (DESIGN.md D6).
+	// Undo log: a newest-first list of fixed-size chunks of records. The
+	// log exists so that aborting a transaction — including one whose
+	// children already committed into it — can restore every overwritten
+	// value; commit splices the whole chunk list into the parent in O(1),
+	// which is what keeps commit depth-independent while still supporting
+	// cascading undo (ARCHITECTURE.md D6).
 	//
 	// Concurrency: only sibling child transactions committing in parallel
 	// can race on a parent's list (the owner is parked at the fork while
 	// children run), so splices take undoMu; the owner's own pushes do not.
 	undoMu   sync.Mutex
-	undoHead *undoRec
-	undoTail *undoRec
+	undoHead *undoChunk
+	undoTail *undoChunk
 	writes   int
 }
 
@@ -75,11 +75,10 @@ type txDesc struct {
 // exist because an aborted transaction's bitnum is never published while
 // its block lives, so a leftover reader entry would block every
 // non-ancestor writer indefinitely: two mutually conflicting retry loops
-// that both read before writing would livelock (DESIGN.md D16).
+// that both read before writing would livelock (ARCHITECTURE.md D16).
 type undoRec struct {
 	obj   *Object
 	saved any
-	next  *undoRec
 
 	// read marks a reader-entry retraction record; anc/ep identify the
 	// entry as recorded at append time.
@@ -91,31 +90,67 @@ type undoRec struct {
 	seq uint64
 }
 
-// pushUndo prepends a write record. Owner-only; no locking required (see
-// undoMu doc above). seq identifies the pushed stack entry (0 in serial
-// mode, where rollback restores values only).
-func (tx *txDesc) pushUndo(o *Object, saved any, seq uint64) {
-	r := &undoRec{obj: o, saved: saved, seq: seq, next: tx.undoHead}
-	tx.undoHead = r
-	if tx.undoTail == nil {
-		tx.undoTail = r
+// undoChunkLen is the number of records per chunk: with 56-byte records and
+// the 16-byte header a chunk is exactly the allocator's 1 KiB size class.
+// Every transaction that logs anything holds at least one chunk until its
+// log is spliced away or dies, so the length trades how often a write-heavy
+// leaf goes to the pool against the footprint of the server's one- and
+// two-record request transactions.
+const undoChunkLen = 18
+
+// undoChunk is one link of an undo log: recs[:n] are filled oldest-first,
+// next is the next-older chunk. A chunk that stops being a log's head —
+// because a full one was put in front of it, or a child's log was spliced
+// in front of it — is never appended to again, so chunks behind the head
+// may be partly filled.
+type undoChunk struct {
+	next *undoChunk
+	n    int
+	recs [undoChunkLen]undoRec
+}
+
+// undoChunks recycles chunks across transactions and runtimes. A chunk is
+// put back by releaseUndo, at the two places a log dies, and nowhere else.
+var undoChunks = sync.Pool{New: func() any { return new(undoChunk) }}
+
+// undoSlot returns the next free record of the log, taking a chunk from the
+// pool when the head chunk is full (or there is none yet).
+func (tx *txDesc) undoSlot() *undoRec {
+	ch := tx.undoHead
+	if ch == nil || ch.n == undoChunkLen {
+		ch = undoChunks.Get().(*undoChunk)
+		ch.n = 0
+		ch.next = tx.undoHead
+		tx.undoHead = ch
+		if tx.undoTail == nil {
+			tx.undoTail = ch
+		}
 	}
+	r := &ch.recs[ch.n]
+	ch.n++
+	return r
+}
+
+// pushUndo logs a write record as the newest of the log. Owner-only; no
+// locking required (see undoMu doc above). seq identifies the pushed stack
+// entry (0 in serial mode, where rollback restores values only).
+func (tx *txDesc) pushUndo(o *Object, saved any, seq uint64) {
+	*tx.undoSlot() = undoRec{obj: o, saved: saved, seq: seq}
 	tx.writes++
 }
 
-// pushReadUndo prepends a reader-entry retraction record.
+// pushReadUndo logs a reader-entry retraction record as the newest of the
+// log.
 func (tx *txDesc) pushReadUndo(o *Object, anc bitvec.Vec, ep epoch.Epoch) {
-	r := &undoRec{obj: o, read: true, anc: anc, ep: ep, next: tx.undoHead}
-	tx.undoHead = r
-	if tx.undoTail == nil {
-		tx.undoTail = r
-	}
+	*tx.undoSlot() = undoRec{obj: o, read: true, anc: anc, ep: ep}
 }
 
-// spliceInto merges this transaction's undo log into parent in O(1),
-// preserving newest-first order: everything this transaction (and its
-// already-merged descendants) wrote is newer than what the parent had
-// logged before.
+// spliceInto merges this transaction's undo log into parent in O(1) — two
+// pointer writes, whatever the number of records or chunks — preserving
+// newest-first order: everything this transaction (and its already-merged
+// descendants) wrote is newer than what the parent had logged before. The
+// parent's former head chunk ends up behind this log's tail, possibly
+// partly filled; the parent's next push goes into this log's head chunk.
 func (tx *txDesc) spliceInto(parent *txDesc) {
 	if tx.undoHead == nil {
 		return
@@ -128,5 +163,24 @@ func (tx *txDesc) spliceInto(parent *txDesc) {
 	}
 	parent.writes += tx.writes
 	parent.undoMu.Unlock()
+	tx.undoHead, tx.undoTail, tx.writes = nil, nil, 0
+}
+
+// releaseUndo returns a dead log's chunks to the pool. The used records are
+// zeroed first, so a pooled chunk never keeps a user value or an object
+// reachable. The caller must be the only holder of the log: rollback, once
+// it has walked it, and the commit of a root, whose log nothing can undo
+// any more. released is Runtime.undoReleaseHook, nil outside tests.
+func (tx *txDesc) releaseUndo(released func(*undoChunk)) {
+	for ch := tx.undoHead; ch != nil; {
+		next := ch.next
+		clear(ch.recs[:ch.n])
+		ch.next = nil
+		if released != nil {
+			released(ch)
+		}
+		undoChunks.Put(ch)
+		ch = next
+	}
 	tx.undoHead, tx.undoTail, tx.writes = nil, nil, 0
 }

@@ -20,7 +20,7 @@ import (
 // epoch of any running context, then free the bitnum with a minimum epoch
 // beyond the published horizon. The extra epoch of slack relative to the
 // paper closes a window in which a context's pre-advance erase check can
-// race the discarding store (DESIGN.md D5): with sequentially consistent
+// race the discarding store (ARCHITECTURE.md D5): with sequentially consistent
 // atomics, at most one epoch advance can have loaded stale values before
 // the publisher's maxEpoch() read, so publishing through maxCurEp+1 and
 // re-using from maxCurEp+2 guarantees no two transactions ever share a

@@ -13,7 +13,7 @@ import (
 // the publisher scans. Because a bitnum has exactly one holder at any time
 // and hand-offs are mediated by the publisher (a bitnum is only re-reserved
 // after the publisher freed it), a single global slot per bitnum is
-// equivalent (DESIGN.md D3). lastComEp is advanced with a CAS-max so that a
+// equivalent (ARCHITECTURE.md D3). lastComEp is advanced with a CAS-max so that a
 // straggling store from a previous holder can never regress a later
 // holder's published commit epoch.
 type State struct {
@@ -86,7 +86,7 @@ func (s *State) Discarding() bitvec.Vec {
 // minimum epoch at dispatch): contexts in this implementation can jump
 // epochs when adopting a recycled bitnum's minimum epoch, and the discard
 // publication horizon (maxCurEp+1) may lie strictly between the old and new
-// epoch (DESIGN.md D11).
+// epoch (ARCHITECTURE.md D11).
 func (s *State) Erase(anc bitvec.Vec, eps ...Epoch) bitvec.Vec {
 	out := anc.Minus(s.Discarding())
 	for _, e := range eps {
