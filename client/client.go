@@ -127,6 +127,14 @@ type conn struct {
 	nextID atomic.Uint64
 }
 
+// replyChans recycles the one-slot channels calls wait on. The reader
+// sends on a call's channel at most once, after taking it out of the
+// pending table; a channel goes back to the pool only from the call that
+// received that send, when nobody else can still hold it. A call that
+// gives up because the connection failed drops its channel instead — the
+// reader may have taken it out of the table and not sent yet.
+var replyChans = sync.Pool{New: func() any { return make(chan *server.Response, 1) }}
+
 // Connect dials PoolSize connections to every address, handshakes each
 // one, and returns the routing pool. Any address failing to dial or
 // handshake fails the whole Connect (no silently degraded pools).
@@ -239,8 +247,9 @@ func (cl *Client) pickReplica() *conn {
 // readLoop demultiplexes responses to their waiting callers.
 func (c *conn) readLoop() {
 	br := bufio.NewReader(c.nc)
+	var fb server.FrameBuf // ParseResponse copies what it keeps, so frames share one buffer
 	for {
-		frame, err := server.ReadFrame(br)
+		frame, err := server.ReadFrame(br, &fb)
 		if err != nil {
 			c.fail(fmt.Errorf("client: connection lost: %w", err))
 			return
@@ -284,7 +293,6 @@ func (c *conn) fail(err error) {
 // do sends req on this connection and waits for its reply.
 func (c *conn) do(req *server.Request) (*server.Response, error) {
 	req.ID = c.nextID.Add(1)
-	ch := make(chan *server.Response, 1)
 
 	c.mu.Lock()
 	if c.err != nil {
@@ -292,18 +300,23 @@ func (c *conn) do(req *server.Request) (*server.Response, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
+	ch := replyChans.Get().(chan *server.Response)
 	c.pending[req.ID] = ch
 	c.mu.Unlock()
 
-	buf, err := server.AppendRequest(nil, req)
+	// Encode straight into the writer's free space: a request that fits
+	// there (the buffer is empty after every flush) costs no buffer of
+	// its own, a larger one gets a temporary from append.
+	c.wmu.Lock()
+	buf, err := server.AppendRequest(c.bw.AvailableBuffer(), req)
 	if err != nil {
 		// Unencodable request: fail just this call, not the connection.
+		c.wmu.Unlock()
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.wmu.Lock()
 	_, err = c.bw.Write(buf)
 	if err == nil {
 		err = c.bw.Flush()
@@ -316,6 +329,7 @@ func (c *conn) do(req *server.Request) (*server.Response, error) {
 
 	select {
 	case resp := <-ch:
+		replyChans.Put(ch)
 		switch resp.Status {
 		case server.StatusErr:
 			return resp, fmt.Errorf("client: server error: %s", resp.Msg)

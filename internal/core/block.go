@@ -44,7 +44,7 @@ type block struct {
 	traceBatch uint64
 	traceTS    int64
 	traceShard uint8
-	traceTag   string
+	traceTag   traceTag
 	traceSkip  bool
 
 	// Dispatch-time state.

@@ -52,7 +52,8 @@ type Ctx struct {
 	// current root-transaction lineage (assigned at the first traced root
 	// begin, inherited by forked blocks), traceBatch/traceShard are
 	// server stamps, and traceTag labels the current unit of work (the
-	// server stamps each request's structure:key). traceTS caches the
+	// server stamps each request's structure and key; the label is only
+	// rendered when an event is recorded). traceTS caches the
 	// root begin's wall clock so begin/commit events in the subtree skip
 	// the clock read, and traceSkip marks a root the lifecycle sampler
 	// chose not to record (conflict events record regardless, D38). All
@@ -61,7 +62,7 @@ type Ctx struct {
 	traceBatch uint64
 	traceTS    int64
 	traceShard uint8
-	traceTag   string
+	traceTag   traceTag
 	traceSkip  bool
 }
 
@@ -316,7 +317,9 @@ func (c *Ctx) begin() *txDesc {
 			c.traceEvent(EvBegin, tx.depth, "")
 		}
 	}
-	c.rt.hook("BEGIN bn=%v borrowed=%v anc=%v ep=%d block=%p", tx.bitnum, borrowed, tx.anc, c.ep, c.block)
+	if hook := c.rt.testHook; hook != nil {
+		hook("BEGIN bn=%v borrowed=%v anc=%v ep=%d block=%p", tx.bitnum, borrowed, tx.anc, c.ep, c.block)
+	}
 	return tx
 }
 

@@ -172,18 +172,14 @@ type Runtime struct {
 	crisisHook func()
 
 	// testHook, when non-nil, receives diagnostic scheduling events
-	// (dispatch decisions, borrow conversions). Tests only.
+	// (dispatch decisions, borrow conversions). Tests only. Call sites
+	// test it for nil themselves: a variadic call boxes every argument
+	// before the callee could decline it.
 	testHook func(format string, args ...any)
 
 	// undoReleaseHook, when non-nil, is handed every undo-log chunk on its
 	// way back to the pool, after its records were cleared. Tests only.
 	undoReleaseHook func(*undoChunk)
-}
-
-func (rt *Runtime) hook(format string, args ...any) {
-	if rt.testHook != nil {
-		rt.testHook(format, args...)
-	}
 }
 
 // New creates a runtime with P = cfg.Workers worker slots and an identifier
@@ -352,14 +348,18 @@ func (rt *Runtime) runBlock(sl *slot, b *block, f bitnum.Free, borrowed bool) {
 			b.bn = bitvec.None
 			b.borrowed = true
 			rt.stats.borrowDispatch.Add(1)
-			rt.hook("DISPATCH steal-borrow block=%p baseTx.bn=%v baseTx.anc=%v minEp=%d", b, b.baseTx.bitnum, b.baseTx.anc, b.minEp)
+			if hook := rt.testHook; hook != nil {
+				hook("DISPATCH steal-borrow block=%p baseTx.bn=%v baseTx.anc=%v minEp=%d", b, b.baseTx.bitnum, b.baseTx.anc, b.minEp)
+			}
 		} else {
 			b.bn, b.bnMinEp = f.Bn, f.MinEp
 			j.precBitnums = j.precBitnums.Add(f.Bn)
 			j.live = append(j.live, b)
 			j.mu.Unlock()
 			rt.stats.dispatches.Add(1)
-			rt.hook("DISPATCH block=%p bn=%v bnMinEp=%d minEp=%d join=%p", b, b.bn, b.bnMinEp, b.minEp, j)
+			if hook := rt.testHook; hook != nil {
+				hook("DISPATCH block=%p bn=%v bnMinEp=%d minEp=%d join=%p", b, b.bn, b.bnMinEp, b.minEp, j)
+			}
 		}
 	} else {
 		b.bn, b.bnMinEp = f.Bn, f.MinEp
@@ -453,6 +453,14 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 			victim = v
 			j.precBitnums = j.precBitnums.Remove(v.bn)
 			j.removeLive(v.bn)
+			// The victim's own finish will find its bitnum already
+			// discarded and leave no note, yet whatever it committed under
+			// that bitnum before now stays on the access stacks until this
+			// discard is published. Note it here, at the discard's epoch:
+			// the continuation reads the notes only after the victim has
+			// finished, and the note lapses with the publication that
+			// precedes any re-use of the bitnum (§5.2 case 2, D12).
+			j.comDesc = addNote(j.comDesc, comNote{bn: v.bn, ep: finishEp})
 		}
 	}
 	var payload joinPayload

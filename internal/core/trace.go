@@ -212,7 +212,7 @@ func (c *Ctx) traceEvent(kind, depth uint8, obj string) {
 		Depth: depth,
 		Shard: c.traceShard,
 		Obj:   obj,
-		Tag:   c.traceTag,
+		Tag:   c.traceTag.String(),
 	}
 	ring.record(ev)
 	if kind >= EvAbort {
@@ -319,16 +319,29 @@ func (rt *Runtime) SetCrisisHook(fn func()) { rt.crisisHook = fn }
 // Per-context trace identity
 // ---------------------------------------------------------------------------
 
-// SetTraceTag labels the context's current unit of work; subsequent
-// lifecycle events carry the tag. The server stamps each request's
-// structure:key here so aborts attribute to the key that suffered
-// them. Inherited by blocks forked from this context. Cheap enough to
-// call unconditionally, but callers avoid building tag strings unless
-// TracingEnabled.
-func (c *Ctx) SetTraceTag(tag string) { c.traceTag = tag }
+// traceTag is a context's work label, kept as the parts the caller
+// already holds: joining them costs a string per request, and almost no
+// request ever records an event that carries it.
+type traceTag struct{ name, key string }
 
-// TraceTag returns the current work label.
-func (c *Ctx) TraceTag() string { return c.traceTag }
+// String renders the label: name:key for keyed work, the name otherwise.
+func (t traceTag) String() string {
+	if t.key == "" {
+		return t.name
+	}
+	return t.name + ":" + t.key
+}
+
+// SetTraceTag labels the context's current unit of work; subsequent
+// lifecycle events carry the label name:key (just name when key is
+// empty). The server stamps each request's structure and key here so
+// aborts attribute to the key that suffered them. Inherited by blocks
+// forked from this context. The label is rendered only when an event is
+// recorded, so stamping costs two string headers.
+func (c *Ctx) SetTraceTag(name, key string) { c.traceTag = traceTag{name, key} }
+
+// TraceTag returns the current work label, rendered.
+func (c *Ctx) TraceTag() string { return c.traceTag.String() }
 
 // StampTrace sets the batch/shard identity carried by this context's
 // events (and inherited by forked blocks). The embedding server calls

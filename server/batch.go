@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pnstm"
+	"pnstm/internal/metrics"
 	"pnstm/internal/wal"
 	"pnstm/stmlib"
 )
@@ -37,17 +38,42 @@ import (
 // shards — disjoint structure sets by construction — execute, fsync and
 // ack fully in parallel.
 
-// pending is one request waiting for its batch, plus the route back to
-// its connection. seq/logged are the durability bookkeeping: seq is the
-// request's position in the batch's commit order (stamped inside its
-// transaction, see execute), logged whether it mutated the store and
-// therefore goes to the WAL.
+// pending is one request from socket to reply — the one heap object a
+// request costs the server besides what its fields point to: the decoded
+// request, its response, the route back to its connection and what the
+// latency histogram needs. seq/logged are the durability bookkeeping: seq
+// is the request's position in the batch's commit order (stamped inside
+// its transaction, see batchRun.apply), logged whether it mutated the
+// store and therefore goes to the WAL. A pending belongs to whoever holds
+// it — the connection's reader until submit, the batcher until finish —
+// and is never reused.
 type pending struct {
-	req     *Request
-	resp    Response
-	deliver func(Response)
-	seq     uint64
-	logged  bool
+	req    Request
+	resp   Response
+	reply  replier
+	lat    *metrics.Histogram // observed at finish; nil: not a timed request
+	start  time.Time          // when the request was parsed
+	seq    uint64
+	logged bool
+}
+
+// replier is where a pending's response goes: the connection it came
+// from, or a replyFunc for requests minted inside the server.
+type replier interface{ deliver(Response) }
+
+// replyFunc adapts a function to replier.
+type replyFunc func(Response)
+
+func (f replyFunc) deliver(resp Response) { f(resp) }
+
+// finish sends resp back to where the request came from, first recording
+// the request's parse-to-delivery latency — batching delay, execution,
+// fsync and response routing included — in its class histogram.
+func (p *pending) finish(resp Response) {
+	if p.lat != nil {
+		p.lat.ObserveSince(p.start)
+	}
+	p.reply.deliver(resp)
 }
 
 // errRejected aborts a request's nested transaction without failing the
@@ -82,6 +108,13 @@ type batcher struct {
 	pl     *pipeline
 	execWG sync.WaitGroup
 
+	// idle holds finished batchRuns for the loop to refill, so a batch
+	// costs no slice, closure or ticket allocation of its own. Both ends
+	// are non-blocking: an empty list means a new batchRun, a full one
+	// means the finished run is dropped. One run cycles at the default
+	// MaxInflight of 1; the capacity covers pipelined shards.
+	idle chan *batchRun
+
 	obs *batchObs // nil: uninstrumented
 
 	// shardID and batchSeq stamp trace identity (D35): with tracing on,
@@ -112,6 +145,7 @@ func newBatcher(rt *pnstm.Runtime, reg *stmlib.Registry, wl *wal.Log, maxBatch, 
 		in:    make(chan *pending, 4*maxBatch),
 		knobs: newShardKnobs(maxBatch, fanout, delay),
 		pl:    newPipeline(inflight),
+		idle:  make(chan *batchRun, 8),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -138,6 +172,14 @@ func (b *batcher) submit(p *pending) bool {
 	}
 }
 
+// submitOrFail is submit for callers with nothing else to do on refusal:
+// a request the batcher will not take is answered "server closing".
+func (b *batcher) submitOrFail(p *pending) {
+	if !b.submit(p) {
+		p.finish(Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"})
+	}
+}
+
 // close stops the loop and fails whatever was still queued. Setting
 // stopped (under the write lock) before closing stop waits out every
 // in-flight submit — the loop is still consuming at that point, so
@@ -156,15 +198,12 @@ func (b *batcher) loop() {
 		select {
 		case p := <-b.in:
 			formStart := time.Now()
-			batch := b.collect(p)
+			r := b.newRun()
+			r.collect(p)
 			b.pl.acquire() // cap concurrent group commits (live limit)
-			b.obs.observeBatch(len(batch), time.Since(formStart))
+			b.obs.observeBatch(len(r.batch), time.Since(formStart))
 			b.execWG.Add(1)
-			go func() {
-				defer b.execWG.Done()
-				defer b.pl.release()
-				b.execute(batch)
-			}()
+			go r.exec()
 		case <-b.stop:
 			b.execWG.Wait() // in-flight batches deliver before the drain
 			// Drain: connections stop submitting once stop is closed, so
@@ -172,7 +211,7 @@ func (b *batcher) loop() {
 			for {
 				select {
 				case p := <-b.in:
-					p.deliver(Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"})
+					p.finish(Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"})
 				default:
 					return
 				}
@@ -181,133 +220,171 @@ func (b *batcher) loop() {
 	}
 }
 
-// collect gathers a batch around the first request: everything already
-// queued, then — if there is still room — whatever arrives within the
-// batching window. A zero window means "only what is already in flight",
-// which keeps unloaded latency at the floor while still group-committing
-// under concurrency.
-func (b *batcher) collect(first *pending) []*pending {
-	maxBatch := int(b.knobs.maxBatch.Load())
-	delay := time.Duration(b.knobs.delay.Load())
-	batch := []*pending{first}
-	for len(batch) < maxBatch {
-		select {
-		case p := <-b.in:
-			batch = append(batch, p)
-			continue
-		default:
-		}
-		break
-	}
-	if delay <= 0 || len(batch) >= maxBatch {
-		return batch
-	}
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	for len(batch) < maxBatch {
-		select {
-		case p := <-b.in:
-			batch = append(batch, p)
-		case <-timer.C:
-			return batch
-		case <-b.stop:
-			return batch
-		}
-	}
-	return batch
-}
+// batchRun is one group commit from collection to delivery. Its batch
+// slice, its commit-order ticket and the two functions the runtime and
+// the go statement need are allocated once and reused: the loop takes a
+// finished run from batcher.idle, refills it and starts it again.
+type batchRun struct {
+	b     *batcher
+	batch []*pending
 
-// execute runs one batch as a single root transaction: every request is
-// one nested child transaction of the batch transaction, and the
-// children are spread over at most fanout parallel blocks — the same
-// bucket-group shape stmlib's bulk operations use. With fanout ≈ worker
-// count the per-block dispatch cost is amortized over batch/fanout
-// requests, which is what lets group commit beat batch-size-1 execution
-// even when each request is a single point operation; requests in
-// different groups still conflict-check and run fully in parallel, and a
-// request aborts alone (its own nested transaction) whichever group it
-// rides in.
-func (b *batcher) execute(batch []*pending) {
 	// seq stamps the batch's commit order for the WAL: each mutating
 	// request takes a ticket as the LAST step inside its (wrapping)
 	// child transaction. If request B observed request A's write, A's
 	// child committed — merged into the batch transaction — before B's
 	// final attempt read it, so A took its ticket first: sorting by seq
 	// reproduces a valid serialization of the batch on replay.
-	var seq atomic.Uint64
-	// One TracingEnabled load per batch, not per request: with tracing
-	// off the stamping below compiles down to a dead branch.
-	traced := b.rt.TracingEnabled()
-	var batchID uint64
-	if traced {
-		batchID = b.batchSeq.Add(1)
+	seq atomic.Uint64
+
+	// traced is one TracingEnabled load per batch, not per request;
+	// batchID is the batch's trace ticket when it is set.
+	traced  bool
+	batchID uint64
+
+	exec func()           // r.execute, bound once
+	root func(*pnstm.Ctx) // r.runRoot, bound once
+}
+
+// newRun returns an idle batchRun, or a new one when none is idle.
+func (b *batcher) newRun() *batchRun {
+	select {
+	case r := <-b.idle:
+		return r
+	default:
 	}
-	apply := func(c *pnstm.Ctx, p *pending) {
-		if traced {
-			// Tag the context with the victim request's identity before its
-			// child begins: any abort inside carries name:key, which is what
-			// the hot-key profiler ranks on (D36).
-			c.SetTraceTag(requestTraceTag(p.req))
+	r := &batchRun{b: b}
+	r.exec, r.root = r.execute, r.runRoot
+	return r
+}
+
+// collect gathers a batch around the first request: everything already
+// queued, then — if there is still room — whatever arrives within the
+// batching window. A zero window means "only what is already in flight",
+// which keeps unloaded latency at the floor while still group-committing
+// under concurrency.
+func (r *batchRun) collect(first *pending) {
+	b := r.b
+	maxBatch := int(b.knobs.maxBatch.Load())
+	delay := time.Duration(b.knobs.delay.Load())
+	r.batch = append(r.batch[:0], first)
+	for len(r.batch) < maxBatch {
+		select {
+		case p := <-b.in:
+			r.batch = append(r.batch, p)
+			continue
+		default:
 		}
-		if b.wal == nil || !canMutate(p.req) {
-			// Pure reads never log, so they skip the ticket-stamping
-			// wrapper transaction entirely.
-			p.resp = applyRequest(c, b.reg, p.req)
+		break
+	}
+	if delay <= 0 || len(r.batch) >= maxBatch {
+		return
+	}
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
+	for len(r.batch) < maxBatch {
+		select {
+		case p := <-b.in:
+			r.batch = append(r.batch, p)
+		case <-timer.C:
+			return
+		case <-b.stop:
 			return
 		}
-		_ = c.Atomic(func(c *pnstm.Ctx) error {
-			p.logged = false // retried attempts must re-decide
-			p.resp = applyRequest(c, b.reg, p.req)
-			if mutating(p.req, &p.resp) {
-				p.seq = seq.Add(1)
-				p.logged = true
-			}
-			return nil
-		})
 	}
+}
 
-	err := b.rt.Run(func(c *pnstm.Ctx) {
-		if traced {
-			c.StampTrace(batchID, b.shardID)
+// apply runs one request of the batch in block context c.
+func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
+	b := r.b
+	if r.traced {
+		// Tag the context with the victim request's identity before its
+		// child begins: any abort inside carries name:key, which is what
+		// the hot-key profiler ranks on (D36).
+		c.SetTraceTag(requestTraceTag(&p.req))
+	}
+	if b.wal == nil || !canMutate(&p.req) {
+		// Pure reads never log, so they skip the ticket-stamping
+		// wrapper transaction entirely.
+		applyRequest(c, b.reg, &p.req, &p.resp)
+		return
+	}
+	_ = c.Atomic(func(c *pnstm.Ctx) error {
+		p.logged = false // retried attempts must re-decide
+		applyRequest(c, b.reg, &p.req, &p.resp)
+		if mutating(&p.req, &p.resp) {
+			p.seq = r.seq.Add(1)
+			p.logged = true
 		}
-		_ = c.Atomic(func(c *pnstm.Ctx) error {
-			// A block dispatch costs roughly a worker wakeup, so forking
-			// pays only when a block carries several point requests; small
-			// batches fork fewer blocks (pipelined batches keep the other
-			// workers fed) and a lone request runs inline.
-			fanout := int(b.knobs.fanout.Load())
-			groups := len(batch) / minRequestsPerBlock
-			if groups > fanout {
-				groups = fanout
-			}
-			if groups > len(batch) {
-				groups = len(batch)
-			}
-			if groups < 1 {
-				groups = 1
-			}
-			if groups <= 1 {
-				// Small batch (or fanout 1): inline children, no fork —
-				// with MaxBatch 1 this is the batch-size-1 baseline shape.
-				for _, p := range batch {
-					apply(c, p)
-				}
-				return nil
-			}
-			fns := make([]func(*pnstm.Ctx), groups)
-			for g := 0; g < groups; g++ {
-				lo, hi := g*len(batch)/groups, (g+1)*len(batch)/groups
-				slice := batch[lo:hi]
-				fns[g] = func(c *pnstm.Ctx) {
-					for _, p := range slice {
-						apply(c, p)
-					}
-				}
-			}
-			c.Parallel(fns...)
-			return nil
-		})
+		return nil
 	})
+}
+
+// runRoot is the batch's root block: every request is one nested child
+// transaction of the batch transaction, and the children are spread over
+// at most fanout parallel blocks — the same bucket-group shape stmlib's
+// bulk operations use. With fanout ≈ worker count the per-block dispatch
+// cost is amortized over batch/fanout requests, which is what lets group
+// commit beat batch-size-1 execution even when each request is a single
+// point operation; requests in different groups still conflict-check and
+// run fully in parallel, and a request aborts alone (its own nested
+// transaction) whichever group it rides in.
+func (r *batchRun) runRoot(c *pnstm.Ctx) {
+	batch := r.batch
+	if r.traced {
+		c.StampTrace(r.batchID, r.b.shardID)
+	}
+	_ = c.Atomic(func(c *pnstm.Ctx) error {
+		// A block dispatch costs roughly a worker wakeup, so forking
+		// pays only when a block carries several point requests; small
+		// batches fork fewer blocks (pipelined batches keep the other
+		// workers fed) and a lone request runs inline.
+		fanout := int(r.b.knobs.fanout.Load())
+		groups := len(batch) / minRequestsPerBlock
+		if groups > fanout {
+			groups = fanout
+		}
+		if groups > len(batch) {
+			groups = len(batch)
+		}
+		if groups < 1 {
+			groups = 1
+		}
+		if groups <= 1 {
+			// Small batch (or fanout 1): inline children, no fork —
+			// with MaxBatch 1 this is the batch-size-1 baseline shape.
+			for _, p := range batch {
+				r.apply(c, p)
+			}
+			return nil
+		}
+		fns := make([]func(*pnstm.Ctx), groups)
+		for g := 0; g < groups; g++ {
+			lo, hi := g*len(batch)/groups, (g+1)*len(batch)/groups
+			slice := batch[lo:hi]
+			fns[g] = func(c *pnstm.Ctx) {
+				for _, p := range slice {
+					r.apply(c, p)
+				}
+			}
+		}
+		c.Parallel(fns...)
+		return nil
+	})
+}
+
+// execute runs the collected batch as a single root transaction, makes it
+// durable, delivers every response and hands the run back for reuse.
+func (r *batchRun) execute() {
+	b, batch := r.b, r.batch
+	defer b.execWG.Done()
+	defer b.pl.release()
+
+	r.seq.Store(0)
+	r.traced = b.rt.TracingEnabled()
+	if r.traced {
+		r.batchID = b.batchSeq.Add(1)
+	}
+	err := b.rt.Run(r.root)
 
 	// Make the batch durable before any of its acks leave: one record,
 	// one fsync, covering every mutating request in commit order.
@@ -335,7 +412,7 @@ func (b *batcher) execute(batch []*pending) {
 	}
 	b.mu.Unlock()
 
-	for _, p := range batch {
+	for i, p := range batch {
 		resp := p.resp
 		resp.ID = p.req.ID
 		if err != nil {
@@ -346,7 +423,12 @@ func (b *batcher) execute(batch []*pending) {
 		if resp.Status == StatusRejected {
 			b.obs.observeRejected()
 		}
-		p.deliver(resp)
+		batch[i] = nil // the idle run must not keep the request alive
+		p.finish(resp)
+	}
+	select {
+	case b.idle <- r:
+	default:
 	}
 }
 
@@ -372,7 +454,7 @@ func (b *batcher) logBatch(batch []*pending) error {
 
 	var body []byte
 	for i := 0; i < len(logged); i++ {
-		frame, err := AppendRequest(nil, logged[i].req)
+		frame, err := AppendRequest(nil, &logged[i].req)
 		if err != nil {
 			// In memory but unencodable: latch the wal shut ourselves
 			// (Append latches its own failures), or the next batch would
@@ -392,75 +474,49 @@ func (b *batcher) logBatch(batch []*pending) error {
 	return err
 }
 
-// requestTraceTag renders a request's identity for abort attribution:
-// name:key for keyed ops, the structure name otherwise, "tx" for an
-// anonymous envelope.
-func requestTraceTag(req *Request) string {
-	switch {
-	case req.Key != "":
-		return req.Name + ":" + req.Key
-	case req.Name != "":
-		return req.Name
-	default:
-		return "tx"
+// requestTraceTag is a request's identity for abort attribution, as the
+// two parts Ctx.SetTraceTag takes: name and key for keyed ops, the
+// structure name alone otherwise, "tx" for an anonymous envelope.
+func requestTraceTag(req *Request) (name, key string) {
+	if req.Name == "" && req.Key == "" {
+		return "tx", ""
 	}
+	return req.Name, req.Key
 }
 
 // applyRequest executes one request as its own nested transaction inside
-// the batch transaction and renders the response. The request's writes
-// are isolated in its child: a rejected checkout rolls back alone while
-// its batch siblings commit.
-func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request) Response {
-	resp := Response{ID: req.ID, Status: StatusOK}
+// the batch transaction and renders the response into *resp. The
+// request's writes are isolated in its child: a rejected checkout rolls
+// back alone while its batch siblings commit.
+//
+// A request whose body is one stmlib call opens no transaction of its
+// own: every stmlib operation is already atomic, so that call's
+// transaction IS the request's nested child. Only bodies that compose
+// several calls (OpMapAdd, envelopes) wrap them in one.
+func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) {
+	*resp = Response{ID: req.ID, Status: StatusOK}
 	var err error
 	switch req.Op {
 	case OpPing:
 		// Normally answered by the connection directly; harmless here.
 	case OpMapGet:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			resp.Value, resp.Found = reg.Map(req.Name).Get(c, req.Key)
-			return nil
-		})
+		resp.Value, resp.Found = reg.Map(req.Name).Get(c, req.Key)
 	case OpMapPut:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			reg.Map(req.Name).Put(c, req.Key, req.Value)
-			return nil
-		})
+		reg.Map(req.Name).Put(c, req.Key, req.Value)
 	case OpMapDelete:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			resp.Found = reg.Map(req.Name).Delete(c, req.Key)
-			return nil
-		})
+		resp.Found = reg.Map(req.Name).Delete(c, req.Key)
 	case OpMapLen:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			resp.Num = int64(reg.Map(req.Name).Len(c))
-			return nil
-		})
+		resp.Num = int64(reg.Map(req.Name).Len(c))
 	case OpQueuePush:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			reg.Queue(req.Name).Push(c, req.Value)
-			return nil
-		})
+		reg.Queue(req.Name).Push(c, req.Value)
 	case OpQueuePop:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			resp.Value, resp.Found = reg.Queue(req.Name).Pop(c)
-			return nil
-		})
+		resp.Value, resp.Found = reg.Queue(req.Name).Pop(c)
 	case OpQueueLen:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			resp.Num = int64(reg.Queue(req.Name).Len(c))
-			return nil
-		})
+		resp.Num = int64(reg.Queue(req.Name).Len(c))
 	case OpCounterAdd:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			reg.Counter(req.Name).Add(c, req.Delta)
-			return nil
-		})
+		reg.Counter(req.Name).Add(c, req.Delta)
 	case OpCounterSum:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			resp.Num = reg.Counter(req.Name).Sum(c)
-			return nil
-		})
+		resp.Num = reg.Counter(req.Name).Sum(c)
 	case OpMapAdd:
 		err = c.Atomic(func(c *pnstm.Ctx) error {
 			var e error
@@ -472,23 +528,24 @@ func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request) Response {
 		// directly; the wire path translated them in ParseRequest.
 		tx, terr := CheckoutTx(req.Name, req.Checkout)
 		if terr != nil {
-			return Response{ID: req.ID, Status: StatusErr, Msg: terr.Error()}
+			*resp = Response{ID: req.ID, Status: StatusErr, Msg: terr.Error()}
+			return
 		}
-		err = applyTx(c, reg, &Tx{Ops: tx.Ops}, &resp)
+		err = applyTx(c, reg, tx, resp)
 	case OpTx:
-		err = applyTx(c, reg, req.Tx, &resp)
+		err = applyTx(c, reg, req.Tx, resp)
 	default:
-		return Response{ID: req.ID, Status: StatusErr, Msg: "unbatchable or unknown opcode"}
+		*resp = Response{ID: req.ID, Status: StatusErr, Msg: "unbatchable or unknown opcode"}
+		return
 	}
 	switch {
 	case err == nil:
 	case errors.Is(err, errRejected):
-		resp = Response{ID: req.ID, Status: StatusRejected, Found: resp.Found,
+		*resp = Response{ID: req.ID, Status: StatusRejected, Found: resp.Found,
 			Num: resp.Num, Msg: resp.Msg, TxResults: resp.TxResults}
 	default:
-		resp = Response{ID: req.ID, Status: StatusErr, Msg: err.Error()}
+		*resp = Response{ID: req.ID, Status: StatusErr, Msg: err.Error()}
 	}
-	return resp
 }
 
 // mapAdd is the OpMapAdd primitive: add delta to the int64-encoded map
@@ -510,32 +567,37 @@ func mapAdd(c *pnstm.Ctx, reg *stmlib.Registry, name, key string, delta int64) (
 	return have, ok, nil
 }
 
+// txGroup identifies the structure a sub-op touches: its kind (map,
+// queue, counter, sorted map) and name. Comparable, so grouping needs no
+// rendered key.
+type txGroup struct {
+	kind byte
+	name string
+}
+
 // txGroupKey buckets a sub-op by the structure it touches; sub-ops with
 // the same key must execute sequentially in envelope order
 // (read-your-writes), distinct keys may fan as parallel-nested
 // grandchildren.
-func txGroupKey(op *TxOp) string {
+func txGroupKey(op *TxOp) txGroup {
 	switch op.Op {
-	case OpMapGet, OpMapPut, OpMapDelete, OpMapLen, OpMapAdd:
-		return "m\x00" + op.Name
-	case OpQueuePush, OpQueuePop, OpQueueLen:
-		return "q\x00" + op.Name
+	case OpMapGet, OpMapPut, OpMapDelete, OpMapLen, OpMapAdd, OpMapPutTTL, OpExpire:
+		return txGroup{'m', op.Name}
+	case OpQueuePush, OpQueuePop, OpQueueLen,
+		OpLeaseConsume, OpLeaseAck, OpLeaseNack, OpLeaseReclaim, OpLeaseLen:
+		return txGroup{'q', op.Name}
 	case OpCounterAdd, OpCounterSum:
-		return "c\x00" + op.Name
+		return txGroup{'c', op.Name}
 	case OpAssertEq, OpAssertGE:
 		if op.Key != "" {
-			return "m\x00" + op.Name
+			return txGroup{'m', op.Name}
 		}
-		return "c\x00" + op.Name
+		return txGroup{'c', op.Name}
 	case OpSortedGet, OpSortedPut, OpSortedPutTTL, OpSortedDelete, OpSortedLen,
 		OpRangeScan, OpRangeCount, OpSortedExpire:
-		return "s\x00" + op.Name
-	case OpMapPutTTL, OpExpire:
-		return "m\x00" + op.Name
-	case OpLeaseConsume, OpLeaseAck, OpLeaseNack, OpLeaseReclaim, OpLeaseLen:
-		return "q\x00" + op.Name
+		return txGroup{'s', op.Name}
 	}
-	return "?"
+	return txGroup{kind: '?'}
 }
 
 // txOpFailure is one group's first failure inside an envelope: the
@@ -571,10 +633,13 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 	}
 	ops := tx.Ops
 	resp.TxResults = make([]TxResult, len(ops))
+	if len(ops) < minTxOpsForFanout {
+		return applyTxInline(c, reg, ops, resp)
+	}
 
 	// Group sub-ops by structure, preserving first-touch order.
-	var order []string
-	groups := make(map[string][]int)
+	var order []txGroup
+	groups := make(map[txGroup][]int)
 	for i := range ops {
 		k := txGroupKey(&ops[i])
 		if _, ok := groups[k]; !ok {
@@ -585,15 +650,9 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 
 	fails := make([]*txOpFailure, len(order))
 	return c.Atomic(func(c *pnstm.Ctx) error {
-		// The body may retry after a conflict abort: re-judge every sub-op
-		// on the final attempt only.
-		for i := range resp.TxResults {
-			resp.TxResults[i] = TxResult{}
-		}
-		resp.Msg = ""
-		resp.Num = 0
+		resetTxResults(resp)
 
-		runGroup := func(c *pnstm.Ctx, slot int, keys []string) {
+		runGroup := func(c *pnstm.Ctx, slot int, keys []txGroup) {
 			for _, k := range keys {
 				fails[slot] = nil
 				for _, i := range groups[k] {
@@ -609,7 +668,7 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 			}
 		}
 
-		if len(order) == 1 || len(ops) < minTxOpsForFanout {
+		if len(order) == 1 {
 			runGroup(c, 0, order)
 		} else {
 			fns := make([]func(*pnstm.Ctx), len(order))
@@ -636,14 +695,72 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 		if first == nil {
 			return nil
 		}
-		resp.Num = int64(first.idx)
-		resp.Msg = first.msg
-		if !errors.Is(first.err, errRejected) {
-			resp.Msg = "" // StatusErr path: Msg carries first.err below
-			return fmt.Errorf("op %d: %w", first.idx, first.err)
-		}
-		return errRejected // rolls back every group of this envelope
+		return abortTx(resp, first)
 	})
+}
+
+// applyTxInline is applyTx for an envelope too small to fork: its groups
+// run one after another, in first-touch order, in the envelope's own
+// child transaction. The grouping is a linear scan over a stack array —
+// leader[i] is the first sub-op touching sub-op i's structure — so a
+// point-op envelope allocates nothing to find out that it has one or two
+// groups.
+func applyTxInline(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, resp *Response) error {
+	var keys [minTxOpsForFanout]txGroup
+	var leader [minTxOpsForFanout]uint8
+	for i := range ops {
+		keys[i] = txGroupKey(&ops[i])
+		leader[i] = uint8(i)
+		for j := 0; j < i; j++ {
+			if keys[j] == keys[i] {
+				leader[i] = leader[j]
+				break
+			}
+		}
+	}
+	return c.Atomic(func(c *pnstm.Ctx) error {
+		resetTxResults(resp)
+		for g := range ops {
+			if int(leader[g]) != g {
+				continue // not the first of its group
+			}
+			for i := g; i < len(ops); i++ {
+				if int(leader[i]) != g {
+					continue
+				}
+				if msg, err := applyTxOp(c, reg, &ops[i], &resp.TxResults[i]); err != nil {
+					// The first failure ends the envelope: later groups
+					// never run.
+					return abortTx(resp, &txOpFailure{idx: i, err: err, msg: msg})
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// resetTxResults clears what an earlier attempt of the envelope's body
+// left behind: the body may retry after a conflict abort, and every
+// sub-op is judged on the final attempt only.
+func resetTxResults(resp *Response) {
+	for i := range resp.TxResults {
+		resp.TxResults[i] = TxResult{}
+	}
+	resp.Msg = ""
+	resp.Num = 0
+}
+
+// abortTx records the envelope's first failure in resp and returns the
+// error that rolls the envelope back: errRejected for a false guard,
+// the wrapped cause for a malformed sub-op.
+func abortTx(resp *Response, first *txOpFailure) error {
+	resp.Num = int64(first.idx)
+	if !errors.Is(first.err, errRejected) {
+		// StatusErr path: Msg carries the returned error.
+		return fmt.Errorf("op %d: %w", first.idx, first.err)
+	}
+	resp.Msg = first.msg
+	return errRejected // rolls back every group of this envelope
 }
 
 // applyTxOp executes one sub-op in the group's context and fills its

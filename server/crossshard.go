@@ -244,7 +244,7 @@ const maxCrossInflight = 256
 // latency per shard — the connection's reader loop must not). In-flight
 // coordinators are bounded by crossSem; past the cap the envelope is
 // refused with a retryable error rather than queued without limit.
-func (s *Server) commitCrossShard(req *Request, plan *txPlan, deliver func(Response)) {
+func (s *Server) commitCrossShard(req *Request, plan txPlan, deliver func(Response)) {
 	select {
 	case s.crossSem <- struct{}{}:
 	default:
@@ -261,7 +261,7 @@ func (s *Server) commitCrossShard(req *Request, plan *txPlan, deliver func(Respo
 			<-s.crossSem
 			s.crossWG.Done()
 		}()
-		deliver(s.runCrossShard(req, plan))
+		deliver(s.runCrossShard(req, &plan))
 	}()
 }
 

@@ -220,7 +220,7 @@ func submitOne(t *testing.T, s *Server, req *Request) Response {
 	t.Helper()
 	done := make(chan Response, 1)
 	sh := s.shardFor(req.Name)
-	if !sh.b.submit(&pending{req: req, deliver: func(r Response) { done <- r }}) {
+	if !sh.b.submit(&pending{req: *req, reply: replyFunc(func(r Response) { done <- r })}) {
 		t.Fatal("submit refused")
 	}
 	return <-done
@@ -524,7 +524,7 @@ func TestCrossShardInflightCap(t *testing.T) {
 		s.crossSem <- struct{}{}
 	}
 	done := make(chan Response, 1)
-	s.commitCrossShard(req, &plan, func(r Response) { done <- r })
+	s.commitCrossShard(req, plan, func(r Response) { done <- r })
 	if r := <-done; r.Status != StatusErr {
 		t.Fatalf("saturated coordinator pool answered %+v, want StatusErr", r)
 	}
@@ -533,7 +533,7 @@ func TestCrossShardInflightCap(t *testing.T) {
 	}
 
 	// With capacity back, the same envelope commits.
-	s.commitCrossShard(req, &plan, func(r Response) { done <- r })
+	s.commitCrossShard(req, plan, func(r Response) { done <- r })
 	if r := <-done; r.Status != StatusOK {
 		t.Fatalf("post-drain cross commit: %+v", r)
 	}

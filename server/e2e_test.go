@@ -13,7 +13,7 @@ import (
 
 // startServer boots an in-process pnstmd on a kernel-chosen port and
 // tears it down at cleanup.
-func startServer(t *testing.T, cfg server.Config) *server.Server {
+func startServer(t testing.TB, cfg server.Config) *server.Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	s, err := server.New(cfg)
@@ -34,7 +34,7 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 	return s
 }
 
-func dial(t *testing.T, s *server.Server, conns int) *client.Client {
+func dial(t testing.TB, s *server.Server, conns int) *client.Client {
 	t.Helper()
 	cl, err := client.Connect(client.Options{Addrs: []string{s.Addr().String()}, PoolSize: conns})
 	if err != nil {

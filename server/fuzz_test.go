@@ -99,7 +99,22 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(req, back) {
 			t.Fatalf("request round trip diverged:\n  first  %+v\n  second %+v", req, back)
 		}
+		// A decoded request owns its bytes: connections refill the buffer
+		// a frame was parsed from while the request is still queued.
+		scratch := bytes.Clone(payload)
+		aliased, err := ParseRequest(scratch)
+		poison(scratch)
+		if err != nil || !reflect.DeepEqual(req, aliased) {
+			t.Fatalf("request changed when its frame buffer was overwritten (err %v):\n  want %+v\n  got  %+v", err, req, aliased)
+		}
 	})
+}
+
+// poison overwrites a frame buffer the way the next frame would.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
+	}
 }
 
 // FuzzGSNRecordRoundTrip holds the cross-shard WAL record codec (D30)
@@ -341,6 +356,14 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(resp, back) {
 			t.Fatalf("response round trip diverged:\n  first  %+v\n  second %+v", resp, back)
+		}
+		// The client's reader refills its frame buffer as soon as a
+		// response is parsed, while the caller still holds the response.
+		scratch := bytes.Clone(payload)
+		aliased, err := ParseResponse(scratch)
+		poison(scratch)
+		if err != nil || !reflect.DeepEqual(resp, aliased) {
+			t.Fatalf("response changed when its frame buffer was overwritten (err %v):\n  want %+v\n  got  %+v", err, resp, aliased)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"strconv"
-	"time"
 
 	"pnstm/internal/metrics"
 )
@@ -273,16 +272,6 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 			metrics.Labels{"shard": strconv.Itoa(i), "direction": "down"}))
 	}
 	return o
-}
-
-// observeLatency routes one finished request into its class histogram.
-func (o *serverObs) observeLatency(class string, since time.Time) {
-	if o == nil {
-		return
-	}
-	if h, ok := o.latency[class]; ok {
-		h.ObserveSince(since)
-	}
 }
 
 // LatencySummary is the OpStats rendering of one op-class histogram:

@@ -125,17 +125,17 @@ func mutating(req *Request, resp *Response) bool {
 // envelope touches every structure any sub-op reads or writes — guards
 // included, because a guard's outcome on replay must observe the same
 // per-structure state it did live.
-func replayGroups(req *Request) []string {
+func replayGroups(req *Request) []txGroup {
 	switch req.Op {
 	case OpMapPut, OpMapDelete, OpMapAdd:
-		return []string{"m\x00" + req.Name}
+		return []txGroup{{'m', req.Name}}
 	case OpQueuePush, OpQueuePop:
-		return []string{"q\x00" + req.Name}
+		return []txGroup{{'q', req.Name}}
 	case OpCounterAdd:
-		return []string{"c\x00" + req.Name}
+		return []txGroup{{'c', req.Name}}
 	case OpTx:
-		var keys []string
-		seen := make(map[string]bool, len(req.Tx.Ops))
+		var keys []txGroup
+		seen := make(map[txGroup]bool, len(req.Tx.Ops))
 		for i := range req.Tx.Ops {
 			k := txGroupKey(&req.Tx.Ops[i])
 			if !seen[k] {
@@ -145,7 +145,7 @@ func replayGroups(req *Request) []string {
 		}
 		return keys
 	}
-	return []string{"?"}
+	return []txGroup{{kind: '?'}}
 }
 
 // replayBatch re-executes one logged batch: a root transaction whose
@@ -164,9 +164,9 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Re
 	}
 	// Union the group keys each request touches, then bucket requests by
 	// their component root, preserving logged order within a component.
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(k string) string {
+	parent := make(map[txGroup]txGroup)
+	var find func(txGroup) txGroup
+	find = func(k txGroup) txGroup {
 		p, ok := parent[k]
 		if !ok || p == k {
 			parent[k] = k
@@ -176,13 +176,13 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Re
 		parent[k] = root
 		return root
 	}
-	union := func(a, b string) {
+	union := func(a, b txGroup) {
 		ra, rb := find(a), find(b)
 		if ra != rb {
 			parent[ra] = rb
 		}
 	}
-	touched := make([][]string, len(reqs))
+	touched := make([][]txGroup, len(reqs))
 	for i, r := range reqs {
 		keys := replayGroups(r)
 		touched[i] = keys
@@ -190,8 +190,8 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Re
 			union(keys[0], k)
 		}
 	}
-	var order []string
-	groups := make(map[string][]*Request)
+	var order []txGroup
+	groups := make(map[txGroup][]*Request)
 	for i, r := range reqs {
 		root := find(touched[i][0])
 		if _, ok := groups[root]; !ok {
@@ -214,11 +214,12 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Re
 	divergence := make([]error, blocks)
 	runErr := rt.Run(func(c *pnstm.Ctx) {
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
-			apply := func(c *pnstm.Ctx, slot int, keys []string) {
+			apply := func(c *pnstm.Ctx, slot int, keys []txGroup) {
 				divergence[slot] = nil // the enclosing tx may retry; judge the final attempt
 				for _, k := range keys {
 					for _, r := range groups[k] {
-						resp := applyRequest(c, reg, r)
+						var resp Response
+						applyRequest(c, reg, r, &resp)
 						if divergence[slot] == nil {
 							if resp.Status != StatusOK {
 								divergence[slot] = fmt.Errorf("op %d on %q replayed to status %d (%s)", r.Op, r.Name, resp.Status, resp.Msg)

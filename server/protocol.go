@@ -525,17 +525,47 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 // Decoding
 // ---------------------------------------------------------------------------
 
-// ReadFrame reads one frame's payload from r.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// FrameBuf is a connection's reusable frame payload buffer, owned by the
+// one goroutine that reads the connection. Every decoder in this package
+// copies what it keeps out of the payload, so the buffer may be refilled
+// as soon as a frame is parsed.
+type FrameBuf struct{ b []byte }
+
+// maxRetainedFrame bounds the payload a FrameBuf holds on to: larger
+// frames get a buffer of their own, so one multi-megabyte request does
+// not stay pinned for the connection's life.
+const maxRetainedFrame = 64 << 10
+
+// ReadFrame reads one frame's payload from r. With fb non-nil the payload
+// of a frame up to maxRetainedFrame bytes lives in fb and is valid only
+// until the next ReadFrame with the same fb; with fb nil, or for a larger
+// frame, the payload is freshly allocated and the caller's to keep.
+func ReadFrame(r *bufio.Reader, fb *FrameBuf) ([]byte, error) {
+	// Peek hands out the reader's own buffer: no header array escapes
+	// through io.ReadFull.
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
+	r.Discard(4) // cannot fail: the four bytes are buffered
 	if n > MaxFrame {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
+	var payload []byte
+	if fb == nil || n > maxRetainedFrame {
+		payload = make([]byte, n)
+	} else {
+		if n > cap(fb.b) {
+			// Doubling: a connection whose frames creep upwards settles
+			// after a few growths.
+			fb.b = make([]byte, min(max(n, 2*cap(fb.b), 512), maxRetainedFrame))
+		}
+		payload = fb.b[:n]
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
@@ -591,7 +621,9 @@ func (c *cursor) u64() uint64 {
 
 func (c *cursor) i64() int64 { return int64(c.u64()) }
 
-func (c *cursor) str16() string { return string(c.take(int(c.u16()))) }
+func (c *cursor) raw16() []byte { return c.take(int(c.u16())) }
+
+func (c *cursor) str16() string { return string(c.raw16()) }
 
 func (c *cursor) bytes32() []byte {
 	b := c.take(4)
@@ -621,17 +653,53 @@ func (c *cursor) done() error {
 	return nil
 }
 
-// ParseRequest decodes one request frame payload. The legacy OpCheckout
-// opcode is translated to its equivalent OpTx envelope here, at the
-// decode boundary — everything downstream (execution, shard routing,
-// WAL logging and replay) sees only the generic envelope.
+// maxInternedNames bounds a connection's structure-name table: names past
+// it are decoded as fresh strings, so a client cycling through names
+// cannot grow the table without limit.
+const maxInternedNames = 256
+
+// requestDecoder decodes request frames. It is the one request decoder:
+// a connection keeps one with a names table, so the structure names its
+// requests repeat are shared strings instead of a copy per request;
+// ParseRequest runs the zero value, which shares nothing. Everything a
+// decoded Request holds is copied out of the frame.
+type requestDecoder struct {
+	names map[string]string // nil: no interning
+}
+
+func (d *requestDecoder) name(c *cursor) string {
+	raw := c.raw16()
+	if s, ok := d.names[string(raw)]; ok { // no allocation: map lookup by converted key
+		return s
+	}
+	s := string(raw)
+	if d.names != nil && len(d.names) < maxInternedNames {
+		d.names[s] = s
+	}
+	return s
+}
+
+// ParseRequest decodes one request frame payload into a fresh Request;
+// see requestDecoder.parse.
 func ParseRequest(frame []byte) (*Request, error) {
-	c := &cursor{b: frame}
-	req := &Request{
+	req := new(Request)
+	if err := new(requestDecoder).parse(frame, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// parse decodes one request frame payload into *req, overwriting it. The
+// legacy OpCheckout opcode is translated to its equivalent OpTx envelope
+// here, at the decode boundary — everything downstream (execution, shard
+// routing, WAL logging and replay) sees only the generic envelope.
+func (d *requestDecoder) parse(frame []byte, req *Request) error {
+	c := cursor{b: frame}
+	*req = Request{
 		ID: c.u64(),
 		Op: c.u8(),
 	}
-	req.Name = c.str16()
+	req.Name = d.name(&c)
 	req.Key = c.str16()
 	req.Value = c.bytes32()
 	req.Delta = c.i64()
@@ -647,12 +715,15 @@ func ParseRequest(frame []byte) (*Request, error) {
 		req.Checkout = co
 	}
 	if req.Op == OpTx {
-		tx := &Tx{}
 		n := int(c.u16())
+		// One allocation for the whole op list; the count is untrusted, so
+		// it is clamped to what the rest of the frame could hold.
+		const minTxOpBytes = 1 + 2 + 2 + 4 + 8
+		tx := &Tx{Ops: make([]TxOp, 0, min(n, (len(frame)-c.off)/minTxOpBytes))}
 		for i := 0; i < n && c.err == nil; i++ {
 			tx.Ops = append(tx.Ops, TxOp{
 				Op:    c.u8(),
-				Name:  c.str16(),
+				Name:  d.name(&c),
 				Key:   c.str16(),
 				Value: c.bytes32(),
 				Delta: c.i64(),
@@ -674,26 +745,26 @@ func ParseRequest(frame []byte) (*Request, error) {
 		}
 	}
 	if err := c.done(); err != nil {
-		return nil, err
+		return err
 	}
 	if req.Op == 0 || (req.Op > OpTx && req.Op != OpMapAdd && req.Op != OpHello && req.Op != OpReplSubscribe) {
-		return nil, fmt.Errorf("server: unknown opcode %d", req.Op)
+		return fmt.Errorf("server: unknown opcode %d", req.Op)
 	}
 	if req.Op == OpTx {
 		for i := range req.Tx.Ops {
 			if !validSubOp(req.Tx.Ops[i].Op) {
-				return nil, fmt.Errorf("server: op %d: invalid sub-opcode %d", i, req.Tx.Ops[i].Op)
+				return fmt.Errorf("server: op %d: invalid sub-opcode %d", i, req.Tx.Ops[i].Op)
 			}
 		}
 	}
 	if req.Op == OpCheckout {
 		tx, err := CheckoutTx(req.Name, req.Checkout)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		req.Op, req.Name, req.Checkout, req.Tx = OpTx, "", nil, tx
 	}
-	return req, nil
+	return nil
 }
 
 // CheckoutTx renders the legacy checkout composite as its OpTx

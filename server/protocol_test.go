@@ -15,7 +15,7 @@ func roundTripRequest(t *testing.T, req *Request) *Request {
 	if err != nil {
 		t.Fatalf("AppendRequest: %v", err)
 	}
-	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
+	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	for _, resp := range resps {
 		frame := AppendResponse(nil, resp)
-		payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
+		payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}
@@ -224,7 +224,7 @@ func TestAppendRequestRejectsOversizeFields(t *testing.T) {
 func TestAppendResponseClampsOversizeMsg(t *testing.T) {
 	resp := &Response{ID: 1, Status: StatusErr, Msg: strings.Repeat("e", 1<<16+10)}
 	frame := AppendResponse(nil, resp)
-	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
+	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestAppendResponseClampsOversizeMsg(t *testing.T) {
 func TestReadFrameRejectsOversize(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr[:]))); err == nil {
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr[:])), nil); err == nil {
 		t.Error("oversize frame accepted")
 	}
 }
@@ -271,7 +271,7 @@ func TestStreamOfFrames(t *testing.T) {
 	}
 	br := bufio.NewReader(bytes.NewReader(stream))
 	for i := 0; i < 5; i++ {
-		payload, err := ReadFrame(br)
+		payload, err := ReadFrame(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

@@ -136,9 +136,9 @@ func (s *Server) reapShard(sh *shard, cutoff int64) (expired, reclaimed int) {
 		if hi > len(ops) {
 			hi = len(ops)
 		}
-		req := &Request{Op: OpTx, Tx: &Tx{Ops: ops[lo:hi]}}
+		req := Request{Op: OpTx, Tx: &Tx{Ops: ops[lo:hi]}}
 		done := make(chan Response, 1)
-		if !sh.b.submit(&pending{req: req, deliver: func(r Response) { done <- r }}) {
+		if !sh.b.submit(&pending{req: req, reply: replyFunc(func(r Response) { done <- r })}) {
 			return expired, reclaimed // shutting down
 		}
 		resp := <-done

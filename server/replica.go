@@ -161,7 +161,9 @@ func (r *replicator) stream(i int) error {
 		return bw.Flush()
 	}
 	recv := func() (*Response, error) {
-		frame, err := ReadFrame(br)
+		// A fresh payload per frame: the stream's frames are large and
+		// this path is not worth proving alias-free.
+		frame, err := ReadFrame(br, nil)
 		if err != nil {
 			return nil, err
 		}

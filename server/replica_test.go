@@ -10,17 +10,21 @@ import (
 	"pnstm/server"
 )
 
-// waitCaughtUp polls a replica's watermarks until every shard's stream
-// is connected and applied has reached the reported head — i.e. nothing
-// the primary logged is still in flight.
-func waitCaughtUp(t *testing.T, r *server.Server) {
+// waitCaughtUp blocks until the replica has applied everything the
+// primary has logged so far. The bound is the primary's own log tail, not
+// the head the replica last heard of: right after a burst of writes that
+// head is stale, and a replica that trails it by nothing can still be
+// records behind.
+func waitCaughtUp(t *testing.T, primary, r *server.Server) {
 	t.Helper()
+	tails := primary.Stats().PerShard
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		st := r.ReplicaStatus()
-		caught := len(st.Shards) > 0
+		caught := len(st.Shards) == len(tails)
 		for _, sh := range st.Shards {
-			if !sh.Connected || sh.StalenessMs < 0 || sh.AppliedLSN < sh.HeadLSN {
+			if !caught || !sh.Connected || sh.StalenessMs < 0 || sh.AppliedLSN < sh.HeadLSN ||
+				sh.AppliedLSN < tails[sh.Shard].WAL.TailLSN {
 				caught = false
 				break
 			}
@@ -65,7 +69,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitCaughtUp(t, replica)
+	waitCaughtUp(t, primary, replica)
 
 	// Reads through the redesigned client API, pinned to the replica.
 	rcl, err := client.Connect(client.Options{
@@ -116,7 +120,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 	if err := pcl.MapPut("m", "delta", []byte("4")); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, replica)
+	waitCaughtUp(t, primary, replica)
 	if v, ok, err := rcl.MapGet("m", "delta"); err != nil || !ok || string(v) != "4" {
 		t.Fatalf("post-catchup MapGet(delta) = %q, %v, %v", v, ok, err)
 	}
@@ -151,7 +155,7 @@ func TestReplicaPromote(t *testing.T) {
 	if err := pcl.MapPut("m", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, replica)
+	waitCaughtUp(t, primary, replica)
 
 	// Dial the replica BEFORE promoting: the redirect and the post-promote
 	// accept must both happen on the same pool (the server is

@@ -985,10 +985,10 @@ func (s *Server) fanTx(req *Request, deliver func(Response)) {
 		if len(perShard[sh]) == 0 {
 			continue
 		}
-		sub := &Request{ID: req.ID, Op: OpTx, Tx: &Tx{Ops: perShard[sh]}}
+		sub := Request{ID: req.ID, Op: OpTx, Tx: &Tx{Ops: perShard[sh]}}
 		shardSlots := slots[sh]
 		wg.Add(1)
-		p := &pending{req: sub, deliver: func(resp Response) {
+		p := &pending{req: sub, reply: replyFunc(func(resp Response) {
 			mu.Lock()
 			switch resp.Status {
 			case StatusOK:
@@ -1025,7 +1025,7 @@ func (s *Server) fanTx(req *Request, deliver func(Response)) {
 			}
 			mu.Unlock()
 			wg.Done()
-		}}
+		})}
 		if !s.shards[sh].b.submit(p) {
 			mu.Lock()
 			if errMsg == "" {
@@ -1091,7 +1091,7 @@ func (s *Server) fanCounterSum(req *Request, deliver func(Response)) {
 	)
 	for _, sh := range s.shards {
 		wg.Add(1)
-		p := &pending{req: req, deliver: func(resp Response) {
+		p := &pending{req: *req, reply: replyFunc(func(resp Response) {
 			mu.Lock()
 			if resp.Status != StatusOK && errMsg == "" {
 				errMsg = resp.Msg
@@ -1102,7 +1102,7 @@ func (s *Server) fanCounterSum(req *Request, deliver func(Response)) {
 			total += resp.Num
 			mu.Unlock()
 			wg.Done()
-		}}
+		})}
 		if !sh.b.submit(p) {
 			mu.Lock()
 			if errMsg == "" {
@@ -1122,10 +1122,62 @@ func (s *Server) fanCounterSum(req *Request, deliver func(Response)) {
 	}()
 }
 
+// conn is the route responses take back to one client connection: any
+// goroutine may deliver, the connection's writer goroutine drains out.
+// It is the replier of every request the connection submits, so routing
+// a response costs no closure per request.
+type conn struct {
+	out        chan Response
+	closed     chan struct{} // reader gone: stop routing responses here
+	writerDone chan struct{} // writer gone: never block the batcher on a dead conn
+}
+
+func (cn *conn) deliver(resp Response) {
+	select {
+	case cn.out <- resp:
+	case <-cn.closed:
+	case <-cn.writerDone:
+	}
+}
+
+// writeLoop serializes responses onto the socket until the connection
+// closes or a write fails.
+func (cn *conn) writeLoop(nc net.Conn) {
+	defer close(cn.writerDone)
+	bw := bufio.NewWriter(nc)
+	var buf []byte
+	for {
+		select {
+		case resp := <-cn.out:
+			buf = AppendResponse(buf[:0], &resp)
+			if _, err := bw.Write(buf); err != nil {
+				return
+			}
+			// Flush only when the queue runs dry: consecutive
+			// responses of one batch leave in one segment.
+			if len(cn.out) == 0 {
+				if err := bw.Flush(); err != nil {
+					return
+				}
+			}
+			if cap(buf) > maxRetainedFrame {
+				buf = nil // one large response must not stay pinned
+			}
+		case <-cn.closed:
+			return
+		}
+	}
+}
+
 // handleConn runs one connection: a reader loop decoding frames and
 // submitting them to their shard's batcher, and a writer goroutine
 // serializing responses (responses may complete out of order across
 // batches and shards; clients match by request id).
+//
+// The reader owns the frame buffer and the decoder's name table; each
+// request is decoded into the pending that carries it to its batch and
+// back, and nothing a pending holds points into the frame buffer, so the
+// next frame may overwrite it while the request is still queued.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -1135,70 +1187,36 @@ func (s *Server) handleConn(nc net.Conn) {
 		nc.Close()
 	}()
 
-	out := make(chan Response, 256)
-	connClosed := make(chan struct{}) // reader gone: stop routing responses here
-	writerDone := make(chan struct{}) // writer gone: never block the batcher on a dead conn
-	var streams sync.WaitGroup        // replication streams serving this conn
+	cn := &conn{
+		// Deep enough that a batch's responses rarely wait for the writer.
+		out:        make(chan Response, 256),
+		closed:     make(chan struct{}),
+		writerDone: make(chan struct{}),
+	}
+	var streams sync.WaitGroup // replication streams serving this conn
 	defer func() {
-		close(connClosed)
-		<-writerDone
+		close(cn.closed)
+		<-cn.writerDone
 		streams.Wait()
 	}()
-
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriter(nc)
-		var buf []byte
-		for {
-			select {
-			case resp := <-out:
-				buf = AppendResponse(buf[:0], &resp)
-				if _, err := bw.Write(buf); err != nil {
-					return
-				}
-				// Flush only when the queue runs dry: consecutive
-				// responses of one batch leave in one segment.
-				if len(out) == 0 {
-					if err := bw.Flush(); err != nil {
-						return
-					}
-				}
-			case <-connClosed:
-				return
-			}
-		}
-	}()
-
-	deliver := func(resp Response) {
-		select {
-		case out <- resp:
-		case <-connClosed:
-		case <-writerDone:
-		}
-	}
-	// timed wraps deliver for one request so its class histogram sees
-	// parse-to-delivery latency — batching delay, execution, fsync and
-	// response routing included.
-	timed := func(class string) func(Response) {
-		start := time.Now()
-		return func(resp Response) {
-			s.obs.observeLatency(class, start)
-			deliver(resp)
-		}
-	}
+	go cn.writeLoop(nc)
 
 	// connMaxStale is the connection's read-staleness bound, declared by
 	// its Hello (zero: none). Only the reader loop touches it.
 	var connMaxStale time.Duration
 
+	latPoint, latTx, latCross := s.obs.latency[classPoint], s.obs.latency[classTx], s.obs.latency[classCross]
+	dec := requestDecoder{names: make(map[string]string)}
+	var fb FrameBuf
 	br := bufio.NewReader(nc)
 	for {
-		frame, err := ReadFrame(br)
+		frame, err := ReadFrame(br, &fb)
 		if err != nil {
 			return // EOF, forced close, or an unrecoverable framing error
 		}
-		req, err := ParseRequest(frame)
-		if err != nil {
+		p := &pending{reply: cn}
+		req := &p.req
+		if err := dec.parse(frame, req); err != nil {
 			// The id is the payload's leading u64, so it usually survives
 			// a body parse failure — echo it back so the caller's pending
 			// round trip fails instead of hanging. After a malformed frame
@@ -1208,18 +1226,19 @@ func (s *Server) handleConn(nc net.Conn) {
 			if len(frame) >= 8 {
 				id = binary.BigEndian.Uint64(frame[:8])
 			}
-			deliver(Response{ID: id, Status: StatusErr, Msg: err.Error()})
+			cn.deliver(Response{ID: id, Status: StatusErr, Msg: err.Error()})
 			continue
 		}
+		p.start = time.Now()
 		if s.isReplica() {
 			if resp, refused := s.replicaGate(req, connMaxStale); refused {
-				deliver(resp)
+				cn.deliver(resp)
 				continue
 			}
 		}
 		switch req.Op {
 		case OpPing:
-			deliver(Response{ID: req.ID, Status: StatusOK})
+			cn.deliver(Response{ID: req.ID, Status: StatusOK})
 		case OpHello:
 			if req.Hello != nil && req.Hello.MaxStalenessMs > 0 {
 				connMaxStale = time.Duration(req.Hello.MaxStalenessMs) * time.Millisecond
@@ -1232,54 +1251,47 @@ func (s *Server) handleConn(nc net.Conn) {
 				info.Role = RoleReplica
 				info.Primary = s.cfg.ReplicaOf
 			}
-			deliver(Response{ID: req.ID, Status: StatusOK, Value: EncodeHelloInfo(info)})
+			cn.deliver(Response{ID: req.ID, Status: StatusOK, Value: EncodeHelloInfo(info)})
 		case OpReplSubscribe:
 			streams.Add(1)
-			go func(req *Request) {
+			go func() {
 				defer streams.Done()
-				s.serveReplStream(req, deliver, connClosed)
-			}(req)
+				s.serveReplStream(req, cn.deliver, cn.closed)
+			}()
 		case OpStats:
 			blob, err := json.Marshal(s.Stats())
 			if err != nil {
-				deliver(Response{ID: req.ID, Status: StatusErr, Msg: err.Error()})
+				cn.deliver(Response{ID: req.ID, Status: StatusErr, Msg: err.Error()})
 				continue
 			}
-			deliver(Response{ID: req.ID, Status: StatusOK, Value: blob})
+			cn.deliver(Response{ID: req.ID, Status: StatusOK, Value: blob})
 		case OpCounterSum:
-			done := timed(classPoint)
+			p.lat = latPoint
 			if len(s.shards) > 1 {
-				s.fanCounterSum(req, done)
+				s.fanCounterSum(req, p.finish)
 				continue
 			}
-			p := &pending{req: req, deliver: done}
-			if !s.shards[0].b.submit(p) {
-				done(Response{ID: req.ID, Status: StatusErr, Msg: "server closing"})
-			}
+			s.shards[0].b.submitOrFail(p)
 		case OpTx:
 			if len(req.Tx.Ops) == 0 {
-				deliver(Response{ID: req.ID, Status: StatusOK})
+				cn.deliver(Response{ID: req.ID, Status: StatusOK})
 				continue
 			}
 			plan := s.routeTx(req)
 			switch plan.kind {
 			case planFan:
-				s.fanTx(req, timed(classTx))
+				p.lat = latTx
+				s.fanTx(req, p.finish)
 			case planCross:
-				s.commitCrossShard(req, &plan, timed(classCross))
+				p.lat = latCross
+				s.commitCrossShard(req, plan, p.finish)
 			default:
-				done := timed(classTx)
-				p := &pending{req: req, deliver: done}
-				if !s.shards[plan.target].b.submit(p) {
-					done(Response{ID: req.ID, Status: StatusErr, Msg: "server closing"})
-				}
+				p.lat = latTx
+				s.shards[plan.target].b.submitOrFail(p)
 			}
 		default:
-			done := timed(classPoint)
-			p := &pending{req: req, deliver: done}
-			if !s.shardFor(req.Name).b.submit(p) {
-				done(Response{ID: req.ID, Status: StatusErr, Msg: "server closing"})
-			}
+			p.lat = latPoint
+			s.shardFor(req.Name).b.submitOrFail(p)
 		}
 	}
 }

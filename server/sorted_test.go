@@ -351,7 +351,7 @@ func TestSortedLeaseReplicaE2E(t *testing.T) {
 		t.Fatalf("primary reap expired %d, want 1", expired)
 	}
 
-	waitCaughtUp(t, replica)
+	waitCaughtUp(t, primary, replica)
 	rcl, err := client.Connect(client.Options{
 		Addrs:          []string{replica.Addr().String()},
 		ReadPreference: client.ReadReplicaRequired,

@@ -349,7 +349,7 @@ func rawCheckout(t *testing.T, addr, stockMap string, co server.Checkout) *serve
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := server.ReadFrame(bufio.NewReader(nc))
+	payload, err := server.ReadFrame(bufio.NewReader(nc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

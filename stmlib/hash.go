@@ -10,8 +10,12 @@ import (
 // mixed directly; everything else goes through its printed form. The
 // quality bar is bucket spreading, not adversarial resistance — bucket
 // choice only shapes contention, never correctness.
-func hashKey(k any) uint64 {
-	switch v := k.(type) {
+//
+// The switch looks at a boxed copy of k that never leaves this frame, so
+// the scalar and string arms allocate nothing; only the printed-form arm
+// boxes k again for fmt, and pays for it only when it runs.
+func hashKey[K comparable](k K) uint64 {
+	switch v := any(k).(type) {
 	case int:
 		return mix64(uint64(v))
 	case int8:
@@ -46,7 +50,7 @@ func hashKey(k any) uint64 {
 	case float32:
 		return mix64(uint64(int64(v)) ^ 0x9e3779b97f4a7c15)
 	default:
-		return hashString(fmt.Sprintf("%v", k))
+		return hashString(fmt.Sprintf("%v", any(k)))
 	}
 }
 

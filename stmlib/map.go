@@ -94,18 +94,17 @@ func (m *TMap[K, V]) SetExpiryHook(h func(c *pnstm.Ctx, oldExp, newExp int64, k 
 	m.hook = h
 }
 
-func (m *TMap[K, V]) bucket(k K) *pnstm.TVar[map[K]V] {
-	return m.buckets[hashKey(k)&m.mask]
+// index is k's position in both buckets and ttl. Operations hash a key
+// once and use the index for both arrays.
+func (m *TMap[K, V]) index(k K) int {
+	return int(hashKey(k) & m.mask)
 }
 
-func (m *TMap[K, V]) ttlBucket(k K) *pnstm.TVar[map[K]int64] {
-	return m.ttl[hashKey(k)&m.mask]
-}
-
-// clearDeadline drops k's deadline (if any) inside the caller's
-// transaction and fires the hook. Caller must be inside an Atomic.
-func (m *TMap[K, V]) clearDeadline(c *pnstm.Ctx, k K) {
-	tv := m.ttlBucket(k)
+// clearDeadline drops k's deadline (if any) from ttl[i], k's bucket,
+// inside the caller's transaction and fires the hook. Caller must be
+// inside an Atomic.
+func (m *TMap[K, V]) clearDeadline(c *pnstm.Ctx, i int, k K) {
+	tv := m.ttl[i]
 	old := pnstm.Load(c, tv)
 	exp, had := old[k]
 	if !had {
@@ -124,12 +123,13 @@ func (m *TMap[K, V]) clearDeadline(c *pnstm.Ctx, k K) {
 // reaper sweeps it physically.
 func (m *TMap[K, V]) Get(c *pnstm.Ctx, k K) (V, bool) {
 	now := nowNanos()
+	i := m.index(k)
 	var v V
 	var ok bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		v, ok = pnstm.Load(c, m.bucket(k))[k]
+		v, ok = pnstm.Load(c, m.buckets[i])[k]
 		if ok {
-			if exp := pnstm.Load(c, m.ttlBucket(k))[k]; exp > 0 && exp <= now {
+			if exp := pnstm.Load(c, m.ttl[i])[k]; exp > 0 && exp <= now {
 				v, ok = *new(V), false
 			}
 		}
@@ -147,12 +147,13 @@ func (m *TMap[K, V]) Contains(c *pnstm.Ctx, k K) bool {
 // Put stores v under k, replacing any previous value and clearing any
 // previous TTL deadline.
 func (m *TMap[K, V]) Put(c *pnstm.Ctx, k K, v V) {
+	i := m.index(k)
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.bucket(k)
+		tv := m.buckets[i]
 		next := cloneBucket(pnstm.Load(c, tv), 1)
 		next[k] = v
 		pnstm.Store(c, tv, next)
-		m.clearDeadline(c, k)
+		m.clearDeadline(c, i, k)
 		return nil
 	})
 }
@@ -166,12 +167,13 @@ func (m *TMap[K, V]) PutTTL(c *pnstm.Ctx, k K, v V, exp int64) {
 		m.Put(c, k, v)
 		return
 	}
+	i := m.index(k)
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.bucket(k)
+		tv := m.buckets[i]
 		next := cloneBucket(pnstm.Load(c, tv), 1)
 		next[k] = v
 		pnstm.Store(c, tv, next)
-		ttv := m.ttlBucket(k)
+		ttv := m.ttl[i]
 		oldT := pnstm.Load(c, ttv)
 		oldExp := oldT[k]
 		nextT := cloneBucket(oldT, 1)
@@ -189,10 +191,11 @@ func (m *TMap[K, V]) PutTTL(c *pnstm.Ctx, k K, v V, exp int64) {
 // cutoff, no wall clock, so the operation is deterministic to log and
 // replay.
 func (m *TMap[K, V]) ExpireThrough(c *pnstm.Ctx, k K, cutoff int64) bool {
+	i := m.index(k)
 	var swept bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		swept = false
-		ttv := m.ttlBucket(k)
+		ttv := m.ttl[i]
 		oldT := pnstm.Load(c, ttv)
 		exp, had := oldT[k]
 		if !had || exp > cutoff {
@@ -202,7 +205,7 @@ func (m *TMap[K, V]) ExpireThrough(c *pnstm.Ctx, k K, cutoff int64) bool {
 		nextT := cloneBucket(oldT, 0)
 		delete(nextT, k)
 		pnstm.Store(c, ttv, nextT)
-		tv := m.bucket(k)
+		tv := m.buckets[i]
 		old := pnstm.Load(c, tv)
 		if _, ok := old[k]; ok {
 			next := cloneBucket(old, 0)
@@ -220,9 +223,10 @@ func (m *TMap[K, V]) ExpireThrough(c *pnstm.Ctx, k K, cutoff int64) bool {
 // Delete removes k physically — deadline or not — and reports whether
 // an entry (live or expired-unswept) was present.
 func (m *TMap[K, V]) Delete(c *pnstm.Ctx, k K) bool {
+	i := m.index(k)
 	var had bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.bucket(k)
+		tv := m.buckets[i]
 		old := pnstm.Load(c, tv)
 		if _, had = old[k]; !had {
 			return nil
@@ -230,7 +234,7 @@ func (m *TMap[K, V]) Delete(c *pnstm.Ctx, k K) bool {
 		next := cloneBucket(old, 0)
 		delete(next, k)
 		pnstm.Store(c, tv, next)
-		m.clearDeadline(c, k)
+		m.clearDeadline(c, i, k)
 		return nil
 	})
 	return had
@@ -245,7 +249,7 @@ func (m *TMap[K, V]) Update(c *pnstm.Ctx, k K, f func(V, bool) (V, bool)) (V, bo
 	var out V
 	var kept bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.bucket(k)
+		tv := m.buckets[m.index(k)]
 		old := pnstm.Load(c, tv)
 		cur, ok := old[k]
 		out, kept = f(cur, ok)
@@ -391,7 +395,7 @@ func (m *TMap[K, V]) ImportTTLs(c *pnstm.Ctx, ttls map[K]int64) {
 			if exp <= 0 {
 				continue
 			}
-			ttv := m.ttlBucket(k)
+			ttv := m.ttl[m.index(k)]
 			oldT := pnstm.Load(c, ttv)
 			oldExp := oldT[k]
 			nextT := cloneBucket(oldT, 1)
@@ -420,8 +424,7 @@ func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, b
 		bounds := groupBounds(len(m.buckets), m.fanout)
 		groups := make([][]K, len(bounds)-1)
 		for _, k := range keys {
-			b := int(hashKey(k) & m.mask)
-			g := groupOf(bounds, b)
+			g := groupOf(bounds, m.index(k))
 			groups[g] = append(groups[g], k)
 		}
 		var fns []func(*pnstm.Ctx)
@@ -437,7 +440,7 @@ func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, b
 					// land in it.
 					byBucket := make(map[int][]K)
 					for _, k := range groups[g] {
-						b := int(hashKey(k) & m.mask)
+						b := m.index(k)
 						byBucket[b] = append(byBucket[b], k)
 					}
 					for b, ks := range byBucket {
