@@ -122,3 +122,36 @@ func TestRecycledReplyChannelNeverDeliversStaleResponse(t *testing.T) {
 		t.Fatalf("the drill needs both outcomes to mean anything: %d calls answered, %d cut off", ok.Load(), failed.Load())
 	}
 }
+
+// TestEntriesAllocCeiling pins what decoding a 64-entry RangeScan result
+// costs the caller: the entry slice and the keys' shared string. The
+// values are slices of the result's own payload (the buffer Bytes hands
+// out), and Entries returns the decoded slice itself, not a copy.
+func TestEntriesAllocCeiling(t *testing.T) {
+	kvs := make([]server.KVEntry, 64)
+	for i := range kvs {
+		kvs[i] = server.KVEntry{Key: fmt.Sprintf("k%07d", i), Value: make([]byte, 64)}
+		kvs[i].Value[0] = byte(i)
+	}
+	res := &TxResults{rs: []server.TxResult{{Status: server.StatusOK, Num: 64, Value: server.AppendKVs(nil, kvs)}}}
+	var es []Entry
+	var err error
+	if got := testing.AllocsPerRun(100, func() { es, err = res.Entries(0) }); got > 2 {
+		t.Errorf("Entries on 64 entries: %.0f allocs, ceiling 2 (the entry slice, the keys' string)", got)
+	}
+	if err != nil || len(es) != 64 {
+		t.Fatalf("Entries = %d entries, %v", len(es), err)
+	}
+	payload := res.Bytes(0)
+	for i, e := range es {
+		if e.Key != kvs[i].Key || e.Value[0] != byte(i) || len(e.Value) != 64 {
+			t.Errorf("entry %d = %q %x", i, e.Key, e.Value)
+		}
+		if cap(e.Value) != len(e.Value) {
+			t.Errorf("entry %d: value capacity %d past its %d bytes", i, cap(e.Value), len(e.Value))
+		}
+		if off := 4 + i*(2+8+4+64) + 2 + 8 + 4; &e.Value[0] != &payload[off] {
+			t.Errorf("entry %d: value is a copy, not a slice of the result's payload at %d", i, off)
+		}
+	}
+}

@@ -386,13 +386,15 @@ func (r *TxResults) Int(i int) (v int64, ok bool, err error) {
 }
 
 // Entry is one decoded RangeScan result: a key and its value, in key
-// order within the scan.
-type Entry struct {
-	Key   string
-	Value []byte
-}
+// order within the scan. Its bytes belong to the result it came from
+// (see Entries).
+type Entry = server.KVEntry
 
 // Entries decodes op i's RangeScan result into its ordered entry list.
+// The entries borrow from the result rather than copy it: every Value is
+// a slice of the result's payload — the buffer Bytes(i) hands out — so a
+// retained Value keeps that whole payload alive, and the keys share one
+// string. Copy what must outlive the result.
 func (r *TxResults) Entries(i int) ([]Entry, error) {
 	res := r.at(i)
 	if len(res.Value) == 0 {
@@ -402,11 +404,7 @@ func (r *TxResults) Entries(i int) ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: range scan result: %w", err)
 	}
-	out := make([]Entry, len(kvs))
-	for j, kv := range kvs {
-		out[j] = Entry{Key: kv.Key, Value: kv.Value}
-	}
-	return out, nil
+	return kvs, nil
 }
 
 // Lease reports op i's LeaseConsume outcome: the lease id, the leased

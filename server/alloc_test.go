@@ -3,8 +3,11 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"pnstm/stmlib"
 )
 
 // TestCodecAllocCeilings pins the request path's codec costs: encoding
@@ -115,5 +118,85 @@ func TestFrameBufferReuseLeavesRequestsIntact(t *testing.T) {
 	}
 	if cap(fb.b) != before || (before > 0 && &payload[0] == &fb.b[0]) {
 		t.Errorf("a %d-byte frame was retained by the connection buffer (cap %d -> %d)", len(payload), before, cap(fb.b))
+	}
+}
+
+// scanEntries is a 64-entry scan result in the benchmark's shape: 8-byte
+// keys, 64-byte values stamped with their index.
+func scanEntries() []stmlib.SortedEntry[string, []byte] {
+	es := make([]stmlib.SortedEntry[string, []byte], 64)
+	for i := range es {
+		es[i].Key = fmt.Sprintf("k%07d", i)
+		es[i].Value = bytes.Repeat([]byte{byte(i)}, 64)
+	}
+	return es
+}
+
+// TestScanCodecAllocCeilings pins what a range-scan result costs on its
+// way out of the server and into the caller's hands (D49): the encoder
+// sizes the list first and writes it once; the decoder borrows the
+// values from its input and shares one string between the keys.
+func TestScanCodecAllocCeilings(t *testing.T) {
+	es := scanEntries()
+	var enc []byte
+	if got := testing.AllocsPerRun(100, func() { enc, _ = encodeScan(es) }); got > 1 {
+		t.Errorf("encodeScan of 64 entries: %.0f allocs, ceiling 1 (the exactly-sized buffer)", got)
+	}
+	if cap(enc) != len(enc) {
+		t.Errorf("encodeScan buffer: len %d, cap %d, want it exactly sized", len(enc), cap(enc))
+	}
+	kvs := make([]KVEntry, len(es))
+	for i, e := range es {
+		kvs[i] = KVEntry{Key: e.Key, Value: e.Value}
+	}
+	if want := AppendKVs(nil, kvs); !bytes.Equal(enc, want) {
+		t.Error("encodeScan and AppendKVs disagree on the encoding of the same entries")
+	}
+	var dec []KVEntry
+	if got := testing.AllocsPerRun(100, func() { dec, _ = DecodeKVs(enc) }); got > 2 {
+		t.Errorf("DecodeKVs of 64 entries: %.0f allocs, ceiling 2 (the entry slice, the key arena)", got)
+	}
+	if !reflect.DeepEqual(dec, kvs) {
+		t.Error("DecodeKVs did not return the entries encodeScan wrote")
+	}
+}
+
+// TestScanResultSurvivesFrameBufferReuse is the poisoned-buffer test for
+// the one decoder that borrows: a scan response is read through a
+// connection's FrameBuf and parsed, its entries decoded by reference,
+// and then the frame buffer is overwritten as the next frame would. The
+// entries alias the result's own copy of the payload, never the frame.
+func TestScanResultSurvivesFrameBufferReuse(t *testing.T) {
+	es := scanEntries()
+	enc, err := encodeScan(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := AppendResponse(nil, &Response{ID: 9, Status: StatusOK,
+		TxResults: []TxResult{{Status: StatusOK, Num: int64(len(es)), Value: enc}}})
+	var fb FrameBuf
+	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), &fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &payload[0] != &fb.b[0] {
+		t.Fatalf("a %d-byte scan response did not land in the connection's buffer", len(payload))
+	}
+	resp, err := ParseResponse(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := DecodeKVs(resp.TxResults[0].Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison(fb.b[:cap(fb.b)])
+	if len(kvs) != len(es) {
+		t.Fatalf("decoded %d entries, want %d", len(kvs), len(es))
+	}
+	for i, kv := range kvs {
+		if kv.Key != es[i].Key || !bytes.Equal(kv.Value, es[i].Value) {
+			t.Errorf("entry %d changed when the frame buffer was overwritten: %q %x", i, kv.Key, kv.Value)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -840,11 +841,11 @@ func applyTxOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp, res *TxResult) (msg
 	case OpSortedLen:
 		res.Num = int64(reg.SortedMap(op.Name).Len(c))
 	case OpRangeScan:
-		// The sorted map fans the scan into parallel-nested children per
-		// leaf subrange; a conflicting point write restarts only the one
-		// child whose subrange it hit. The entry cap keeps the result
-		// inside a response frame — scans are reads (never logged), so
-		// clamping is invisible to replay.
+		// The sorted map reads only the leaves that hold the limit and
+		// fans them into parallel-nested children per leaf subrange; a
+		// conflicting point write restarts only the one child whose
+		// subrange it hit. Scans are reads (never logged), so clamping
+		// the entry count is invisible to replay.
 		limit := int(op.Delta)
 		if limit <= 0 || limit > maxRangeScanEntries {
 			limit = maxRangeScanEntries
@@ -855,12 +856,8 @@ func applyTxOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp, res *TxResult) (msg
 		} else {
 			es = reg.SortedMap(op.Name).RangeScan(c, op.Key, string(op.Value), limit)
 		}
-		kvs := make([]KVEntry, len(es))
-		for i, e := range es {
-			kvs[i] = KVEntry{Key: e.Key, Value: e.Value}
-		}
-		res.Num = int64(len(kvs))
-		res.Value = AppendKVs(nil, kvs)
+		res.Num = int64(len(es))
+		res.Value, err = encodeScan(es)
 	case OpRangeCount:
 		if len(op.Value) == 0 {
 			res.Num = int64(reg.SortedMap(op.Name).RangeCountFrom(c, op.Key))
@@ -898,10 +895,36 @@ func applyTxOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp, res *TxResult) (msg
 	return "", err
 }
 
-// maxRangeScanEntries bounds one OpRangeScan result so the encoded KV
-// list cannot outgrow a response frame; clients page with the last key
-// as the next lo bound.
+// maxRangeScanEntries bounds the entry count of one OpRangeScan result;
+// clients page with the last key as the next lo bound. It does not bound
+// the result's bytes — 8192 values of 2 KB outgrow a response frame —
+// which is maxScanReplyBytes' job.
 const maxRangeScanEntries = 8192
+
+// maxScanReplyBytes bounds one OpRangeScan result's KV encoding: a frame
+// the client's ReadFrame would reject costs the connection and every
+// call in flight on it, so the scan fails instead. The 64 KiB below
+// MaxFrame are room for the response header and the envelope's other,
+// ordinary-sized results.
+const maxScanReplyBytes = MaxFrame - 64<<10
+
+// encodeScan is OpRangeScan's result Value: the AppendKVs encoding of es,
+// sized first and written once into a buffer of exactly that size.
+func encodeScan(es []stmlib.SortedEntry[string, []byte]) ([]byte, error) {
+	size := 4
+	for i := range es {
+		size += kvSize(es[i].Key, es[i].Value)
+	}
+	if size > maxScanReplyBytes {
+		return nil, fmt.Errorf("range scan result of %d entries encodes to %d bytes, over the %d-byte reply limit: lower the limit and page by last key",
+			len(es), size, maxScanReplyBytes)
+	}
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(es)))
+	for i := range es {
+		buf = appendKV(buf, es[i].Key, es[i].Value)
+	}
+	return buf, nil
+}
 
 // judgeCounterGuard evaluates a counter guard against an observed sum —
 // the ONE implementation shared by the single-shard execution path

@@ -275,7 +275,10 @@ func FuzzHelloInfoRoundTrip(f *testing.F) {
 // FuzzKVListRoundTrip holds the range-scan result codec to the wire
 // standard: DecodeKVs feeds client-visible bytes (TxResults Value slots)
 // straight into user code, so it must reject or round-trip, never panic
-// or over-read — including against inflated count prefixes.
+// or over-read — including against inflated count prefixes. The decoder
+// borrows (D49), so two more properties ride along: no returned value
+// can be grown into its neighbour (cap == len), and an empty value
+// decodes as nil exactly as the copying decoder's did.
 func FuzzKVListRoundTrip(f *testing.F) {
 	f.Add(AppendKVs(nil, nil))
 	f.Add(AppendKVs(nil, []KVEntry{{Key: "k", Value: []byte("v")}}))
@@ -301,6 +304,12 @@ func FuzzKVListRoundTrip(f *testing.F) {
 		for i := range kvs {
 			if kvs[i].Key != again[i].Key || !bytes.Equal(kvs[i].Value, again[i].Value) {
 				t.Fatalf("KV entry %d diverged: %+v != %+v", i, kvs[i], again[i])
+			}
+			if v := kvs[i].Value; cap(v) != len(v) {
+				t.Fatalf("KV entry %d: value of %d bytes has capacity %d: an append would write into the next entry", i, len(v), cap(v))
+			}
+			if v := kvs[i].Value; v != nil && len(v) == 0 {
+				t.Fatalf("KV entry %d: empty value decoded as non-nil", i)
 			}
 		}
 	})

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Wire format, all integers big-endian. A frame is a uint32 payload
@@ -364,10 +365,22 @@ func validSubOp(op uint8) bool {
 	return false
 }
 
-// KVEntry is one decoded range-scan result entry.
+// KVEntry is one decoded range-scan result entry. What DecodeKVs returns
+// borrows: Value is a sub-slice of the decoder's input (capped at its
+// own length, so appending to one reallocates rather than running into
+// its neighbour) and Key a substring of one string shared by the list.
 type KVEntry struct {
 	Key   string
 	Value []byte
+}
+
+// kvSize is the encoded size of one range-scan result entry.
+func kvSize(key string, value []byte) int { return 2 + len(key) + 4 + len(value) }
+
+// appendKV encodes one range-scan result entry: a u16-prefixed key and a
+// u32-prefixed value.
+func appendKV(buf []byte, key string, value []byte) []byte {
+	return appendU32Bytes(appendU16Str(buf, key), value)
 }
 
 // AppendKVs encodes a range-scan result list into buf: u32 count, then
@@ -377,16 +390,19 @@ type KVEntry struct {
 func AppendKVs(buf []byte, kvs []KVEntry) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(kvs)))
 	for _, kv := range kvs {
-		buf = appendU16Str(buf, kv.Key)
-		buf = appendU32Bytes(buf, kv.Value)
+		buf = appendKV(buf, kv.Key, kv.Value)
 	}
 	return buf
 }
 
 // DecodeKVs parses an AppendKVs list, rejecting truncated or oversized
-// encodings.
+// encodings. It validates the whole list first and then decodes by
+// reference (D49): the entries' values alias b, which the caller must
+// own for as long as it holds them — a TxResult.Value, which
+// ParseResponse copied out of the connection's frame buffer, is — and
+// the keys share one allocation. An empty value decodes as nil.
 func DecodeKVs(b []byte) ([]KVEntry, error) {
-	cur := &cursor{b: b}
+	cur := cursor{b: b}
 	raw := cur.take(4)
 	if raw == nil {
 		return nil, cur.err
@@ -395,12 +411,25 @@ func DecodeKVs(b []byte) ([]KVEntry, error) {
 	if uint64(n)*6 > uint64(len(b)) { // each entry costs >= 6 prefix bytes
 		return nil, fmt.Errorf("server: kv list claims %d entries in %d bytes", n, len(b))
 	}
-	kvs := make([]KVEntry, 0, n)
+	keyBytes := 0
 	for i := uint32(0); i < n; i++ {
-		kvs = append(kvs, KVEntry{Key: cur.str16(), Value: cur.bytes32()})
+		keyBytes += len(cur.raw16())
+		cur.raw32()
 	}
 	if err := cur.done(); err != nil {
 		return nil, err
+	}
+	kvs := make([]KVEntry, n)
+	var keys strings.Builder
+	keys.Grow(keyBytes) // exact, so the substrings below never move
+	cur = cursor{b: b, off: 4}
+	for i := range kvs {
+		at := keys.Len()
+		keys.Write(cur.raw16())
+		kvs[i].Key = keys.String()[at:]
+		if v := cur.raw32(); len(v) > 0 {
+			kvs[i].Value = v[:len(v):len(v)]
+		}
 	}
 	return kvs, nil
 }
@@ -526,9 +555,10 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 // ---------------------------------------------------------------------------
 
 // FrameBuf is a connection's reusable frame payload buffer, owned by the
-// one goroutine that reads the connection. Every decoder in this package
-// copies what it keeps out of the payload, so the buffer may be refilled
-// as soon as a frame is parsed.
+// one goroutine that reads the connection. Every frame decoder in this
+// package copies what it keeps out of the payload, so the buffer may be
+// refilled as soon as a frame is parsed. (DecodeKVs borrows, but it
+// decodes a parsed result's Value, never a frame.)
 type FrameBuf struct{ b []byte }
 
 // maxRetainedFrame bounds the payload a FrameBuf holds on to: larger
@@ -625,20 +655,20 @@ func (c *cursor) raw16() []byte { return c.take(int(c.u16())) }
 
 func (c *cursor) str16() string { return string(c.raw16()) }
 
-func (c *cursor) bytes32() []byte {
+func (c *cursor) raw32() []byte {
 	b := c.take(4)
 	if b == nil {
 		return nil
 	}
-	n := binary.BigEndian.Uint32(b)
-	if n == 0 {
+	return c.take(int(binary.BigEndian.Uint32(b)))
+}
+
+func (c *cursor) bytes32() []byte {
+	raw := c.raw32()
+	if len(raw) == 0 {
 		return nil
 	}
-	raw := c.take(int(n))
-	if raw == nil {
-		return nil
-	}
-	out := make([]byte, n)
+	out := make([]byte, len(raw))
 	copy(out, raw)
 	return out
 }

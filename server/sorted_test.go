@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +92,59 @@ func TestSortedMapWireE2E(t *testing.T) {
 				t.Fatalf("in-envelope count = %d", r.Num(2))
 			}
 		})
+	}
+}
+
+// TestOversizeScanReplyFailsTheScanNotTheConnection: 6000 values of 3 KB
+// encode to more than a response frame may carry. The server knows the
+// size before it allocates the reply, so the scan's envelope fails with
+// a message naming size and limit; the connection — and a call in flight
+// on it — survives, and the same range read in pages succeeds.
+func TestOversizeScanReplyFailsTheScanNotTheConnection(t *testing.T) {
+	s := startServer(t, server.Config{})
+	cl := dial(t, s, 1) // one connection: a dropped frame would take every call with it
+
+	const n, valueLen = 6000, 3 << 10
+	val := make([]byte, valueLen)
+	for lo := 0; lo < n; lo += 100 {
+		tx := cl.Txn()
+		for i := lo; i < lo+100; i++ {
+			tx.SortedPut("blobs", fmt.Sprintf("k%05d", i), val)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pinged := make(chan error, 1)
+	go func() { pinged <- cl.Ping() }()
+	_, err := cl.RangeScan("blobs", "", "", 0)
+	if err == nil {
+		t.Fatal("a scan whose reply outgrows a frame returned no error")
+	}
+	for _, want := range []string{"6000 entries", fmt.Sprint(server.MaxFrame - 64<<10), "lower the limit"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("oversize scan error %q does not mention %q", err, want)
+		}
+	}
+	if err := <-pinged; err != nil {
+		t.Errorf("a call sharing the connection with the oversize scan failed: %v", err)
+	}
+
+	var got int
+	for lo := ""; ; {
+		es, err := cl.RangeScan("blobs", lo, "", 2000)
+		if err != nil {
+			t.Fatalf("paged scan from %q after the oversize one: %v", lo, err)
+		}
+		got += len(es)
+		if len(es) < 2000 {
+			break
+		}
+		lo = es[len(es)-1].Key + "\x00"
+	}
+	if got != n {
+		t.Errorf("paging by last key read %d entries, want %d", got, n)
 	}
 }
 

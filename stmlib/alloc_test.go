@@ -1,6 +1,7 @@
 package stmlib_test
 
 import (
+	"fmt"
 	"testing"
 
 	"pnstm"
@@ -45,4 +46,40 @@ func TestTMapGetAllocCeiling(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestTSortedMapRangeScanAllocCeiling: a limit-64 scan over a 256-key
+// span of a 16k-key map (the benchmark's scan-mem shape: ascending
+// preload, 32-entry leaves) pays for the three first-wave children and
+// what they return — one exactly-sized part each and one merge — not for
+// the eight or nine leaves of the span (D49). The ceiling is a ratchet:
+// the core's fork/join objects for three children are most of it.
+func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
+	const ceiling = 40
+	rt := newRTConfig(t, pnstm.Config{Workers: 2, SharedReads: true})
+	m := stmlib.NewTSortedMap[string, []byte]()
+	keys := make([]string, 16384+256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%07d", i)
+	}
+	val := make([]byte, 64)
+	run(t, rt, func(c *pnstm.Ctx) {
+		for _, k := range keys[:16384] {
+			m.Put(c, k, val)
+		}
+	})
+	run(t, rt, func(c *pnstm.Ctx) {
+		i := 0
+		scan := testing.AllocsPerRun(200, func() {
+			lo := (i * 977) % 16384
+			i++
+			if es := m.RangeScan(c, keys[lo], keys[lo+256], 64); len(es) != min(64, 16384-lo) {
+				t.Errorf("scan from %d returned %d entries", lo, len(es))
+			}
+		})
+		t.Logf("RangeScan(limit 64) over 256 of 16384 keys: %.1f allocs", scan)
+		if scan > ceiling {
+			t.Errorf("RangeScan(limit 64): %.1f allocs, ceiling %d", scan, ceiling)
+		}
+	})
 }

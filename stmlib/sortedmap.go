@@ -2,6 +2,7 @@ package stmlib
 
 import (
 	"cmp"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -57,11 +58,14 @@ const smMaxLeaf = 64
 // operations (RangeScan, RangeFrom, RangeCount, Len, ExportEntries)
 // split the touched leaf span into at most fanout contiguous subranges
 // and fork one nested child per subrange via Ctx.Parallel — the paper's
-// parallel-nesting shape applied to an ordered structure. A concurrent
-// writer that invalidates one subrange aborts and retries only that
-// child, not the whole scan; with fanout 1 the scan is a single
-// sequential child and any conflict restarts it entirely (the serial
-// baseline the rangescan A/B measures against).
+// parallel-nesting shape applied to an ordered structure. A scan with a
+// limit touches only the leaves expected to hold that many entries and
+// widens in waves if they fall short, so it neither reads nor conflicts
+// on the rest of [lo, hi). A concurrent writer that invalidates one
+// subrange aborts and retries only that child, not the whole scan; with
+// fanout 1 the scan is a single sequential child and any conflict
+// restarts it entirely (the serial baseline the rangescan A/B measures
+// against).
 //
 // TTL semantics: PutTTL attaches an absolute deadline; reads (Get,
 // RangeScan, RangeCount) hide entries past their deadline, while
@@ -291,8 +295,9 @@ func (m *TSortedMap[K, V]) ExpireThrough(c *pnstm.Ctx, k K, cutoff int64) bool {
 
 // RangeScan returns the live entries with lo <= key < hi in ascending
 // key order, at most limit of them (limit <= 0: unlimited). The leaf
-// span is split into at most fanout subranges scanned by parallel
-// nested children.
+// span — with a limit, the leading part of it that holds the result — is
+// split into at most fanout subranges scanned by parallel nested
+// children.
 func (m *TSortedMap[K, V]) RangeScan(c *pnstm.Ctx, lo, hi K, limit int) []SortedEntry[K, V] {
 	if !cmp.Less(lo, hi) {
 		return nil
@@ -325,62 +330,108 @@ func (m *TSortedMap[K, V]) RangeCountFrom(c *pnstm.Ctx, lo K) int {
 // lazily-expired entries; a cutoff of 0 disables filtering (export).
 // With hasLo false the walk starts at the first leaf (full-range
 // export).
+//
+// The touched leaf span is walked in waves inside the one enclosing
+// transaction (D49). With limit <= 0 a single wave covers the whole
+// span. With a limit the first wave covers only the leaves that can be
+// expected to hold it — a split leaves both halves at least half full,
+// plus one for the partly covered first leaf — and a further wave, twice
+// as wide, runs only while the result is short and leaves remain
+// (deletes and expiry can leave leaves sparse or empty). Each wave is
+// divided into at most fanout contiguous subranges, one nested child
+// each.
 func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, limit int, now int64, withValues bool) []SortedEntry[K, V] {
 	var out []SortedEntry[K, V]
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
+		out = nil // a retried body must not append to the last attempt's result
 		t := pnstm.Load(c, m.root)
-		i0 := 0
+		next := 0
 		if hasLo {
-			i0 = t.leafFor(lo)
+			next = t.leafFor(lo)
 		}
-		i1 := len(t.leaves) - 1
+		end := len(t.leaves)
 		if bounded {
-			i1 = t.leafFor(hi)
+			end = t.leafFor(hi) + 1
 		}
-		span := i1 - i0 + 1
-		bounds := groupBounds(span, m.fanout)
-		parts := make([][]SortedEntry[K, V], len(bounds)-1)
-		fns := make([]func(*pnstm.Ctx), len(bounds)-1)
-		for g := range fns {
-			g := g
-			fns[g] = func(c *pnstm.Ctx) {
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					var part []SortedEntry[K, V]
-				leafLoop:
-					for li := i0 + bounds[g]; li < i0+bounds[g+1]; li++ {
-						for _, e := range pnstm.Load(c, t.leaves[li]) {
-							if hasLo && cmp.Less(e.Key, lo) {
-								continue
-							}
-							if bounded && !cmp.Less(e.Key, hi) {
-								break leafLoop
-							}
-							if now > 0 && e.Exp > 0 && e.Exp <= now {
-								continue
-							}
-							if !withValues {
-								e.Value = *new(V)
-							}
-							part = append(part, e)
-							if limit > 0 && len(part) >= limit {
-								break leafLoop
-							}
-						}
-					}
-					parts[g] = part
-					return nil
-				})
+		width := end - next
+		if limit > 0 {
+			// ceil(limit/half) leaves, and one more; the half is clamped
+			// because maxLeaf may be 1, and the comparison comes before
+			// the +1 so that a limit near MaxInt cannot overflow.
+			half := max(1, m.maxLeaf/2)
+			if w := (limit-1)/half + 1; w < width {
+				width = w + 1
 			}
 		}
-		c.Parallel(fns...)
-		merged := parts[0]
-		for _, p := range parts[1:] {
-			merged = append(merged, p...)
+		for next < end && (limit <= 0 || len(out) < limit) {
+			i0, owed := next, limit-len(out)
+			next = min(end, next+width)
+			width *= 2
+			bounds := groupBounds(next-i0, m.fanout)
+			parts := make([][]SortedEntry[K, V], len(bounds)-1)
+			fns := make([]func(*pnstm.Ctx), len(bounds)-1)
+			for g := range fns {
+				g := g
+				fns[g] = func(c *pnstm.Ctx) {
+					_ = c.Atomic(func(c *pnstm.Ctx) error {
+						// One Load per leaf: the loaded slices wait in a
+						// stack buffer while part is sized, once, from
+						// their sum clipped to what is owed.
+						var buf [8][]SortedEntry[K, V]
+						loaded, n := buf[:0], 0
+						for _, leaf := range t.leaves[i0+bounds[g] : i0+bounds[g+1]] {
+							es := pnstm.Load(c, leaf)
+							loaded, n = append(loaded, es), n+len(es)
+						}
+						if limit > 0 {
+							n = min(n, owed)
+						}
+						part := make([]SortedEntry[K, V], 0, n)
+					leafLoop:
+						for _, es := range loaded {
+							for _, e := range es {
+								if hasLo && cmp.Less(e.Key, lo) {
+									continue
+								}
+								if bounded && !cmp.Less(e.Key, hi) {
+									break leafLoop
+								}
+								if now > 0 && e.Exp > 0 && e.Exp <= now {
+									continue
+								}
+								if !withValues {
+									e.Value = *new(V)
+								}
+								part = append(part, e)
+								if len(part) == n {
+									break leafLoop // every entry taken, or all that is owed
+								}
+							}
+						}
+						parts[g] = part
+						return nil
+					})
+				}
+			}
+			c.Parallel(fns...)
+			total := len(out)
+			for _, p := range parts {
+				total += len(p)
+			}
+			if limit > 0 {
+				total = min(total, limit)
+			}
+			for _, p := range parts {
+				p = p[:min(len(p), total-len(out))]
+				switch {
+				case len(p) == 0:
+				case out == nil:
+					out = p // the first part is the result: no merge copy
+				default:
+					out = append(slices.Grow(out, total-len(out)), p...)
+				}
+			}
 		}
-		if limit > 0 && len(merged) > limit {
-			merged = merged[:limit]
-		}
-		out = merged
 		return nil
 	})
 	return out
