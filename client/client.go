@@ -87,18 +87,6 @@ type Options struct {
 
 	// Timeout bounds each connection attempt (default 5s).
 	Timeout time.Duration
-
-	// Conns is the connection-pool size.
-	//
-	// Deprecated: the old name for PoolSize, honored when PoolSize is
-	// zero; kept one release for migration.
-	Conns int
-
-	// DialTimeout bounds each connection attempt.
-	//
-	// Deprecated: the old name for Timeout, honored when Timeout is
-	// zero; kept one release for migration.
-	DialTimeout time.Duration
 }
 
 // Client is a pooled, pipelined pnstmd client with read-preference
@@ -144,15 +132,9 @@ func Connect(opts Options) (*Client, error) {
 	}
 	pool := opts.PoolSize
 	if pool <= 0 {
-		pool = opts.Conns // deprecated alias
-	}
-	if pool <= 0 {
 		pool = 1
 	}
 	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = opts.DialTimeout // deprecated alias
-	}
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
@@ -206,15 +188,6 @@ func handshake(c *conn, maxStaleness time.Duration) (*server.HelloInfo, error) {
 		return nil, err
 	}
 	return server.ParseHelloInfo(resp.Value)
-}
-
-// Dial connects a single-address pool.
-//
-// Deprecated: use Connect with Options.Addrs; Dial is the thin
-// single-address shim kept one release for migration.
-func Dial(addr string, opts Options) (*Client, error) {
-	opts.Addrs = []string{addr}
-	return Connect(opts)
 }
 
 // Close tears down every pooled connection; in-flight calls fail.
@@ -424,8 +397,8 @@ func (cl *Client) MapLen(name string) (int64, error) {
 	return resp.Num, nil
 }
 
-// MapPutInt stores an integer value (the encoding OpCheckout's stock
-// arithmetic understands).
+// MapPutInt stores an integer value (the encoding MapAddInt and the
+// integer guards understand).
 func (cl *Client) MapPutInt(name, key string, v int64) error {
 	return cl.MapPut(name, key, server.EncodeInt64(v))
 }
@@ -588,11 +561,9 @@ func (cl *Client) LeaseNack(name string, id uint64) (bool, error) {
 // checkout rolled back; failedSKU names the first short line).
 //
 // Checkout is a convenience over the generic transaction path: it
-// submits the EXACT envelope the deprecated OpCheckout wire opcode
-// translates to — server.CheckoutTx builds it for both routes (per
-// line an AssertGE stock guard then a MapAdd decrement, ops 2i and
-// 2i+1, then the counter credits) — so they cannot drift and produce
-// identical store state and WAL records.
+// submits the envelope server.CheckoutTx builds (per line an AssertGE
+// stock guard then a MapAdd decrement, ops 2i and 2i+1, then the counter
+// credits).
 func (cl *Client) Checkout(stockMap string, co server.Checkout) (ok bool, failedSKU string, err error) {
 	built, err := server.CheckoutTx(stockMap, &co)
 	if err != nil {

@@ -1,21 +1,11 @@
 package client
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"pnstm/server"
 )
-
-// ErrCrossShard is returned (wrapped) when a PRE-D29 server refuses a
-// mutating transaction whose structures live on different shards.
-// Current servers no longer refuse: a mutating multi-shard transaction
-// commits atomically through the deterministic ordered-commit path
-// (gather → judge → apply under one global sequence number), so against
-// an up-to-date pnstmd this error does not occur. It is retained only
-// so clients talking to an older binary can classify the refusal. Test
-// with errors.Is.
-var ErrCrossShard = errors.New("transaction spans multiple shards")
 
 // ErrTxAborted is returned by Txn.Commit when the server rejected the
 // transaction: the guard (AssertEq/AssertGE/…) at FailedOpIndex was
@@ -288,9 +278,6 @@ func (t *Txn) fail(err error) {
 //     by op order.
 //   - *ErrTxAborted (errors.As): a guard was false; nothing committed.
 //     The partial results show what the aborted attempt observed.
-//   - ErrCrossShard (errors.Is): only from a pre-D29 server refusing a
-//     mutating multi-shard transaction; current servers commit those
-//     atomically via the cross-shard ordered-commit path instead.
 //   - anything else: transport or server failure; for writes, assume
 //     unknown outcome (as with any RPC).
 func (t *Txn) Commit() (*TxResults, error) {
@@ -301,46 +288,24 @@ func (t *Txn) Commit() (*TxResults, error) {
 		return &TxResults{}, nil
 	}
 	req := &server.Request{Op: server.OpTx, Tx: &server.Tx{Ops: t.ops}}
+	// A pure-read envelope — every sub-op a read or a guard, by the
+	// server's own table — is eligible for replica routing under the
+	// pool's read preference; anything mutating is primary-only.
 	var resp *server.Response
 	var err error
-	if readOnlyOps(t.ops) {
-		// A pure-read envelope is eligible for replica routing under the
-		// pool's read preference; anything mutating is primary-only.
-		resp, err = t.cl.roundTripRead(req)
-	} else {
+	if slices.ContainsFunc(t.ops, func(op server.TxOp) bool { return server.Mutates(op.Op) }) {
 		resp, err = t.cl.roundTrip(req)
+	} else {
+		resp, err = t.cl.roundTripRead(req)
 	}
-	if resp != nil {
-		switch resp.Status {
-		case server.StatusRejected:
-			return &TxResults{rs: resp.TxResults},
-				&ErrTxAborted{FailedOpIndex: int(resp.Num), Reason: resp.Msg}
-		case server.StatusCrossShard:
-			return nil, fmt.Errorf("client: %s: %w", resp.Msg, ErrCrossShard)
-		}
+	if resp != nil && resp.Status == server.StatusRejected {
+		return &TxResults{rs: resp.TxResults},
+			&ErrTxAborted{FailedOpIndex: int(resp.Num), Reason: resp.Msg}
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &TxResults{rs: resp.TxResults}, nil
-}
-
-// readOnlyOps reports whether every sub-op is a pure read or guard —
-// the envelope mutates nothing and may be served by a replica. Keep in
-// sync with the server's mutating-op classification.
-func readOnlyOps(ops []server.TxOp) bool {
-	for _, op := range ops {
-		switch op.Op {
-		case server.OpMapPut, server.OpMapDelete, server.OpMapAdd,
-			server.OpQueuePush, server.OpQueuePop, server.OpCounterAdd,
-			server.OpSortedPut, server.OpSortedPutTTL, server.OpSortedDelete,
-			server.OpMapPutTTL, server.OpExpire, server.OpSortedExpire,
-			server.OpLeaseConsume, server.OpLeaseAck, server.OpLeaseNack,
-			server.OpLeaseReclaim:
-			return false
-		}
-	}
-	return true
 }
 
 // TxResults is the per-op outcome vector of a committed (or, partially,

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -487,57 +486,24 @@ func requestTraceTag(req *Request) (name, key string) {
 
 // applyRequest executes one request as its own nested transaction inside
 // the batch transaction and renders the response into *resp. The
-// request's writes are isolated in its child: a rejected checkout rolls
+// request's writes are isolated in its child: a rejected envelope rolls
 // back alone while its batch siblings commit.
 //
 // A request whose body is one stmlib call opens no transaction of its
 // own: every stmlib operation is already atomic, so that call's
 // transaction IS the request's nested child. Only bodies that compose
-// several calls (OpMapAdd, envelopes) wrap them in one.
+// several calls (a composite op, an envelope) wrap them in one.
 func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) {
 	*resp = Response{ID: req.ID, Status: StatusOK}
 	var err error
-	switch req.Op {
-	case OpPing:
-		// Normally answered by the connection directly; harmless here.
-	case OpMapGet:
-		resp.Value, resp.Found = reg.Map(req.Name).Get(c, req.Key)
-	case OpMapPut:
-		reg.Map(req.Name).Put(c, req.Key, req.Value)
-	case OpMapDelete:
-		resp.Found = reg.Map(req.Name).Delete(c, req.Key)
-	case OpMapLen:
-		resp.Num = int64(reg.Map(req.Name).Len(c))
-	case OpQueuePush:
-		reg.Queue(req.Name).Push(c, req.Value)
-	case OpQueuePop:
-		resp.Value, resp.Found = reg.Queue(req.Name).Pop(c)
-	case OpQueueLen:
-		resp.Num = int64(reg.Queue(req.Name).Len(c))
-	case OpCounterAdd:
-		reg.Counter(req.Name).Add(c, req.Delta)
-	case OpCounterSum:
-		resp.Num = reg.Counter(req.Name).Sum(c)
-	case OpMapAdd:
-		err = c.Atomic(func(c *pnstm.Ctx) error {
-			var e error
-			resp.Num, resp.Found, e = mapAdd(c, reg, req.Name, req.Key, req.Delta)
-			return e
-		})
-	case OpCheckout:
-		// In-process callers (tests) may still build checkout requests
-		// directly; the wire path translated them in ParseRequest.
-		tx, terr := CheckoutTx(req.Name, req.Checkout)
-		if terr != nil {
-			*resp = Response{ID: req.ID, Status: StatusErr, Msg: terr.Error()}
-			return
-		}
-		err = applyTx(c, reg, tx, resp)
-	case OpTx:
+	if d := &opTable[req.Op]; req.Op == OpTx {
 		err = applyTx(c, reg, req.Tx, resp)
-	default:
-		*resp = Response{ID: req.ID, Status: StatusErr, Msg: "unbatchable or unknown opcode"}
-		return
+	} else if d.kind == 0 || !d.top {
+		err = errors.New("unbatchable or unknown opcode")
+	} else if d.composite {
+		err = c.Atomic(func(c *pnstm.Ctx) error { return applyPoint(c, reg, req, resp) })
+	} else {
+		err = applyPoint(c, reg, req, resp)
 	}
 	switch {
 	case err == nil:
@@ -549,61 +515,19 @@ func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Respon
 	}
 }
 
-// mapAdd is the OpMapAdd primitive: add delta to the int64-encoded map
-// value under key (absent reads as 0), returning the new value and
-// whether the key existed before.
-func mapAdd(c *pnstm.Ctx, reg *stmlib.Registry, name, key string, delta int64) (int64, bool, error) {
-	m := reg.Map(name)
-	var have int64
-	raw, ok := m.Get(c, key)
-	if ok {
-		v, err := DecodeInt64(raw)
-		if err != nil {
-			return 0, ok, err
-		}
-		have = v
-	}
-	have += delta
-	m.Put(c, key, EncodeInt64(have))
-	return have, ok, nil
-}
-
-// txGroup identifies the structure a sub-op touches: its kind (map,
-// queue, counter, sorted map) and name. Comparable, so grouping needs no
-// rendered key.
-type txGroup struct {
-	kind byte
-	name string
-}
-
-// txGroupKey buckets a sub-op by the structure it touches; sub-ops with
-// the same key must execute sequentially in envelope order
-// (read-your-writes), distinct keys may fan as parallel-nested
-// grandchildren.
-func txGroupKey(op *TxOp) txGroup {
-	switch op.Op {
-	case OpMapGet, OpMapPut, OpMapDelete, OpMapLen, OpMapAdd, OpMapPutTTL, OpExpire:
-		return txGroup{'m', op.Name}
-	case OpQueuePush, OpQueuePop, OpQueueLen,
-		OpLeaseConsume, OpLeaseAck, OpLeaseNack, OpLeaseReclaim, OpLeaseLen:
-		return txGroup{'q', op.Name}
-	case OpCounterAdd, OpCounterSum:
-		return txGroup{'c', op.Name}
-	case OpAssertEq, OpAssertGE:
-		if op.Key != "" {
-			return txGroup{'m', op.Name}
-		}
-		return txGroup{'c', op.Name}
-	case OpSortedGet, OpSortedPut, OpSortedPutTTL, OpSortedDelete, OpSortedLen,
-		OpRangeScan, OpRangeCount, OpSortedExpire:
-		return txGroup{'s', op.Name}
-	}
-	return txGroup{kind: '?'}
+// applyPoint runs a point request as the sub-op it is and renders the
+// result into resp.
+func applyPoint(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) error {
+	op := req.pointOp()
+	res, _, err := execOp(c, reg, &op)
+	resp.Found, resp.Num, resp.Value = res.Found, res.Num, res.Value
+	return err
 }
 
 // txOpFailure is one group's first failure inside an envelope: the
 // envelope-order index of the failing sub-op plus its error (errRejected
-// for a false guard, anything else for a malformed op).
+// for a false guard, anything else for a malformed op). A nil err is no
+// failure.
 type txOpFailure struct {
 	idx int
 	err error
@@ -626,118 +550,118 @@ const minTxOpsForFanout = 16
 // distinct structures fan out as parallel-nested grandchild transactions
 // when the envelope is large enough to pay for the forks. A false guard
 // or malformed sub-op aborts the WHOLE envelope — every group's writes
-// roll back with the child transaction — reporting the lowest failing
-// op index in resp.Num and whatever executed in resp.TxResults.
+// roll back with the child transaction — reporting the failing op's index
+// in resp.Num and whatever executed in resp.TxResults. So does a reply
+// that would not fit a frame (checkReplySize): an envelope whose answer
+// cannot reach its caller never commits.
 func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 	if tx == nil || len(tx.Ops) == 0 {
 		return nil
 	}
 	ops := tx.Ops
-	resp.TxResults = make([]TxResult, len(ops))
-	if len(ops) < minTxOpsForFanout {
-		return applyTxInline(c, reg, ops, resp)
-	}
-
-	// Group sub-ops by structure, preserving first-touch order.
-	var order []txGroup
-	groups := make(map[txGroup][]int)
-	for i := range ops {
-		k := txGroupKey(&ops[i])
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-
-	fails := make([]*txOpFailure, len(order))
+	results := make([]TxResult, len(ops))
+	resp.TxResults = results
 	return c.Atomic(func(c *pnstm.Ctx) error {
 		resetTxResults(resp)
-
-		runGroup := func(c *pnstm.Ctx, slot int, keys []txGroup) {
-			for _, k := range keys {
-				fails[slot] = nil
-				for _, i := range groups[k] {
-					msg, err := applyTxOp(c, reg, &ops[i], &resp.TxResults[i])
-					if err != nil {
-						fails[slot] = &txOpFailure{idx: i, err: err, msg: msg}
-						break // abandon this group; the envelope is aborting
-					}
-				}
-				if fails[slot] != nil {
+		var first txOpFailure
+		if len(ops) < minTxOpsForFanout {
+			// Too small to fork: the groups run one after another, in
+			// first-touch order, and the first failure ends the envelope —
+			// later groups never run. The grouping lives on this frame (and
+			// is redone by a retried attempt, here and below: it is cheap
+			// next to the sub-ops, and hoisting it would let one variable
+			// alias this array and the fan-out's heap slice — see D50).
+			var buf [2 * minTxOpsForFanout]int32
+			heads, next := chainTxOps(ops, buf[:])
+			for _, h := range heads {
+				if first = runTxChain(c, reg, ops, results, next, h); first.err != nil {
 					break
 				}
 			}
-		}
-
-		if len(order) == 1 {
-			runGroup(c, 0, order)
+		} else if heads, next := chainTxOps(ops, make([]int32, 2*len(ops))); len(heads) == 1 {
+			first = runTxChain(c, reg, ops, results, next, heads[0])
 		} else {
-			fns := make([]func(*pnstm.Ctx), len(order))
-			for g := range order {
-				g := g
+			// Parallel children report through disjoint slots; the lowest
+			// envelope index wins when several groups failed, so the
+			// reported FailedOpIndex is deterministic.
+			fails := make([]txOpFailure, len(heads))
+			fns := make([]func(*pnstm.Ctx), len(heads))
+			for g, h := range heads {
 				fns[g] = func(c *pnstm.Ctx) {
 					_ = c.Atomic(func(c *pnstm.Ctx) error {
-						runGroup(c, g, order[g:g+1])
+						fails[g] = runTxChain(c, reg, ops, results, next, h)
 						return nil
 					})
 				}
 			}
 			c.Parallel(fns...)
-		}
-
-		// Lowest envelope index wins when several groups failed in
-		// parallel, so the reported FailedOpIndex is deterministic.
-		var first *txOpFailure
-		for _, f := range fails {
-			if f != nil && (first == nil || f.idx < first.idx) {
-				first = f
+			for _, f := range fails {
+				if f.err != nil && (first.err == nil || f.idx < first.idx) {
+					first = f
+				}
 			}
 		}
-		if first == nil {
-			return nil
+		if first.err == nil {
+			return checkReplySize(results)
 		}
-		return abortTx(resp, first)
+		// Record the failure and return the error that rolls the envelope
+		// back: the wrapped cause for a malformed sub-op (StatusErr; Msg
+		// carries the returned error), errRejected for a false guard.
+		resp.Num = int64(first.idx)
+		if !errors.Is(first.err, errRejected) {
+			return fmt.Errorf("op %d: %w", first.idx, first.err)
+		}
+		resp.Msg = first.msg
+		return errRejected // rolls back every group of this envelope
 	})
 }
 
-// applyTxInline is applyTx for an envelope too small to fork: its groups
-// run one after another, in first-touch order, in the envelope's own
-// child transaction. The grouping is a linear scan over a stack array —
-// leader[i] is the first sub-op touching sub-op i's structure — so a
-// point-op envelope allocates nothing to find out that it has one or two
-// groups.
-func applyTxInline(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, resp *Response) error {
-	var keys [minTxOpsForFanout]txGroup
-	var leader [minTxOpsForFanout]uint8
+// chainTxOps groups an envelope's sub-ops by the structure they touch, in
+// buf (2*len(ops) zeroed words): heads lists each group's first sub-op, in
+// first-touch order, and next[i] is the following sub-op of i's group (0:
+// none — sub-op 0 follows nothing). Finding a sub-op's predecessor is a
+// backwards scan below minTxOpsForFanout, which allocates nothing, and a
+// map lookup from there up, which keeps a maximal envelope linear.
+func chainTxOps(ops []TxOp, buf []int32) (heads, next []int32) {
+	next, heads = buf[:len(ops)], buf[len(ops):len(ops)]
+	var last map[txGroup]int32
+	if len(ops) >= minTxOpsForFanout {
+		last = make(map[txGroup]int32)
+	}
 	for i := range ops {
-		keys[i] = txGroupKey(&ops[i])
-		leader[i] = uint8(i)
-		for j := 0; j < i; j++ {
-			if keys[j] == keys[i] {
-				leader[i] = leader[j]
-				break
+		k, prev := groupOf(&ops[i]), -1
+		if last == nil {
+			for prev = i - 1; prev >= 0 && groupOf(&ops[prev]) != k; prev-- {
 			}
+		} else {
+			if p, ok := last[k]; ok {
+				prev = int(p)
+			}
+			last[k] = int32(i)
+		}
+		if prev < 0 {
+			heads = append(heads, int32(i))
+		} else {
+			next[prev] = int32(i)
 		}
 	}
-	return c.Atomic(func(c *pnstm.Ctx) error {
-		resetTxResults(resp)
-		for g := range ops {
-			if int(leader[g]) != g {
-				continue // not the first of its group
-			}
-			for i := g; i < len(ops); i++ {
-				if int(leader[i]) != g {
-					continue
-				}
-				if msg, err := applyTxOp(c, reg, &ops[i], &resp.TxResults[i]); err != nil {
-					// The first failure ends the envelope: later groups
-					// never run.
-					return abortTx(resp, &txOpFailure{idx: i, err: err, msg: msg})
-				}
-			}
+	return heads, next
+}
+
+// runTxChain executes one group's sub-ops in envelope order, filling
+// their result slots, and returns the group's first failure: the rest of
+// the group is abandoned, the envelope is aborting.
+func runTxChain(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, results []TxResult, next []int32, head int32) txOpFailure {
+	for i := int(head); ; i = int(next[i]) {
+		res, msg, err := execOp(c, reg, &ops[i])
+		results[i] = res
+		if err != nil {
+			return txOpFailure{idx: i, err: err, msg: msg}
 		}
-		return nil
-	})
+		if next[i] == 0 {
+			return txOpFailure{}
+		}
+	}
 }
 
 // resetTxResults clears what an earlier attempt of the envelope's body
@@ -751,162 +675,35 @@ func resetTxResults(resp *Response) {
 	resp.Num = 0
 }
 
-// abortTx records the envelope's first failure in resp and returns the
-// error that rolls the envelope back: errRejected for a false guard,
-// the wrapped cause for a malformed sub-op.
-func abortTx(resp *Response, first *txOpFailure) error {
-	resp.Num = int64(first.idx)
-	if !errors.Is(first.err, errRejected) {
-		// StatusErr path: Msg carries the returned error.
-		return fmt.Errorf("op %d: %w", first.idx, first.err)
+// checkReplySize refuses an envelope whose results would not fit one
+// response frame: a frame the client's ReadFrame rejects costs the
+// connection and every call in flight on it. It runs after the last
+// sub-op and before the envelope's transaction commits, so the error
+// rolls the envelope back — nothing is applied, nothing logged, and the
+// caller is told why.
+func checkReplySize(results []TxResult) error {
+	size := 0
+	for i := range results {
+		size += txResultSize(&results[i])
 	}
-	resp.Msg = first.msg
-	return errRejected // rolls back every group of this envelope
-}
-
-// applyTxOp executes one sub-op in the group's context and fills its
-// result slot. A non-nil error aborts the envelope; for a false guard it
-// is errRejected and msg describes the failed assertion.
-func applyTxOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp, res *TxResult) (msg string, err error) {
-	*res = TxResult{Status: StatusOK}
-	switch op.Op {
-	case OpMapGet:
-		res.Value, res.Found = reg.Map(op.Name).Get(c, op.Key)
-	case OpMapPut:
-		reg.Map(op.Name).Put(c, op.Key, op.Value)
-	case OpMapDelete:
-		res.Found = reg.Map(op.Name).Delete(c, op.Key)
-	case OpMapLen:
-		res.Num = int64(reg.Map(op.Name).Len(c))
-	case OpQueuePush:
-		reg.Queue(op.Name).Push(c, op.Value)
-	case OpQueuePop:
-		res.Value, res.Found = reg.Queue(op.Name).Pop(c)
-	case OpQueueLen:
-		res.Num = int64(reg.Queue(op.Name).Len(c))
-	case OpCounterAdd:
-		reg.Counter(op.Name).Add(c, op.Delta)
-	case OpCounterSum:
-		// Inline stripe reads: the envelope's groups (and its batch
-		// siblings) are the parallelism; per-read forks would only cost
-		// dispatch.
-		res.Num = reg.Counter(op.Name).SumInline(c)
-	case OpMapAdd:
-		res.Num, res.Found, err = mapAdd(c, reg, op.Name, op.Key, op.Delta)
-	case OpAssertEq:
-		if op.Key == "" {
-			res.Num = reg.Counter(op.Name).SumInline(c)
-			if gmsg, ok := judgeCounterGuard(op, res.Num); !ok {
-				res.Status = StatusRejected
-				return gmsg, errRejected
-			}
-		} else {
-			raw, ok := reg.Map(op.Name).Get(c, op.Key)
-			res.Found = ok
-			if ok != (op.Value != nil) || !bytes.Equal(raw, op.Value) {
-				res.Status = StatusRejected
-				return fmt.Sprintf("assert: map %q[%q] differs", op.Name, op.Key), errRejected
-			}
-		}
-	case OpAssertGE:
-		if op.Key == "" {
-			res.Num = reg.Counter(op.Name).SumInline(c)
-			if gmsg, ok := judgeCounterGuard(op, res.Num); !ok {
-				res.Status = StatusRejected
-				return gmsg, errRejected
-			}
-		} else {
-			raw, ok := reg.Map(op.Name).Get(c, op.Key)
-			res.Found = ok
-			if ok {
-				v, derr := DecodeInt64(raw)
-				if derr != nil {
-					return "", derr
-				}
-				res.Num = v
-			}
-			if res.Num < op.Delta {
-				res.Status = StatusRejected
-				return fmt.Sprintf("assert: map %q[%q] = %d, want >= %d", op.Name, op.Key, res.Num, op.Delta), errRejected
-			}
-		}
-	case OpSortedGet:
-		res.Value, res.Found = reg.SortedMap(op.Name).Get(c, op.Key)
-	case OpSortedPut:
-		reg.SortedMap(op.Name).Put(c, op.Key, op.Value)
-	case OpSortedPutTTL:
-		reg.SortedMap(op.Name).PutTTL(c, op.Key, op.Value, op.Delta)
-	case OpSortedDelete:
-		res.Found = reg.SortedMap(op.Name).Delete(c, op.Key)
-	case OpSortedLen:
-		res.Num = int64(reg.SortedMap(op.Name).Len(c))
-	case OpRangeScan:
-		// The sorted map reads only the leaves that hold the limit and
-		// fans them into parallel-nested children per leaf subrange; a
-		// conflicting point write restarts only the one child whose
-		// subrange it hit. Scans are reads (never logged), so clamping
-		// the entry count is invisible to replay.
-		limit := int(op.Delta)
-		if limit <= 0 || limit > maxRangeScanEntries {
-			limit = maxRangeScanEntries
-		}
-		var es []stmlib.SortedEntry[string, []byte]
-		if len(op.Value) == 0 {
-			es = reg.SortedMap(op.Name).RangeFrom(c, op.Key, limit)
-		} else {
-			es = reg.SortedMap(op.Name).RangeScan(c, op.Key, string(op.Value), limit)
-		}
-		res.Num = int64(len(es))
-		res.Value, err = encodeScan(es)
-	case OpRangeCount:
-		if len(op.Value) == 0 {
-			res.Num = int64(reg.SortedMap(op.Name).RangeCountFrom(c, op.Key))
-		} else {
-			res.Num = int64(reg.SortedMap(op.Name).RangeCount(c, op.Key, string(op.Value)))
-		}
-	case OpMapPutTTL:
-		reg.Map(op.Name).PutTTL(c, op.Key, op.Value, op.Delta)
-	case OpExpire:
-		res.Found = reg.Map(op.Name).ExpireThrough(c, op.Key, op.Delta)
-	case OpSortedExpire:
-		res.Found = reg.SortedMap(op.Name).ExpireThrough(c, op.Key, op.Delta)
-	case OpLeaseConsume:
-		id, v, ok := reg.Queue(op.Name).ConsumeLease(c, op.Delta)
-		res.Num, res.Value, res.Found = int64(id), v, ok
-	case OpLeaseAck:
-		// Guard-like: acking a lease that no longer exists (the reaper
-		// reclaimed it and the element was re-delivered) rejects the WHOLE
-		// envelope, so an ack bundled with its side effects commits
-		// atomically exactly once per delivery.
-		if !reg.Queue(op.Name).Ack(c, uint64(op.Delta)) {
-			res.Status = StatusRejected
-			return fmt.Sprintf("ack: queue %q lease %d gone (expired and reclaimed?)", op.Name, op.Delta), errRejected
-		}
-		res.Found = true
-	case OpLeaseNack:
-		res.Found = reg.Queue(op.Name).Nack(c, uint64(op.Delta))
-	case OpLeaseReclaim:
-		res.Num = int64(reg.Queue(op.Name).ReclaimExpired(c, op.Delta))
-	case OpLeaseLen:
-		res.Num = int64(reg.Queue(op.Name).LeaseLen(c))
-	default:
-		return "", fmt.Errorf("invalid sub-opcode %d", op.Op)
+	if size > maxReplyBytes {
+		return fmt.Errorf("transaction results encode to %d bytes, over the %d-byte reply limit: read less per transaction", size, maxReplyBytes)
 	}
-	return "", err
+	return nil
 }
 
 // maxRangeScanEntries bounds the entry count of one OpRangeScan result;
 // clients page with the last key as the next lo bound. It does not bound
 // the result's bytes — 8192 values of 2 KB outgrow a response frame —
-// which is maxScanReplyBytes' job.
+// which is maxReplyBytes' job.
 const maxRangeScanEntries = 8192
 
-// maxScanReplyBytes bounds one OpRangeScan result's KV encoding: a frame
-// the client's ReadFrame would reject costs the connection and every
-// call in flight on it, so the scan fails instead. The 64 KiB below
-// MaxFrame are room for the response header and the envelope's other,
-// ordinary-sized results.
-const maxScanReplyBytes = MaxFrame - 64<<10
+// maxReplyBytes bounds the encoded results of one envelope, and one
+// OpRangeScan result's KV encoding on its own: a frame the client's
+// ReadFrame would reject costs the connection and every call in flight
+// on it, so the request fails instead. The 64 KiB below MaxFrame are
+// room for the response header and its message.
+const maxReplyBytes = MaxFrame - 64<<10
 
 // encodeScan is OpRangeScan's result Value: the AppendKVs encoding of es,
 // sized first and written once into a buffer of exactly that size.
@@ -915,9 +712,9 @@ func encodeScan(es []stmlib.SortedEntry[string, []byte]) ([]byte, error) {
 	for i := range es {
 		size += kvSize(es[i].Key, es[i].Value)
 	}
-	if size > maxScanReplyBytes {
+	if size > maxReplyBytes {
 		return nil, fmt.Errorf("range scan result of %d entries encodes to %d bytes, over the %d-byte reply limit: lower the limit and page by last key",
-			len(es), size, maxScanReplyBytes)
+			len(es), size, maxReplyBytes)
 	}
 	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(es)))
 	for i := range es {
@@ -928,7 +725,7 @@ func encodeScan(es []stmlib.SortedEntry[string, []byte]) ([]byte, error) {
 
 // judgeCounterGuard evaluates a counter guard against an observed sum —
 // the ONE implementation shared by the single-shard execution path
-// (applyTxOp, shard-local partial) and the read-only fan's merge step
+// (execOp, shard-local partial) and the read-only fan's merge step
 // (fanTx, global total), so the two paths cannot drift in semantics or
 // failure text.
 func judgeCounterGuard(op *TxOp, total int64) (msg string, ok bool) {

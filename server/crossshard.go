@@ -96,7 +96,7 @@ func crossShardHome(op *TxOp, n int) (int, bool) {
 // by the first op's name so identical envelopes meet on one shard)
 // executes on that shard's pipeline; several pinned shards without
 // writes fan. A MUTATING envelope pinned to several shards — refused
-// with StatusCrossShard before D29 — now gets a cross plan: each
+// before D29 — now gets a cross plan: each
 // participant's slice holds its sub-ops in envelope order, and any
 // global counter read inserts a partial item into EVERY shard's slice
 // (making all shards participants). Pure function of the envelope and
@@ -110,7 +110,7 @@ func classifyTx(tx *Tx, n int) txPlan {
 	first := -1
 	for i := range tx.Ops {
 		op := &tx.Ops[i]
-		if writeSubOp(op.Op) {
+		if Mutates(op.Op) {
 			writes = true
 		}
 		if sh, ok := txPinnedShard(op, n); ok {
@@ -194,8 +194,7 @@ func executeSlice(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, slice []sliceI
 			rep.partials[it.idx] = reg.Counter(ops[it.idx].Name).SumInline(c)
 			continue
 		}
-		var res TxResult
-		msg, err := applyTxOp(c, reg, &ops[it.idx], &res)
+		res, msg, err := execOp(c, reg, &ops[it.idx])
 		rep.results[it.idx] = res
 		if err != nil {
 			rep.failIdx, rep.failMsg, rep.failErr = it.idx, msg, err
@@ -422,31 +421,15 @@ func (s *Server) runCrossShard(req *Request, plan *txPlan) Response {
 // crossWriteSlice strips one participant's slice to its effective
 // writes — the redo set its GSN record carries. Guards and reads are
 // dropped (they were judged live against global state recovery cannot
-// reconstruct shard-locally), and deletes/pops that found nothing left
-// no effect and are dropped too: replaying the record applies exactly
+// reconstruct shard-locally), and writes that found nothing to change
+// (effected) are dropped too: replaying the record applies exactly
 // the writes the live commit applied. Nil when the slice wrote nothing
 // — that shard logs no record for this envelope.
 func crossWriteSlice(ops []TxOp, slice []sliceItem, merged []TxResult) *Request {
 	var sub []TxOp
 	for _, it := range slice {
-		if it.partial {
-			continue
-		}
-		op := ops[it.idx]
-		switch op.Op {
-		case OpMapPut, OpMapAdd, OpQueuePush, OpCounterAdd,
-			OpSortedPut, OpSortedPutTTL, OpMapPutTTL:
-			sub = append(sub, op)
-		case OpMapDelete, OpQueuePop,
-			OpSortedDelete, OpExpire, OpSortedExpire,
-			OpLeaseConsume, OpLeaseAck, OpLeaseNack:
-			if merged[it.idx].Found {
-				sub = append(sub, op)
-			}
-		case OpLeaseReclaim:
-			if merged[it.idx].Num > 0 {
-				sub = append(sub, op)
-			}
+		if !it.partial && effected(ops[it.idx].Op, &merged[it.idx]) {
+			sub = append(sub, ops[it.idx])
 		}
 	}
 	if len(sub) == 0 {

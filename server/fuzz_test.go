@@ -15,8 +15,7 @@ import (
 // never panic or over-read, whatever the input (the cursor enforces
 // that; fuzzing is what keeps it honest as the format grows envelopes).
 
-// fuzzSeedRequests covers every opcode, the composite bodies and the
-// translation alias.
+// fuzzSeedRequests covers every opcode and the composite bodies.
 func fuzzSeedRequests() [][]byte {
 	reqs := []*Request{
 		{ID: 1, Op: OpPing},
@@ -29,10 +28,7 @@ func fuzzSeedRequests() [][]byte {
 		{ID: 8, Op: OpCounterSum, Name: "c"},
 		{ID: 9, Op: OpStats},
 		{ID: 10, Op: OpMapAdd, Name: "m", Key: "k", Delta: 4},
-		{ID: 11, Op: OpCheckout, Name: "stock", Checkout: &Checkout{
-			Sold: "sold", Revenue: "rev", Cents: 500,
-			Lines: []CheckoutLine{{SKU: "anvil", Qty: 2}},
-		}},
+		{ID: 11, Op: OpTx, Tx: checkoutSeedTx()},
 		{ID: 12, Op: OpTx, Tx: &Tx{Ops: []TxOp{
 			{Op: OpAssertGE, Name: "stock", Key: "anvil", Delta: 2},
 			{Op: OpMapAdd, Name: "stock", Key: "anvil", Delta: -2},
@@ -79,7 +75,9 @@ func FuzzRequestRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeedRequests() {
 		f.Add(seed)
 	}
-	// Malformed shapes: truncation, trailing garbage, bad opcodes.
+	// Malformed shapes: truncation, trailing garbage, bad opcodes — the
+	// removed checkout opcode with its old body among them.
+	f.Add(removedCheckoutFrame(11))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 99})
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
@@ -108,6 +106,32 @@ func FuzzRequestRoundTrip(f *testing.F) {
 			t.Fatalf("request changed when its frame buffer was overwritten (err %v):\n  want %+v\n  got  %+v", err, req, aliased)
 		}
 	})
+}
+
+// checkoutSeedTx is the envelope client.Checkout sends for a one-line
+// order.
+func checkoutSeedTx() *Tx {
+	tx, err := CheckoutTx("stock", &Checkout{
+		Sold: "sold", Revenue: "rev", Cents: 500,
+		Lines: []CheckoutLine{{SKU: "anvil", Qty: 2}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return tx
+}
+
+// removedCheckoutFrame is the payload an old client's OpCheckout request
+// had: the common header with opcode 11, then one order line and the
+// counter names.
+func removedCheckoutFrame(id uint64) []byte {
+	frame, err := AppendRequest(nil, &Request{ID: id, Op: opRemovedCheckout, Name: "stock"})
+	if err != nil {
+		panic(err)
+	}
+	buf := append(frame[4:], 0, 1) // u16 nlines
+	buf = appendI64(appendU16Str(buf, "anvil"), 2)
+	return appendI64(appendU16Str(appendU16Str(buf, "sold"), "rev"), 500)
 }
 
 // poison overwrites a frame buffer the way the next frame would.
@@ -323,7 +347,7 @@ func FuzzResponseRoundTrip(f *testing.F) {
 			{Status: StatusOK, Num: 7}, {Status: StatusRejected}, {},
 		}},
 		{ID: 4, Status: StatusErr, Msg: "boom"},
-		{ID: 5, Status: StatusCrossShard, Msg: "2 shards"},
+		{ID: 5, Status: statusRemovedCrossShard, Msg: "2 shards"}, // rejected: the reserved number
 		{ID: 6, Status: StatusNotPrimary, Msg: "read-only replica; primary is 10.0.0.1:7455"},
 		{ID: 7, Status: StatusOK, Value: EncodeHelloInfo(&HelloInfo{
 			Version: ProtoVersion, Features: FeatureCrossShard | FeatureReplStream,
@@ -350,11 +374,11 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if resp.Status == 0 || resp.Status > StatusNotPrimary {
+		if resp.Status == 0 || resp.Status == statusRemovedCrossShard || resp.Status > StatusNotPrimary {
 			t.Fatalf("decoder accepted unknown status %d", resp.Status)
 		}
 		for i := range resp.TxResults {
-			if st := resp.TxResults[i].Status; st > StatusCrossShard {
+			if st := resp.TxResults[i].Status; st > StatusRejected {
 				t.Fatalf("decoder accepted unknown sub-result status %d", st)
 			}
 		}

@@ -45,6 +45,10 @@ func decodeBatch(body []byte) ([]*Request, error) {
 			return nil, fmt.Errorf("server: wal record: frame of %d bytes overruns record", n)
 		}
 		req, err := ParseRequest(body[off : off+n])
+		if errors.Is(err, errOpRemoved) {
+			// Never a silent skip: the record is acked history.
+			return nil, fmt.Errorf("server: wal record: request %d: %w; this build cannot replay it — open the data directory with the previous build, checkpoint, and start this build again", len(reqs), err)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("server: wal record: %w", err)
 		}
@@ -52,70 +56,6 @@ func decodeBatch(body []byte) ([]*Request, error) {
 		off += n
 	}
 	return reqs, nil
-}
-
-// writeSubOp reports whether a sub-opcode can change the store.
-func writeSubOp(op uint8) bool {
-	switch op {
-	case OpMapPut, OpMapDelete, OpMapAdd, OpQueuePush, OpQueuePop, OpCounterAdd,
-		OpSortedPut, OpSortedPutTTL, OpSortedDelete, OpMapPutTTL,
-		OpExpire, OpSortedExpire,
-		OpLeaseConsume, OpLeaseAck, OpLeaseNack, OpLeaseReclaim:
-		return true
-	}
-	return false
-}
-
-// canMutate reports whether a request can change the store at all —
-// the static filter deciding which requests need the commit-order
-// ticket wrapper. A pure-read envelope (gets, lens, sums, guards)
-// skips the wrapper like any other read.
-func canMutate(req *Request) bool {
-	switch req.Op {
-	case OpMapPut, OpMapDelete, OpMapAdd, OpQueuePush, OpQueuePop, OpCounterAdd, OpCheckout:
-		return true
-	case OpTx:
-		for i := range req.Tx.Ops {
-			if writeSubOp(req.Tx.Ops[i].Op) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// mutating reports whether the executed request changed the store —
-// only those are logged. Rejected envelopes, missed deletes/pops and
-// all pure reads left nothing to redo.
-func mutating(req *Request, resp *Response) bool {
-	if resp.Status != StatusOK {
-		return false
-	}
-	switch req.Op {
-	case OpMapPut, OpMapAdd, OpQueuePush, OpCounterAdd, OpCheckout:
-		return true
-	case OpMapDelete, OpQueuePop:
-		return resp.Found
-	case OpTx:
-		for i := range req.Tx.Ops {
-			switch req.Tx.Ops[i].Op {
-			case OpMapPut, OpMapAdd, OpQueuePush, OpCounterAdd,
-				OpSortedPut, OpSortedPutTTL, OpMapPutTTL:
-				return true
-			case OpMapDelete, OpQueuePop,
-				OpSortedDelete, OpExpire, OpSortedExpire,
-				OpLeaseConsume, OpLeaseAck, OpLeaseNack:
-				if i < len(resp.TxResults) && resp.TxResults[i].Found {
-					return true
-				}
-			case OpLeaseReclaim:
-				if i < len(resp.TxResults) && resp.TxResults[i].Num > 0 {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // replayGroups lists the structure group keys a logged request touches.
@@ -126,26 +66,16 @@ func mutating(req *Request, resp *Response) bool {
 // included, because a guard's outcome on replay must observe the same
 // per-structure state it did live.
 func replayGroups(req *Request) []txGroup {
-	switch req.Op {
-	case OpMapPut, OpMapDelete, OpMapAdd:
-		return []txGroup{{'m', req.Name}}
-	case OpQueuePush, OpQueuePop:
-		return []txGroup{{'q', req.Name}}
-	case OpCounterAdd:
-		return []txGroup{{'c', req.Name}}
-	case OpTx:
-		var keys []txGroup
-		seen := make(map[txGroup]bool, len(req.Tx.Ops))
-		for i := range req.Tx.Ops {
-			k := txGroupKey(&req.Tx.Ops[i])
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-		return keys
+	ops := []TxOp{req.pointOp()}
+	if req.Op == OpTx {
+		ops = req.Tx.Ops
 	}
-	return []txGroup{{kind: '?'}}
+	heads, _ := chainTxOps(ops, make([]int32, 2*len(ops)))
+	keys := make([]txGroup, len(heads))
+	for i, h := range heads {
+		keys[i] = groupOf(&ops[h])
+	}
+	return keys
 }
 
 // replayBatch re-executes one logged batch: a root transaction whose
@@ -223,7 +153,7 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Re
 						if divergence[slot] == nil {
 							if resp.Status != StatusOK {
 								divergence[slot] = fmt.Errorf("op %d on %q replayed to status %d (%s)", r.Op, r.Name, resp.Status, resp.Msg)
-							} else if (r.Op == OpMapDelete || r.Op == OpQueuePop) && !resp.Found {
+							} else if opTable[r.Op].effect == effectIfFound && !resp.Found {
 								divergence[slot] = fmt.Errorf("op %d on %q found nothing on replay", r.Op, r.Name)
 							}
 						}

@@ -11,6 +11,7 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -20,8 +21,6 @@ import (
 // length followed by the payload:
 //
 //	request:  u64 id | u8 op | u16+name | u16+key | u32+value | i64 delta
-//	          [op == OpCheckout: u16 nlines, nlines × (u16+sku, i64 qty),
-//	           u16+sold, u16+revenue, i64 cents]
 //	          [op == OpTx: u16 nops, nops ×
 //	           (u8 op | u16+name | u16+key | u32+value | i64 delta)]
 //	response: u64 id | u8 status | u8 found | i64 num | u32+value | u16+msg
@@ -38,7 +37,10 @@ import (
 // as malformed (protects both sides from a corrupt length prefix).
 const MaxFrame = 16 << 20
 
-// Request opcodes.
+// Request opcodes. The numbers are the wire and the WAL format: they are
+// positional (iota), so an opcode is only ever appended, and a removed one
+// leaves a reserved hole (TestWireNumbersAreGolden pins every value).
+// Everything else the server knows about an opcode is its opTable row.
 const (
 	OpPing uint8 = iota + 1
 	OpMapGet
@@ -50,17 +52,7 @@ const (
 	OpQueueLen
 	OpCounterAdd
 	OpCounterSum
-	// OpCheckout is the legacy composite order operation. DEPRECATED: it
-	// is kept as a REQUEST-side alias only — ParseRequest translates it
-	// into the equivalent OpTx envelope at decode time, so nothing past
-	// the decoder ever executes a checkout-shaped special case, and WAL
-	// records written before the envelope era replay through the generic
-	// path. Note the alias does not preserve the old RESPONSE framing
-	// (every response now carries the trailing results vector; client
-	// and server versions move together), and the reply to a translated
-	// checkout is the envelope-shaped one. New clients build the
-	// transaction themselves (client.Txn).
-	OpCheckout
+	_ // 11: OpCheckout, removed in PR 18; never reuse
 	OpStats
 	// OpTx is the generalized transaction envelope: an ordered list of
 	// sub-ops executed as ONE atomic transaction (one nested child of the
@@ -164,7 +156,7 @@ const (
 	OpLeaseLen
 )
 
-// Response statuses.
+// Response statuses; positional like the opcodes.
 const (
 	// StatusOK: the operation committed (for map get / queue pop, check
 	// Found for whether the key/element existed).
@@ -177,11 +169,7 @@ const (
 	// StatusErr: the request was malformed or the server is shutting
 	// down; Msg carries the reason.
 	StatusErr
-	// StatusCrossShard: a mutating OpTx envelope touched structures
-	// living on different shards; the transaction was not executed.
-	// Clients surface this as a typed error (client.ErrCrossShard) —
-	// split the transaction or co-locate the structures by name.
-	StatusCrossShard
+	_ // 4: StatusCrossShard, removed in PR 18; never reuse
 	// StatusNotPrimary: the redirect status (D41). A replica refused to
 	// execute a mutation (or a read the caller's staleness bound forbids);
 	// Msg names the primary's address. Clients retry against the primary
@@ -189,9 +177,9 @@ const (
 	StatusNotPrimary
 )
 
-// TxOp is one sub-operation of an OpTx envelope. Op is one of the
-// structure opcodes (OpMapGet…OpCounterSum, OpMapAdd) or a guard
-// (OpAssertEq, OpAssertGE); Name addresses the structure and
+// TxOp is one sub-operation of an OpTx envelope. Op is any opcode whose
+// opTable row says sub — the structure ops and the guards; Name addresses
+// the structure and
 // Key/Value/Delta are op-specific exactly as in a top-level Request.
 type TxOp struct {
 	Op    uint8
@@ -205,6 +193,9 @@ type TxOp struct {
 type Tx struct {
 	Ops []TxOp
 }
+
+// statusRemovedCrossShard is the number StatusCrossShard held.
+const statusRemovedCrossShard = 4
 
 // TxResult is one sub-op's outcome inside an OpTx response. Status 0
 // means the op never executed (a preceding failure aborted the
@@ -237,21 +228,17 @@ type Checkout struct {
 }
 
 // Request is one decoded client operation. Name addresses the structure;
-// Key/Value/Delta are op-specific; Checkout is non-nil only on requests
-// built in-process with Op == OpCheckout (ParseRequest never yields one:
-// it translates the legacy opcode to an OpTx envelope); Tx is non-nil
-// only for OpTx.
+// Key/Value/Delta are op-specific; Tx is non-nil only for OpTx.
 type Request struct {
-	ID       uint64
-	Op       uint8
-	Name     string
-	Key      string
-	Value    []byte
-	Delta    int64
-	Checkout *Checkout
-	Tx       *Tx
-	Hello    *Hello         // non-nil only for OpHello
-	Sub      *ReplSubscribe // non-nil only for OpReplSubscribe
+	ID    uint64
+	Op    uint8
+	Name  string
+	Key   string
+	Value []byte
+	Delta int64
+	Tx    *Tx
+	Hello *Hello         // non-nil only for OpHello
+	Sub   *ReplSubscribe // non-nil only for OpReplSubscribe
 }
 
 // Response is one decoded server reply; see the body-layout comment
@@ -268,7 +255,7 @@ type Response struct {
 }
 
 // EncodeInt64 renders v as the 8-byte big-endian map value the integer
-// helpers (and OpCheckout) use.
+// helpers (OpMapAdd, the integer guards) use.
 func EncodeInt64(v int64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(v))
@@ -313,26 +300,13 @@ func checkRequestLimits(req *Request) error {
 	if len(req.Value) > MaxFrame/2 {
 		return fmt.Errorf("server: value of %d bytes exceeds limit %d", len(req.Value), MaxFrame/2)
 	}
-	if co := req.Checkout; co != nil {
-		if len(co.Lines) > maxStr {
-			return fmt.Errorf("server: checkout with %d lines exceeds limit %d", len(co.Lines), maxStr)
-		}
-		if len(co.Sold) > maxStr || len(co.Revenue) > maxStr {
-			return fmt.Errorf("server: counter name longer than %d bytes", maxStr)
-		}
-		for _, ln := range co.Lines {
-			if len(ln.SKU) > maxStr {
-				return fmt.Errorf("server: SKU longer than %d bytes", maxStr)
-			}
-		}
-	}
 	if tx := req.Tx; tx != nil {
 		if len(tx.Ops) > maxStr {
 			return fmt.Errorf("server: transaction with %d ops exceeds limit %d", len(tx.Ops), maxStr)
 		}
 		for i := range tx.Ops {
 			op := &tx.Ops[i]
-			if !validSubOp(op.Op) {
+			if !opTable[op.Op].sub {
 				return fmt.Errorf("server: op %d: invalid sub-opcode %d", i, op.Op)
 			}
 			if len(op.Name) > maxStr || len(op.Key) > maxStr {
@@ -344,25 +318,6 @@ func checkRequestLimits(req *Request) error {
 		}
 	}
 	return nil
-}
-
-// validSubOp reports whether op may appear inside an OpTx envelope:
-// the structure point ops plus the guards — never Ping/Stats, never the
-// composite opcodes (envelopes do not nest on the wire; the runtime's
-// nesting is the server's concern).
-func validSubOp(op uint8) bool {
-	switch op {
-	case OpMapGet, OpMapPut, OpMapDelete, OpMapLen,
-		OpQueuePush, OpQueuePop, OpQueueLen,
-		OpCounterAdd, OpCounterSum,
-		OpMapAdd, OpAssertEq, OpAssertGE,
-		OpSortedGet, OpSortedPut, OpSortedPutTTL, OpSortedDelete, OpSortedLen,
-		OpRangeScan, OpRangeCount,
-		OpMapPutTTL, OpExpire, OpSortedExpire,
-		OpLeaseConsume, OpLeaseAck, OpLeaseNack, OpLeaseReclaim, OpLeaseLen:
-		return true
-	}
-	return false
 }
 
 // KVEntry is one decoded range-scan result entry. What DecodeKVs returns
@@ -449,20 +404,6 @@ func AppendRequest(buf []byte, req *Request) ([]byte, error) {
 	buf = appendU16Str(buf, req.Key)
 	buf = appendU32Bytes(buf, req.Value)
 	buf = appendI64(buf, req.Delta)
-	if req.Op == OpCheckout {
-		co := req.Checkout
-		if co == nil {
-			co = &Checkout{}
-		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(co.Lines)))
-		for _, ln := range co.Lines {
-			buf = appendU16Str(buf, ln.SKU)
-			buf = appendI64(buf, ln.Qty)
-		}
-		buf = appendU16Str(buf, co.Sold)
-		buf = appendU16Str(buf, co.Revenue)
-		buf = appendI64(buf, co.Cents)
-	}
 	if req.Op == OpTx {
 		tx := req.Tx
 		if tx == nil {
@@ -495,7 +436,7 @@ func AppendRequest(buf []byte, req *Request) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, sub.Shard)
 		buf = binary.BigEndian.AppendUint64(buf, sub.FromLSN)
 	}
-	// Per-field limits cannot bound the sum (a many-line checkout can
+	// Per-field limits cannot bound the sum (a many-op envelope can
 	// pass each check yet overflow the frame), so enforce the total
 	// here: a frame the peer would reject — tearing down the whole
 	// pipelined connection — must not leave this side.
@@ -549,6 +490,10 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf
 }
+
+// txResultSize is the encoded size of one sub-op result, as AppendResponse
+// writes it.
+func txResultSize(r *TxResult) int { return 1 + 1 + 8 + 4 + len(r.Value) }
 
 // ---------------------------------------------------------------------------
 // Decoding
@@ -719,10 +664,9 @@ func ParseRequest(frame []byte) (*Request, error) {
 	return req, nil
 }
 
-// parse decodes one request frame payload into *req, overwriting it. The
-// legacy OpCheckout opcode is translated to its equivalent OpTx envelope
-// here, at the decode boundary — everything downstream (execution, shard
-// routing, WAL logging and replay) sees only the generic envelope.
+// parse decodes one request frame payload into *req, overwriting it, and
+// accepts only what the op table says is legal: a top opcode, holding sub
+// opcodes if it is an envelope.
 func (d *requestDecoder) parse(frame []byte, req *Request) error {
 	c := cursor{b: frame}
 	*req = Request{
@@ -733,16 +677,10 @@ func (d *requestDecoder) parse(frame []byte, req *Request) error {
 	req.Key = c.str16()
 	req.Value = c.bytes32()
 	req.Delta = c.i64()
-	if req.Op == OpCheckout {
-		co := &Checkout{}
-		n := int(c.u16())
-		for i := 0; i < n && c.err == nil; i++ {
-			co.Lines = append(co.Lines, CheckoutLine{SKU: c.str16(), Qty: c.i64()})
-		}
-		co.Sold = c.str16()
-		co.Revenue = c.str16()
-		co.Cents = c.i64()
-		req.Checkout = co
+	if req.Op == opRemovedCheckout && c.err == nil {
+		// Before the trailing-bytes check: an old client's frame still
+		// carries the checkout body, and the caller should hear the reason.
+		return fmt.Errorf("server: %w", errOpRemoved)
 	}
 	if req.Op == OpTx {
 		n := int(c.u16())
@@ -777,35 +715,31 @@ func (d *requestDecoder) parse(frame []byte, req *Request) error {
 	if err := c.done(); err != nil {
 		return err
 	}
-	if req.Op == 0 || (req.Op > OpTx && req.Op != OpMapAdd && req.Op != OpHello && req.Op != OpReplSubscribe) {
+	if !opTable[req.Op].top {
 		return fmt.Errorf("server: unknown opcode %d", req.Op)
 	}
 	if req.Op == OpTx {
 		for i := range req.Tx.Ops {
-			if !validSubOp(req.Tx.Ops[i].Op) {
+			if !opTable[req.Tx.Ops[i].Op].sub {
 				return fmt.Errorf("server: op %d: invalid sub-opcode %d", i, req.Tx.Ops[i].Op)
 			}
 		}
 	}
-	if req.Op == OpCheckout {
-		tx, err := CheckoutTx(req.Name, req.Checkout)
-		if err != nil {
-			return err
-		}
-		req.Op, req.Name, req.Checkout, req.Tx = OpTx, "", nil, tx
-	}
 	return nil
 }
 
-// CheckoutTx renders the legacy checkout composite as its OpTx
-// envelope: per order line an OpAssertGE stock guard followed by the
-// OpMapAdd decrement, then the counter credits. This is the SAME shape
-// client.Checkout builds, so a wire-level OpCheckout and a client-built
-// transaction produce byte-identical store state and WAL records.
+// opRemovedCheckout is the number OpCheckout held. A frame carrying it is
+// refused by name rather than as an unknown opcode: to a client it says
+// what to send instead, and in a WAL record (logs from before the
+// envelope era hold them) it fails the boot — see decodeBatch.
+const opRemovedCheckout = 11
+
+var errOpRemoved = errors.New("opcode 11 (OpCheckout) was removed: send the OpTx envelope CheckoutTx builds")
+
+// CheckoutTx renders a checkout as its OpTx envelope: per order line an
+// OpAssertGE stock guard followed by the OpMapAdd decrement, then the
+// counter credits. client.Checkout sends exactly this.
 func CheckoutTx(stockMap string, co *Checkout) (*Tx, error) {
-	if co == nil {
-		co = &Checkout{}
-	}
 	tx := &Tx{Ops: make([]TxOp, 0, 2*len(co.Lines)+2)}
 	var units int64
 	for _, ln := range co.Lines {
@@ -828,9 +762,10 @@ func CheckoutTx(stockMap string, co *Checkout) (*Tx, error) {
 	return tx, nil
 }
 
-// ParseResponse decodes one response frame payload, rejecting unknown
-// status bytes — both the top-level status and every per-sub-op result
-// status (0 is legal there: the op never executed).
+// ParseResponse decodes one response frame payload, rejecting status
+// bytes no server produces: at top level anything but the four live
+// statuses (the reserved 4 included), per sub-op result anything past
+// StatusRejected (0 is legal there: the op never executed).
 func ParseResponse(frame []byte) (*Response, error) {
 	c := &cursor{b: frame}
 	resp := &Response{
@@ -855,11 +790,11 @@ func ParseResponse(frame []byte) (*Response, error) {
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	if resp.Status == 0 || resp.Status > StatusNotPrimary {
+	if resp.Status == 0 || resp.Status == statusRemovedCrossShard || resp.Status > StatusNotPrimary {
 		return nil, fmt.Errorf("server: unknown status %d", resp.Status)
 	}
 	for i := range resp.TxResults {
-		if st := resp.TxResults[i].Status; st > StatusCrossShard {
+		if st := resp.TxResults[i].Status; st > StatusRejected {
 			return nil, fmt.Errorf("server: op %d: unknown result status %d", i, st)
 		}
 	}

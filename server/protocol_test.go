@@ -55,40 +55,39 @@ func TestRequestRoundTripEveryOp(t *testing.T) {
 	}
 	for _, req := range reqs {
 		back := roundTripRequest(t, req)
-		// Requests without a composite body decode with nil Checkout/Tx;
-		// empty slices normalize to nil.
+		// Requests without a composite body decode with nil Tx; empty
+		// slices normalize to nil.
 		if !reflect.DeepEqual(req, back) {
 			t.Errorf("op %d: round trip mismatch:\n  sent %+v\n  got  %+v", req.Op, req, back)
 		}
 	}
 }
 
-// TestCheckoutTranslatesToTx pins the deprecated-alias contract: an
-// OpCheckout frame decodes as the equivalent OpTx envelope — the exact
-// shape CheckoutTx (and client.Checkout) builds — and never reaches the
-// executor as a checkout.
-func TestCheckoutTranslatesToTx(t *testing.T) {
+// TestCheckoutTxShape pins the envelope client.Checkout sends: per order
+// line a guard then its decrement, then the two counter credits.
+func TestCheckoutTxShape(t *testing.T) {
 	co := &Checkout{
 		Sold:    "sold",
 		Revenue: "rev",
 		Cents:   1250,
 		Lines:   []CheckoutLine{{SKU: "anvil", Qty: 2}, {SKU: "cog", Qty: 1}},
 	}
-	back := roundTripRequest(t, &Request{ID: 12, Op: OpCheckout, Name: "stock", Checkout: co})
-	if back.Op != OpTx || back.Checkout != nil || back.Tx == nil {
-		t.Fatalf("checkout did not translate: %+v", back)
-	}
-	want, err := CheckoutTx("stock", co)
+	got, err := CheckoutTx("stock", co)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Tx, want) {
-		t.Errorf("translated envelope:\n  got  %+v\n  want %+v", back.Tx, want)
-	}
 	// The guard/decrement pairing is the contract the client's failed-SKU
 	// mapping relies on (line i ↔ ops 2i, 2i+1).
-	if len(want.Ops) != 2*len(co.Lines)+2 {
-		t.Fatalf("envelope has %d ops, want %d", len(want.Ops), 2*len(co.Lines)+2)
+	want := &Tx{Ops: []TxOp{
+		{Op: OpAssertGE, Name: "stock", Key: "anvil", Delta: 2},
+		{Op: OpMapAdd, Name: "stock", Key: "anvil", Delta: -2},
+		{Op: OpAssertGE, Name: "stock", Key: "cog", Delta: 1},
+		{Op: OpMapAdd, Name: "stock", Key: "cog", Delta: -1},
+		{Op: OpCounterAdd, Name: "sold", Delta: 3},
+		{Op: OpCounterAdd, Name: "rev", Delta: 1250},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("checkout envelope:\n  got  %+v\n  want %+v", got, want)
 	}
 	// Non-positive quantities are refused at translation.
 	if _, err := CheckoutTx("stock", &Checkout{Lines: []CheckoutLine{{SKU: "anvil", Qty: 0}}}); err == nil {
@@ -103,7 +102,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 3, Status: StatusOK, Num: -7},
 		{ID: 4, Status: StatusRejected, Msg: "anvil"},
 		{ID: 5, Status: StatusErr, Msg: "boom"},
-		{ID: 6, Status: StatusCrossShard, Msg: "mutating transaction pins 2 shards"},
+		{ID: 6, Status: StatusNotPrimary, Msg: "read-only replica; primary is 10.0.0.1:7455"},
 		{ID: 7, Status: StatusOK, TxResults: []TxResult{
 			{Status: StatusOK, Found: true, Num: 3, Value: []byte("v")},
 			{Status: StatusOK},
@@ -163,7 +162,7 @@ func TestParseRejectsMalformedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []uint8{OpTx, OpStats, OpPing, OpCheckout, 99} {
+	for _, op := range []uint8{OpTx, OpStats, OpPing, opRemovedCheckout, 99} {
 		bad = append([]byte{}, txFrame[4:]...)
 		// The sub-op byte sits right after the common header (id 8 + op 1
 		// + name u16 + key u16 + value u32 + delta 8) plus the u16 count.
@@ -181,7 +180,7 @@ func TestParseRejectsMalformedFrames(t *testing.T) {
 func TestParseResponseRejectsUnknownStatus(t *testing.T) {
 	frame := AppendResponse(nil, &Response{ID: 1, Status: StatusOK})
 	payload := append([]byte{}, frame[4:]...)
-	for _, st := range []uint8{0, StatusNotPrimary + 1, 200} {
+	for _, st := range []uint8{0, statusRemovedCrossShard, StatusNotPrimary + 1, 200} {
 		payload[8] = st
 		if _, err := ParseResponse(payload); err == nil {
 			t.Errorf("status %d accepted", st)
@@ -192,7 +191,8 @@ func TestParseResponseRejectsUnknownStatus(t *testing.T) {
 	// The sub-result status byte follows the fixed body (id 8 + status 1
 	// + found 1 + num 8 + value u32 + msg u16) plus the u16 count.
 	off := 8 + 1 + 1 + 8 + 4 + 2 + 2
-	for _, st := range []uint8{StatusCrossShard + 1, 255} {
+	// A server stamps a sub-result OK or Rejected, nothing else.
+	for _, st := range []uint8{StatusErr, statusRemovedCrossShard, StatusNotPrimary, 255} {
 		payload[off] = st
 		if _, err := ParseResponse(payload); err == nil {
 			t.Errorf("sub-result status %d accepted", st)
@@ -211,8 +211,7 @@ func TestAppendRequestRejectsOversizeFields(t *testing.T) {
 		{Op: OpMapGet, Name: "m", Key: long},
 		{Op: OpMapGet, Name: long},
 		{Op: OpMapPut, Name: "m", Key: "k", Value: make([]byte, MaxFrame/2+1)},
-		{Op: OpCheckout, Name: "stock", Checkout: &Checkout{Lines: []CheckoutLine{{SKU: long, Qty: 1}}}},
-		{Op: OpCheckout, Name: "stock", Checkout: &Checkout{Sold: long}},
+		{Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpMapGet, Name: "m", Key: long}}}},
 	}
 	for i, req := range cases {
 		if _, err := AppendRequest(nil, req); err == nil {

@@ -147,13 +147,10 @@ func (s *Server) reapShard(sh *shard, cutoff int64) (expired, reclaimed int) {
 			continue
 		}
 		for i, res := range resp.TxResults {
-			switch req.Tx.Ops[i].Op {
-			case OpExpire, OpSortedExpire:
-				if res.Found {
-					expired++
-				}
-			case OpLeaseReclaim:
+			if req.Tx.Ops[i].Op == OpLeaseReclaim {
 				reclaimed += int(res.Num)
+			} else if res.Found { // an expiry that removed its entry
+				expired++
 			}
 		}
 	}

@@ -384,8 +384,7 @@ func (s *Server) isReplica() bool {
 // when the connection's Hello declared a staleness bound the replica
 // cannot currently meet. Control-plane ops always pass.
 func (s *Server) replicaGate(req *Request, bound time.Duration) (Response, bool) {
-	switch req.Op {
-	case OpPing, OpHello, OpStats, OpReplSubscribe:
+	if req.Op != OpTx && opTable[req.Op].kind == 0 {
 		return Response{}, false
 	}
 	if canMutate(req) {

@@ -924,22 +924,10 @@ func (s *Server) Stats() ServerStats {
 // on a 1-shard server; a global counter read is the top-level
 // OpCounterSum, which fans).
 func txPinnedShard(op *TxOp, n int) (int, bool) {
-	switch op.Op {
-	case OpMapGet, OpMapPut, OpMapDelete, OpMapLen, OpMapAdd,
-		OpMapPutTTL, OpExpire:
-		return stmlib.ShardIndex(op.Name, n), true
-	case OpQueuePush, OpQueuePop, OpQueueLen,
-		OpLeaseConsume, OpLeaseAck, OpLeaseNack, OpLeaseReclaim, OpLeaseLen:
-		return stmlib.ShardIndex(op.Name, n), true
-	case OpSortedGet, OpSortedPut, OpSortedPutTTL, OpSortedDelete, OpSortedLen,
-		OpRangeScan, OpRangeCount, OpSortedExpire:
-		return stmlib.ShardIndex(op.Name, n), true
-	case OpAssertEq, OpAssertGE:
-		if op.Key != "" { // map guard
-			return stmlib.ShardIndex(op.Name, n), true
-		}
+	if kind := structKind(op); kind == 0 || kind == 'c' {
+		return 0, false
 	}
-	return 0, false
+	return stmlib.ShardIndex(op.Name, n), true
 }
 
 // fanTx answers a read-only multi-shard OpTx envelope: each pinned

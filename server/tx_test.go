@@ -1,18 +1,15 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"pnstm/client"
 	"pnstm/server"
-	"pnstm/stmlib"
 )
 
 // TestTxReadYourWrites: sub-ops on the same structure execute in
@@ -333,103 +330,106 @@ func TestTxFannedCounterReadsAreGlobal(t *testing.T) {
 	}
 }
 
-// rawCheckout drives the DEPRECATED OpCheckout wire opcode over a bare
-// TCP connection — the alias our own client no longer sends.
-func rawCheckout(t *testing.T, addr, stockMap string, co server.Checkout) *server.Response {
-	t.Helper()
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// TestCheckoutWireAliasOracle was the OpCheckout migration oracle (wire
+// alias vs client envelope). The alias is gone; what stays is its client
+// leg: an order script through client.Checkout — one order rejected —
+// lands on the expected stock and counters, and a crash-recovery replay
+// of the logged envelopes recovers the identical image.
+func TestCheckoutWireAliasOracle(t *testing.T) {
+	script := [][]server.CheckoutLine{
+		{{SKU: "anvil", Qty: 2}, {SKU: "cog", Qty: 1}},
+		{{SKU: "anvil", Qty: 3}},
+		{{SKU: "cog", Qty: 50}}, // rejected: short stock
+		{{SKU: "cog", Qty: 2}},
+	}
+	wantOK := []bool{true, true, false, true}
+	dir := t.TempDir()
+	s := startServer(t, persistCfg(dir))
+	cl := dial(t, s, 1)
+	for _, sku := range []string{"anvil", "cog"} {
+		if err := cl.MapPutInt("stock", sku, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, lines := range script {
+		ok, _, err := cl.Checkout("stock", server.Checkout{Sold: "sold", Revenue: "rev", Cents: 100, Lines: lines})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != wantOK[i] {
+			t.Fatalf("order %d: ok=%v want %v", i, ok, wantOK[i])
+		}
+	}
+	for sku, want := range map[string]int64{"anvil": 5, "cog": 7} {
+		if got, _, err := cl.MapGetInt("stock", sku); err != nil || got != want {
+			t.Errorf("stock[%s] = %d, %v; want %d", sku, got, err, want)
+		}
+	}
+	if sold, err := cl.CounterSum("sold"); err != nil || sold != 8 {
+		t.Errorf("sold = %d, %v; want 8", sold, err)
+	}
+	live, _, err := s.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	frame, err := server.AppendRequest(nil, &server.Request{ID: 7, Op: server.OpCheckout, Name: stockMap, Checkout: &co})
+	s.Kill()
+
+	recovered, _, err := startServer(t, persistCfg(dir)).Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nc.Write(frame); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(recovered, live) {
+		t.Errorf("recovered image diverged:\n  recovered %+v\n  live      %+v", recovered, live)
 	}
-	payload, err := server.ReadFrame(bufio.NewReader(nc), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := server.ParseResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
 }
 
-// TestCheckoutWireAliasOracle is the migration acceptance oracle: the
-// same order script driven (a) through the deprecated OpCheckout wire
-// opcode and (b) through client.Checkout's generic envelope produces
-// byte-identical store state — live AND after a crash-recovery replay
-// of the logged envelopes.
-func TestCheckoutWireAliasOracle(t *testing.T) {
-	type order struct {
-		lines []server.CheckoutLine
+// TestOversizeStackedReplyRollsTheEnvelopeBack: results that fit a frame
+// one by one can outgrow it together. Such an envelope must fail before
+// it commits — its writes invisible and unlogged, the caller told the
+// size and the limit — and must not cost the connection it shares.
+func TestOversizeStackedReplyRollsTheEnvelopeBack(t *testing.T) {
+	s := startServer(t, persistCfg(t.TempDir()))
+	cl := dial(t, s, 1) // one connection: a dropped frame would take every call with it
+	if err := cl.MapPut("blobs", "big", make([]byte, 6<<20)); err != nil {
+		t.Fatal(err)
 	}
-	script := []order{
-		{[]server.CheckoutLine{{SKU: "anvil", Qty: 2}, {SKU: "cog", Qty: 1}}},
-		{[]server.CheckoutLine{{SKU: "anvil", Qty: 3}}},
-		{[]server.CheckoutLine{{SKU: "cog", Qty: 50}}}, // rejected: short stock
-		{[]server.CheckoutLine{{SKU: "cog", Qty: 2}}},
-	}
-	run := func(dir string, viaWire bool) *stmlib.RegistryImage {
-		s := startServer(t, persistCfg(dir))
-		cl := dial(t, s, 1)
-		for i := 0; i < 2; i++ {
-			sku := []string{"anvil", "cog"}[i]
-			if err := cl.MapPutInt("stock", sku, 10); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wantOK := []bool{true, true, false, true}
-		for i, o := range script {
-			co := server.Checkout{Sold: "sold", Revenue: "rev", Cents: 100, Lines: o.lines}
-			var ok bool
-			if viaWire {
-				resp := rawCheckout(t, s.Addr().String(), "stock", co)
-				if resp.Status == server.StatusErr {
-					t.Fatalf("wire checkout %d: %s", i, resp.Msg)
-				}
-				ok = resp.Status == server.StatusOK
-			} else {
-				var err error
-				ok, _, err = cl.Checkout("stock", co)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ok != wantOK[i] {
-				t.Fatalf("order %d: ok=%v want %v", i, ok, wantOK[i])
-			}
-		}
-		img, _, err := s.Export()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img
-	}
+	logged := s.WALStats().Appends
 
-	wireDir, clientDir := t.TempDir(), t.TempDir()
-	wireImg := run(wireDir, true)
-	clientImg := run(clientDir, false)
-	if !reflect.DeepEqual(wireImg, clientImg) {
-		t.Errorf("wire OpCheckout and client Txn diverged:\n  wire   %+v\n  client %+v", wireImg, clientImg)
+	for _, leadingPut := range []bool{false, true} {
+		tx := cl.Txn()
+		if leadingPut {
+			tx.MapPut("blobs", "marker", []byte("x")).CounterAdd("puts", 1)
+		}
+		tx.MapGet("blobs", "big").MapGet("blobs", "big").MapGet("blobs", "big")
+		pinged := make(chan error, 1)
+		go func() { pinged <- cl.Ping() }()
+		_, err := tx.Commit()
+		if err == nil {
+			t.Fatalf("leadingPut=%v: three 6 MiB results in one reply returned no error", leadingPut)
+		}
+		size := 3*(6<<20) + 14*tx.At() // a result is 14 bytes plus its value
+		for _, want := range []string{fmt.Sprint(size), fmt.Sprint(server.MaxFrame - 64<<10), "reply limit"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("leadingPut=%v: error %q does not mention %q", leadingPut, err, want)
+			}
+		}
+		if err := <-pinged; err != nil {
+			t.Errorf("leadingPut=%v: a call sharing the connection failed: %v", leadingPut, err)
+		}
 	}
-
-	// Replay oracle: both data dirs recover to the same image too (the
-	// wire leg's WAL holds envelopes translated from OpCheckout frames).
-	for name, dir := range map[string]string{"wire": wireDir, "client": clientDir} {
-		s := startServer(t, persistCfg(dir))
-		img, _, err := s.Export()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(img, wireImg) {
-			t.Errorf("%s leg: recovered image diverged:\n  recovered %+v\n  live      %+v", name, img, wireImg)
-		}
+	if _, found, err := cl.MapGet("blobs", "marker"); err != nil || found {
+		t.Errorf("the refused envelope's put is visible: found=%v err=%v", found, err)
+	}
+	if n, err := cl.CounterSum("puts"); err != nil || n != 0 {
+		t.Errorf("the refused envelope's counter add is visible: %d, %v", n, err)
+	}
+	if got := s.WALStats().Appends; got != logged {
+		t.Errorf("the refused envelopes logged %d records", got-logged)
+	}
+	// Two of them still fit.
+	res, err := cl.Txn().MapGet("blobs", "big").MapGet("blobs", "big").Commit()
+	if err != nil || len(res.Bytes(0)) != 6<<20 || len(res.Bytes(1)) != 6<<20 {
+		t.Errorf("two 6 MiB results: %v", err)
 	}
 }
 
