@@ -19,8 +19,7 @@ import (
 //	static-4   MaxInflight pinned at 4 (fast while reads dominate, digs
 //	           into the write-livelock cliff when the phase turns)
 //	adaptive   starts at 1 with the AIMD controller on, walking each
-//	           shard's MaxInflight/BatchFanout from observed abort rate
-//	           and batch occupancy
+//	           shard's MaxInflight from its observed abort rate
 //
 // and reports adaptive_speedup_ratio = adaptive / best(static). On a
 // phase-shifting workload no single static setting is right for every
@@ -120,8 +119,7 @@ func runAdaptiveCompare(cfg genCfg, workers, maxBatch int, minRatio float64, jso
 	}
 	fmt.Printf("== adaptive vs best static (%s): %.2fx throughput\n", bestLabel, ratio)
 	for _, ps := range finals["adaptive"].PerShard {
-		fmt.Printf("   adaptive shard %d settled at inflight=%d fanout=%d\n",
-			ps.Shard, ps.MaxInflight, ps.BatchFanout)
+		fmt.Printf("   adaptive shard %d settled at inflight=%d\n", ps.Shard, ps.MaxInflight)
 	}
 
 	if jsonDir != "" {
@@ -166,7 +164,7 @@ func runAdaptiveCompare(cfg genCfg, workers, maxBatch int, minRatio float64, jso
 		}
 		for _, ps := range finals["adaptive"].PerShard {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
-				"adaptive shard %d final inflight=%d fanout=%d", ps.Shard, ps.MaxInflight, ps.BatchFanout))
+				"adaptive shard %d final inflight=%d", ps.Shard, ps.MaxInflight))
 		}
 		for _, res := range []*genResult{s1, s4, ad} {
 			if len(res.violations) > 0 {

@@ -43,7 +43,7 @@
 //	pnstm-loadgen -compare -persist -workload counter -json .
 //	        # persistence overhead A/B: in-memory vs WAL vs WAL+fsync
 //	pnstm-loadgen -compare -adaptive -workload phases -duration 9s -json .
-//	        # controller A/B: adaptive AIMD MaxInflight/BatchFanout vs
+//	        # controller A/B: adaptive AIMD MaxInflight vs
 //	        # the best pinned static config on the phase-shifting mix
 //	pnstm-loadgen -compare -trace-ab -workload mixed -json .
 //	        # tracing-overhead A/B: the same batched workload with the

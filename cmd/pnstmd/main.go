@@ -99,7 +99,7 @@ func main() {
 		syncDelay  = flag.Duration("syncdelay", 0, "artificial per-fsync latency floor (benchmark hook simulating slower stable storage, same knob as pnstm-loadgen -syncdelay; with -data-dir -fsync)")
 		adminAddr  = flag.String("admin", "", "HTTP admin listen address serving /metrics (Prometheus), /healthz, /readyz, GET/PUT /config, /debug/hotkeys and /debug/trace (empty: no admin listener)")
 		adminDebug = flag.Bool("admin-debug", false, "additionally mount net/http/pprof under /debug/pprof/ on the admin listener")
-		adaptive   = flag.Bool("adaptive", false, "adaptive controller: walk each shard's inflight/fanout from observed abort rate and batch occupancy (togglable live via PUT /config)")
+		adaptive   = flag.Bool("adaptive", false, "adaptive controller: walk each shard's inflight from its observed abort rate (togglable live via PUT /config; nothing to walk with -data-dir or -serial, which commit one batch at a time)")
 		trace      = flag.Bool("trace", true, "conflict X-ray: record transaction-lifecycle events for /debug/hotkeys, /debug/trace and crisis dumps (togglable live via PUT /config)")
 		traceSamp  = flag.Int("trace-sample", 0, "record begin/commit lifecycle for 1 in N batches (0: default 8; 1: every batch — full fidelity, higher cost); conflict events are always recorded")
 		reapEvery  = flag.Duration("reap-interval", 5*time.Second, "TTL/lease reaper cadence: physically remove expired map/sorted-map entries and requeue overdue queue leases (0 disables; primary only — replicas replay the primary's reaps)")

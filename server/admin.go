@@ -40,12 +40,13 @@ func (s *Server) Ready() error {
 		return fmt.Errorf("recovering")
 	}
 	if s.isReplica() {
+		cfg := s.cfg.Load()
 		st, ok := s.repl.staleness()
 		if !ok {
-			return fmt.Errorf("replica syncing: not yet caught up with %s", s.cfg.ReplicaOf)
+			return fmt.Errorf("replica syncing: not yet caught up with %s", cfg.ReplicaOf)
 		}
-		if st > s.cfg.ReplicaMaxStaleness {
-			return fmt.Errorf("replica stale by %s (bound %s)", st.Round(time.Millisecond), s.cfg.ReplicaMaxStaleness)
+		if st > cfg.ReplicaMaxStaleness {
+			return fmt.Errorf("replica stale by %s (bound %s)", st.Round(time.Millisecond), cfg.ReplicaMaxStaleness)
 		}
 	}
 	for _, sh := range s.shards {
@@ -70,10 +71,11 @@ func (s *Server) AdminAddr() net.Addr {
 // listenAdmin binds the admin address and builds the HTTP server.
 // Called from Listen; serveAdmin starts the accept loop.
 func (s *Server) listenAdmin() error {
-	if s.cfg.AdminAddr == "" {
+	cfg := s.cfg.Load()
+	if cfg.AdminAddr == "" {
 		return nil
 	}
-	ln, err := net.Listen("tcp", s.cfg.AdminAddr)
+	ln, err := net.Listen("tcp", cfg.AdminAddr)
 	if err != nil {
 		return fmt.Errorf("server: admin listen: %w", err)
 	}
@@ -87,7 +89,7 @@ func (s *Server) listenAdmin() error {
 	mux.HandleFunc("/promote", s.handlePromote)
 	mux.HandleFunc("/debug/hotkeys", s.handleHotKeys)
 	mux.HandleFunc("/debug/trace", s.handleTrace)
-	if s.cfg.AdminDebug {
+	if cfg.AdminDebug {
 		// Mounted explicitly (not via the net/http/pprof import side
 		// effect) so the handlers exist only behind the opt-in flag and
 		// only on this mux, never on http.DefaultServeMux.
@@ -168,14 +170,11 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.ConfigSnapshot())
 	case http.MethodPut:
-		var u ConfigUpdate
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields() // a typoed knob name must not silently no-op
-		if err := dec.Decode(&u); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		view, err := s.ApplyConfig(&u)
+		// Decoding over the current values is the partial update: a key the
+		// body does not carry keeps what it had.
+		view, err := s.UpdateConfig(func(live *LiveConfig) error { return dec.Decode(live) })
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,6 +73,31 @@ func metricValue(t *testing.T, text, prefix string) (float64, bool) {
 	return 0, false
 }
 
+// replayBlocks replays one four-structure batch record into shard 0 the
+// way a replica does and returns how many parallel blocks the replay
+// forked under its root: the fan-out replayBatch was handed, seen from
+// outside.
+func replayBlocks(t *testing.T, s *server.Server, round int) uint64 {
+	t.Helper()
+	var body []byte
+	for i := 0; i < 4; i++ {
+		req := &server.Request{Op: server.OpMapPut, Name: fmt.Sprintf("adm:replay%d", i), Key: fmt.Sprint(round), Value: []byte("v")}
+		var err error
+		if body, err = server.AppendRequest(body, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dispatched := func() uint64 {
+		rt := s.Stats().PerShard[0].Runtime
+		return rt.Dispatches + rt.BorrowDispatch
+	}
+	before := dispatched()
+	if err := s.ApplyReplicaRecord(0, body); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return dispatched() - before - 1 // the root is a dispatched block too
+}
+
 // TestAdminSurface: health, readiness, metrics content and live config
 // over a real admin listener, with real traffic in between.
 func TestAdminSurface(t *testing.T) {
@@ -97,6 +123,10 @@ func TestAdminSurface(t *testing.T) {
 	if view.MaxInflight != 1 || view.Durable || len(view.PerShard) != 2 {
 		t.Fatalf("unexpected initial view: %+v", view)
 	}
+	// At the boot fan-out (Workers) a replayed record forks its groups.
+	if n := replayBlocks(t, s, 0); n != 4 {
+		t.Fatalf("replay at batch_fanout %d forked %d blocks for 4 groups, want 4", view.BatchFanout, n)
+	}
 
 	// Drive some traffic so every instrument has observations.
 	cl := dial(t, s, 2)
@@ -118,12 +148,12 @@ func TestAdminSurface(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.MaxInflight != 4 {
-		t.Fatalf("PUT did not change max_inflight: %+v", view)
+	if view.MaxInflight != 4 || view.BatchFanout != 2 {
+		t.Fatalf("PUT did not change max_inflight/batch_fanout: %+v", view)
 	}
 	for _, ps := range view.PerShard {
-		if ps.MaxInflight != 4 || ps.BatchFanout != 2 {
-			t.Fatalf("shard %d effective knobs not updated: %+v", ps.Shard, ps)
+		if ps.MaxInflight != 4 {
+			t.Fatalf("shard %d effective max_inflight not updated: %+v", ps.Shard, ps)
 		}
 	}
 	// The server still works after the retune.
@@ -165,6 +195,74 @@ func TestAdminSurface(t *testing.T) {
 	if !ok || lat.Count == 0 || lat.P99us <= 0 || lat.P50us > lat.P99us {
 		t.Fatalf("OpStats latency summary wrong: %+v", st.Latency)
 	}
+
+	// One snapshot, every reader: after a PUT the OpStats payload, GET
+	// /config, the gauge and a replica's replay all see the new values
+	// (OpStats and replay used to read the boot configuration).
+	if code, body := adminPUT(t, adminURL(t, s, "/config"), `{"max_batch": 4, "batch_fanout": 2}`); code != 200 {
+		t.Fatalf("PUT /config = %d %q", code, body)
+	}
+	if st, err = cl.Stats(); err != nil || st.MaxBatch != 4 {
+		t.Fatalf("OpStats max_batch = %d, %v; want 4", st.MaxBatch, err)
+	}
+	_, body = adminGET(t, adminURL(t, s, "/config"))
+	if err := json.Unmarshal([]byte(body), &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.MaxBatch != 4 || view.BatchFanout != 2 || view.MaxInflight != 4 {
+		t.Fatalf("GET /config after PUT: %+v", view)
+	}
+	_, scrape = adminGET(t, adminURL(t, s, "/metrics"))
+	if v, ok := metricValue(t, scrape, `pnstm_batch_fanout{shard="0"}`); !ok || v != 2 {
+		t.Fatalf("pnstm_batch_fanout gauge = %v (found %v), want 2", v, ok)
+	}
+	if n := replayBlocks(t, s, 1); n != 2 {
+		t.Fatalf("replay at batch_fanout 2 forked %d blocks, want 2: it does not read the live value", n)
+	}
+	if code, body := adminPUT(t, adminURL(t, s, "/config"), `{"batch_fanout": 1}`); code != 200 {
+		t.Fatalf("PUT /config = %d %q", code, body)
+	}
+	if n := replayBlocks(t, s, 2); n != 0 {
+		t.Fatalf("replay at batch_fanout 1 forked %d blocks, want none", n)
+	}
+}
+
+// TestConfigSurface is the knob census: every field of server.Config
+// and every key of the live /config body, against a golden list. A
+// change that adds a knob fails here until the list — and README's and
+// ARCHITECTURE's account of why the knob earns its place — is updated.
+func TestConfigSurface(t *testing.T) {
+	names := func(typ reflect.Type, tag string) []string {
+		var out []string
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			if tag != "" {
+				name, _, _ = strings.Cut(typ.Field(i).Tag.Get(tag), ",")
+			}
+			out = append(out, name)
+		}
+		return out
+	}
+	wantFields := []string{ // 24
+		"Addr", "Shards", "Workers", "MaxBatch", "BatchDelay", "BatchFanout", "MaxInflight",
+		"Serial", "SharedReads", "Registry", "DataDir", "Fsync", "WALSyncDelay", "SnapshotEvery",
+		"WALSegmentBytes", "ReplicaOf", "ReplicaMaxStaleness", "AdminAddr", "Adaptive",
+		"DisableTracing", "TraceSample", "AdminDebug", "ReapInterval", "Logger",
+	}
+	if got := names(reflect.TypeOf(server.Config{}), ""); !reflect.DeepEqual(got, wantFields) {
+		t.Errorf("server.Config fields changed:\n got  %v\n want %v", got, wantFields)
+	}
+	wantKeys := []string{ // 7
+		"max_batch", "batch_delay_ms", "batch_fanout", "max_inflight", "snapshot_every_ms", "adaptive", "tracing",
+	}
+	if got := names(reflect.TypeOf(server.LiveConfig{}), "json"); !reflect.DeepEqual(got, wantKeys) {
+		t.Errorf("live /config keys changed:\n got  %v\n want %v", got, wantKeys)
+	}
+	// GET adds exactly its read-only fields around the same struct.
+	wantView := []string{"", "durable", "serial", "per_shard"}
+	if got := names(reflect.TypeOf(server.ConfigView{}), "json"); !reflect.DeepEqual(got, wantView) {
+		t.Errorf("GET /config shape changed:\n got  %v\n want %v", got, wantView)
+	}
 }
 
 // TestAdminConfigValidation: invalid updates are rejected atomically
@@ -172,6 +270,8 @@ func TestAdminSurface(t *testing.T) {
 func TestAdminConfigValidation(t *testing.T) {
 	s := startServer(t, server.Config{AdminAddr: "127.0.0.1:0"})
 	url := adminURL(t, s, "/config")
+	published := s.ConfigPointer()
+	_, before := adminGET(t, url)
 	for _, bad := range []string{
 		`{"batch_fanout": -1}`,
 		`{"batch_fanout": 0}`,
@@ -185,6 +285,14 @@ func TestAdminConfigValidation(t *testing.T) {
 	} {
 		if code, body := adminPUT(t, url, bad); code != 400 {
 			t.Fatalf("PUT %s = %d %q, want 400", bad, code, body)
+		}
+		// A rejected update publishes nothing: not an equal value, the
+		// same one.
+		if s.ConfigPointer() != published {
+			t.Fatalf("rejected PUT %s published a new configuration", bad)
+		}
+		if _, after := adminGET(t, url); after != before {
+			t.Fatalf("rejected PUT %s changed GET /config:\n before %s\n after  %s", bad, before, after)
 		}
 	}
 	var view server.ConfigView

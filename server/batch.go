@@ -90,12 +90,12 @@ type batcher struct {
 	reg *stmlib.Registry
 	wal *wal.Log // nil: in-memory only
 	in  chan *pending
-	// knobs carries the live-mutable batching parameters (maxBatch,
-	// fanout, delay); the loop re-reads them at batch boundaries so
-	// /config and the adaptive controller retune a running shard.
-	knobs *shardKnobs
-	stop  chan struct{}
-	done  chan struct{}
+	// cfg is the server's configuration pointer. A batch loads it once,
+	// when it is collected, so a PUT /config retunes a running shard at
+	// the next batch boundary and a batch never sees two configurations.
+	cfg  *atomic.Pointer[Config]
+	stop chan struct{}
+	done chan struct{}
 
 	// smu/stopped fence submit against close: see submit.
 	smu     sync.RWMutex
@@ -131,23 +131,21 @@ type batcher struct {
 	largest  int
 }
 
-func newBatcher(rt *pnstm.Runtime, reg *stmlib.Registry, wl *wal.Log, maxBatch, fanout, inflight int, delay time.Duration) *batcher {
-	if fanout < 1 {
-		fanout = 1
-	}
+func newBatcher(rt *pnstm.Runtime, reg *stmlib.Registry, wl *wal.Log, cfg *atomic.Pointer[Config]) *batcher {
+	boot := cfg.Load()
 	b := &batcher{
 		rt:  rt,
 		reg: reg,
 		wal: wl,
-		// The queue buffer is sized off the boot maxBatch and stays fixed:
+		cfg: cfg,
+		// The queue buffer is sized off the boot MaxBatch and stays fixed:
 		// raising the knob live still works (collect drains whatever is
 		// queued), the channel is just a smaller staging area.
-		in:    make(chan *pending, 4*maxBatch),
-		knobs: newShardKnobs(maxBatch, fanout, delay),
-		pl:    newPipeline(inflight),
-		idle:  make(chan *batchRun, 8),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		in:   make(chan *pending, 4*boot.MaxBatch),
+		pl:   newPipeline(boot.MaxInflight),
+		idle: make(chan *batchRun, 8),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go b.loop()
 	return b
@@ -227,6 +225,7 @@ func (b *batcher) loop() {
 type batchRun struct {
 	b     *batcher
 	batch []*pending
+	cfg   *Config // the configuration this batch was collected under
 
 	// seq stamps the batch's commit order for the WAL: each mutating
 	// request takes a ticket as the LAST step inside its (wrapping)
@@ -264,8 +263,8 @@ func (b *batcher) newRun() *batchRun {
 // under concurrency.
 func (r *batchRun) collect(first *pending) {
 	b := r.b
-	maxBatch := int(b.knobs.maxBatch.Load())
-	delay := time.Duration(b.knobs.delay.Load())
+	r.cfg = b.cfg.Load()
+	maxBatch, delay := r.cfg.MaxBatch, r.cfg.BatchDelay
 	r.batch = append(r.batch[:0], first)
 	for len(r.batch) < maxBatch {
 		select {
@@ -338,10 +337,9 @@ func (r *batchRun) runRoot(c *pnstm.Ctx) {
 		// pays only when a block carries several point requests; small
 		// batches fork fewer blocks (pipelined batches keep the other
 		// workers fed) and a lone request runs inline.
-		fanout := int(r.b.knobs.fanout.Load())
 		groups := len(batch) / minRequestsPerBlock
-		if groups > fanout {
-			groups = fanout
+		if groups > r.cfg.BatchFanout {
+			groups = r.cfg.BatchFanout
 		}
 		if groups > len(batch) {
 			groups = len(batch)
@@ -740,18 +738,6 @@ func judgeCounterGuard(op *TxOp, total int64) (msg string, ok bool) {
 		}
 	}
 	return "", true
-}
-
-// reservePipeline takes exclusive ownership of the batcher's pipeline,
-// so no new group commit can launch until the returned release runs:
-// the caller owns the position between two group commits in this
-// engine's commit order — a commit ticket for work that is not a batch
-// (checkpoints' bulk reads, cross-shard envelope slices). Concurrent
-// reservers must serialize externally (shard.pauseMu); the pipeline's
-// paused flag backstops that. Exclusivity survives live limit changes
-// — it is a flag on the pipeline, not a count of slots.
-func (b *batcher) reservePipeline() func() {
-	return b.pl.reserveAll()
 }
 
 // batchStats is the batcher's contribution to ServerStats.

@@ -9,29 +9,27 @@ import (
 // the workload's conflict profile (read-heavy traffic under SharedReads
 // pipelines freely; overlapping write-heavy batches livelock — the
 // PR 2 cliff that forces the conservative static MaxInflight=1). Each
-// tick it observes every shard's conflict-abort rate and batch
-// occupancy over the last interval and walks that shard's
-// MaxInflight/BatchFanout:
+// tick it observes every shard's conflict-abort rate over the last
+// interval and walks that shard's effective MaxInflight — the bound its
+// pipeline admits batches under — by AIMD with hysteresis: a spike past
+// abortHi halves it (multiplicative decrease, backing off the cliff)
+// and remembers a ceiling one below where the cliff bit; calm ticks
+// below abortLo raise it by one toward min(ceiling, ctrlInflightCap).
+// Rates between the two thresholds hold — the hysteresis band that
+// keeps borderline workloads from flapping. After ctrlProbeTicks calm
+// ticks parked AT the ceiling the controller raises the ceiling once to
+// re-probe — workloads shift (the phase-changing benchmark), and a
+// cliff learned during a write burst should not cap a later read phase
+// forever.
 //
-//   - MaxInflight moves by AIMD with hysteresis: a spike past abortHi
-//     halves it (multiplicative decrease, backing off the cliff) and
-//     remembers a ceiling one below where the cliff bit; calm ticks
-//     below abortLo raise it by one toward min(ceiling, ctrlInflightCap).
-//     Rates between the two thresholds hold — the hysteresis band that
-//     keeps borderline workloads from flapping. After ctrlProbeTicks
-//     calm ticks parked AT the ceiling the controller raises the
-//     ceiling once to re-probe — workloads shift (the phase-changing
-//     benchmark), and a cliff learned during a write burst should not
-//     cap a later read phase forever.
-//   - BatchFanout walks one step per tick toward mean batch occupancy /
-//     minRequestsPerBlock: fanning wider than one block per
-//     minRequestsPerBlock requests only buys dispatch overhead, and
-//     narrower leaves workers idle.
+// That is the whole policy. How many parallel blocks a batch forks is
+// not walked: runRoot sizes the fork from the batch in its hand, capped
+// by Config.BatchFanout (D51).
 //
-// WAL and Serial shards never leave MaxInflight 1 (D20); fanout still
-// adapts there. The controller runs whenever the server does, but only
-// acts while RuntimeConfig.Adaptive is on; a PUT /config that changes
-// MaxInflight/BatchFanout is adopted as the new starting point.
+// The controller exists only on a server whose MaxInflight may exceed 1
+// (inflightCap: not with a WAL, not Serial) and acts only while
+// Config.Adaptive is on; a PUT /config resets every shard to the new
+// base MaxInflight and the walk starts again from there.
 
 const (
 	ctrlTick        = 100 * time.Millisecond
@@ -47,39 +45,53 @@ const (
 type ctrlObs struct {
 	abortRate float64 // conflict aborts / txs begun over the tick
 	txs       uint64  // txs begun over the tick
-	meanBatch float64 // mean batch occupancy over the tick
 	batches   uint64  // group commits over the tick
 }
 
-// shardCtrl is the controller's per-shard state. step is pure over
-// (state, observation) — the unit tests drive it with synthetic traces.
-type shardCtrl struct {
-	inflight int
-	fanout   int
-	ceiling  int // learned MaxInflight ceiling (cliff - 1 after a decrease)
-	cooldown int // ticks left to hold after a decrease
-	atCeil   int // consecutive calm ticks parked at the ceiling
-
-	// Bounds: inflightCap is 1 on WAL/Serial shards, ctrlInflightCap
-	// otherwise; fanoutCap is the worker count.
-	inflightCap int
-	fanoutCap   int
+// ctrlSample is one reading of a shard's cumulative counters; two
+// readings a tick apart make a ctrlObs.
+type ctrlSample struct {
+	begun, aborted, batches uint64
 }
 
-func newShardCtrl(inflight, fanout, inflightCap, fanoutCap int) *shardCtrl {
-	if inflightCap < 1 {
-		inflightCap = 1
-	}
-	if fanoutCap < 1 {
-		fanoutCap = 1
-	}
+// shardCtrl is the controller's per-shard state. tick and step are pure
+// over (state, input) — the unit tests drive them with synthetic traces.
+type shardCtrl struct {
+	inflight    int
+	ceiling     int // learned MaxInflight ceiling (cliff - 1 after a decrease)
+	cooldown    int // ticks left to hold after a decrease
+	atCeil      int // consecutive calm ticks parked at the ceiling
+	inflightCap int // the walk's upper bound
+
+	prev   ctrlSample
+	primed bool // prev is the previous ACTIVE tick's sample
+}
+
+// newShardCtrl starts a walk at inflight with nothing learned and no
+// baseline: the first tick only records one.
+func newShardCtrl(inflight, inflightCap int) *shardCtrl {
 	return &shardCtrl{
 		inflight:    clampInt(inflight, 1, inflightCap),
-		fanout:      clampInt(fanout, 1, fanoutCap),
 		ceiling:     inflightCap,
 		inflightCap: inflightCap,
-		fanoutCap:   fanoutCap,
 	}
+}
+
+// tick feeds one sample of the shard's cumulative counters and returns
+// the signed change to inflight. The first sample after the controller
+// turns on is a baseline only: the counters run from boot, and a step on
+// a since-boot delta would judge traffic the walk never saw.
+func (c *shardCtrl) tick(s ctrlSample) int {
+	prev, primed := c.prev, c.primed
+	c.prev, c.primed = s, true
+	if !primed {
+		return 0
+	}
+	o := ctrlObs{txs: s.begun - prev.begun, batches: s.batches - prev.batches}
+	if o.txs > 0 {
+		o.abortRate = float64(s.aborted-prev.aborted) / float64(o.txs)
+	}
+	return c.step(o)
 }
 
 func clampInt(v, lo, hi int) int {
@@ -92,36 +104,19 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// step advances the controller one tick and returns the signed change
-// applied to each knob (for the steps-total metrics: nonzero means the
-// knob moved).
-func (c *shardCtrl) step(o ctrlObs) (dInflight, dFanout int) {
+// step advances the walk one observation — AIMD with hysteresis — and
+// returns the signed change applied to inflight (for the steps-total
+// metrics: nonzero means it moved).
+func (c *shardCtrl) step(o ctrlObs) (dInflight int) {
 	if o.batches == 0 {
-		return 0, 0 // idle shard: nothing observed, nothing to adapt
-	}
-
-	// Fanout: one step toward the occupancy-derived target.
-	target := clampInt(int(o.meanBatch/minRequestsPerBlock+0.5), 1, c.fanoutCap)
-	switch {
-	case c.fanout < target:
-		c.fanout++
-		dFanout = 1
-	case c.fanout > target:
-		c.fanout--
-		dFanout = -1
-	}
-
-	// Inflight: AIMD with hysteresis.
-	if c.inflightCap == 1 {
-		c.inflight = 1
-		return dInflight, dFanout
+		return 0 // idle shard: nothing observed, nothing to adapt
 	}
 	if o.txs < ctrlMinObsTx {
-		return dInflight, dFanout // too few transactions to trust the rate
+		return 0 // too few transactions to trust the rate
 	}
 	if c.cooldown > 0 {
 		c.cooldown--
-		return dInflight, dFanout
+		return 0
 	}
 	switch {
 	case o.abortRate > ctrlAbortHi:
@@ -155,7 +150,7 @@ func (c *shardCtrl) step(o ctrlObs) (dInflight, dFanout int) {
 	default:
 		// Hysteresis band: hold.
 	}
-	return dInflight, dFanout
+	return dInflight
 }
 
 // stopController stops the controller goroutine (idempotent via the
@@ -167,34 +162,14 @@ func (s *Server) stopController() {
 	}
 }
 
-// controllerLoop ticks the per-shard controllers. It always runs (the
-// tick is a few atomic loads per shard) but only acts while
-// RuntimeConfig.Adaptive is on, so PUT /config can toggle adaptivity
-// without goroutine churn.
+// controllerLoop ticks the per-shard walks. While Adaptive is off it
+// reads nothing but the configuration pointer; the tick that finds it on
+// starts every shard's walk afresh from its pipeline's current limit.
 func (s *Server) controllerLoop() {
 	defer close(s.ctrlDone)
 
-	type shardPrev struct {
-		txsBegun uint64
-		aborted  uint64
-		batches  uint64
-		sizeSum  uint64
-	}
 	ctrls := make([]*shardCtrl, len(s.shards))
-	prev := make([]shardPrev, len(s.shards))
-	for i, sh := range s.shards {
-		inflightCap := ctrlInflightCap
-		if sh.wal != nil || s.cfg.Serial {
-			inflightCap = 1 // D20: the log needs root-commit order
-		}
-		ctrls[i] = newShardCtrl(sh.b.pl.getLimit(), int(sh.b.knobs.fanout.Load()),
-			inflightCap, s.cfg.Workers)
-		rt := sh.rt.Stats()
-		batches, _, mean, _ := sh.b.stats()
-		prev[i] = shardPrev{txsBegun: rt.Begun, aborted: rt.Aborted,
-			batches: batches, sizeSum: uint64(mean * float64(batches))}
-	}
-
+	active := false
 	t := time.NewTicker(ctrlTick)
 	defer t.Stop()
 	for {
@@ -203,55 +178,32 @@ func (s *Server) controllerLoop() {
 			return
 		case <-t.C:
 		}
-		active := s.rc.adaptiveOn()
+		if !s.cfg.Load().Adaptive {
+			active = false
+			continue
+		}
 		for i, sh := range s.shards {
-			c := ctrls[i]
-
-			// Adopt operator overrides: a PUT /config that moved a knob
-			// while we slept becomes the new starting point, with the
-			// learned ceiling cleared (the operator knows something we
-			// don't).
-			if eff := sh.b.pl.getLimit(); eff != c.inflight {
-				c.inflight = clampInt(eff, 1, c.inflightCap)
-				c.ceiling = c.inflightCap
-				c.cooldown, c.atCeil = 0, 0
+			c, limit := ctrls[i], clampInt(sh.b.pl.getLimit(), 1, ctrlInflightCap)
+			if !active || limit != c.inflight {
+				// Off → on, or a PUT /config moved the limit while we slept:
+				// the operator's value is the new starting point and what was
+				// learned before it is forgotten.
+				c = newShardCtrl(limit, ctrlInflightCap)
+				ctrls[i] = c
 			}
-			if eff := int(sh.b.knobs.fanout.Load()); eff != c.fanout {
-				c.fanout = clampInt(eff, 1, c.fanoutCap)
-			}
-
 			rt := sh.rt.Stats()
-			batches, _, mean, _ := sh.b.stats()
-			sizeSum := uint64(mean * float64(batches))
-			o := ctrlObs{
-				txs:     rt.Begun - prev[i].txsBegun,
-				batches: batches - prev[i].batches,
-			}
-			if o.txs > 0 {
-				o.abortRate = float64(rt.Aborted-prev[i].aborted) / float64(o.txs)
-			}
-			if o.batches > 0 {
-				o.meanBatch = float64(sizeSum-prev[i].sizeSum) / float64(o.batches)
-			}
-			prev[i] = shardPrev{txsBegun: rt.Begun, aborted: rt.Aborted,
-				batches: batches, sizeSum: sizeSum}
-
-			if !active {
+			batches, _, _, _ := sh.b.stats()
+			d := c.tick(ctrlSample{begun: rt.Begun, aborted: rt.Aborted, batches: batches})
+			if d == 0 {
 				continue
 			}
-			dIn, dFan := c.step(o)
-			if dIn != 0 {
-				sh.b.pl.setLimit(c.inflight)
-			}
-			if dFan != 0 {
-				sh.b.knobs.fanout.Store(int32(c.fanout))
-			}
-			if dIn > 0 || dFan > 0 {
+			sh.b.pl.setLimit(c.inflight)
+			if d > 0 {
 				s.obs.ctrlUp[i].Inc()
-			}
-			if dIn < 0 || dFan < 0 {
+			} else {
 				s.obs.ctrlDn[i].Inc()
 			}
 		}
+		active = true
 	}
 }

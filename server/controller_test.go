@@ -12,7 +12,7 @@ func cliffTrace(cliff int) func(inflight int) ctrlObs {
 		if inflight > cliff {
 			rate = 0.30
 		}
-		return ctrlObs{abortRate: rate, txs: 1000, meanBatch: 64, batches: 10}
+		return ctrlObs{abortRate: rate, txs: 1000, batches: 10}
 	}
 }
 
@@ -21,7 +21,7 @@ func cliffTrace(cliff int) func(inflight int) ctrlObs {
 // never oscillates past the hysteresis/ceiling bounds.
 func TestControllerConvergesToCliff(t *testing.T) {
 	const cliff = 3
-	c := newShardCtrl(1, 8, 8, 8)
+	c := newShardCtrl(1, 8)
 	obs := cliffTrace(cliff)
 
 	var atOrBelow, ticks int
@@ -64,9 +64,9 @@ func TestControllerConvergesToCliff(t *testing.T) {
 // TestControllerHysteresisBandHolds: a rate between the thresholds
 // changes nothing, however long it persists.
 func TestControllerHysteresisBandHolds(t *testing.T) {
-	c := newShardCtrl(4, 4, 8, 8)
+	c := newShardCtrl(4, 8)
 	for i := 0; i < 100; i++ {
-		dIn, _ := c.step(ctrlObs{abortRate: 0.05, txs: 1000, meanBatch: 32, batches: 10})
+		dIn := c.step(ctrlObs{abortRate: 0.05, txs: 1000, batches: 10})
 		if dIn != 0 {
 			t.Fatalf("tick %d: inflight moved (d=%d) inside the hysteresis band", i, dIn)
 		}
@@ -79,9 +79,9 @@ func TestControllerHysteresisBandHolds(t *testing.T) {
 // TestControllerWALClampHolds: a WAL shard (cap 1) never pipelines, no
 // matter how calm the trace looks.
 func TestControllerWALClampHolds(t *testing.T) {
-	c := newShardCtrl(1, 4, 1, 8)
+	c := newShardCtrl(1, 1)
 	for i := 0; i < 200; i++ {
-		c.step(ctrlObs{abortRate: 0.0, txs: 1000, meanBatch: 64, batches: 10})
+		c.step(ctrlObs{abortRate: 0.0, txs: 1000, batches: 10})
 		if c.inflight != 1 {
 			t.Fatalf("tick %d: WAL-clamped shard walked to inflight %d", i, c.inflight)
 		}
@@ -92,7 +92,7 @@ func TestControllerWALClampHolds(t *testing.T) {
 // phase must not cap a later read phase forever — the periodic re-probe
 // climbs back out.
 func TestControllerReprobesAfterPhaseShift(t *testing.T) {
-	c := newShardCtrl(1, 8, 8, 8)
+	c := newShardCtrl(1, 8)
 	writeHot := cliffTrace(2)
 	// Phase 1: learn the write-phase cliff at 2.
 	for i := 0; i < 100; i++ {
@@ -103,7 +103,7 @@ func TestControllerReprobesAfterPhaseShift(t *testing.T) {
 	}
 	// Phase 2: the workload turns read-heavy (no cliff at all). The
 	// re-probe must eventually walk back to the cap.
-	calm := ctrlObs{abortRate: 0.0, txs: 1000, meanBatch: 64, batches: 10}
+	calm := ctrlObs{abortRate: 0.0, txs: 1000, batches: 10}
 	for i := 0; i < 400; i++ {
 		c.step(calm)
 	}
@@ -112,35 +112,44 @@ func TestControllerReprobesAfterPhaseShift(t *testing.T) {
 	}
 }
 
-// TestControllerFanoutTracksOccupancy: fanout walks toward mean batch
-// occupancy / minRequestsPerBlock in both directions.
-func TestControllerFanoutTracksOccupancy(t *testing.T) {
-	c := newShardCtrl(1, 1, 1, 8)
-	for i := 0; i < 20; i++ {
-		c.step(ctrlObs{abortRate: 0, txs: 1000, meanBatch: 64, batches: 10})
+// TestControllerFirstActiveTickIsBaseline: the counters a tick samples
+// run from boot, so the tick that finds the controller switched on (a
+// fresh shardCtrl, as controllerLoop builds on the off → on edge) only
+// records them — a write-hot history from before the switch must not
+// halve a walk that never saw it — and the walk proper starts with the
+// next tick's delta.
+func TestControllerFirstActiveTickIsBaseline(t *testing.T) {
+	// Since boot: 100k transactions, a third of them aborted.
+	boot := ctrlSample{begun: 100_000, aborted: 33_000, batches: 5_000}
+	c := newShardCtrl(4, 8)
+	if d := c.tick(boot); d != 0 || c.inflight != 4 || c.cooldown != 0 {
+		t.Fatalf("first active tick stepped on the since-boot delta: d=%d inflight=%d cooldown=%d", d, c.inflight, c.cooldown)
 	}
-	if c.fanout != 8 {
-		t.Fatalf("fanout did not walk up to occupancy target: got %d, want 8", c.fanout)
+	// One calm interval later the walk climbs: the delta is the interval's.
+	calm := ctrlSample{begun: boot.begun + 1000, aborted: boot.aborted + 1, batches: boot.batches + 10}
+	if d := c.tick(calm); d != 1 || c.inflight != 5 {
+		t.Fatalf("second tick: d=%d inflight=%d, want +1 to 5", d, c.inflight)
 	}
-	for i := 0; i < 20; i++ {
-		c.step(ctrlObs{abortRate: 0, txs: 1000, meanBatch: 8, batches: 10})
+	// A violent interval halves it, judged on that interval alone.
+	hot := ctrlSample{begun: calm.begun + 1000, aborted: calm.aborted + 300, batches: calm.batches + 10}
+	if d := c.tick(hot); d != -3 || c.inflight != 2 {
+		t.Fatalf("third tick: d=%d inflight=%d, want -3 to 2", d, c.inflight)
 	}
-	if c.fanout != 1 {
-		t.Fatalf("fanout did not walk down with occupancy: got %d, want 1", c.fanout)
+	// Off and on again is a new walk: baseline first, nothing learned.
+	c = newShardCtrl(c.inflight, 8)
+	if d := c.tick(ctrlSample{begun: hot.begun + 50_000, aborted: hot.aborted + 25_000, batches: hot.batches + 900}); d != 0 {
+		t.Fatalf("re-activated walk stepped on the gap it slept through: d=%d", d)
 	}
-	// Idle ticks hold everything.
-	before := c.fanout
-	c.step(ctrlObs{})
-	if c.fanout != before {
-		t.Fatal("idle tick moved fanout")
+	if c.ceiling != 8 || c.cooldown != 0 {
+		t.Fatalf("re-activated walk kept state: ceiling=%d cooldown=%d", c.ceiling, c.cooldown)
 	}
 }
 
 // TestControllerIgnoresNoiseTicks: a tick with almost no transactions
 // must not trigger a decrease, whatever its measured rate.
 func TestControllerIgnoresNoiseTicks(t *testing.T) {
-	c := newShardCtrl(4, 4, 8, 8)
-	c.step(ctrlObs{abortRate: 1.0, txs: ctrlMinObsTx - 1, meanBatch: 32, batches: 2})
+	c := newShardCtrl(4, 8)
+	c.step(ctrlObs{abortRate: 1.0, txs: ctrlMinObsTx - 1, batches: 2})
 	if c.inflight != 4 {
 		t.Fatalf("noise tick moved inflight to %d", c.inflight)
 	}

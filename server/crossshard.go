@@ -372,21 +372,30 @@ func (s *Server) runCrossShard(req *Request, plan *txPlan) Response {
 		}
 	}
 
+	if first != nil {
+		for j := first.idx + 1; j < len(merged); j++ {
+			merged[j] = TxResult{} // rolled back; mirror fanTx's abort shape
+		}
+	}
+	// Every slice's results fit a frame on their own (each scan is bounded
+	// by maxReplyBytes); merged they may not. An answer that cannot reach
+	// its caller must not commit — the rule applyTx keeps for one shard.
+	sizeErr := checkReplySize(merged)
+
 	// Apply: broadcast the verdict and wait for every child to commit
 	// (or roll back) and its root to return.
-	commit := first == nil
+	commit := first == nil && sizeErr == nil
 	for _, v := range verdicts {
 		v <- commit
 	}
 	wg.Wait()
 
-	if !commit {
-		for j := first.idx + 1; j < len(merged); j++ {
-			merged[j] = TxResult{} // rolled back; mirror fanTx's abort shape
-		}
-		if !errors.Is(first.err, errRejected) {
-			return Response{ID: req.ID, Status: StatusErr, Msg: fmt.Sprintf("op %d: %v", first.idx, first.err)}
-		}
+	switch {
+	case first != nil && !errors.Is(first.err, errRejected):
+		return Response{ID: req.ID, Status: StatusErr, Msg: fmt.Sprintf("op %d: %v", first.idx, first.err)}
+	case sizeErr != nil:
+		return Response{ID: req.ID, Status: StatusErr, Msg: sizeErr.Error()}
+	case first != nil:
 		return Response{ID: req.ID, Status: StatusRejected, Num: int64(first.idx), Msg: first.msg, TxResults: merged}
 	}
 	for _, err := range runErrs {

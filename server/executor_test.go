@@ -29,7 +29,7 @@ func newExecHarness(tb testing.TB, durable bool) *execHarness {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(rt.Close)
-	b := &batcher{rt: rt, reg: stmlib.NewRegistry(stmlib.RegistryConfig{}), knobs: newShardKnobs(64, 8, 0)}
+	b := &batcher{rt: rt, reg: stmlib.NewRegistry(stmlib.RegistryConfig{})}
 	if durable {
 		wl, err := wal.Open(wal.Options{Dir: tb.TempDir()})
 		if err != nil {
@@ -38,7 +38,9 @@ func newExecHarness(tb testing.TB, durable bool) *execHarness {
 		tb.Cleanup(func() { wl.Close() })
 		b.wal = wl
 	}
-	return &execHarness{b: b, r: b.newRun()}
+	r := b.newRun()
+	r.cfg = &Config{MaxBatch: 64, BatchFanout: 8}
+	return &execHarness{b: b, r: r}
 }
 
 // run executes ps as one batch root and leaves each response in its

@@ -34,7 +34,8 @@ type serverObs struct {
 
 // newServerObs registers the pnstm_* metric families. s.shards may
 // still be empty — every closure re-reads it at scrape time.
-func newServerObs(s *Server, cfg Config) *serverObs {
+func newServerObs(s *Server) *serverObs {
+	cfg := s.cfg.Load()
 	r := metrics.NewRegistry()
 	o := &serverObs{
 		reg:     r,
@@ -129,7 +130,7 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	// cheap defense beats an ordering invariant).
 	r.GaugeFunc("pnstm_tracing", "1 while transaction-lifecycle tracing records into the flight recorder.",
 		nil, func() float64 {
-			if len(s.shards) > 0 && s.shards[0].rt.TracingEnabled() {
+			if s.TracingEnabled() {
 				return 1
 			}
 			return 0
@@ -257,12 +258,7 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 				return 0
 			})
 		r.GaugeFunc("pnstm_batch_fanout", "Live parallel-block bound per batch.", lbl,
-			func() float64 {
-				if sh := sh(); sh != nil && sh.b != nil {
-					return float64(sh.b.knobs.fanout.Load())
-				}
-				return 0
-			})
+			func() float64 { return float64(s.cfg.Load().BatchFanout) })
 
 		o.ctrlUp = append(o.ctrlUp, r.Counter("pnstm_controller_steps_total",
 			"Adaptive controller knob adjustments, by direction.",

@@ -649,15 +649,15 @@ func (sh *shard) replayStore(scan *shardScan, dropped map[uint64]bool, fanout in
 }
 
 // pauseCommits reserves the shard's whole commit pipeline (see
-// batcher.reservePipeline) and returns the release function. Because
-// filling several slots is not atomic, pauseMu admits one reserver at
-// a time (two interleaved reservers would each hold half the slots and
-// block forever on the rest). Checkpoint, Export and cross-shard
-// coordinators all take their position in the shard's commit order
-// through here.
+// pipeline.reserveAll) and returns the release function. Checkpoint,
+// Export, cross-shard coordinators and a replica's image install all
+// take their position in the shard's commit order through here; pauseMu
+// queues them, so they reach the pipeline one at a time and in the
+// mutex's order (see shard.pauseMu). Callers pausing several shards take
+// them in ascending shard id.
 func (sh *shard) pauseCommits() func() {
 	sh.pauseMu.Lock()
-	release := sh.b.reservePipeline()
+	release := sh.b.pl.reserveAll()
 	return func() {
 		release()
 		sh.pauseMu.Unlock()
@@ -760,7 +760,7 @@ func (s *Server) Export() (*stmlib.RegistryImage, []uint64, error) {
 	return img, watermarks, nil
 }
 
-// checkpointLoop runs Checkpoint on the LIVE cadence (RuntimeConfig's
+// checkpointLoop runs Checkpoint on the LIVE cadence (Config's
 // SnapshotEvery, a PUT /config knob) until Close. The ticker fires on a
 // short base period and the loop decides whether the cadence has
 // elapsed — so lowering the cadence, raising it, or turning
@@ -772,7 +772,7 @@ func (s *Server) checkpointLoop() {
 	// sub-second SnapshotEvery (tests) keeps its precision, and a
 	// disabled or long cadence costs one wakeup per second.
 	period := func() time.Duration {
-		if every := s.rc.snapshotCadence(); every > 0 && every < time.Second {
+		if every := s.cfg.Load().SnapshotEvery; every > 0 && every < time.Second {
 			return every
 		}
 		return time.Second
@@ -784,7 +784,7 @@ func (s *Server) checkpointLoop() {
 		select {
 		case <-t.C:
 			t.Reset(period())
-			every := s.rc.snapshotCadence()
+			every := s.cfg.Load().SnapshotEvery
 			if every <= 0 || time.Since(last) < every {
 				continue
 			}

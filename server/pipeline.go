@@ -2,30 +2,10 @@ package server
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pnstm/internal/metrics"
 )
-
-// shardKnobs is one shard's live-mutable batching configuration. The
-// batcher re-reads each knob at batch boundaries (collect for
-// maxBatch/delay, execute for fanout), so a PUT /config or a controller
-// step takes effect on the next batch without a restart — no lock on
-// the hot path, just an atomic load per batch.
-type shardKnobs struct {
-	maxBatch atomic.Int32
-	fanout   atomic.Int32
-	delay    atomic.Int64 // nanoseconds
-}
-
-func newShardKnobs(maxBatch, fanout int, delay time.Duration) *shardKnobs {
-	k := &shardKnobs{}
-	k.maxBatch.Store(int32(maxBatch))
-	k.fanout.Store(int32(fanout))
-	k.delay.Store(int64(delay))
-	return k
-}
 
 // pipeline bounds concurrent group commits per shard. It replaces the
 // fixed buffered-channel semaphore so the limit can change while
@@ -68,14 +48,13 @@ func (p *pipeline) release() {
 }
 
 // reserveAll takes exclusive ownership of the whole pipeline: it waits
-// out every in-flight batch and blocks new ones until the returned
-// release runs. This is the commit-ticket reservation checkpoints,
-// Export and cross-shard coordinators use (see reservePipeline);
-// concurrent reservers additionally serialize on shard.pauseMu, and
-// the paused flag makes that safe even against a reserver that skipped
-// the mutex. Unlike the old fill-every-slot scheme, a concurrent limit
-// change cannot leak or strand slots — exclusivity is a flag, not a
-// count.
+// out every in-flight batch and admits no new one until the returned
+// release runs. The caller then owns the position between two group
+// commits in this shard's commit order — a commit ticket for work that
+// is not a batch (a checkpoint's bulk read, a cross-shard envelope's
+// slice; see shard.pauseCommits). Exclusivity is the paused flag, not a
+// count of slots: a second reserver waits for the flag to clear, and a
+// live limit change cannot disturb a reservation.
 func (p *pipeline) reserveAll() func() {
 	p.mu.Lock()
 	for p.paused {

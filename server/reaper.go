@@ -43,7 +43,7 @@ const reapChunk = 512
 
 func (s *Server) reapLoop() {
 	defer close(s.reapDone)
-	t := time.NewTicker(s.cfg.ReapInterval)
+	t := time.NewTicker(s.cfg.Load().ReapInterval)
 	defer t.Stop()
 	for {
 		select {

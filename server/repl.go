@@ -29,7 +29,7 @@ func (s *Server) serveReplStream(req *Request, deliver func(Response), connClose
 		deliver(Response{ID: req.ID, Status: StatusErr, Msg: msg})
 	}
 	if s.isReplica() {
-		fail("replica serves no replication streams; subscribe to the primary " + s.cfg.ReplicaOf)
+		fail("replica serves no replication streams; subscribe to the primary " + s.cfg.Load().ReplicaOf)
 		return
 	}
 	idx := int(req.Sub.Shard)

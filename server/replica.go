@@ -298,7 +298,7 @@ func (r *replicator) observe(i int, applied, head uint64, setApplied bool) {
 // commit pipeline, so reads stall for microseconds, not for the import.
 func (r *replicator) installImage(i int, img *stmlib.RegistryImage, watermark, covered uint64) error {
 	sh := r.s.shards[i]
-	fresh := stmlib.NewRegistry(r.s.cfg.Registry)
+	fresh := stmlib.NewRegistry(r.s.cfg.Load().Registry)
 	if img != nil {
 		if err := sh.rt.Run(func(c *pnstm.Ctx) { fresh.Import(c, img) }); err != nil {
 			return fmt.Errorf("install snapshot: %w", err)
@@ -323,13 +323,13 @@ func (r *replicator) installImage(i int, img *stmlib.RegistryImage, watermark, c
 // Replays run through the runtime directly (not the batcher's commit
 // pipeline), so concurrent read batches only ever pay STM conflicts.
 func (r *replicator) applyRecord(i int, body []byte) error {
-	sh := r.s.shards[i]
+	sh, fanout := r.s.shards[i], r.s.cfg.Load().BatchFanout
 	if isGSNRecord(body) {
 		gsn, _, req, err := decodeGSNRecord(body)
 		if err != nil {
 			return err
 		}
-		if err := replayBatch(sh.rt, sh.reg, r.s.cfg.BatchFanout, []*Request{req}); err != nil {
+		if err := replayBatch(sh.rt, sh.reg, fanout, []*Request{req}); err != nil {
 			return err
 		}
 		sh.maxGSN.Store(gsn)
@@ -339,7 +339,7 @@ func (r *replicator) applyRecord(i int, body []byte) error {
 	if err != nil {
 		return err
 	}
-	return replayBatch(sh.rt, sh.reg, r.s.cfg.BatchFanout, reqs)
+	return replayBatch(sh.rt, sh.reg, fanout, reqs)
 }
 
 // shardStaleness is shard i's watermark age: how old the served state
@@ -388,12 +388,12 @@ func (s *Server) replicaGate(req *Request, bound time.Duration) (Response, bool)
 		return Response{}, false
 	}
 	if canMutate(req) {
-		return Response{ID: req.ID, Status: StatusNotPrimary, Msg: "read-only replica; primary is " + s.cfg.ReplicaOf}, true
+		return Response{ID: req.ID, Status: StatusNotPrimary, Msg: "read-only replica; primary is " + s.cfg.Load().ReplicaOf}, true
 	}
 	if bound > 0 {
 		st, ok := s.repl.staleness()
 		if !ok || st > bound {
-			return Response{ID: req.ID, Status: StatusNotPrimary, Msg: fmt.Sprintf("replica too stale (bound %s); primary is %s", bound, s.cfg.ReplicaOf)}, true
+			return Response{ID: req.ID, Status: StatusNotPrimary, Msg: fmt.Sprintf("replica too stale (bound %s); primary is %s", bound, s.cfg.Load().ReplicaOf)}, true
 		}
 	}
 	return Response{}, false
@@ -414,7 +414,7 @@ func (s *Server) Promote() bool {
 		return false
 	}
 	s.repl.stop()
-	s.log.Info("promoted to primary", "former_primary", s.cfg.ReplicaOf)
+	s.log.Info("promoted to primary", "former_primary", s.cfg.Load().ReplicaOf)
 	return true
 }
 
@@ -446,11 +446,12 @@ func (s *Server) ReplicaStatus() ReplicaStatus {
 	if s.repl == nil {
 		return ReplicaStatus{Role: "primary"}
 	}
+	cfg := s.cfg.Load()
 	st := ReplicaStatus{
 		Role:           "replica",
-		Primary:        s.cfg.ReplicaOf,
+		Primary:        cfg.ReplicaOf,
 		Promoted:       s.repl.promoted.Load(),
-		MaxStalenessMs: s.cfg.ReplicaMaxStaleness.Milliseconds(),
+		MaxStalenessMs: cfg.ReplicaMaxStaleness.Milliseconds(),
 	}
 	if st.Promoted {
 		st.Role = "primary"

@@ -2,230 +2,170 @@ package server
 
 import (
 	"fmt"
-	"sync"
+	"math"
 	"time"
 )
 
-// RuntimeConfig is the server's live-mutable configuration: the base
-// values of the batching knobs every shard re-reads at batch
-// boundaries. PUT /config validates against the server's immutable
-// constraints (Serial and a WAL both clamp MaxInflight to 1, D20) and
-// pushes the new values to every shard immediately; when the adaptive
-// controller is on it keeps walking per-shard MaxInflight/BatchFanout
-// from whatever base the operator last set.
-type RuntimeConfig struct {
-	mu            sync.RWMutex
-	maxBatch      int
-	batchDelay    time.Duration
-	batchFanout   int
-	maxInflight   int
-	snapshotEvery time.Duration
-	adaptive      bool
-	tracing       bool
+// The server's configuration is one immutable Config value published
+// behind Server.cfg (D51). New stores the defaulted, validated value; a
+// live update clones the current value, overlays the change, runs the
+// same validate boot runs and publishes the clone with one Store — a
+// rejected update publishes nothing. Readers load the pointer and never
+// lock: a batch once when it is collected, the background loops once
+// per tick, the admin handlers once per request.
 
-	// Immutable constraints captured at boot.
-	durable bool // DataDir set: the WAL needs root-commit order, inflight = 1
-	serial  bool // serial runtime forbids concurrent Run
-	workers int
-	shards  int
+// LiveConfig is the live-tunable part of Config in its JSON shape: the
+// PUT /config body and the knob half of GET /config. PUT decodes the
+// body over a LiveConfig filled from the current configuration, so an
+// absent key leaves its knob alone.
+type LiveConfig struct {
+	MaxBatch        int     `json:"max_batch"`
+	BatchDelayMs    float64 `json:"batch_delay_ms"`
+	BatchFanout     int     `json:"batch_fanout"`
+	MaxInflight     int     `json:"max_inflight"`
+	SnapshotEveryMs float64 `json:"snapshot_every_ms"`
+	Adaptive        bool    `json:"adaptive"`
+	Tracing         bool    `json:"tracing"`
 }
 
-func newRuntimeConfig(cfg Config) *RuntimeConfig {
-	return &RuntimeConfig{
-		maxBatch:      cfg.MaxBatch,
-		batchDelay:    cfg.BatchDelay,
-		batchFanout:   cfg.BatchFanout,
-		maxInflight:   cfg.MaxInflight,
-		snapshotEvery: cfg.SnapshotEvery,
-		adaptive:      cfg.Adaptive,
-		tracing:       !cfg.DisableTracing,
-		durable:       cfg.DataDir != "",
-		serial:        cfg.Serial,
-		workers:       cfg.Workers,
-		shards:        cfg.Shards,
-	}
-}
-
-// ConfigUpdate is the PUT /config body: pointer fields, so absent keys
-// leave their knob untouched (partial update).
-type ConfigUpdate struct {
-	MaxBatch        *int     `json:"max_batch,omitempty"`
-	BatchDelayMs    *float64 `json:"batch_delay_ms,omitempty"`
-	BatchFanout     *int     `json:"batch_fanout,omitempty"`
-	MaxInflight     *int     `json:"max_inflight,omitempty"`
-	SnapshotEveryMs *float64 `json:"snapshot_every_ms,omitempty"`
-	Adaptive        *bool    `json:"adaptive,omitempty"`
-	Tracing         *bool    `json:"tracing,omitempty"`
-}
-
-// ShardConfigView is one shard's EFFECTIVE knob values — what its
-// batcher is using right now, which diverges from the base when the
-// adaptive controller is walking it.
+// ShardConfigView is one shard's EFFECTIVE commit-pipelining bound — what
+// its batcher admits right now, which diverges from the base MaxInflight
+// while the adaptive controller is walking it.
 type ShardConfigView struct {
 	Shard       int `json:"shard"`
 	MaxInflight int `json:"max_inflight"`
-	BatchFanout int `json:"batch_fanout"`
 }
 
 // ConfigView is the GET /config payload (and PUT's success response):
-// the base values plus each shard's effective ones.
+// the live knobs, the boot-time facts that constrain them, and each
+// shard's effective MaxInflight.
 type ConfigView struct {
-	MaxBatch        int               `json:"max_batch"`
-	BatchDelayMs    float64           `json:"batch_delay_ms"`
-	BatchFanout     int               `json:"batch_fanout"`
-	MaxInflight     int               `json:"max_inflight"`
-	SnapshotEveryMs float64           `json:"snapshot_every_ms"`
-	Adaptive        bool              `json:"adaptive"`
-	Tracing         bool              `json:"tracing"`
-	Durable         bool              `json:"durable"`
-	Serial          bool              `json:"serial"`
-	PerShard        []ShardConfigView `json:"per_shard,omitempty"`
+	LiveConfig
+	Durable  bool              `json:"durable"`
+	Serial   bool              `json:"serial"`
+	PerShard []ShardConfigView `json:"per_shard,omitempty"`
 }
 
-// maxBatchLimit bounds PUT max_batch: far beyond useful group sizes,
-// small enough that a typo cannot make collect loop unboundedly.
+func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// durationOfMs rounds to the nanosecond, so a value rendered by msOf
+// comes back as the duration it was.
+func durationOfMs(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
+}
+
+// live renders the live-tunable fields.
+func (c *Config) live() LiveConfig {
+	return LiveConfig{
+		MaxBatch:        c.MaxBatch,
+		BatchDelayMs:    msOf(c.BatchDelay),
+		BatchFanout:     c.BatchFanout,
+		MaxInflight:     c.MaxInflight,
+		SnapshotEveryMs: msOf(c.SnapshotEvery),
+		Adaptive:        c.Adaptive,
+		Tracing:         !c.DisableTracing,
+	}
+}
+
+// withLive returns a copy of c carrying l's values.
+func (c *Config) withLive(l LiveConfig) *Config {
+	next := *c
+	next.MaxBatch = l.MaxBatch
+	next.BatchDelay = durationOfMs(l.BatchDelayMs)
+	next.BatchFanout = l.BatchFanout
+	next.MaxInflight = l.MaxInflight
+	next.SnapshotEvery = durationOfMs(l.SnapshotEveryMs)
+	next.Adaptive = l.Adaptive
+	next.DisableTracing = !l.Tracing
+	return &next
+}
+
+// maxBatchLimit bounds MaxBatch: far beyond useful group sizes, small
+// enough that a typo cannot make collect loop unboundedly.
 const maxBatchLimit = 1 << 16
 
-// validate checks an update against the current state without applying
-// it. Every violation is reported (the PUT fails atomically: either all
-// fields apply or none).
-func (rc *RuntimeConfig) validate(u *ConfigUpdate) error {
-	if u.MaxBatch != nil && (*u.MaxBatch < 1 || *u.MaxBatch > maxBatchLimit) {
-		return fmt.Errorf("max_batch must be in [1, %d], got %d", maxBatchLimit, *u.MaxBatch)
+// inflightCap is D20, the one place it is written: a shard with a WAL
+// logs its batches in root-commit order and the serial runtime forbids
+// concurrent Run, so either commits one batch at a time. Boot clamps
+// MaxInflight to the cap, validate refuses a value above it and the
+// adaptive controller walks below it. why completes "max_inflight > 1
+// is invalid ...".
+func inflightCap(c *Config) (limit int, why string) {
+	switch {
+	case c.DataDir != "":
+		return 1, "with a WAL: each shard's log records batches in root-commit order (D20)"
+	case c.Serial:
+		return 1, "in serial mode: the serial runtime forbids concurrent Run"
 	}
-	if u.BatchDelayMs != nil && *u.BatchDelayMs < 0 {
-		return fmt.Errorf("batch_delay_ms must be >= 0, got %g", *u.BatchDelayMs)
+	return math.MaxInt, ""
+}
+
+// validate checks a defaulted configuration, at boot and on every live
+// update alike. The messages name the /config keys.
+func (c *Config) validate() error {
+	if c.MaxBatch < 1 || c.MaxBatch > maxBatchLimit {
+		return fmt.Errorf("max_batch must be in [1, %d], got %d", maxBatchLimit, c.MaxBatch)
 	}
-	if u.BatchFanout != nil && *u.BatchFanout < 1 {
-		return fmt.Errorf("batch_fanout must be >= 1, got %d", *u.BatchFanout)
+	if c.BatchDelay < 0 {
+		return fmt.Errorf("batch_delay_ms must be >= 0, got %g", msOf(c.BatchDelay))
 	}
-	if u.MaxInflight != nil {
-		n := *u.MaxInflight
-		if n < 1 {
-			return fmt.Errorf("max_inflight must be >= 1, got %d", n)
+	if c.BatchFanout < 1 {
+		return fmt.Errorf("batch_fanout must be >= 1, got %d", c.BatchFanout)
+	}
+	if c.MaxInflight < 1 {
+		return fmt.Errorf("max_inflight must be >= 1, got %d", c.MaxInflight)
+	}
+	if limit, why := inflightCap(c); c.MaxInflight > limit {
+		return fmt.Errorf("max_inflight > %d is invalid %s", limit, why)
+	}
+	if c.SnapshotEvery < 0 {
+		return fmt.Errorf("snapshot_every_ms must be >= 0 (0 disables automatic checkpoints), got %g", msOf(c.SnapshotEvery))
+	}
+	if c.ReplicaOf != "" {
+		if c.DataDir != "" {
+			return fmt.Errorf("a replica is in-memory (the primary at %s owns durability); drop DataDir", c.ReplicaOf)
 		}
-		if n > 1 && rc.durable {
-			return fmt.Errorf("max_inflight > 1 is invalid with a WAL: each shard's log records batches in root-commit order (D20)")
+		if c.Serial {
+			return fmt.Errorf("replica mode replays concurrently with serving; Serial is unsupported")
 		}
-		if n > 1 && rc.serial {
-			return fmt.Errorf("max_inflight > 1 is invalid in serial mode: the serial runtime forbids concurrent Run")
-		}
-	}
-	if u.SnapshotEveryMs != nil && *u.SnapshotEveryMs < 0 {
-		return fmt.Errorf("snapshot_every_ms must be >= 0 (0 disables automatic checkpoints), got %g", *u.SnapshotEveryMs)
 	}
 	return nil
 }
 
-// apply validates u and merges it into the base config, returning the
-// new base values. The caller (Server.ApplyConfig) pushes them to the
-// shards.
-func (rc *RuntimeConfig) apply(u *ConfigUpdate) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if err := rc.validate(u); err != nil {
-		return err
-	}
-	if u.MaxBatch != nil {
-		rc.maxBatch = *u.MaxBatch
-	}
-	if u.BatchDelayMs != nil {
-		rc.batchDelay = time.Duration(*u.BatchDelayMs * float64(time.Millisecond))
-	}
-	if u.BatchFanout != nil {
-		rc.batchFanout = *u.BatchFanout
-	}
-	if u.MaxInflight != nil {
-		rc.maxInflight = *u.MaxInflight
-	}
-	if u.SnapshotEveryMs != nil {
-		rc.snapshotEvery = time.Duration(*u.SnapshotEveryMs * float64(time.Millisecond))
-	}
-	if u.Adaptive != nil {
-		rc.adaptive = *u.Adaptive
-	}
-	if u.Tracing != nil {
-		rc.tracing = *u.Tracing
-	}
-	return nil
-}
-
-// tracingOn reports the live tracing setting.
-func (rc *RuntimeConfig) tracingOn() bool {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	return rc.tracing
-}
-
-// base returns the current base knob values.
-func (rc *RuntimeConfig) base() (maxBatch int, delay time.Duration, fanout, inflight int) {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	return rc.maxBatch, rc.batchDelay, rc.batchFanout, rc.maxInflight
-}
-
-// snapshotCadence returns the live checkpoint cadence (0: disabled).
-func (rc *RuntimeConfig) snapshotCadence() time.Duration {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	return rc.snapshotEvery
-}
-
-// adaptiveOn reports whether the controller may walk the knobs.
-func (rc *RuntimeConfig) adaptiveOn() bool {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	return rc.adaptive
-}
-
-// view renders the base values (per-shard effective values are filled
-// in by the server, which owns the shards).
-func (rc *RuntimeConfig) view() ConfigView {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	return ConfigView{
-		MaxBatch:        rc.maxBatch,
-		BatchDelayMs:    float64(rc.batchDelay) / float64(time.Millisecond),
-		BatchFanout:     rc.batchFanout,
-		MaxInflight:     rc.maxInflight,
-		SnapshotEveryMs: float64(rc.snapshotEvery) / float64(time.Millisecond),
-		Adaptive:        rc.adaptive,
-		Tracing:         rc.tracing,
-		Durable:         rc.durable,
-		Serial:          rc.serial,
-	}
-}
-
-// ApplyConfig validates and applies a live configuration update: the
-// base values change atomically, then every shard's knobs are pushed so
-// the next batch boundary picks them up. With the adaptive controller
-// on, MaxInflight/BatchFanout become its new starting point — it keeps
-// walking from there.
-func (s *Server) ApplyConfig(u *ConfigUpdate) (ConfigView, error) {
-	if err := s.rc.apply(u); err != nil {
+// UpdateConfig applies a live configuration change: edit overlays the
+// new values on the current LiveConfig, the result is validated whole
+// and published, and what lives outside the snapshot follows it — every
+// shard's commit-pipelining bound returns to the new base MaxInflight
+// (with the adaptive controller on, that is its new starting point) and
+// the runtimes' tracing switch is set. An error from edit or from
+// validation changes nothing.
+func (s *Server) UpdateConfig(edit func(*LiveConfig) error) (ConfigView, error) {
+	s.cfgWrite.Lock()
+	defer s.cfgWrite.Unlock()
+	cur := s.cfg.Load()
+	live := cur.live()
+	if err := edit(&live); err != nil {
 		return ConfigView{}, err
 	}
-	maxBatch, delay, fanout, inflight := s.rc.base()
-	for _, sh := range s.shards {
-		sh.b.knobs.maxBatch.Store(int32(maxBatch))
-		sh.b.knobs.delay.Store(int64(delay))
-		sh.b.knobs.fanout.Store(int32(fanout))
-		sh.b.pl.setLimit(inflight)
+	next := cur.withLive(live)
+	if err := next.validate(); err != nil {
+		return ConfigView{}, err
 	}
-	s.SetTracing(s.rc.tracingOn())
+	s.cfg.Store(next)
+	for _, sh := range s.shards {
+		sh.b.pl.setLimit(next.MaxInflight)
+		sh.rt.EnableTracing(!next.DisableTracing)
+	}
 	return s.ConfigSnapshot(), nil
 }
 
-// ConfigSnapshot renders the current configuration: base values plus
-// each shard's effective MaxInflight/BatchFanout.
+// ConfigSnapshot renders the current configuration: the live knobs plus
+// each shard's effective MaxInflight.
 func (s *Server) ConfigSnapshot() ConfigView {
-	v := s.rc.view()
+	cfg := s.cfg.Load()
+	v := ConfigView{LiveConfig: cfg.live(), Durable: cfg.DataDir != "", Serial: cfg.Serial}
 	for _, sh := range s.shards {
-		v.PerShard = append(v.PerShard, ShardConfigView{
-			Shard:       sh.id,
-			MaxInflight: sh.b.pl.getLimit(),
-			BatchFanout: int(sh.b.knobs.fanout.Load()),
-		})
+		v.PerShard = append(v.PerShard, ShardConfigView{Shard: sh.id, MaxInflight: sh.b.pl.getLimit()})
 	}
 	return v
 }

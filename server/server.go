@@ -143,10 +143,11 @@ type Config struct {
 	// knobs). Empty: no admin listener.
 	AdminAddr string
 
-	// Adaptive starts the controller that walks each shard's
-	// MaxInflight/BatchFanout from observed abort rate and batch
-	// occupancy (AIMD with hysteresis; WAL and Serial shards stay
-	// clamped to 1 inflight). Togglable at runtime via PUT /config.
+	// Adaptive lets the controller walk each shard's effective
+	// MaxInflight from its observed conflict-abort rate (AIMD with
+	// hysteresis, see controller.go). It has nothing to walk on a WAL or
+	// Serial server, which commit one batch at a time (D20). Togglable at
+	// runtime via PUT /config.
 	Adaptive bool
 
 	// DisableTracing turns conflict X-ray tracing OFF at boot (D35–D37).
@@ -207,9 +208,8 @@ func (c *Config) fillDefaults() {
 	if c.BatchFanout <= 0 {
 		c.BatchFanout = c.Workers
 	}
-	if c.MaxInflight <= 0 || c.Serial || c.DataDir != "" {
-		c.MaxInflight = 1
-	}
+	limit, _ := inflightCap(c)
+	c.MaxInflight = clampInt(c.MaxInflight, 1, limit)
 	if c.TraceSample <= 0 {
 		c.TraceSample = defaultTraceSample
 	}
@@ -286,10 +286,14 @@ type shard struct {
 	b   *batcher
 	wal *wal.Log // nil without DataDir
 
-	// pauseMu serializes pauseCommits callers (Checkpoint vs Export vs
-	// cross-shard coordinators): two pausers interleaving their slot
-	// acquisitions on a MaxInflight > 1 shard would deadlock
-	// half-filled.
+	// pauseMu queues pauseCommits callers (Checkpoint, Export,
+	// cross-shard coordinators, a replica's image install) so that one
+	// at a time contends with the batcher for the pipeline. It is not
+	// what excludes them — pipeline.reserveAll's paused flag does — it
+	// orders them: a condition variable wakes its waiters in no order,
+	// the mutex hands over to whoever has waited longest, so a
+	// checkpoint cannot be overtaken forever by a stream of
+	// coordinators.
 	pauseMu sync.Mutex
 
 	// maxGSN is the highest cross-shard GSN this shard's log holds a
@@ -303,7 +307,11 @@ type shard struct {
 // handling. Create with New, start with Serve or ListenAndServe, stop
 // with Close.
 type Server struct {
-	cfg    Config
+	// cfg is the configuration, whole: an immutable snapshot readers
+	// Load and UpdateConfig replaces (D51). cfgWrite orders the writers.
+	cfg      atomic.Pointer[Config]
+	cfgWrite sync.Mutex
+
 	shards []*shard
 
 	ckStop chan struct{} // non-nil when the checkpointer runs
@@ -334,12 +342,11 @@ type Server struct {
 	// server fails fast with a retryable error.
 	crossSem chan struct{}
 
-	// obs/rc are the observability and live-config planes; ctrlStop/
-	// ctrlDone fence the adaptive controller goroutine. prof is the
+	// obs is the observability plane; ctrlStop/ctrlDone fence the
+	// adaptive controller goroutine (non-nil when it runs). prof is the
 	// conflict profiler draining the shards' flight recorders (D36);
 	// log receives structured operational records.
 	obs      *serverObs
-	rc       *RuntimeConfig
 	prof     *traceProfiler
 	log      *slog.Logger
 	ctrlStop chan struct{}
@@ -369,25 +376,19 @@ type Server struct {
 // concurrently — before returning.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if cfg.ReplicaOf != "" {
-		if cfg.DataDir != "" {
-			return nil, fmt.Errorf("server: a replica is in-memory (the primary at %s owns durability); drop DataDir", cfg.ReplicaOf)
-		}
-		if cfg.Serial {
-			return nil, fmt.Errorf("server: replica mode replays concurrently with serving; Serial is unsupported")
-		}
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("server: config: %w", err)
 	}
 	s := &Server{
-		cfg:      cfg,
 		conns:    make(map[net.Conn]struct{}),
 		crossSem: make(chan struct{}, maxCrossInflight),
 	}
+	s.cfg.Store(&cfg)
 	s.log = cfg.Logger
 	if s.log == nil {
 		s.log = slog.Default()
 	}
-	s.rc = newRuntimeConfig(cfg)
-	s.obs = newServerObs(s, cfg)
+	s.obs = newServerObs(s)
 	teardown := func() {
 		for _, sh := range s.shards {
 			if sh.wal != nil {
@@ -415,7 +416,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for i, sh := range s.shards {
-		sh.b = newBatcher(sh.rt, sh.reg, sh.wal, cfg.MaxBatch, cfg.BatchFanout, cfg.MaxInflight, cfg.BatchDelay)
+		sh.b = newBatcher(sh.rt, sh.reg, sh.wal, &s.cfg)
 		sh.b.obs = s.obs.batch[i]
 		sh.b.shardID = uint8(i)
 	}
@@ -440,9 +441,14 @@ func New(cfg Config) (*Server, error) {
 		s.ckDone = make(chan struct{})
 		go s.checkpointLoop()
 	}
-	s.ctrlStop = make(chan struct{})
-	s.ctrlDone = make(chan struct{})
-	go s.controllerLoop()
+	// The controller has something to walk only where MaxInflight may
+	// exceed 1 — a fact of DataDir and Serial, fixed at boot — and there it
+	// runs whether or not Adaptive is on, so a PUT /config can turn it on.
+	if limit, _ := inflightCap(&cfg); limit > 1 {
+		s.ctrlStop = make(chan struct{})
+		s.ctrlDone = make(chan struct{})
+		go s.controllerLoop()
+	}
 	// The durable state is loaded (openDurability returned): the /readyz
 	// recovery gate opens. On a replica the catch-up gate in Ready()
 	// keeps /readyz at 503 until the tailing loops — started last, so a
@@ -483,7 +489,8 @@ func shardDataDir(base string, id, n int) string {
 // on only some shards — the fsync raced the crash — is dropped on ALL
 // of them), then replay, skipping the dropped records.
 func (s *Server) openDurability() error {
-	dir := s.cfg.DataDir
+	cfg := s.cfg.Load()
+	dir := cfg.DataDir
 	upgradeManifest := false
 	m, ok, err := wal.ReadManifest(dir)
 	if err != nil {
@@ -543,9 +550,9 @@ func (s *Server) openDurability() error {
 			defer wg.Done()
 			wl, err := wal.Open(wal.Options{
 				Dir:          shardDataDir(dir, sh.id, len(s.shards)),
-				Fsync:        s.cfg.Fsync,
-				SegmentBytes: s.cfg.WALSegmentBytes,
-				SyncDelay:    s.cfg.WALSyncDelay,
+				Fsync:        cfg.Fsync,
+				SegmentBytes: cfg.WALSegmentBytes,
+				SyncDelay:    cfg.WALSyncDelay,
 				ObserveSync:  s.obs.fsync[i].ObserveDuration,
 			})
 			if err != nil {
@@ -606,7 +613,7 @@ func (s *Server) openDurability() error {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			if err := sh.replayStore(scans[i], dropped, s.cfg.BatchFanout); err != nil {
+			if err := sh.replayStore(scans[i], dropped, cfg.BatchFanout); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", sh.id, err)
 			}
 		}(i, sh)
@@ -673,7 +680,7 @@ func (s *Server) ShardCount() int { return len(s.shards) }
 // configured). Addr()/AdminAddr() are valid afterwards, which is how
 // tests bind ":0" and discover the ports before Serve.
 func (s *Server) Listen() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
+	ln, err := net.Listen("tcp", s.cfg.Load().Addr)
 	if err != nil {
 		return err
 	}
@@ -898,13 +905,14 @@ func (s *Server) Stats() ServerStats {
 	if batches > 0 {
 		mean = float64(requests) / float64(batches)
 	}
+	cfg := s.cfg.Load()
 	return ServerStats{
 		WAL:           ws,
 		Latency:       s.obs.latencySummaries(),
-		Workers:       uint64(s.cfg.Workers),
+		Workers:       uint64(cfg.Workers),
 		Shards:        uint64(len(s.shards)),
-		MaxBatch:      uint64(s.cfg.MaxBatch),
-		Serial:        s.cfg.Serial,
+		MaxBatch:      uint64(cfg.MaxBatch),
+		Serial:        cfg.Serial,
 		Conns:         uint64(conns),
 		Batches:       batches,
 		Requests:      requests,
@@ -1049,14 +1057,19 @@ func (s *Server) fanTx(req *Request, deliver func(Response)) {
 			}
 			break // later counter guards cannot lower the index
 		}
+		resp := Response{ID: req.ID, Status: StatusOK, TxResults: merged}
 		if rejIdx >= 0 && rejIdx < len(ops) {
 			for j := rejIdx + 1; j < len(merged); j++ {
 				merged[j] = TxResult{}
 			}
-			deliver(Response{ID: req.ID, Status: StatusRejected, Num: int64(rejIdx), Msg: rejMsg, TxResults: merged})
-			return
+			resp.Status, resp.Num, resp.Msg = StatusRejected, int64(rejIdx), rejMsg
 		}
-		deliver(Response{ID: req.ID, Status: StatusOK, TxResults: merged})
+		// Every shard's part passed checkReplySize on its own; the parts
+		// together may still not fit one frame.
+		if err := checkReplySize(merged); err != nil {
+			resp = Response{ID: req.ID, Status: StatusErr, Msg: err.Error()}
+		}
+		deliver(resp)
 	}()
 }
 
@@ -1232,12 +1245,13 @@ func (s *Server) handleConn(nc net.Conn) {
 				connMaxStale = time.Duration(req.Hello.MaxStalenessMs) * time.Millisecond
 			}
 			info := &HelloInfo{Version: ProtoVersion, Features: FeatureCrossShard, Role: RolePrimary, Shards: uint16(len(s.shards))}
-			if s.cfg.DataDir != "" {
+			cfg := s.cfg.Load()
+			if cfg.DataDir != "" {
 				info.Features |= FeatureReplStream
 			}
 			if s.isReplica() {
 				info.Role = RoleReplica
-				info.Primary = s.cfg.ReplicaOf
+				info.Primary = cfg.ReplicaOf
 			}
 			cn.deliver(Response{ID: req.ID, Status: StatusOK, Value: EncodeHelloInfo(info)})
 		case OpReplSubscribe:

@@ -314,10 +314,11 @@ func TestShardMissingManifestRefused(t *testing.T) {
 	}
 }
 
-// TestConcurrentExportsDoNotDeadlock: pauseCommits fills MaxInflight
-// slots non-atomically, so concurrent pausers must serialize — two
-// Exports racing on a pipelined (MaxInflight > 1) server once
-// deadlocked half-filled.
+// TestConcurrentExportsDoNotDeadlock: every Export pauses every shard,
+// so concurrent Exports on a pipelined (MaxInflight > 1) server contend
+// for each shard's reservation. They must all finish — each shard's
+// pauseMu and the pipeline's paused flag admit one at a time, and all
+// take the shards in ascending id — and leave the pipelines usable.
 func TestConcurrentExportsDoNotDeadlock(t *testing.T) {
 	s := startServer(t, server.Config{Shards: 2, Workers: 2, MaxBatch: 8, MaxInflight: 4, SharedReads: true})
 	cl := dial(t, s, 1)

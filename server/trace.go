@@ -242,7 +242,7 @@ func (s *Server) HotKeys(n int) HotKeysReport {
 		dropped += d
 	}
 	return HotKeysReport{
-		Tracing:      s.shards[0].rt.TracingEnabled(),
+		Tracing:      s.TracingEnabled(),
 		Top:          s.prof.sketch.top(n),
 		Aborts:       s.prof.aborts.Load(),
 		Escalations:  s.prof.escalations.Load(),
@@ -299,7 +299,8 @@ type flightDump struct {
 // goroutine only.
 func (p *traceProfiler) dumpFlightRecorder() {
 	s := p.s
-	if s.cfg.DataDir == "" {
+	dir := s.cfg.Load().DataDir
+	if dir == "" {
 		return
 	}
 	dump := flightDump{
@@ -314,7 +315,7 @@ func (p *traceProfiler) dumpFlightRecorder() {
 		return
 	}
 	name := fmt.Sprintf("flight-%s.json", dump.WrittenAt.UTC().Format("20060102T150405.000"))
-	path := filepath.Join(s.cfg.DataDir, name)
+	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		s.log.Error("flight recorder dump failed to write", "path", path, "err", err)
 		return
@@ -323,14 +324,7 @@ func (p *traceProfiler) dumpFlightRecorder() {
 	s.log.Warn("crisis: flight recorder dumped", "path", path, "shards", len(dump.Shards))
 }
 
-// SetTracing flips lifecycle-event recording on every shard's runtime
-// (the PUT /config "tracing" knob). The profiler keeps running either
-// way — with tracing off the rings simply stay quiet.
-func (s *Server) SetTracing(on bool) {
-	for _, sh := range s.shards {
-		sh.rt.EnableTracing(on)
-	}
-}
-
-// TracingEnabled reports whether the shards record lifecycle events.
-func (s *Server) TracingEnabled() bool { return s.shards[0].rt.TracingEnabled() }
+// TracingEnabled reports whether the shards record lifecycle events
+// (the PUT /config "tracing" knob; the profiler keeps running either
+// way — with tracing off the rings simply stay quiet).
+func (s *Server) TracingEnabled() bool { return !s.cfg.Load().DisableTracing }

@@ -433,6 +433,62 @@ func TestOversizeStackedReplyRollsTheEnvelopeBack(t *testing.T) {
 	}
 }
 
+// TestOversizeMergedReplyIsRefused: on a sharded server an envelope's
+// reply is assembled from per-shard parts, each of which passed the size
+// check on its own shard. Two scans just over half the limit fit one by
+// one and not together: the read-only fan must answer with the size
+// error, and the cross-shard commit must roll every slice back — its
+// write invisible, nothing logged — instead of either sending a frame
+// the client would drop the connection over.
+func TestOversizeMergedReplyIsRefused(t *testing.T) {
+	cfg := persistCfg(t.TempDir())
+	cfg.Shards = 2
+	s := startServer(t, cfg)
+	cl := dial(t, s, 1) // one connection: a dropped frame would take every call with it
+	a, b, _ := namesOnDistinctShards(t, "wide_", 2)
+	half := make([]byte, 4<<20) // two per map: each scan returns 8 MiB, the limit is 16 MiB - 64 KiB
+	for _, name := range []string{a, b} {
+		for _, key := range []string{"k1", "k2"} {
+			if _, err := cl.Txn().SortedPut(name, key, half).Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tail := s.WALStats().TailLSN
+
+	for _, mutating := range []bool{false, true} {
+		tx := cl.Txn().RangeScan(a, "", "", 0).RangeScan(b, "", "", 0)
+		if mutating {
+			tx.MapPut(a+"_marker", "k", []byte("x")) // a write on two pinned shards: the ordered-commit path
+		}
+		pinged := make(chan error, 1)
+		go func() { pinged <- cl.Ping() }()
+		_, err := tx.Commit()
+		if err == nil {
+			t.Fatalf("mutating=%v: two 8 MiB scans in one reply returned no error", mutating)
+		}
+		for _, want := range []string{fmt.Sprint(server.MaxFrame - 64<<10), "reply limit"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("mutating=%v: error %q does not mention %q", mutating, err, want)
+			}
+		}
+		if err := <-pinged; err != nil {
+			t.Errorf("mutating=%v: a call sharing the connection failed: %v", mutating, err)
+		}
+	}
+	if _, found, err := cl.MapGet(a+"_marker", "k"); err != nil || found {
+		t.Errorf("the refused cross-shard envelope's put is visible: found=%v err=%v", found, err)
+	}
+	if got := s.WALStats().TailLSN; got != tail {
+		t.Errorf("the refused envelopes moved the WAL tail from %d to %d", tail, got)
+	}
+	// One of the scans still fits, on the same connection.
+	res, err := cl.Txn().RangeScan(a, "", "", 0).Commit()
+	if err != nil || res.Num(0) != 2 {
+		t.Errorf("one 8 MiB scan: %v", err)
+	}
+}
+
 // TestTxGuardFailureLeavesZeroWALResidue: an envelope aborted by its
 // guard must append NOTHING to the log — proven not just by counters
 // but by a hard kill and replay: the recovered store holds exactly the
