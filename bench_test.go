@@ -479,10 +479,14 @@ func BenchmarkUncontendedStore(b *testing.B) {
 	v := pnstm.NewTVar(0)
 	if err := rt.Run(func(c *pnstm.Ctx) {
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pnstm.Store(c, v, i)
+				// Past the runtime's preallocated small integers: a boxed
+				// int would be a heap object per store (D52).
+				pnstm.Store(c, v, 1<<20+i)
 			}
+			b.StopTimer() // the root's commit and Run's return are not the store
 			return nil
 		})
 	}); err != nil {

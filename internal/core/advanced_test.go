@@ -392,6 +392,35 @@ func TestSerialModeAbort(t *testing.T) {
 	}
 }
 
+// TestSerialModeAbortAfterEarlierRoot: in the baseline an object keeps the
+// access entry of whoever touched it last. A root that aborts must still
+// undo its write when that entry is an earlier root's — committed in an
+// earlier Run, or aborted a moment ago in the same one — and not mistake
+// the entry for its own and log nothing.
+func TestSerialModeAbortAfterEarlierRoot(t *testing.T) {
+	rt := newRT(t, 1, func(c *Config) { c.Serial = true })
+	x := NewObject(5)
+	store := func(c *Ctx, v int, result error) {
+		_ = c.Atomic(func(c *Ctx) error {
+			c.Store(x, v)
+			return result
+		})
+	}
+	errFail := fmt.Errorf("abort")
+	for _, program := range []func(*Ctx){
+		func(c *Ctx) { store(c, 6, nil) },
+		func(c *Ctx) { store(c, 7, errFail) },                       // after a committed root of the previous Run
+		func(c *Ctx) { store(c, 8, errFail); store(c, 9, errFail) }, // after an aborted root of this Run
+	} {
+		if err := rt.Run(program); err != nil {
+			t.Fatal(err)
+		}
+		if got := x.Peek(); got != 6 {
+			t.Fatalf("x = %v, want the committed 6", got)
+		}
+	}
+}
+
 // TestSerialVsParallelEquivalence runs a commutative workload in both
 // modes and compares final states.
 func TestSerialVsParallelEquivalence(t *testing.T) {

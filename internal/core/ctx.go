@@ -408,12 +408,16 @@ func (c *Ctx) rollback(tx *txDesc) {
 				// never published, so leaving it would block non-ancestor
 				// writers until the block's discard (D16).
 				o.mu.lock()
-				o.readers.retract(r.anc, r.ep)
+				o.readers.retract(bitvec.Vec(r.saved.W), r.ep)
 				o.mu.unlock()
 				continue
 			}
 			if serial {
+				// The entry goes with the value: the aborted transaction's
+				// epoch window stays open for whoever begins next in this
+				// context, and a kept entry would read as that one's own.
 				o.val = r.saved
+				o.stack = o.stack[:0]
 				continue
 			}
 			o.mu.lock()
@@ -594,8 +598,8 @@ func (c *Ctx) runInlineChild(fn func(*Ctx)) {
 
 // Load reads an object inside the current transaction. Per the paper
 // (§4.2), every access is treated as a write for conflict purposes.
-func (c *Ctx) Load(o *Object) any { return c.access(o, nil, false) }
+func (c *Ctx) Load(o *Object) any { return c.access(o, Value{}, false).P }
 
 // Store writes an object inside the current transaction and returns the
 // previous value.
-func (c *Ctx) Store(o *Object, v any) any { return c.access(o, v, true) }
+func (c *Ctx) Store(o *Object, v any) any { return c.access(o, Value{P: v}, true).P }

@@ -15,7 +15,7 @@ import (
 // logs.
 type Object struct {
 	mu      objMutex
-	val     any
+	val     Value
 	stack   []objEntry
 	readers readerSet // shared-read entries (Config.SharedReads, paper §9)
 
@@ -47,6 +47,17 @@ type Object struct {
 	helpedAt uint64
 }
 
+// Value is what an object holds and an undo record saves: a boxed value in
+// P, or one machine word in W. The core copies the pair whole and never
+// looks inside it; which half carries the value is the typed front end's
+// choice, made once per variable (pnstm.TVar, ARCHITECTURE.md D52). The
+// untyped accessors — NewObject, Ctx.Load/Store, Peek, SetDirect — always
+// use P.
+type Value struct {
+	P any
+	W uint64
+}
+
 // objEntry is one access-stack entry: the paper pushes (anc, epoch) pairs
 // and filters committed bitnums lazily at query time. seq identifies the
 // push for rollback (unused in reader entries).
@@ -65,7 +76,7 @@ func (o *Object) pushEntry(c *Ctx, tx *txDesc) {
 
 // NewObject returns an object holding the given initial value.
 func NewObject(initial any) *Object {
-	return &Object{val: initial}
+	return &Object{val: Value{P: initial}}
 }
 
 // SetLabel names the object for conflict attribution. Call once at
@@ -89,11 +100,21 @@ func objLabel(o *Object) string {
 // Peek returns the object's current value without any transactional
 // bookkeeping. Only safe when no transactions are running (e.g. between
 // Run calls); used to read results out.
-func (o *Object) Peek() any { return o.val }
+func (o *Object) Peek() any { return o.val.P }
 
 // SetDirect overwrites the value without transactional bookkeeping. Only
 // safe when no transactions are running.
-func (o *Object) SetDirect(v any) { o.val = v }
+func (o *Object) SetDirect(v any) { o.val = Value{P: v} }
+
+// PeekValue and SetValue are Peek and SetDirect for the typed front end,
+// which moves whole Values; Access is its Load (store false) and Store.
+// They are package functions, not methods, so that pnstm's aliases of Ctx
+// and Object do not export them.
+func PeekValue(o *Object) Value { return o.val }
+
+func SetValue(o *Object, v Value) { o.val = v }
+
+func Access(c *Ctx, o *Object, v Value, store bool) Value { return c.access(o, v, store) }
 
 // StackDepth reports the current live access-stack depth
 // (diagnostics/tests).
@@ -145,7 +166,7 @@ func (o *Object) dropDeadPrefix(rt *Runtime) {
 // times — the conflict may be a lazy-publication false positive that the
 // publisher resolves within microseconds (§5.1) — and then unwinds the
 // transaction body with a conflictSignal for rollback and retry.
-func (c *Ctx) access(o *Object, newVal any, store bool) any {
+func (c *Ctx) access(o *Object, newVal Value, store bool) Value {
 	tx := c.cur
 	if tx == nil {
 		panic("pnstm: transactional access outside an atomic block")
@@ -276,7 +297,7 @@ func (c *Ctx) activeAncestors(anc bitvec.Vec, ep epoch.Epoch) bitvec.Vec {
 // is needed. Serial stacks hold at most one entry per object — entries
 // are conflict metadata only, and with a single thread the top entry can
 // be replaced in place.
-func (c *Ctx) serialAccess(o *Object, newVal any, store bool) any {
+func (c *Ctx) serialAccess(o *Object, newVal Value, store bool) Value {
 	tx := c.cur
 	if len(o.stack) == 0 {
 		o.stack = append(o.stack, objEntry{anc: c.ancBase, ep: c.ep})

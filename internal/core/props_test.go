@@ -24,7 +24,7 @@ func TestUndoSpliceProperties(t *testing.T) {
 		var parentSeqs, childSeqs []uint64 // oldest first
 
 		push := func(tx *txDesc, seqs *[]uint64) {
-			tx.pushUndo(obj, int(seq), seq)
+			tx.pushUndo(obj, Value{P: int(seq), W: seq}, seq)
 			*seqs = append(*seqs, seq)
 			seq++
 		}
@@ -159,15 +159,15 @@ func TestRollbackOrderRobustness(t *testing.T) {
 		objEntry{anc: bitvec.Of(0, 1), ep: 2, seq: 2},
 	)
 	o.pushSeq = 2
-	o.val = "v2"
+	o.val = Value{P: "v2", W: 2}
 	// Build the log with seq 1 newest (older entry first — the adversarial
 	// order).
-	tx.pushUndo(o, "v1", 2) // older in the log
-	tx.pushUndo(o, "v0", 1) // newest in the log: rolled back first
+	tx.pushUndo(o, Value{P: "v1", W: 1}, 2) // older in the log
+	tx.pushUndo(o, Value{P: "v0"}, 1)       // newest in the log: rolled back first
 	ctx := &Ctx{rt: rt}
 	ctx.rollback(tx)
-	if got := o.Peek(); got != "v0" {
-		t.Fatalf("rollback restored %v, want v0", got)
+	if got := PeekValue(o); got != (Value{P: "v0"}) {
+		t.Fatalf("rollback restored %+v, want {v0 0}", got)
 	}
 	if o.StackDepth() != 0 {
 		t.Fatalf("stack depth = %d", o.StackDepth())
@@ -180,20 +180,24 @@ func TestRollbackShuffledRecordsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rt := newRT(t, 2)
 	for round := 0; round < 200; round++ {
-		o := NewObject(0)
+		o := NewObject(nil)
 		k := 1 + rng.Intn(2*undoChunkLen+2) // up to three chunks of records
 		type rec struct {
 			seq   uint64
-			saved int
+			saved Value
 		}
 		recs := make([]rec, k)
 		for i := 0; i < k; i++ {
 			seq := uint64(i + 1)
 			o.stack = append(o.stack, objEntry{anc: bitvec.Of(0), ep: epoch.Epoch(i), seq: seq})
-			recs[i] = rec{seq: seq, saved: i} // value before push i was i
+			// The value before push i was i: boxed in even rounds, in the
+			// word in odd ones.
+			if recs[i] = (rec{seq: seq, saved: Value{P: i}}); round%2 == 1 {
+				recs[i].saved = Value{W: uint64(i)}
+			}
 		}
 		o.pushSeq = uint64(k)
-		o.val = k
+		o.val = Value{P: k, W: uint64(k)}
 		rng.Shuffle(k, func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 		tx := &txDesc{}
 		for i := k - 1; i >= 0; i-- { // last pushed is rolled back first: rollback order = recs order
@@ -201,8 +205,8 @@ func TestRollbackShuffledRecordsProperty(t *testing.T) {
 		}
 		ctx := &Ctx{rt: rt}
 		ctx.rollback(tx)
-		if got := o.Peek(); got != 0 {
-			t.Fatalf("round %d: restored %v, want 0 (recs %+v)", round, got, recs)
+		if got, want := PeekValue(o), []Value{{P: 0}, {W: 0}}[round%2]; got != want {
+			t.Fatalf("round %d: restored %+v, want %+v (recs %+v)", round, got, want, recs)
 		}
 		if o.StackDepth() != 0 {
 			t.Fatalf("round %d: stack depth %d", round, o.StackDepth())

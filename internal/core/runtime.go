@@ -152,6 +152,12 @@ type Runtime struct {
 	closeMu sync.RWMutex
 	closed  atomic.Bool
 
+	// serialEp is where the last Serial-mode Run left its epoch. A Serial
+	// object keeps its last access entry for good, so the next root must
+	// start past it: an old entry inside the new root's epoch window would
+	// read as the root's own, and its first write would log no undo record.
+	serialEp epoch.Epoch
+
 	// crisisToken is the cross-root livelock breaker's exclusivity hint:
 	// held (true) while one root transaction that crossed CrisisAborts
 	// retries at full speed and its competitors quiesce. A hint, not a
@@ -243,7 +249,8 @@ func (rt *Runtime) Run(fn func(*Ctx)) error {
 		return ErrClosed
 	}
 	if rt.cfg.Serial {
-		ctx := &Ctx{rt: rt, ep: 1}
+		ctx := &Ctx{rt: rt, ep: rt.serialEp + 1}
+		defer func() { rt.serialEp = ctx.ep }()
 		fn(ctx)
 		return nil
 	}

@@ -71,19 +71,23 @@ type txDesc struct {
 // undoRec records one overwritten value, or — for shared reads — one
 // reader entry to retract on abort. Each write record corresponds to one
 // entry pushed on obj's access stack (except in serial mode, where stacks
-// hold at most one entry and rollback restores values only). Read records
-// exist because an aborted transaction's bitnum is never published while
-// its block lives, so a leftover reader entry would block every
-// non-ancestor writer indefinitely: two mutually conflicting retry loops
-// that both read before writing would livelock (ARCHITECTURE.md D16).
+// hold at most one entry and rollback restores the value and drops
+// whatever entry is there). Read records exist because an aborted
+// transaction's bitnum is never published while its block lives, so a
+// leftover reader entry would block every non-ancestor writer
+// indefinitely: two mutually conflicting retry loops that both read before
+// writing would livelock (ARCHITECTURE.md D16).
 type undoRec struct {
-	obj   *Object
-	saved any
+	obj *Object
 
-	// read marks a reader-entry retraction record; anc/ep identify the
+	// saved is the overwritten value. A read record has none and keeps the
+	// reader entry's ancestor set in saved.W, the word a write record only
+	// ever copies: the record stays 56 bytes whichever kind it is (D52).
+	saved Value
+
+	// read marks a reader-entry retraction record; saved.W/ep identify the
 	// entry as recorded at append time.
 	read bool
-	anc  bitvec.Vec
 	ep   epoch.Epoch
 
 	// seq identifies the stack entry this write record pushed (D16).
@@ -133,16 +137,23 @@ func (tx *txDesc) undoSlot() *undoRec {
 
 // pushUndo logs a write record as the newest of the log. Owner-only; no
 // locking required (see undoMu doc above). seq identifies the pushed stack
-// entry (0 in serial mode, where rollback restores values only).
-func (tx *txDesc) pushUndo(o *Object, saved any, seq uint64) {
-	*tx.undoSlot() = undoRec{obj: o, saved: saved, seq: seq}
+// entry (0 in serial mode, where rollback looks for no particular entry).
+func (tx *txDesc) pushUndo(o *Object, saved Value, seq uint64) {
+	// Field by field: a composite literal is built on the stack in 8-byte
+	// stores and copied out in 16-byte loads, which the store buffer cannot
+	// forward (~10 ns per record on this path).
+	r := tx.undoSlot()
+	r.obj, r.saved, r.seq = o, saved, seq
+	r.read, r.ep = false, 0
 	tx.writes++
 }
 
 // pushReadUndo logs a reader-entry retraction record as the newest of the
 // log.
 func (tx *txDesc) pushReadUndo(o *Object, anc bitvec.Vec, ep epoch.Epoch) {
-	*tx.undoSlot() = undoRec{obj: o, read: true, anc: anc, ep: ep}
+	r := tx.undoSlot()
+	r.obj, r.saved, r.seq = o, Value{W: uint64(anc)}, 0
+	r.read, r.ep = true, ep
 }
 
 // spliceInto merges this transaction's undo log into parent in O(1) — two

@@ -45,7 +45,7 @@ func poisonUndo(t *testing.T, rt *Runtime) (check func()) {
 	sentinel := NewObject("clean")
 	rt.undoReleaseHook = func(ch *undoChunk) {
 		for i := range ch.recs {
-			ch.recs[i] = undoRec{obj: sentinel, saved: "poisoned", seq: 1 << 62}
+			ch.recs[i] = undoRec{obj: sentinel, saved: Value{P: "poisoned", W: 1 << 61}, seq: 1 << 62}
 		}
 		ch.n = undoChunkLen
 	}
@@ -57,8 +57,8 @@ func poisonUndo(t *testing.T, rt *Runtime) (check func()) {
 		sentinel.mu.lock()
 		got := sentinel.val
 		sentinel.mu.unlock()
-		if got != "clean" {
-			t.Fatalf("a rollback read a record of a released chunk (sentinel = %v)", got)
+		if got != (Value{P: "clean"}) {
+			t.Fatalf("a rollback read a record of a released chunk (sentinel = %+v)", got)
 		}
 	}
 }
@@ -68,14 +68,14 @@ func poisonUndo(t *testing.T, rt *Runtime) (check func()) {
 // stack of records pushed on them and not yet undone.
 type modelObj struct {
 	o    *Object
-	val  int
+	val  Value
 	recs []*modelRec // oldest first
 }
 
 type modelRec struct {
 	obj    *modelObj
 	holder *modelTx // whose log holds the record now
-	saved  int
+	saved  Value
 	seq    uint64
 }
 
@@ -98,7 +98,8 @@ func (m *modelTx) descendsFrom(a *modelTx) bool {
 // TestUndoLogAgainstModel drives random trees of push / begin-child /
 // commit (splice) / rollback — including parents that keep pushing after a
 // child's splice, and parallel siblings committing in any order — against a
-// plain-slice reference, with released chunks poisoned.
+// plain-slice reference, with released chunks poisoned. Values are boxed or
+// word-carried at random, so one chunk holds records of both kinds.
 func TestUndoLogAgainstModel(t *testing.T) {
 	rt := newRT(t, 2, func(c *Config) { c.PublisherStartPaused = true })
 	checkPoison := poisonUndo(t, rt)
@@ -111,6 +112,14 @@ func TestUndoLogAgainstModel(t *testing.T) {
 			objs  []*modelObj // objects of the current root's tree
 			nextV = 1
 		)
+		// fresh returns a value no object has held, in either representation.
+		fresh := func() Value {
+			nextV++
+			if rng.Intn(2) == 0 {
+				return Value{W: uint64(nextV)}
+			}
+			return Value{P: nextV}
+		}
 		checkLog := func(m *modelTx) {
 			t.Helper()
 			var want []uint64
@@ -134,8 +143,8 @@ func TestUndoLogAgainstModel(t *testing.T) {
 		checkObjs := func() {
 			t.Helper()
 			for _, mo := range objs {
-				if got := mo.o.Peek(); got != mo.val {
-					t.Fatalf("seed %d: object value %v, model %d", seed, got, mo.val)
+				if got := PeekValue(mo.o); got != mo.val {
+					t.Fatalf("seed %d: object value %+v, model %+v", seed, got, mo.val)
 				}
 				if got := mo.o.StackDepth(); got != len(mo.recs) {
 					t.Fatalf("seed %d: stack depth %d, model %d", seed, got, len(mo.recs))
@@ -162,17 +171,16 @@ func TestUndoLogAgainstModel(t *testing.T) {
 				}
 			}
 			if mo == nil {
-				mo = &modelObj{o: NewObject(nextV), val: nextV}
-				nextV++
+				mo = &modelObj{o: NewObject(nil), val: fresh()}
+				SetValue(mo.o, mo.val)
 				objs = append(objs, mo)
 			}
 			mo.o.pushEntry(ctx, m.tx)
 			r := &modelRec{obj: mo, holder: m, saved: mo.val, seq: mo.o.pushSeq}
 			mo.recs = append(mo.recs, r)
 			m.recs = append(m.recs, r)
-			mo.val = nextV
-			mo.o.val = nextV
-			nextV++
+			mo.val = fresh()
+			mo.o.val = mo.val
 		}
 
 		for step := 0; step < 300; step++ {
@@ -215,8 +223,8 @@ func TestUndoLogAgainstModel(t *testing.T) {
 					r.obj.recs = nil
 				}
 				for _, mo := range objs {
-					if got := mo.o.Peek(); got != mo.val {
-						t.Fatalf("seed %d: committed value %v, model %d", seed, got, mo.val)
+					if got := PeekValue(mo.o); got != mo.val {
+						t.Fatalf("seed %d: committed value %+v, model %+v", seed, got, mo.val)
 					}
 				}
 				m.tx.releaseUndo(rt.undoReleaseHook)
@@ -347,9 +355,14 @@ func TestUndoReleasedChunksHoldNothing(t *testing.T) {
 		v := &big{}
 		runtime.SetFinalizer(v, func(*big) { close(valueGone) })
 		runtime.SetFinalizer(dropped, func(*Object) { close(objectGone) })
+		// Every store also leaves a word in the record: a recycled chunk must
+		// not carry that to its next owner either.
+		word := NewObject(nil)
+		SetValue(word, Value{W: 1<<64 - 1})
 		store := func(o *Object, val any, fail bool) {
 			if err := rt.Run(func(c *Ctx) {
 				_ = c.Atomic(func(c *Ctx) error {
+					Access(c, word, Value{W: 1<<64 - 1}, true)
 					c.Store(o, val)
 					if fail {
 						return errors.New("fail")
@@ -370,7 +383,7 @@ func TestUndoReleasedChunksHoldNothing(t *testing.T) {
 	}
 	for _, ch := range released {
 		for i := range ch.recs {
-			if r := &ch.recs[i]; r.obj != nil || r.saved != nil {
+			if r := &ch.recs[i]; *r != (undoRec{}) {
 				t.Fatalf("released chunk keeps record %d: %+v", i, *r)
 			}
 		}
@@ -397,7 +410,8 @@ func TestUndoReleasedChunksHoldNothing(t *testing.T) {
 // TestUndoAllocCeilings is the allocation gate for the write path: logging
 // K undo records costs at most one chunk per undoChunkLen records (none
 // when the pool has chunks), and rolling them all back costs nothing more.
-// The values are pointers, so storing them allocates no interface box.
+// The values are pointers, so storing them allocates no interface box; the
+// root package holds the same ceiling for word-backed TVar[int] stores.
 func TestUndoAllocCeilings(t *testing.T) {
 	const K = 10 * undoChunkLen
 	const runs = 100

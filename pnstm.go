@@ -1,7 +1,9 @@
 package pnstm
 
 import (
+	"reflect"
 	"time"
+	"unsafe"
 
 	"pnstm/internal/core"
 	"pnstm/internal/epoch"
@@ -224,51 +226,106 @@ func (r *Runtime) TraceStats() (events, dropped uint64) { return r.rt.TraceStats
 // block). The server dumps the flight recorder here.
 func (r *Runtime) SetCrisisHook(fn func()) { r.rt.SetCrisisHook(fn) }
 
-// TVar is a typed transactional variable.
+// TVar is a typed transactional variable. A variable of a pointer-free
+// type of at most 8 bytes (int, bool, float64, time.Duration, a named
+// uint8, struct{ x, y int32 }, [8]byte, ...) keeps its value in a machine
+// word: loading and storing it allocates nothing. Every other type —
+// strings, slices, maps, pointers, interfaces, larger structs — is held as
+// an interface value, so storing a non-pointer one boxes it; hold a pointer
+// where that matters.
 type TVar[T any] struct {
 	obj *core.Object
+	// word is the representation, decided once from T: the value travels
+	// in core.Value.W rather than boxed in core.Value.P (ARCHITECTURE.md D52).
+	word bool
 }
 
 // NewTVar returns a transactional variable holding initial.
 func NewTVar[T any](initial T) *TVar[T] {
-	return &TVar[T]{obj: core.NewObject(initial)}
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	v := &TVar[T]{obj: core.NewObject(nil), word: t.Size() <= 8 && pointerFree(t)}
+	v.SetDirect(initial)
+	return v
+}
+
+// pointerFree reports whether values of type t hold no pointers, so that
+// one may live in a uint64 the garbage collector does not scan.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Uintptr, reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// pack and unpack move a T into and out of the variable's representation.
+// They hold the package's only unsafe code: a word-backed T is at most 8
+// bytes, at most 8-aligned and pointer-free, so it can be copied through
+// the address of a uint64. A nil interface in P reads back as the zero T.
+func (v *TVar[T]) pack(val T) (x core.Value) {
+	if !v.word {
+		return core.Value{P: val}
+	}
+	*(*T)(unsafe.Pointer(&x.W)) = val
+	return x
+}
+
+func (v *TVar[T]) unpack(x core.Value) T {
+	if v.word {
+		return *(*T)(unsafe.Pointer(&x.W))
+	}
+	val, _ := x.P.(T)
+	return val
 }
 
 // Load reads v inside the current transaction. Like every access it is
 // treated as a write for conflict detection (paper §4.2).
 func Load[T any](c *Ctx, v *TVar[T]) T {
-	return c.Load(v.obj).(T)
+	return v.unpack(core.Access(c, v.obj, core.Value{}, false))
 }
 
 // Store writes v inside the current transaction.
 func Store[T any](c *Ctx, v *TVar[T], val T) {
-	c.Store(v.obj, val)
+	core.Access(c, v.obj, v.pack(val), true)
 }
 
 // Swap writes val and returns the previous value.
 func Swap[T any](c *Ctx, v *TVar[T], val T) T {
-	return c.Store(v.obj, val).(T)
+	return v.unpack(core.Access(c, v.obj, v.pack(val), true))
 }
 
 // Update applies f to the current value and stores the result, returning
 // the new value.
 func Update[T any](c *Ctx, v *TVar[T], f func(T) T) T {
-	next := f(c.Load(v.obj).(T))
-	c.Store(v.obj, next)
+	next := f(Load(c, v))
+	Store(c, v, next)
 	return next
 }
 
 // Peek reads the value without transactional bookkeeping. Only safe when
 // no transactions are running (e.g. after Run returns).
-func (v *TVar[T]) Peek() T { return v.obj.Peek().(T) }
+func (v *TVar[T]) Peek() T { return v.unpack(core.PeekValue(v.obj)) }
 
 // SetDirect overwrites the value without transactional bookkeeping. Only
 // safe when no transactions are running.
-func (v *TVar[T]) SetDirect(val T) { v.obj.SetDirect(val) }
+func (v *TVar[T]) SetDirect(val T) { core.SetValue(v.obj, v.pack(val)) }
 
-// Obj exposes the underlying untyped variable (for mixing typed and
-// untyped access in one program).
-func (v *TVar[T]) Obj() *Var { return v.obj }
+// SetLabel names the variable for conflict attribution (a stmlib map
+// bucket's "m:orders/3"). Call once at construction time, before any
+// transaction touches the variable. The untyped variable underneath is not
+// exposed: a word-backed value would read as nil through Ctx.Load.
+func (v *TVar[T]) SetLabel(label string) { v.obj.SetLabel(label) }
 
 // AtomicResult runs fn atomically and returns its result, a generic
 // convenience over Ctx.Atomic.

@@ -83,3 +83,35 @@ func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
 		}
 	})
 }
+
+// TestWordBackedStructureAllocCeilings: a counter stripe and a queue's
+// size are word-backed variables (D52), so an Add and a Push inside an open
+// transaction cost their nested Atomic (descriptor and closures) — and the
+// Push its node — and no boxed integer. The counts start past the
+// runtime's preallocated small integers, where a box is a heap object. Each
+// ceiling is one below what the boxed representation measured (4 and 4).
+func TestWordBackedStructureAllocCeilings(t *testing.T) {
+	const addCeiling, pushCeiling = 3, 3
+	rt := newRTConfig(t, pnstm.Config{Workers: 2})
+	ctr := stmlib.NewTCounter(1)
+	q := stmlib.NewTQueue[*int]()
+	elem := new(int)
+	run(t, rt, func(c *pnstm.Ctx) {
+		_ = c.Atomic(func(c *pnstm.Ctx) error {
+			ctr.Add(c, 1<<20)
+			for i := 0; i < 300; i++ {
+				q.Push(c, elem)
+			}
+			add := testing.AllocsPerRun(200, func() { ctr.Add(c, 1) })
+			push := testing.AllocsPerRun(200, func() { q.Push(c, elem) })
+			t.Logf("TCounter.Add %.0f allocs, TQueue.Push %.0f allocs", add, push)
+			if add > addCeiling {
+				t.Errorf("TCounter.Add: %.0f allocs, ceiling %d", add, addCeiling)
+			}
+			if push > pushCeiling {
+				t.Errorf("TQueue.Push: %.0f allocs, ceiling %d", push, pushCeiling)
+			}
+			return nil
+		})
+	})
+}

@@ -56,7 +56,7 @@ func (t *TCounter) Stripes() int { return len(t.stripes) }
 // at construction time, before transactions touch the counter.
 func (t *TCounter) SetLabel(name string) {
 	for i, s := range t.stripes {
-		s.Obj().SetLabel("c:" + name + "/" + itoa(i))
+		s.SetLabel("c:" + name + "/" + itoa(i))
 	}
 }
 

@@ -81,10 +81,10 @@ func (m *TMap[K, V]) Buckets() int { return len(m.buckets) }
 // at construction time, before transactions touch the map.
 func (m *TMap[K, V]) SetLabel(name string) {
 	for i, b := range m.buckets {
-		b.Obj().SetLabel("m:" + name + "/" + itoa(i))
+		b.SetLabel("m:" + name + "/" + itoa(i))
 	}
 	for i, b := range m.ttl {
-		b.Obj().SetLabel("m:" + name + "/ttl" + itoa(i))
+		b.SetLabel("m:" + name + "/ttl" + itoa(i))
 	}
 }
 

@@ -84,11 +84,11 @@ func NewTQueue[T any]() *TQueue[T] {
 // "q:<name>/leases". Call once at construction time, before
 // transactions touch the queue.
 func (q *TQueue[T]) SetLabel(name string) {
-	q.in.Obj().SetLabel("q:" + name + "/in")
-	q.out.Obj().SetLabel("q:" + name + "/out")
-	q.size.Obj().SetLabel("q:" + name + "/size")
-	q.leases.Obj().SetLabel("q:" + name + "/leases")
-	q.leaseSeq.Obj().SetLabel("q:" + name + "/leaseseq")
+	q.in.SetLabel("q:" + name + "/in")
+	q.out.SetLabel("q:" + name + "/out")
+	q.size.SetLabel("q:" + name + "/size")
+	q.leases.SetLabel("q:" + name + "/leases")
+	q.leaseSeq.SetLabel("q:" + name + "/leaseseq")
 }
 
 // SetLeaseHook installs the lease deadline-change callback (registry

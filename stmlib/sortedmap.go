@@ -118,9 +118,9 @@ func NewTSortedMapFanout[K cmp.Ordered, V any](fanout int) *TSortedMap[K, V] {
 // themselves.
 func (m *TSortedMap[K, V]) SetLabel(name string) {
 	m.label = name
-	m.root.Obj().SetLabel("s:" + name + "/root")
+	m.root.SetLabel("s:" + name + "/root")
 	for _, leaf := range m.root.Peek().leaves {
-		leaf.Obj().SetLabel("s:" + name + "/leaf" + itoa(int(m.leafSeq.Add(1))))
+		leaf.SetLabel("s:" + name + "/leaf" + itoa(int(m.leafSeq.Add(1))))
 	}
 }
 
@@ -137,7 +137,7 @@ func (m *TSortedMap[K, V]) Leaves() int { return len(m.root.Peek().leaves) }
 func (m *TSortedMap[K, V]) newLeaf(es []SortedEntry[K, V]) *pnstm.TVar[[]SortedEntry[K, V]] {
 	tv := pnstm.NewTVar(es)
 	if m.label != "" {
-		tv.Obj().SetLabel("s:" + m.label + "/leaf" + itoa(int(m.leafSeq.Add(1))))
+		tv.SetLabel("s:" + m.label + "/leaf" + itoa(int(m.leafSeq.Add(1))))
 	}
 	return tv
 }
