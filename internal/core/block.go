@@ -12,8 +12,18 @@ import (
 // (paper §3). A block is created waiting or enqueued, and runs exactly
 // once. The bitnum is assigned at dispatch time ("steal-time", §3.2) and
 // is used for every transaction the block initiates.
+//
+// A block carries, by value, the context it will run in and the storage of
+// the first transaction that context begins: the blocks of one Parallel
+// call, their contexts, those descriptors and the join are one allocation
+// (the fork frame, ARCHITECTURE.md D53).
 type block struct {
 	program func(*Ctx)
+
+	// ctx is the context the block runs in, set up in place at dispatch
+	// (initCtx); tx0 is what its first begin hands out.
+	ctx Ctx
+	tx0 txDesc
 
 	// baseTx is the transaction in which the block starts (paper b.baseTx);
 	// nil when the block runs outside any transaction.
@@ -29,27 +39,18 @@ type block struct {
 
 	// comDesc carries the forker's committed-descendant notes into the
 	// child context (an extension over the paper: the notes are safe in
-	// any context, see ARCHITECTURE.md D12).
+	// any context, see ARCHITECTURE.md D12). It is the parked forker's own
+	// slice, shared by every sibling and only ever read: the forker does
+	// not touch its notes again until the join has resumed it.
 	comDesc []comNote
 
 	// done receives the root block's completion; nil for non-root blocks.
 	done chan rootResult
 
-	// Trace identity inherited from the forking context (D35): the root
-	// ticket of the enclosing root transaction, the server-stamped
-	// batch/shard, and the current work tag. Copied into the adopting
-	// context so a forked child's events stay attributable to the same
-	// request lineage.
-	traceRoot  uint64
-	traceBatch uint64
-	traceTS    int64
-	traceShard uint8
-	traceTag   traceTag
-	traceSkip  bool
-
-	// Dispatch-time state.
-	bn       bitvec.Bitnum // reserved bitnum; None while queued or borrowed
+	// Dispatch-time state (the three small fields share a word: with them
+	// apart a two-block frame leaves the 1 KiB size class).
 	bnMinEp  epoch.Epoch   // minimum epoch of the reserved bitnum
+	bn       bitvec.Bitnum // reserved bitnum; None while queued or borrowed
 	borrowed bool          // runs under baseTx's bitnum
 
 	// bnDiscarded records that the block's bitnum has been discarded —
@@ -76,14 +77,17 @@ type join struct {
 	// "am I the last one" fast path: a value of 1 observed by the only
 	// remaining block is stable, because finished siblings stay finished.
 	unfinished atomic.Int32
+	panicked   bool // a child block panicked; panicVal holds the first value
 
 	// precBitnums holds the reserved bitnums of dispatched, unfinished
 	// preceding blocks (paper b.precBitnums).
 	precBitnums bitvec.Vec
 
 	// live maps those bitnums to their blocks, for the unilateral discard
-	// of the last remaining sibling (§6.2).
-	live []*block
+	// of the last remaining sibling (§6.2). liveBuf backs it up to four
+	// dispatched siblings.
+	live    []*block
+	liveBuf [4]*block
 
 	// minEp is the minimum epoch for the continuation: the maximum of the
 	// fork-time epoch and every finishing block's epoch (paper
@@ -91,19 +95,31 @@ type join struct {
 	minEp epoch.Epoch
 
 	// comDesc accumulates committed-descendant notes from finishing
-	// children (paper §5.2).
+	// children (paper §5.2), in noteBuf until a fifth note.
 	comDesc []comNote
+	noteBuf [4]comNote
 
 	// panicVal holds the first panic raised by a child block, re-raised
 	// by the continuation.
 	panicVal any
-	panicked bool
 
+	// resume is a one-shot channel taken by the forker before it parks.
 	resume chan joinPayload
 }
 
+// fork is the frame of one Parallel call: the join and its blocks, one
+// heap object. The garbage collector owns it — a finishing child that is
+// not the last still reads its block after the join's lock is released,
+// when the last one may already have resumed the forker (D53).
+type fork struct {
+	join
+	inline [2]block
+}
+
 // joinPayload is what the last finishing child hands to the parked
-// continuation: its worker slot plus the accumulated join state.
+// continuation: its worker slot plus the accumulated join state. A slot
+// granted to a context that yielded its own travels as a payload with
+// nothing but the slot.
 type joinPayload struct {
 	slot    *slot
 	minEp   epoch.Epoch
@@ -112,10 +128,18 @@ type joinPayload struct {
 	ppanic  bool
 }
 
-func newJoin(children int, forkEp epoch.Epoch) *join {
-	j := &join{minEp: forkEp, resume: make(chan joinPayload, 1)}
-	j.unfinished.Store(int32(children))
-	return j
+// oneShots recycles the channels a parked context waits on: a join's
+// resume and a yielded slot's grant. A use is exactly one send and one
+// receive, so the receiver puts the channel back, empty, the line after
+// its receive; nothing else is recycled at a fork (D53).
+var oneShots = sync.Pool{New: func() any { return make(chan joinPayload, 1) }}
+
+// await receives the one payload ch will ever carry in this use and
+// recycles the channel.
+func await(ch chan joinPayload) joinPayload {
+	p := <-ch
+	oneShots.Put(ch)
+	return p
 }
 
 // removeLive deletes the block holding bn from the live list.
@@ -159,14 +183,4 @@ func mergeNotes(dst, src []comNote) []comNote {
 		dst = addNote(dst, n)
 	}
 	return dst
-}
-
-// cloneNotes copies a note slice (forks pass snapshots to children).
-func cloneNotes(notes []comNote) []comNote {
-	if len(notes) == 0 {
-		return nil
-	}
-	out := make([]comNote, len(notes))
-	copy(out, notes)
-	return out
 }

@@ -38,8 +38,16 @@ type Ctx struct {
 	ancBase bitvec.Vec
 
 	// comDesc holds the committed-but-possibly-unpublished descendant
-	// notes visible to this context (paper §5.2).
+	// notes visible to this context (paper §5.2), in noteBuf until a fifth
+	// live note.
 	comDesc []comNote
+	noteBuf [4]comNote
+
+	// spare is a descriptor the next begin may use instead of allocating:
+	// the block's tx0 at first, afterwards the last transaction this
+	// context finished without forking under it. No other goroutine ever
+	// held a pointer to such a descriptor (D53).
+	spare *txDesc
 
 	// panicVal carries a panic out of the block program to finishBlock.
 	panicVal any
@@ -48,21 +56,25 @@ type Ctx struct {
 	// backoff and slot yielding.
 	aborts int
 
-	// Trace identity (D35): traceRoot is the runtime-wide ticket of the
-	// current root-transaction lineage (assigned at the first traced root
-	// begin, inherited by forked blocks), traceBatch/traceShard are
-	// server stamps, and traceTag labels the current unit of work (the
-	// server stamps each request's structure and key; the label is only
-	// rendered when an event is recorded). traceTS caches the
-	// root begin's wall clock so begin/commit events in the subtree skip
-	// the clock read, and traceSkip marks a root the lifecycle sampler
-	// chose not to record (conflict events record regardless, D38). All
-	// of these ride into forked blocks via Parallel.
+	traceIdent
+}
+
+// traceIdent is a context's trace identity (D35): traceRoot is the
+// runtime-wide ticket of the current root-transaction lineage (assigned at
+// the first traced root begin, inherited by forked blocks),
+// traceBatch/traceShard are server stamps, and traceTag labels the current
+// unit of work (the server stamps each request's structure and key; the
+// label is only rendered when an event is recorded). traceTS caches the
+// root begin's wall clock so begin/commit events in the subtree skip the
+// clock read, and traceSkip marks a root the lifecycle sampler chose not to
+// record (conflict events record regardless, D38). Parallel copies the
+// whole of it into each forked block's context.
+type traceIdent struct {
 	traceRoot  uint64
 	traceBatch uint64
 	traceTS    int64
-	traceShard uint8
 	traceTag   traceTag
+	traceShard uint8
 	traceSkip  bool
 }
 
@@ -290,15 +302,22 @@ func (c *Ctx) begin() *txDesc {
 		// A freshly reserved bitnum is never stale; add it.
 		anc = c.ancBase.Add(c.bn)
 	}
-	tx := &txDesc{
-		bitnum:   c.bn,
-		anc:      anc,
-		beginEp:  c.ep,
-		parent:   c.cur,
-		borrowed: borrowed,
+	// A spare descriptor is all zero apart from these six fields: it never
+	// forked, and its undo log was spliced away or released when it ended.
+	// Field by field — it holds a mutex and an atomic.
+	tx := c.spare
+	if tx != nil {
+		c.spare = nil
+	} else {
+		tx = new(txDesc)
 	}
-	if tx.parent != nil && tx.parent.depth < 255 {
-		tx.depth = tx.parent.depth + 1
+	tx.bitnum, tx.anc, tx.beginEp, tx.parent, tx.borrowed = c.bn, anc, c.ep, c.cur, borrowed
+	tx.depth = 0
+	if tx.parent != nil {
+		tx.depth = tx.parent.depth
+		if tx.depth < 255 {
+			tx.depth++
+		}
 	}
 	c.cur = tx
 	c.ancBase = tx.anc
@@ -367,7 +386,14 @@ func (c *Ctx) mergedVictim() bool {
 // the parent's begin epoch as well as the current one: a unilaterally
 // discarded bitnum is always published through any epoch at which it was
 // still in a live ancestor set (D11).
+//
+// This is where every transaction ends, committed or rolled back, so it is
+// also where a descriptor no block was ever forked under — one no other
+// goroutine has seen — is parked for this context's next begin (D53).
 func (c *Ctx) popTx(tx *txDesc) {
+	if !tx.forked {
+		c.spare = tx
+	}
 	c.cur = tx.parent
 	if c.cur != nil {
 		if c.rt.cfg.Serial {
@@ -498,11 +524,10 @@ func (c *Ctx) crisisSleep() time.Duration {
 // yieldSlot releases the worker slot to the scheduler and re-acquires one,
 // letting queued blocks run in between.
 func (c *Ctx) yieldSlot() {
-	ch := make(chan *slot, 1)
+	ch := oneShots.Get().(chan joinPayload)
 	c.rt.sched.parkWaiter(c.slot, ch)
 	c.slot = nil
-	sl := <-ch
-	c.adoptSlot(sl, c.ep)
+	c.adoptSlot(await(ch).slot, c.ep)
 }
 
 // ---------------------------------------------------------------------------
@@ -543,33 +568,39 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 		c.runInlineChild(rest[0])
 		return
 	}
-	// Limiter slot acquired: fork for real.
-	if c.cur != nil {
-		c.cur.liveBlocks.Add(int32(len(rest)))
-	}
-	j := newJoin(len(rest), c.ep)
-	snap := cloneNotes(c.comDesc)
-	blocks := make([]*block, len(rest))
-	for i, fn := range rest {
-		blocks[i] = &block{
-			program:    fn,
-			baseTx:     c.cur,
-			minEp:      c.ep,
-			succ:       j,
-			comDesc:    snap,
-			traceRoot:  c.traceRoot,
-			traceBatch: c.traceBatch,
-			traceTS:    c.traceTS,
-			traceShard: c.traceShard,
-			traceTag:   c.traceTag,
-			traceSkip:  c.traceSkip,
+	// Limiter slot acquired: fork for real. One frame holds the join and
+	// the blocks, each block its context and first descriptor (D53).
+	if tx := c.cur; tx != nil {
+		tx.liveBlocks.Add(int32(len(rest)))
+		// Children will keep a pointer to tx, so it must never be handed out
+		// again. A bare fork by one of tx's own child blocks finds the flag
+		// set and must not store beside its siblings.
+		if !tx.forked {
+			tx.forked = true
 		}
+	}
+	f := new(fork)
+	j := &f.join
+	j.minEp, j.live, j.comDesc = c.ep, j.liveBuf[:0], j.noteBuf[:0]
+	j.unfinished.Store(int32(len(rest)))
+	j.resume = oneShots.Get().(chan joinPayload)
+	blocks := f.inline[:] // len(rest) >= 2: a single function ran inline
+	if len(rest) > len(blocks) {
+		blocks = make([]block, len(rest))
+	}
+	// Each child copies the notes it is handed: drop the published ones
+	// first, as its own finish would.
+	c.comDesc = c.rt.cleanNotes(c.comDesc)
+	for i, fn := range rest {
+		b := &blocks[i]
+		b.program, b.baseTx, b.minEp, b.succ, b.comDesc = fn, c.cur, c.ep, j, c.comDesc
+		b.ctx.traceIdent = c.traceIdent
 	}
 	forkEp := c.ep
 	sl := c.slot
 	c.slot = nil
 	c.rt.sched.enqueueAndRelease(blocks, sl)
-	p := <-j.resume
+	p := await(j.resume)
 	c.rt.stats.handoffs.Add(1)
 	// The erase against the fork-time epoch catches bitnums whose discard
 	// was published while we were parked, even when the resume epoch jumps

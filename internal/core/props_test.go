@@ -84,7 +84,7 @@ func TestComNoteProperties(t *testing.T) {
 			t.Fatalf("more notes than bitnums: %+v", notes)
 		}
 		// Merging a clone into itself changes nothing.
-		merged := mergeNotes(cloneNotes(notes), notes)
+		merged := mergeNotes(append([]comNote(nil), notes...), notes)
 		if len(merged) != len(notes) {
 			t.Fatalf("self-merge changed size: %d != %d", len(merged), len(notes))
 		}

@@ -309,28 +309,21 @@ func (rt *Runtime) Workers() int { return rt.cfg.Workers }
 // Bitnums returns the identifier space size N (0 in serial mode).
 func (rt *Runtime) Bitnums() int { return rt.nbits }
 
-// newCtx builds the context for a dispatched block.
-func (rt *Runtime) newCtx(b *block) *Ctx {
-	c := &Ctx{
-		rt:         rt,
-		block:      b,
-		baseTx:     b.baseTx,
-		cur:        b.baseTx,
-		comDesc:    cloneNotes(b.comDesc),
-		traceRoot:  b.traceRoot,
-		traceBatch: b.traceBatch,
-		traceTS:    b.traceTS,
-		traceShard: b.traceShard,
-		traceTag:   b.traceTag,
-		traceSkip:  b.traceSkip,
-	}
-	if b.borrowed {
-		c.bn = b.baseTx.bitnum
-	} else {
-		c.bn = b.bn
-	}
+// initCtx sets up, in place, the context a dispatched block runs in. Its
+// trace identity was written by the forker.
+func (b *block) initCtx(rt *Runtime) *Ctx {
+	c := &b.ctx
+	c.rt, c.block, c.spare = rt, b, &b.tx0
+	c.baseTx, c.cur = b.baseTx, b.baseTx
+	// A copy: the context filters its notes in place, the snapshot is the
+	// parked forker's and its siblings'.
+	c.comDesc = append(c.noteBuf[:0], b.comDesc...)
+	c.bn = b.bn
 	if b.baseTx != nil {
 		c.ancBase = b.baseTx.anc
+		if b.borrowed {
+			c.bn = b.baseTx.bitnum
+		}
 	}
 	return c
 }
@@ -373,7 +366,7 @@ func (rt *Runtime) runBlock(sl *slot, b *block, f bitnum.Free, borrowed bool) {
 		rt.stats.dispatches.Add(1)
 	}
 
-	ctx := rt.newCtx(b)
+	ctx := b.initCtx(rt)
 	// The extra erases against the block's fork-time epoch and the base
 	// transaction's begin epoch catch ancestor bitnums that were
 	// unilaterally discarded while this block sat in the queue, even when

@@ -27,7 +27,7 @@ type scheduler struct {
 	qhead   int
 	free    *bitnum.Queue
 	idle    []*slot
-	waiters []chan *slot
+	waiters []chan joinPayload
 	lifo    bool // dispatch order ablation: LIFO (depth-first) vs FIFO (paper)
 }
 
@@ -81,9 +81,11 @@ func (s *scheduler) enqueue(blocks ...*block) {
 // enqueueAndRelease atomically enqueues fork children and releases the
 // forking context's slot (paper parallel(): the forker ceases execution
 // and its thread goes back to stealing).
-func (s *scheduler) enqueueAndRelease(blocks []*block, sl *slot) {
+func (s *scheduler) enqueueAndRelease(blocks []block, sl *slot) {
 	s.mu.Lock()
-	s.queue = append(s.queue, blocks...)
+	for i := range blocks {
+		s.queue = append(s.queue, &blocks[i])
+	}
 	s.idle = append(s.idle, sl)
 	s.dispatchLocked()
 	s.mu.Unlock()
@@ -98,7 +100,7 @@ func (s *scheduler) releaseSlot(sl *slot) {
 }
 
 // parkWaiter releases a slot and registers a channel to receive one back.
-func (s *scheduler) parkWaiter(sl *slot, ch chan *slot) {
+func (s *scheduler) parkWaiter(sl *slot, ch chan joinPayload) {
 	s.mu.Lock()
 	s.idle = append(s.idle, sl)
 	s.waiters = append(s.waiters, ch)
@@ -164,7 +166,7 @@ func (s *scheduler) dispatchLocked() {
 			ch := s.waiters[0]
 			copy(s.waiters, s.waiters[1:])
 			s.waiters = s.waiters[:len(s.waiters)-1]
-			ch <- s.popIdleLocked()
+			ch <- joinPayload{slot: s.popIdleLocked()}
 			continue
 		}
 		return

@@ -52,6 +52,14 @@ type txDesc struct {
 	// transaction (ARCHITECTURE.md D15).
 	liveBlocks atomic.Int32
 
+	// forked is set, once, by the first Parallel that queues blocks under
+	// this transaction: from then on child blocks hold pointers to it (a
+	// finishing child still decrements liveBlocks after the join has
+	// resumed the forker), so when it ends it is left to the garbage
+	// collector. A transaction that never forked is known to its own
+	// context alone and is reused by that context's next begin (D53).
+	forked bool
+
 	// Undo log: a newest-first list of fixed-size chunks of records. The
 	// log exists so that aborting a transaction — including one whose
 	// children already committed into it — can restore every overwritten

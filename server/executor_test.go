@@ -126,11 +126,10 @@ var raceEnabled bool
 // the executor inside one batch root — Runtime.Run and the batch root's
 // own objects included, the wire, the batcher's loop and the WAL append
 // excluded — on a memory shard and on a durable-shaped one (the ticket
-// wrapper). Each ceiling is the highest of twelve readings at the parent
-// of the op table (PR 18 pinned them first and refactored under them):
-// the table, the by-value exec and the one envelope executor must not
-// give an object back. The counter rows read one higher there once the
-// counter is past 255 per stripe, as execWorkloads now preloads it.
+// wrapper). PR 18 pinned them first and refactored under them: the table,
+// the by-value exec and the one envelope executor must not give an object
+// back. The counter rows need the counter past 255 per stripe, as
+// execWorkloads preloads it, to see a boxed integer at all.
 func TestExecutorAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact ceilings; the race detector adds objects of its own")
@@ -139,12 +138,14 @@ func TestExecutorAllocCeilings(t *testing.T) {
 		name            string
 		memory, durable float64
 	}{
-		{"MapGet", 7, 7},
-		{"MapPut", 10, 11},    // an overwrite reads 9-10 / 10-11 run to run, on the parent too
-		{"CounterAdd", 8, 9},  // 9 / 10 while a stripe's int64 was boxed (D52)
-		{"Transfer4", 21, 22}, // its counter add likewise: 22 / 23 boxed
-		{"RangeScan64", 41, 41},
-		{"Put64", 213, 214},
+		// As read, every run, with the fork frame and reused descriptors
+		// (D53); the parent read 7/7, 9-10/10-11, 8/9, 21/22, 41/41, 202/203.
+		{"MapGet", 5, 5},
+		{"MapPut", 7, 8},
+		{"CounterAdd", 6, 7}, // one more while a stripe's int64 was boxed (D52)
+		{"Transfer4", 14, 15},
+		{"RangeScan64", 24, 24},
+		{"Put64", 137, 138},
 	}
 	for _, durable := range []bool{false, true} {
 		h := newExecHarness(t, durable)
