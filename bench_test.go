@@ -365,51 +365,6 @@ func BenchmarkDeepTreeTinyBitnumSpace(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// A6: dispatch-order ablation — FIFO (paper) vs LIFO global queue.
-// ---------------------------------------------------------------------------
-
-func BenchmarkQueueDispatchOrder(b *testing.B) {
-	for _, lifo := range []bool{false, true} {
-		name := "FIFO"
-		if lifo {
-			name = "LIFO"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt, err := pnstm.New(pnstm.Config{Workers: 8, LIFODispatch: lifo})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Close()
-			vars := make([]*pnstm.TVar[int], 64)
-			for i := range vars {
-				vars[i] = pnstm.NewTVar(0)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rt.Run(func(c *pnstm.Ctx) {
-					_ = c.Atomic(func(c *pnstm.Ctx) error {
-						fns := make([]func(*pnstm.Ctx), len(vars))
-						for k := range fns {
-							k := k
-							fns[k] = func(c *pnstm.Ctx) {
-								_ = c.Atomic(func(c *pnstm.Ctx) error {
-									pnstm.Store(c, vars[k], i)
-									return nil
-								})
-							}
-						}
-						c.Parallel(fns...)
-						return nil
-					})
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // stmlib structure workloads: parallel-nested bulk operations vs. the
 // serial-nesting baseline, per workload family (map-heavy,
 // producer/consumer, hot-counter).

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"pnstm/client"
-	"pnstm/internal/bench"
 	"pnstm/server"
 )
 
@@ -49,7 +49,8 @@ type crashTally struct {
 // could not run or any invariant fails. With shards > 1 the drilled
 // server runs that many engine partitions, each with its own WAL —
 // recovery must replay every shard's log.
-func runCrash(cfg genCfg, workers, maxBatch, shards int, dataDir string, killAfter time.Duration, jsonDir, name string) error {
+func runCrash(o *options) error {
+	cfg, shards, dataDir, killAfter := o.cfg, o.shards, o.dataDir, o.killAfter
 	if dataDir == "" {
 		tmp, err := os.MkdirTemp("", "pnstm-crash-")
 		if err != nil {
@@ -67,35 +68,26 @@ func runCrash(cfg genCfg, workers, maxBatch, shards int, dataDir string, killAft
 	scfg := server.Config{
 		Addr:     "127.0.0.1:0",
 		Shards:   shards,
-		Workers:  workers,
-		MaxBatch: maxBatch,
+		Workers:  o.workers,
+		MaxBatch: o.maxBatch,
 		DataDir:  dataDir,
 		Fsync:    true,
 	}
-	s, err := server.New(scfg)
+	env, err := bootLeg(scfg, false, cfg.conns)
 	if err != nil {
 		return err
 	}
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	go s.Serve() //nolint:errcheck // torn down via Kill below
-	cl, err := client.Connect(client.Options{Addrs: []string{s.Addr().String()}, PoolSize: cfg.conns})
-	if err != nil {
-		s.Close()
-		return err
-	}
+	defer env.close() // after the Kill below: only the client is left to close
+	cl := env.cl
 
 	for i := 0; i < cfg.skus; i++ {
 		if err := cl.MapPutInt(stockName, skuName(i), cfg.stockPer); err != nil {
-			s.Close()
 			return fmt.Errorf("crash setup: %w", err)
 		}
 	}
 	for i := 0; i < acctMaps; i++ {
 		for j := 0; j < acctPerMap; j++ {
 			if err := cl.MapPutInt(acctMapName(i), acctKeyName(j), acctInitial); err != nil {
-				s.Close()
 				return fmt.Errorf("crash setup ledger: %w", err)
 			}
 		}
@@ -192,10 +184,9 @@ func runCrash(cfg genCfg, workers, maxBatch, shards int, dataDir string, killAft
 	}
 
 	time.Sleep(killAfter)
-	s.Kill()
+	env.srv.Kill()
 	stop.Store(true)
 	wg.Wait()
-	cl.Close()
 	fmt.Printf("== killed pnstmd after %v: %d adds, %d units sold, %d cross-shard transfers acked before the crash\n",
 		killAfter, tally.ackedAdds.Load(), tally.ackedSold.Load(), movedAcks.Load())
 	if tally.ackedAdds.Load() == 0 && tally.ackedSold.Load() == 0 {
@@ -203,28 +194,19 @@ func runCrash(cfg genCfg, workers, maxBatch, shards int, dataDir string, killAft
 	}
 
 	// Restart on the same directory and verify.
-	s2, err := server.New(scfg)
+	env2, err := bootLeg(scfg, false, 1)
 	if err != nil {
 		return fmt.Errorf("restart after crash: %w", err)
 	}
-	if err := s2.Listen(); err != nil {
-		return err
-	}
-	go s2.Serve() //nolint:errcheck
-	defer s2.Close()
-	cl2, err := client.Connect(client.Options{Addrs: []string{s2.Addr().String()}, PoolSize: 1})
-	if err != nil {
-		return err
-	}
-	defer cl2.Close()
+	defer env2.close()
 
 	// On a sharded server WALStats sums per-shard figures, so these are
 	// record totals across all logs, not single log positions.
-	ws := s2.WALStats()
+	ws := env2.srv.WALStats()
 	fmt.Printf("== recovered: %d snapshot-covered records, %d wal records, %d durable records\n",
 		ws.SnapshotLSN, ws.RecoveredRecords, ws.TailLSN)
 
-	violations, recovered := verifyCrashRecovery(cl2, cfg, tally)
+	violations, recovered := verifyCrashRecovery(env2.cl, cfg, tally)
 	for _, v := range violations {
 		fmt.Fprintf(os.Stderr, "INVARIANT VIOLATED: %s\n", v)
 	}
@@ -232,39 +214,30 @@ func runCrash(cfg genCfg, workers, maxBatch, shards int, dataDir string, killAft
 		fmt.Println("== crash-recovery invariants ok (counter, queue FIFO, conservation)")
 	}
 
-	if jsonDir != "" {
+	if o.jsonDir != "" {
+		name := o.name
 		if name == "" {
 			name = "loadgen-crash-recovery"
 		}
-		rep := &bench.Report{
-			Name: name,
-			Kind: "loadgen",
-			Config: map[string]any{
-				"kill_after":  killAfter.String(),
-				"workers":     workers,
-				"max_batch":   maxBatch,
-				"shards":      shards,
-				"concurrency": cfg.concurrency,
-				"skus":        cfg.skus,
-				"stock":       cfg.stockPer,
-				"seed":        cfg.seed,
-			},
-			Metrics: map[string]float64{
-				"acked_adds":        float64(tally.ackedAdds.Load()),
-				"recovered_counter": float64(recovered.counter),
-				"acked_sold":        float64(tally.ackedSold.Load()),
-				"recovered_sold":    float64(recovered.sold),
-				"wal_records":       float64(ws.RecoveredRecords),
-				"snapshot_lsn":      float64(ws.SnapshotLSN),
-				"violations":        float64(len(violations)),
-			},
+		rep := newReport(name, cfg)
+		maps.Copy(rep.Config, map[string]any{
+			"kill_after": killAfter.String(), "workers": o.workers, "max_batch": o.maxBatch, "shards": shards,
+		})
+		rep.Metrics = map[string]float64{
+			"acked_adds":        float64(tally.ackedAdds.Load()),
+			"recovered_counter": float64(recovered.counter),
+			"acked_sold":        float64(tally.ackedSold.Load()),
+			"recovered_sold":    float64(recovered.sold),
+			"wal_records":       float64(ws.RecoveredRecords),
+			"snapshot_lsn":      float64(ws.SnapshotLSN),
+			"violations":        float64(len(violations)),
 		}
 		if len(violations) == 0 {
 			rep.Notes = []string{"crash-recovery invariants ok"}
 		} else {
 			rep.Notes = violations
 		}
-		path, err := rep.WriteFile(jsonDir)
+		path, err := rep.WriteFile(o.jsonDir)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,9 +16,77 @@ import (
 	"pnstm/stmlib"
 )
 
+// workload is one row of the -workload table. Everything that lists the
+// workloads — flag validation and its error text, the -workload help,
+// the -h usage — and everything that asks what a workload provisions and
+// verifies reads this one table.
+type workload struct {
+	name  string
+	doc   string // the line -h prints
+	parts part   // what setup provisions and verify checks
+	op    func(d *driver, rng *rand.Rand) error
+}
+
+// part is one independently provisioned and verified piece of server
+// state; a workload is a set of parts plus the op mix that drives them.
+type part uint8
+
+const (
+	partReadMap  part = 1 << iota // bench:m preloaded; puts only overwrite, so MapLen is invariant
+	partQueues                    // bench:q*: held == baseline + pushed − popped
+	partCounter                   // bench:hits == baseline + issued adds
+	partCheckout                  // stock + sold conserved, revenue consistent, no oversell
+	partTx                        // txmix: transfer-queue conservation and the guarded CAS ledger
+	partLedger                    // crossshard: the zero-sum account ledger
+	partZipf                      // hotkey: the zipfian popularity CDF over bench:m
+	partPipeline                  // pipeline: board, sessions, leased queues (pipeline.go)
+)
+
+var workloads = []workload{
+	{"readmap", "read-heavy point ops on one named map (-readfrac)",
+		partReadMap, (*driver).opReadMap},
+	{"queue", "producer/consumer traffic over several named queues",
+		partQueues, (*driver).opQueue},
+	{"counter", "hot-counter increments with occasional parallel-nested sums",
+		partCounter, (*driver).opCounter},
+	{"checkout", "cross-structure orders (stock map + sold/revenue counters), conservation checked at the end",
+		partCheckout, (*driver).opCheckout},
+	{"mixed", "all of the above interleaved",
+		partReadMap | partQueues | partCounter | partCheckout, (*driver).opMixed},
+	{"txmix", "multi-op wire transactions (client.Txn envelopes): checkout orders, atomic queue-to-queue transfers (cross-shard pairs preferred), guarded compare-and-swap bumps (lost guards tallied as rejections) and read-only cross-structure audits that fan shards — transfer/CAS/conservation ledgers verified",
+		partCheckout | partTx, (*driver).opTxMix},
+	{"crossshard", "guarded balance transfers between account maps on different shards — every mutating envelope rides the cross-shard ordered-commit path — with the zero-sum ledger total verified exactly",
+		partLedger, (*driver).opCrossShard},
+	{"phases", "phase-shifting mix: read-heavy → write-hot on a tiny key-space → mixed, one third of -duration each — the workload the adaptive-controller A/B runs on",
+		partReadMap | partCounter, (*driver).opPhases},
+	{"hotkey", "zipfian-skewed write-heavy point traffic: a handful of keys draw most of the writes, so batch siblings conflict on them constantly — what the conflict profiler (/debug/hotkeys) is demonstrated on",
+		partReadMap | partZipf, (*driver).opHotKey},
+	{"pipeline", "second-generation structures composed (D45): leaderboard scans under score churn, TTL'd sessions, a leased work queue with deliberate abandons — lease conservation and exactly-once acks verified",
+		partPipeline, (*driver).opPipeline},
+}
+
+// findWorkload returns the table row for name.
+func findWorkload(name string) (*workload, error) {
+	for i := range workloads {
+		if workloads[i].name == name {
+			return &workloads[i], nil
+		}
+	}
+	return nil, fmt.Errorf("unknown workload %q (want %s)", name, workloadNames())
+}
+
+// workloadNames renders the table's names as "a, b, … or z".
+func workloadNames() string {
+	names := make([]string, len(workloads))
+	for i, w := range workloads {
+		names[i] = w.name
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+}
+
 // genCfg parameterizes one load-generation run.
 type genCfg struct {
-	workload    string // readmap, queue, counter, checkout, mixed, txmix, crossshard, phases, hotkey
+	workload    string // a name from the workloads table
 	concurrency int    // issuing goroutines
 	conns       int    // pooled client connections
 	duration    time.Duration
@@ -30,17 +99,9 @@ type genCfg struct {
 	seed        int64
 }
 
-// runsCheckout reports whether the workload issues checkout orders (and
-// so needs stock provisioning and the conservation verifier).
-func (c *genCfg) runsCheckout() bool {
-	return c.workload == "checkout" || c.workload == "mixed" || c.workload == "txmix"
-}
-
 func (c *genCfg) fillDefaults() error {
-	switch c.workload {
-	case "readmap", "queue", "counter", "checkout", "mixed", "txmix", "crossshard", "phases", "hotkey", "pipeline":
-	default:
-		return fmt.Errorf("unknown workload %q (want readmap, queue, counter, checkout, mixed, txmix, crossshard, phases, hotkey or pipeline)", c.workload)
+	if _, err := findWorkload(c.workload); err != nil {
+		return err
 	}
 	if c.concurrency <= 0 {
 		c.concurrency = 16
@@ -81,6 +142,12 @@ type genResult struct {
 	latencies  []time.Duration
 	violations []string
 
+	// extra and notes carry what only one A/B leg measures (WAL fsyncs,
+	// background writes, replica staleness, a settled MaxInflight) into
+	// the report beside the standard metrics.
+	extra map[string]float64
+	notes []string
+
 	statsOK     bool
 	batchDelta  uint64
 	reqDelta    uint64
@@ -115,6 +182,7 @@ func (r *genResult) throughput() float64 {
 // driver owns the shared workload state across issuing goroutines.
 type driver struct {
 	cfg genCfg
+	wl  *workload // cfg.workload's table row
 	cl  *client.Client
 
 	// start anchors the phases workload's schedule: which third of the
@@ -281,34 +349,28 @@ func acctPartnerOf(i, shards int) int {
 	return (i + 1) % acctMaps
 }
 
-// usesReadMap reports whether the workload touches the preloaded
-// bench:m map (and so needs it provisioned and its length verified).
-func (c *genCfg) usesReadMap() bool {
-	switch c.workload {
-	case "readmap", "mixed", "phases", "hotkey":
-		return true
-	}
-	return false
-}
+// has reports whether the workload includes part p (and so needs it
+// provisioned, baselined and verified).
+func (d *driver) has(p part) bool { return d.wl.parts&p != 0 }
 
 // setup provisions the structures the run reads from.
 func (d *driver) setup() error {
 	c := d.cfg
-	if c.usesReadMap() {
+	if d.has(partReadMap) {
 		for i := 0; i < c.keys; i++ {
 			if err := d.cl.MapPut(mapName, keyName(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 				return fmt.Errorf("setup map: %w", err)
 			}
 		}
 	}
-	if c.runsCheckout() {
+	if d.has(partCheckout) {
 		for i := 0; i < c.skus; i++ {
 			if err := d.cl.MapPutInt(stockName, skuName(i), c.stockPer); err != nil {
 				return fmt.Errorf("setup stock: %w", err)
 			}
 		}
 	}
-	if c.workload == "txmix" {
+	if d.has(partTx) {
 		for i := 0; i < casSlots; i++ {
 			if err := d.cl.MapPutInt(casMapName, casKey(i), 0); err != nil {
 				return fmt.Errorf("setup cas slots: %w", err)
@@ -319,15 +381,15 @@ func (d *driver) setup() error {
 		// unavailable — a sharded server always answers stats).
 		d.txPairs = pairTxQueues(c.txQueueNames(), d.serverShards())
 	}
-	if c.workload == "hotkey" {
+	if d.has(partZipf) {
 		d.hotCDF = zipfCDF(c.keys, hotKeyExponent)
 	}
-	if c.workload == "pipeline" {
+	if d.has(partPipeline) {
 		if err := d.setupPipeline(); err != nil {
 			return err
 		}
 	}
-	if c.workload == "crossshard" {
+	if d.has(partLedger) {
 		shards := d.serverShards()
 		d.acctPartners = make([]int, acctMaps)
 		for i := 0; i < acctMaps; i++ {
@@ -354,7 +416,7 @@ func (d *driver) setup() error {
 	if err := d.snapshotBaselines(); err != nil {
 		return err
 	}
-	if c.runsCheckout() {
+	if d.has(partCheckout) {
 		for k, v := range map[string]int64{
 			"sold0":       d.base.sold,
 			"revenue0":    d.base.revenue,
@@ -390,10 +452,10 @@ func (d *driver) snapshotBaselines() error {
 		}
 		*dst, err = f()
 	}
-	if c.usesReadMap() {
+	if d.has(partReadMap) {
 		read(&d.base.mapLen, func() (int64, error) { return d.cl.MapLen(mapName) })
 	}
-	if c.workload == "queue" || c.workload == "mixed" {
+	if d.has(partQueues) {
 		for i := 0; i < c.queues; i++ {
 			i := i
 			var n int64
@@ -401,14 +463,14 @@ func (d *driver) snapshotBaselines() error {
 			d.base.queues += n
 		}
 	}
-	if c.workload == "counter" || c.workload == "mixed" || c.workload == "phases" {
+	if d.has(partCounter) {
 		read(&d.base.counter, func() (int64, error) { return d.cl.CounterSum(counterName) })
 	}
-	if c.runsCheckout() {
+	if d.has(partCheckout) {
 		read(&d.base.sold, func() (int64, error) { return d.cl.CounterSum(soldName) })
 		read(&d.base.revenue, func() (int64, error) { return d.cl.CounterSum(revenueName) })
 	}
-	if c.workload == "txmix" {
+	if d.has(partTx) {
 		for _, q := range c.txQueueNames() {
 			q := q
 			var n int64
@@ -422,53 +484,40 @@ func (d *driver) snapshotBaselines() error {
 	return nil
 }
 
-// op issues one operation of the configured workload and reports whether
-// it counted (errors are tallied by the caller).
-func (d *driver) op(rng *rand.Rand) error {
-	switch d.cfg.workload {
-	case "readmap":
+// opMixed interleaves the four single-structure workloads.
+func (d *driver) opMixed(rng *rand.Rand) error {
+	switch r := rng.Intn(10); {
+	case r < 4:
 		return d.opReadMap(rng)
-	case "queue":
-		return d.opQueue(rng)
-	case "counter":
+	case r < 6:
 		return d.opCounter(rng)
-	case "checkout":
+	case r < 8:
+		return d.opQueue(rng)
+	default:
 		return d.opCheckout(rng)
-	case "mixed":
-		switch r := rng.Intn(10); {
-		case r < 4:
-			return d.opReadMap(rng)
-		case r < 6:
-			return d.opCounter(rng)
-		case r < 8:
-			return d.opQueue(rng)
-		default:
-			return d.opCheckout(rng)
-		}
-	case "txmix":
-		switch r := rng.Intn(10); {
-		case r < 4:
-			return d.opCheckout(rng) // rides the generic envelope path
-		case r < 7:
-			return d.opTxTransfer(rng)
-		case r < 9:
-			return d.opTxCas(rng)
-		default:
-			return d.opTxAudit(rng)
-		}
-	case "crossshard":
-		if rng.Intn(10) == 0 {
-			return d.opAcctRead(rng)
-		}
-		return d.opAcctTransfer(rng)
-	case "phases":
-		return d.opPhases(rng)
-	case "hotkey":
-		return d.opHotKey(rng)
-	case "pipeline":
-		return d.opPipeline(rng)
 	}
-	return fmt.Errorf("unreachable workload")
+}
+
+// opTxMix draws one of the four envelope shapes.
+func (d *driver) opTxMix(rng *rand.Rand) error {
+	switch r := rng.Intn(10); {
+	case r < 4:
+		return d.opCheckout(rng) // rides the generic envelope path
+	case r < 7:
+		return d.opTxTransfer(rng)
+	case r < 9:
+		return d.opTxCas(rng)
+	default:
+		return d.opTxAudit(rng)
+	}
+}
+
+// opCrossShard is nine transfers to one read.
+func (d *driver) opCrossShard(rng *rand.Rand) error {
+	if rng.Intn(10) == 0 {
+		return d.opAcctRead(rng)
+	}
+	return d.opAcctTransfer(rng)
 }
 
 // hotKeyExponent shapes the hotkey workload's zipfian key popularity:
@@ -531,7 +580,7 @@ const phasesHotKeys = 256
 // up) → write-hot on a tiny key-space (overlap livelocks, the
 // controller must back off) → mixed point traffic. No single static
 // MaxInflight is right for all three — the adaptive-vs-static A/B
-// (-compare -adaptive) runs exactly this workload.
+// (-ab adaptive) runs exactly this workload.
 func (d *driver) opPhases(rng *rand.Rand) error {
 	third := d.cfg.duration / 3
 	elapsed := time.Since(d.start)
@@ -746,7 +795,7 @@ func (d *driver) verify() []string {
 	c := d.cfg
 	fail := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
 
-	if c.usesReadMap() {
+	if d.has(partReadMap) {
 		n, err := d.cl.MapLen(mapName)
 		if err != nil {
 			fail("map len: %v", err)
@@ -754,7 +803,7 @@ func (d *driver) verify() []string {
 			fail("map len %d, want %d (puts only overwrite preloaded keys)", n, d.base.mapLen)
 		}
 	}
-	if c.workload == "queue" || c.workload == "mixed" {
+	if d.has(partQueues) {
 		var remaining int64
 		for i := 0; i < c.queues; i++ {
 			n, err := d.cl.QueueLen(queueName(i))
@@ -768,7 +817,7 @@ func (d *driver) verify() []string {
 			fail("queues hold %d elements, want baseline+pushed−popped = %d", remaining, want)
 		}
 	}
-	if c.workload == "counter" || c.workload == "mixed" || c.workload == "phases" {
+	if d.has(partCounter) {
 		sum, err := d.cl.CounterSum(counterName)
 		if err != nil {
 			fail("counter sum: %v", err)
@@ -776,7 +825,7 @@ func (d *driver) verify() []string {
 			fail("counter = %d, want %d (baseline + issued adds)", sum, d.base.counter+d.adds.Load())
 		}
 	}
-	if c.workload == "txmix" {
+	if d.has(partTx) {
 		// Transfer conservation: every committed envelope pushed exactly
 		// once and popped at most once, atomically.
 		var remaining int64
@@ -806,7 +855,7 @@ func (d *driver) verify() []string {
 			fail("cas slots total %d, want %d applied increments", sum, d.casApplied.Load())
 		}
 	}
-	if c.workload == "crossshard" {
+	if d.has(partLedger) {
 		// The strongest law in the suite: transfers are zero-sum and the
 		// run issues nothing else, so the recovered ledger total equals
 		// the provisioned total EXACTLY — any torn cross-shard commit
@@ -829,10 +878,10 @@ func (d *driver) verify() []string {
 			fail("ledger total %d, want %d: a cross-shard transfer split", total, want)
 		}
 	}
-	if c.workload == "pipeline" {
+	if d.has(partPipeline) {
 		out = append(out, d.verifyPipeline()...)
 	}
-	if c.runsCheckout() {
+	if d.has(partCheckout) {
 		var remaining int64
 		for i := 0; i < c.skus; i++ {
 			v, ok, err := d.cl.MapGetInt(stockName, skuName(i))
@@ -870,14 +919,36 @@ func (d *driver) verify() []string {
 }
 
 // runLoad drives the configured workload against the client and collects
-// the result. The server-stats delta (batching behaviour, abort rate) is
-// captured when the server answers OpStats.
+// the result.
 func runLoad(cl *client.Client, cfg genCfg) (*genResult, error) {
-	d := &driver{cfg: cfg, cl: cl}
+	d, err := prepare(cl, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.run(), nil
+}
+
+// prepare provisions the workload's structures and snapshots the
+// baselines its invariants are measured against. A caller with something
+// to do between provisioning and the measured window (the replica A/B's
+// catch-up barrier) calls prepare and run itself.
+func prepare(cl *client.Client, cfg genCfg) (*driver, error) {
+	wl, err := findWorkload(cfg.workload)
+	if err != nil {
+		return nil, err
+	}
+	d := &driver{cfg: cfg, wl: wl, cl: cl}
 	if err := d.setup(); err != nil {
 		return nil, err
 	}
+	return d, nil
+}
 
+// run issues the workload for cfg.duration, verifies the invariants and
+// collects the result. The server-stats delta (batching behaviour, abort
+// rate) is captured when the server answers OpStats.
+func (d *driver) run() *genResult {
+	cl, cfg := d.cl, d.cfg
 	before, statsOK := server.ServerStats{}, true
 	if st, err := cl.Stats(); err == nil {
 		before = st
@@ -922,7 +993,7 @@ func runLoad(cl *client.Client, cfg genCfg) (*genResult, error) {
 					issuedAt = next
 					next = next.Add(interval)
 				}
-				if err := d.op(rng); err != nil {
+				if err := d.wl.op(d, rng); err != nil {
 					errs++
 					// A dead connection fails every subsequent op; stop
 					// instead of spinning on it.
@@ -978,5 +1049,5 @@ func runLoad(cl *client.Client, cfg genCfg) (*genResult, error) {
 			}
 		}
 	}
-	return res, nil
+	return res
 }

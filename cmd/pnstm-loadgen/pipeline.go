@@ -4,15 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pnstm/client"
-	"pnstm/internal/bench"
 	"pnstm/server"
-	"pnstm/stmlib"
 )
 
 // The pipeline workload drives the second-generation structures (D45)
@@ -298,43 +295,18 @@ func verifyPipelineRecovery(cl *client.Client, boardPlayers int64, meta func(str
 	return out
 }
 
-// runRangeScanCompare (-compare -rangescan-ab) measures what the
-// second-generation scan architecture buys over the serial baseline,
-// with the same legs as the txmix compare gate: scanners and score
-// writers share one DURABLE leaderboard, and the serial leg (serial
-// nesting, batch size 1, registry fanout 1 — every scan one sequential
-// leaf walk in its own root transaction, one fsync per score write)
-// races the shipped configuration (parallel-nested subrange scans via
-// the default fanout, riding group commit — one fsync per batch).
-// Scans between fsyncs queue behind the serial leg's one-at-a-time
-// pipeline; in the parallel leg they ride alongside the writes they'd
-// otherwise wait for. -syncdelay sets a deterministic stable-storage
-// floor so the fsync count dominates, not the box's disk.
-//
+// scanLoad is the load of both rangescan A/B legs (see the table row in
+// ab.go): half the issuing goroutines scan the whole provisioned board,
+// the other half overwrite scores, and the measured ops are the scans.
 // Every scan must come back with EXACTLY the provisioned player count —
 // writers only overwrite — so the A/B doubles as an atomicity check on
 // the scan path under maximum churn.
-func runRangeScanCompare(cfg genCfg, workers, maxBatch int, syncDelay time.Duration, minSpeedup float64, jsonDir, name string) error {
-	type leg struct {
-		label string
-		scfg  server.Config
-	}
-	legs := []leg{
-		{"serial-scan", server.Config{
-			MaxBatch: 1,
-			Serial:   true,
-			Registry: stmlib.RegistryConfig{MapBuckets: 4 * cfg.keys, Fanout: 1},
-		}},
-		// Half the traffic mutates, so the parallel leg keeps the classic
-		// one-batch-at-a-time group commit (pipelined batches are for
-		// pure-read traffic; overlapping writer batches livelock). Shared
-		// reads keep co-batched scans from false-conflicting on shared
-		// leaves.
-		{"parallel-scan", server.Config{
-			MaxBatch:    maxBatch,
-			SharedReads: true,
-			Registry:    stmlib.RegistryConfig{MapBuckets: 4 * cfg.keys, Fanout: stmlib.DefaultFanout},
-		}},
+func scanLoad(env *legEnv, o *abOpts) (*genResult, error) {
+	cl, cfg := env.cl, o.cfg
+	for i := 0; i < cfg.keys; i++ {
+		if err := cl.SortedPut(boardName, playerKey(i), server.EncodeInt64(int64(i))); err != nil {
+			return nil, fmt.Errorf("provision board: %w", err)
+		}
 	}
 	scanners := cfg.concurrency / 2
 	if scanners < 1 {
@@ -344,168 +316,64 @@ func runRangeScanCompare(cfg genCfg, workers, maxBatch int, syncDelay time.Durat
 	if writers < 1 {
 		writers = 1
 	}
+	fmt.Printf("   scanners=%d writers=%d players=%d\n", scanners, writers, cfg.keys)
 
-	scansPerSec := make(map[string]float64, len(legs))
-	writesPerSec := make(map[string]float64, len(legs))
-	var violations []string
-	for _, l := range legs {
-		dir, err := os.MkdirTemp("", "pnstm-rangescan-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		scfg := l.scfg
-		scfg.Addr = "127.0.0.1:0"
-		scfg.Workers = workers
-		scfg.DataDir = dir
-		scfg.Fsync = true
-		scfg.WALSyncDelay = syncDelay
-		s, err := server.New(scfg)
-		if err != nil {
-			return err
-		}
-		if err := s.Listen(); err != nil {
-			return err
-		}
-		go s.Serve() //nolint:errcheck // torn down via Close below
-		cl, err := client.Connect(client.Options{Addrs: []string{s.Addr().String()}, PoolSize: cfg.conns})
-		if err != nil {
-			s.Close()
-			return err
-		}
-		for i := 0; i < cfg.keys; i++ {
-			if err := cl.SortedPut(boardName, playerKey(i), server.EncodeInt64(int64(i))); err != nil {
-				cl.Close()
-				s.Close()
-				return fmt.Errorf("provision board: %w", err)
+	var scans, writes, errs, badScans atomic.Int64
+	deadline := time.Now().Add(cfg.duration)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < scanners; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				// RangeCount walks every leaf exactly as RangeScan does —
+				// same subrange children, same conflict footprint —
+				// without shipping the board back, so the A/B measures the
+				// scan machinery, not response encoding.
+				n, err := cl.RangeCount(boardName, "", "")
+				if err != nil {
+					errs.Add(1)
+					return
+				}
+				if n != int64(cfg.keys) {
+					badScans.Add(1)
+				}
+				scans.Add(1)
 			}
-		}
-
-		fmt.Printf("== %s (workers=%d batch=%d serial=%v fanout=%d scanners=%d writers=%d players=%d)\n",
-			l.label, workers, scfg.MaxBatch, scfg.Serial, scfg.Registry.Fanout, scanners, writers, cfg.keys)
-		var scans, writes, errs atomic.Int64
-		var badScans atomic.Int64
-		deadline := time.Now().Add(cfg.duration)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < scanners; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					// RangeCount walks every leaf exactly as RangeScan
-					// does — same subrange children, same conflict
-					// footprint — without shipping the board back, so the
-					// A/B measures the scan machinery, not response
-					// encoding.
-					n, err := cl.RangeCount(boardName, "", "")
-					if err != nil {
-						errs.Add(1)
-						return
-					}
-					if n != int64(cfg.keys) {
-						badScans.Add(1)
-					}
-					scans.Add(1)
+		}()
+	}
+	for g := 0; g < writers; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(cfg.seed + int64(g)*7919))
+			for time.Now().Before(deadline) {
+				// A 4-score update envelope touches leaves in random order,
+				// so it collides with an in-flight scan's ascending leaf
+				// walk instead of queueing behind it — the scan loses
+				// sometimes, and what a lost scan redoes is exactly what
+				// the fanout decides.
+				tx := cl.Txn()
+				for i := 0; i < 4; i++ {
+					tx.SortedPut(boardName, playerKey(rng.Intn(cfg.keys)),
+						server.EncodeInt64(rng.Int63n(1<<20)))
 				}
-			}()
-		}
-		for g := 0; g < writers; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(cfg.seed + int64(g)*7919))
-				for time.Now().Before(deadline) {
-					// A 4-score update envelope touches leaves in random
-					// order, so it collides with an in-flight scan's
-					// ascending leaf walk instead of queueing behind it —
-					// the scan loses sometimes, and what a lost scan
-					// redoes is exactly what the fanout decides.
-					tx := cl.Txn()
-					for i := 0; i < 4; i++ {
-						tx.SortedPut(boardName, playerKey(rng.Intn(cfg.keys)),
-							server.EncodeInt64(rng.Int63n(1<<20)))
-					}
-					if _, err := tx.Commit(); err != nil {
-						errs.Add(1)
-						return
-					}
-					writes.Add(1)
+				if _, err := tx.Commit(); err != nil {
+					errs.Add(1)
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		st := s.Stats()
-		fmt.Printf("   %d batches, mean batch %.2f, abort ratio %.4f\n",
-			st.Batches, st.MeanBatch, st.RuntimeAborts)
-		cl.Close()
-		s.Close()
-
-		if errs.Load() > 0 {
-			return fmt.Errorf("%s: %d request errors", l.label, errs.Load())
-		}
-		if n := badScans.Load(); n > 0 {
-			violations = append(violations,
-				fmt.Sprintf("%s: %d scans saw a partial board (atomicity broken under churn)", l.label, n))
-		}
-		scansPerSec[l.label] = float64(scans.Load()) / wall.Seconds()
-		writesPerSec[l.label] = float64(writes.Load()) / wall.Seconds()
-		fmt.Printf("   %d scans (%.0f/s), %d writes (%.0f/s) in %v\n",
-			scans.Load(), scansPerSec[l.label], writes.Load(), writesPerSec[l.label], wall.Round(time.Millisecond))
+				writes.Add(1)
+			}
+		}()
 	}
-
-	base, par := legs[0].label, legs[1].label
-	ratio := 0.0
-	if scansPerSec[base] > 0 {
-		ratio = scansPerSec[par] / scansPerSec[base]
+	wg.Wait()
+	res := &genResult{ops: scans.Load(), errs: errs.Load(), wall: time.Since(start)}
+	res.extra = map[string]float64{"writes_per_sec": float64(writes.Load()) / res.wall.Seconds()}
+	if n := badScans.Load(); n > 0 {
+		res.violations = append(res.violations,
+			fmt.Sprintf("%d scans saw a partial board (atomicity broken under churn)", n))
 	}
-	fmt.Printf("== parallel-subrange scan vs sequential: %.2fx scan throughput under churn\n", ratio)
-
-	if jsonDir != "" {
-		if name == "" {
-			name = "loadgen-rangescan-ab"
-		}
-		rep := &bench.Report{
-			Name: name,
-			Kind: "loadgen",
-			Config: map[string]any{
-				"players":     cfg.keys,
-				"scanners":    scanners,
-				"writers":     writers,
-				"workers":     workers,
-				"max_batch":   maxBatch,
-				"duration":    cfg.duration.String(),
-				"par_fanout":  stmlib.DefaultFanout,
-				"base_fanout": 1,
-				"sync_delay":  syncDelay.String(),
-				"seed":        cfg.seed,
-			},
-			Metrics: map[string]float64{
-				"rangescan_speedup_ratio": ratio,
-				"serial_scans_per_sec":    scansPerSec[base],
-				"parallel_scans_per_sec":  scansPerSec[par],
-				"serial_writes_per_sec":   writesPerSec[base],
-				"parallel_writes_per_sec": writesPerSec[par],
-			},
-		}
-		if len(violations) == 0 {
-			rep.Notes = []string{"every scan saw the whole board (atomic under churn)"}
-		} else {
-			rep.Notes = violations
-		}
-		path, err := rep.WriteFile(jsonDir)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("report: %s\n", path)
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("rangescan A/B invariant violations (see above)")
-	}
-	if minSpeedup > 0 && ratio < minSpeedup {
-		return fmt.Errorf("parallel subrange scans regressed: %.2fx the sequential baseline, want ≥ %.2fx", ratio, minSpeedup)
-	}
-	return nil
+	return res, nil
 }

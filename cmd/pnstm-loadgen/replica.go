@@ -3,15 +3,12 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pnstm/client"
-	"pnstm/internal/bench"
 	"pnstm/server"
-	"pnstm/stmlib"
 )
 
 // replicaCount is the replica A/B's fixed fan-out: one durable primary
@@ -20,8 +17,8 @@ import (
 // well under the 3x pipe count, leaving room for replication overhead).
 const replicaCount = 2
 
-// replicaCatchupTimeout bounds how long the A/B waits for every replica
-// shard to drain the primary's WAL before the read leg starts.
+// replicaCatchupTimeout bounds how long a leg waits for every replica
+// shard to drain the primary's WAL before its reads start.
 const replicaCatchupTimeout = 30 * time.Second
 
 // replicaWriters is the background write pressure both legs run against
@@ -29,208 +26,62 @@ const replicaCatchupTimeout = 30 * time.Second
 // fsync. They are the reason reads want off the primary.
 const replicaWriters = 8
 
-// runReplicaCompare measures what WAL-shipping read replicas buy: the
-// same pure-read workload, while a background write load holds the
-// primary's durable commit pipeline busy, against (A) just the primary
-// and (B) a read pool of the primary plus two caught-up replicas,
-// routed with ReadPreferReplica.
-//
-// The primary's WAL clamps it to one commit pipeline per shard (D20),
-// so in leg A every read batch that coalesces with a write pays that
-// write batch's fsync (floored by -syncdelay): reads are throttled to
-// the durable group-commit cadence. Replicas are in-memory and
-// pipeline batches freely, so leg B serves reads at memory speed while
-// the same writes flow primary-side — replica_read_speedup_ratio
-// captures the multiple, and -min-replica-speedup turns it into a gate.
-func runReplicaCompare(cfg genCfg, workers, maxBatch int, syncDelay time.Duration, minSpeedup float64, jsonDir, name string) error {
-	// The A/B is a READ benchmark: replicas refuse mutations, so the
-	// measured workload is pinned to the pure-read end of readmap
-	// regardless of what -workload asked for (writes are the background
-	// pump's job).
-	cfg.workload = "readmap"
-	cfg.readFrac = 1.0
-	if syncDelay <= 0 {
-		// Without a stable-storage floor the box's fsync speed decides the
-		// result; 2ms is the same deterministic default the CI shard and
-		// durability A/Bs pin.
-		syncDelay = 2 * time.Millisecond
-	}
-
-	dir, err := os.MkdirTemp("", "pnstm-replica-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	reg := stmlib.RegistryConfig{MapBuckets: 4 * cfg.keys}
-	primary, err := server.New(server.Config{
-		Addr:         "127.0.0.1:0",
-		Workers:      workers,
-		MaxBatch:     maxBatch,
-		SharedReads:  true,
-		Registry:     reg,
-		DataDir:      dir, // durable: what makes it a shippable primary
-		Fsync:        true,
-		WALSyncDelay: syncDelay,
-	})
-	if err != nil {
-		return err
-	}
-	if err := primary.Listen(); err != nil {
-		return err
-	}
-	go primary.Serve() //nolint:errcheck // torn down via Close below
-	defer primary.Close()
-
-	replicas := make([]*server.Server, replicaCount)
-	for i := range replicas {
-		r, err := server.New(server.Config{
-			Addr:        "127.0.0.1:0",
-			Workers:     workers,
-			MaxBatch:    maxBatch,
-			SharedReads: true,
-			MaxInflight: 4, // in-memory read pipelines — the capacity leg B buys
-			Registry:    reg,
-			ReplicaOf:   primary.Addr().String(),
-		})
-		if err != nil {
-			return err
-		}
-		if err := r.Listen(); err != nil {
-			return err
-		}
-		go r.Serve() //nolint:errcheck // torn down via Close below
-		defer r.Close()
-		replicas[i] = r
-	}
-
-	// Leg A: reads against the primary alone, sharing its single durable
-	// commit pipeline with the write pump (replicas are already tailing
-	// its WAL in the background, exactly as they would in production).
-	clA, err := client.Connect(client.Options{
-		Addrs:    []string{primary.Addr().String()},
-		PoolSize: cfg.conns,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== reads on the primary (workers=%d batch=%d durable, %d writers, syncdelay %v)\n",
-		workers, maxBatch, replicaWriters, syncDelay)
-	stopA, err := startWritePump(primary.Addr().String(), cfg)
-	if err != nil {
-		clA.Close()
-		return err
-	}
-	resA, err := runLoad(clA, cfg)
-	writesA := stopA()
-	clA.Close()
-	if err != nil {
-		return err
-	}
-	printResult(cfg, resA)
-	fmt.Printf("   background writes: %d\n", writesA)
-
-	// Barrier: every replica shard must have drained the primary's WAL —
-	// a read leg against syncing replicas would measure missing keys,
-	// not read capacity.
-	if err := waitReplicasCaughtUp(replicas); err != nil {
-		return err
-	}
-
-	// Leg B: the full read pool, replicas preferred.
-	addrs := []string{primary.Addr().String()}
-	for _, r := range replicas {
-		addrs = append(addrs, r.Addr().String())
-	}
-	clB, err := client.Connect(client.Options{
-		Addrs:          addrs,
-		PoolSize:       cfg.conns,
-		ReadPreference: client.ReadPreferReplica,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== reads on primary+%d replicas, ReadPreferReplica (same write pump)\n", replicaCount)
-	stopB, err := startWritePump(primary.Addr().String(), cfg)
-	if err != nil {
-		clB.Close()
-		return err
-	}
-	resB, err := runLoad(clB, cfg)
-	writesB := stopB()
-	clB.Close()
-	if err != nil {
-		return err
-	}
-	printResult(cfg, resB)
-	fmt.Printf("   background writes: %d\n", writesB)
-
-	speedup := 0.0
-	if resA.throughput() > 0 {
-		speedup = resB.throughput() / resA.throughput()
-	}
-	fmt.Printf("== replica read pool vs primary alone: %.2fx throughput\n", speedup)
-	staleness := maxReplicaStalenessMs(replicas)
-	fmt.Printf("== max replica staleness after the run: %dms\n", staleness)
-
-	if jsonDir != "" {
-		if name == "" {
-			name = "loadgen-replica-ab"
-		}
-		metrics := map[string]float64{
-			"primary_throughput_per_sec": resA.throughput(),
-			"replica_throughput_per_sec": resB.throughput(),
-			"replica_read_speedup_ratio": speedup,
-			"primary_ops":                float64(resA.ops),
-			"replica_ops":                float64(resB.ops),
-			"primary_leg_writes":         float64(writesA),
-			"replica_leg_writes":         float64(writesB),
-			"replica_staleness_ms":       float64(staleness),
-		}
-		for k, v := range bench.LatencyMetrics(resA.latencies) {
-			metrics["primary_"+k] = v
-		}
-		for k, v := range bench.LatencyMetrics(resB.latencies) {
-			metrics["replica_"+k] = v
-		}
-		rep := &bench.Report{
-			Name: name,
-			Kind: "loadgen",
-			Config: map[string]any{
-				"workload":    cfg.workload,
-				"concurrency": cfg.concurrency,
-				"conns":       cfg.conns,
-				"duration":    cfg.duration.String(),
-				"workers":     workers,
-				"max_batch":   maxBatch,
-				"replicas":    replicaCount,
-				"writers":     replicaWriters,
-				"syncdelay":   syncDelay.String(),
-				"seed":        cfg.seed,
-			},
-			Metrics: metrics,
-		}
-		for _, res := range []*genResult{resA, resB} {
-			if len(res.violations) > 0 {
-				rep.Notes = append(rep.Notes, res.violations...)
+// replicaLoad is the load of both replica A/B legs (see the table row in
+// ab.go): boot replicaCount replicas tailing the leg's durable primary —
+// they tail through the primary-only leg too, exactly as they would in
+// production — provision the read map, wait until every replica shard
+// has drained the primary's WAL (a read leg against syncing replicas
+// would measure missing keys, not read capacity), then measure the reads
+// with the write pump running. pool selects the client: the primary
+// alone, or the primary plus the replicas with ReadPreferReplica.
+func replicaLoad(pool bool) func(env *legEnv, o *abOpts) (*genResult, error) {
+	return func(env *legEnv, o *abOpts) (*genResult, error) {
+		primary := env.srv.Addr().String()
+		addrs := []string{primary}
+		replicas := make([]*server.Server, replicaCount)
+		for i := range replicas {
+			rcfg := o.base()
+			rcfg.MaxInflight = 4 // in-memory read pipelines — the capacity the pool buys
+			rcfg.ReplicaOf = primary
+			r, err := o.boot(rcfg, false, 0)
+			if err != nil {
+				return nil, err
 			}
+			defer r.close()
+			replicas[i] = r.srv
+			addrs = append(addrs, r.srv.Addr().String())
 		}
-		if len(rep.Notes) == 0 {
-			rep.Notes = []string{"invariants ok in both legs"}
-		}
-		path, err := rep.WriteFile(jsonDir)
+		// Provision and baseline on the primary, whichever leg this is: a
+		// MapLen through the pool is a read, served by a replica that may
+		// not have applied the last puts yet, and a short baseline would
+		// fail verify on a healthy run. The pool takes over only after the
+		// barrier.
+		d, err := prepare(env.cl, o.cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Printf("report: %s\n", path)
+		if err := waitReplicasCaughtUp(replicas); err != nil {
+			return nil, err
+		}
+		if pool {
+			cl, err := client.Connect(client.Options{Addrs: addrs, PoolSize: o.cfg.conns, ReadPreference: client.ReadPreferReplica})
+			if err != nil {
+				return nil, err
+			}
+			defer cl.Close()
+			d.cl = cl
+		}
+		stop, err := startWritePump(primary, o.cfg)
+		if err != nil {
+			return nil, err
+		}
+		res := d.run()
+		res.extra = map[string]float64{
+			"leg_writes":   float64(stop()),
+			"staleness_ms": float64(maxReplicaStalenessMs(replicas)),
+		}
+		return res, nil
 	}
-	if len(resA.violations) > 0 || len(resB.violations) > 0 || resA.errs > 0 || resB.errs > 0 {
-		return fmt.Errorf("invariant violations or request errors (see above)")
-	}
-	if minSpeedup > 0 && speedup < minSpeedup {
-		return fmt.Errorf("replica read pool regressed: %.2fx the primary-only throughput, want ≥ %.2fx", speedup, minSpeedup)
-	}
-	return nil
 }
 
 // startWritePump launches replicaWriters closed-loop goroutines
@@ -277,8 +128,8 @@ func startWritePump(primaryAddr string, cfg genCfg) (stop func() int64, err erro
 
 // waitReplicasCaughtUp polls every replica's watermarks until each
 // shard's stream is connected and applied has reached the last reported
-// head — nothing the primary logged is still in flight (the legs leave
-// no writes pending between them, so applied==head means fully drained).
+// head — nothing the primary logged is still in flight (the pump is not
+// running yet, so applied==head means fully drained).
 func waitReplicasCaughtUp(replicas []*server.Server) error {
 	deadline := time.Now().Add(replicaCatchupTimeout)
 	for _, r := range replicas {

@@ -184,28 +184,6 @@ func FigureReport(f *Figure, figNum int) *Report {
 	}
 }
 
-// PersistenceMetrics reduces a durability A/B — the same workload run
-// against an in-memory server, a WAL server without fsync, and a WAL
-// server with one fsync per group commit — to the standard overhead
-// figures. Throughputs are ops/sec; a zero skips its derived ratios.
-func PersistenceMetrics(memory, nofsync, fsync float64) map[string]float64 {
-	m := map[string]float64{
-		"memory_throughput_per_sec":  memory,
-		"nofsync_throughput_per_sec": nofsync,
-		"fsync_throughput_per_sec":   fsync,
-	}
-	// Ratios are "fraction of the faster mode's throughput retained":
-	// 1.0 means free, 0.5 means half the throughput survives.
-	if memory > 0 {
-		m["wal_retained_ratio"] = nofsync / memory
-		m["durable_retained_ratio"] = fsync / memory
-	}
-	if nofsync > 0 {
-		m["fsync_retained_ratio"] = fsync / nofsync
-	}
-	return m
-}
-
 // safeRatio returns a/b, or 0 when b is 0.
 func safeRatio(a, b float64) float64 {
 	if b == 0 {

@@ -94,26 +94,6 @@ func TestStatsMetricsAbortRatio(t *testing.T) {
 	}
 }
 
-func TestPersistenceMetrics(t *testing.T) {
-	m := PersistenceMetrics(1000, 800, 400)
-	if m["wal_retained_ratio"] != 0.8 {
-		t.Errorf("wal_retained_ratio = %v want 0.8", m["wal_retained_ratio"])
-	}
-	if m["durable_retained_ratio"] != 0.4 {
-		t.Errorf("durable_retained_ratio = %v want 0.4", m["durable_retained_ratio"])
-	}
-	if m["fsync_retained_ratio"] != 0.5 {
-		t.Errorf("fsync_retained_ratio = %v want 0.5", m["fsync_retained_ratio"])
-	}
-	// Zero baselines must not divide.
-	z := PersistenceMetrics(0, 0, 100)
-	for _, k := range []string{"wal_retained_ratio", "durable_retained_ratio", "fsync_retained_ratio"} {
-		if _, ok := z[k]; ok {
-			t.Errorf("ratio %s derived from zero baseline", k)
-		}
-	}
-}
-
 func TestWorkloadReportShape(t *testing.T) {
 	cfg := StructureConfig{Workload: "map", Workers: 4, Rounds: 2, Children: 2, Span: 8}
 	ser := StructureResult{Wall: 2 * time.Millisecond, Ops: 100}

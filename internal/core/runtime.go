@@ -29,10 +29,6 @@ type Config struct {
 	// exists for ablation benchmarks and debugging.
 	DisableAggressiveRecycle bool
 
-	// LIFODispatch dispatches the newest queued block first (depth-first)
-	// instead of the paper's FIFO global queue. Ablation only.
-	LIFODispatch bool
-
 	// SharedReads enables the §9 read-access extension: Load becomes a
 	// shared read that never conflicts with other readers, and a write is
 	// admitted only when every active reader is an ancestor. With it off
@@ -213,7 +209,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.slots[i] = &slot{id: i, rng: rand.New(rand.NewSource(cfg.Seed + int64(i)))}
 		rt.slots[i].ep.Store(1)
 	}
-	rt.sched = newScheduler(rt, rt.nbits, rt.slots, cfg.LIFODispatch)
+	rt.sched = newScheduler(rt, rt.nbits, rt.slots)
 	rt.pub = epoch.NewPublisher(rt.st, epoch.PublisherConfig{
 		Bitnums:     rt.nbits,
 		Partitions:  cfg.PublisherPartitions,

@@ -28,15 +28,13 @@ type scheduler struct {
 	free    *bitnum.Queue
 	idle    []*slot
 	waiters []chan joinPayload
-	lifo    bool // dispatch order ablation: LIFO (depth-first) vs FIFO (paper)
 }
 
-func newScheduler(rt *Runtime, nbits int, slots []*slot, lifo bool) *scheduler {
+func newScheduler(rt *Runtime, nbits int, slots []*slot) *scheduler {
 	s := &scheduler{
 		rt:   rt,
 		free: bitnum.NewQueue(nbits),
 		idle: make([]*slot, len(slots)),
-		lifo: lifo,
 	}
 	copy(s.idle, slots)
 	return s
@@ -46,20 +44,11 @@ func (s *scheduler) qlen() int { return len(s.queue) - s.qhead }
 
 // peekLocked returns the next block to dispatch without removing it.
 func (s *scheduler) peekLocked() *block {
-	if s.lifo {
-		return s.queue[len(s.queue)-1]
-	}
 	return s.queue[s.qhead]
 }
 
 // popLocked removes the next block.
 func (s *scheduler) popLocked() *block {
-	if s.lifo {
-		b := s.queue[len(s.queue)-1]
-		s.queue[len(s.queue)-1] = nil
-		s.queue = s.queue[:len(s.queue)-1]
-		return b
-	}
 	b := s.queue[s.qhead]
 	s.queue[s.qhead] = nil
 	s.qhead++

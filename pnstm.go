@@ -34,14 +34,11 @@ var ErrClosed = core.ErrClosed
 // Field interactions:
 //
 //   - Serial overrides almost everything else: it disables the scheduler,
-//     the publisher and conflict detection, so Workers, LIFODispatch,
+//     the publisher and conflict detection, so Workers,
 //     DisableAggressiveRecycle, SharedReads, PublisherPartitions,
 //     PublisherStartPaused, SpinRetries and the backoff fields have no
 //     effect, and Runtime.Publisher returns nil. A Serial runtime is
 //     single-threaded: concurrent Run calls are not safe in this mode.
-//   - LIFODispatch changes only the order blocks leave the global queue;
-//     it composes freely with every other switch and never affects
-//     results, only scheduling (ablation benchmarks).
 //   - DisableAggressiveRecycle turns off unilateral bitnum discards,
 //     which also eliminates borrow switches and merged-victim
 //     escalations; deep trees then lean harder on the publisher to
@@ -74,10 +71,6 @@ type Config struct {
 	// DisableAggressiveRecycle turns off unilateral bitnum recycling
 	// (paper §6.2). For ablation experiments.
 	DisableAggressiveRecycle bool
-
-	// LIFODispatch dispatches the newest queued block first instead of
-	// FIFO. For ablation experiments.
-	LIFODispatch bool
 
 	// SharedReads makes Load a shared read: concurrent readers never
 	// conflict with each other, and a write is admitted only when every
@@ -125,7 +118,6 @@ func New(cfg Config) (*Runtime, error) {
 		Workers:                  cfg.Workers,
 		Serial:                   cfg.Serial,
 		DisableAggressiveRecycle: cfg.DisableAggressiveRecycle,
-		LIFODispatch:             cfg.LIFODispatch,
 		SharedReads:              cfg.SharedReads,
 		PublisherPartitions:      cfg.PublisherPartitions,
 		PublisherStartPaused:     cfg.PublisherStartPaused,

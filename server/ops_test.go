@@ -326,3 +326,66 @@ func TestRemovedOpcodeOnTheWire(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedCounterSumShardClosing: a top-level counter read on a
+// sharded server rides fanTx as the one-op envelope [{OpCounterSum}] and
+// answers the summed partials in Num; once a shard has stopped taking
+// requests the whole read fails "server closing" under the caller's id —
+// never a partial total, never a hang.
+func TestShardedCounterSumShardClosing(t *testing.T) {
+	s, err := New(Config{Addr: "127.0.0.1:0", Shards: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	defer s.Close()
+	nc, err := net.DialTimeout("tcp", s.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	roundTrip := func(req *Request) Response {
+		t.Helper()
+		out, err := AppendRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ReadFrame(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ParseResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != req.ID {
+			t.Fatalf("response id %d, want %d", resp.ID, req.ID)
+		}
+		return *resp
+	}
+
+	if resp := roundTrip(&Request{ID: 1, Op: OpCounterAdd, Name: "hits", Delta: 5}); resp.Status != StatusOK {
+		t.Fatalf("add: %+v", resp)
+	}
+	if resp := roundTrip(&Request{ID: 2, Op: OpCounterSum, Name: "hits"}); resp.Status != StatusOK || resp.Num != 5 || len(resp.TxResults) != 0 {
+		t.Fatalf("fanned sum = %+v, want StatusOK Num 5 and no envelope results", resp)
+	}
+
+	// Shard 1 refuses new work the way a closing batcher does (stopped is
+	// what submit tests; Close sets it again and does the rest).
+	b := s.shards[1].b
+	b.smu.Lock()
+	b.stopped = true
+	b.smu.Unlock()
+	resp := roundTrip(&Request{ID: 3, Op: OpCounterSum, Name: "hits"})
+	if resp.Status != StatusErr || resp.Msg != "server closing" {
+		t.Fatalf("sum with a closing shard = %+v, want StatusErr \"server closing\"", resp)
+	}
+}

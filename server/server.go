@@ -941,11 +941,12 @@ func txPinnedShard(op *TxOp, n int) (int, bool) {
 // fanTx answers a read-only multi-shard OpTx envelope: each pinned
 // sub-op rides its home shard's group-commit pipeline (batched with one
 // per-shard sub-envelope), counter reads fan EVERY shard as
-// OpCounterSum and sum their partials (exact totals, like the
-// top-level fan), and counter guards are evaluated on those summed
-// totals at merge time. Like fanCounterSum, the combined answer is not
-// one consistent cut across shards — each shard's slice is atomic on
-// that shard — which is the documented read-only-fan contract (D27).
+// OpCounterSum and sum their partials (exact totals — a top-level
+// sharded OpCounterSum is routed here as a one-op envelope), and counter
+// guards are evaluated on those summed totals at merge time. The
+// combined answer is not one consistent cut across shards — each
+// shard's slice is atomic on that shard — which is the documented
+// read-only-fan contract (D27).
 func (s *Server) fanTx(req *Request, deliver func(Response)) {
 	ops := req.Tx.Ops
 	n := len(s.shards)
@@ -1070,56 +1071,6 @@ func (s *Server) fanTx(req *Request, deliver func(Response)) {
 			resp = Response{ID: req.ID, Status: StatusErr, Msg: err.Error()}
 		}
 		deliver(resp)
-	}()
-}
-
-// fanCounterSum answers a counter read on a sharded server. Checkout
-// transactions credit their counters on the stock map's shard (the
-// transaction must be atomic within one shard), so a counter's total is
-// the sum of per-shard partials — commutative, hence exact. One
-// sub-request rides every shard's group-commit pipeline; the partials
-// are combined and delivered as one response once all shards answered
-// (D24).
-// The combined read is not a single consistent cut across shards (each
-// partial is read atomically on its shard); for a quiesced store it is
-// exact, which is what the workload verifiers rely on.
-func (s *Server) fanCounterSum(req *Request, deliver func(Response)) {
-	var (
-		mu     sync.Mutex
-		total  int64
-		errMsg string
-		wg     sync.WaitGroup
-	)
-	for _, sh := range s.shards {
-		wg.Add(1)
-		p := &pending{req: *req, reply: replyFunc(func(resp Response) {
-			mu.Lock()
-			if resp.Status != StatusOK && errMsg == "" {
-				errMsg = resp.Msg
-				if errMsg == "" {
-					errMsg = "shard error"
-				}
-			}
-			total += resp.Num
-			mu.Unlock()
-			wg.Done()
-		})}
-		if !sh.b.submit(p) {
-			mu.Lock()
-			if errMsg == "" {
-				errMsg = "server closing"
-			}
-			mu.Unlock()
-			wg.Done()
-		}
-	}
-	go func() {
-		wg.Wait()
-		if errMsg != "" {
-			deliver(Response{ID: req.ID, Status: StatusErr, Msg: errMsg})
-			return
-		}
-		deliver(Response{ID: req.ID, Status: StatusOK, Num: total})
 	}()
 }
 
@@ -1270,7 +1221,18 @@ func (s *Server) handleConn(nc net.Conn) {
 		case OpCounterSum:
 			p.lat = latPoint
 			if len(s.shards) > 1 {
-				s.fanCounterSum(req, p.finish)
+				// Checkouts credit their counters on the stock map's shard,
+				// so a counter's total is the sum of per-shard partials
+				// (D24) — which is what fanTx computes for the one-op
+				// read-only envelope [{OpCounterSum, name}]: exact on a
+				// quiesced store, which the workload verifiers rely on.
+				env := Request{ID: req.ID, Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpCounterSum, Name: req.Name}}}}
+				s.fanTx(&env, func(resp Response) {
+					if resp.Status == StatusOK {
+						resp = Response{ID: resp.ID, Status: StatusOK, Num: resp.TxResults[0].Num}
+					}
+					p.finish(resp)
+				})
 				continue
 			}
 			s.shards[0].b.submitOrFail(p)
