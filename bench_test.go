@@ -465,6 +465,31 @@ func BenchmarkEmptyTransaction(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedReadHotObject: read-only roots on one variable nobody
+// writes, under shared reads. Every root leaves a reader entry and every
+// read scans the set, so ns/op stays flat in b.N only because reads prune
+// dead entries (D54).
+func BenchmarkSharedReadHotObject(b *testing.B) {
+	rt, err := pnstm.New(pnstm.Config{Workers: 2, SharedReads: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	v := pnstm.NewTVar(1)
+	if err := rt.Run(func(c *pnstm.Ctx) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = c.Atomic(func(c *pnstm.Ctx) error {
+				_ = pnstm.Load(c, v)
+				return nil
+			})
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkForkJoinOverhead(b *testing.B) {
 	rt, err := pnstm.New(pnstm.Config{Workers: 4})
 	if err != nil {

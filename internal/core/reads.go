@@ -28,14 +28,17 @@ import (
 //     the usual committed-mask/comDesc filtering at the reader's epoch, so
 //     the per-reader cost is O(1) and depth-independent.
 //
-// Reader entries are removed lazily: once a reader's ancestor set filters
-// to empty (everyone committed and published) it is dropped during the
-// next write's scan. An *aborted* reader's entry lingers until its bitnum
-// is discard-published — a false write-conflict window, never a safety
-// problem, mirroring the lazy treatment of write entries.
+// Dead reader entries (every transaction in the ancestor set committed and
+// published) are dropped by a write's scan and by a read that finds the set
+// at its prune mark (dropDead, D54); an aborted reader's entry is retracted
+// by its rollback (D16).
 type readerSet struct {
 	entries []objEntry
+	pruneAt int // prune mark: twice the entries the last prune or write kept
 }
+
+// minReaderPrune is the smallest prune mark.
+const minReaderPrune = 8
 
 // recordReader notes that the transaction with the given live ancestor set
 // read the object at epoch ep. An existing entry by the same transaction
@@ -68,9 +71,28 @@ func (rs *readerSet) retract(anc bitvec.Vec, ep epoch.Epoch) {
 	}
 }
 
-// checkWriters filters the reader set and reports whether every active
-// reader is an ancestor of the writer (refAnc). Dead entries are dropped
-// as a side effect. Caller holds the object lock.
+// dropDead removes the entries whose whole ancestor set is in the committed
+// mask of the entry's epoch — dropDeadPrefix's test for the write stack
+// (D7) — and re-arms pruneAt. Masks only, never activeAncestors: the
+// pruning context's own unpublished comDesc notes would also drop entries
+// that are dead only from its view, and a later non-ancestor writer would
+// miss a live read (D54). Caller holds the object lock.
+func (rs *readerSet) dropDead(rt *Runtime) {
+	kept := rs.entries[:0]
+	for _, e := range rs.entries {
+		if !e.anc.Minus(rt.st.Masks.Get(e.ep)).Empty() {
+			kept = append(kept, e)
+		}
+	}
+	rt.stats.readerPrunes.Add(1)
+	rt.stats.readerDropped.Add(uint64(len(rs.entries) - len(kept)))
+	rs.entries, rs.pruneAt = kept, max(2*len(kept), minReaderPrune)
+}
+
+// readersAllAncestors filters the reader set and reports whether every
+// active reader is an ancestor of the writer (refAnc). Dead entries are
+// dropped as a side effect and the read-path prune re-armed. Caller holds
+// the object lock.
 func (c *Ctx) readersAllAncestors(rs *readerSet, refAnc bitvec.Vec) bool {
 	if len(rs.entries) == 0 {
 		return true
@@ -87,13 +109,14 @@ func (c *Ctx) readersAllAncestors(rs *readerSet, refAnc bitvec.Vec) bool {
 			ok = false
 		}
 	}
-	rs.entries = kept
+	rs.entries, rs.pruneAt = kept, max(2*len(kept), minReaderPrune)
 	return ok
 }
 
 // tryRead is the shared-read counterpart of tryAccess: it validates the
-// read against the write stack and records the reader entry. Returns false
-// on conflict. Caller holds the object lock.
+// read against the write stack, prunes the reader set at its mark and
+// records the reader entry. Returns false on conflict. Caller holds the
+// object lock.
 func (c *Ctx) tryRead(o *Object, tx *txDesc) bool {
 	if n := len(o.stack); n > o.head {
 		top := &o.stack[n-1]
@@ -110,7 +133,11 @@ func (c *Ctx) tryRead(o *Object, tx *txDesc) bool {
 			}
 		}
 	}
-	if o.readers.recordReader(c.ancBase, tx.beginEp, c.ep) {
+	rs := &o.readers
+	if len(rs.entries) >= max(rs.pruneAt, minReaderPrune) {
+		rs.dropDead(c.rt)
+	}
+	if rs.recordReader(c.ancBase, tx.beginEp, c.ep) {
 		tx.pushReadUndo(o, c.ancBase, c.ep)
 	}
 	return true

@@ -32,6 +32,10 @@ type Stats struct {
 	// Publication.
 	HelpPublishes uint64 // synchronous publication cycles run by starved accessors (D7)
 
+	// Shared reads (D54): prunes on the read path only, not a write's scan.
+	ReaderPrunes         uint64 // reader sets pruned by a shared read at their prune mark
+	ReaderEntriesDropped uint64 // dead reader entries those prunes removed
+
 	// Tracing (D35). Filled from the flight recorder at Stats() time.
 	TraceEvents  uint64 // lifecycle events recorded
 	TraceDropped uint64 // events overwritten before any reader drained them
@@ -43,27 +47,29 @@ type Stats struct {
 // high-water mark, not a counter, so the later snapshot's value is kept.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		Begun:          s.Begun - prev.Begun,
-		Committed:      s.Committed - prev.Committed,
-		Aborted:        s.Aborted - prev.Aborted,
-		UserAbort:      s.UserAbort - prev.UserAbort,
-		Conflicts:      s.Conflicts - prev.Conflicts,
-		SpinSaves:      s.SpinSaves - prev.SpinSaves,
-		Escalations:    s.Escalations - prev.Escalations,
-		Crises:         s.Crises - prev.Crises,
-		Dispatches:     s.Dispatches - prev.Dispatches,
-		BorrowDispatch: s.BorrowDispatch - prev.BorrowDispatch,
-		InlineChildren: s.InlineChildren - prev.InlineChildren,
-		SerializedFork: s.SerializedFork - prev.SerializedFork,
-		Handoffs:       s.Handoffs - prev.Handoffs,
-		SlotYields:     s.SlotYields - prev.SlotYields,
-		SelfDiscards:   s.SelfDiscards - prev.SelfDiscards,
-		RemoteDiscards: s.RemoteDiscards - prev.RemoteDiscards,
-		BorrowSwitches: s.BorrowSwitches - prev.BorrowSwitches,
-		PeakParents:    s.PeakParents,
-		HelpPublishes:  s.HelpPublishes - prev.HelpPublishes,
-		TraceEvents:    s.TraceEvents - prev.TraceEvents,
-		TraceDropped:   s.TraceDropped - prev.TraceDropped,
+		Begun:                s.Begun - prev.Begun,
+		Committed:            s.Committed - prev.Committed,
+		Aborted:              s.Aborted - prev.Aborted,
+		UserAbort:            s.UserAbort - prev.UserAbort,
+		Conflicts:            s.Conflicts - prev.Conflicts,
+		SpinSaves:            s.SpinSaves - prev.SpinSaves,
+		Escalations:          s.Escalations - prev.Escalations,
+		Crises:               s.Crises - prev.Crises,
+		Dispatches:           s.Dispatches - prev.Dispatches,
+		BorrowDispatch:       s.BorrowDispatch - prev.BorrowDispatch,
+		InlineChildren:       s.InlineChildren - prev.InlineChildren,
+		SerializedFork:       s.SerializedFork - prev.SerializedFork,
+		Handoffs:             s.Handoffs - prev.Handoffs,
+		SlotYields:           s.SlotYields - prev.SlotYields,
+		SelfDiscards:         s.SelfDiscards - prev.SelfDiscards,
+		RemoteDiscards:       s.RemoteDiscards - prev.RemoteDiscards,
+		BorrowSwitches:       s.BorrowSwitches - prev.BorrowSwitches,
+		PeakParents:          s.PeakParents,
+		HelpPublishes:        s.HelpPublishes - prev.HelpPublishes,
+		ReaderPrunes:         s.ReaderPrunes - prev.ReaderPrunes,
+		TraceEvents:          s.TraceEvents - prev.TraceEvents,
+		TraceDropped:         s.TraceDropped - prev.TraceDropped,
+		ReaderEntriesDropped: s.ReaderEntriesDropped - prev.ReaderEntriesDropped,
 	}
 }
 
@@ -78,27 +84,29 @@ func (s Stats) Add(o Stats) Stats {
 		peak = o.PeakParents
 	}
 	return Stats{
-		Begun:          s.Begun + o.Begun,
-		Committed:      s.Committed + o.Committed,
-		Aborted:        s.Aborted + o.Aborted,
-		UserAbort:      s.UserAbort + o.UserAbort,
-		Conflicts:      s.Conflicts + o.Conflicts,
-		SpinSaves:      s.SpinSaves + o.SpinSaves,
-		Escalations:    s.Escalations + o.Escalations,
-		Crises:         s.Crises + o.Crises,
-		Dispatches:     s.Dispatches + o.Dispatches,
-		BorrowDispatch: s.BorrowDispatch + o.BorrowDispatch,
-		InlineChildren: s.InlineChildren + o.InlineChildren,
-		SerializedFork: s.SerializedFork + o.SerializedFork,
-		Handoffs:       s.Handoffs + o.Handoffs,
-		SlotYields:     s.SlotYields + o.SlotYields,
-		SelfDiscards:   s.SelfDiscards + o.SelfDiscards,
-		RemoteDiscards: s.RemoteDiscards + o.RemoteDiscards,
-		BorrowSwitches: s.BorrowSwitches + o.BorrowSwitches,
-		PeakParents:    peak,
-		HelpPublishes:  s.HelpPublishes + o.HelpPublishes,
-		TraceEvents:    s.TraceEvents + o.TraceEvents,
-		TraceDropped:   s.TraceDropped + o.TraceDropped,
+		Begun:                s.Begun + o.Begun,
+		Committed:            s.Committed + o.Committed,
+		Aborted:              s.Aborted + o.Aborted,
+		UserAbort:            s.UserAbort + o.UserAbort,
+		Conflicts:            s.Conflicts + o.Conflicts,
+		SpinSaves:            s.SpinSaves + o.SpinSaves,
+		Escalations:          s.Escalations + o.Escalations,
+		Crises:               s.Crises + o.Crises,
+		Dispatches:           s.Dispatches + o.Dispatches,
+		BorrowDispatch:       s.BorrowDispatch + o.BorrowDispatch,
+		InlineChildren:       s.InlineChildren + o.InlineChildren,
+		SerializedFork:       s.SerializedFork + o.SerializedFork,
+		Handoffs:             s.Handoffs + o.Handoffs,
+		SlotYields:           s.SlotYields + o.SlotYields,
+		SelfDiscards:         s.SelfDiscards + o.SelfDiscards,
+		RemoteDiscards:       s.RemoteDiscards + o.RemoteDiscards,
+		BorrowSwitches:       s.BorrowSwitches + o.BorrowSwitches,
+		PeakParents:          peak,
+		HelpPublishes:        s.HelpPublishes + o.HelpPublishes,
+		ReaderPrunes:         s.ReaderPrunes + o.ReaderPrunes,
+		TraceEvents:          s.TraceEvents + o.TraceEvents,
+		TraceDropped:         s.TraceDropped + o.TraceDropped,
+		ReaderEntriesDropped: s.ReaderEntriesDropped + o.ReaderEntriesDropped,
 	}
 }
 
@@ -117,28 +125,30 @@ type counters struct {
 	escalations, crises                                              atomic.Uint64
 	dispatches, borrowDispatch, inlineChildren, serializedFork       atomic.Uint64
 	handoffs, slotYields, selfDiscards, remoteDiscards, borrowSwitch atomic.Uint64
-	helpPublishes                                                    atomic.Uint64
+	helpPublishes, readerPrunes, readerDropped                       atomic.Uint64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Begun:          c.begun.Load(),
-		Committed:      c.committed.Load(),
-		Aborted:        c.aborted.Load(),
-		UserAbort:      c.userAbort.Load(),
-		Conflicts:      c.conflicts.Load(),
-		SpinSaves:      c.spinSaves.Load(),
-		Escalations:    c.escalations.Load(),
-		Crises:         c.crises.Load(),
-		Dispatches:     c.dispatches.Load(),
-		BorrowDispatch: c.borrowDispatch.Load(),
-		InlineChildren: c.inlineChildren.Load(),
-		SerializedFork: c.serializedFork.Load(),
-		Handoffs:       c.handoffs.Load(),
-		SlotYields:     c.slotYields.Load(),
-		SelfDiscards:   c.selfDiscards.Load(),
-		RemoteDiscards: c.remoteDiscards.Load(),
-		BorrowSwitches: c.borrowSwitch.Load(),
-		HelpPublishes:  c.helpPublishes.Load(),
+		Begun:                c.begun.Load(),
+		Committed:            c.committed.Load(),
+		Aborted:              c.aborted.Load(),
+		UserAbort:            c.userAbort.Load(),
+		Conflicts:            c.conflicts.Load(),
+		SpinSaves:            c.spinSaves.Load(),
+		Escalations:          c.escalations.Load(),
+		Crises:               c.crises.Load(),
+		Dispatches:           c.dispatches.Load(),
+		BorrowDispatch:       c.borrowDispatch.Load(),
+		InlineChildren:       c.inlineChildren.Load(),
+		SerializedFork:       c.serializedFork.Load(),
+		Handoffs:             c.handoffs.Load(),
+		SlotYields:           c.slotYields.Load(),
+		SelfDiscards:         c.selfDiscards.Load(),
+		RemoteDiscards:       c.remoteDiscards.Load(),
+		BorrowSwitches:       c.borrowSwitch.Load(),
+		HelpPublishes:        c.helpPublishes.Load(),
+		ReaderPrunes:         c.readerPrunes.Load(),
+		ReaderEntriesDropped: c.readerDropped.Load(),
 	}
 }

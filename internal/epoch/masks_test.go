@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -125,5 +126,70 @@ func TestMaskMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The floor answers every epoch at or below it with the full mask, the
+// value the publisher's contiguous ranges leave there, and a directory grown
+// past it leaves the chunks it covers behind (D55).
+func TestMaskTableFloorCoversLeftBehindChunks(t *testing.T) {
+	mt := MaskTable{full: bitvec.Of(0, 1)}
+	hi0, hi1, top := Epoch(10*chunkLen), Epoch(6*chunkLen), Epoch(40*chunkLen)
+	mt.OrRange(1, hi0, bitvec.Of(0))
+	mt.OrRange(1, hi1, bitvec.Of(1))
+	mt.raiseFloor(hi1)
+	mt.raiseFloor(hi1 - 5) // never moves down
+	mt.OrRange(hi1+1, top, bitvec.Of(1))
+	if base := mt.dir.Load().base; base != int(hi1>>chunkBits) {
+		t.Fatalf("directory base = chunk %d, want %d", base, hi1>>chunkBits)
+	}
+	for e := Epoch(0); e <= top+chunkLen; e += 97 {
+		var want bitvec.Vec
+		if e >= 1 && e <= hi0 {
+			want = want.Add(0)
+		}
+		if e >= 1 && e <= top {
+			want = want.Add(1)
+		}
+		if got := mt.Get(e); got != want {
+			t.Fatalf("Get(%d) = %v, want %v", e, got, want)
+		}
+	}
+}
+
+// Readers racing with a writer that raises the floor behind itself must
+// never see a published mask go missing, whether they read it from a chunk,
+// from the floor, or from a chunk left behind between the two.
+func TestMaskTableConcurrentReadersDuringRelease(t *testing.T) {
+	mt := MaskTable{full: bitvec.Of(1)}
+	const top, lag = 64 * chunkLen, 3 * chunkLen / 2
+	var published atomic.Uint64
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for e := Epoch(1 + r); ; e = e*7%top + 1 {
+				hi := Epoch(published.Load())
+				if hi == top {
+					return
+				}
+				if e <= hi && mt.Get(e) != bitvec.Of(1) {
+					t.Errorf("Get(%d) = %v with epochs up to %d published", e, mt.Get(e), hi)
+					return
+				}
+			}
+		}(r)
+	}
+	for e := Epoch(1); e <= top; e++ {
+		mt.Or(e, bitvec.Of(1))
+		published.Store(uint64(e))
+		if e%1000 == 0 && e > lag {
+			mt.raiseFloor(e - lag)
+		}
+	}
+	wg.Wait()
+	if n := mt.Allocated(); n > 8*chunkLen {
+		t.Fatalf("table holds %d epochs with the floor %d behind the top", n, lag)
 	}
 }

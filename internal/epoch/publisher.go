@@ -51,6 +51,7 @@ type partition struct {
 	mu         sync.Mutex // serializes cycles (background loop vs. StepOnce)
 	bns        []bitvec.Bitnum
 	lastInMask [bitvec.Word]Epoch // frontier; only this partition's bns used
+	low        atomic.Uint64      // lowest frontier of bns after the last cycle
 }
 
 // PublisherConfig configures a Publisher.
@@ -98,6 +99,7 @@ func NewPublisher(st *State, cfg PublisherConfig) *Publisher {
 		stop:     make(chan struct{}),
 	}
 	p.paused.Store(cfg.StartPaused)
+	st.Masks.full = bitvec.Vec(^uint64(0) >> (bitvec.Word - cfg.Bitnums))
 	p.parts = make([]*partition, cfg.Partitions)
 	for i := range p.parts {
 		p.parts[i] = &partition{}
@@ -148,11 +150,20 @@ func (p *Publisher) loop(part *partition, idle time.Duration) {
 // publication or freeing happened.
 func (p *Publisher) cycle(part *partition) bool {
 	work := false
+	low := ^Epoch(0)
 	for _, bn := range part.bns {
 		if p.publishBitnum(part, bn) {
 			work = true
 		}
+		low = min(low, part.lastInMask[bn])
 	}
+	part.low.Store(uint64(low))
+	// Every epoch up to the lowest frontier of all partitions now holds
+	// every bit (D55).
+	for _, q := range p.parts {
+		low = min(low, Epoch(q.low.Load()))
+	}
+	p.st.Masks.raiseFloor(low)
 	return work
 }
 

@@ -207,3 +207,32 @@ func TestPublisherCloseIdempotent(t *testing.T) {
 	p.Close()
 	p.Close() // must not panic or deadlock
 }
+
+// A publisher that keeps every bitnum's frontier moving keeps the mask
+// table to the epochs above the lowest frontier, however many epochs pass,
+// with one partition or several (D55).
+func TestPublisherFloorBoundsMaskTable(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		h, p := newHarness(t, 6, parts, true)
+		const step, rounds = chunkLen / 3, 300 // 75 chunks of epochs
+		for r := Epoch(1); r <= rounds; r++ {
+			for bn := bitvec.Bitnum(0); bn < 6; bn++ {
+				h.st.RecordCommit(bn, r*step-Epoch(bn))
+			}
+			p.StepOnce()
+			if n := h.st.Masks.Allocated(); n > 8*chunkLen {
+				t.Fatalf("partitions %d, round %d: table holds %d epochs", parts, r, n)
+			}
+		}
+		for e := Epoch(1); e <= rounds*step; e += 101 {
+			for bn := bitvec.Bitnum(0); bn < 6; bn++ {
+				if want := e <= rounds*step-Epoch(bn); h.st.Masks.Get(e).Has(bn) != want {
+					t.Fatalf("partitions %d: Get(%d).Has(%d) = %v", parts, e, bn, !want)
+				}
+			}
+		}
+		if h.st.Masks.Get(0) != 0 || h.st.Masks.Get(rounds*step+1) != 0 {
+			t.Fatalf("partitions %d: unpublished epochs read %v, %v", parts, h.st.Masks.Get(0), h.st.Masks.Get(rounds*step+1))
+		}
+	}
+}
