@@ -74,8 +74,8 @@ func (f *Follower) Close() {
 // acquisition it checks closed, compares f.next against the tail, and
 // picks the segment holding f.next. Exactly one of the returns is
 // meaningful: err (closed/compacted), wait (f.next is past the tail —
-// block on this channel; capturing it under the same lock as the tail
-// comparison is what makes the wakeup race-free), or seg.
+// block on this channel, made here if nobody waits yet; capturing it under
+// the same lock as the tail comparison makes the wakeup race-free), or seg.
 func (f *Follower) locate() (seg segment, wait chan struct{}, err error) {
 	l := f.l
 	l.mu.Lock()
@@ -84,6 +84,9 @@ func (f *Follower) locate() (seg segment, wait chan struct{}, err error) {
 		return segment{}, nil, ErrLogClosed
 	}
 	if f.next > l.tail {
+		if l.notify == nil {
+			l.notify = make(chan struct{})
+		}
 		return segment{}, l.notify, nil
 	}
 	for i := len(l.segs) - 1; i >= 0; i-- {

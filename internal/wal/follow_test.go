@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -99,6 +101,135 @@ func TestFollowerBlockedAtTail(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower never woke on Close")
+	}
+}
+
+// notifyMade reports whether a follower has made the tail channel.
+func notifyMade(l *Log) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.notify != nil
+}
+
+// TestAppendWithoutFollowerAllocatesNothing: with no follower waiting, an
+// append makes no tail channel, and in steady state (Fsync off) it
+// allocates nothing at all — the record is framed in the log's buffer.
+func TestAppendWithoutFollowerAllocatesNothing(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir()})
+	defer l.Close()
+	b := body(1)
+	if _, err := l.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := l.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if notifyMade(l) {
+		t.Fatal("appends with no follower made a tail channel")
+	}
+	if got != 0 {
+		t.Fatalf("Append: %.0f allocs/op, want 0", got)
+	}
+}
+
+// TestFollowerWakesOnEveryTailEvent: a follower parked at the tail wakes
+// on Append with the new record, and on Close and Abandon with
+// ErrLogClosed. The tail channel exists only while someone waits: the
+// first follower to park makes it, and the append that wakes it clears it.
+func TestFollowerWakesOnEveryTailEvent(t *testing.T) {
+	for _, event := range []string{"append", "close", "abandon"} {
+		t.Run(event, func(t *testing.T) {
+			l := mustOpen(t, Options{Dir: t.TempDir()})
+			defer l.Close()
+			for i := 1; i <= 3; i++ {
+				if _, err := l.Append(body(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f := l.Follow(4)
+			defer f.Close()
+			type result struct {
+				lsn  uint64
+				body []byte
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				lsn, b, err := f.Next(nil)
+				done <- result{lsn, b, err}
+			}()
+			for deadline := time.Now().Add(5 * time.Second); !notifyMade(l); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the follower never parked at the tail")
+				}
+			}
+			select {
+			case r := <-done:
+				t.Fatalf("woke with nothing to wake it: %+v", r)
+			default:
+			}
+			want := result{err: ErrLogClosed}
+			switch event {
+			case "append":
+				if _, err := l.Append(body(4)); err != nil {
+					t.Fatal(err)
+				}
+				want = result{lsn: 4, body: body(4)}
+				if notifyMade(l) {
+					t.Fatal("the waking append left the tail channel in place")
+				}
+			case "close":
+				l.Close()
+			case "abandon":
+				l.Abandon()
+			}
+			select {
+			case r := <-done:
+				if r.lsn != want.lsn || !bytes.Equal(r.body, want.body) || !errors.Is(r.err, want.err) {
+					t.Fatalf("woke with %+v, want %+v", r, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("the follower never woke on %s", event)
+			}
+		})
+	}
+}
+
+// TestFollowerTailsLiveAppender: a follower tailing a log that another
+// goroutine appends to (across rotations) yields every record once, in
+// order, whether it met the appender at the tail or trailed behind it.
+func TestFollowerTailsLiveAppender(t *testing.T) {
+	const n = 2000
+	l := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 4096})
+	defer l.Close()
+	f := l.Follow(1)
+	defer f.Close()
+	errc := make(chan error, 1)
+	go func() {
+		for i := 1; i <= n; i++ {
+			if _, err := l.Append(body(i)); err != nil {
+				errc <- err
+				return
+			}
+			if i%64 == 0 {
+				runtime.Gosched()
+			}
+		}
+		errc <- nil
+	}()
+	for i := 1; i <= n; i++ {
+		lsn, b, err := f.Next(nil)
+		if err != nil || lsn != uint64(i) || !bytes.Equal(b, body(i)) {
+			t.Fatalf("record %d: lsn=%d body=%q err=%v", i, lsn, b, err)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Rotations == 0 {
+		t.Fatal("the appender never rotated a segment")
 	}
 }
 

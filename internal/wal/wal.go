@@ -130,13 +130,17 @@ type Log struct {
 	// read a whole-store image twice; nil afterwards.
 	snapCache []byte
 
-	// notify is the tail broadcast: closed and replaced under mu whenever
-	// the tail advances (and on Close/Abandon, so blocked followers wake
-	// and observe the closed log). Followers capture it under the SAME
-	// lock acquisition that observed tail — the channel-swap idiom that
-	// makes a missed wakeup impossible.
+	// notify is the tail broadcast: made by the first follower to block at
+	// the tail, closed and cleared under mu when the tail advances (and on
+	// Close/Abandon, so blocked followers wake and observe the closed log).
+	// Followers capture it under the SAME lock acquisition that observed
+	// tail, which makes a missed wakeup impossible (D56).
 	notify chan struct{}
+
+	recBuf []byte // Append's record buffer, reused under mu (D56)
 }
+
+const maxRetainedRecord = 1 << 20 // the largest recBuf kept between appends
 
 // segRec is one segment's record-walk result, collected during scan.
 type segRec struct {
@@ -156,7 +160,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{opts: opts, notify: make(chan struct{})}
+	l := &Log{opts: opts}
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
@@ -165,8 +169,10 @@ func Open(opts Options) (*Log, error) {
 
 // notifyLocked wakes every follower blocked at the tail. Caller holds mu.
 func (l *Log) notifyLocked() {
-	close(l.notify)
-	l.notify = make(chan struct{})
+	if l.notify != nil {
+		close(l.notify)
+		l.notify = nil
+	}
 }
 
 func segPath(dir string, start uint64) string {
@@ -418,13 +424,6 @@ func readRecord(r io.Reader, maxRec int) (payload []byte, ok bool) {
 	return payload, true
 }
 
-// appendRecord frames payload (which must begin with the LSN) into buf.
-func appendRecord(buf, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
 // rotateLocked starts a new segment whose first record will carry start.
 func (l *Log) rotateLocked(start uint64) error {
 	if l.f != nil {
@@ -496,10 +495,14 @@ func (l *Log) Append(body []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	payload := make([]byte, 0, 8+len(body))
-	payload = binary.BigEndian.AppendUint64(payload, lsn)
-	payload = append(payload, body...)
-	rec := appendRecord(make([]byte, 0, recHdrLen+len(payload)), payload)
+	// Header (payload length, CRC of the payload), then the payload: LSN, body.
+	rec := binary.BigEndian.AppendUint32(l.recBuf[:0], uint32(8+len(body)))
+	rec = binary.BigEndian.AppendUint64(append(rec, 0, 0, 0, 0), lsn) // CRC patched below
+	rec = append(rec, body...)
+	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[recHdrLen:]))
+	if l.recBuf = rec[:0]; cap(rec) > maxRetainedRecord {
+		l.recBuf = nil
+	}
 	before := l.size
 	if _, err := l.f.Write(rec); err != nil {
 		// A partial write leaves orphan bytes the next append would sit

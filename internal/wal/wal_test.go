@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -70,6 +72,55 @@ func TestAppendReplayAcrossReopen(t *testing.T) {
 	// New appends continue the LSN sequence.
 	if lsn, err := l2.Append(body(21)); err != nil || lsn != 21 {
 		t.Fatalf("append after reopen: lsn=%d err=%v", lsn, err)
+	}
+}
+
+// TestAppendRecordBytes pins the record framing byte for byte: after the
+// segment header, each record is its u32 payload length, the u32 CRC32 of
+// the payload, and the payload — the u64 LSN, then the body — built here
+// independently of Append, from a payload slice of its own.
+func TestAppendRecordBytes(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	bodies := [][]byte{body(1), nil, bytes.Repeat([]byte{0xa5}, 3000), body(4)}
+	want := binary.BigEndian.AppendUint64([]byte(segMagic), 1)
+	for i, b := range bodies {
+		if _, err := l.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		payload := binary.BigEndian.AppendUint64(nil, uint64(i+1))
+		payload = append(payload, b...)
+		want = binary.BigEndian.AppendUint32(want, uint32(len(payload)))
+		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+		want = append(want, payload...)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment bytes:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestAppendBufferRetention: the log keeps its record buffer from one
+// append to the next, except one grown past maxRetainedRecord.
+func TestAppendBufferRetention(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir()})
+	defer l.Close()
+	for i, c := range []struct {
+		size int
+		kept bool
+	}{{64, true}, {maxRetainedRecord, false}, {64, true}} {
+		if _, err := l.Append(make([]byte, c.size)); err != nil {
+			t.Fatal(err)
+		}
+		if kept := cap(l.recBuf) > 0; kept != c.kept || cap(l.recBuf) > maxRetainedRecord {
+			t.Fatalf("append %d (%d bytes): buffer of cap %d kept", i, c.size, cap(l.recBuf))
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,9 +45,9 @@ import (
 // latency histogram needs. seq/logged are the durability bookkeeping: seq
 // is the request's position in the batch's commit order (stamped inside
 // its transaction, see batchRun.apply), logged whether it mutated the
-// store and therefore goes to the WAL. A pending belongs to whoever holds
-// it — the connection's reader until submit, the batcher until finish —
-// and is never reused.
+// store and therefore goes to the WAL, where batchRun.logBatch encodes it
+// in seq order. A pending belongs to whoever holds it — the connection's
+// reader until submit, the batcher until finish — and is never reused.
 type pending struct {
 	req    Request
 	resp   Response
@@ -240,6 +241,10 @@ type batchRun struct {
 	traced  bool
 	batchID uint64
 
+	// logged and body are logBatch's scratch, kept across batches (D56).
+	logged []*pending
+	body   []byte
+
 	exec func()           // r.execute, bound once
 	root func(*pnstm.Ctx) // r.runRoot, bound once
 }
@@ -387,7 +392,7 @@ func (r *batchRun) execute() {
 	// Make the batch durable before any of its acks leave: one record,
 	// one fsync, covering every mutating request in commit order.
 	if err == nil && b.wal != nil {
-		if werr := b.logBatch(batch); werr != nil {
+		if werr := r.logBatch(wal.MaxBody); werr != nil {
 			// The store applied the batch but the log did not: nothing
 			// acked here may claim durability, so every request fails.
 			// The wal latches itself shut on append failure (memory is
@@ -430,45 +435,51 @@ func (r *batchRun) execute() {
 	}
 }
 
+const maxRetainedBody = 1 << 20 // the largest r.body kept for the next batch (D56)
+
 // logBatch appends the batch's mutating requests — sorted into commit
-// order — to the WAL, normally as one record with one fsync. Read-only
-// batches append nothing (and cost no fsync). A batch whose encoding
-// would overflow the record limit (legal with a large MaxBatch and
-// near-MaxFrame requests) is split into several records: commit order
-// is preserved across the chunks, and replaying them as separate root
-// transactions is equivalent because batch membership is a grouping of
-// independent requests, not a unit of atomicity.
-func (b *batcher) logBatch(batch []*pending) error {
-	var logged []*pending
-	for _, p := range batch {
+// order, encoded straight into r.body — to the WAL, normally as one record
+// with one fsync. Read-only batches append nothing (and cost no fsync). A
+// batch whose encoding would overflow maxBody (wal.MaxBody outside tests;
+// legal with a large MaxBatch and near-MaxFrame requests) is split into
+// several records: commit order is preserved across the chunks, and
+// replaying them as separate root transactions is equivalent because batch
+// membership is a grouping of independent requests, not a unit of atomicity.
+func (r *batchRun) logBatch(maxBody int) error {
+	for _, p := range r.batch {
 		if p.logged {
-			logged = append(logged, p)
+			r.logged = append(r.logged, p)
 		}
 	}
-	if len(logged) == 0 {
+	if len(r.logged) == 0 {
 		return nil
 	}
-	sort.Slice(logged, func(i, j int) bool { return logged[i].seq < logged[j].seq })
-
-	var body []byte
-	for i := 0; i < len(logged); i++ {
-		frame, err := AppendRequest(nil, &logged[i].req)
-		if err != nil {
+	slices.SortFunc(r.logged, func(a, b *pending) int { return cmp.Compare(a.seq, b.seq) })
+	body := r.body[:0]
+	defer func() {
+		clear(r.logged) // the idle run must not keep the requests alive
+		if r.logged, r.body = r.logged[:0], body[:0]; cap(body) > maxRetainedBody {
+			r.body = nil
+		}
+	}()
+	for _, p := range r.logged {
+		start := len(body)
+		var err error
+		if body, err = AppendRequest(body, &p.req); err != nil {
 			// In memory but unencodable: latch the wal shut ourselves
 			// (Append latches its own failures), or the next batch would
 			// append over a hole in the durable history.
-			b.wal.Fail(err)
+			r.b.wal.Fail(err)
 			return err
 		}
-		if len(body) > 0 && len(body)+len(frame) > wal.MaxBody {
-			if _, err := b.wal.Append(body); err != nil {
+		if start > 0 && len(body) > maxBody { // the frame opens the next record
+			if _, err := r.b.wal.Append(body[:start]); err != nil {
 				return err
 			}
-			body = body[:0]
+			body = body[:copy(body, body[start:])]
 		}
-		body = append(body, frame...)
 	}
-	_, err := b.wal.Append(body)
+	_, err := r.b.wal.Append(body)
 	return err
 }
 

@@ -155,7 +155,7 @@ func routeFixture(t *testing.T, h *execHarness) map[uint8][]TxOp {
 // returns the WAL's tail.
 func (h *execHarness) logged(t *testing.T, p *pending) uint64 {
 	h.run(t, p)
-	if err := h.b.logBatch(h.r.batch); err != nil {
+	if err := h.r.logBatch(wal.MaxBody); err != nil {
 		t.Fatal(err)
 	}
 	return h.b.wal.TailLSN()
