@@ -457,21 +457,21 @@ func (cl *Client) CounterSum(name string) (int64, error) {
 
 // SortedPut stores value under key in the named sorted map.
 func (cl *Client) SortedPut(name, key string, value []byte) error {
-	_, err := cl.Txn().SortedPut(name, key, value).Commit()
+	_, err := cl.txn1().SortedPut(name, key, value).Commit()
 	return err
 }
 
 // SortedPutTTL stores value under key in the named sorted map, expiring
 // at deadline (UnixNano); deadline <= 0 stores without a deadline.
 func (cl *Client) SortedPutTTL(name, key string, value []byte, deadline int64) error {
-	_, err := cl.Txn().SortedPutTTL(name, key, value, deadline).Commit()
+	_, err := cl.txn1().SortedPutTTL(name, key, value, deadline).Commit()
 	return err
 }
 
 // SortedGet reads key from the named sorted map (expired entries read
 // as absent).
 func (cl *Client) SortedGet(name, key string) ([]byte, bool, error) {
-	res, err := cl.Txn().SortedGet(name, key).Commit()
+	res, err := cl.txn1().SortedGet(name, key).Commit()
 	if err != nil {
 		return nil, false, err
 	}
@@ -481,7 +481,7 @@ func (cl *Client) SortedGet(name, key string) ([]byte, bool, error) {
 // SortedDelete removes key from the named sorted map; reports whether
 // it was present.
 func (cl *Client) SortedDelete(name, key string) (bool, error) {
-	res, err := cl.Txn().SortedDelete(name, key).Commit()
+	res, err := cl.txn1().SortedDelete(name, key).Commit()
 	if err != nil {
 		return false, err
 	}
@@ -492,7 +492,7 @@ func (cl *Client) SortedDelete(name, key string) (bool, error) {
 // map in key order, at most limit entries (0: server cap; hi == ""
 // scans to the end of the key space).
 func (cl *Client) RangeScan(name, lo, hi string, limit int) ([]Entry, error) {
-	res, err := cl.Txn().RangeScan(name, lo, hi, limit).Commit()
+	res, err := cl.txn1().RangeScan(name, lo, hi, limit).Commit()
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +502,7 @@ func (cl *Client) RangeScan(name, lo, hi string, limit int) ([]Entry, error) {
 // RangeCount counts the live entries of [lo, hi) in the named sorted
 // map (hi == "" counts to the end).
 func (cl *Client) RangeCount(name, lo, hi string) (int64, error) {
-	res, err := cl.Txn().RangeCount(name, lo, hi).Commit()
+	res, err := cl.txn1().RangeCount(name, lo, hi).Commit()
 	if err != nil {
 		return 0, err
 	}
@@ -512,7 +512,7 @@ func (cl *Client) RangeCount(name, lo, hi string) (int64, error) {
 // MapPutTTL stores value under key in the named map, expiring at
 // deadline (UnixNano); deadline <= 0 stores without a deadline.
 func (cl *Client) MapPutTTL(name, key string, value []byte, deadline int64) error {
-	_, err := cl.Txn().MapPutTTL(name, key, value, deadline).Commit()
+	_, err := cl.txn1().MapPutTTL(name, key, value, deadline).Commit()
 	return err
 }
 
@@ -521,7 +521,7 @@ func (cl *Client) MapPutTTL(name, key string, value []byte, deadline int64) erro
 // requeued by the server's reaper after the deadline). ok is false when
 // the queue had nothing to lease.
 func (cl *Client) LeaseConsume(name string, deadline int64) (id uint64, value []byte, ok bool, err error) {
-	res, err := cl.Txn().LeaseConsume(name, deadline).Commit()
+	res, err := cl.txn1().LeaseConsume(name, deadline).Commit()
 	if err != nil {
 		return 0, nil, false, err
 	}
@@ -535,7 +535,7 @@ func (cl *Client) LeaseConsume(name string, deadline int64) (id uint64, value []
 // at-least-once contract. To bundle the ack atomically with its side
 // effects, build a Txn with LeaseAck and the other ops instead.
 func (cl *Client) LeaseAck(name string, id uint64) (bool, error) {
-	_, err := cl.Txn().LeaseAck(name, id).Commit()
+	_, err := cl.txn1().LeaseAck(name, id).Commit()
 	var aborted *ErrTxAborted
 	if errors.As(err, &aborted) {
 		return false, nil
@@ -548,7 +548,7 @@ func (cl *Client) LeaseAck(name string, id uint64) (bool, error) {
 
 // LeaseNack returns lease id's element to the queue tail immediately.
 func (cl *Client) LeaseNack(name string, id uint64) (bool, error) {
-	res, err := cl.Txn().LeaseNack(name, id).Commit()
+	res, err := cl.txn1().LeaseNack(name, id).Commit()
 	if err != nil {
 		return false, err
 	}

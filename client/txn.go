@@ -64,11 +64,19 @@ type Txn struct {
 // Txn starts an empty transaction builder.
 func (cl *Client) Txn() *Txn { return &Txn{cl: cl} }
 
+// txn1 starts a builder for exactly one op: the single-op wrappers keep
+// an exactly-sized slice instead of add's four-op reserve.
+func (cl *Client) txn1() *Txn { return &Txn{cl: cl, ops: make([]server.TxOp, 0, 1)} }
+
 // At returns the index the NEXT op will occupy — capture it before
 // adding an op to address that op's result in the committed TxResults.
 func (t *Txn) At() int { return len(t.ops) }
 
 func (t *Txn) add(op server.TxOp) *Txn {
+	if t.ops == nil {
+		// Room for a transfer's four ops at once, not grown 1 → 2 → 4.
+		t.ops = make([]server.TxOp, 0, 4)
+	}
 	t.ops = append(t.ops, op)
 	return t
 }

@@ -183,6 +183,12 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Re
 	if runErr != nil {
 		return runErr
 	}
+	// Replay is the shard's only writer and runs its roots back to back:
+	// publish this root before the next one starts, or the next root's
+	// writes meet its unpublished entries, spin out and back off.
+	if pub := rt.Publisher(); pub != nil {
+		pub.StepOnce()
+	}
 	for _, err := range divergence {
 		if err != nil {
 			return fmt.Errorf("server: replay diverged: %w", err)

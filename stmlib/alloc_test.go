@@ -9,11 +9,11 @@ import (
 )
 
 // TestTMapGetAllocCeiling: inside an open transaction a Get that hits
-// costs what its own nested Atomic and its two loads (value bucket,
-// deadline bucket) cost and nothing more — no boxed key, no second hash.
-// Checked in both conflict models: under write-only conflicts a load logs
-// an undo record, so the baseline is a nested Atomic doing two loads
-// rather than an empty one.
+// costs what its own nested Atomic and its one load (the bucket, whose
+// entries carry their deadlines) cost and nothing more — no boxed key, no
+// second hash. Checked in both conflict models: under write-only
+// conflicts a load logs an undo record, so the baseline is a nested
+// Atomic doing a load rather than an empty one.
 func TestTMapGetAllocCeiling(t *testing.T) {
 	for name, cfg := range map[string]pnstm.Config{
 		"write-only":  {Workers: 2},
@@ -22,14 +22,14 @@ func TestTMapGetAllocCeiling(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rt := newRTConfig(t, cfg)
 			m := stmlib.NewTMap[string, []byte](64)
-			a, b := pnstm.NewTVar(0), pnstm.NewTVar(0)
+			a := pnstm.NewTVar(0)
 			key := "key-000042"
 			run(t, rt, func(c *pnstm.Ctx) {
 				_ = c.Atomic(func(c *pnstm.Ctx) error {
 					m.Put(c, key, []byte("v"))
 					base := testing.AllocsPerRun(200, func() {
 						_ = c.Atomic(func(c *pnstm.Ctx) error {
-							_ = pnstm.Load(c, a) + pnstm.Load(c, b)
+							_ = pnstm.Load(c, a)
 							return nil
 						})
 					})
@@ -39,7 +39,7 @@ func TestTMapGetAllocCeiling(t *testing.T) {
 						}
 					})
 					if get > base {
-						t.Errorf("TMap.Get hit: %.0f allocs, a nested Atomic with two loads: %.0f", get, base)
+						t.Errorf("TMap.Get hit: %.0f allocs, a nested Atomic with one load: %.0f", get, base)
 					}
 					return nil
 				})
@@ -113,6 +113,69 @@ func TestWordBackedStructureAllocCeilings(t *testing.T) {
 			}
 			if push > pushCeiling {
 				t.Errorf("TQueue.Push: %.0f allocs, ceiling %d", push, pushCeiling)
+			}
+			return nil
+		})
+	})
+}
+
+// TestTMapPutAllocFlat: a Put copies its bucket into one new slice, so it
+// costs the same objects into a 256-entry bucket as into a 1-entry one:
+// the array, the slice header boxed into the variable and the stack entry
+// the nested write pushes. A rebuilt Go map cost 4 objects past 8
+// entries where the slice costs 2.
+func TestTMapPutAllocFlat(t *testing.T) {
+	const ceiling = 3
+	rt := newRTConfig(t, pnstm.Config{Workers: 2})
+	small, big := stmlib.NewTMap[string, []byte](1), stmlib.NewTMap[string, []byte](1)
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%06d", i)
+	}
+	val := []byte("v")
+	run(t, rt, func(c *pnstm.Ctx) {
+		small.Put(c, keys[0], val)
+		for _, k := range keys {
+			big.Put(c, k, val)
+		}
+	})
+	run(t, rt, func(c *pnstm.Ctx) {
+		_ = c.Atomic(func(c *pnstm.Ctx) error {
+			put1 := testing.AllocsPerRun(200, func() { small.Put(c, keys[0], val) })
+			put256 := testing.AllocsPerRun(200, func() { big.Put(c, keys[42], val) })
+			t.Logf("Put into 1 entry: %.0f allocs, into 256 entries: %.0f", put1, put256)
+			if put256 != put1 {
+				t.Errorf("Put into 256 entries: %.0f allocs, into 1 entry: %.0f", put256, put1)
+			}
+			if put256 > ceiling {
+				t.Errorf("Put into 256 entries: %.0f allocs, ceiling %d", put256, ceiling)
+			}
+			return nil
+		})
+	})
+}
+
+// BenchmarkTMapPut256 overwrites one key of a 256-entry bucket (point-mem's
+// occupancy) inside an open transaction.
+func BenchmarkTMapPut256(b *testing.B) {
+	rt := newRTConfig(b, pnstm.Config{Workers: 2})
+	m := stmlib.NewTMap[string, []byte](1)
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%06d", i)
+	}
+	val := []byte("v")
+	run(b, rt, func(c *pnstm.Ctx) {
+		for _, k := range keys {
+			m.Put(c, k, val)
+		}
+	})
+	run(b, rt, func(c *pnstm.Ctx) {
+		_ = c.Atomic(func(c *pnstm.Ctx) error {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Put(c, keys[i%256], val)
 			}
 			return nil
 		})

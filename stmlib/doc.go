@@ -30,13 +30,15 @@
 // programs run with serial nesting — Parallel degrades to sequential
 // inline children — which is the baseline the benchmarks compare against.
 //
-// # Values are copied, not shared
+// # Containers are copied, values are shared
 //
-// The structures store values with persistent-data-structure discipline:
-// a transactional write replaces a bucket map or list node wholesale and
-// never mutates shared state in place, because the STM's rollback restores
-// previous values by reference. Callers must follow the same rule for the
-// V/T payloads they store: treat a value handed to Put/Push as frozen. If
-// a payload must be mutable, store a pointer to data guarded elsewhere or
-// copy before mutating.
+// The structures keep their state with persistent-data-structure
+// discipline: a transactional write stores a fresh copy of what it
+// changes — a map bucket's hash-sorted entry slice, a sorted-map leaf, a
+// list node — and never writes into a stored one, because the STM's
+// rollback restores previous values by reference. The V/T payloads
+// themselves are not copied: a value handed to Put/Push is stored as is
+// and handed back as is, so callers must treat it as frozen. If a payload
+// must be mutable, store a pointer to data guarded elsewhere or copy
+// before mutating.
 package stmlib

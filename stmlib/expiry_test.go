@@ -1,6 +1,7 @@
 package stmlib_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -185,6 +186,52 @@ func TestRegistryImageV2RoundTrip(t *testing.T) {
 			t.Errorf("index after ack = %d want 2", n)
 		}
 	})
+}
+
+// TestTMapDeleteTakesDeadlineAlong: a TTL'd key deleted through Update or
+// BulkUpdate loses its deadline with it. Re-inserted through Update, the
+// key is a plain key: visible past the old deadline, never swept, absent
+// from the expiry index.
+func TestTMapDeleteTakesDeadlineAlong(t *testing.T) {
+	drop := func(_ []byte, _ bool) ([]byte, bool) { return nil, false }
+	deletes := map[string]func(c *pnstm.Ctx, m *stmlib.TMap[string, []byte], k string){
+		"Update": func(c *pnstm.Ctx, m *stmlib.TMap[string, []byte], k string) { m.Update(c, k, drop) },
+		"BulkUpdate": func(c *pnstm.Ctx, m *stmlib.TMap[string, []byte], k string) {
+			m.BulkUpdate(c, []string{k}, func(_ string, v []byte, ok bool) ([]byte, bool) { return drop(v, ok) })
+		},
+	}
+	for name, del := range deletes {
+		t.Run(name, func(t *testing.T) {
+			rt := newRT(t, 2, false)
+			r := stmlib.NewRegistry(stmlib.RegistryConfig{MapBuckets: 8})
+			m := r.Map("sessions")
+			past := time.Now().Add(-time.Hour).UnixNano()
+			run(t, rt, func(c *pnstm.Ctx) {
+				m.PutTTL(c, "k", []byte("old"), past)
+				del(c, m, "k")
+				m.Update(c, "k", func(_ []byte, ok bool) ([]byte, bool) {
+					if ok {
+						t.Error("deleted key still present")
+					}
+					return []byte("new"), true
+				})
+			})
+			run(t, rt, func(c *pnstm.Ctx) {
+				if v, ok := m.Get(c, "k"); !ok || string(v) != "new" {
+					t.Errorf("re-inserted key past the old deadline = %q,%v want \"new\",true", v, ok)
+				}
+				if m.ExpireThrough(c, "k", math.MaxInt64) {
+					t.Error("ExpireThrough swept the re-inserted key")
+				}
+				if n := r.ExpiryIndex().RangeCountFrom(c, ""); n != 0 {
+					t.Errorf("expiry index holds %d entries, want 0", n)
+				}
+				if ttls := m.TTLSnapshot(c); len(ttls) != 0 {
+					t.Errorf("TTLSnapshot = %v, want empty", ttls)
+				}
+			})
+		})
+	}
 }
 
 func TestTMapTTL(t *testing.T) {

@@ -125,17 +125,20 @@ func (r *Registry) Import(c *pnstm.Ctx, img *RegistryImage) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		var tasks []func(*pnstm.Ctx)
 		for name, entries := range img.Maps {
-			m, entries := r.Map(name), entries
+			m, entries, ttls := r.Map(name), entries, img.MapTTLs[name]
 			tasks = append(tasks, func(c *pnstm.Ctx) {
 				keys := make([]string, 0, len(entries))
 				for k := range entries {
 					keys = append(keys, k)
 				}
 				// BulkUpdate re-groups the keys by bucket group and forks
-				// the map's own nested children.
+				// the map's own nested children. A deadline lives in its
+				// key's entry, so the deadlines go in after the values, in
+				// the same task.
 				m.BulkUpdate(c, keys, func(k string, _ []byte, _ bool) ([]byte, bool) {
 					return entries[k], true
 				})
+				m.ImportTTLs(c, ttls)
 			})
 		}
 		for name, elems := range img.Queues {
@@ -149,10 +152,6 @@ func (r *Registry) Import(c *pnstm.Ctx, img *RegistryImage) {
 					cnt.Add(c, total)
 				}
 			})
-		}
-		for name, ttls := range img.MapTTLs {
-			m, ttls := r.Map(name), ttls
-			tasks = append(tasks, func(c *pnstm.Ctx) { m.ImportTTLs(c, ttls) })
 		}
 		for name, entries := range img.Sorted {
 			sm, entries := r.SortedMap(name), entries

@@ -1,6 +1,8 @@
 package stmlib
 
 import (
+	"slices"
+
 	"pnstm"
 )
 
@@ -14,33 +16,41 @@ const DefaultFanout = 8
 
 // TMap is a transactional hash map from K to V, implemented as a fixed
 // array of buckets, each a transactional variable holding an immutable
-// (copy-on-write) Go map.
+// slice of entries sorted by key hash. An entry carries its key's TTL
+// deadline beside the value, so a value and its deadline are written,
+// rolled back and deleted together.
 //
 // Point operations (Get, Put, Delete, Contains) run as one nested
 // transaction touching a single bucket, so operations on different
-// buckets by parallel sibling transactions do not conflict. Bulk
-// operations (Len, Range, Snapshot, Clear, BulkUpdate) fork one nested
-// child transaction per bucket group via Ctx.Parallel: inside an
-// enclosing transaction the whole bulk step is atomic, yet its work runs
-// on every available worker slot. Under pnstm.Config{Serial: true} the
-// children run inline sequentially and the semantics are unchanged.
+// buckets by parallel sibling transactions do not conflict; a write
+// copies its bucket once, with the one entry inserted, replaced or
+// removed. Bulk operations (Len, Range, Snapshot, Clear, BulkUpdate) fork
+// one nested child transaction per bucket group via Ctx.Parallel: inside
+// an enclosing transaction the whole bulk step is atomic, yet its work
+// runs on every available worker slot. Under pnstm.Config{Serial: true}
+// the children run inline sequentially and the semantics are unchanged.
 //
 // A TMap must be created with NewTMap. It may be shared freely between
 // transactions; the zero value is not usable.
 type TMap[K comparable, V any] struct {
-	buckets []*pnstm.TVar[map[K]V]
-	// ttl mirrors buckets: ttl[i] holds the absolute expiry deadlines
-	// (Unix nanos) of bucket i's TTL'd keys. Kept separate so maps that
-	// never use TTL pay only one extra read per Get; the deadline maps
-	// are immutable (copy-on-write) like the value buckets.
-	ttl    []*pnstm.TVar[map[K]int64]
-	mask   uint64
-	fanout int
+	buckets []*pnstm.TVar[[]entry[K, V]]
+	mask    uint64
+	fanout  int
 
 	// hook, when set, is invoked inside the mutating transaction
 	// whenever a key's deadline changes (oldExp → newExp, either may be
 	// 0) — the registry uses it to maintain its deadline index.
 	hook func(c *pnstm.Ctx, oldExp, newExp int64, k K)
+}
+
+// entry is one key of a bucket. h is the key's full hashKey, the order a
+// bucket is sorted in; exp is its absolute expiry deadline in Unix nanos
+// (0: none).
+type entry[K comparable, V any] struct {
+	h   uint64
+	k   K
+	v   V
+	exp int64
 }
 
 // NewTMap returns a TMap with the given number of buckets (rounded up to
@@ -61,14 +71,12 @@ func NewTMapFanout[K comparable, V any](buckets, fanout int) *TMap[K, V] {
 		fanout = 1
 	}
 	m := &TMap[K, V]{
-		buckets: make([]*pnstm.TVar[map[K]V], n),
-		ttl:     make([]*pnstm.TVar[map[K]int64], n),
+		buckets: make([]*pnstm.TVar[[]entry[K, V]], n),
 		mask:    uint64(n - 1),
 		fanout:  fanout,
 	}
 	for i := range m.buckets {
-		m.buckets[i] = pnstm.NewTVar[map[K]V](nil)
-		m.ttl[i] = pnstm.NewTVar[map[K]int64](nil)
+		m.buckets[i] = pnstm.NewTVar[[]entry[K, V]](nil)
 	}
 	return m
 }
@@ -83,9 +91,6 @@ func (m *TMap[K, V]) SetLabel(name string) {
 	for i, b := range m.buckets {
 		b.SetLabel("m:" + name + "/" + itoa(i))
 	}
-	for i, b := range m.ttl {
-		b.SetLabel("m:" + name + "/ttl" + itoa(i))
-	}
 }
 
 // SetExpiryHook installs the deadline-change callback (registry index
@@ -94,27 +99,64 @@ func (m *TMap[K, V]) SetExpiryHook(h func(c *pnstm.Ctx, oldExp, newExp int64, k 
 	m.hook = h
 }
 
-// index is k's position in both buckets and ttl. Operations hash a key
-// once and use the index for both arrays.
-func (m *TMap[K, V]) index(k K) int {
-	return int(hashKey(k) & m.mask)
+// bucket hashes k once and returns the hash and k's bucket.
+func (m *TMap[K, V]) bucket(k K) (uint64, *pnstm.TVar[[]entry[K, V]]) {
+	h := hashKey(k)
+	return h, m.buckets[h&m.mask]
 }
 
-// clearDeadline drops k's deadline (if any) from ttl[i], k's bucket,
-// inside the caller's transaction and fires the hook. Caller must be
-// inside an Atomic.
-func (m *TMap[K, V]) clearDeadline(c *pnstm.Ctx, i int, k K) {
-	tv := m.ttl[i]
-	old := pnstm.Load(c, tv)
-	exp, had := old[k]
-	if !had {
-		return
+// find returns k's position in bucket b and whether k is there; when it
+// is not, the position is where an entry for k belongs. A binary search
+// on h finds the run of entries sharing k's hash, and a scan of the run
+// compares keys.
+func find[K comparable, V any](b []entry[K, V], h uint64, k K) (int, bool) {
+	lo, hi := 0, len(b)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); b[mid].h < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	next := cloneBucket(old, 0)
-	delete(next, k)
-	pnstm.Store(c, tv, next)
-	if m.hook != nil {
-		m.hook(c, exp, 0, k)
+	for j := lo; j < len(b) && b[j].h == h; j++ {
+		if b[j].k == k {
+			return j, true
+		}
+	}
+	return lo, false
+}
+
+// set returns a copy of b with e at position i, replacing the entry there
+// when found and inserted before it otherwise. Neither set nor remove
+// writes into b: the STM's rollback restores a bucket by reference.
+func set[K comparable, V any](b []entry[K, V], i int, found bool, e entry[K, V]) []entry[K, V] {
+	rest := b[i:]
+	if found {
+		rest = b[i+1:]
+	}
+	next := make([]entry[K, V], i+1+len(rest))
+	copy(next, b[:i])
+	next[i] = e
+	copy(next[i+1:], rest)
+	return next
+}
+
+// remove returns a copy of b without the entry at position i (nil once
+// the bucket is empty).
+func remove[K comparable, V any](b []entry[K, V], i int) []entry[K, V] {
+	if len(b) == 1 {
+		return nil
+	}
+	next := make([]entry[K, V], len(b)-1)
+	copy(next, b[:i])
+	copy(next[i:], b[i+1:])
+	return next
+}
+
+// expire fires the hook for a deadline that goes away with its entry.
+func (m *TMap[K, V]) expire(c *pnstm.Ctx, e entry[K, V]) {
+	if m.hook != nil && e.exp != 0 {
+		m.hook(c, e.exp, 0, e.k)
 	}
 }
 
@@ -123,15 +165,14 @@ func (m *TMap[K, V]) clearDeadline(c *pnstm.Ctx, i int, k K) {
 // reaper sweeps it physically.
 func (m *TMap[K, V]) Get(c *pnstm.Ctx, k K) (V, bool) {
 	now := nowNanos()
-	i := m.index(k)
+	h, tv := m.bucket(k)
 	var v V
 	var ok bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		v, ok = pnstm.Load(c, m.buckets[i])[k]
-		if ok {
-			if exp := pnstm.Load(c, m.ttl[i])[k]; exp > 0 && exp <= now {
-				v, ok = *new(V), false
-			}
+		v, ok = *new(V), false
+		b := pnstm.Load(c, tv)
+		if i, found := find(b, h, k); found && (b[i].exp == 0 || b[i].exp > now) {
+			v, ok = b[i].v, true
 		}
 		return nil
 	})
@@ -147,15 +188,7 @@ func (m *TMap[K, V]) Contains(c *pnstm.Ctx, k K) bool {
 // Put stores v under k, replacing any previous value and clearing any
 // previous TTL deadline.
 func (m *TMap[K, V]) Put(c *pnstm.Ctx, k K, v V) {
-	i := m.index(k)
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.buckets[i]
-		next := cloneBucket(pnstm.Load(c, tv), 1)
-		next[k] = v
-		pnstm.Store(c, tv, next)
-		m.clearDeadline(c, i, k)
-		return nil
-	})
+	m.put(c, k, v, 0)
 }
 
 // PutTTL stores v under k with an absolute expiry deadline in Unix
@@ -163,22 +196,19 @@ func (m *TMap[K, V]) Put(c *pnstm.Ctx, k K, v V) {
 // reaper removes it physically via ExpireThrough. exp <= 0 behaves
 // like Put.
 func (m *TMap[K, V]) PutTTL(c *pnstm.Ctx, k K, v V, exp int64) {
-	if exp <= 0 {
-		m.Put(c, k, v)
-		return
-	}
-	i := m.index(k)
+	m.put(c, k, v, max(exp, 0))
+}
+
+func (m *TMap[K, V]) put(c *pnstm.Ctx, k K, v V, exp int64) {
+	h, tv := m.bucket(k)
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.buckets[i]
-		next := cloneBucket(pnstm.Load(c, tv), 1)
-		next[k] = v
-		pnstm.Store(c, tv, next)
-		ttv := m.ttl[i]
-		oldT := pnstm.Load(c, ttv)
-		oldExp := oldT[k]
-		nextT := cloneBucket(oldT, 1)
-		nextT[k] = exp
-		pnstm.Store(c, ttv, nextT)
+		b := pnstm.Load(c, tv)
+		i, found := find(b, h, k)
+		var oldExp int64
+		if found {
+			oldExp = b[i].exp
+		}
+		pnstm.Store(c, tv, set(b, i, found, entry[K, V]{h, k, v, exp}))
 		if m.hook != nil && oldExp != exp {
 			m.hook(c, oldExp, exp, k)
 		}
@@ -191,50 +221,27 @@ func (m *TMap[K, V]) PutTTL(c *pnstm.Ctx, k K, v V, exp int64) {
 // cutoff, no wall clock, so the operation is deterministic to log and
 // replay.
 func (m *TMap[K, V]) ExpireThrough(c *pnstm.Ctx, k K, cutoff int64) bool {
-	i := m.index(k)
-	var swept bool
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		swept = false
-		ttv := m.ttl[i]
-		oldT := pnstm.Load(c, ttv)
-		exp, had := oldT[k]
-		if !had || exp > cutoff {
-			return nil
-		}
-		swept = true
-		nextT := cloneBucket(oldT, 0)
-		delete(nextT, k)
-		pnstm.Store(c, ttv, nextT)
-		tv := m.buckets[i]
-		old := pnstm.Load(c, tv)
-		if _, ok := old[k]; ok {
-			next := cloneBucket(old, 0)
-			delete(next, k)
-			pnstm.Store(c, tv, next)
-		}
-		if m.hook != nil {
-			m.hook(c, exp, 0, k)
-		}
-		return nil
-	})
-	return swept
+	return m.drop(c, k, func(e entry[K, V]) bool { return e.exp != 0 && e.exp <= cutoff })
 }
 
 // Delete removes k physically — deadline or not — and reports whether
 // an entry (live or expired-unswept) was present.
 func (m *TMap[K, V]) Delete(c *pnstm.Ctx, k K) bool {
-	i := m.index(k)
+	return m.drop(c, k, nil)
+}
+
+// drop removes k's entry if it is present and due (nil due: always),
+// reporting whether it did.
+func (m *TMap[K, V]) drop(c *pnstm.Ctx, k K, due func(entry[K, V]) bool) bool {
+	h, tv := m.bucket(k)
 	var had bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.buckets[i]
-		old := pnstm.Load(c, tv)
-		if _, had = old[k]; !had {
-			return nil
+		b := pnstm.Load(c, tv)
+		i, found := find(b, h, k)
+		if had = found && (due == nil || due(b[i])); had {
+			pnstm.Store(c, tv, remove(b, i))
+			m.expire(c, b[i])
 		}
-		next := cloneBucket(old, 0)
-		delete(next, k)
-		pnstm.Store(c, tv, next)
-		m.clearDeadline(c, i, k)
 		return nil
 	})
 	return had
@@ -242,25 +249,28 @@ func (m *TMap[K, V]) Delete(c *pnstm.Ctx, k K) bool {
 
 // Update atomically transforms the value under k: f receives the current
 // value (or the zero V) and whether k was present, and returns the value
-// to store and whether to keep the key at all (false deletes it). Update
-// returns the stored value and the keep decision. f may run several times
-// (transaction retry) and must be side-effect free.
+// to store and whether to keep the key at all (false deletes it, deadline
+// included; a kept key keeps its deadline). Update returns the stored
+// value and the keep decision. f may run several times (transaction
+// retry) and must be side-effect free.
 func (m *TMap[K, V]) Update(c *pnstm.Ctx, k K, f func(V, bool) (V, bool)) (V, bool) {
+	h, tv := m.bucket(k)
 	var out V
 	var kept bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		tv := m.buckets[m.index(k)]
-		old := pnstm.Load(c, tv)
-		cur, ok := old[k]
-		out, kept = f(cur, ok)
+		b := pnstm.Load(c, tv)
+		i, found := find(b, h, k)
+		e := entry[K, V]{h: h, k: k}
+		if found {
+			e = b[i]
+		}
+		out, kept = f(e.v, found)
 		if kept {
-			next := cloneBucket(old, 1)
-			next[k] = out
-			pnstm.Store(c, tv, next)
-		} else if ok {
-			next := cloneBucket(old, 0)
-			delete(next, k)
-			pnstm.Store(c, tv, next)
+			e.v = out
+			pnstm.Store(c, tv, set(b, i, found, e))
+		} else if found {
+			pnstm.Store(c, tv, remove(b, i))
+			m.expire(c, e)
 		}
 		return nil
 	})
@@ -298,8 +308,8 @@ func (m *TMap[K, V]) Range(c *pnstm.Ctx, f func(K, V)) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				for k, v := range pnstm.Load(c, m.buckets[i]) {
-					f(k, v)
+				for _, e := range pnstm.Load(c, m.buckets[i]) {
+					f(e.k, e.v)
 				}
 			}
 		})
@@ -310,22 +320,37 @@ func (m *TMap[K, V]) Range(c *pnstm.Ctx, f func(K, V)) {
 // Snapshot returns a consistent copy of the whole map, collected by one
 // nested child per bucket group and merged after the join.
 func (m *TMap[K, V]) Snapshot(c *pnstm.Ctx) map[K]V {
-	var out map[K]V
+	return collect(c, m, func(e entry[K, V]) (V, bool) { return e.v, true })
+}
+
+// TTLSnapshot returns a consistent copy of every key's expiry deadline
+// (keys without a TTL are absent), collected like Snapshot — the TTL
+// side of the map's checkpoint payload.
+func (m *TMap[K, V]) TTLSnapshot(c *pnstm.Ctx) map[K]int64 {
+	return collect(c, m, func(e entry[K, V]) (int64, bool) { return e.exp, e.exp != 0 })
+}
+
+// collect maps every entry pick accepts to pick's answer: one nested
+// child per bucket group fills a part, and the parts merge after the join.
+func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entry[K, V]) (T, bool)) map[K]T {
+	var out map[K]T
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		parts := make([]map[K]V, m.groupCount())
+		parts := make([]map[K]T, m.groupCount())
 		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
-			part := make(map[K]V)
+			part := make(map[K]T)
 			for i := lo; i < hi; i++ {
-				for k, v := range pnstm.Load(c, m.buckets[i]) {
-					part[k] = v
+				for _, e := range pnstm.Load(c, m.buckets[i]) {
+					if x, ok := pick(e); ok {
+						part[e.k] = x
+					}
 				}
 			}
 			parts[g] = part
 		})
-		out = make(map[K]V)
+		out = make(map[K]T)
 		for _, part := range parts {
-			for k, v := range part {
-				out[k] = v
+			for k, x := range part {
+				out[k] = x
 			}
 		}
 		return nil
@@ -339,15 +364,10 @@ func (m *TMap[K, V]) Clear(c *pnstm.Ctx) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if pnstm.Load(c, m.buckets[i]) != nil {
-					pnstm.Store[map[K]V](c, m.buckets[i], nil)
-				}
-				if old := pnstm.Load(c, m.ttl[i]); old != nil {
-					pnstm.Store[map[K]int64](c, m.ttl[i], nil)
-					if m.hook != nil {
-						for k, exp := range old {
-							m.hook(c, exp, 0, k)
-						}
+				if old := pnstm.Load(c, m.buckets[i]); old != nil {
+					pnstm.Store[[]entry[K, V]](c, m.buckets[i], nil)
+					for _, e := range old {
+						m.expire(c, e)
 					}
 				}
 			}
@@ -356,54 +376,40 @@ func (m *TMap[K, V]) Clear(c *pnstm.Ctx) {
 	})
 }
 
-// TTLSnapshot returns a consistent copy of every key's expiry deadline
-// (keys without a TTL are absent), collected like Snapshot — the TTL
-// side of the map's checkpoint payload.
-func (m *TMap[K, V]) TTLSnapshot(c *pnstm.Ctx) map[K]int64 {
-	var out map[K]int64
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		parts := make([]map[K]int64, m.groupCount())
-		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
-			part := make(map[K]int64)
-			for i := lo; i < hi; i++ {
-				for k, exp := range pnstm.Load(c, m.ttl[i]) {
-					part[k] = exp
-				}
-			}
-			parts[g] = part
-		})
-		out = make(map[K]int64)
-		for _, part := range parts {
-			for k, exp := range part {
-				out[k] = exp
-			}
-		}
-		return nil
-	})
-	return out
-}
-
-// ImportTTLs restores exported deadlines (keys must already hold their
-// values), firing the expiry hook so the registry's deadline index —
-// which snapshots deliberately do not serialize — is rebuilt.
+// ImportTTLs restores exported deadlines onto keys that already hold
+// their values (the deadline of an absent key is dropped), firing the
+// expiry hook so the registry's deadline index — which snapshots
+// deliberately do not serialize — is rebuilt. It runs as one sequential
+// nested transaction, so its hook calls never meet each other on the
+// shared index, and copies a bucket once, only if one of its deadlines
+// changes; the copy is private until Store.
 func (m *TMap[K, V]) ImportTTLs(c *pnstm.Ctx, ttls map[K]int64) {
 	if len(ttls) == 0 {
 		return
 	}
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
+		copies := make(map[uint64][]entry[K, V])
 		for k, exp := range ttls {
-			if exp <= 0 {
+			h := hashKey(k)
+			b, copied := copies[h&m.mask]
+			if !copied {
+				b = pnstm.Load(c, m.buckets[h&m.mask])
+			}
+			i, found := find(b, h, k)
+			if exp <= 0 || !found || b[i].exp == exp {
 				continue
 			}
-			ttv := m.ttl[m.index(k)]
-			oldT := pnstm.Load(c, ttv)
-			oldExp := oldT[k]
-			nextT := cloneBucket(oldT, 1)
-			nextT[k] = exp
-			pnstm.Store(c, ttv, nextT)
-			if m.hook != nil && oldExp != exp {
-				m.hook(c, oldExp, exp, k)
+			if !copied {
+				b = slices.Clone(b)
+				copies[h&m.mask] = b
 			}
+			if m.hook != nil {
+				m.hook(c, b[i].exp, exp, k)
+			}
+			b[i].exp = exp
+		}
+		for i, b := range copies {
+			pnstm.Store(c, m.buckets[i], b)
 		}
 		return nil
 	})
@@ -413,9 +419,12 @@ func (m *TMap[K, V]) ImportTTLs(c *pnstm.Ctx, ttls map[K]int64) {
 // grouped by bucket group and one nested child per non-empty group
 // applies its share in parallel; keys hashing to different groups are
 // updated by different child transactions. f has Update semantics:
-// (current value, present) in, (new value, keep) out. Duplicate keys in
-// keys are applied once per occurrence in an unspecified order; f must be
-// side-effect free (children retry on conflict).
+// (current value, present) in, (new value, keep) out; a deleted key's
+// deadline goes with it. Duplicate keys in keys are applied once per
+// occurrence in an unspecified order; f must be side-effect free
+// (children retry on conflict). Each touched bucket is copied once and
+// stored once, however many keys land in it; the copy is the child's own
+// until Store, so only it is ever written in place.
 func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, bool)) {
 	if len(keys) == 0 {
 		return
@@ -424,7 +433,7 @@ func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, b
 		bounds := groupBounds(len(m.buckets), m.fanout)
 		groups := make([][]K, len(bounds)-1)
 		for _, k := range keys {
-			g := groupOf(bounds, m.index(k))
+			g := groupOf(bounds, int(hashKey(k)&m.mask))
 			groups[g] = append(groups[g], k)
 		}
 		var fns []func(*pnstm.Ctx)
@@ -435,32 +444,37 @@ func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, b
 			}
 			fns = append(fns, func(c *pnstm.Ctx) {
 				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					// Group this child's keys by bucket so each touched
-					// bucket is cloned and stored once, however many keys
-					// land in it.
-					byBucket := make(map[int][]K)
+					byBucket := make(map[uint64][]K)
 					for _, k := range groups[g] {
-						b := m.index(k)
+						b := hashKey(k) & m.mask
 						byBucket[b] = append(byBucket[b], k)
 					}
 					for b, ks := range byBucket {
-						tv := m.buckets[b]
-						old := pnstm.Load(c, tv)
-						next := cloneBucket(old, len(ks))
+						old := pnstm.Load(c, m.buckets[b])
+						next := append(make([]entry[K, V], 0, len(old)+len(ks)), old...)
 						dirty := false
 						for _, k := range ks {
-							cur, ok := next[k]
-							v, keep := f(k, cur, ok)
-							if keep {
-								next[k] = v
-								dirty = true
-							} else if ok {
-								delete(next, k)
-								dirty = true
+							h := hashKey(k)
+							i, found := find(next, h, k)
+							e := entry[K, V]{h: h, k: k}
+							if found {
+								e = next[i]
 							}
+							var keep bool
+							e.v, keep = f(k, e.v, found)
+							switch {
+							case keep && found:
+								next[i] = e
+							case keep:
+								next = slices.Insert(next, i, e)
+							case found:
+								next = slices.Delete(next, i, i+1)
+								m.expire(c, e)
+							}
+							dirty = dirty || keep || found
 						}
 						if dirty {
-							pnstm.Store(c, tv, next)
+							pnstm.Store(c, m.buckets[b], next)
 						}
 					}
 					return nil
@@ -512,15 +526,4 @@ func groupOf(bounds []int, b int) int {
 		}
 	}
 	return lo
-}
-
-// cloneBucket copies a bucket map with room for extra more entries. The
-// stored maps are immutable: every mutation goes through a clone, so that
-// the STM's by-reference undo records stay valid after rollback.
-func cloneBucket[K comparable, V any](old map[K]V, extra int) map[K]V {
-	next := make(map[K]V, len(old)+extra)
-	for k, v := range old {
-		next[k] = v
-	}
-	return next
 }

@@ -97,8 +97,18 @@ func (s leafScript) applyRef(ref map[int]int) {
 	}
 }
 
+// oracleMap is what the programs drive: a TMap[int, int], or an adapter
+// that maps the int keys onto another key type.
+type oracleMap interface {
+	Put(c *pnstm.Ctx, k, v int)
+	Delete(c *pnstm.Ctx, k int) bool
+	Update(c *pnstm.Ctx, k int, f func(int, bool) (int, bool)) (int, bool)
+	Get(c *pnstm.Ctx, k int) (int, bool)
+	Snapshot(c *pnstm.Ctx) map[int]int
+}
+
 // applyTM applies a leaf script transactionally.
-func (s leafScript) applyTM(c *pnstm.Ctx, m *stmlib.TMap[int, int]) {
+func (s leafScript) applyTM(c *pnstm.Ctx, m oracleMap) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		for _, op := range s.ops {
 			switch op.kind {
@@ -129,7 +139,7 @@ func (p *structProg) runRef(ref map[int]int) {
 }
 
 // runTM runs the program in the given context.
-func (p *structProg) runTM(c *pnstm.Ctx, m *stmlib.TMap[int, int]) {
+func (p *structProg) runTM(c *pnstm.Ctx, m oracleMap) {
 	switch p.kind {
 	case 0:
 		p.script.applyTM(c, m)
@@ -152,21 +162,26 @@ func (p *structProg) runTM(c *pnstm.Ctx, m *stmlib.TMap[int, int]) {
 	}
 }
 
-// executeStructProg runs p on a fresh runtime and returns the final map
-// contents.
-func executeStructProg(t *testing.T, p *structProg, workers int, serial bool) map[int]int {
+// executeStructProg runs p against m on a fresh runtime and returns the
+// final map contents twice: as Snapshot reads them, and as Get reads each
+// of keys.
+func executeStructProg(t *testing.T, p *structProg, workers int, serial bool, m oracleMap, keys []int) (snap, gets map[int]int) {
 	t.Helper()
 	rt := newRT(t, workers, serial)
-	m := stmlib.NewTMap[int, int](32)
-	var snap map[int]int
+	gets = make(map[int]int)
 	run(t, rt, func(c *pnstm.Ctx) {
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
 			p.runTM(c, m)
 			return nil
 		})
 		snap = m.Snapshot(c)
+		for _, k := range keys {
+			if v, ok := m.Get(c, k); ok {
+				gets[k] = v
+			}
+		}
 	})
-	return snap
+	return snap, gets
 }
 
 func diffMaps(t *testing.T, label string, got, want map[int]int) {
@@ -187,6 +202,21 @@ func diffMaps(t *testing.T, label string, got, want map[int]int) {
 }
 
 func TestOracleTMapRandomProgramsMatchReference(t *testing.T) {
+	oracleTMap(t, 7, func() oracleMap { return stmlib.NewTMap[int, int](32) }) // spread over buckets
+}
+
+// TestOracleTMapHashCollisions runs the oracle programs on keys that
+// collide: int key k is stored as float64 k/4, and hashKey truncates a
+// float to its integer part, so each run of four keys (1.25 and 1.75
+// among them) shares one hash and one bucket. Put, Delete, Update and Get
+// must each find the key's own entry in its run of equal hashes.
+func TestOracleTMapHashCollisions(t *testing.T) {
+	oracleTMap(t, 1, func() oracleMap { return collidingMap{stmlib.NewTMap[float64, int](8)} })
+}
+
+// oracleTMap runs 25 random programs over 48 keys spaced stride apart on
+// fresh maps from newMap, serial and parallel, against the reference.
+func oracleTMap(t *testing.T, stride int, newMap func() oracleMap) {
 	const nKeys = 48
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
@@ -194,21 +224,47 @@ func TestOracleTMapRandomProgramsMatchReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			keys := make([]int, nKeys)
 			for i := range keys {
-				keys[i] = i * 7 // spread over buckets
+				keys[i] = i * stride
 			}
 			p := genStructProg(rng, keys, 4)
 
 			ref := make(map[int]int)
 			p.runRef(ref)
 
-			serial := executeStructProg(t, p, 1, true)
-			diffMaps(t, "serial vs reference", serial, ref)
-			for _, workers := range []int{2, 4} {
-				par := executeStructProg(t, p, workers, false)
-				diffMaps(t, fmt.Sprintf("parallel(%d) vs reference", workers), par, ref)
+			for _, cfg := range []struct {
+				workers int
+				serial  bool
+			}{{1, true}, {2, false}, {4, false}} {
+				label := "serial"
+				if !cfg.serial {
+					label = fmt.Sprintf("parallel(%d)", cfg.workers)
+				}
+				snap, gets := executeStructProg(t, p, cfg.workers, cfg.serial, newMap(), keys)
+				diffMaps(t, label+" snapshot vs reference", snap, ref)
+				diffMaps(t, label+" gets vs reference", gets, ref)
 			}
 		})
 	}
+}
+
+// collidingMap drives a TMap[float64, int] through int keys, storing key
+// k under k/4.
+type collidingMap struct{ m *stmlib.TMap[float64, int] }
+
+func quarter(k int) float64 { return float64(k) / 4 }
+
+func (cm collidingMap) Put(c *pnstm.Ctx, k, v int)          { cm.m.Put(c, quarter(k), v) }
+func (cm collidingMap) Delete(c *pnstm.Ctx, k int) bool     { return cm.m.Delete(c, quarter(k)) }
+func (cm collidingMap) Get(c *pnstm.Ctx, k int) (int, bool) { return cm.m.Get(c, quarter(k)) }
+func (cm collidingMap) Update(c *pnstm.Ctx, k int, f func(int, bool) (int, bool)) (int, bool) {
+	return cm.m.Update(c, quarter(k), f)
+}
+func (cm collidingMap) Snapshot(c *pnstm.Ctx) map[int]int {
+	out := make(map[int]int)
+	for f, v := range cm.m.Snapshot(c) {
+		out[int(f*4)] = v
+	}
+	return out
 }
 
 // TestOracleCommutativeAllStructures: every leaf performs the same
