@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -65,6 +67,52 @@ func TestCase2NoFalseConflictWithPausedPublisher(t *testing.T) {
 		if o.Peek() != 10+i {
 			t.Fatalf("obj %d = %v", i, o.Peek())
 		}
+	}
+}
+
+// TestRecycledVictimKeepsItsOwnWrites is case 2 for the last block still
+// running. When a finishing sibling discards that block's bitnum (§6.2),
+// the block carries on under its base transaction's identity, so what it
+// committed under its own bitnum is no longer an ancestor's. Until the
+// publisher publishes the discard — never, here — the block's next access
+// to an object it wrote before the switch must not read as a conflict: a
+// bitnum with a pending discard counts as its base's (activeAncestors).
+func TestRecycledVictimKeepsItsOwnWrites(t *testing.T) {
+	rt := newRT(t, 4, func(c *Config) { c.PublisherStartPaused = true })
+	x := NewObject(0)
+	stored, done := make(chan struct{}), make(chan error, 1)
+	var once sync.Once // a retried root runs the block again
+	go func() {
+		done <- rt.Run(func(c *Ctx) {
+			_ = c.Atomic(func(c *Ctx) error {
+				c.Parallel(
+					func(c *Ctx) {
+						_ = c.Atomic(func(c *Ctx) error { c.Store(x, 1); return nil })
+						once.Do(func() { close(stored) })
+						// Run on until the sibling has finished and discarded
+						// this block's bitnum.
+						for deadline := time.Now().Add(5 * time.Second); rt.stats.remoteDiscards.Load() == 0 && time.Now().Before(deadline); {
+							runtime.Gosched()
+						}
+						_ = c.Atomic(func(c *Ctx) error { c.Store(x, c.Load(x).(int)+1); return nil })
+					},
+					func(*Ctx) { <-stored },
+				)
+				return nil
+			})
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		rt.Publisher().Drain()
+		t.Fatal("the root did not finish with the publisher paused")
+	}
+	if st := rt.Stats(); st.Conflicts != 0 || st.RemoteDiscards != 1 || x.Peek() != 2 {
+		t.Fatalf("x = %v after %d conflicts and %d remote discards; want 2, 0 and 1 (%+v)", x.Peek(), st.Conflicts, st.RemoteDiscards, st)
 	}
 }
 

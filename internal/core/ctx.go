@@ -352,7 +352,7 @@ func (c *Ctx) commit(tx *txDesc) {
 	}
 	c.advanceEpoch()
 	if tx.parent != nil {
-		tx.spliceInto(tx.parent)
+		tx.spliceInto(tx.parent, c.rt.undoReleaseHook)
 	} else {
 		tx.releaseUndo(c.rt.undoReleaseHook)
 	}

@@ -260,11 +260,13 @@ func (c *Ctx) tryAccess(o *Object, tx *txDesc) bool {
 	// Refresh our own ancestor set before the subset test: a unilaterally
 	// discarded ancestor bitnum may have been re-used by a concurrent
 	// transaction, and a stale bit on our side would make the test pass
-	// wrongly (ARCHITECTURE.md D11).
+	// wrongly (ARCHITECTURE.md D11). A bit the refresh drops was published
+	// (or is being) after xanc was read, so a failed test reads xanc again
+	// before it calls the access a conflict.
 	c.refreshAnc()
 	// Paper noConflict: the access is safe iff every still-active
 	// transaction that accessed the object is our ancestor.
-	if xanc.SubsetOf(c.ancBase) {
+	if xanc.SubsetOf(c.ancBase) || c.activeAncestors(top.anc, top.ep).SubsetOf(c.ancBase) {
 		o.pushEntry(c, tx)
 		return true
 	}
@@ -276,8 +278,28 @@ func (c *Ctx) tryAccess(o *Object, tx *txDesc) bool {
 // entry's epoch, then subtract every committed-descendant note that is
 // still unpublished — dropping notes whose bitnum has been published past
 // the note epoch, since from that point on the bitnum may be re-used.
+//
+// The accessor's own block's bitnum is subtracted too while its discard
+// is pending: that block is the last one still running and a
+// finishing sibling discarded it (§6.2). What it did under that bitnum
+// belongs to its base transaction's identity from then on, the publisher
+// is about to write that into the masks through every epoch it was live
+// at, and the bitnum is re-used only after it has. Meanwhile the block's
+// own ancestor set can already have dropped it — it switched to its
+// base's identity, or Erase (D11) took it on a mask of an earlier epoch or
+// on the discarding set — and without the subtraction the block spins on
+// its own entries. (Any bitnum with a pending discard could be subtracted
+// on the same argument; for other blocks' bitnums that would change what
+// the lazy publication window lets through, so it is left to the masks.)
+// The pending flag is read before the mask: a discard that is no longer
+// pending has its masks written.
 func (c *Ctx) activeAncestors(anc bitvec.Vec, ep epoch.Epoch) bitvec.Vec {
+	b := c.block
+	own := b != nil && !b.borrowed && b.bn.Valid() && c.rt.st.IsDiscarded(b.bn)
 	out := anc.Minus(c.rt.st.Masks.Get(ep))
+	if own {
+		out = out.Remove(b.bn)
+	}
 	if len(c.comDesc) > 0 {
 		kept := c.comDesc[:0]
 		for _, n := range c.comDesc {

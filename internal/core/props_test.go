@@ -48,7 +48,7 @@ func TestUndoSpliceProperties(t *testing.T) {
 				push(child, &childSeqs)
 			}
 		}
-		child.spliceInto(parent)
+		child.spliceInto(parent, nil)
 		if child.undoHead != nil || child.undoTail != nil || child.writes != 0 {
 			return false
 		}

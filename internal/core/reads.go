@@ -127,8 +127,8 @@ func (c *Ctx) tryRead(o *Object, tx *txDesc) bool {
 		}
 		xanc := c.activeAncestors(top.anc, top.ep)
 		if !xanc.Empty() {
-			c.refreshAnc()
-			if !xanc.SubsetOf(c.ancBase) {
+			c.refreshAnc() // and read xanc again on a failed test, as tryAccess does
+			if !xanc.SubsetOf(c.ancBase) && !c.activeAncestors(top.anc, top.ep).SubsetOf(c.ancBase) {
 				return false // current value belongs to a non-ancestor
 			}
 		}

@@ -433,7 +433,6 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 		j.panicked, j.panicVal = true, c.panicVal
 	}
 	remaining := j.unfinished.Add(-1)
-	var victim *block
 	if remaining == 1 && !rt.cfg.DisableAggressiveRecycle && len(j.live) == 1 {
 		// Exactly one sibling still runs. If it is also the base
 		// transaction's only other live block (liveBlocks == 2: the
@@ -446,7 +445,12 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 		v := j.live[0]
 		if v.baseTx != nil && v.baseTx.liveBlocks.Load() == 2 &&
 			v.bnDiscarded.CompareAndSwap(false, true) {
-			victim = v
+			// Record the discard at once: the victim switches identity as
+			// soon as it sees the flag, and until the discard is pending its
+			// next access reads what it committed under its old bitnum as
+			// someone else's (activeAncestors).
+			rt.st.Discard(v.bn, finishEp)
+			rt.stats.remoteDiscards.Add(1)
 			j.precBitnums = j.precBitnums.Remove(v.bn)
 			j.removeLive(v.bn)
 			// The victim's own finish will find its bitnum already
@@ -471,10 +475,6 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 	}
 	j.mu.Unlock()
 
-	if victim != nil {
-		rt.st.Discard(victim.bn, finishEp)
-		rt.stats.remoteDiscards.Add(1)
-	}
 	// The finished block leaves the base transaction's live set last, so
 	// that concurrent single-child decisions still count it (D15).
 	if b.baseTx != nil {

@@ -122,7 +122,8 @@ type undoChunk struct {
 }
 
 // undoChunks recycles chunks across transactions and runtimes. A chunk is
-// put back by releaseUndo, at the two places a log dies, and nowhere else.
+// put back by releaseUndo — at the two places a log dies, and when a splice
+// copies a child's one chunk into its parent's — and nowhere else.
 var undoChunks = sync.Pool{New: func() any { return new(undoChunk) }}
 
 // undoSlot returns the next free record of the log, taking a chunk from the
@@ -164,23 +165,35 @@ func (tx *txDesc) pushReadUndo(o *Object, anc bitvec.Vec, ep epoch.Epoch) {
 	r.read, r.ep = true, ep
 }
 
-// spliceInto merges this transaction's undo log into parent in O(1) — two
-// pointer writes, whatever the number of records or chunks — preserving
-// newest-first order: everything this transaction (and its already-merged
-// descendants) wrote is newer than what the parent had logged before. The
+// spliceInto merges this transaction's undo log into parent in O(1),
+// preserving newest-first order: everything this transaction (and its
+// already-merged descendants) wrote is newer than what the parent had
+// logged before. A one-chunk log that fits in the free records of the
+// parent's head chunk is copied there and its chunk released (at most
+// undoChunkLen records); any other log is linked in front of the parent's
+// — two pointer writes, whatever the number of records or chunks — and the
 // parent's former head chunk ends up behind this log's tail, possibly
-// partly filled; the parent's next push goes into this log's head chunk.
-func (tx *txDesc) spliceInto(parent *txDesc) {
-	if tx.undoHead == nil {
+// partly filled, while the parent's next push goes into this log's head
+// chunk. Copying keeps a transaction that commits many small children from
+// holding one chunk per child until its root ends.
+func (tx *txDesc) spliceInto(parent *txDesc, released func(*undoChunk)) {
+	ch := tx.undoHead
+	if ch == nil {
 		return
 	}
 	parent.undoMu.Lock()
+	parent.writes += tx.writes
+	if head := parent.undoHead; ch.next == nil && head != nil && head.n+ch.n <= undoChunkLen {
+		head.n += copy(head.recs[head.n:], ch.recs[:ch.n])
+		parent.undoMu.Unlock()
+		tx.releaseUndo(released)
+		return
+	}
 	tx.undoTail.next = parent.undoHead
-	parent.undoHead = tx.undoHead
+	parent.undoHead = ch
 	if parent.undoTail == nil {
 		parent.undoTail = tx.undoTail
 	}
-	parent.writes += tx.writes
 	parent.undoMu.Unlock()
 	tx.undoHead, tx.undoTail, tx.writes = nil, nil, 0
 }
@@ -188,8 +201,9 @@ func (tx *txDesc) spliceInto(parent *txDesc) {
 // releaseUndo returns a dead log's chunks to the pool. The used records are
 // zeroed first, so a pooled chunk never keeps a user value or an object
 // reachable. The caller must be the only holder of the log: rollback, once
-// it has walked it, and the commit of a root, whose log nothing can undo
-// any more. released is Runtime.undoReleaseHook, nil outside tests.
+// it has walked it, the commit of a root, whose log nothing can undo any
+// more, and a splice that copied the records out. released is
+// Runtime.undoReleaseHook, nil outside tests.
 func (tx *txDesc) releaseUndo(released func(*undoChunk)) {
 	for ch := tx.undoHead; ch != nil; {
 		next := ch.next

@@ -206,7 +206,7 @@ func TestUndoLogAgainstModel(t *testing.T) {
 				m.children++
 				live = append(live, &modelTx{tx: &txDesc{parent: m.tx}, parent: m})
 			case op < 9 && m.parent != nil:
-				m.tx.spliceInto(m.parent.tx)
+				m.tx.spliceInto(m.parent.tx, rt.undoReleaseHook)
 				if m.tx.undoHead != nil || m.tx.undoTail != nil || m.tx.writes != 0 {
 					t.Fatalf("seed %d: spliced log not emptied", seed)
 				}
@@ -248,6 +248,39 @@ func TestUndoLogAgainstModel(t *testing.T) {
 			}
 			checkPoison()
 		}
+	}
+}
+
+// TestSpliceCopiesSmallChildLog: a parent that commits many one-record
+// children keeps one chunk per undoChunkLen records, not one per child. A
+// child's log that fits in the parent's head chunk is copied there and its
+// chunk released on the spot; the first child that does not fit is linked.
+func TestSpliceCopiesSmallChildLog(t *testing.T) {
+	parent, obj := &txDesc{}, NewObject(0)
+	released := 0
+	hook := func(*undoChunk) { released++ }
+	parent.pushUndo(obj, Value{W: 1}, 1)
+	for seq := uint64(2); seq <= undoChunkLen+1; seq++ {
+		child := &txDesc{parent: parent}
+		child.pushUndo(obj, Value{W: seq}, seq)
+		child.spliceInto(parent, hook)
+		if child.undoHead != nil || child.writes != 0 {
+			t.Fatalf("child %d: spliced log not emptied", seq)
+		}
+	}
+	chunks := 0
+	for ch := parent.undoHead; ch != nil; ch = ch.next {
+		chunks++
+	}
+	if chunks != 2 || released != undoChunkLen-1 || parent.writes != undoChunkLen+1 {
+		t.Fatalf("%d chunks, %d released, %d writes; want 2, %d, %d", chunks, released, parent.writes, undoChunkLen-1, undoChunkLen+1)
+	}
+	want := make([]uint64, 0, undoChunkLen+1)
+	for seq := uint64(undoChunkLen + 1); seq >= 1; seq-- {
+		want = append(want, seq)
+	}
+	if got := undoSeqs(parent); !slices.Equal(got, want) {
+		t.Fatalf("log order\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -73,14 +73,15 @@ func metricValue(t *testing.T, text, prefix string) (float64, bool) {
 	return 0, false
 }
 
-// replayBlocks replays one four-structure batch record into shard 0 the
-// way a replica does and returns how many parallel blocks the replay
-// forked under its root: the fan-out replayBatch was handed, seen from
-// outside.
+// replayBlocks replays one batch record of 64 puts, each on a map of its
+// own, into shard 0 the way a replica does, and returns how many parallel
+// blocks the replay forked under its root. The planner gives 64 requests
+// min(8, batch_fanout) blocks, and 64 structures fill every one of them,
+// so the count is the fan-out replay was handed, seen from outside.
 func replayBlocks(t *testing.T, s *server.Server, round int) uint64 {
 	t.Helper()
 	var body []byte
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 64; i++ {
 		req := &server.Request{Op: server.OpMapPut, Name: fmt.Sprintf("adm:replay%d", i), Key: fmt.Sprint(round), Value: []byte("v")}
 		var err error
 		if body, err = server.AppendRequest(body, req); err != nil {
@@ -123,9 +124,9 @@ func TestAdminSurface(t *testing.T) {
 	if view.MaxInflight != 1 || view.Durable || len(view.PerShard) != 2 {
 		t.Fatalf("unexpected initial view: %+v", view)
 	}
-	// At the boot fan-out (Workers) a replayed record forks its groups.
-	if n := replayBlocks(t, s, 0); n != 4 {
-		t.Fatalf("replay at batch_fanout %d forked %d blocks for 4 groups, want 4", view.BatchFanout, n)
+	// At the boot fan-out (Workers, 8) a 64-request record forks 8 blocks.
+	if n := replayBlocks(t, s, 0); n != 8 {
+		t.Fatalf("replay at batch_fanout %d forked %d blocks for 64 requests, want 8", view.BatchFanout, n)
 	}
 
 	// Drive some traffic so every instrument has observations.

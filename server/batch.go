@@ -81,10 +81,6 @@ func (p *pending) finish(resp Response) {
 // batch (checkout precondition).
 var errRejected = errors.New("server: rejected")
 
-// minRequestsPerBlock is the batch size below which forking another
-// parallel block is not worth a worker wakeup.
-const minRequestsPerBlock = 8
-
 // batcher coalesces submitted requests into group commits.
 type batcher struct {
 	rt  *pnstm.Runtime
@@ -241,9 +237,11 @@ type batchRun struct {
 	traced  bool
 	batchID uint64
 
-	// logged and body are logBatch's scratch, kept across batches (D56).
+	// logged and body are logBatch's scratch, kept across batches (D56),
+	// and plan is runRoot's (D58).
 	logged []*pending
 	body   []byte
+	plan   plan
 
 	exec func()           // r.execute, bound once
 	root func(*pnstm.Ctx) // r.runRoot, bound once
@@ -309,12 +307,12 @@ func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
 	if b.wal == nil || !canMutate(&p.req) {
 		// Pure reads never log, so they skip the ticket-stamping
 		// wrapper transaction entirely.
-		applyRequest(c, b.reg, &p.req, &p.resp)
+		applyRequest(c, b.reg, r.cfg.BatchFanout, &p.req, &p.resp)
 		return
 	}
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		p.logged = false // retried attempts must re-decide
-		applyRequest(c, b.reg, &p.req, &p.resp)
+		applyRequest(c, b.reg, r.cfg.BatchFanout, &p.req, &p.resp)
 		if mutating(&p.req, &p.resp) {
 			p.seq = r.seq.Add(1)
 			p.logged = true
@@ -324,53 +322,29 @@ func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
 }
 
 // runRoot is the batch's root block: every request is one nested child
-// transaction of the batch transaction, and the children are spread over
-// at most fanout parallel blocks — the same bucket-group shape stmlib's
-// bulk operations use. With fanout ≈ worker count the per-block dispatch
-// cost is amortized over batch/fanout requests, which is what lets group
-// commit beat batch-size-1 execution even when each request is a single
-// point operation; requests in different groups still conflict-check and
-// run fully in parallel, and a request aborts alone (its own nested
-// transaction) whichever group it rides in.
+// transaction of the batch transaction, and the plan (D58) cuts the batch
+// into chains — the requests on one key, in arrival order, in one block;
+// chains that share no key in parallel blocks. A request aborts alone
+// (its own nested transaction) whichever chain it rides in. A batch too
+// small to fork, and every batch at BatchFanout 1, runs its children
+// inline: with MaxBatch 1 this is the batch-size-1 baseline shape.
 func (r *batchRun) runRoot(c *pnstm.Ctx) {
-	batch := r.batch
 	if r.traced {
 		c.StampTrace(r.batchID, r.b.shardID)
 	}
+	r.plan.batch(r.b.reg, r.batch, r.cfg.BatchFanout)
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		// A block dispatch costs roughly a worker wakeup, so forking
-		// pays only when a block carries several point requests; small
-		// batches fork fewer blocks (pipelined batches keep the other
-		// workers fed) and a lone request runs inline.
-		groups := len(batch) / minRequestsPerBlock
-		if groups > r.cfg.BatchFanout {
-			groups = r.cfg.BatchFanout
-		}
-		if groups > len(batch) {
-			groups = len(batch)
-		}
-		if groups < 1 {
-			groups = 1
-		}
-		if groups <= 1 {
-			// Small batch (or fanout 1): inline children, no fork —
-			// with MaxBatch 1 this is the batch-size-1 baseline shape.
-			for _, p := range batch {
+		if r.plan.chains() < 2 {
+			for _, p := range r.batch {
 				r.apply(c, p)
 			}
 			return nil
 		}
-		fns := make([]func(*pnstm.Ctx), groups)
-		for g := 0; g < groups; g++ {
-			lo, hi := g*len(batch)/groups, (g+1)*len(batch)/groups
-			slice := batch[lo:hi]
-			fns[g] = func(c *pnstm.Ctx) {
-				for _, p := range slice {
-					r.apply(c, p)
-				}
+		r.plan.fork(c, func(c *pnstm.Ctx, _ int, chain []int32) {
+			for _, i := range chain {
+				r.apply(c, r.batch[i])
 			}
-		}
-		c.Parallel(fns...)
+		})
 		return nil
 	})
 }
@@ -502,11 +476,11 @@ func requestTraceTag(req *Request) (name, key string) {
 // own: every stmlib operation is already atomic, so that call's
 // transaction IS the request's nested child. Only bodies that compose
 // several calls (a composite op, an envelope) wrap them in one.
-func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) {
+func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, fanout int, req *Request, resp *Response) {
 	*resp = Response{ID: req.ID, Status: StatusOK}
 	var err error
 	if d := &opTable[req.Op]; req.Op == OpTx {
-		err = applyTx(c, reg, req.Tx, resp)
+		err = applyTx(c, reg, fanout, req.Tx, resp)
 	} else if d.kind == 0 || !d.top {
 		err = errors.New("unbatchable or unknown opcode")
 	} else if d.composite {
@@ -533,7 +507,7 @@ func applyPoint(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response
 	return err
 }
 
-// txOpFailure is one group's first failure inside an envelope: the
+// txOpFailure is one chain's first failure inside an envelope: the
 // envelope-order index of the failing sub-op plus its error (errRejected
 // for a false guard, anything else for a malformed op). A nil err is no
 // failure.
@@ -543,27 +517,18 @@ type txOpFailure struct {
 	msg string
 }
 
-// minTxOpsForFanout is the envelope size below which forking parallel
-// grandchildren is not worth the worker wakeups: point-op envelopes (a
-// three-line checkout, a CAS pair) run their groups inline — the batch
-// level above already fans sibling requests — while bulk envelopes
-// (multi-structure ingests, wide audits) amortize one fork per
-// structure group over many ops, the same economics as stmlib's bulk
-// operations.
-const minTxOpsForFanout = 16
-
 // applyTx executes one OpTx envelope inside the request's nested child
-// transaction: sub-ops are grouped by the structure they touch,
-// same-structure sub-ops run sequentially in envelope order (so a get
-// observes an earlier put of the same envelope — read-your-writes), and
-// distinct structures fan out as parallel-nested grandchild transactions
-// when the envelope is large enough to pay for the forks. A false guard
-// or malformed sub-op aborts the WHOLE envelope — every group's writes
-// roll back with the child transaction — reporting the failing op's index
-// in resp.Num and whatever executed in resp.TxResults. So does a reply
-// that would not fit a frame (checkReplySize): an envelope whose answer
-// cannot reach its caller never commits.
-func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
+// transaction. The plan (D58) cuts the sub-ops into chains: sub-ops on one
+// key run in envelope order in one chain (so a get observes an earlier put
+// of the same envelope — read-your-writes), and an envelope large enough
+// to fork runs its chains as parallel-nested grandchild transactions. A
+// false guard or malformed sub-op aborts the WHOLE envelope — every
+// chain's writes roll back with the child transaction — reporting the
+// lowest failing op's index in resp.Num and the results of the ops before
+// it in resp.TxResults. So does a reply that would not fit a frame
+// (checkReplySize): an envelope whose answer cannot reach its caller never
+// commits.
+func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, fanout int, tx *Tx, resp *Response) error {
 	if tx == nil || len(tx.Ops) == 0 {
 		return nil
 	}
@@ -572,38 +537,33 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 	resp.TxResults = results
 	return c.Atomic(func(c *pnstm.Ctx) error {
 		resetTxResults(resp)
+		// The plan lives on this frame and a retried attempt redoes it: a
+		// point-sized envelope plans nothing, and a larger one's plan is
+		// cheap next to its sub-ops.
+		var pl plan
+		pl.envelope(reg, ops, fanout)
 		var first txOpFailure
-		if len(ops) < minTxOpsForFanout {
-			// Too small to fork: the groups run one after another, in
-			// first-touch order, and the first failure ends the envelope —
-			// later groups never run. The grouping lives on this frame (and
-			// is redone by a retried attempt, here and below: it is cheap
-			// next to the sub-ops, and hoisting it would let one variable
-			// alias this array and the fan-out's heap slice — see D50).
-			var buf [2 * minTxOpsForFanout]int32
-			heads, next := chainTxOps(ops, buf[:])
-			for _, h := range heads {
-				if first = runTxChain(c, reg, ops, results, next, h); first.err != nil {
+		if pl.chains() < 2 {
+			for i := range ops {
+				if first = runTxOp(c, reg, ops, results, i); first.err != nil {
 					break
 				}
 			}
-		} else if heads, next := chainTxOps(ops, make([]int32, 2*len(ops))); len(heads) == 1 {
-			first = runTxChain(c, reg, ops, results, next, heads[0])
 		} else {
-			// Parallel children report through disjoint slots; the lowest
-			// envelope index wins when several groups failed, so the
-			// reported FailedOpIndex is deterministic.
-			fails := make([]txOpFailure, len(heads))
-			fns := make([]func(*pnstm.Ctx), len(heads))
-			for g, h := range heads {
-				fns[g] = func(c *pnstm.Ctx) {
-					_ = c.Atomic(func(c *pnstm.Ctx) error {
-						fails[g] = runTxChain(c, reg, ops, results, next, h)
-						return nil
-					})
-				}
-			}
-			c.Parallel(fns...)
+			// Parallel chains report through disjoint slots; the lowest
+			// envelope index wins when several chains failed, the one that
+			// envelope order would have met first.
+			fails := make([]txOpFailure, pl.chains())
+			pl.fork(c, func(c *pnstm.Ctx, g int, chain []int32) {
+				_ = c.Atomic(func(c *pnstm.Ctx) error {
+					for _, i := range chain {
+						if fails[g] = runTxOp(c, reg, ops, results, int(i)); fails[g].err != nil {
+							break
+						}
+					}
+					return nil
+				})
+			})
 			for _, f := range fails {
 				if f.err != nil && (first.err == nil || f.idx < first.idx) {
 					first = f
@@ -615,62 +575,23 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 		}
 		// Record the failure and return the error that rolls the envelope
 		// back: the wrapped cause for a malformed sub-op (StatusErr; Msg
-		// carries the returned error), errRejected for a false guard.
+		// carries the returned error), errRejected for a false guard. The
+		// results stop at the failure, whichever chains ran past it.
+		clear(results[first.idx+1:])
 		resp.Num = int64(first.idx)
 		if !errors.Is(first.err, errRejected) {
 			return fmt.Errorf("op %d: %w", first.idx, first.err)
 		}
 		resp.Msg = first.msg
-		return errRejected // rolls back every group of this envelope
+		return errRejected // rolls back every chain of this envelope
 	})
 }
 
-// chainTxOps groups an envelope's sub-ops by the structure they touch, in
-// buf (2*len(ops) zeroed words): heads lists each group's first sub-op, in
-// first-touch order, and next[i] is the following sub-op of i's group (0:
-// none — sub-op 0 follows nothing). Finding a sub-op's predecessor is a
-// backwards scan below minTxOpsForFanout, which allocates nothing, and a
-// map lookup from there up, which keeps a maximal envelope linear.
-func chainTxOps(ops []TxOp, buf []int32) (heads, next []int32) {
-	next, heads = buf[:len(ops)], buf[len(ops):len(ops)]
-	var last map[txGroup]int32
-	if len(ops) >= minTxOpsForFanout {
-		last = make(map[txGroup]int32)
-	}
-	for i := range ops {
-		k, prev := groupOf(&ops[i]), -1
-		if last == nil {
-			for prev = i - 1; prev >= 0 && groupOf(&ops[prev]) != k; prev-- {
-			}
-		} else {
-			if p, ok := last[k]; ok {
-				prev = int(p)
-			}
-			last[k] = int32(i)
-		}
-		if prev < 0 {
-			heads = append(heads, int32(i))
-		} else {
-			next[prev] = int32(i)
-		}
-	}
-	return heads, next
-}
-
-// runTxChain executes one group's sub-ops in envelope order, filling
-// their result slots, and returns the group's first failure: the rest of
-// the group is abandoned, the envelope is aborting.
-func runTxChain(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, results []TxResult, next []int32, head int32) txOpFailure {
-	for i := int(head); ; i = int(next[i]) {
-		res, msg, err := execOp(c, reg, &ops[i])
-		results[i] = res
-		if err != nil {
-			return txOpFailure{idx: i, err: err, msg: msg}
-		}
-		if next[i] == 0 {
-			return txOpFailure{}
-		}
-	}
+// runTxOp executes sub-op i into its result slot; a failure carries i.
+func runTxOp(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, results []TxResult, i int) txOpFailure {
+	res, msg, err := execOp(c, reg, &ops[i])
+	results[i] = res
+	return txOpFailure{idx: i, err: err, msg: msg}
 }
 
 // resetTxResults clears what an earlier attempt of the envelope's body

@@ -23,8 +23,9 @@ import (
 // forever.
 //
 // That is the whole policy. How many parallel blocks a batch forks is
-// not walked: runRoot sizes the fork from the batch in its hand, capped
-// by Config.BatchFanout (D51).
+// not walked: the planner sizes the fork from the batch in its hand — at
+// most one block per opsPerBlock requests, capped by Config.BatchFanout —
+// and cuts it by conflict key (D58).
 //
 // The controller exists only on a server whose MaxInflight may exceed 1
 // (inflightCap: not with a WAL, not Serial) and acts only while

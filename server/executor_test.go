@@ -22,9 +22,13 @@ type execHarness struct {
 	r *batchRun
 }
 
-func newExecHarness(tb testing.TB, durable bool) *execHarness {
+func newExecHarness(tb testing.TB, durable bool, tune ...func(*pnstm.Config)) *execHarness {
 	tb.Helper()
-	rt, err := pnstm.New(pnstm.Config{Workers: 8, SharedReads: true})
+	cfg := pnstm.Config{Workers: 8, SharedReads: true}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	rt, err := pnstm.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func txReq(ops ...TxOp) Request { return Request{Op: OpTx, Tx: &Tx{Ops: ops}} }
 // benchmarks share, each prepared against h and returned as a pending to
 // run over and over: the benchmark's point read and write, txn-durable's
 // transfer envelope, scan-mem's limit-64 scan and the preload's 64-op
-// put envelope (the fan-out path's size, one structure).
+// put envelope (one map, 64 keys: the planner forks it into 8 chains).
 func execWorkloads(tb testing.TB, h *execHarness) map[string]*pending {
 	val := bytes.Repeat([]byte{0x5a}, 64)
 	key := func(i int) string { return fmt.Sprintf("k%07d", i) }
@@ -155,7 +159,7 @@ func TestExecutorAllocCeilings(t *testing.T) {
 		{"CounterAdd", 6, 7},  // one more while a stripe's int64 was boxed (D52)
 		{"Transfer4", 14, 15}, // 18, 19 with Go-map buckets: two writes
 		{"RangeScan64", 24, 24},
-		{"Put64", 136, 137},
+		{"Put64", 166, 167}, // 136, 137 while it ran as one chain; it forks 8 since D58
 	}
 	for _, durable := range []bool{false, true} {
 		h := newExecHarness(t, durable)

@@ -8,7 +8,7 @@ package server
 func (s *Server) ConfigPointer() *Config { return s.cfg.Load() }
 
 // ApplyReplicaRecord replays one WAL record body into shard i the way a
-// replica's tailing loop does (replicator.applyRecord).
+// replica's tailing loop does (shard.applyRecord).
 func (s *Server) ApplyReplicaRecord(i int, body []byte) error {
-	return (&replicator{s: s}).applyRecord(i, body)
+	return s.shards[i].applyRecord(body, nil)
 }

@@ -13,7 +13,7 @@ import (
 // The op table (D50): everything the server knows about an opcode is its
 // row below plus its case in execOp. The decoder reads top/sub to accept
 // a frame, the batcher and the WAL read effect to decide what needs a
-// commit ticket and what is logged, routing and grouping read kind, and
+// commit ticket and what is logged, routing and the planner read kind, and
 // every execution route — point request, envelope, cross-shard slice,
 // replay — runs the same execOp case. An opcode with no row reads as the
 // zero descriptor: legal nowhere.
@@ -44,6 +44,9 @@ type opDesc struct {
 	// composite: the body is more than one stmlib call, so run alone (a
 	// point request) it needs an enclosing transaction of its own.
 	composite bool
+	// expiry: the op can move a deadline in the registry's expiry index
+	// (a TTL put or expiry, a lease move), which all such ops share.
+	expiry bool
 }
 
 // opTable is indexed by the wire byte itself, so a hostile opcode cannot
@@ -60,16 +63,16 @@ var opTable = [256]opDesc{
 	OpMapDelete: {kind: 'm', top: true, sub: true, effect: effectIfFound},
 	OpMapLen:    {kind: 'm', top: true, sub: true},
 	OpMapAdd:    {kind: 'm', top: true, sub: true, effect: effectAlways, composite: true},
-	OpMapPutTTL: {kind: 'm', sub: true, effect: effectAlways},
-	OpExpire:    {kind: 'm', sub: true, effect: effectIfFound},
+	OpMapPutTTL: {kind: 'm', sub: true, effect: effectAlways, expiry: true},
+	OpExpire:    {kind: 'm', sub: true, effect: effectIfFound, expiry: true},
 
 	OpQueuePush:    {kind: 'q', top: true, sub: true, effect: effectAlways},
 	OpQueuePop:     {kind: 'q', top: true, sub: true, effect: effectIfFound},
 	OpQueueLen:     {kind: 'q', top: true, sub: true},
-	OpLeaseConsume: {kind: 'q', sub: true, effect: effectIfFound},
-	OpLeaseAck:     {kind: 'q', sub: true, effect: effectIfFound},
-	OpLeaseNack:    {kind: 'q', sub: true, effect: effectIfFound},
-	OpLeaseReclaim: {kind: 'q', sub: true, effect: effectIfNum},
+	OpLeaseConsume: {kind: 'q', sub: true, effect: effectIfFound, expiry: true},
+	OpLeaseAck:     {kind: 'q', sub: true, effect: effectIfFound, expiry: true},
+	OpLeaseNack:    {kind: 'q', sub: true, effect: effectIfFound, expiry: true},
+	OpLeaseReclaim: {kind: 'q', sub: true, effect: effectIfNum, expiry: true},
 	OpLeaseLen:     {kind: 'q', sub: true},
 
 	OpCounterAdd: {kind: 'c', top: true, sub: true, effect: effectAlways},
@@ -80,12 +83,12 @@ var opTable = [256]opDesc{
 
 	OpSortedGet:    {kind: 's', sub: true},
 	OpSortedPut:    {kind: 's', sub: true, effect: effectAlways},
-	OpSortedPutTTL: {kind: 's', sub: true, effect: effectAlways},
+	OpSortedPutTTL: {kind: 's', sub: true, effect: effectAlways, expiry: true},
 	OpSortedDelete: {kind: 's', sub: true, effect: effectIfFound},
 	OpSortedLen:    {kind: 's', sub: true},
 	OpRangeScan:    {kind: 's', sub: true},
 	OpRangeCount:   {kind: 's', sub: true},
-	OpSortedExpire: {kind: 's', sub: true, effect: effectIfFound},
+	OpSortedExpire: {kind: 's', sub: true, effect: effectIfFound, expiry: true},
 }
 
 // execOp is every opcode's body — one stmlib call, or a few — and the one
@@ -284,17 +287,6 @@ func structKind(op *TxOp) byte {
 	}
 	return 'c'
 }
-
-// txGroup identifies the structure a sub-op touches: its kind and name.
-// Sub-ops of one group must execute sequentially in envelope order
-// (read-your-writes); distinct groups may fan as parallel-nested
-// grandchildren. Comparable, so grouping needs no rendered key.
-type txGroup struct {
-	kind byte
-	name string
-}
-
-func groupOf(op *TxOp) txGroup { return txGroup{structKind(op), op.Name} }
 
 // pointOp is a point request seen as the sub-op it is.
 func (req *Request) pointOp() TxOp {

@@ -18,12 +18,13 @@ import (
 // committed in — and appended with ONE fsync before any response of the
 // batch is acked (D17). Recovery loads the newest snapshot (a
 // stmlib.Registry image captured by a parallel-nested bulk read) and
-// replays the WAL tail through the same shape as live traffic: each
-// logged batch is a root transaction, each logged request a nested
-// child, children fanned out over parallel blocks grouped by structure
-// so that same-structure requests re-apply in their logged
-// serialization order while different structures replay concurrently
-// (D21).
+// replays the WAL tail through the live executor: each logged batch is a
+// batch again, one root transaction whose logged requests are nested
+// children, cut into parallel blocks by the same plan a live batch runs
+// (D58) — requests on one key re-apply in their logged order, which is
+// the order they committed in, and requests that share no key replay
+// concurrently. A replica applies the records it is shipped the same way
+// (shard.applyRecord).
 
 // ---------------------------------------------------------------------------
 // Batch records
@@ -58,130 +59,21 @@ func decodeBatch(body []byte) ([]*Request, error) {
 	return reqs, nil
 }
 
-// replayGroups lists the structure group keys a logged request touches.
-// Replay applies same-structure requests sequentially in logged order
-// (their live serialization order) and different structures in
-// parallel. A single-structure request touches one group; an OpTx
-// envelope touches every structure any sub-op reads or writes — guards
-// included, because a guard's outcome on replay must observe the same
-// per-structure state it did live.
-func replayGroups(req *Request) []txGroup {
-	ops := []TxOp{req.pointOp()}
-	if req.Op == OpTx {
-		ops = req.Tx.Ops
+// replayBatch re-executes one logged batch through the live executor: the
+// logged requests, in commit order, become a batch that runRoot plans and
+// runs like any other (D58). Only requests that succeeded live are logged,
+// and requests on one key re-apply in the order they committed in — so on
+// replay every request must succeed identically. Anything else is
+// divergence (a lost record, an ordering bug), and the boot must fail
+// rather than serve it.
+func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, cfg *Config, reqs []*Request) error {
+	r := (&batcher{rt: rt, reg: reg}).newRun()
+	r.cfg = cfg
+	for _, req := range reqs {
+		r.batch = append(r.batch, &pending{req: *req})
 	}
-	heads, _ := chainTxOps(ops, make([]int32, 2*len(ops)))
-	keys := make([]txGroup, len(heads))
-	for i, h := range heads {
-		keys[i] = groupOf(&ops[h])
-	}
-	return keys
-}
-
-// replayBatch re-executes one logged batch: a root transaction whose
-// nested children are the logged requests, spread over ≤ fanout
-// parallel blocks by structure. Within a structure the logged order is
-// the commit order, so the recovered state matches the pre-crash store
-// exactly. Multi-structure envelopes (OpTx) glue their structures into
-// one replay component (union-find): every request touching ANY of
-// those structures replays sequentially with the envelope, in logged
-// order, so envelope guards and read-modify-write sub-ops observe
-// exactly the per-structure history they observed live; disjoint
-// components still replay concurrently.
-func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Request) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	// Union the group keys each request touches, then bucket requests by
-	// their component root, preserving logged order within a component.
-	parent := make(map[txGroup]txGroup)
-	var find func(txGroup) txGroup
-	find = func(k txGroup) txGroup {
-		p, ok := parent[k]
-		if !ok || p == k {
-			parent[k] = k
-			return k
-		}
-		root := find(p)
-		parent[k] = root
-		return root
-	}
-	union := func(a, b txGroup) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	touched := make([][]txGroup, len(reqs))
-	for i, r := range reqs {
-		keys := replayGroups(r)
-		touched[i] = keys
-		for _, k := range keys[1:] {
-			union(keys[0], k)
-		}
-	}
-	var order []txGroup
-	groups := make(map[txGroup][]*Request)
-	for i, r := range reqs {
-		root := find(touched[i][0])
-		if _, ok := groups[root]; !ok {
-			order = append(order, root)
-		}
-		groups[root] = append(groups[root], r)
-	}
-	blocks := fanout
-	if blocks > len(order) {
-		blocks = len(order)
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	// Only requests that succeeded live are logged, and same-structure
-	// ordering is preserved — so on replay every request must succeed
-	// identically. Anything else is divergence (a lost record, an
-	// ordering bug) and the boot must fail rather than serve it.
-	// Parallel children report through disjoint slots.
-	divergence := make([]error, blocks)
-	runErr := rt.Run(func(c *pnstm.Ctx) {
-		_ = c.Atomic(func(c *pnstm.Ctx) error {
-			apply := func(c *pnstm.Ctx, slot int, keys []txGroup) {
-				divergence[slot] = nil // the enclosing tx may retry; judge the final attempt
-				for _, k := range keys {
-					for _, r := range groups[k] {
-						var resp Response
-						applyRequest(c, reg, r, &resp)
-						if divergence[slot] == nil {
-							if resp.Status != StatusOK {
-								divergence[slot] = fmt.Errorf("op %d on %q replayed to status %d (%s)", r.Op, r.Name, resp.Status, resp.Msg)
-							} else if opTable[r.Op].effect == effectIfFound && !resp.Found {
-								divergence[slot] = fmt.Errorf("op %d on %q found nothing on replay", r.Op, r.Name)
-							}
-						}
-					}
-				}
-			}
-			if blocks <= 1 {
-				apply(c, 0, order)
-				return nil
-			}
-			fns := make([]func(*pnstm.Ctx), blocks)
-			for g := 0; g < blocks; g++ {
-				g := g
-				lo, hi := g*len(order)/blocks, (g+1)*len(order)/blocks
-				keys := order[lo:hi]
-				fns[g] = func(c *pnstm.Ctx) {
-					_ = c.Atomic(func(c *pnstm.Ctx) error {
-						apply(c, g, keys)
-						return nil
-					})
-				}
-			}
-			c.Parallel(fns...)
-			return nil
-		})
-	})
-	if runErr != nil {
-		return runErr
+	if err := rt.Run(r.root); err != nil {
+		return err
 	}
 	// Replay is the shard's only writer and runs its roots back to back:
 	// publish this root before the next one starts, or the next root's
@@ -189,10 +81,49 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, fanout int, reqs []*Re
 	if pub := rt.Publisher(); pub != nil {
 		pub.StepOnce()
 	}
-	for _, err := range divergence {
-		if err != nil {
-			return fmt.Errorf("server: replay diverged: %w", err)
+	for _, p := range r.batch {
+		switch req, resp := &p.req, &p.resp; {
+		case resp.Status != StatusOK:
+			return fmt.Errorf("server: replay diverged: op %d on %q replayed to status %d (%s)", req.Op, req.Name, resp.Status, resp.Msg)
+		case opTable[req.Op].effect == effectIfFound && !resp.Found:
+			return fmt.Errorf("server: replay diverged: op %d on %q found nothing on replay", req.Op, req.Name)
 		}
+	}
+	return nil
+}
+
+// applyRecord replays one WAL record into the shard — recovery's replay
+// from disk and a replica's apply of a shipped record alike. A batch
+// record replays as one batch; a cross-shard record replays its write-only
+// sub-envelope at its logged position and advances the GSN watermark,
+// unless its GSN is in dropped (recovery's incomplete cross-shard commits;
+// nil on a replica). Both run through the runtime directly, not the
+// batcher's commit pipeline, at the live BatchFanout.
+func (sh *shard) applyRecord(body []byte, dropped map[uint64]bool) error {
+	var (
+		gsn  uint64
+		reqs []*Request
+		err  error
+	)
+	if isGSNRecord(body) {
+		var req *Request
+		if gsn, _, req, err = decodeGSNRecord(body); err == nil {
+			reqs = []*Request{req}
+		}
+	} else {
+		reqs, err = decodeBatch(body)
+	}
+	if err != nil || dropped[gsn] {
+		return err // a dropped GSN: an incomplete cross-shard commit, skipped everywhere
+	}
+	if err := replayBatch(sh.rt, sh.reg, sh.cfg.Load(), reqs); err != nil {
+		if gsn != 0 {
+			return fmt.Errorf("gsn %d: %w", gsn, err)
+		}
+		return err
+	}
+	if gsn != 0 {
+		sh.maxGSN.Store(gsn)
 	}
 	return nil
 }
@@ -614,14 +545,13 @@ func reconcileGSNs(scans []*shardScan) (dropped map[uint64]bool, maxGSN uint64, 
 }
 
 // replayStore is recovery phase C for one shard: import the snapshot,
-// then replay the WAL tail record by record. Open has already
-// truncated any torn or CRC-corrupt tail, so replay sees only durable,
-// intact records; plain batch records replay exactly as before (D21),
-// GSN records replay their write-only sub-envelope at their logged
-// position — every shard's log orders its GSNs identically (strictly
-// increasing), so cross-shard slices land at the same relative
-// positions everywhere — and GSNs phase B dropped are skipped.
-func (sh *shard) replayStore(scan *shardScan, dropped map[uint64]bool, fanout int) error {
+// then replay the WAL tail record by record (applyRecord). Open has
+// already truncated any torn or CRC-corrupt tail, so replay sees only
+// durable, intact records. GSN records replay at their logged position —
+// every shard's log orders its GSNs identically (strictly increasing), so
+// cross-shard slices land at the same relative positions everywhere — and
+// GSNs phase B dropped are skipped.
+func (sh *shard) replayStore(scan *shardScan, dropped map[uint64]bool) error {
 	if scan.img != nil {
 		if err := sh.rt.Run(func(c *pnstm.Ctx) { sh.reg.Import(c, scan.img) }); err != nil {
 			return fmt.Errorf("server: restore snapshot: %w", err)
@@ -629,26 +559,8 @@ func (sh *shard) replayStore(scan *shardScan, dropped map[uint64]bool, fanout in
 	}
 	sh.maxGSN.Store(scan.watermark)
 	return sh.wal.Replay(func(lsn uint64, body []byte) error {
-		if isGSNRecord(body) {
-			gsn, _, req, err := decodeGSNRecord(body)
-			if err != nil {
-				return fmt.Errorf("server: wal lsn %d: %w", lsn, err)
-			}
-			if dropped[gsn] {
-				return nil // incomplete cross-shard commit: skipped everywhere
-			}
-			if err := replayBatch(sh.rt, sh.reg, fanout, []*Request{req}); err != nil {
-				return fmt.Errorf("server: replay lsn %d (gsn %d): %w", lsn, gsn, err)
-			}
-			sh.maxGSN.Store(gsn)
-			return nil
-		}
-		reqs, err := decodeBatch(body)
-		if err != nil {
+		if err := sh.applyRecord(body, dropped); err != nil {
 			return fmt.Errorf("server: wal lsn %d: %w", lsn, err)
-		}
-		if err := replayBatch(sh.rt, sh.reg, fanout, reqs); err != nil {
-			return fmt.Errorf("server: replay lsn %d: %w", lsn, err)
 		}
 		return nil
 	})

@@ -15,14 +15,15 @@ import (
 // WAL-shipping replica (D39, D41–D42). A replica is an in-memory server
 // whose per-shard stores are driven not by client mutations but by the
 // primary's WAL streams: one tailing connection per shard subscribes
-// from applied+1, replays every record through the same deterministic
-// union-find-grouped replay path recovery uses (replayBatch), and
-// tracks a staleness watermark (applied LSN vs. the primary's head,
-// freshness-stamped by heartbeats). Read-only envelopes are served from
-// local state off the normal group-commit read path — multiplying the
-// primary's read capacity, which is the point — while mutations are
-// refused with StatusNotPrimary naming the primary. Promote() flips the
-// replica into an ordinary (in-memory) primary for fast failover.
+// from applied+1, applies every record the way recovery replays one
+// (shard.applyRecord: a batch record runs as a batch, planned like a live
+// one, D58), and tracks a staleness watermark (applied LSN vs. the
+// primary's head, freshness-stamped by heartbeats). Read-only envelopes
+// are served from local state off the normal group-commit read path —
+// multiplying the primary's read capacity, which is the point — while
+// mutations are refused with StatusNotPrimary naming the primary.
+// Promote() flips the replica into an ordinary (in-memory) primary for
+// fast failover.
 
 const (
 	replDialTimeout    = 5 * time.Second
@@ -262,7 +263,7 @@ func (r *replicator) stream(i int) error {
 			}
 			body := recBuf
 			recBuf = nil
-			if err := r.applyRecord(i, body); err != nil {
+			if err := r.s.shards[i].applyRecord(body, nil); err != nil {
 				// Replay diverged: local state can no longer be trusted to
 				// extend. Wipe and resync from scratch on the next connect.
 				sr.mu.Lock()
@@ -314,32 +315,6 @@ func (r *replicator) installImage(i int, img *stmlib.RegistryImage, watermark, c
 	sr.applied = covered
 	sr.mu.Unlock()
 	return nil
-}
-
-// applyRecord replays one shipped WAL record into shard i — the exact
-// shape recovery replays from disk (replayStore): cross-shard records
-// replay their write-only sub-envelope and advance the GSN watermark,
-// batch records replay as one root with union-find-grouped children.
-// Replays run through the runtime directly (not the batcher's commit
-// pipeline), so concurrent read batches only ever pay STM conflicts.
-func (r *replicator) applyRecord(i int, body []byte) error {
-	sh, fanout := r.s.shards[i], r.s.cfg.Load().BatchFanout
-	if isGSNRecord(body) {
-		gsn, _, req, err := decodeGSNRecord(body)
-		if err != nil {
-			return err
-		}
-		if err := replayBatch(sh.rt, sh.reg, fanout, []*Request{req}); err != nil {
-			return err
-		}
-		sh.maxGSN.Store(gsn)
-		return nil
-	}
-	reqs, err := decodeBatch(body)
-	if err != nil {
-		return err
-	}
-	return replayBatch(sh.rt, sh.reg, fanout, reqs)
 }
 
 // shardStaleness is shard i's watermark age: how old the served state

@@ -54,8 +54,9 @@ type Config struct {
 	// flight, keeping unloaded latency at the floor).
 	BatchDelay time.Duration
 
-	// BatchFanout bounds the parallel blocks one batch forks; requests
-	// are spread over the blocks, each running as its own nested child
+	// BatchFanout bounds the parallel blocks one batch, envelope or
+	// replayed record forks; the planner cuts the requests into chains by
+	// conflict key, each request running as its own nested child
 	// transaction (default: Workers).
 	BatchFanout int
 
@@ -284,7 +285,8 @@ type shard struct {
 	rt  *pnstm.Runtime
 	reg *stmlib.Registry
 	b   *batcher
-	wal *wal.Log // nil without DataDir
+	wal *wal.Log                // nil without DataDir
+	cfg *atomic.Pointer[Config] // the server's configuration
 
 	// pauseMu queues pauseCommits callers (Checkpoint, Export,
 	// cross-shard coordinators, a replica's image install) so that one
@@ -407,6 +409,7 @@ func New(cfg Config) (*Server, error) {
 			id:  i,
 			rt:  rt,
 			reg: stmlib.NewRegistry(cfg.Registry),
+			cfg: &s.cfg,
 		})
 	}
 	if cfg.DataDir != "" {
@@ -416,7 +419,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for i, sh := range s.shards {
-		sh.b = newBatcher(sh.rt, sh.reg, sh.wal, &s.cfg)
+		sh.b = newBatcher(sh.rt, sh.reg, sh.wal, sh.cfg)
 		sh.b.obs = s.obs.batch[i]
 		sh.b.shardID = uint8(i)
 	}
@@ -613,7 +616,7 @@ func (s *Server) openDurability() error {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			if err := sh.replayStore(scans[i], dropped, cfg.BatchFanout); err != nil {
+			if err := sh.replayStore(scans[i], dropped); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", sh.id, err)
 			}
 		}(i, sh)

@@ -16,6 +16,22 @@ func TestBucketCollisionPremise(t *testing.T) {
 	}
 }
 
+// TestBucketIndexMatchesRegistryMaps: Registry.MapBucket names the bucket
+// the registry's maps file a key under, at the default and at a bucket
+// count that is not a power of two.
+func TestBucketIndexMatchesRegistryMaps(t *testing.T) {
+	for _, buckets := range []int{0, 12} {
+		r := NewRegistry(RegistryConfig{MapBuckets: buckets})
+		m := r.Map("m")
+		for i := 0; i < 500; i++ {
+			k := itoa(i * 7919)
+			if got, want := r.MapBucket(k), int(hashKey(k)&m.mask); got != want {
+				t.Fatalf("buckets %d: MapBucket(%q) = %d, the map files it in %d", buckets, k, got, want)
+			}
+		}
+	}
+}
+
 // TestBucketImmutableUnderAbort: a write never touches the slice a bucket
 // holds, only a copy of it. After each write below is rolled back, the
 // bucket holds the very slice it held before, with the same contents —

@@ -106,6 +106,14 @@ func (r *Registry) Map(name string) *TMap[string, []byte] {
 	return m
 }
 
+// MapBucket returns the bucket key hashes to in every map of the
+// registry: two point operations on one map can conflict only when their
+// keys share a bucket. A scheduler that keeps conflicting operations
+// apart (the server's batch planner) keys map work on it.
+func (r *Registry) MapBucket(key string) int {
+	return int(hashString(key) & uint64(ceilPow2(r.buckets)-1))
+}
+
 // SortedMap returns the named sorted map, creating it on first use.
 func (r *Registry) SortedMap(name string) *TSortedMap[string, []byte] {
 	r.mu.RLock()
