@@ -26,9 +26,13 @@ type Free struct {
 // embeds it under its own monitor, mirroring the paper's single queue lock
 // (§3.2: "we can safely achieve [mutual exclusion] with only one lock
 // associated with the queue").
+//
+// A bitnum is in the queue at most once, so a ring of one machine word's
+// worth of entries holds every free bitnum with no storage beyond it.
 type Queue struct {
-	entries []Free
-	head    int
+	entries [bitvec.Word]Free
+	head    int // index of the oldest entry
+	count   int
 }
 
 // NewQueue returns a queue preloaded with bitnums [0, n), all usable from
@@ -37,29 +41,25 @@ func NewQueue(n int) *Queue {
 	if n <= 0 || n > bitvec.Word {
 		panic(fmt.Sprintf("bitnum: queue size %d out of range (0,%d]", n, bitvec.Word))
 	}
-	q := &Queue{entries: make([]Free, 0, n)}
+	q := &Queue{}
 	for i := 0; i < n; i++ {
-		q.entries = append(q.entries, Free{Bn: bitvec.Bitnum(i)})
+		q.Release(bitvec.Bitnum(i), 0)
 	}
 	return q
 }
 
 // Len returns the number of free bitnums.
-func (q *Queue) Len() int { return len(q.entries) - q.head }
+func (q *Queue) Len() int { return q.count }
 
 // Reserve pops the oldest free bitnum. ok is false when the queue is empty
 // (the caller decides whether to wait, borrow, or serialize).
 func (q *Queue) Reserve() (f Free, ok bool) {
-	if q.head == len(q.entries) {
+	if q.count == 0 {
 		return Free{}, false
 	}
 	f = q.entries[q.head]
-	q.entries[q.head] = Free{Bn: bitvec.None}
-	q.head++
-	if q.head == len(q.entries) {
-		q.entries = q.entries[:0]
-		q.head = 0
-	}
+	q.head = (q.head + 1) % bitvec.Word
+	q.count--
 	return f, true
 }
 
@@ -69,7 +69,8 @@ func (q *Queue) Release(bn bitvec.Bitnum, minEp epoch.Epoch) {
 	if !bn.Valid() {
 		panic("bitnum: Release of invalid bitnum")
 	}
-	q.entries = append(q.entries, Free{Bn: bn, MinEp: minEp})
+	q.entries[(q.head+q.count)%bitvec.Word] = Free{Bn: bn, MinEp: minEp}
+	q.count++
 }
 
 // Limiter enforces the paper's L limit (§6.1) on how many bitnums may be

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pnstm/internal/bitvec"
+	"pnstm/internal/epoch"
 )
 
 func TestQueueFIFOAndPreload(t *testing.T) {
@@ -42,6 +43,9 @@ func TestQueueReleaseCarriesMinEpoch(t *testing.T) {
 	}
 }
 
+// The queue reuses its storage whether it drains or not. A queue that
+// never drains keeps its FIFO order, each minimum epoch and its storage of
+// N entries, and reserving and releasing allocate nothing.
 func TestQueueCompactionReusesStorage(t *testing.T) {
 	q := NewQueue(3)
 	for round := 0; round < 1000; round++ {
@@ -55,10 +59,39 @@ func TestQueueCompactionReusesStorage(t *testing.T) {
 			t.Fatalf("round %d: Len = %d", round, q.Len())
 		}
 	}
-	// The backing slice must have been compacted rather than grown
-	// unboundedly (capacity stays small).
 	if cap(q.entries) > 64 {
 		t.Fatalf("queue storage grew to %d entries", cap(q.entries))
+	}
+
+	const n = bitvec.Word
+	q = NewQueue(n)
+	// The bitnum a release puts at the tail comes back after every entry
+	// ahead of it, with its own minimum epoch.
+	want := make([]Free, 0, n)
+	for i := 0; i < n; i++ {
+		want = append(want, Free{Bn: bitvec.Bitnum(i)})
+	}
+	for round := 0; round < 100_000; round++ {
+		f, ok := q.Reserve()
+		if !ok || f != want[0] {
+			t.Fatalf("round %d: Reserve = %+v ok=%v, want %+v", round, f, ok, want[0])
+		}
+		next := Free{Bn: f.Bn, MinEp: epoch.Epoch(round + 1)}
+		q.Release(next.Bn, next.MinEp)
+		want = append(want[1:], next)
+		if q.Len() != n {
+			t.Fatalf("round %d: Len = %d", round, q.Len())
+		}
+	}
+	if c := cap(q.entries[:]); c != n {
+		t.Fatalf("never-drained queue storage is %d entries, want %d", c, n)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		f, _ := q.Reserve()
+		q.Release(f.Bn, f.MinEp+1)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reserve+Release allocate %v objects", allocs)
 	}
 }
 

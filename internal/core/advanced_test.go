@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -113,6 +114,50 @@ func TestRecycledVictimKeepsItsOwnWrites(t *testing.T) {
 	}
 	if st := rt.Stats(); st.Conflicts != 0 || st.RemoteDiscards != 1 || x.Peek() != 2 {
 		t.Fatalf("x = %v after %d conflicts and %d remote discards; want 2, 0 and 1 (%+v)", x.Peek(), st.Conflicts, st.RemoteDiscards, st)
+	}
+}
+
+// TestRecycledVictimAbortUndoesItsWrites: a transaction that began under its
+// block's own bitnum and loses the bitnum mid-flight to a finishing sibling
+// (§6.2) is left with its parent's ancestor set. Its parent's entries must
+// still not read as its own: a write in place over one logs no undo record,
+// and the transaction's abort then leaves the write behind (D4).
+func TestRecycledVictimAbortUndoesItsWrites(t *testing.T) {
+	rt := newRT(t, 4, func(c *Config) { c.PublisherStartPaused = true })
+	w, z := NewObject(0), NewObject(0)
+	errFail := errors.New("fail")
+	begun := make(chan struct{})
+	var once sync.Once // a retried root runs the blocks again
+	err := rt.Run(func(c *Ctx) {
+		_ = c.Atomic(func(c *Ctx) error {
+			c.Store(w, 1)
+			c.Store(z, 1)
+			c.Parallel(
+				func(c *Ctx) {
+					_ = c.Atomic(func(c *Ctx) error {
+						once.Do(func() { close(begun) })
+						// Run on until the sibling has finished and discarded
+						// this block's bitnum, and publish the discard: the
+						// next access that re-tests the ancestor set drops it.
+						for deadline := time.Now().Add(5 * time.Second); rt.stats.remoteDiscards.Load() == 0 && time.Now().Before(deadline); {
+							runtime.Gosched()
+						}
+						rt.Publisher().Drain()
+						c.Store(z, 2)
+						c.Store(w, 2)
+						return errFail
+					})
+				},
+				func(*Ctx) { <-begun },
+			)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.Stats(); st.RemoteDiscards != 1 || w.Peek() != 1 || z.Peek() != 1 {
+		t.Fatalf("w = %v, z = %v after %d remote discards; want 1, 1 and 1", w.Peek(), z.Peek(), st.RemoteDiscards)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // newRT builds a runtime with the given worker count and closes it at test
@@ -37,6 +38,34 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("N = %d, want 64", rt.Bitnums())
 	}
 	rt.Close()
+}
+
+// An idle runtime runs no publisher cycle (D59): once the last Run's
+// bitnums are back in the free queue, nothing wakes the publisher.
+func TestPublisherIdleAfterRun(t *testing.T) {
+	rt := newRT(t, 2)
+	x := NewObject(0)
+	if err := rt.Run(func(c *Ctx) {
+		_ = c.Atomic(func(c *Ctx) error {
+			c.Store(x, 1)
+			return nil
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); rt.sched.freeBitnums() < rt.Bitnums(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the root's bitnum was never freed")
+		}
+	}
+	// The root's discard may have rung once more after the cycle that freed
+	// its bitnum had begun: let the publisher take that token.
+	time.Sleep(50 * time.Millisecond)
+	before := rt.Publisher().Stats().Cycles
+	time.Sleep(200 * time.Millisecond)
+	if d := rt.Publisher().Stats().Cycles - before; d != 0 {
+		t.Fatalf("idle publisher ran %d cycles in 200ms", d)
+	}
 }
 
 func TestSingleTransactionCommit(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // livelock that nested escalation cannot resolve: several concurrent
 // root transactions, each a straight-line write burst over the same
 // small object set, abort each other on every attempt. The exponential
-// backoff tops out at BackoffMax — comparable to one attempt's
+// backoff tops out at backoffMax — comparable to one attempt's
 // execution time — so staggering never separates them and, without the
 // crisis breaker, the group can spin indefinitely (observed in practice
 // as the group-commit pipelining cliff). With the breaker, one root

@@ -214,7 +214,7 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 			if tx.parent == nil && !crisis && c.aborts >= c.rt.cfg.CrisisAborts {
 				// Cross-root livelock breaker: concurrent roots with
 				// overlapping write sets can abort each other past any
-				// backoff BackoffMax can provide. Race for the runtime's
+				// backoff backoffMax can provide. Race for the runtime's
 				// crisis token; the winner retries at full speed while
 				// every loser quiesces until the token frees — one sleep
 				// per attempt is not enough, because a single re-executing
@@ -480,6 +480,15 @@ func (c *Ctx) rollback(tx *txDesc) {
 	tx.releaseUndo(c.rt.undoReleaseHook)
 }
 
+// Retry pacing after an abort (ARCHITECTURE.md D6): a randomized backoff
+// from backoffBase doubling to backoffMax, and the worker slot yielded from
+// the yieldAfterAborts-th consecutive abort on.
+const (
+	yieldAfterAborts = 3
+	backoffBase      = 500 * time.Nanosecond
+	backoffMax       = 100 * time.Microsecond
+)
+
 // backoff sleeps for a randomized, exponentially growing interval after an
 // abort, and yields the worker slot after repeated failures so that queued
 // blocks — possibly the descendants whose completion will resolve the
@@ -488,17 +497,13 @@ func (c *Ctx) backoff() {
 	if c.rt.cfg.Serial {
 		return
 	}
-	if c.aborts >= c.rt.cfg.YieldAfterAborts && c.slot != nil {
+	if c.aborts >= yieldAfterAborts && c.slot != nil {
 		c.rt.stats.slotYields.Add(1)
 		c.yieldSlot()
 	}
-	shift := c.aborts
-	if shift > 16 {
-		shift = 16
-	}
-	d := c.rt.cfg.BackoffBase << shift
-	if d > c.rt.cfg.BackoffMax {
-		d = c.rt.cfg.BackoffMax
+	d := backoffBase << min(c.aborts, 16)
+	if d > backoffMax {
+		d = backoffMax
 	}
 	if c.slot != nil && d > 0 {
 		d = time.Duration(c.slot.rng.Int63n(int64(d))) + 1
@@ -579,6 +584,12 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 			tx.forked = true
 		}
 	}
+	// A child's transactions begin after every entry this context pushed. A
+	// child whose bitnum is unilaterally discarded mid-transaction (§6.2)
+	// is left with its parent's ancestor set, so only the epoch tells the
+	// parent's entries from its own (D4): one at the same epoch would read
+	// as its own and be written in place with no undo record.
+	c.advanceEpoch()
 	f := new(fork)
 	j := &f.join
 	j.minEp, j.live, j.comDesc = c.ep, j.liveBuf[:0], j.noteBuf[:0]

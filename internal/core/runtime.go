@@ -35,10 +35,6 @@ type Config struct {
 	// (the default), every access is a write, as in the paper's evaluation.
 	SharedReads bool
 
-	// PublisherPartitions is the number of parallel publisher goroutines
-	// (§5.1). Default 1.
-	PublisherPartitions int
-
 	// PublisherStartPaused creates the publisher paused (tests: opens the
 	// lazy-publication window arbitrarily wide).
 	PublisherStartPaused bool
@@ -47,11 +43,6 @@ type Config struct {
 	// object before aborting; spinning rides out the publication latency
 	// of already committed transactions (§5.1). Default 64.
 	SpinRetries int
-
-	// YieldAfterAborts is the number of consecutive aborts after which a
-	// context returns its worker slot to the scheduler before retrying.
-	// Default 3.
-	YieldAfterAborts int
 
 	// EscalateAfterAborts is the number of consecutive aborts after which
 	// a nested transaction stops retrying locally and propagates the
@@ -65,16 +56,11 @@ type Config struct {
 	// merged children's entries. Default 8.
 	EscalateAfterAborts int
 
-	// BackoffBase / BackoffMax bound the randomized exponential backoff
-	// between retries. Defaults 500ns / 100µs.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
 	// CrisisAborts is the number of consecutive ROOT aborts after which
 	// the cross-root livelock breaker engages. Nested escalation (above)
 	// resolves contention inside one block tree, but concurrent root
 	// transactions with overlapping write sets can still abort each other
-	// forever: exponential backoff tops out at BackoffMax, which is
+	// forever: exponential backoff tops out at backoffMax, which is
 	// comparable to one root attempt's execution time, so staggering
 	// never separates them. A root that aborts this many times contends
 	// for the runtime's single crisis token: the winner keeps retrying
@@ -102,23 +88,11 @@ func (c *Config) fillDefaults() error {
 	if 2*c.Workers > bitvec.Word {
 		return fmt.Errorf("core: Workers must be <= %d (bit-vector space is 2P bits)", bitvec.Word/2)
 	}
-	if c.PublisherPartitions <= 0 {
-		c.PublisherPartitions = 1
-	}
 	if c.SpinRetries <= 0 {
 		c.SpinRetries = 64
 	}
-	if c.YieldAfterAborts <= 0 {
-		c.YieldAfterAborts = 3
-	}
 	if c.EscalateAfterAborts <= 0 {
 		c.EscalateAfterAborts = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 500 * time.Nanosecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 100 * time.Microsecond
 	}
 	if c.CrisisAborts <= 0 {
 		c.CrisisAborts = 16
@@ -212,7 +186,6 @@ func New(cfg Config) (*Runtime, error) {
 	rt.sched = newScheduler(rt, rt.nbits, rt.slots)
 	rt.pub = epoch.NewPublisher(rt.st, epoch.PublisherConfig{
 		Bitnums:     rt.nbits,
-		Partitions:  cfg.PublisherPartitions,
 		MaxEpoch:    rt.maxEpoch,
 		Free:        rt.sched.freeBitnum,
 		StartPaused: cfg.PublisherStartPaused,

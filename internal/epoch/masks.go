@@ -1,7 +1,6 @@
 package epoch
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"pnstm/internal/bitvec"
@@ -35,13 +34,12 @@ type maskDir struct {
 // [1, floor], floor being the lowest frontier, holds every bit (D55). Get
 // answers those epochs from the floor, and a directory grown past them
 // leaves their chunks behind: the table holds the epochs between the floor
-// and the newest publication, not the whole history. Only publisher
-// goroutines write (Or, raiseFloor); any context may read (Get) without
-// locking: the directory is swapped with an atomic pointer and chunks
-// themselves are arrays of atomics.
+// and the newest publication, not the whole history. Only the publisher
+// writes (Or, raiseFloor), one cycle at a time; any context may read (Get)
+// without locking: the directory is swapped with an atomic pointer and
+// chunks themselves are arrays of atomics.
 type MaskTable struct {
-	dir    atomic.Pointer[maskDir]
-	growMu sync.Mutex // serializes directory growth among publishers
+	dir atomic.Pointer[maskDir]
 
 	// floor is the highest epoch up to which every mask is full; full is
 	// every bitnum of the runtime's space, set before any Get.
@@ -97,12 +95,7 @@ func (t *MaskTable) OrRange(lo, hi Epoch, bits bitvec.Vec) {
 // concurrent readers holding the old directory still observe every
 // published mask.
 func (t *MaskTable) grow(idx int) {
-	t.growMu.Lock()
-	defer t.growMu.Unlock()
 	old := t.dir.Load()
-	if old != nil && idx-old.base < len(old.chunks) {
-		return
-	}
 	base := int((t.floor.Load() + 1) >> chunkBits)
 	next := &maskDir{base: base, chunks: make([]*maskChunk, max(2*(idx-base+1), 4))}
 	for i := range next.chunks {
@@ -118,11 +111,8 @@ func (t *MaskTable) grow(idx int) {
 // raiseFloor records that every mask of the epochs [1, floor] is full.
 // Publisher-only; the floor never moves down.
 func (t *MaskTable) raiseFloor(floor Epoch) {
-	for {
-		cur := t.floor.Load()
-		if uint64(floor) <= cur || t.floor.CompareAndSwap(cur, uint64(floor)) {
-			return
-		}
+	if uint64(floor) > t.floor.Load() {
+		t.floor.Store(uint64(floor))
 	}
 }
 

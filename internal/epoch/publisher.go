@@ -3,14 +3,13 @@ package epoch
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pnstm/internal/bitvec"
 )
 
-// Publisher is the background thread(s) of paper §5.1: the only writer of
-// the committed masks. It continuously folds the commit ledger (State)
-// into the MaskTable and returns discarded bitnums to the free queue.
+// Publisher is the background thread of paper §5.1: the only writer of the
+// committed masks. It folds the commit ledger (State) into the MaskTable
+// and returns discarded bitnums to the free queue.
 //
 // Commit publication (paper Fig. 4, lines 4–7): when lastComEp[bn] moved
 // past the publication frontier, set bn in every committed mask up to it.
@@ -26,14 +25,17 @@ import (
 // re-using from maxCurEp+2 guarantees no two transactions ever share a
 // bitnum at overlapping epochs.
 //
-// The publisher can be parallelized by partitioning the bitnum space
-// (paper §5.1); Partitions > 1 enables that.
+// The ledger wakes it (D59): every write that gives it work rings the
+// State's doorbell, and it runs one cycle per ring. An idle runtime runs
+// none.
 type Publisher struct {
 	st       *State
 	maxEpoch func() Epoch
 	free     func(bn bitvec.Bitnum, minEp Epoch)
+	bitnums  int
 
-	parts []*partition
+	mu         sync.Mutex // serializes cycles (background loop vs. StepOnce)
+	lastInMask [bitvec.Word]Epoch
 
 	paused atomic.Bool
 	stop   chan struct{}
@@ -46,25 +48,11 @@ type Publisher struct {
 	freed     atomic.Uint64 // discards processed
 }
 
-// partition owns a disjoint subset of the bitnum space.
-type partition struct {
-	mu         sync.Mutex // serializes cycles (background loop vs. StepOnce)
-	bns        []bitvec.Bitnum
-	lastInMask [bitvec.Word]Epoch // frontier; only this partition's bns used
-	low        atomic.Uint64      // lowest frontier of bns after the last cycle
-}
-
 // PublisherConfig configures a Publisher.
 type PublisherConfig struct {
 	// Bitnums is the number of live bitnum slots (N). Only [0, Bitnums) is
 	// scanned.
 	Bitnums int
-	// Partitions is the number of background publisher goroutines
-	// (paper §5.1 parallel publisher). Defaults to 1.
-	Partitions int
-	// IdleSleep is how long a publisher goroutine sleeps after a cycle
-	// that found no work. Defaults to 20µs.
-	IdleSleep time.Duration
 	// MaxEpoch must return an epoch at least as large as the current epoch
 	// of every running context.
 	MaxEpoch func() Epoch
@@ -75,19 +63,11 @@ type PublisherConfig struct {
 	StartPaused bool
 }
 
-// NewPublisher creates and starts a publisher.
+// NewPublisher attaches a publisher to st and starts it. st must not have
+// been written yet: a ring before the doorbell exists is lost.
 func NewPublisher(st *State, cfg PublisherConfig) *Publisher {
 	if cfg.Bitnums <= 0 || cfg.Bitnums > bitvec.Word {
 		panic("epoch: PublisherConfig.Bitnums out of range")
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 1
-	}
-	if cfg.Partitions > cfg.Bitnums {
-		cfg.Partitions = cfg.Bitnums
-	}
-	if cfg.IdleSleep <= 0 {
-		cfg.IdleSleep = 20 * time.Microsecond
 	}
 	if cfg.MaxEpoch == nil || cfg.Free == nil {
 		panic("epoch: PublisherConfig requires MaxEpoch and Free")
@@ -96,86 +76,62 @@ func NewPublisher(st *State, cfg PublisherConfig) *Publisher {
 		st:       st,
 		maxEpoch: cfg.MaxEpoch,
 		free:     cfg.Free,
+		bitnums:  cfg.Bitnums,
 		stop:     make(chan struct{}),
 	}
 	p.paused.Store(cfg.StartPaused)
 	st.Masks.full = bitvec.Vec(^uint64(0) >> (bitvec.Word - cfg.Bitnums))
-	p.parts = make([]*partition, cfg.Partitions)
-	for i := range p.parts {
-		p.parts[i] = &partition{}
-	}
-	for bn := 0; bn < cfg.Bitnums; bn++ {
-		part := p.parts[bn%cfg.Partitions]
-		part.bns = append(part.bns, bitvec.Bitnum(bn))
-	}
-	for _, part := range p.parts {
-		p.wg.Add(1)
-		go p.loop(part, cfg.IdleSleep)
-	}
+	st.bell = make(chan struct{}, 1)
+	p.wg.Add(1)
+	go p.loop()
 	return p
 }
 
-// loop is one background publisher goroutine.
-func (p *Publisher) loop(part *partition, idle time.Duration) {
+// loop is the background publisher goroutine: one cycle per ring.
+func (p *Publisher) loop() {
 	defer p.wg.Done()
-	sleep := idle
 	for {
 		select {
 		case <-p.stop:
 			return
-		default:
+		case <-p.st.bell:
 		}
+		// Clear the flag before the scan, so that a write the scan misses
+		// rings again (State.ring).
+		p.st.rung.Store(false)
 		if p.paused.Load() {
-			time.Sleep(idle)
-			continue
+			continue // Resume rings
 		}
-		part.mu.Lock()
-		work := p.cycle(part)
-		part.mu.Unlock()
 		p.cycles.Add(1)
-		if work {
-			sleep = idle
-			continue
-		}
-		// Exponential idle backoff, capped: keeps publication latency low
-		// under load without burning a core when the system is quiet.
-		time.Sleep(sleep)
-		if sleep < 8*idle {
-			sleep *= 2
-		}
+		p.StepOnce()
 	}
 }
 
-// cycle scans the partition's bitnums once. Reports whether any
-// publication or freeing happened.
-func (p *Publisher) cycle(part *partition) bool {
+// cycle scans every bitnum once. Reports whether any publication or
+// freeing happened. Must hold p.mu.
+func (p *Publisher) cycle() bool {
 	work := false
 	low := ^Epoch(0)
-	for _, bn := range part.bns {
-		if p.publishBitnum(part, bn) {
+	for bn := bitvec.Bitnum(0); int(bn) < p.bitnums; bn++ {
+		if p.publishBitnum(bn) {
 			work = true
 		}
-		low = min(low, part.lastInMask[bn])
+		low = min(low, p.lastInMask[bn])
 	}
-	part.low.Store(uint64(low))
-	// Every epoch up to the lowest frontier of all partitions now holds
-	// every bit (D55).
-	for _, q := range p.parts {
-		low = min(low, Epoch(q.low.Load()))
-	}
+	// Every epoch up to the lowest frontier now holds every bit (D55).
 	p.st.Masks.raiseFloor(low)
 	return work
 }
 
 // publishBitnum folds bn's pending commits and discard into the masks.
-func (p *Publisher) publishBitnum(part *partition, bn bitvec.Bitnum) bool {
+func (p *Publisher) publishBitnum(bn bitvec.Bitnum) bool {
 	st := p.st
 	work := false
-	last := part.lastInMask[bn]
+	last := p.lastInMask[bn]
 	if lc := st.LastCommit(bn); lc > last {
 		st.Masks.OrRange(last+1, lc, bn.Bit())
 		p.maskOrs.Add(uint64(lc - last))
-		part.lastInMask[bn] = lc
+		p.lastInMask[bn] = lc
 		last = lc
 		p.published.Add(1)
 		work = true
@@ -194,7 +150,7 @@ func (p *Publisher) publishBitnum(part *partition, bn bitvec.Bitnum) bool {
 		if target > last {
 			st.Masks.OrRange(last+1, target, bn.Bit())
 			p.maskOrs.Add(uint64(target - last))
-			part.lastInMask[bn] = target
+			p.lastInMask[bn] = target
 		}
 		st.endDiscarding(bn)
 		st.clearDiscarded(bn)
@@ -209,26 +165,24 @@ func (p *Publisher) publishBitnum(part *partition, bn bitvec.Bitnum) bool {
 // until Resume or StepOnce; used by tests to open the lazy window wide.
 func (p *Publisher) Pause() { p.paused.Store(true) }
 
-// Resume restarts background publication.
-func (p *Publisher) Resume() { p.paused.Store(false) }
+// Resume restarts background publication and publishes what the ledger
+// gathered while paused.
+func (p *Publisher) Resume() {
+	p.paused.Store(false)
+	p.st.ring()
+}
 
 // Paused reports whether the publisher is paused.
 func (p *Publisher) Paused() bool { return p.paused.Load() }
 
 // StepOnce runs a single full publication cycle over every bitnum on the
 // caller's goroutine, regardless of the paused state. Safe to call
-// concurrently with the background loops. Returns whether any work was
+// concurrently with the background loop. Returns whether any work was
 // done.
 func (p *Publisher) StepOnce() bool {
-	work := false
-	for _, part := range p.parts {
-		part.mu.Lock()
-		if p.cycle(part) {
-			work = true
-		}
-		part.mu.Unlock()
-	}
-	return work
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cycle()
 }
 
 // Drain runs StepOnce until a cycle finds no work. It publishes everything
@@ -238,7 +192,7 @@ func (p *Publisher) Drain() {
 	}
 }
 
-// Close stops the background goroutines and waits for them. The mask table
+// Close stops the background goroutine and waits for it. The mask table
 // remains readable.
 func (p *Publisher) Close() {
 	select {
@@ -269,15 +223,7 @@ func (p *Publisher) Stats() PublisherStats {
 
 // Frontier returns the publication frontier of bn (diagnostics/tests).
 func (p *Publisher) Frontier(bn bitvec.Bitnum) Epoch {
-	for _, part := range p.parts {
-		for _, b := range part.bns {
-			if b == bn {
-				part.mu.Lock()
-				e := part.lastInMask[bn]
-				part.mu.Unlock()
-				return e
-			}
-		}
-	}
-	return 0
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lastInMask[bn]
 }

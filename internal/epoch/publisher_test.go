@@ -1,6 +1,8 @@
 package epoch
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,16 +25,14 @@ type freeEvent struct {
 	minEp Epoch
 }
 
-func newHarness(t *testing.T, bitnums, partitions int, paused bool) (*pubHarness, *Publisher) {
+func newHarness(t *testing.T, bitnums int, paused bool) (*pubHarness, *Publisher) {
 	t.Helper()
 	h := &pubHarness{freedC: make(chan freeEvent, 128)}
 	p := NewPublisher(&h.st, PublisherConfig{
 		Bitnums:     bitnums,
-		Partitions:  partitions,
 		MaxEpoch:    func() Epoch { return Epoch(h.maxEp.Load()) },
 		Free:        h.onFree,
 		StartPaused: paused,
-		IdleSleep:   5 * time.Microsecond,
 	})
 	t.Cleanup(p.Close)
 	return h, p
@@ -46,7 +46,7 @@ func (h *pubHarness) onFree(bn bitvec.Bitnum, minEp Epoch) {
 }
 
 func TestPublisherPublishesCommitRange(t *testing.T) {
-	h, p := newHarness(t, 8, 1, true)
+	h, p := newHarness(t, 8, true)
 	h.maxEp.Store(10)
 	h.st.RecordCommit(2, 7)
 	p.StepOnce()
@@ -70,7 +70,7 @@ func TestPublisherPublishesCommitRange(t *testing.T) {
 }
 
 func TestPublisherDiscardPublishesSlackAndFrees(t *testing.T) {
-	h, p := newHarness(t, 8, 1, true)
+	h, p := newHarness(t, 8, true)
 	h.maxEp.Store(20)
 	h.st.Discard(5, 12)
 	p.StepOnce()
@@ -101,7 +101,7 @@ func TestPublisherDiscardPublishesSlackAndFrees(t *testing.T) {
 }
 
 func TestPublisherDiscardIsProcessedOnce(t *testing.T) {
-	h, p := newHarness(t, 4, 1, true)
+	h, p := newHarness(t, 4, true)
 	h.maxEp.Store(3)
 	h.st.Discard(1, 2)
 	p.StepOnce()
@@ -114,7 +114,7 @@ func TestPublisherDiscardIsProcessedOnce(t *testing.T) {
 }
 
 func TestPublisherBackgroundProgress(t *testing.T) {
-	h, _ := newHarness(t, 8, 1, false)
+	h, _ := newHarness(t, 8, false)
 	h.maxEp.Store(50)
 	h.st.Discard(3, 40)
 	select {
@@ -127,21 +127,24 @@ func TestPublisherBackgroundProgress(t *testing.T) {
 	}
 }
 
+// What the ledger gathered while the publisher was paused is published by
+// Resume alone, with no further ledger write.
 func TestPublisherPauseBlocksPublication(t *testing.T) {
-	h, p := newHarness(t, 8, 1, false)
+	h, p := newHarness(t, 8, false)
 	p.Pause()
 	if !p.Paused() {
 		t.Fatal("not paused")
 	}
 	h.maxEp.Store(5)
 	h.st.RecordCommit(0, 4)
+	h.st.Discard(1, 3)
 	time.Sleep(20 * time.Millisecond)
-	if h.st.Masks.Get(4).Has(0) {
+	if h.st.Masks.Get(4).Has(0) || !h.st.IsDiscarded(1) {
 		t.Fatal("paused publisher still published")
 	}
 	p.Resume()
 	deadline := time.Now().Add(5 * time.Second)
-	for !h.st.Masks.Get(4).Has(0) {
+	for !h.st.Masks.Get(4).Has(0) || h.st.IsDiscarded(1) {
 		if time.Now().After(deadline) {
 			t.Fatal("resume did not publish")
 		}
@@ -149,14 +152,17 @@ func TestPublisherPauseBlocksPublication(t *testing.T) {
 	}
 }
 
-func TestPublisherPartitionsCoverAllBitnums(t *testing.T) {
-	h, p := newHarness(t, 16, 3, true)
+// One cycle covers the whole bitnum space, up to the machine word.
+func TestPublisherPublishesAllBitnums(t *testing.T) {
+	h, p := newHarness(t, bitvec.Word, true)
 	h.maxEp.Store(9)
-	for bn := bitvec.Bitnum(0); bn < 16; bn++ {
+	for bn := bitvec.Bitnum(0); bn < bitvec.Word; bn++ {
 		h.st.RecordCommit(bn, 6)
 	}
-	p.Drain()
-	for bn := bitvec.Bitnum(0); bn < 16; bn++ {
+	if !p.StepOnce() || p.StepOnce() {
+		t.Fatal("one cycle did not publish every bitnum")
+	}
+	for bn := bitvec.Bitnum(0); bn < bitvec.Word; bn++ {
 		for e := Epoch(1); e <= 6; e++ {
 			if !h.st.Masks.Get(e).Has(bn) {
 				t.Fatalf("bn %d epoch %d unpublished", bn, e)
@@ -164,13 +170,13 @@ func TestPublisherPartitionsCoverAllBitnums(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.CommitFolds != 16 {
+	if st.CommitFolds != bitvec.Word {
 		t.Fatalf("CommitFolds = %d", st.CommitFolds)
 	}
 }
 
 func TestPublisherDrainQuiesces(t *testing.T) {
-	h, p := newHarness(t, 8, 2, true)
+	h, p := newHarness(t, 8, true)
 	h.maxEp.Store(100)
 	for bn := bitvec.Bitnum(0); bn < 8; bn++ {
 		h.st.RecordCommit(bn, Epoch(10+bn))
@@ -184,7 +190,7 @@ func TestPublisherDrainQuiesces(t *testing.T) {
 // A commit that lands while a discard is in flight must still be covered by
 // the published horizon (the free minEp must exceed any commit epoch).
 func TestPublisherDiscardCoversLateCommit(t *testing.T) {
-	h, p := newHarness(t, 4, 1, true)
+	h, p := newHarness(t, 4, true)
 	h.maxEp.Store(30)
 	h.st.RecordCommit(2, 25)
 	h.st.Discard(2, 28)
@@ -203,36 +209,82 @@ func TestPublisherDiscardCoversLateCommit(t *testing.T) {
 }
 
 func TestPublisherCloseIdempotent(t *testing.T) {
-	_, p := newHarness(t, 4, 2, false)
+	_, p := newHarness(t, 4, false)
 	p.Close()
 	p.Close() // must not panic or deadlock
 }
 
 // A publisher that keeps every bitnum's frontier moving keeps the mask
-// table to the epochs above the lowest frontier, however many epochs pass,
-// with one partition or several (D55).
+// table to the epochs above the lowest frontier, however many epochs pass
+// (D55).
 func TestPublisherFloorBoundsMaskTable(t *testing.T) {
-	for _, parts := range []int{1, 3} {
-		h, p := newHarness(t, 6, parts, true)
-		const step, rounds = chunkLen / 3, 300 // 75 chunks of epochs
-		for r := Epoch(1); r <= rounds; r++ {
-			for bn := bitvec.Bitnum(0); bn < 6; bn++ {
-				h.st.RecordCommit(bn, r*step-Epoch(bn))
-			}
-			p.StepOnce()
-			if n := h.st.Masks.Allocated(); n > 8*chunkLen {
-				t.Fatalf("partitions %d, round %d: table holds %d epochs", parts, r, n)
-			}
+	h, p := newHarness(t, 6, true)
+	const step, rounds = chunkLen / 3, 300 // 75 chunks of epochs
+	for r := Epoch(1); r <= rounds; r++ {
+		for bn := bitvec.Bitnum(0); bn < 6; bn++ {
+			h.st.RecordCommit(bn, r*step-Epoch(bn))
 		}
-		for e := Epoch(1); e <= rounds*step; e += 101 {
-			for bn := bitvec.Bitnum(0); bn < 6; bn++ {
-				if want := e <= rounds*step-Epoch(bn); h.st.Masks.Get(e).Has(bn) != want {
-					t.Fatalf("partitions %d: Get(%d).Has(%d) = %v", parts, e, bn, !want)
-				}
-			}
-		}
-		if h.st.Masks.Get(0) != 0 || h.st.Masks.Get(rounds*step+1) != 0 {
-			t.Fatalf("partitions %d: unpublished epochs read %v, %v", parts, h.st.Masks.Get(0), h.st.Masks.Get(rounds*step+1))
+		p.StepOnce()
+		if n := h.st.Masks.Allocated(); n > 8*chunkLen {
+			t.Fatalf("round %d: table holds %d epochs", r, n)
 		}
 	}
+	for e := Epoch(1); e <= rounds*step; e += 101 {
+		for bn := bitvec.Bitnum(0); bn < 6; bn++ {
+			if want := e <= rounds*step-Epoch(bn); h.st.Masks.Get(e).Has(bn) != want {
+				t.Fatalf("Get(%d).Has(%d) = %v", e, bn, !want)
+			}
+		}
+	}
+	if h.st.Masks.Get(0) != 0 || h.st.Masks.Get(rounds*step+1) != 0 {
+		t.Fatalf("unpublished epochs read %v, %v", h.st.Masks.Get(0), h.st.Masks.Get(rounds*step+1))
+	}
+}
+
+// Every ledger write wakes the publisher (D59): a commit is published and a
+// discard freed with no poll and no further write behind it. Four writers,
+// each on its own bitnums, keep writes landing during scans.
+func TestPublisherWakesOnEveryLedgerWrite(t *testing.T) {
+	const bitnums, writers, rounds = 16, 4, 20_000
+	var st State
+	var maxEp atomic.Uint64
+	var freed [bitnums]atomic.Uint64
+	p := NewPublisher(&st, PublisherConfig{
+		Bitnums:  bitnums,
+		MaxEpoch: func() Epoch { return Epoch(maxEp.Load()) },
+		Free:     func(bn bitvec.Bitnum, _ Epoch) { freed[bn].Add(1) },
+	})
+	defer p.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < rounds/writers; r++ {
+				bn := bitvec.Bitnum(w + writers*rng.Intn(bitnums/writers))
+				// Past every frontier: a discard publishes one epoch past
+				// the maxEp it read.
+				ep := Epoch(maxEp.Add(2))
+				discard := rng.Intn(2) == 0
+				done := func() bool { return st.Masks.Get(ep).Has(bn) }
+				if discard {
+					// At the bitnum's last commit epoch, as a finishing
+					// block does: the discard flag alone has to ring.
+					want := freed[bn].Load() + 1
+					st.Discard(bn, st.LastCommit(bn))
+					done = func() bool { return freed[bn].Load() == want }
+				} else {
+					st.RecordCommit(bn, ep)
+				}
+				for deadline := time.Now().Add(time.Second); !done(); runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Errorf("writer %d round %d: bitnum %d (discard %v) untouched after 1s", w, r, bn, discard)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -34,10 +34,35 @@ type State struct {
 	// the committed mask of their epoch) from their ancestor sets before
 	// every epoch change.
 	discarding atomic.Uint64
+
+	// bell is the publisher's doorbell (D59): a ledger write that gives the
+	// publisher work rings it, and the publisher sleeps on it. rung is set
+	// by the ring that sends the token and cleared by the publisher when it
+	// takes it, so at most one token is ever in flight. The flag, not the
+	// channel, orders a write before the publisher's next scan: a failed
+	// non-blocking send synchronizes with nothing. bell is nil until a
+	// Publisher is attached; a ring then does nothing.
+	bell chan struct{}
+	rung atomic.Bool
+}
+
+// ring wakes the publisher. A writer stores, then rings; the publisher
+// clears rung, then scans. So either this ring finds rung clear and sends a
+// token, or a token is pending whose taker clears rung after the store and
+// scans after that.
+func (s *State) ring() {
+	if s.rung.Load() || s.rung.Swap(true) {
+		return
+	}
+	select {
+	case s.bell <- struct{}{}:
+	default: // no publisher attached
+	}
 }
 
 // RecordCommit notes that the transaction identified by bn committed at
-// epoch ep (paper commitTx line 1). Monotone: never regresses.
+// epoch ep (paper commitTx line 1). Monotone: never regresses. The write
+// that advances the slot rings the publisher.
 func (s *State) RecordCommit(bn bitvec.Bitnum, ep Epoch) {
 	slot := &s.lastComEp[bn]
 	for {
@@ -46,6 +71,7 @@ func (s *State) RecordCommit(bn bitvec.Bitnum, ep Epoch) {
 			return
 		}
 		if slot.CompareAndSwap(cur, uint64(ep)) {
+			s.ring()
 			return
 		}
 	}
@@ -63,6 +89,7 @@ func (s *State) LastCommit(bn bitvec.Bitnum) Epoch {
 func (s *State) Discard(bn bitvec.Bitnum, lastEp Epoch) {
 	s.RecordCommit(bn, lastEp)
 	s.discarded[bn].Store(true)
+	s.ring()
 }
 
 // IsDiscarded reports whether bn has a pending discard.

@@ -2,7 +2,6 @@ package pnstm
 
 import (
 	"reflect"
-	"time"
 	"unsafe"
 
 	"pnstm/internal/core"
@@ -35,9 +34,8 @@ var ErrClosed = core.ErrClosed
 //
 //   - Serial overrides almost everything else: it disables the scheduler,
 //     the publisher and conflict detection, so Workers,
-//     DisableAggressiveRecycle, SharedReads, PublisherPartitions,
-//     PublisherStartPaused, SpinRetries and the backoff fields have no
-//     effect, and Runtime.Publisher returns nil. A Serial runtime is
+//     DisableAggressiveRecycle, SharedReads and PublisherStartPaused have
+//     no effect, and Runtime.Publisher returns nil. A Serial runtime is
 //     single-threaded: concurrent Run calls are not safe in this mode.
 //   - DisableAggressiveRecycle turns off unilateral bitnum discards,
 //     which also eliminates borrow switches and merged-victim
@@ -50,12 +48,11 @@ var ErrClosed = core.ErrClosed
 //     Serial still hold for deterministic programs.
 //   - PublisherStartPaused holds the lazy-publication window open until
 //     Publisher().Resume or a manual StepOnce/Drain; accessors then rely
-//     on SpinRetries and committed-descendant notes, and deliberately do
+//     on spinning and committed-descendant notes, and deliberately do
 //     not help-publish (tests pause the publisher precisely to keep the
 //     window open).
-//   - SpinRetries, YieldAfterAborts, BackoffBase/BackoffMax and Seed tune
-//     the same retry loop, in escalating order: spin in place, then back
-//     off (randomized via Seed), then yield the worker slot.
+//   - Seed randomizes the retry backoff; the retry loop's spin, backoff
+//     and slot-yield limits are fixed.
 type Config struct {
 	// Workers is the number of worker slots P (1..32). Transactions get
 	// identifiers out of a 2P-bit space, so P is bounded by half the
@@ -79,27 +76,9 @@ type Config struct {
 	// is the paper's §9 first future-work item.)
 	SharedReads bool
 
-	// PublisherPartitions parallelizes the background publisher over the
-	// bitnum space (paper §5.1). Default 1.
-	PublisherPartitions int
-
 	// PublisherStartPaused starts the publisher paused. Testing only: it
 	// holds the lazy-publication window open.
 	PublisherStartPaused bool
-
-	// SpinRetries bounds in-place conflict re-testing before a transaction
-	// aborts. Default 64.
-	SpinRetries int
-
-	// YieldAfterAborts is how many consecutive aborts a transaction
-	// tolerates before giving its worker slot back between retries.
-	// Default 3.
-	YieldAfterAborts int
-
-	// BackoffBase and BackoffMax bound the randomized exponential backoff
-	// between retries. Defaults 500ns and 100µs.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 
 	// Seed seeds backoff randomization. Default 1.
 	Seed int64
@@ -119,12 +98,7 @@ func New(cfg Config) (*Runtime, error) {
 		Serial:                   cfg.Serial,
 		DisableAggressiveRecycle: cfg.DisableAggressiveRecycle,
 		SharedReads:              cfg.SharedReads,
-		PublisherPartitions:      cfg.PublisherPartitions,
 		PublisherStartPaused:     cfg.PublisherStartPaused,
-		SpinRetries:              cfg.SpinRetries,
-		YieldAfterAborts:         cfg.YieldAfterAborts,
-		BackoffBase:              cfg.BackoffBase,
-		BackoffMax:               cfg.BackoffMax,
 		Seed:                     cfg.Seed,
 	})
 	if err != nil {

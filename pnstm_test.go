@@ -2,11 +2,46 @@ package pnstm_test
 
 import (
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"pnstm"
+	"pnstm/internal/core"
+	"pnstm/internal/epoch"
 )
+
+// TestRuntimeConfigSurface is the runtime's knob census: a field added to
+// or deleted from a runtime configuration changes one of these lists.
+func TestRuntimeConfigSurface(t *testing.T) {
+	names := func(v any) []string {
+		typ := reflect.TypeOf(v)
+		out := make([]string, typ.NumField())
+		for i := range out {
+			out[i] = typ.Field(i).Name
+		}
+		return out
+	}
+	for _, c := range []struct {
+		cfg  any
+		want []string
+	}{
+		{pnstm.Config{}, []string{ // 6
+			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads", "PublisherStartPaused", "Seed",
+		}},
+		{core.Config{}, []string{ // 10
+			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads", "PublisherStartPaused",
+			"SpinRetries", "EscalateAfterAborts", "CrisisAborts", "CrisisBackoff", "Seed",
+		}},
+		{epoch.PublisherConfig{}, []string{ // 4
+			"Bitnums", "MaxEpoch", "Free", "StartPaused",
+		}},
+	} {
+		if got := names(c.cfg); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%T fields changed:\n got  %v\n want %v", c.cfg, got, c.want)
+		}
+	}
+}
 
 func newRuntime(t *testing.T, workers int) *pnstm.Runtime {
 	t.Helper()

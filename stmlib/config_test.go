@@ -9,9 +9,8 @@ import (
 	"pnstm/stmlib"
 )
 
-// Config-path oracle coverage: the under-tested Runtime configurations —
-// PublisherPartitions > 1 (partitioned background publisher, paper §5.1)
-// and SharedReads (the §9 read-access extension) — run the same
+// Config-path oracle coverage: the under-tested Runtime configuration —
+// SharedReads (the §9 read-access extension) — runs the same
 // deterministic programs with parallel-nested bulk operations as the
 // Serial baseline, and all outcomes must agree with the sequential
 // reference model.
@@ -20,9 +19,7 @@ import (
 // top of a worker count.
 func configVariants() map[string]pnstm.Config {
 	return map[string]pnstm.Config{
-		"partitions=4":             {PublisherPartitions: 4},
-		"sharedreads":              {SharedReads: true},
-		"partitions=4+sharedreads": {PublisherPartitions: 4, SharedReads: true},
+		"sharedreads": {SharedReads: true},
 	}
 }
 
