@@ -2,7 +2,7 @@
 #
 #   docker build -t pnstmd .
 #   docker run -p 7455:7455 -p 7456:7456 pnstmd \
-#       -shards 4 -admin :7456 -adaptive
+#       -shards 4 -admin :7456
 #
 # The admin listener doubles as the container health surface: the
 # HEALTHCHECK probes /healthz, and /readyz flips to 503 the moment
@@ -33,4 +33,4 @@ EXPOSE 7455 7456
 HEALTHCHECK --interval=10s --timeout=3s --start-period=5s --retries=3 \
     CMD wget -q -O /dev/null http://127.0.0.1:7456/healthz || exit 1
 ENTRYPOINT ["pnstmd", "-addr", ":7455", "-admin", ":7456"]
-CMD ["-shards", "4", "-adaptive"]
+CMD ["-shards", "4"]

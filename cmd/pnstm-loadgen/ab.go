@@ -140,8 +140,8 @@ var abModes = []abSpec{
 		// through the network stack. Without -fsync the comparison is raw
 		// in-memory execution, where cheap point ops favor the serial
 		// baseline's zero-machinery path (the paper's own
-		// short-transaction observation) and read-pipelining workloads
-		// favor batching. With -fsync both legs run durable: the serial
+		// short-transaction observation) and read-heavy workloads favor
+		// batching. With -fsync both legs run durable: the serial
 		// baseline then pays a FULL fsync per request while group commit
 		// pays one per BATCH — the amortization that makes group commit
 		// the right architecture for mutating multi-op transactions.
@@ -156,15 +156,6 @@ var abModes = []abSpec{
 				}
 			}},
 			{label: "batched", tune: func(c *server.Config, o *abOpts) {
-				// Read-dominant traffic additionally pipelines group
-				// commits: safe there because shared reads never conflict
-				// across batches. Write-heavy workloads keep the classic
-				// one-batch-at-a-time group commit — overlapping writer
-				// batches would livelock on the hot keys.
-				c.MaxInflight = 1
-				if o.cfg.workload == "readmap" {
-					c.MaxInflight = 4
-				}
 				if o.fsync {
 					o.fsynced(c)
 				}
@@ -193,38 +184,6 @@ var abModes = []abSpec{
 			{"wal_retained_ratio", "nofsync", []string{"memory"}},
 			{"fsync_retained_ratio", "fsync", []string{"nofsync"}},
 		},
-	},
-	{
-		// The controller A/B, meant for -workload phases, whose op mix
-		// shifts read-heavy → write-hot → mixed mid-run:
-		//
-		//	static1   MaxInflight pinned at 1 (the conservative default:
-		//	          safe everywhere, leaves read-phase pipelining on the
-		//	          table)
-		//	static4   MaxInflight pinned at 4 (fast while reads dominate,
-		//	          digs into the write-livelock cliff when the phase
-		//	          turns — it may blow the leg budget and score 0)
-		//	adaptive  starts at 1 with the AIMD controller on, walking
-		//	          each shard's MaxInflight from its observed abort rate
-		//
-		// No single static setting is right for every phase, so a working
-		// controller holds adaptive / best(static) near or above 1.0 —
-		// the committed BENCH_baseline.json floor CI gates it against.
-		name:   "adaptive",
-		what:   "adaptive AIMD MaxInflight vs the best pinned static setting (run it on -workload phases)",
-		report: "loadgen-%s-adaptive",
-		legs: []leg{
-			{label: "static1", tune: func(c *server.Config, o *abOpts) { c.MaxInflight = 1 }},
-			{label: "static4", tune: func(c *server.Config, o *abOpts) { c.MaxInflight = 4 }},
-			{label: "adaptive",
-				tune: func(c *server.Config, o *abOpts) { c.MaxInflight, c.Adaptive = 1, true },
-				extra: func(env *legEnv, res *genResult) {
-					for _, ps := range env.srv.ConfigSnapshot().PerShard {
-						res.notes = append(res.notes, fmt.Sprintf("shard %d settled at inflight=%d", ps.Shard, ps.MaxInflight))
-					}
-				}},
-		},
-		ratios: []ratio{{"adaptive_speedup_ratio", "adaptive", []string{"static1", "static4"}}},
 	},
 	{
 		// What the conflict X-ray costs: the same batched workload with
@@ -273,11 +232,10 @@ var abModes = []abSpec{
 		// workload, while a background write pump holds the primary's
 		// durable commit pipeline busy, against just the primary and
 		// against a read pool of the primary plus two caught-up replicas
-		// routed with ReadPreferReplica. The primary's WAL clamps it to one
-		// commit pipeline per shard (D20), so on the primary every read
-		// batch that coalesces with a write pays that write batch's fsync:
-		// reads are throttled to the durable group-commit cadence.
-		// Replicas are in-memory and pipeline batches freely, so the pool
+		// routed with ReadPreferReplica. A shard commits one batch at a time
+		// (D20), so on the primary every read batch that coalesces with a
+		// write pays that write batch's fsync: reads are throttled to the
+		// durable group-commit cadence. Replicas are in-memory, so the pool
 		// serves reads at memory speed while the same writes flow
 		// primary-side (replica.go).
 		name:   "replica",
@@ -324,11 +282,8 @@ var abModes = []abSpec{
 				c.Registry.Fanout = 1
 				o.fsynced(c)
 			}},
-			// Half the traffic mutates, so the parallel leg keeps the
-			// classic one-batch-at-a-time group commit (pipelined batches
-			// are for pure-read traffic; overlapping writer batches
-			// livelock). Shared reads keep co-batched scans from
-			// false-conflicting on shared leaves.
+			// Shared reads keep co-batched scans from false-conflicting on
+			// shared leaves.
 			{label: "parallel", load: scanLoad, tune: func(c *server.Config, o *abOpts) {
 				c.Registry.Fanout = stmlib.DefaultFanout
 				o.fsynced(c)
@@ -416,12 +371,10 @@ func (e *legEnv) close() {
 }
 
 // runLeg boots l, drives its load inside the budget and returns the
-// result. A pinned-static pipelining server CAN livelock outright on a
-// write-hot phase (the PR 2 cliff — the very failure the controller
-// exists to avoid), and a wedged leg never answers its in-flight ops: a
-// leg that blows the budget is scored as zero throughput with a note,
-// and its server abandoned un-Closed (Close would wait on the stuck
-// batch; process exit reaps it).
+// result. A wedged leg never answers its in-flight ops: a leg that blows
+// the budget is scored as zero throughput with a note, and its server
+// abandoned un-Closed (Close would wait on the stuck batch; process exit
+// reaps it).
 func runLeg(l *leg, o *abOpts) (*genResult, error) {
 	scfg := l.config(o)
 	durable := l.durable || scfg.Fsync
@@ -429,8 +382,8 @@ func runLeg(l *leg, o *abOpts) (*genResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("== %s (shards=%d workers=%d batch=%d inflight=%d serial=%v adaptive=%v tracing=%v durable=%v fsync=%v syncdelay=%v)\n",
-		l.label, scfg.Shards, scfg.Workers, scfg.MaxBatch, scfg.MaxInflight, scfg.Serial, scfg.Adaptive,
+	fmt.Printf("== %s (shards=%d workers=%d batch=%d serial=%v tracing=%v durable=%v fsync=%v syncdelay=%v)\n",
+		l.label, scfg.Shards, scfg.Workers, scfg.MaxBatch, scfg.Serial,
 		!scfg.DisableTracing, durable, scfg.Fsync, scfg.WALSyncDelay)
 	type legOut struct {
 		res *genResult

@@ -222,21 +222,16 @@ var abGolden = []struct {
 }{
 	{"group", "readmap", false, "BENCH_loadgen-readmap-compare.json", "speedup_ratio", false, map[string]server.Config{
 		"serial":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 1, Serial: true, Registry: goldenReg},
-		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, MaxInflight: 4, Registry: goldenReg},
+		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg},
 	}},
 	{"group", "txmix", true, "BENCH_loadgen-txmix-compare.json", "speedup_ratio", false, map[string]server.Config{
 		"serial":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 1, Serial: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
-		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, MaxInflight: 1, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
 	}},
 	{"persist", "counter", false, "BENCH_loadgen-counter-persist.json", "durable_retained_ratio", false, map[string]server.Config{
 		"memory":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg},
 		"nofsync": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg},
 		"fsync":   {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true},
-	}},
-	{"adaptive", "phases", false, "BENCH_loadgen-phases-adaptive.json", "adaptive_speedup_ratio", false, map[string]server.Config{
-		"static1":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, MaxInflight: 1, Registry: goldenReg},
-		"static4":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, MaxInflight: 4, Registry: goldenReg},
-		"adaptive": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, MaxInflight: 1, Adaptive: true, Registry: goldenReg},
 	}},
 	{"trace", "mixed", false, "BENCH_loadgen-mixed-traceab.json", "tracing_overhead_ratio", true, map[string]server.Config{
 		"untraced": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, DisableTracing: true},
@@ -365,11 +360,13 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestCommandLineRefusals: what the flag fold made impossible stays
-// impossible — an unknown mode, a gate with nothing to judge, and each of
-// the twelve retired flags exit 2, the first two listing the modes.
+// impossible — an unknown or retired mode, a gate with nothing to judge,
+// a retired workload and each of the twelve retired flags exit 2, the
+// mode refusals listing the modes.
 func TestCommandLineRefusals(t *testing.T) {
 	for _, args := range [][]string{
 		{"-ab", "nope"},
+		{"-ab", "adaptive"}, // retired with the controller it tuned
 		{"-gate", "1.2"},
 	} {
 		var stderr strings.Builder
@@ -395,5 +392,9 @@ func TestCommandLineRefusals(t *testing.T) {
 	var stderr strings.Builder
 	if code := run([]string{"-ab", "shards", "-shards", "1"}, &stderr); code != 2 {
 		t.Errorf("-ab shards with one shard on both sides: exit %d, want 2", code)
+	}
+	stderr.Reset()
+	if code := run([]string{"-workload", "phases"}, &stderr); code != 2 || !strings.Contains(stderr.String(), "phases") {
+		t.Errorf("-workload phases (retired): exit %d, stderr %q; want 2 naming it", code, stderr.String())
 	}
 }

@@ -57,9 +57,7 @@ var workloads = []workload{
 		partCheckout | partTx, (*driver).opTxMix},
 	{"crossshard", "guarded balance transfers between account maps on different shards — every mutating envelope rides the cross-shard ordered-commit path — with the zero-sum ledger total verified exactly",
 		partLedger, (*driver).opCrossShard},
-	{"phases", "phase-shifting mix: read-heavy → write-hot on a tiny key-space → mixed, one third of -duration each — the workload the adaptive-controller A/B runs on",
-		partReadMap | partCounter, (*driver).opPhases},
-	{"hotkey", "zipfian-skewed write-heavy point traffic: a handful of keys draw most of the writes, so batch siblings conflict on them constantly — what the conflict profiler (/debug/hotkeys) is demonstrated on",
+	{"hotkey", "zipfian-skewed write-heavy point traffic: a handful of keys draw most of the writes; a batch runs each key's requests as one chain, so batch siblings no longer conflict on them (D58) and /debug/hotkeys shows what still does",
 		partReadMap | partZipf, (*driver).opHotKey},
 	{"pipeline", "second-generation structures composed (D45): leaderboard scans under score churn, TTL'd sessions, a leased work queue with deliberate abandons — lease conservation and exactly-once acks verified",
 		partPipeline, (*driver).opPipeline},
@@ -143,8 +141,8 @@ type genResult struct {
 	violations []string
 
 	// extra and notes carry what only one A/B leg measures (WAL fsyncs,
-	// background writes, replica staleness, a settled MaxInflight) into
-	// the report beside the standard metrics.
+	// background writes, replica staleness) into the report beside the
+	// standard metrics.
 	extra map[string]float64
 	notes []string
 
@@ -184,11 +182,6 @@ type driver struct {
 	cfg genCfg
 	wl  *workload // cfg.workload's table row
 	cl  *client.Client
-
-	// start anchors the phases workload's schedule: which third of the
-	// run a goroutine is in decides the op mix it issues. Set by runLoad
-	// right before the issuing goroutines launch.
-	start time.Time
 
 	adds     atomic.Int64 // counter workload: sum of issued deltas
 	pushed   atomic.Int64
@@ -522,8 +515,8 @@ func (d *driver) opCrossShard(rng *rand.Rand) error {
 
 // hotKeyExponent shapes the hotkey workload's zipfian key popularity:
 // with 1.2 the rank-0 key draws roughly a fifth of all traffic on a
-// 1024-key space, so a handful of keys dominate the conflict aborts —
-// the distribution /debug/hotkeys exists to expose.
+// 1024-key space, so a handful of keys dominate the traffic — the skew
+// /debug/hotkeys exists to expose.
 const hotKeyExponent = 1.2
 
 // hotKeyWriteFrac is the hotkey workload's write fraction: write-heavy
@@ -548,11 +541,12 @@ func zipfCDF(n int, s float64) []float64 {
 }
 
 // opHotKey issues zipfian-skewed traffic over the preloaded key-space:
-// mostly overwrites, some point reads. Batch siblings writing the same
-// hot key's bucket conflict and abort-retry — each abort lands in the
-// flight recorder attributed to `bench:m:k000000`-style tags, which is
-// exactly the signal the hot-key profiler ranks. Writes stay inside
-// the preloaded keys, so the readmap MapLen invariant holds.
+// mostly overwrites, some point reads. The planner runs one key's
+// requests as one chain (D58), so what still aborts — different keys
+// sharing a bucket — lands in the flight recorder attributed to
+// `bench:m:k000000`-style tags, the signal the hot-key profiler ranks.
+// Writes stay inside the preloaded keys, so the readmap MapLen
+// invariant holds.
 func (d *driver) opHotKey(rng *rand.Rand) error {
 	i := sort.SearchFloat64s(d.hotCDF, rng.Float64())
 	if i >= len(d.hotCDF) {
@@ -565,40 +559,6 @@ func (d *driver) opHotKey(rng *rand.Rand) error {
 	}
 	d.mapPuts.Add(1)
 	return d.cl.MapPut(mapName, key, []byte(fmt.Sprintf("v%d", rng.Int())))
-}
-
-// phasesHotKeys is the write-hot phase's key-space: small enough that
-// overlapping writer batches conflict constantly — the livelock cliff
-// the adaptive controller must back away from — but not so small that
-// a pinned-static pipelining server has literally zero chance of
-// limping through (the A/B harness has a timeout for that case, but a
-// leg that completes measures more).
-const phasesHotKeys = 256
-
-// opPhases shifts the op mix with wall-clock thirds of the run:
-// read-heavy (pipelining pays, the controller should walk MaxInflight
-// up) → write-hot on a tiny key-space (overlap livelocks, the
-// controller must back off) → mixed point traffic. No single static
-// MaxInflight is right for all three — the adaptive-vs-static A/B
-// (-ab adaptive) runs exactly this workload.
-func (d *driver) opPhases(rng *rand.Rand) error {
-	third := d.cfg.duration / 3
-	elapsed := time.Since(d.start)
-	switch {
-	case elapsed < third: // read-heavy
-		return d.opReadMapIn(rng, d.cfg.keys, 0.97)
-	case elapsed < 2*third: // write-hot on few keys
-		hot := phasesHotKeys
-		if hot > d.cfg.keys {
-			hot = d.cfg.keys
-		}
-		return d.opReadMapIn(rng, hot, 0.30)
-	default: // mixed
-		if rng.Intn(10) < 7 {
-			return d.opReadMapIn(rng, d.cfg.keys, 0.80)
-		}
-		return d.opCounter(rng)
-	}
 }
 
 // opAcctTransfer moves a few units between balances in two ledger maps
@@ -705,16 +665,11 @@ func (d *driver) opTxAudit(rng *rand.Rand) error {
 	return err
 }
 
+// opReadMap reads or overwrites one key of the preloaded map. Writes stay
+// inside the preloaded keys, so MapLen is invariant.
 func (d *driver) opReadMap(rng *rand.Rand) error {
-	return d.opReadMapIn(rng, d.cfg.keys, d.cfg.readFrac)
-}
-
-// opReadMapIn is opReadMap over an explicit key-space and read fraction
-// (the phases workload varies both mid-run). Writes stay inside the
-// preloaded keys, so MapLen is invariant for every caller.
-func (d *driver) opReadMapIn(rng *rand.Rand, keys int, readFrac float64) error {
-	key := keyName(rng.Intn(keys))
-	if rng.Float64() < readFrac {
+	key := keyName(rng.Intn(d.cfg.keys))
+	if rng.Float64() < d.cfg.readFrac {
 		_, _, err := d.cl.MapGet(mapName, key)
 		return err
 	}
@@ -960,7 +915,6 @@ func (d *driver) run() *genResult {
 	var mu sync.Mutex
 	deadline := time.Now().Add(cfg.duration)
 	start := time.Now()
-	d.start = start
 	var wg sync.WaitGroup
 	for g := 0; g < cfg.concurrency; g++ {
 		g := g

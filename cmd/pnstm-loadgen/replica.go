@@ -41,7 +41,6 @@ func replicaLoad(pool bool) func(env *legEnv, o *abOpts) (*genResult, error) {
 		replicas := make([]*server.Server, replicaCount)
 		for i := range replicas {
 			rcfg := o.base()
-			rcfg.MaxInflight = 4 // in-memory read pipelines — the capacity the pool buys
 			rcfg.ReplicaOf = primary
 			r, err := o.boot(rcfg, false, 0)
 			if err != nil {

@@ -19,8 +19,8 @@
 //	pnstmd -data-dir ./pnstm-data           # durable: WAL + snapshots, crash-safe
 //	pnstmd -data-dir ./pnstm-data -shards 4 # durable AND sharded: parallel fsyncs
 //	pnstmd -data-dir ./pnstm-data -fsync=false -snapshot-every 10s
-//	pnstmd -admin :7456 -adaptive            # Prometheus /metrics, /healthz,
-//	                                         # /readyz, live /config, self-tuning
+//	pnstmd -admin :7456                      # Prometheus /metrics, /healthz,
+//	                                         # /readyz, live /config
 //	pnstmd -admin :7456 -admin-debug         # + net/http/pprof under /debug/pprof/
 //	pnstmd -replica-of primary:7455 -admin :7456  # read-only replica tailing the
 //	                                              # primary's WALs; POST /promote
@@ -89,7 +89,6 @@ func main() {
 		batchdelay = flag.Duration("batchdelay", 0, "how long a batch waits for stragglers (0: only coalesce what is already in flight)")
 		serial     = flag.Bool("serial", false, "serial-nesting baseline runtime (children run sequentially)")
 		sharedr    = flag.Bool("sharedreads", true, "shared-read conflict model (§9): batch siblings reading the same bucket do not conflict")
-		inflight   = flag.Int("inflight", 1, "concurrent group commits (1: classic group commit; >1 pipelines batches — read-dominant workloads only, overlapping writers can livelock)")
 		buckets    = flag.Int("buckets", 64, "buckets per named map")
 		stripes    = flag.Int("stripes", 8, "stripes per named counter")
 		dataDir    = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty: in-memory only")
@@ -99,7 +98,6 @@ func main() {
 		syncDelay  = flag.Duration("syncdelay", 0, "artificial per-fsync latency floor (benchmark hook simulating slower stable storage, same knob as pnstm-loadgen -syncdelay; with -data-dir -fsync)")
 		adminAddr  = flag.String("admin", "", "HTTP admin listen address serving /metrics (Prometheus), /healthz, /readyz, GET/PUT /config, /debug/hotkeys and /debug/trace (empty: no admin listener)")
 		adminDebug = flag.Bool("admin-debug", false, "additionally mount net/http/pprof under /debug/pprof/ on the admin listener")
-		adaptive   = flag.Bool("adaptive", false, "adaptive controller: walk each shard's inflight from its observed abort rate (togglable live via PUT /config; nothing to walk with -data-dir or -serial, which commit one batch at a time)")
 		trace      = flag.Bool("trace", true, "conflict X-ray: record transaction-lifecycle events for /debug/hotkeys, /debug/trace and crisis dumps (togglable live via PUT /config)")
 		traceSamp  = flag.Int("trace-sample", 0, "record begin/commit lifecycle for 1 in N batches (0: default 8; 1: every batch — full fidelity, higher cost); conflict events are always recorded")
 		reapEvery  = flag.Duration("reap-interval", 5*time.Second, "TTL/lease reaper cadence: physically remove expired map/sorted-map entries and requeue overdue queue leases (0 disables; primary only — replicas replay the primary's reaps)")
@@ -151,7 +149,6 @@ func main() {
 		BatchDelay:          *batchdelay,
 		Serial:              *serial,
 		SharedReads:         *sharedr,
-		MaxInflight:         *inflight,
 		Registry:            stmlib.RegistryConfig{MapBuckets: *buckets, CounterStripes: *stripes},
 		DataDir:             *dataDir,
 		Fsync:               *fsync,
@@ -162,7 +159,6 @@ func main() {
 		AdminDebug:          *adminDebug,
 		ReplicaOf:           *replicaOf,
 		ReplicaMaxStaleness: *maxStale,
-		Adaptive:            *adaptive,
 		ReapInterval:        *reapEvery,
 		DisableTracing:      !*trace,
 		TraceSample:         *traceSamp,
@@ -198,7 +194,7 @@ func main() {
 	if a := s.AdminAddr(); a != nil {
 		log.Info("admin listening", "addr", "http://"+a.String(),
 			"endpoints", "/metrics /healthz /readyz /config /debug/hotkeys /debug/trace",
-			"pprof", *adminDebug, "adaptive", *adaptive)
+			"pprof", *adminDebug)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -87,7 +87,7 @@ func TestWritePrometheus(t *testing.T) {
 	c := r.Counter("pnstm_requests_total", "Requests.", Labels{"shard": "0"})
 	c.Add(5)
 	r.Counter("pnstm_requests_total", "Requests.", Labels{"shard": "1"}).Add(7)
-	g := r.Gauge("pnstm_max_inflight", "Inflight cap.", Labels{"shard": "0"})
+	g := r.Gauge("pnstm_batch_fanout", "Fork bound.", Labels{"shard": "0"})
 	g.Set(4)
 	r.GaugeFunc("pnstm_ready", "Readiness.", nil, func() float64 { return 1 })
 	h := r.Histogram("pnstm_request_latency_seconds", "Latency.", Labels{"class": "point"}, []float64{0.001, 0.1})
@@ -104,8 +104,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE pnstm_requests_total counter",
 		`pnstm_requests_total{shard="0"} 5`,
 		`pnstm_requests_total{shard="1"} 7`,
-		"# TYPE pnstm_max_inflight gauge",
-		`pnstm_max_inflight{shard="0"} 4`,
+		"# TYPE pnstm_batch_fanout gauge",
+		`pnstm_batch_fanout{shard="0"} 4`,
 		"pnstm_ready 1",
 		"# TYPE pnstm_request_latency_seconds histogram",
 		`pnstm_request_latency_seconds_bucket{class="point",le="0.001"} 1`,

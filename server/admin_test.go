@@ -121,7 +121,7 @@ func TestAdminSurface(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.MaxInflight != 1 || view.Durable || len(view.PerShard) != 2 {
+	if view.MaxBatch != 64 || view.Durable || view.Serial {
 		t.Fatalf("unexpected initial view: %+v", view)
 	}
 	// At the boot fan-out (Workers, 8) a 64-request record forks 8 blocks.
@@ -141,21 +141,16 @@ func TestAdminSurface(t *testing.T) {
 		}
 	}
 
-	// PUT /config retunes MaxInflight live — no restart.
-	code, body = adminPUT(t, adminURL(t, s, "/config"), `{"max_inflight": 4, "batch_fanout": 2}`)
+	// PUT /config retunes the fan-out live — no restart.
+	code, body = adminPUT(t, adminURL(t, s, "/config"), `{"batch_fanout": 2}`)
 	if code != 200 {
 		t.Fatalf("PUT /config = %d %q", code, body)
 	}
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.MaxInflight != 4 || view.BatchFanout != 2 {
-		t.Fatalf("PUT did not change max_inflight/batch_fanout: %+v", view)
-	}
-	for _, ps := range view.PerShard {
-		if ps.MaxInflight != 4 {
-			t.Fatalf("shard %d effective max_inflight not updated: %+v", ps.Shard, ps)
-		}
+	if view.BatchFanout != 2 {
+		t.Fatalf("PUT did not change batch_fanout: %+v", view)
 	}
 	// The server still works after the retune.
 	if err := cl.MapPut("adm:m", "after", []byte("retune")); err != nil {
@@ -180,8 +175,11 @@ func TestAdminSurface(t *testing.T) {
 	if v, ok := metricValue(t, scrape, "pnstm_ready"); !ok || v != 1 {
 		t.Fatalf("pnstm_ready = %v (found %v)", v, ok)
 	}
-	if v, ok := metricValue(t, scrape, `pnstm_max_inflight{shard="0"}`); !ok || v != 4 {
-		t.Fatalf("pnstm_max_inflight gauge did not follow PUT: %v (found %v)", v, ok)
+	// One batch in flight per shard is not a knob, so nothing reports it.
+	for _, gone := range []string{"pnstm_max_inflight", "pnstm_controller_steps_total"} {
+		if strings.Contains(scrape, gone) {
+			t.Fatalf("retired series %s is still exported", gone)
+		}
 	}
 	if !strings.Contains(scrape, `pnstm_batch_size_bucket{shard="0",le="1"}`) {
 		t.Fatalf("batch occupancy histogram missing:\n%s", scrape)
@@ -210,7 +208,7 @@ func TestAdminSurface(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.MaxBatch != 4 || view.BatchFanout != 2 || view.MaxInflight != 4 {
+	if view.MaxBatch != 4 || view.BatchFanout != 2 {
 		t.Fatalf("GET /config after PUT: %+v", view)
 	}
 	_, scrape = adminGET(t, adminURL(t, s, "/metrics"))
@@ -244,25 +242,33 @@ func TestConfigSurface(t *testing.T) {
 		}
 		return out
 	}
-	wantFields := []string{ // 24
+	wantFields := []string{ // 23
 		"Addr", "Shards", "Workers", "MaxBatch", "BatchDelay", "BatchFanout", "MaxInflight",
 		"Serial", "SharedReads", "Registry", "DataDir", "Fsync", "WALSyncDelay", "SnapshotEvery",
-		"WALSegmentBytes", "ReplicaOf", "ReplicaMaxStaleness", "AdminAddr", "Adaptive",
+		"WALSegmentBytes", "ReplicaOf", "ReplicaMaxStaleness", "AdminAddr",
 		"DisableTracing", "TraceSample", "AdminDebug", "ReapInterval", "Logger",
 	}
 	if got := names(reflect.TypeOf(server.Config{}), ""); !reflect.DeepEqual(got, wantFields) {
 		t.Errorf("server.Config fields changed:\n got  %v\n want %v", got, wantFields)
 	}
-	wantKeys := []string{ // 7
-		"max_batch", "batch_delay_ms", "batch_fanout", "max_inflight", "snapshot_every_ms", "adaptive", "tracing",
+	wantKeys := []string{ // 5
+		"max_batch", "batch_delay_ms", "batch_fanout", "snapshot_every_ms", "tracing",
 	}
 	if got := names(reflect.TypeOf(server.LiveConfig{}), "json"); !reflect.DeepEqual(got, wantKeys) {
 		t.Errorf("live /config keys changed:\n got  %v\n want %v", got, wantKeys)
 	}
 	// GET adds exactly its read-only fields around the same struct.
-	wantView := []string{"", "durable", "serial", "per_shard"}
+	wantView := []string{"", "durable", "serial"}
 	if got := names(reflect.TypeOf(server.ConfigView{}), "json"); !reflect.DeepEqual(got, wantView) {
 		t.Errorf("GET /config shape changed:\n got  %v\n want %v", got, wantView)
+	}
+	// MaxInflight stays only so that callers setting it to 1 still build.
+	s, err := server.New(server.Config{Addr: "127.0.0.1:0", MaxInflight: 4})
+	if err == nil {
+		s.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "MaxInflight") {
+		t.Errorf("New with MaxInflight 4: err %v, want a refusal naming MaxInflight", err)
 	}
 }
 
@@ -276,16 +282,22 @@ func TestAdminConfigValidation(t *testing.T) {
 	for _, bad := range []string{
 		`{"batch_fanout": -1}`,
 		`{"batch_fanout": 0}`,
-		`{"max_inflight": 0}`,
-		`{"max_inflight": -3}`,
+		`{"max_inflight": 1}`, // retired: one batch in flight per shard is not a knob
+		`{"adaptive": true}`,  // retired with the controller it switched on
 		`{"max_batch": 0}`,
 		`{"batch_delay_ms": -1}`,
 		`{"snapshot_every_ms": -5}`,
 		`{"max_inflite": 4}`,                   // typoed knob must not silently no-op
 		`{"max_batch": 4, "batch_fanout": -1}`, // one bad field fails the whole update
 	} {
-		if code, body := adminPUT(t, url, bad); code != 400 {
+		code, body := adminPUT(t, url, bad)
+		if code != 400 {
 			t.Fatalf("PUT %s = %d %q, want 400", bad, code, body)
+		}
+		for _, retired := range []string{"max_inflight", "adaptive"} {
+			if strings.Contains(bad, retired) && !strings.Contains(body, retired) {
+				t.Fatalf("PUT %s = %q: the refusal does not name the key", bad, body)
+			}
 		}
 		// A rejected update publishes nothing: not an equal value, the
 		// same one.
@@ -301,29 +313,11 @@ func TestAdminConfigValidation(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.MaxInflight != 1 || view.MaxBatch != 64 {
+	if view.MaxBatch != 64 || view.BatchFanout != 8 {
 		t.Fatalf("rejected updates leaked into config: %+v", view)
 	}
 	if code, _ := adminGET(t, adminURL(t, s, "/config")); code != 200 {
 		t.Fatal("GET /config broken after rejects")
-	}
-}
-
-// TestAdminRejectsPipeliningWithWAL: the D20 clamp is enforced at the
-// API too — a durable server refuses max_inflight > 1.
-func TestAdminRejectsPipeliningWithWAL(t *testing.T) {
-	s := startServer(t, server.Config{DataDir: t.TempDir(), AdminAddr: "127.0.0.1:0"})
-	code, body := adminPUT(t, adminURL(t, s, "/config"), `{"max_inflight": 2}`)
-	if code != 400 || !strings.Contains(body, "WAL") {
-		t.Fatalf("durable PUT max_inflight=2 = %d %q, want 400 mentioning the WAL", code, body)
-	}
-	var view server.ConfigView
-	_, cfgBody := adminGET(t, adminURL(t, s, "/config"))
-	if err := json.Unmarshal([]byte(cfgBody), &view); err != nil {
-		t.Fatal(err)
-	}
-	if !view.Durable || view.MaxInflight != 1 {
-		t.Fatalf("view after reject: %+v", view)
 	}
 }
 
@@ -369,9 +363,7 @@ func TestAdminConcurrentConfigAndTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			inflight := 1 + i%4
-			body := fmt.Sprintf(`{"max_inflight": %d, "max_batch": %d, "batch_fanout": %d}`,
-				inflight, 16+(i%3)*24, 1+i%8)
+			body := fmt.Sprintf(`{"max_batch": %d, "batch_fanout": %d}`, 16+(i%3)*24, 1+i%8)
 			if code, resp := adminPUT(t, cfgURL, body); code != 200 {
 				errs <- fmt.Errorf("PUT %s = %d %q", body, code, resp)
 				return

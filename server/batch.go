@@ -98,18 +98,16 @@ type batcher struct {
 	smu     sync.RWMutex
 	stopped bool
 
-	// pl bounds concurrent group commits with a live-adjustable limit;
-	// see Config.MaxInflight for why the default is 1 (overlapping
-	// write-heavy batches can livelock) and when pipelining is worth
-	// turning on.
+	// pl is the shard's one commit slot: a batch executes, logs and acks
+	// before the next one starts (D20).
 	pl     *pipeline
 	execWG sync.WaitGroup
 
 	// idle holds finished batchRuns for the loop to refill, so a batch
 	// costs no slice, closure or ticket allocation of its own. Both ends
 	// are non-blocking: an empty list means a new batchRun, a full one
-	// means the finished run is dropped. One run cycles at the default
-	// MaxInflight of 1; the capacity covers pipelined shards.
+	// means the finished run is dropped. At most two runs exist at once —
+	// one executing while the loop collects the next — hence the capacity.
 	idle chan *batchRun
 
 	obs *batchObs // nil: uninstrumented
@@ -139,8 +137,8 @@ func newBatcher(rt *pnstm.Runtime, reg *stmlib.Registry, wl *wal.Log, cfg *atomi
 		// raising the knob live still works (collect drains whatever is
 		// queued), the channel is just a smaller staging area.
 		in:   make(chan *pending, 4*boot.MaxBatch),
-		pl:   newPipeline(boot.MaxInflight),
-		idle: make(chan *batchRun, 8),
+		pl:   newPipeline(),
+		idle: make(chan *batchRun, 2),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -195,12 +193,12 @@ func (b *batcher) loop() {
 			formStart := time.Now()
 			r := b.newRun()
 			r.collect(p)
-			b.pl.acquire() // cap concurrent group commits (live limit)
+			b.pl.acquire() // wait for the previous batch to finish
 			b.obs.observeBatch(len(r.batch), time.Since(formStart))
 			b.execWG.Add(1)
 			go r.exec()
 		case <-b.stop:
-			b.execWG.Wait() // in-flight batches deliver before the drain
+			b.execWG.Wait() // the running batch delivers before the drain
 			// Drain: connections stop submitting once stop is closed, so
 			// this empties in one pass.
 			for {

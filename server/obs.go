@@ -28,8 +28,6 @@ type serverObs struct {
 	latency map[string]*metrics.Histogram // per op class
 	fsync   []*metrics.Histogram          // per shard
 	batch   []*batchObs                   // per shard, handed to newBatcher
-	ctrlUp  []*metrics.Counter            // controller steps per shard
-	ctrlDn  []*metrics.Counter
 }
 
 // newServerObs registers the pnstm_* metric families. s.shards may
@@ -250,22 +248,8 @@ func newServerObs(s *Server) *serverObs {
 				return 0
 			})
 
-		r.GaugeFunc("pnstm_max_inflight", "Live concurrent-group-commit bound (PUT /config or controller).", lbl,
-			func() float64 {
-				if sh := sh(); sh != nil && sh.b != nil {
-					return float64(sh.b.pl.getLimit())
-				}
-				return 0
-			})
 		r.GaugeFunc("pnstm_batch_fanout", "Live parallel-block bound per batch.", lbl,
 			func() float64 { return float64(s.cfg.Load().BatchFanout) })
-
-		o.ctrlUp = append(o.ctrlUp, r.Counter("pnstm_controller_steps_total",
-			"Adaptive controller knob adjustments, by direction.",
-			metrics.Labels{"shard": strconv.Itoa(i), "direction": "up"}))
-		o.ctrlDn = append(o.ctrlDn, r.Counter("pnstm_controller_steps_total",
-			"Adaptive controller knob adjustments, by direction.",
-			metrics.Labels{"shard": strconv.Itoa(i), "direction": "down"}))
 	}
 	return o
 }

@@ -544,12 +544,11 @@ func TestPersistCorruptWALRecordRecoversCleanly(t *testing.T) {
 }
 
 // TestPersistForcesSingleInflight: the WAL's commit-order contract
-// relies on one group commit at a time (D20).
+// relies on one group commit at a time per shard (D20), so concurrent
+// writers' batches replay to the state they were acked in.
 func TestPersistForcesSingleInflight(t *testing.T) {
 	dir := t.TempDir()
-	cfg := persistCfg(dir)
-	cfg.MaxInflight = 8 // must be overridden
-	s := startServer(t, cfg)
+	s := startServer(t, persistCfg(dir))
 	cl := dial(t, s, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -7,61 +7,54 @@ import (
 	"pnstm/internal/metrics"
 )
 
-// pipeline bounds concurrent group commits per shard. It replaces the
-// fixed buffered-channel semaphore so the limit can change while
-// acquisitions are in flight (PUT /config, the adaptive controller):
-// raising the limit wakes waiters immediately, lowering it lets excess
-// in-flight batches drain without being interrupted.
+// pipeline is a shard's one commit slot: a shard commits one batch at a
+// time (D20), so its log order is its root-commit order and its batches
+// never conflict with each other. The batcher holds the slot from launch
+// to the last ack; reserveAll hands it to work that is not a batch.
 type pipeline struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	active int
-	limit  int
-	paused bool
+	busy   bool // a batch holds the slot
+	paused bool // a reserver holds, or is waiting for, the slot
 }
 
-func newPipeline(limit int) *pipeline {
-	if limit < 1 {
-		limit = 1
-	}
-	p := &pipeline{limit: limit}
+func newPipeline() *pipeline {
+	p := &pipeline{}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// acquire blocks until a slot is free and the pipeline is not reserved.
+// acquire blocks until the slot is free and not reserved.
 func (p *pipeline) acquire() {
 	p.mu.Lock()
-	for p.paused || p.active >= p.limit {
+	for p.paused || p.busy {
 		p.cond.Wait()
 	}
-	p.active++
+	p.busy = true
 	p.mu.Unlock()
 }
 
-// release frees a slot taken by acquire.
+// release frees the slot taken by acquire.
 func (p *pipeline) release() {
 	p.mu.Lock()
-	p.active--
+	p.busy = false
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
-// reserveAll takes exclusive ownership of the whole pipeline: it waits
-// out every in-flight batch and admits no new one until the returned
-// release runs. The caller then owns the position between two group
-// commits in this shard's commit order — a commit ticket for work that
-// is not a batch (a checkpoint's bulk read, a cross-shard envelope's
-// slice; see shard.pauseCommits). Exclusivity is the paused flag, not a
-// count of slots: a second reserver waits for the flag to clear, and a
-// live limit change cannot disturb a reservation.
+// reserveAll takes the slot for work that is not a batch: it admits no
+// new batch at once, waits out the running one and holds the slot until
+// the returned release runs. The caller then owns the position between
+// two group commits in this shard's commit order — a commit ticket for a
+// checkpoint's bulk read or a cross-shard envelope's slice (see
+// shard.pauseCommits). A second reserver waits for the first to release.
 func (p *pipeline) reserveAll() func() {
 	p.mu.Lock()
 	for p.paused {
 		p.cond.Wait()
 	}
 	p.paused = true
-	for p.active > 0 {
+	for p.busy {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
@@ -71,24 +64,6 @@ func (p *pipeline) reserveAll() func() {
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
-}
-
-// setLimit changes the concurrency bound. n < 1 clamps to 1.
-func (p *pipeline) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	p.limit = n
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// getLimit reports the current bound.
-func (p *pipeline) getLimit() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.limit
 }
 
 // batchObs is the batcher's instrumentation hooks; a nil *batchObs

@@ -60,17 +60,11 @@ type Config struct {
 	// transaction (default: Workers).
 	BatchFanout int
 
-	// MaxInflight bounds concurrent group commits PER SHARD. The default
-	// 1 is the classic group commit: one batch transaction at a time per
-	// shard, so requests only ever conflict with their own batch
-	// siblings, where the runtime's nesting-aware contention management
-	// (escalation) resolves them. Raising it pipelines batches within a
-	// shard — which pays off for read-dominant traffic under SharedReads
-	// but can livelock overlapping write-heavy batches. Sharding is the
-	// write-safe way to multiply commit pipelines: batches on different
-	// shards touch disjoint structures by construction, so they commit
-	// concurrently without ever conflicting. Forced to 1 with Serial,
-	// whose runtime forbids concurrent Run.
+	// MaxInflight is not a knob: every shard commits one batch at a time
+	// (D20), so requests only ever conflict with their own batch siblings,
+	// where the planner's chains and the runtime's escalation resolve them.
+	// Shards are what multiply commit pipelines. The field stays so that
+	// callers setting it to 1 still build; New refuses a value above 1.
 	MaxInflight int
 
 	// Serial runs the runtime in the serial-nesting baseline mode: the
@@ -93,9 +87,8 @@ type Config struct {
 	// write-ahead log plus periodic whole-store snapshots there (in the
 	// directory root for a single shard, under shard-<i>/ otherwise),
 	// and New recovers the store — every shard concurrently — before
-	// serving. Empty: in-memory only. Enabling the WAL forces
-	// MaxInflight to 1 per shard — each log records its shard's batches
-	// in root-commit order (D20); the shards themselves still commit in
+	// serving. Empty: in-memory only. Each log records its shard's
+	// batches in root-commit order (D20); the shards themselves commit in
 	// parallel, which is the point of sharding.
 	DataDir string
 
@@ -143,13 +136,6 @@ type Config struct {
 	// WAL latches), and GET/PUT /config (live retuning of the batching
 	// knobs). Empty: no admin listener.
 	AdminAddr string
-
-	// Adaptive lets the controller walk each shard's effective
-	// MaxInflight from its observed conflict-abort rate (AIMD with
-	// hysteresis, see controller.go). It has nothing to walk on a WAL or
-	// Serial server, which commit one batch at a time (D20). Togglable at
-	// runtime via PUT /config.
-	Adaptive bool
 
 	// DisableTracing turns conflict X-ray tracing OFF at boot (D35–D37).
 	// By default every shard's runtime records transaction-lifecycle
@@ -209,8 +195,6 @@ func (c *Config) fillDefaults() {
 	if c.BatchFanout <= 0 {
 		c.BatchFanout = c.Workers
 	}
-	limit, _ := inflightCap(c)
-	c.MaxInflight = clampInt(c.MaxInflight, 1, limit)
 	if c.TraceSample <= 0 {
 		c.TraceSample = defaultTraceSample
 	}
@@ -344,15 +328,12 @@ type Server struct {
 	// server fails fast with a retryable error.
 	crossSem chan struct{}
 
-	// obs is the observability plane; ctrlStop/ctrlDone fence the
-	// adaptive controller goroutine (non-nil when it runs). prof is the
-	// conflict profiler draining the shards' flight recorders (D36);
-	// log receives structured operational records.
-	obs      *serverObs
-	prof     *traceProfiler
-	log      *slog.Logger
-	ctrlStop chan struct{}
-	ctrlDone chan struct{}
+	// obs is the observability plane; prof is the conflict profiler
+	// draining the shards' flight recorders (D36); log receives
+	// structured operational records.
+	obs  *serverObs
+	prof *traceProfiler
+	log  *slog.Logger
 
 	// repl is the replication engine, non-nil iff Config.ReplicaOf was
 	// set; recovered flips once the store holds its durable state (the
@@ -443,14 +424,6 @@ func New(cfg Config) (*Server, error) {
 		s.ckStop = make(chan struct{})
 		s.ckDone = make(chan struct{})
 		go s.checkpointLoop()
-	}
-	// The controller has something to walk only where MaxInflight may
-	// exceed 1 — a fact of DataDir and Serial, fixed at boot — and there it
-	// runs whether or not Adaptive is on, so a PUT /config can turn it on.
-	if limit, _ := inflightCap(&cfg); limit > 1 {
-		s.ctrlStop = make(chan struct{})
-		s.ctrlDone = make(chan struct{})
-		go s.controllerLoop()
 	}
 	// The durable state is loaded (openDurability returned): the /readyz
 	// recovery gate opens. On a replica the catch-up gate in Ready()
@@ -757,7 +730,6 @@ func (s *Server) Close() {
 	if s.repl != nil {
 		s.repl.stop()
 	}
-	s.stopController()
 	s.prof.close()
 	s.stopReaper()
 	if s.ckStop != nil {
@@ -836,7 +808,6 @@ func (s *Server) Kill() {
 	if s.repl != nil {
 		s.repl.stop()
 	}
-	s.stopController()
 	s.prof.close()
 	s.stopReaper()
 	if s.ckStop != nil {

@@ -315,12 +315,12 @@ func TestShardMissingManifestRefused(t *testing.T) {
 }
 
 // TestConcurrentExportsDoNotDeadlock: every Export pauses every shard,
-// so concurrent Exports on a pipelined (MaxInflight > 1) server contend
-// for each shard's reservation. They must all finish — each shard's
-// pauseMu and the pipeline's paused flag admit one at a time, and all
-// take the shards in ascending id — and leave the pipelines usable.
+// so concurrent Exports contend for each shard's reservation. They must
+// all finish — each shard's pauseMu and the pipeline's paused flag admit
+// one at a time, and all take the shards in ascending id — and leave the
+// pipelines usable.
 func TestConcurrentExportsDoNotDeadlock(t *testing.T) {
-	s := startServer(t, server.Config{Shards: 2, Workers: 2, MaxBatch: 8, MaxInflight: 4, SharedReads: true})
+	s := startServer(t, server.Config{Shards: 2, Workers: 2, MaxBatch: 8, SharedReads: true})
 	cl := dial(t, s, 1)
 	if err := cl.CounterAdd("c", 7); err != nil {
 		t.Fatal(err)

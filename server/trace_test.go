@@ -4,58 +4,76 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"pnstm"
 	"pnstm/server"
 )
 
 // TestHotKeyProfilerE2E plants two hot keys in a sea of cold ones and
-// demands the conflict profiler find them: eight writers hammer hot:m:h0
-// and hot:m:h1, equally often, while also spreading single writes over
-// unique cold keys, so the write-write conflicts between batch siblings
-// concentrate on the planted keys and /debug/hotkeys must say so.
+// demands the conflict profiler find them. Served traffic no longer
+// conflicts on a key — a shard commits one batch at a time and the
+// planner runs one key's requests as one chain (D58) — so the test makes
+// the conflicts itself, from two concurrent roots on the shard's runtime.
+// Each root tags its context the way the batcher tags a request and
+// writes the map; the first holds its write open until the second has
+// aborted on it. Four rounds in five go to hot:m:h0 and hot:m:h1 in turn,
+// the fifth to a fresh cold key, so /debug/hotkeys must rank the planted
+// keys above the long tail.
 func TestHotKeyProfilerE2E(t *testing.T) {
-	// MaxBatch 2 with MaxInflight 2 splits the writers across small
-	// concurrent batches, so the planted keys contend at root level —
-	// the conflict class that actually aborts (sibling conflicts inside
-	// one batch are usually absorbed by spin/escalate).
 	s := startServer(t, server.Config{
 		Workers:     4,
-		MaxBatch:    2,
-		MaxInflight: 2,
 		TraceSample: 1, // full lifecycle fidelity; attribution is exact either way
 		AdminAddr:   "127.0.0.1:0",
 	})
-
-	const writers = 8
-	const opsPer = 300
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cl := dial(t, s, 1)
-			for i := 0; i < opsPer; i++ {
-				var err error
-				if i%5 == 4 {
-					// One cold write per four hot ones, two to each planted
-					// key: the profiler must not let the long tail crowd out
-					// the real hot spots.
-					err = cl.MapPut("hot:m", fmt.Sprintf("cold-%d-%d", g, i), []byte("x"))
-				} else {
-					err = cl.MapPut("hot:m", fmt.Sprintf("h%d", i%5%2), []byte("v"))
+	rt, m := s.Runtime(), s.Registry().Map("hot:m")
+	put := func(key string, written chan<- struct{}, hold func()) error {
+		return rt.Run(func(c *pnstm.Ctx) {
+			_ = c.Atomic(func(c *pnstm.Ctx) error {
+				c.SetTraceTag("hot:m", key)
+				m.Put(c, key, []byte("v"))
+				if hold != nil {
+					select {
+					case written <- struct{}{}:
+					default: // a re-executed root has signalled already
+					}
+					hold()
 				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
+				return nil
+			})
+		})
 	}
-	wg.Wait()
+
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		key := fmt.Sprintf("h%d", i%5%2)
+		if i%5 == 4 {
+			key = fmt.Sprintf("cold-%d", i)
+		}
+		before := rt.Stats().Aborted
+		written, held := make(chan struct{}, 1), make(chan error, 1)
+		go func() {
+			held <- put(key, written, func() {
+				for deadline := time.Now().Add(10 * time.Second); rt.Stats().Aborted == before; {
+					if time.Now().After(deadline) {
+						t.Errorf("round %d: the second root never aborted on %s", i, key)
+						return
+					}
+					runtime.Gosched()
+				}
+			})
+		}()
+		<-written
+		if err := put(key, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	code, body := adminGET(t, adminURL(t, s, "/debug/hotkeys?n=4"))
 	if code != 200 {
@@ -68,17 +86,14 @@ func TestHotKeyProfilerE2E(t *testing.T) {
 	if !rep.Tracing {
 		t.Fatal("report says tracing is off")
 	}
-	if rep.Aborts == 0 {
-		t.Fatalf("no attributed aborts after %d contended writes: %+v", writers*opsPer, rep)
+	if rep.Aborts < rounds {
+		t.Fatalf("%d attributed aborts after %d contended rounds, want at least one each: %+v", rep.Aborts, rounds, rep)
 	}
 	if rep.TraceEvents == 0 {
 		t.Fatal("no trace events recorded")
 	}
-	// What timing cannot change: both planted keys are in the table of four
-	// with aborts to their name, and the first rank is one of them. Their
-	// order is not asserted, nor that they are the top two: a cold put that
-	// shares a bucket with a planted key aborts as often as its batch group
-	// retries, and under load one has out-counted the lesser planted key.
+	// Both planted keys are in the table of four with aborts to their
+	// name, and the first rank is one of them.
 	counts := map[string]uint64{}
 	for _, hk := range rep.Top {
 		counts[hk.Key] = hk.Count
