@@ -33,15 +33,26 @@ func TestNestedAtomicAllocCeiling(t *testing.T) {
 }
 
 // TestForkJoinAllocCeiling: an empty two-child fork and join costs the
-// frame, one goroutine closure per dispatched child and the caller's
-// variadic slice (D53; 17 objects before the frame).
+// frame alone. The children run on parked workers, and the forker waits on
+// a recycled one-shot channel (D53; 17 objects before the frame, 3 while
+// each dispatch started a goroutine).
 func TestForkJoinAllocCeiling(t *testing.T) {
 	rt := newRT(t, 4)
 	inOpenTx(t, rt, func(c *Ctx) {
-		if got := testing.AllocsPerRun(200, func() { c.Parallel(noop, noop) }); got > 5 {
-			t.Errorf("empty two-child Parallel: %.0f allocs, ceiling 5", got)
+		if got := testing.AllocsPerRun(200, func() { c.Parallel(noop, noop) }); got > 1 {
+			t.Errorf("empty two-child Parallel: %.0f allocs, ceiling 1", got)
 		}
 	})
+}
+
+// TestRootRunAllocCeiling: a Run that forks nothing costs its root block.
+// A parked worker runs it, and Run waits on a recycled one-shot channel
+// (3 objects while the dispatch started a goroutine and Run made a channel).
+func TestRootRunAllocCeiling(t *testing.T) {
+	rt := newRT(t, 2)
+	if got := testing.AllocsPerRun(200, func() { _ = rt.Run(noop) }); got > 1 {
+		t.Errorf("Run with no fork: %.0f allocs, ceiling 1", got)
+	}
 }
 
 // TestTraceTagRenderedOnlyWhenRecorded: stamping a work label costs

@@ -44,8 +44,9 @@ type block struct {
 	// not touch its notes again until the join has resumed it.
 	comDesc []comNote
 
-	// done receives the root block's completion; nil for non-root blocks.
-	done chan rootResult
+	// done receives the root block's completion, a panic value at most;
+	// nil for non-root blocks.
+	done chan joinPayload
 
 	// Dispatch-time state (the three small fields share a word: with them
 	// apart a two-block frame leaves the 1 KiB size class).
@@ -58,11 +59,6 @@ type block struct {
 	// (§6.2). The CAS winner performs the discard, so it happens exactly
 	// once.
 	bnDiscarded atomic.Bool
-}
-
-// rootResult carries a root block's outcome back to Run.
-type rootResult struct {
-	panicVal any // non-nil if the root program panicked
 }
 
 // join is the continuation-block bookkeeping for one parallel statement
@@ -119,7 +115,7 @@ type fork struct {
 // joinPayload is what the last finishing child hands to the parked
 // continuation: its worker slot plus the accumulated join state. A slot
 // granted to a context that yielded its own travels as a payload with
-// nothing but the slot.
+// nothing but the slot, and a root's completion with nothing but its panic.
 type joinPayload struct {
 	slot    *slot
 	minEp   epoch.Epoch
@@ -129,9 +125,9 @@ type joinPayload struct {
 }
 
 // oneShots recycles the channels a parked context waits on: a join's
-// resume and a yielded slot's grant. A use is exactly one send and one
-// receive, so the receiver puts the channel back, empty, the line after
-// its receive; nothing else is recycled at a fork (D53).
+// resume, a yielded slot's grant and Run's completion. A use is exactly
+// one send and one receive, so the receiver puts the channel back, empty,
+// the line after its receive; nothing else is recycled at a fork (D53).
 var oneShots = sync.Pool{New: func() any { return make(chan joinPayload, 1) }}
 
 // await receives the one payload ch will ever carry in this use and

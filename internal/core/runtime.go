@@ -223,23 +223,24 @@ func (rt *Runtime) Run(fn func(*Ctx)) error {
 		fn(ctx)
 		return nil
 	}
-	done := make(chan rootResult, 1)
+	done := oneShots.Get().(chan joinPayload)
 	rt.sched.enqueue(&block{program: fn, minEp: 1, done: done})
-	res := <-done
-	if res.panicVal != nil {
-		panic(res.panicVal)
+	if p := await(done); p.ppanic {
+		panic(p.pval)
 	}
 	return nil
 }
 
-// Close waits for active Run calls to finish and stops the publisher.
-// Further Run calls return ErrClosed. Close is idempotent.
+// Close waits for active Run calls to finish, stops the publisher and
+// returns once the worker goroutines have exited. Further Run calls
+// return ErrClosed. Close is idempotent.
 func (rt *Runtime) Close() {
 	rt.closed.Store(true)
 	rt.closeMu.Lock() // waits for in-flight Runs holding the read lock
 	rt.closeMu.Unlock()
 	if rt.pub != nil {
 		rt.pub.Close()
+		rt.sched.stop()
 	}
 }
 
@@ -381,7 +382,7 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 		// Root block: return the slot and report completion.
 		rt.sched.releaseSlot(c.slot)
 		if b.done != nil {
-			b.done <- rootResult{panicVal: c.panicVal}
+			b.done <- joinPayload{pval: c.panicVal, ppanic: c.panicVal != nil}
 		}
 		return
 	}

@@ -5,13 +5,15 @@ import (
 	"pnstm/internal/bitvec"
 	"pnstm/internal/epoch"
 	"sync"
+	"sync/atomic"
 )
 
 // scheduler implements the paper's elementary work-stealing system (§3): a
 // single global block queue, P worker slots, and the free bitnum queue,
 // all under one monitor — the paper's single queue lock. "Stealing" a
 // block pairs an idle slot with a queued block and reserves a bitnum for
-// it; the pairing spawns a goroutine that runs the block to completion.
+// it; the pairing hands the block to a parked worker goroutine, or starts
+// one when none is parked, which runs it to completion (D2).
 //
 // Beyond the paper's queue the scheduler also parks slot *waiters*:
 // contexts that yielded their slot after repeated aborts. Queued blocks
@@ -28,13 +30,34 @@ type scheduler struct {
 	free    *bitnum.Queue
 	idle    []*slot
 	waiters []chan joinPayload
+
+	// handoff passes a dispatch to a parked worker. Unbuffered, so a send
+	// succeeds only when one is waiting. parked counts the waiting workers,
+	// at most N; workers counts the live ones. Close closes handoff (once:
+	// stopped, under mu), and a worker that receives the empty dispatch
+	// exits. Workers park on handoff alone: a select over a second, quit
+	// channel made a fork and join at GOMAXPROCS=1 about 8% slower.
+	handoff chan dispatch
+	stopped bool
+	parked  atomic.Int32
+	workers sync.WaitGroup
+}
+
+// dispatch is one steal: the slot, the block it runs and the bitnum
+// reserved for it (ignored when borrowed).
+type dispatch struct {
+	slot     *slot
+	block    *block
+	free     bitnum.Free
+	borrowed bool
 }
 
 func newScheduler(rt *Runtime, nbits int, slots []*slot) *scheduler {
 	s := &scheduler{
-		rt:   rt,
-		free: bitnum.NewQueue(nbits),
-		idle: make([]*slot, len(slots)),
+		rt:      rt,
+		free:    bitnum.NewQueue(nbits),
+		idle:    make([]*slot, len(slots)),
+		handoff: make(chan dispatch),
 	}
 	copy(s.idle, slots)
 	return s
@@ -137,14 +160,12 @@ func (s *scheduler) dispatchLocked() {
 			if s.free.Len() > 0 {
 				f, _ := s.free.Reserve()
 				s.popLocked()
-				sl := s.popIdleLocked()
-				go s.rt.runBlock(sl, b, f, false)
+				s.start(dispatch{slot: s.popIdleLocked(), block: b, free: f})
 				continue
 			}
 			if borrowEligibleLocked(b) {
 				s.popLocked()
-				sl := s.popIdleLocked()
-				go s.rt.runBlock(sl, b, bitnum.Free{Bn: bitvec.None}, true)
+				s.start(dispatch{slot: s.popIdleLocked(), block: b, free: bitnum.Free{Bn: bitvec.None}, borrowed: true})
 				continue
 			}
 			// Head-of-line block needs a bitnum; one will be freed by the
@@ -160,6 +181,51 @@ func (s *scheduler) dispatchLocked() {
 		}
 		return
 	}
+}
+
+// start hands d to a parked worker, or starts a worker with it when none
+// is parked.
+func (s *scheduler) start(d dispatch) {
+	select {
+	case s.handoff <- d:
+	default:
+		s.workers.Add(1)
+		go s.worker(d)
+	}
+}
+
+// worker runs dispatched blocks one after another. It exits when N = 2P
+// workers are already parked, or once the runtime has closed. A block tree
+// keeps up to N goroutines busy: P hold slots, and up to L = N−P more wait
+// at forks (§6.1). Capped at P, the pool would let the rest exit at the
+// end of every tree and start them again in the next.
+func (s *scheduler) worker(d dispatch) {
+	defer s.workers.Done()
+	for d.block != nil {
+		s.rt.runBlock(d.slot, d.block, d.free, d.borrowed)
+		if s.parked.Add(1) > int32(s.rt.nbits) {
+			s.parked.Add(-1)
+			return
+		}
+		// The receive replaces d, so a parked worker holds nothing of its
+		// last block: the frame and the program are the collector's (D53).
+		// A closed handoff yields an empty d.
+		d = <-s.handoff
+		s.parked.Add(-1)
+	}
+}
+
+// stop closes the handoff and returns once every worker has exited. It
+// runs after the last Run has returned, so nothing dispatches any more.
+// Idempotent.
+func (s *scheduler) stop() {
+	s.mu.Lock()
+	if !s.stopped {
+		s.stopped = true
+		close(s.handoff)
+	}
+	s.mu.Unlock()
+	s.workers.Wait()
 }
 
 func (s *scheduler) popIdleLocked() *slot {

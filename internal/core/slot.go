@@ -12,7 +12,8 @@ import (
 // currently running a block holds the slot and carries the per-thread state
 // with it (ARCHITECTURE.md D2). When a context parks at a fork it releases the
 // slot; when the last child finishes it hands its slot to the parked
-// continuation.
+// continuation. The goroutines that carry blocks are recycled by the
+// scheduler, and a parked one holds neither a slot nor its last block.
 type slot struct {
 	id int
 
