@@ -6,6 +6,17 @@ import (
 
 func emptyTx(*Ctx) error { return nil }
 
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// skipPooledUnderRace skips a ceiling that relies on pooled frames and
+// channels coming back, which under -race they do only three times in four.
+func skipPooledUnderRace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact with pooled frames; sync.Pool drops a quarter of them under -race")
+	}
+}
+
 // inOpenTx runs body inside a root transaction of rt.
 func inOpenTx(t *testing.T, rt *Runtime, body func(c *Ctx)) {
 	t.Helper()
@@ -32,26 +43,65 @@ func TestNestedAtomicAllocCeiling(t *testing.T) {
 	})
 }
 
-// TestForkJoinAllocCeiling: an empty two-child fork and join costs the
-// frame alone. The children run on parked workers, and the forker waits on
-// a recycled one-shot channel (D53; 17 objects before the frame, 3 while
-// each dispatch started a goroutine).
+// TestForkJoinAllocCeiling: an empty fork and join allocates nothing, two
+// children or three. The frame comes from the pool, its children run on
+// parked workers, and the forker waits on a recycled one-shot channel (D53;
+// 17 objects before the frame, 1 while the collector owned it, 2 for a
+// 3-wide fork, whose blocks were a slice of their own).
 func TestForkJoinAllocCeiling(t *testing.T) {
+	skipPooledUnderRace(t)
 	rt := newRT(t, 4)
 	inOpenTx(t, rt, func(c *Ctx) {
-		if got := testing.AllocsPerRun(200, func() { c.Parallel(noop, noop) }); got > 1 {
-			t.Errorf("empty two-child Parallel: %.0f allocs, ceiling 1", got)
+		if got := testing.AllocsPerRun(200, func() { c.Parallel(noop, noop) }); got > 0 {
+			t.Errorf("empty two-child Parallel: %.0f allocs, ceiling 0", got)
+		}
+		if got := testing.AllocsPerRun(200, func() { c.Parallel(noop, noop, noop) }); got > 0 {
+			t.Errorf("empty three-child Parallel: %.0f allocs, ceiling 0", got)
 		}
 	})
 }
 
-// TestRootRunAllocCeiling: a Run that forks nothing costs its root block.
-// A parked worker runs it, and Run waits on a recycled one-shot channel
-// (3 objects while the dispatch started a goroutine and Run made a channel).
+// TestWideForkWithNotesAllocCeiling: an 8-wide fork that carries more than
+// four live notes in and brings eight back allocates nothing — the
+// forker's, the join's and every child's notes outgrow their four-entry
+// buffers, and a pooled frame keeps what they grew to (15 objects for the
+// two forks while the collector owned the frame, 11 of them the second's).
+// The publisher is paused, so the notes of the first fork are still live at
+// the second; each round drains it after.
+func TestWideForkWithNotesAllocCeiling(t *testing.T) {
+	skipPooledUnderRace(t)
+	rt := newRT(t, 16, func(c *Config) { c.PublisherStartPaused = true })
+	fns := make([]func(*Ctx), 8)
+	for i := range fns {
+		fns[i] = noop
+	}
+	inOpenTx(t, rt, func(c *Ctx) {
+		fewest := len(fns)
+		got := testing.AllocsPerRun(200, func() {
+			c.Parallel(fns...)
+			fewest = min(fewest, len(c.comDesc))
+			c.Parallel(fns...)
+			rt.Publisher().Drain()
+		})
+		if fewest <= 4 {
+			t.Fatalf("the second fork carried %d live notes in, want more than 4", fewest)
+		}
+		if got > 0 {
+			t.Errorf("two 8-wide Parallels with notes live: %.0f allocs, ceiling 0", got)
+		}
+	})
+}
+
+// TestRootRunAllocCeiling: a Run that forks nothing allocates nothing. Its
+// root block is a pooled frame's, a parked worker runs it, and Run waits on
+// a recycled one-shot channel (1 object while the block was the
+// collector's, 3 while the dispatch started a goroutine and Run made a
+// channel).
 func TestRootRunAllocCeiling(t *testing.T) {
+	skipPooledUnderRace(t)
 	rt := newRT(t, 2)
-	if got := testing.AllocsPerRun(200, func() { _ = rt.Run(noop) }); got > 1 {
-		t.Errorf("Run with no fork: %.0f allocs, ceiling 1", got)
+	if got := testing.AllocsPerRun(200, func() { _ = rt.Run(noop) }); got > 0 {
+		t.Errorf("Run with no fork: %.0f allocs, ceiling 0", got)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 //
 // A block carries, by value, the context it will run in and the storage of
 // the first transaction that context begins: the blocks of one Parallel
-// call, their contexts, those descriptors and the join are one allocation
-// (the fork frame, ARCHITECTURE.md D53).
+// call, their contexts, those descriptors and the join share one pooled
+// fork frame (ARCHITECTURE.md D53).
 type block struct {
 	program func(*Ctx)
 
@@ -44,9 +44,10 @@ type block struct {
 	// not touch its notes again until the join has resumed it.
 	comDesc []comNote
 
-	// done receives the root block's completion, a panic value at most;
-	// nil for non-root blocks.
-	done chan joinPayload
+	// frame is the fork frame holding the block. The block keeps one
+	// reference to it until finishBlock has returned; a root block's
+	// completion travels on the frame's resume.
+	frame *fork
 
 	// Dispatch-time state (the three small fields share a word: with them
 	// apart a two-block frame leaves the 1 KiB size class).
@@ -80,10 +81,10 @@ type join struct {
 	precBitnums bitvec.Vec
 
 	// live maps those bitnums to their blocks, for the unilateral discard
-	// of the last remaining sibling (§6.2). liveBuf backs it up to four
-	// dispatched siblings.
+	// of the last remaining sibling (§6.2). liveBuf backs it up to two
+	// dispatched siblings; a pooled frame keeps what it grew to.
 	live    []*block
-	liveBuf [4]*block
+	liveBuf [2]*block
 
 	// minEp is the minimum epoch for the continuation: the maximum of the
 	// fork-time epoch and every finishing block's epoch (paper
@@ -103,13 +104,68 @@ type join struct {
 	resume chan joinPayload
 }
 
-// fork is the frame of one Parallel call: the join and its blocks, one
-// heap object. The garbage collector owns it — a finishing child that is
-// not the last still reads its block after the join's lock is released,
-// when the last one may already have resumed the forker (D53).
+// fork is the frame of one Parallel call, or of one Run: the join and its
+// blocks. Frames are pooled and reference counted (D53). A frame holds one
+// reference per block, released when runBlock is done with it, one for
+// the forker, released once it has merged the join's notes, and one per
+// frame forked under its blocks: their blocks' base transaction may be a
+// tx0 here and their notes snapshot a context here, and a finishing child
+// that is not the last still decrements its base transaction's liveBlocks
+// after the join has resumed the forker (D15).
 type fork struct {
 	join
+	refs   atomic.Int32
+	up     *fork   // the forker's frame, pinned by this one; nil for a root
+	wide   []block // the blocks of a fork wider than inline
 	inline [2]block
+}
+
+// frames recycles fork frames. A frame in the pool is clean: it pins no
+// program, closure, descriptor or panic value, but keeps the capacity its
+// wide blocks, live list and note buffers grew to.
+var frames = sync.Pool{New: func() any {
+	f := new(fork)
+	f.live, f.comDesc = f.liveBuf[:0], f.noteBuf[:0]
+	return f
+}}
+
+// rootBlock takes a frame for a root running fn and returns its block. The
+// root's completion arrives on the frame's resume, which the caller must
+// read before it enqueues the block: the frame is recycled behind the send.
+func rootBlock(fn func(*Ctx)) *block {
+	f := frames.Get().(*fork)
+	f.refs.Store(1)
+	f.resume = oneShots.Get().(chan joinPayload)
+	b := &f.inline[0]
+	b.program, b.minEp, b.frame = fn, 1, f
+	return b
+}
+
+// release drops one reference to f. The last one cleans f, puts it back in
+// the pool and drops f's pin on its forker's frame in turn.
+func (f *fork) release() {
+	for f != nil && f.refs.Add(-1) == 0 {
+		up := f.up
+		// The blocks a fork used are a prefix of inline or of wide.
+		for _, blocks := range [2][]block{f.inline[:], f.wide} {
+			for i := 0; i < len(blocks) && blocks[i].frame != nil; i++ {
+				blocks[i].reset()
+			}
+		}
+		live := f.live[:cap(f.live)]
+		clear(live)
+		f.join = join{live: live[:0], comDesc: f.comDesc[:0]}
+		f.up = nil
+		frames.Put(f)
+		f = up
+	}
+}
+
+// reset zeroes a finished block, keeping only its context's note capacity.
+func (b *block) reset() {
+	notes := b.ctx.comDesc[:0]
+	*b = block{}
+	b.ctx.comDesc = notes
 }
 
 // joinPayload is what the last finishing child hands to the parked
@@ -127,7 +183,7 @@ type joinPayload struct {
 // oneShots recycles the channels a parked context waits on: a join's
 // resume, a yielded slot's grant and Run's completion. A use is exactly
 // one send and one receive, so the receiver puts the channel back, empty,
-// the line after its receive; nothing else is recycled at a fork (D53).
+// the line after its receive (D53).
 var oneShots = sync.Pool{New: func() any { return make(chan joinPayload, 1) }}
 
 // await receives the one payload ch will ever carry in this use and

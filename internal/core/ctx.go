@@ -14,6 +14,8 @@ import (
 //
 // A Ctx is confined to one goroutine; contexts are handed to block
 // programs and must not be shared or retained past the block's lifetime.
+// Its storage is recycled with the block's fork frame (D53): a Ctx
+// retained past its block's end aliases another block's context.
 type Ctx struct {
 	rt    *Runtime
 	block *block
@@ -25,6 +27,10 @@ type Ctx struct {
 	// bn is the bitnum this context's transactions use: the block's
 	// reserved bitnum, or the base transaction's after borrowing.
 	bn bitvec.Bitnum
+
+	// aborts counts consecutive aborts of the innermost transaction, for
+	// backoff and slot yielding. Beside bn, in what would be its padding.
+	aborts int32
 
 	// baseTx is the transaction in which the current block-level code
 	// runs; cur is the innermost active transaction (== baseTx outside
@@ -51,10 +57,6 @@ type Ctx struct {
 
 	// panicVal carries a panic out of the block program to finishBlock.
 	panicVal any
-
-	// aborts counts consecutive aborts of the innermost transaction, for
-	// backoff and slot yielding.
-	aborts int
 
 	traceIdent
 }
@@ -195,7 +197,7 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 				}
 				panic(conflictSignal{obj: confObj})
 			}
-			if tx.parent != nil && c.aborts >= c.rt.cfg.EscalateAfterAborts {
+			if tx.parent != nil && int(c.aborts) >= c.rt.cfg.EscalateAfterAborts {
 				// Nesting-aware contention management: retrying here can
 				// deadlock when the conflicting entry belongs to another
 				// parked parent's lineage (its committed child's write).
@@ -211,7 +213,7 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 				}
 				panic(conflictSignal{obj: confObj})
 			}
-			if tx.parent == nil && !crisis && c.aborts >= c.rt.cfg.CrisisAborts {
+			if tx.parent == nil && !crisis && int(c.aborts) >= c.rt.cfg.CrisisAborts {
 				// Cross-root livelock breaker: concurrent roots with
 				// overlapping write sets can abort each other past any
 				// backoff backoffMax can provide. Race for the runtime's
@@ -573,8 +575,8 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 		c.runInlineChild(rest[0])
 		return
 	}
-	// Limiter slot acquired: fork for real. One frame holds the join and
-	// the blocks, each block its context and first descriptor (D53).
+	// Limiter slot acquired: fork for real. One pooled frame holds the join
+	// and the blocks, each block its context and first descriptor (D53).
 	if tx := c.cur; tx != nil {
 		tx.liveBlocks.Add(int32(len(rest)))
 		// Children will keep a pointer to tx, so it must never be handed out
@@ -590,21 +592,29 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 	// parent's entries from its own (D4): one at the same epoch would read
 	// as its own and be written in place with no undo record.
 	c.advanceEpoch()
-	f := new(fork)
+	// One reference per child and one for this context; the frame pins the
+	// forker's own, where the children's base transaction and notes may be.
+	f := frames.Get().(*fork)
+	f.refs.Store(int32(len(rest)) + 1)
+	f.up = c.block.frame
+	f.up.refs.Add(1)
 	j := &f.join
-	j.minEp, j.live, j.comDesc = c.ep, j.liveBuf[:0], j.noteBuf[:0]
+	j.minEp = c.ep
 	j.unfinished.Store(int32(len(rest)))
 	j.resume = oneShots.Get().(chan joinPayload)
 	blocks := f.inline[:] // len(rest) >= 2: a single function ran inline
 	if len(rest) > len(blocks) {
-		blocks = make([]block, len(rest))
+		if len(f.wide) < len(rest) {
+			f.wide = make([]block, len(rest))
+		}
+		blocks = f.wide[:len(rest)]
 	}
 	// Each child copies the notes it is handed: drop the published ones
 	// first, as its own finish would.
 	c.comDesc = c.rt.cleanNotes(c.comDesc)
 	for i, fn := range rest {
 		b := &blocks[i]
-		b.program, b.baseTx, b.minEp, b.succ, b.comDesc = fn, c.cur, c.ep, j, c.comDesc
+		b.program, b.baseTx, b.minEp, b.succ, b.comDesc, b.frame = fn, c.cur, c.ep, j, c.comDesc, f
 		b.ctx.traceIdent = c.traceIdent
 	}
 	forkEp := c.ep
@@ -618,6 +628,8 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 	// past their publication horizon (D11).
 	c.adoptSlot(p.slot, p.minEp, forkEp)
 	c.comDesc = mergeNotes(c.comDesc, p.comDesc)
+	// p.comDesc may be the join's own buffer: only now is it read.
+	f.release()
 	c.rt.limiter.Release()
 	if p.ppanic {
 		panic(p.pval)

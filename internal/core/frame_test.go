@@ -12,8 +12,8 @@ import (
 )
 
 // Lifetime rules of the fork frame (ARCHITECTURE.md D53): what shares the
-// one allocation, which descriptors come back, and that a recycled channel
-// is always empty.
+// one frame, when a pooled frame may be reused, which descriptors come
+// back, and that a recycled channel is always empty.
 
 func noop(*Ctx) {}
 
@@ -28,7 +28,8 @@ var frameModes = []struct {
 }
 
 // TestForkFrameSize: a two-child frame — join, two blocks, their contexts
-// and first descriptors — is one object of the 1 KiB size class.
+// and first descriptors, the reference count and the pin — is one object
+// of the 1 KiB size class.
 func TestForkFrameSize(t *testing.T) {
 	if got := unsafe.Sizeof(fork{}); got > 1024 {
 		t.Errorf("fork frame is %d bytes, over the 1 KiB size class", got)
@@ -206,90 +207,158 @@ func forkWidthProgram(c *Ctx, objs []*Object, total *Object, atBarrier, afterFir
 	})
 }
 
-// TestForkWidths runs forks of 2, 3, 5 and 9 children — past the frame's
-// two inline blocks, the join's four-entry live list and both four-note
-// buffers — with every child of the first wave running at once and the
-// publisher paused, so that the forker carries one unpublished note per
-// child into its second fork. The second wave and the forker then touch
-// objects whose last writers are committed but unpublished: only the notes
-// keep that from being a conflict, and with the publisher paused a lost
-// note would spin until the deadline. The final state must be the
-// serial-nesting baseline's.
+// TestForkWidths runs forks of 9, 2, 3, 5 and 2 children on one runtime
+// — past the frame's two inline blocks, the join's two-entry live list and
+// both four-note buffers, and so that a pooled frame used wide is reused
+// narrow and the other way round — with every child of the first wave
+// running at once and the publisher paused, so that the forker carries one
+// unpublished note per child into its second fork. The second wave and the
+// forker then touch objects whose last writers are committed but
+// unpublished: only the notes keep that from being a conflict, and with
+// the publisher paused a lost note would spin until the deadline. The
+// final state must be the serial-nesting baseline's. Between widths the
+// publisher is drained, which frees the bitnums, so from the fourth width
+// on blocks re-use them: a unilateral discard's note dated below its
+// bitnum's re-use epoch read as lapsed there and cost the forker an abort
+// (D12).
 func TestForkWidths(t *testing.T) {
-	for _, width := range []int{2, 3, 5, 9} {
-		for _, mode := range frameModes[:2] {
-			t.Run(fmt.Sprintf("%s/width=%d", mode.name, width), func(t *testing.T) {
-				newObjs := func() ([]*Object, *Object) {
-					objs := make([]*Object, width)
-					for i := range objs {
-						objs[i] = NewObject(100 * i)
-					}
-					return objs, NewObject(0)
-				}
-
-				oracle := newRT(t, 1, func(c *Config) { c.Serial = true })
-				wantObjs, wantTotal := newObjs()
-				if err := oracle.Run(func(c *Ctx) { forkWidthProgram(c, wantObjs, wantTotal, nil, nil) }); err != nil {
-					t.Fatal(err)
-				}
-
-				rt := newRT(t, 16, mode.mutate, func(c *Config) { c.PublisherStartPaused = true })
-				objs, total := newObjs()
-				deadline := time.Now().Add(30 * time.Second)
-				var started, maxLive atomic.Int32
-				atBarrier := func(c *Ctx) {
-					// Hold every sibling until all of them are dispatched, then
-					// look at the join's live list.
-					started.Add(1)
-					for started.Load() < int32(width) {
-						if time.Now().After(deadline) {
-							t.Error("first-wave children were not all dispatched together")
-							return
+	for _, mode := range frameModes[:2] {
+		t.Run(mode.name, func(t *testing.T) {
+			rt := newRT(t, 16, mode.mutate, func(c *Config) { c.PublisherStartPaused = true })
+			for _, width := range []int{9, 2, 3, 5, 2} {
+				t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+					newObjs := func() ([]*Object, *Object) {
+						objs := make([]*Object, width)
+						for i := range objs {
+							objs[i] = NewObject(100 * i)
 						}
-						runtime.Gosched()
+						return objs, NewObject(0)
 					}
-					j := c.block.succ
-					j.mu.Lock()
-					if n := int32(len(j.live)); n > maxLive.Load() {
-						maxLive.Store(n)
-					}
-					j.mu.Unlock()
-				}
-				notes := 0
-				done := make(chan error, 1)
-				go func() {
-					done <- rt.Run(func(c *Ctx) {
-						forkWidthProgram(c, objs, total, atBarrier, func(c *Ctx) { notes = len(c.comDesc) })
-					})
-				}()
-				select {
-				case err := <-done:
-					if err != nil {
+
+					oracle := newRT(t, 1, func(c *Config) { c.Serial = true })
+					wantObjs, wantTotal := newObjs()
+					if err := oracle.Run(func(c *Ctx) { forkWidthProgram(c, wantObjs, wantTotal, nil, nil) }); err != nil {
 						t.Fatal(err)
 					}
-				case <-time.After(time.Until(deadline)):
-					t.Fatalf("fork of %d hung (stats %+v)", width, rt.Stats())
-				}
-				rt.Publisher().Resume()
 
-				for i := range objs {
-					if got, want := objs[i].Peek(), wantObjs[i].Peek(); got != want {
-						t.Errorf("object %d = %v, serial oracle says %v", i, got, want)
+					objs, total := newObjs()
+					abortsBefore := rt.Stats().Aborted
+					deadline := time.Now().Add(30 * time.Second)
+					var started, maxLive atomic.Int32
+					atBarrier := func(c *Ctx) {
+						// Hold every sibling until all of them are dispatched, then
+						// look at the join's live list.
+						started.Add(1)
+						for started.Load() < int32(width) {
+							if time.Now().After(deadline) {
+								t.Error("first-wave children were not all dispatched together")
+								return
+							}
+							runtime.Gosched()
+						}
+						j := c.block.succ
+						j.mu.Lock()
+						if n := int32(len(j.live)); n > maxLive.Load() {
+							maxLive.Store(n)
+						}
+						j.mu.Unlock()
 					}
-				}
-				if got, want := total.Peek(), wantTotal.Peek(); got != want {
-					t.Errorf("total = %v, serial oracle says %v", got, want)
-				}
-				if int(maxLive.Load()) != width {
-					t.Errorf("join's live list peaked at %d, want all %d siblings", maxLive.Load(), width)
-				}
-				if notes != width {
-					t.Errorf("forker carried %d notes into its second fork, want one per first-wave child (%d)", notes, width)
-				}
-				if s := rt.Stats(); s.Aborted != 0 {
-					t.Errorf("%d aborts: a committed descendant's note was lost (stats %+v)", s.Aborted, s)
-				}
+					notes := 0
+					done := make(chan error, 1)
+					go func() {
+						done <- rt.Run(func(c *Ctx) {
+							forkWidthProgram(c, objs, total, atBarrier, func(c *Ctx) { notes = len(c.comDesc) })
+						})
+					}()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatal(err)
+						}
+					case <-time.After(time.Until(deadline)):
+						t.Fatalf("fork of %d hung (stats %+v)", width, rt.Stats())
+					}
+					rt.Publisher().Drain()
+
+					for i := range objs {
+						if got, want := objs[i].Peek(), wantObjs[i].Peek(); got != want {
+							t.Errorf("object %d = %v, serial oracle says %v", i, got, want)
+						}
+					}
+					if got, want := total.Peek(), wantTotal.Peek(); got != want {
+						t.Errorf("total = %v, serial oracle says %v", got, want)
+					}
+					if int(maxLive.Load()) != width {
+						t.Errorf("join's live list peaked at %d, want all %d siblings", maxLive.Load(), width)
+					}
+					if notes != width {
+						t.Errorf("forker carried %d notes into its second fork, want one per first-wave child (%d)", notes, width)
+					}
+					if s := rt.Stats(); s.Aborted != abortsBefore {
+						t.Errorf("%d aborts: a committed descendant's note was lost (stats %+v)", s.Aborted-abortsBefore, s)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestStragglerPinsForkerFrame holds every finisher that is not its join's
+// last between the join's unlock and its liveBlocks decrement (D15) while
+// three roots run depth-4 trees of alternately transactional and bare
+// forks. A held straggler's base transaction is a tx0 in its forker's
+// frame, or further up for a bare fork, and the forker has long resumed,
+// committed and finished by the time the straggler lets go. The pin chain
+// keeps every such frame out of the pool until then; run it under -race,
+// which reports a frame cleaned or reused under a straggler. Every leaf's
+// increment must land.
+func TestStragglerPinsForkerFrame(t *testing.T) {
+	const roots, rounds, depth = 3, 20, 4
+	rt := newRT(t, 4)
+	rt.stragglerHook = func() { time.Sleep(50 * time.Microsecond) }
+	var tree func(c *Ctx, leaves []*Object)
+	tree = func(c *Ctx, leaves []*Object) {
+		if len(leaves) == 1 {
+			_ = c.Atomic(func(c *Ctx) error {
+				c.Store(leaves[0], c.Load(leaves[0]).(int)+1)
+				return nil
 			})
+			return
+		}
+		half := len(leaves) / 2
+		fork := func(c *Ctx) {
+			c.Parallel(func(c *Ctx) { tree(c, leaves[:half]) }, func(c *Ctx) { tree(c, leaves[half:]) })
+		}
+		if len(leaves)&0x5 != 0 { // 16 and 4 leaves: a transactional fork
+			_ = c.Atomic(func(c *Ctx) error { fork(c); return nil })
+			return
+		}
+		fork(c)
+	}
+	leaves := make([][]*Object, roots)
+	var wg sync.WaitGroup
+	for r := range leaves {
+		leaves[r] = make([]*Object, 1<<depth)
+		for i := range leaves[r] {
+			leaves[r][i] = NewObject(0)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := rt.Run(func(c *Ctx) { tree(c, leaves[r]) }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range leaves {
+		for i, o := range leaves[r] {
+			if got := o.Peek().(int); got != rounds {
+				t.Errorf("root %d leaf %d = %d, want %d (stats %+v)", r, i, got, rounds, rt.Stats())
+			}
 		}
 	}
 }

@@ -156,6 +156,11 @@ type Runtime struct {
 	// undoReleaseHook, when non-nil, is handed every undo-log chunk on its
 	// way back to the pool, after its records were cleared. Tests only.
 	undoReleaseHook func(*undoChunk)
+
+	// stragglerHook, when non-nil, runs in finishBlock on every finisher
+	// that is not its join's last, between the join's unlock and the
+	// liveBlocks decrement: where it may hold one. Tests only.
+	stragglerHook func()
 }
 
 // New creates a runtime with P = cfg.Workers worker slots and an identifier
@@ -223,8 +228,9 @@ func (rt *Runtime) Run(fn func(*Ctx)) error {
 		fn(ctx)
 		return nil
 	}
-	done := oneShots.Get().(chan joinPayload)
-	rt.sched.enqueue(&block{program: fn, minEp: 1, done: done})
+	b := rootBlock(fn)
+	done := b.frame.resume
+	rt.sched.enqueue(b)
 	if p := await(done); p.ppanic {
 		panic(p.pval)
 	}
@@ -286,8 +292,12 @@ func (b *block) initCtx(rt *Runtime) *Ctx {
 	c.rt, c.block, c.spare = rt, b, &b.tx0
 	c.baseTx, c.cur = b.baseTx, b.baseTx
 	// A copy: the context filters its notes in place, the snapshot is the
-	// parked forker's and its siblings'.
-	c.comDesc = append(c.noteBuf[:0], b.comDesc...)
+	// parked forker's and its siblings'. A recycled context keeps the
+	// capacity its notes grew to.
+	if c.comDesc == nil {
+		c.comDesc = c.noteBuf[:0]
+	}
+	c.comDesc = append(c.comDesc, b.comDesc...)
 	c.bn = b.bn
 	if b.baseTx != nil {
 		c.ancBase = b.baseTx.anc
@@ -299,7 +309,8 @@ func (b *block) initCtx(rt *Runtime) *Ctx {
 }
 
 // runBlock is the body of a dispatch: bind the slot, run the program,
-// finish the block. f is the reserved bitnum (ignored when borrowed).
+// finish the block and drop its reference to its frame. f is the reserved
+// bitnum (ignored when borrowed).
 func (rt *Runtime) runBlock(sl *slot, b *block, f bitnum.Free, borrowed bool) {
 	if borrowed {
 		b.bn = bitvec.None
@@ -360,6 +371,9 @@ func (rt *Runtime) runBlock(sl *slot, b *block, f bitnum.Free, borrowed bool) {
 	}()
 
 	rt.finishBlock(ctx)
+	// Only now has the block made its last touch of its frame, its slot
+	// and its base transaction.
+	b.frame.release()
 }
 
 // finishBlock implements the paper's finishBlock: discard the block's
@@ -381,9 +395,7 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 	if j == nil {
 		// Root block: return the slot and report completion.
 		rt.sched.releaseSlot(c.slot)
-		if b.done != nil {
-			b.done <- joinPayload{pval: c.panicVal, ppanic: c.panicVal != nil}
-		}
+		b.frame.resume <- joinPayload{pval: c.panicVal, ppanic: c.panicVal != nil}
 		return
 	}
 
@@ -433,8 +445,11 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 			// discard is published. Note it here, at the discard's epoch:
 			// the continuation reads the notes only after the victim has
 			// finished, and the note lapses with the publication that
-			// precedes any re-use of the bitnum (§5.2 case 2, D12).
-			j.comDesc = addNote(j.comDesc, comNote{bn: v.bn, ep: finishEp})
+			// precedes any re-use of the bitnum (§5.2 case 2, D12). Never
+			// below the bitnum's re-use epoch, though: the masks up to there
+			// hold it from its previous use and would read the note as
+			// lapsed the moment it is made.
+			j.comDesc = addNote(j.comDesc, comNote{bn: v.bn, ep: epoch.Max(finishEp, v.bnMinEp)})
 		}
 	}
 	var payload joinPayload
@@ -448,6 +463,9 @@ func (rt *Runtime) finishBlock(c *Ctx) {
 		}
 	}
 	j.mu.Unlock()
+	if hook := rt.stragglerHook; hook != nil && remaining != 0 {
+		hook()
+	}
 
 	// The finished block leaves the base transaction's live set last, so
 	// that concurrent single-child decisions still count it (D15).

@@ -208,8 +208,8 @@ func (s *scheduler) worker(d dispatch) {
 			return
 		}
 		// The receive replaces d, so a parked worker holds nothing of its
-		// last block: the frame and the program are the collector's (D53).
-		// A closed handoff yields an empty d.
+		// last block, whose frame runBlock has released (D53). A closed
+		// handoff yields an empty d.
 		d = <-s.handoff
 		s.parked.Add(-1)
 	}

@@ -55,9 +55,11 @@ type txDesc struct {
 	// forked is set, once, by the first Parallel that queues blocks under
 	// this transaction: from then on child blocks hold pointers to it (a
 	// finishing child still decrements liveBlocks after the join has
-	// resumed the forker), so when it ends it is left to the garbage
-	// collector. A transaction that never forked is known to its own
-	// context alone and is reused by that context's next begin (D53).
+	// resumed the forker), so its context never hands it out again: a
+	// heap descriptor is left to the garbage collector, a block's tx0 is
+	// recycled with its frame once no child can touch it. A transaction
+	// that never forked is known to its own context alone and is reused by
+	// that context's next begin (D53).
 	forked bool
 
 	// Undo log: a newest-first list of fixed-size chunks of records. The

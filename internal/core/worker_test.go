@@ -107,15 +107,21 @@ func TestWorkerPoolCapped(t *testing.T) {
 		running.Done()
 		<-release
 	}
-	for i := 0; i < burst; i++ {
+	done := make([]chan joinPayload, burst)
+	for i := range done {
+		b := rootBlock(hold)
+		done[i] = b.frame.resume
 		rt.sched.start(dispatch{
 			slot:  &slot{id: p + i},
-			block: &block{program: hold, minEp: 1},
+			block: b,
 			free:  bitnum.Free{Bn: bitvec.None},
 		})
 	}
 	running.Wait()
 	close(release)
+	for _, ch := range done {
+		await(ch)
+	}
 	check("64 blocks on goroutines at once")
 }
 

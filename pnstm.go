@@ -13,6 +13,10 @@ import (
 // Parallel (fork–join inside or outside a transaction) and the raw
 // Load/Store accessors; the generic Load/Store/Update package functions
 // are the typed front end.
+//
+// A Ctx belongs to the block it was handed to. Its storage is recycled
+// when the block ends, so a Ctx retained past that aliases the context of
+// some later block: do not keep one.
 type Ctx = core.Ctx
 
 // Stats is a snapshot of runtime activity counters; see the field

@@ -152,17 +152,17 @@ func TestExecutorAllocCeilings(t *testing.T) {
 		name            string
 		memory, durable float64
 	}{
-		// As read, every run, with the fork frame and reused descriptors
+		// As read, every run, with pooled fork frames and reused descriptors
 		// (D53), each root published before the next, and blocks run on
 		// recycled workers (D2): before those, every row read one more per
-		// dispatched block (its goroutine's closure) and two more per root
-		// (Run's channel).
-		{"MapGet", 2, 2},
-		{"MapPut", 4, 5},      // 9, 10 while a bucket was a Go map rebuilt per write (D57)
-		{"CounterAdd", 3, 4},  // one more while a stripe's int64 was boxed (D52)
-		{"Transfer4", 11, 12}, // 18, 19 with Go-map buckets: two writes
-		{"RangeScan64", 18, 18},
-		{"Put64", 156, 157}, // 136, 137 while it ran as one chain; it forks 8 since D58
+		// dispatched block (its goroutine's closure), two more per root
+		// (Run's channel) and one more per fork and per root (its frame).
+		{"MapGet", 1, 1},
+		{"MapPut", 3, 4},      // 9, 10 while a bucket was a Go map rebuilt per write (D57)
+		{"CounterAdd", 2, 3},  // one more while a stripe's int64 was boxed (D52)
+		{"Transfer4", 10, 11}, // 18, 19 with Go-map buckets: two writes
+		{"RangeScan64", 15, 15},
+		{"Put64", 152, 153}, // 136, 137 while it ran as one chain; it forks 8 since D58
 	}
 	for _, durable := range []bool{false, true} {
 		h := newExecHarness(t, durable)

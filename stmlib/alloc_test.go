@@ -53,9 +53,9 @@ func TestTMapGetAllocCeiling(t *testing.T) {
 // preload, 32-entry leaves) pays for the three first-wave children and
 // what they return — one exactly-sized part each and one merge — not for
 // the eight or nine leaves of the span (D49). The ceiling is a ratchet
-// (reads 19; 36 before the fork frame, D53): the frame and the slice of
-// its three blocks, a goroutine closure per child, and the scan's own
-// parts, merge and closures.
+// with room for -race, which reads 16 to 17 (reads 13; 16 before pooled
+// fork frames, D53, 19 before recycled workers, D2, and 36 before the fork
+// frame): the scan's own parts, merge and closures.
 func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
 	const ceiling = 21
 	rt := newRTConfig(t, pnstm.Config{Workers: 2, SharedReads: true})
