@@ -329,7 +329,7 @@ func TestStragglerPinsForkerFrame(t *testing.T) {
 		fork := func(c *Ctx) {
 			c.Parallel(func(c *Ctx) { tree(c, leaves[:half]) }, func(c *Ctx) { tree(c, leaves[half:]) })
 		}
-		if len(leaves)&0x5 != 0 { // 16 and 4 leaves: a transactional fork
+		if len(leaves)&0x14 != 0 { // 16 and 4 leaves: a transactional fork
 			_ = c.Atomic(func(c *Ctx) error { fork(c); return nil })
 			return
 		}

@@ -3,6 +3,6 @@
 package core
 
 // Under the race detector sync.Pool drops a quarter of what is put back at
-// random: the ceilings of pooled frames and channels are only exact
-// without it.
+// random: the ceilings of pooled frames and channels are higher under it
+// (pooledCeiling).
 func init() { raceEnabled = true }
