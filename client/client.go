@@ -108,20 +108,23 @@ type conn struct {
 	bw  *bufio.Writer
 
 	mu      sync.Mutex
-	pending map[uint64]chan *server.Response
+	pending map[uint64]chan server.Response
 	err     error
 	closed  chan struct{}
 
 	nextID atomic.Uint64
 }
 
-// replyChans recycles the one-slot channels calls wait on. The reader
-// sends on a call's channel at most once, after taking it out of the
-// pending table; a channel goes back to the pool only from the call that
-// received that send, when nobody else can still hold it. A call that
-// gives up because the connection failed drops its channel instead — the
-// reader may have taken it out of the table and not sent yet.
-var replyChans = sync.Pool{New: func() any { return make(chan *server.Response, 1) }}
+// replyChans recycles the one-slot channels calls wait on. A reply
+// travels through the channel by value: the reader decodes every frame
+// into one Response of its own and sends a copy, which the receiving call
+// copies into its caller's Response. The reader sends on a call's channel
+// at most once, after taking it out of the pending table; a channel goes
+// back to the pool only from the call that received that send, when
+// nobody else can still hold it. A call that gives up because the
+// connection failed drops its channel instead — the reader may have taken
+// it out of the table and not sent yet.
+var replyChans = sync.Pool{New: func() any { return make(chan server.Response, 1) }}
 
 // Connect dials PoolSize connections to every address, handshakes each
 // one, and returns the routing pool. Any address failing to dial or
@@ -149,7 +152,7 @@ func Connect(opts Options) (*Client, error) {
 			c := &conn{
 				nc:      nc,
 				bw:      bufio.NewWriter(nc),
-				pending: make(map[uint64]chan *server.Response),
+				pending: make(map[uint64]chan server.Response),
 				closed:  make(chan struct{}),
 			}
 			go c.readLoop()
@@ -180,9 +183,9 @@ func handshake(c *conn, maxStaleness time.Duration) (*server.HelloInfo, error) {
 	if maxStaleness > 0 {
 		hello.MaxStalenessMs = uint32(maxStaleness.Milliseconds())
 	}
-	resp, err := c.do(&server.Request{Op: server.OpHello, Hello: hello})
-	if err != nil {
-		if resp != nil && resp.Status == server.StatusErr {
+	var resp server.Response
+	if err := c.do(&server.Request{Op: server.OpHello, Hello: hello}, &resp); err != nil {
+		if resp.Status == server.StatusErr {
 			return nil, nil // legacy peer: no handshake, primary semantics
 		}
 		return nil, err
@@ -220,15 +223,15 @@ func (cl *Client) pickReplica() *conn {
 // readLoop demultiplexes responses to their waiting callers.
 func (c *conn) readLoop() {
 	br := bufio.NewReader(c.nc)
-	var fb server.FrameBuf // ParseResponse copies what it keeps, so frames share one buffer
+	var fb server.FrameBuf   // DecodeResponse copies what it keeps, so frames share one buffer
+	var resp server.Response // every frame is decoded here; each call gets a copy
 	for {
 		frame, err := server.ReadFrame(br, &fb)
 		if err != nil {
 			c.fail(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		resp, err := server.ParseResponse(frame)
-		if err != nil {
+		if err := server.DecodeResponse(frame, &resp); err != nil {
 			c.fail(err)
 			c.nc.Close()
 			return
@@ -259,21 +262,24 @@ func (c *conn) fail(err error) {
 		c.err = err
 		close(c.closed)
 	}
-	c.pending = make(map[uint64]chan *server.Response)
+	c.pending = make(map[uint64]chan server.Response)
 	c.mu.Unlock()
 }
 
-// do sends req on this connection and waits for its reply.
-func (c *conn) do(req *server.Request) (*server.Response, error) {
+// do sends req on this connection and waits for its reply, which it
+// decodes into *resp. A StatusErr or StatusNotPrimary reply comes back as
+// an error with *resp filled in; *resp is left alone when the call fails
+// before a reply arrives.
+func (c *conn) do(req *server.Request, resp *server.Response) error {
 	req.ID = c.nextID.Add(1)
 
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return err
 	}
-	ch := replyChans.Get().(chan *server.Response)
+	ch := replyChans.Get().(chan server.Response)
 	c.pending[req.ID] = ch
 	c.mu.Unlock()
 
@@ -288,7 +294,7 @@ func (c *conn) do(req *server.Request) (*server.Response, error) {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
-		return nil, err
+		return err
 	}
 	_, err = c.bw.Write(buf)
 	if err == nil {
@@ -297,53 +303,55 @@ func (c *conn) do(req *server.Request) (*server.Response, error) {
 	c.wmu.Unlock()
 	if err != nil {
 		c.fail(fmt.Errorf("client: write: %w", err))
-		return nil, err
+		return err
 	}
 
 	select {
-	case resp := <-ch:
+	case *resp = <-ch:
 		replyChans.Put(ch)
 		switch resp.Status {
 		case server.StatusErr:
-			return resp, fmt.Errorf("client: server error: %s", resp.Msg)
+			return fmt.Errorf("client: server error: %s", resp.Msg)
 		case server.StatusNotPrimary:
-			return resp, fmt.Errorf("client: %s: %w", resp.Msg, ErrNotPrimary)
+			return fmt.Errorf("client: %s: %w", resp.Msg, ErrNotPrimary)
 		}
-		return resp, nil
+		return nil
 	case <-c.closed:
-		return nil, c.connErr()
+		return c.connErr()
 	}
 }
 
 // roundTrip routes a mutating (or primary-affine) request.
-func (cl *Client) roundTrip(req *server.Request) (*server.Response, error) {
-	return cl.pickWrite().do(req)
+func (cl *Client) roundTrip(req *server.Request, resp *server.Response) error {
+	return cl.pickWrite().do(req, resp)
 }
 
 // roundTripRead routes a read-only request by the pool's read
 // preference. A replica's refusal (staleness, promotion races) or
 // connection failure falls back to a primary except under
 // ReadReplicaRequired, where replicas are the only legal target.
-func (cl *Client) roundTripRead(req *server.Request) (*server.Response, error) {
+func (cl *Client) roundTripRead(req *server.Request, resp *server.Response) error {
 	switch cl.pref {
 	case ReadReplicaRequired:
 		c := cl.pickReplica()
 		if c == nil {
-			return nil, fmt.Errorf("client: ReadReplicaRequired but the pool has no replica connection: %w", ErrNotPrimary)
+			return fmt.Errorf("client: ReadReplicaRequired but the pool has no replica connection: %w", ErrNotPrimary)
 		}
-		return c.do(req)
+		return c.do(req, resp)
 	case ReadPreferReplica:
 		if c := cl.pickReplica(); c != nil {
-			resp, err := c.do(req)
+			err := c.do(req, resp)
 			if err == nil || len(cl.primaries) == 0 {
-				return resp, err
+				return err
 			}
-			// Stale or broken replica: retry once on a primary (fresh id).
-			return cl.primaries[cl.nextP.Add(1)%uint64(len(cl.primaries))].do(req)
+			// Stale or broken replica: retry once on a primary (fresh id),
+			// with nothing of the replica's refusal left in resp.
+			*resp = server.Response{}
+			return cl.primaries[cl.nextP.Add(1)%uint64(len(cl.primaries))].do(req, resp)
 		}
-		return cl.pickWrite().do(req)
+		return cl.pickWrite().do(req, resp)
 	default: // ReadPrimary
-		return cl.pickWrite().do(req)
+		return cl.pickWrite().do(req, resp)
 	}
 }
 
@@ -360,14 +368,14 @@ func (c *conn) connErr() error {
 // Ping round-trips a no-op (liveness, warmup) on a write-path
 // connection.
 func (cl *Client) Ping() error {
-	_, err := cl.roundTrip(&server.Request{Op: server.OpPing})
-	return err
+	var resp server.Response
+	return cl.roundTrip(&server.Request{Op: server.OpPing}, &resp)
 }
 
 // MapGet reads key from the named map.
 func (cl *Client) MapGet(name, key string) ([]byte, bool, error) {
-	resp, err := cl.roundTripRead(&server.Request{Op: server.OpMapGet, Name: name, Key: key})
-	if err != nil {
+	var resp server.Response
+	if err := cl.roundTripRead(&server.Request{Op: server.OpMapGet, Name: name, Key: key}, &resp); err != nil {
 		return nil, false, err
 	}
 	return resp.Value, resp.Found, nil
@@ -375,14 +383,14 @@ func (cl *Client) MapGet(name, key string) ([]byte, bool, error) {
 
 // MapPut stores value under key in the named map.
 func (cl *Client) MapPut(name, key string, value []byte) error {
-	_, err := cl.roundTrip(&server.Request{Op: server.OpMapPut, Name: name, Key: key, Value: value})
-	return err
+	var resp server.Response
+	return cl.roundTrip(&server.Request{Op: server.OpMapPut, Name: name, Key: key, Value: value}, &resp)
 }
 
 // MapDelete removes key; reports whether it was present.
 func (cl *Client) MapDelete(name, key string) (bool, error) {
-	resp, err := cl.roundTrip(&server.Request{Op: server.OpMapDelete, Name: name, Key: key})
-	if err != nil {
+	var resp server.Response
+	if err := cl.roundTrip(&server.Request{Op: server.OpMapDelete, Name: name, Key: key}, &resp); err != nil {
 		return false, err
 	}
 	return resp.Found, nil
@@ -390,8 +398,8 @@ func (cl *Client) MapDelete(name, key string) (bool, error) {
 
 // MapLen returns the named map's entry count.
 func (cl *Client) MapLen(name string) (int64, error) {
-	resp, err := cl.roundTripRead(&server.Request{Op: server.OpMapLen, Name: name})
-	if err != nil {
+	var resp server.Response
+	if err := cl.roundTripRead(&server.Request{Op: server.OpMapLen, Name: name}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Num, nil
@@ -418,14 +426,14 @@ func (cl *Client) MapGetInt(name, key string) (int64, bool, error) {
 
 // QueuePush appends value to the named queue.
 func (cl *Client) QueuePush(name string, value []byte) error {
-	_, err := cl.roundTrip(&server.Request{Op: server.OpQueuePush, Name: name, Value: value})
-	return err
+	var resp server.Response
+	return cl.roundTrip(&server.Request{Op: server.OpQueuePush, Name: name, Value: value}, &resp)
 }
 
 // QueuePop removes and returns the named queue's front element.
 func (cl *Client) QueuePop(name string) ([]byte, bool, error) {
-	resp, err := cl.roundTrip(&server.Request{Op: server.OpQueuePop, Name: name})
-	if err != nil {
+	var resp server.Response
+	if err := cl.roundTrip(&server.Request{Op: server.OpQueuePop, Name: name}, &resp); err != nil {
 		return nil, false, err
 	}
 	return resp.Value, resp.Found, nil
@@ -433,8 +441,8 @@ func (cl *Client) QueuePop(name string) ([]byte, bool, error) {
 
 // QueueLen returns the named queue's length.
 func (cl *Client) QueueLen(name string) (int64, error) {
-	resp, err := cl.roundTripRead(&server.Request{Op: server.OpQueueLen, Name: name})
-	if err != nil {
+	var resp server.Response
+	if err := cl.roundTripRead(&server.Request{Op: server.OpQueueLen, Name: name}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Num, nil
@@ -442,14 +450,14 @@ func (cl *Client) QueueLen(name string) (int64, error) {
 
 // CounterAdd adds delta to the named counter.
 func (cl *Client) CounterAdd(name string, delta int64) error {
-	_, err := cl.roundTrip(&server.Request{Op: server.OpCounterAdd, Name: name, Delta: delta})
-	return err
+	var resp server.Response
+	return cl.roundTrip(&server.Request{Op: server.OpCounterAdd, Name: name, Delta: delta}, &resp)
 }
 
 // CounterSum reads the named counter.
 func (cl *Client) CounterSum(name string) (int64, error) {
-	resp, err := cl.roundTripRead(&server.Request{Op: server.OpCounterSum, Name: name})
-	if err != nil {
+	var resp server.Response
+	if err := cl.roundTripRead(&server.Request{Op: server.OpCounterSum, Name: name}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Num, nil
@@ -591,8 +599,8 @@ func (cl *Client) Checkout(stockMap string, co server.Checkout) (ok bool, failed
 // benchmarks and verifiers reason about).
 func (cl *Client) Stats() (server.ServerStats, error) {
 	var st server.ServerStats
-	resp, err := cl.roundTrip(&server.Request{Op: server.OpStats})
-	if err != nil {
+	var resp server.Response
+	if err := cl.roundTrip(&server.Request{Op: server.OpStats}, &resp); err != nil {
 		return st, err
 	}
 	if err := json.Unmarshal(resp.Value, &st); err != nil {

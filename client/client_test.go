@@ -11,8 +11,9 @@ import (
 	"pnstm/server"
 )
 
-// echoServer answers every MapGet with the request's own key as the
-// value, so a caller can tell its reply from anybody else's. Each
+// echoServer answers every MapGet, top-level or inside an envelope, with
+// the request's own key as the value, so a caller can tell its reply from
+// anybody else's; an envelope's other sub-ops just succeed. Each
 // connection is cut after cutAfter replies, with whatever requests are
 // then in flight left unanswered and the last replies possibly still
 // unread by the client.
@@ -69,6 +70,15 @@ func (es *echoServer) serve(nc net.Conn) {
 		case server.OpMapGet:
 			resp.Found, resp.Value = true, []byte(req.Key)
 			replies++
+		case server.OpTx:
+			resp.TxResults = make([]server.TxResult, len(req.Tx.Ops))
+			for i, op := range req.Tx.Ops {
+				resp.TxResults[i].Status = server.StatusOK
+				if op.Op == server.OpMapGet {
+					resp.TxResults[i].Found, resp.TxResults[i].Value = true, []byte(op.Key)
+				}
+			}
+			replies++
 		}
 		buf = server.AppendResponse(buf[:0], &resp)
 		if _, err := nc.Write(buf); err != nil {
@@ -81,8 +91,11 @@ func (es *echoServer) serve(nc net.Conn) {
 // with calls in flight, over and over, while later calls on fresh
 // connections draw reply channels from the same pool. A channel recycled
 // while the failed connection's reader could still send on it would hand
-// a later caller somebody else's response: every successful MapGet must
-// return its own key. Run with -race.
+// a later caller somebody else's response: every successful MapGet, and
+// every envelope that puts and gets the caller's own key, must return that
+// key. The envelopes hold the reader to a fresh results list per reply:
+// replies travel by value, so a list the reader decoded into twice would
+// change under the call that received it. Run with -race.
 func TestRecycledReplyChannelNeverDeliversStaleResponse(t *testing.T) {
 	const (
 		rounds  = 40
@@ -103,6 +116,18 @@ func TestRecycledReplyChannelNeverDeliversStaleResponse(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perCall; i++ {
 					key := fmt.Sprintf("r%d-g%d-i%d", round, g, i)
+					if i%2 == 1 {
+						res, err := cl.Txn().MapPut("kv", key, []byte(key)).MapGet("kv", key).Commit()
+						if err != nil {
+							failed.Add(1)
+							continue
+						}
+						ok.Add(1)
+						if res.Len() != 2 || !res.Found(1) || string(res.Bytes(1)) != key {
+							t.Errorf("envelope on %q = %d results, %q: a reply meant for another call", key, res.Len(), res.Bytes(1))
+						}
+						continue
+					}
 					v, found, err := cl.MapGet("kv", key)
 					if err != nil {
 						failed.Add(1)

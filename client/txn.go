@@ -299,14 +299,14 @@ func (t *Txn) Commit() (*TxResults, error) {
 	// A pure-read envelope — every sub-op a read or a guard, by the
 	// server's own table — is eligible for replica routing under the
 	// pool's read preference; anything mutating is primary-only.
-	var resp *server.Response
+	var resp server.Response
 	var err error
 	if slices.ContainsFunc(t.ops, func(op server.TxOp) bool { return server.Mutates(op.Op) }) {
-		resp, err = t.cl.roundTrip(req)
+		err = t.cl.roundTrip(req, &resp)
 	} else {
-		resp, err = t.cl.roundTripRead(req)
+		err = t.cl.roundTripRead(req, &resp)
 	}
-	if resp != nil && resp.Status == server.StatusRejected {
+	if resp.Status == server.StatusRejected {
 		return &TxResults{rs: resp.TxResults},
 			&ErrTxAborted{FailedOpIndex: int(resp.Num), Reason: resp.Msg}
 	}

@@ -11,9 +11,10 @@ import (
 )
 
 // TestCodecAllocCeilings pins the request path's codec costs: encoding
-// into a warm buffer allocates nothing, and decoding a point read into a
+// into a warm buffer allocates nothing, decoding a point read into a
 // caller's Request costs its key and nothing else once the connection's
-// decoder has seen the structure name.
+// decoder has seen the structure name, and decoding a transfer envelope
+// into a pending's warmed envelope scratch costs its three keys.
 func TestCodecAllocCeilings(t *testing.T) {
 	req := &Request{ID: 7, Op: OpMapGet, Name: "kv", Key: "key-000042"}
 	resp := &Response{ID: 7, Status: StatusOK, Found: true, Value: bytes.Repeat([]byte{0x5a}, 64)}
@@ -32,14 +33,35 @@ func TestCodecAllocCeilings(t *testing.T) {
 
 	dec := requestDecoder{names: make(map[string]string)}
 	var into Request
-	if err := dec.parse(buf[4:], &into); err != nil { // interns "kv"
+	if err := dec.parse(buf[4:], &into, nil); err != nil { // interns "kv"
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(100, func() { _ = dec.parse(buf[4:], &into) }); got > 1 {
+	if got := testing.AllocsPerRun(100, func() { _ = dec.parse(buf[4:], &into, nil) }); got > 1 {
 		t.Errorf("decoding a MapGet with its name interned: %.0f allocs, ceiling 1 (the key)", got)
 	}
 	if !reflect.DeepEqual(&into, req) {
 		t.Errorf("decoded %+v, want %+v", &into, req)
+	}
+
+	transfer := &Request{ID: 8, Op: OpTx, Tx: &Tx{Ops: []TxOp{
+		{Op: OpAssertGE, Name: "acct", Key: "a0001", Delta: 1},
+		{Op: OpMapAdd, Name: "acct", Key: "a0001", Delta: -1},
+		{Op: OpMapAdd, Name: "acct", Key: "a0002", Delta: 1},
+		{Op: OpCounterAdd, Name: "transfers", Delta: 1},
+	}}}
+	tbuf, err := AppendRequest(nil, transfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p pending
+	if err := dec.parse(tbuf[4:], &p.req, &p.tx); err != nil { // interns the names, sizes the scratch
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = dec.parse(tbuf[4:], &p.req, &p.tx) }); got > 3 {
+		t.Errorf("decoding a 4-op transfer envelope into a warmed scratch: %.0f allocs, ceiling 3 (its keys)", got)
+	}
+	if !reflect.DeepEqual(&p.req, transfer) || p.req.Tx != &p.tx {
+		t.Errorf("decoded %+v, want %+v in the pending's scratch", &p.req, transfer)
 	}
 
 	// Reading frames through a connection's buffer allocates per frame
@@ -56,7 +78,7 @@ func TestCodecAllocCeilings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dec.parse(frame, &into); err != nil {
+			if err := dec.parse(frame, &into, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,11 +91,29 @@ func TestCodecAllocCeilings(t *testing.T) {
 // request through one connection buffer, as handleConn does, overwrites
 // the buffer after each parse and checks that the request just decoded —
 // sub-ops, Hello and ReplSubscribe bodies included — did not change: a
-// pending outlives its frame.
+// pending outlives its frame. A second pass decodes the stream into one
+// recycled pending, released between frames as execute releases it, with
+// a 64-op envelope right before a 1-op one: the envelope scratch must take
+// each frame's length, and what it holds must not be the frame's bytes.
 func TestFrameBufferReuseLeavesRequestsIntact(t *testing.T) {
 	var stream []byte
 	var want []*Request
-	for _, payload := range fuzzSeedRequests() {
+	wide := make([]TxOp, maxRetainedOps)
+	for i := range wide {
+		wide[i] = TxOp{Op: OpMapPut, Name: "m", Key: fmt.Sprintf("w%02d", i), Value: []byte{byte(i)}}
+	}
+	seeds := fuzzSeedRequests()
+	for _, req := range []*Request{
+		{ID: 20, Op: OpTx, Tx: &Tx{Ops: wide}},
+		{ID: 21, Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpMapGet, Name: "m", Key: "w00"}}}},
+	} {
+		frame, err := AppendRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, frame[4:])
+	}
+	for _, payload := range seeds {
 		req, err := ParseRequest(bytes.Clone(payload))
 		if err != nil {
 			t.Fatal(err)
@@ -95,13 +135,31 @@ func TestFrameBufferReuseLeavesRequestsIntact(t *testing.T) {
 			t.Fatalf("frame %d (%d bytes) did not land in the connection's buffer", i, len(frame))
 		}
 		var got Request
-		if err := dec.parse(frame, &got); err != nil {
+		if err := dec.parse(frame, &got, nil); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		poison(fb.b[:cap(fb.b)])
 		if !reflect.DeepEqual(&got, w) {
 			t.Errorf("request %d changed when the frame buffer was overwritten:\n  want %+v\n  got  %+v", i, w, &got)
 		}
+	}
+
+	br.Reset(bytes.NewReader(stream))
+	p := pendings.Get().(*pending)
+	for i, w := range want {
+		frame, err := ReadFrame(br, &fb)
+		if err != nil {
+			t.Fatalf("pass 2, frame %d: %v", i, err)
+		}
+		if err := dec.parse(frame, &p.req, &p.tx); err != nil {
+			t.Fatalf("pass 2, frame %d: %v", i, err)
+		}
+		poison(fb.b[:cap(fb.b)])
+		if !reflect.DeepEqual(&p.req, w) {
+			t.Errorf("pass 2, request %d decoded into a recycled pending:\n  want %+v\n  got  %+v", i, w, &p.req)
+		}
+		p.release()
+		p = pendings.Get().(*pending)
 	}
 
 	// A frame past the retention bound gets a buffer of its own and

@@ -46,8 +46,17 @@ import (
 // is the request's position in the batch's commit order (stamped inside
 // its transaction, see batchRun.apply), logged whether it mutated the
 // store and therefore goes to the WAL, where batchRun.logBatch encodes it
-// in seq order. A pending belongs to whoever holds it — the connection's
-// reader until submit, the batcher until finish — and is never reused.
+// in seq order. tx is the envelope scratch an OpTx body is decoded into
+// (req.Tx points at it), so a reader-minted envelope reuses its op list.
+//
+// A pending belongs to whoever holds it — the connection's reader until
+// it hands the request off, the batcher until finish. A reader-minted
+// pending comes from pendings and goes back in exactly one place,
+// batchRun.execute after finish, when nothing else can reach it; the
+// reader keeps it across the frames it answers itself and lets go at every
+// hand-off. Every other pending — handed to a fan-out, a coordinator or a
+// replication stream, or minted by fan-out, the reaper or replay — stays
+// with the garbage collector.
 type pending struct {
 	req    Request
 	resp   Response
@@ -56,6 +65,27 @@ type pending struct {
 	start  time.Time          // when the request was parsed
 	seq    uint64
 	logged bool
+	tx     Tx
+}
+
+// pendings recycles the pendings connection readers mint (D48).
+var pendings = sync.Pool{New: func() any { return new(pending) }}
+
+// maxRetainedOps is the largest envelope op list a pooled pending keeps
+// for the next request, as maxRetainedBody is for a batch's log body.
+const maxRetainedOps = 64
+
+// release returns a reader-minted pending to pendings. It clears the op
+// list up to its capacity and zeroes everything else, so a pooled pending
+// pins no key, value, name, response or connection.
+func (p *pending) release() {
+	tx := p.tx
+	clear(tx.Ops[:cap(tx.Ops)])
+	if cap(tx.Ops) > maxRetainedOps {
+		tx.Ops = nil
+	}
+	*p = pending{tx: tx}
+	pendings.Put(p)
 }
 
 // replier is where a pending's response goes: the connection it came
@@ -400,6 +430,9 @@ func (r *batchRun) execute() {
 		}
 		batch[i] = nil // the idle run must not keep the request alive
 		p.finish(resp)
+		if _, fromReader := p.reply.(*conn); fromReader {
+			p.release() // the writer got its own copy of resp
+		}
 	}
 	select {
 	case b.idle <- r:

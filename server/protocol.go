@@ -658,7 +658,7 @@ func (d *requestDecoder) name(c *cursor) string {
 // see requestDecoder.parse.
 func ParseRequest(frame []byte) (*Request, error) {
 	req := new(Request)
-	if err := new(requestDecoder).parse(frame, req); err != nil {
+	if err := new(requestDecoder).parse(frame, req, nil); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -666,8 +666,10 @@ func ParseRequest(frame []byte) (*Request, error) {
 
 // parse decodes one request frame payload into *req, overwriting it, and
 // accepts only what the op table says is legal: a top opcode, holding sub
-// opcodes if it is an envelope.
-func (d *requestDecoder) parse(frame []byte, req *Request) error {
+// opcodes if it is an envelope. An envelope's op list is decoded into tx,
+// reusing the capacity of the list tx already holds, and req.Tx points at
+// it; with tx nil the envelope gets a Tx of its own.
+func (d *requestDecoder) parse(frame []byte, req *Request, tx *Tx) error {
 	c := cursor{b: frame}
 	*req = Request{
 		ID: c.u64(),
@@ -687,7 +689,14 @@ func (d *requestDecoder) parse(frame []byte, req *Request) error {
 		// One allocation for the whole op list; the count is untrusted, so
 		// it is clamped to what the rest of the frame could hold.
 		const minTxOpBytes = 1 + 2 + 2 + 4 + 8
-		tx := &Tx{Ops: make([]TxOp, 0, min(n, (len(frame)-c.off)/minTxOpBytes))}
+		if tx == nil {
+			tx = new(Tx)
+		}
+		if want := min(n, (len(frame)-c.off)/minTxOpBytes); cap(tx.Ops) < want {
+			tx.Ops = make([]TxOp, 0, want)
+		} else {
+			tx.Ops = tx.Ops[:0]
+		}
 		for i := 0; i < n && c.err == nil; i++ {
 			tx.Ops = append(tx.Ops, TxOp{
 				Op:    c.u8(),
@@ -762,13 +771,26 @@ func CheckoutTx(stockMap string, co *Checkout) (*Tx, error) {
 	return tx, nil
 }
 
-// ParseResponse decodes one response frame payload, rejecting status
-// bytes no server produces: at top level anything but the four live
-// statuses (the reserved 4 included), per sub-op result anything past
-// StatusRejected (0 is legal there: the op never executed).
+// ParseResponse decodes one response frame payload into a fresh
+// Response; see DecodeResponse.
 func ParseResponse(frame []byte) (*Response, error) {
+	resp := new(Response)
+	if err := DecodeResponse(frame, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// DecodeResponse decodes one response frame payload into *resp,
+// overwriting it, and rejects status bytes no server produces: at top
+// level anything but the four live statuses (the reserved 4 included),
+// per sub-op result anything past StatusRejected (0 is legal there: the
+// op never executed). Like every decoder here it copies what it keeps,
+// and the results list is a fresh slice each time: a caller may hand the
+// decoded value on and decode the next frame into the same Response.
+func DecodeResponse(frame []byte, resp *Response) error {
 	c := &cursor{b: frame}
-	resp := &Response{
+	*resp = Response{
 		ID:     c.u64(),
 		Status: c.u8(),
 		Found:  c.u8() == 1,
@@ -788,15 +810,15 @@ func ParseResponse(frame []byte) (*Response, error) {
 		}
 	}
 	if err := c.done(); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Status == 0 || resp.Status == statusRemovedCrossShard || resp.Status > StatusNotPrimary {
-		return nil, fmt.Errorf("server: unknown status %d", resp.Status)
+		return fmt.Errorf("server: unknown status %d", resp.Status)
 	}
 	for i := range resp.TxResults {
 		if st := resp.TxResults[i].Status; st > StatusRejected {
-			return nil, fmt.Errorf("server: op %d: unknown result status %d", i, st)
+			return fmt.Errorf("server: op %d: unknown result status %d", i, st)
 		}
 	}
-	return resp, nil
+	return nil
 }

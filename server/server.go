@@ -1103,7 +1103,11 @@ func (cn *conn) writeLoop(nc net.Conn) {
 // The reader owns the frame buffer and the decoder's name table; each
 // request is decoded into the pending that carries it to its batch and
 // back, and nothing a pending holds points into the frame buffer, so the
-// next frame may overwrite it while the request is still queued.
+// next frame may overwrite it while the request is still queued. The
+// reader holds one pending from pendings at a time: it decodes frame
+// after frame into it while it answers them itself, and lets go of it
+// when it hands the request off — after that the pending is the
+// batcher's, a fan-out's, a coordinator's or a replication stream's.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -1134,15 +1138,20 @@ func (s *Server) handleConn(nc net.Conn) {
 	latPoint, latTx, latCross := s.obs.latency[classPoint], s.obs.latency[classTx], s.obs.latency[classCross]
 	dec := requestDecoder{names: make(map[string]string)}
 	var fb FrameBuf
+	var held *pending // the reader's pending; nil once handed off
 	br := bufio.NewReader(nc)
 	for {
 		frame, err := ReadFrame(br, &fb)
 		if err != nil {
 			return // EOF, forced close, or an unrecoverable framing error
 		}
-		p := &pending{reply: cn}
+		if held == nil {
+			held = pendings.Get().(*pending)
+			held.reply = cn
+		}
+		p := held
 		req := &p.req
-		if err := dec.parse(frame, req); err != nil {
+		if err := dec.parse(frame, req, &p.tx); err != nil {
 			// The id is the payload's leading u64, so it usually survives
 			// a body parse failure — echo it back so the caller's pending
 			// round trip fails instead of hanging. After a malformed frame
@@ -1180,6 +1189,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			}
 			cn.deliver(Response{ID: req.ID, Status: StatusOK, Value: EncodeHelloInfo(info)})
 		case OpReplSubscribe:
+			held = nil // the stream keeps req
 			streams.Add(1)
 			go func() {
 				defer streams.Done()
@@ -1193,6 +1203,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			}
 			cn.deliver(Response{ID: req.ID, Status: StatusOK, Value: blob})
 		case OpCounterSum:
+			held = nil
 			p.lat = latPoint
 			if len(s.shards) > 1 {
 				// Checkouts credit their counters on the stock map's shard,
@@ -1215,6 +1226,7 @@ func (s *Server) handleConn(nc net.Conn) {
 				cn.deliver(Response{ID: req.ID, Status: StatusOK})
 				continue
 			}
+			held = nil
 			plan := s.routeTx(req)
 			switch plan.kind {
 			case planFan:
@@ -1228,6 +1240,7 @@ func (s *Server) handleConn(nc net.Conn) {
 				s.shards[plan.target].b.submitOrFail(p)
 			}
 		default:
+			held = nil
 			p.lat = latPoint
 			s.shardFor(req.Name).b.submitOrFail(p)
 		}
