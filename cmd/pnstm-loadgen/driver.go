@@ -520,7 +520,7 @@ func (d *driver) opCrossShard(rng *rand.Rand) error {
 const hotKeyExponent = 1.2
 
 // hotKeyWriteFrac is the hotkey workload's write fraction: write-heavy
-// on purpose, because only writes conflict and the profiler attributes
+// on purpose, because only writes conflict and /debug/hotkeys ranks
 // conflicts.
 const hotKeyWriteFrac = 0.8
 
@@ -544,7 +544,7 @@ func zipfCDF(n int, s float64) []float64 {
 // mostly overwrites, some point reads. The planner runs one key's
 // requests as one chain (D58), so what still aborts — different keys
 // sharing a bucket — lands in the flight recorder attributed to
-// `bench:m:k000000`-style tags, the signal the hot-key profiler ranks.
+// `bench:m:k000000`-style tags, the signal /debug/hotkeys ranks.
 // Writes stay inside the preloaded keys, so the readmap MapLen
 // invariant holds.
 func (d *driver) opHotKey(rng *rand.Rand) error {

@@ -41,12 +41,12 @@
 // SIGINT/SIGTERM shut down gracefully (flush + final fsync) and log
 // the final stats. Drive it with cmd/pnstm-loadgen.
 //
-// Conflict X-ray tracing (-trace, on by default) records every
-// transaction's lifecycle into per-slot flight-recorder rings; the
-// admin listener serves the hot-key conflict ranking on GET
-// /debug/hotkeys and the raw event window on GET /debug/trace?secs=N,
-// and a crisis-token engagement dumps the recorder to a timestamped
-// flight-*.json in the data directory.
+// Conflict X-ray tracing (-trace, on by default) records the lifecycle
+// of 1 in 8 batches, and every abort, escalation and crisis, into
+// per-slot flight-recorder rings; the admin listener ranks the retained
+// aborts by key on GET /debug/hotkeys and serves the raw event window
+// on GET /debug/trace?secs=N, and a crisis-token engagement dumps the
+// recorder to a timestamped flight-*.json in the data directory.
 package main
 
 import (
@@ -99,7 +99,6 @@ func main() {
 		adminAddr  = flag.String("admin", "", "HTTP admin listen address serving /metrics (Prometheus), /healthz, /readyz, GET/PUT /config, /debug/hotkeys and /debug/trace (empty: no admin listener)")
 		adminDebug = flag.Bool("admin-debug", false, "additionally mount net/http/pprof under /debug/pprof/ on the admin listener")
 		trace      = flag.Bool("trace", true, "conflict X-ray: record transaction-lifecycle events for /debug/hotkeys, /debug/trace and crisis dumps (togglable live via PUT /config)")
-		traceSamp  = flag.Int("trace-sample", 0, "record begin/commit lifecycle for 1 in N batches (0: default 8; 1: every batch — full fidelity, higher cost); conflict events are always recorded")
 		reapEvery  = flag.Duration("reap-interval", 5*time.Second, "TTL/lease reaper cadence: physically remove expired map/sorted-map entries and requeue overdue queue leases (0 disables; primary only — replicas replay the primary's reaps)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		logFormat  = flag.String("log-format", "text", "log record format: text or json")
@@ -161,7 +160,6 @@ func main() {
 		ReplicaMaxStaleness: *maxStale,
 		ReapInterval:        *reapEvery,
 		DisableTracing:      !*trace,
-		TraceSample:         *traceSamp,
 		Logger:              log,
 	})
 	if err != nil {

@@ -128,7 +128,7 @@ func TestTraceTagRenderedOnlyWhenRecorded(t *testing.T) {
 			t.Errorf("tagged nested Atomic on an unsampled lineage: %.0f allocs, ceiling 0: a label was built for no event", got)
 		}
 	})
-	if events, _ := rt.TraceRead(nil); len(events) != 0 {
+	if events := rt.TraceSnapshot(); len(events) != 0 {
 		t.Fatalf("unsampled lineage recorded %d events", len(events))
 	}
 
@@ -143,7 +143,7 @@ func TestTraceTagRenderedOnlyWhenRecorded(t *testing.T) {
 			t.Errorf("TraceTag() = %q, want %q", got, name)
 		}
 	})
-	events, _ := rt.TraceRead(nil)
+	events := rt.TraceSnapshot()
 	var tags []string
 	for _, ev := range events {
 		if ev.Kind == EvBegin && ev.Depth == 1 {

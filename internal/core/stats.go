@@ -38,7 +38,7 @@ type Stats struct {
 
 	// Tracing (D35). Filled from the flight recorder at Stats() time.
 	TraceEvents  uint64 // lifecycle events recorded
-	TraceDropped uint64 // events overwritten before any reader drained them
+	TraceDropped uint64 // events overwritten (no longer retained)
 }
 
 // Sub returns the counter-by-counter difference s − prev. Both snapshots

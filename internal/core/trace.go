@@ -20,8 +20,9 @@ import (
 // concurrent and lock-free. A cell is an atomic.Pointer[Event]: the
 // writer publishes a fully built event with one pointer store, and a
 // reader validates the cell against its expected sequence number — a
-// lapped or not-yet-published cell simply ends the read. Overwrites of
-// unread events are counted as drops on the reader side.
+// lapped or not-yet-published cell simply ends the read. Readers take
+// snapshots of what a ring retains; an event is dropped once the
+// writer has overwritten it.
 
 // Event kinds, in lifecycle order.
 const (
@@ -90,10 +91,9 @@ const traceChunkSize = 256
 
 // traceRing is one slot's event ring: single writer, many readers.
 type traceRing struct {
-	pos    atomic.Uint64 // next sequence number to write
-	events atomic.Uint64 // total recorded (single writer; read by stats)
-	cells  [traceRingSize]atomic.Pointer[Event]
-	chunk  []Event // writer-private arena; see traceChunkSize
+	pos   atomic.Uint64 // next sequence number to write: events recorded so far
+	cells [traceRingSize]atomic.Pointer[Event]
+	chunk []Event // writer-private arena; see traceChunkSize
 }
 
 // alloc hands out the next event slot from the writer's arena. Only the
@@ -111,50 +111,43 @@ func (r *traceRing) record(ev *Event) {
 	seq := r.pos.Add(1) - 1
 	ev.Seq = seq
 	r.cells[seq%traceRingSize].Store(ev)
-	r.events.Add(1)
 }
 
-// readFrom copies events with sequence numbers in [cursor, head) into
-// out, clamping a lapped cursor forward and counting the skipped
-// events as dropped. The returned cursor is where the next read should
-// start. A cell whose stored event does not match its expected
-// sequence (mid-overwrite) ends the read early; the cursor stops
-// before it so the next poll retries.
-func (r *traceRing) readFrom(cursor uint64, out []Event) ([]Event, uint64, uint64) {
+// overwritten is the number of events the writer has lapped: every
+// sequence number below head minus the ring's capacity.
+func overwritten(head uint64) uint64 { return max(head, traceRingSize) - traceRingSize }
+
+// snapshot appends the events the ring still retains, oldest first. A
+// cell that does not hold its expected sequence — lapped mid-read, or
+// reserved but not yet published — ends the read, so a snapshot is a
+// run of consecutive, untorn events.
+func (r *traceRing) snapshot(out []Event) []Event {
 	head := r.pos.Load()
-	var dropped uint64
-	if head > traceRingSize && cursor < head-traceRingSize {
-		dropped = head - traceRingSize - cursor
-		cursor = head - traceRingSize
-	}
-	for cursor < head {
-		ev := r.cells[cursor%traceRingSize].Load()
-		if ev == nil || ev.Seq != cursor {
+	for seq := overwritten(head); seq < head; seq++ {
+		ev := r.cells[seq%traceRingSize].Load()
+		if ev == nil || ev.Seq != seq {
 			break
 		}
 		out = append(out, *ev)
-		cursor++
 	}
-	return out, cursor, dropped
+	return out
 }
 
 // recorder owns the per-slot rings and the runtime-wide trace state.
 // Event totals live on the rings (their single writers own the cache
-// line); only the reader-side drop counter is shared.
+// line).
 //
-// Each slot gets TWO rings: the main lifecycle ring (the firehose —
-// read on demand by trace dumps and the /debug/trace window) and a
-// conflict ring holding only abort/escalate/crisis events, which a
-// continuous consumer like the hot-key profiler can poll cheaply —
-// conflicts are orders of magnitude rarer than begins/commits, and
-// having the profiler walk the firehose every tick was a measurable
-// fraction of the traced overhead (D38).
+// Each slot gets TWO rings: the main lifecycle ring (the firehose) and
+// a conflict ring holding only abort/escalate/crisis events. Conflicts
+// are orders of magnitude rarer than begins/commits, so a conflict ring
+// keeps the slot's recent conflicts long after the firehose has lapped
+// them: a reader ranking hot keys sees thousands of aborts, not the
+// handful the last few thousand begins and commits left (D38).
 type recorder struct {
 	enabled   atomic.Bool
 	sample    atomic.Uint64 // lifecycle sampling: record begin/commit for 1 in N roots (≤1: all)
 	rings     []*traceRing
 	conflicts []*traceRing
-	dropped   atomic.Uint64 // total overwritten before any reader saw them
 }
 
 func newRecorder(slots int) *recorder {
@@ -216,10 +209,9 @@ func (c *Ctx) traceEvent(kind, depth uint8, obj string) {
 	}
 	ring.record(ev)
 	if kind >= EvAbort {
-		// Duplicate conflict events into the slot's conflict ring so
-		// continuous consumers (the hot-key profiler) never have to walk
-		// the lifecycle firehose. Distinct Event objects per ring: record
-		// stamps each ring's own sequence into its copy.
+		// Duplicate conflict events into the slot's conflict ring, where
+		// the lifecycle firehose cannot lap them. Distinct Event objects
+		// per ring: record stamps each ring's own sequence into its copy.
 		cr := c.rt.rec.conflictRing(c)
 		cv := cr.alloc()
 		*cv = *ev
@@ -241,72 +233,41 @@ func (rt *Runtime) TracingEnabled() bool { return rt.tracing() }
 // SetTraceSampling records full begin/commit lifecycle events for 1 in
 // every roots (by root ticket); 0 or 1 records every root. Conflict
 // events — abort, escalate, crisis — are ALWAYS recorded regardless,
-// so the hot-key profiler's attribution stays exact while the
-// steady-state firehose shrinks by the sampling factor (D38).
+// so hot-key attribution stays exact while the steady-state firehose
+// shrinks by the sampling factor (D38).
 func (rt *Runtime) SetTraceSampling(every uint64) { rt.rec.sample.Store(every) }
 
 // TraceSampling returns the lifecycle sampling divisor (≤1: all roots).
 func (rt *Runtime) TraceSampling() uint64 { return rt.rec.sample.Load() }
 
-// TraceRings returns the number of event rings — the cursor-slice
-// length TraceRead expects.
-func (rt *Runtime) TraceRings() int { return len(rt.rec.rings) }
+// TraceSnapshot returns every event the lifecycle rings currently
+// retain (up to traceRingSize per ring), in per-ring order; callers
+// interleave by timestamp if they need a global order. Lock-free with
+// respect to writers.
+func (rt *Runtime) TraceSnapshot() []Event { return snapshotRings(rt.rec.rings) }
 
-// TraceRead drains events recorded since the given per-ring cursors
-// (nil or short cursors read each ring from its start) and returns the
-// events together with the advanced cursors. Events are returned in
-// per-ring order; callers interleave by timestamp if they need a
-// global order. Lock-free with respect to writers.
-func (rt *Runtime) TraceRead(cursors []uint64) ([]Event, []uint64) {
-	return rt.rec.drain(rt.rec.rings, cursors)
-}
+// TraceConflicts is TraceSnapshot over the conflict-only rings: just
+// abort/escalate/crisis events, recorded regardless of lifecycle
+// sampling.
+func (rt *Runtime) TraceConflicts() []Event { return snapshotRings(rt.rec.conflicts) }
 
-// TraceReadConflicts is TraceRead over the conflict-only rings: just
-// abort/escalate/crisis events, always recorded regardless of
-// lifecycle sampling. Continuous consumers (the hot-key profiler) poll
-// here so their steady-state cost scales with the conflict rate, not
-// the transaction rate.
-func (rt *Runtime) TraceReadConflicts(cursors []uint64) ([]Event, []uint64) {
-	return rt.rec.drain(rt.rec.conflicts, cursors)
-}
-
-// drain reads every ring in the set from its cursor, tallying laps.
-func (rec *recorder) drain(rings []*traceRing, cursors []uint64) ([]Event, []uint64) {
-	next := make([]uint64, len(rings))
-	copy(next, cursors)
+func snapshotRings(rings []*traceRing) []Event {
 	var out []Event
-	for i, ring := range rings {
-		var dropped uint64
-		out, next[i], dropped = ring.readFrom(next[i], out)
-		if dropped > 0 {
-			rec.dropped.Add(dropped)
-		}
-	}
-	return out, next
-}
-
-// TraceSnapshot returns every event currently retained in the rings
-// (cursor-free: up to traceRingSize per ring), for dumps.
-func (rt *Runtime) TraceSnapshot() []Event {
-	var out []Event
-	for _, ring := range rt.rec.rings {
-		head := ring.pos.Load()
-		var from uint64
-		if head > traceRingSize {
-			from = head - traceRingSize
-		}
-		out, _, _ = ring.readFrom(from, out)
+	for _, ring := range rings {
+		out = ring.snapshot(out)
 	}
 	return out
 }
 
-// TraceStats reports the recorder's cumulative totals: events recorded
-// and events overwritten before any reader drained them.
+// TraceStats reports the lifecycle rings' cumulative totals: events
+// recorded and events dropped (overwritten, no longer retained).
 func (rt *Runtime) TraceStats() (events, dropped uint64) {
 	for _, ring := range rt.rec.rings {
-		events += ring.events.Load()
+		head := ring.pos.Load()
+		events += head
+		dropped += overwritten(head)
 	}
-	return events, rt.rec.dropped.Load()
+	return events, dropped
 }
 
 // SetCrisisHook installs fn to be called (on the engaging root's

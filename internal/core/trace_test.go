@@ -9,22 +9,19 @@ import (
 )
 
 // TestTraceRingWraparound: writing more events than a ring holds keeps
-// the newest traceRingSize, in order, and the lap is reported as drops.
+// the newest traceRingSize, in order, and counts the lap as overwritten.
 func TestTraceRingWraparound(t *testing.T) {
 	r := &traceRing{}
 	const n = traceRingSize*2 + 37
 	for i := 0; i < n; i++ {
 		r.record(&Event{TS: int64(i), Kind: EvBegin})
 	}
-	events, cursor, dropped := r.readFrom(0, nil)
-	if want := uint64(n - traceRingSize); dropped != want {
-		t.Fatalf("dropped = %d, want %d", dropped, want)
+	if got, want := overwritten(r.pos.Load()), uint64(n-traceRingSize); got != want {
+		t.Fatalf("overwritten = %d, want %d", got, want)
 	}
+	events := r.snapshot(nil)
 	if len(events) != traceRingSize {
-		t.Fatalf("read %d events, want %d", len(events), traceRingSize)
-	}
-	if cursor != n {
-		t.Fatalf("cursor = %d, want %d", cursor, n)
+		t.Fatalf("snapshot holds %d events, want %d", len(events), traceRingSize)
 	}
 	for i, ev := range events {
 		if want := uint64(n - traceRingSize + i); ev.Seq != want {
@@ -34,17 +31,11 @@ func TestTraceRingWraparound(t *testing.T) {
 			t.Fatalf("event %d: TS %d does not match seq %d (torn read)", i, ev.TS, ev.Seq)
 		}
 	}
-	// A second read from the advanced cursor sees nothing new.
-	events, cursor2, dropped := r.readFrom(cursor, nil)
-	if len(events) != 0 || dropped != 0 || cursor2 != cursor {
-		t.Fatalf("re-read returned %d events, %d dropped, cursor %d", len(events), dropped, cursor2)
-	}
 }
 
-// TestTraceRingConcurrentReaders: a reader polling with a cursor while
-// the writer laps the ring repeatedly never sees a torn or reordered
-// event — every event it observes is internally consistent and
-// sequence numbers advance strictly.
+// TestTraceRingConcurrentReaders: snapshots taken while the writer laps
+// the ring repeatedly never hold a torn event, and within a snapshot the
+// sequence numbers are consecutive.
 func TestTraceRingConcurrentReaders(t *testing.T) {
 	r := &traceRing{}
 	const writes = 50 * traceRingSize
@@ -55,29 +46,52 @@ func TestTraceRingConcurrentReaders(t *testing.T) {
 			r.record(&Event{TS: int64(i), Root: uint64(i)})
 		}
 	}()
-	var cursor, last uint64
-	var seen int
-	for {
-		var events []Event
-		events, cursor, _ = r.readFrom(cursor, nil)
-		for _, ev := range events {
+	check := func(events []Event) {
+		for i, ev := range events {
 			if ev.TS != int64(ev.Seq) || ev.Root != ev.Seq {
 				t.Fatalf("torn event: seq=%d ts=%d root=%d", ev.Seq, ev.TS, ev.Root)
 			}
-			if seen > 0 && ev.Seq <= last {
-				t.Fatalf("sequence went backwards: %d after %d", ev.Seq, last)
+			if i > 0 && ev.Seq != events[i-1].Seq+1 {
+				t.Fatalf("snapshot skips from seq %d to %d", events[i-1].Seq, ev.Seq)
 			}
-			last = ev.Seq
-			seen++
 		}
+	}
+	for {
 		select {
 		case <-done:
-			if seen == 0 {
-				t.Fatal("reader saw nothing")
+			events := r.snapshot(nil)
+			check(events)
+			if len(events) != traceRingSize || events[0].Seq != writes-traceRingSize {
+				t.Fatalf("final snapshot holds %d events, want the newest %d", len(events), traceRingSize)
 			}
 			return
 		default:
+			check(r.snapshot(nil))
 		}
+	}
+}
+
+// TestTraceStatsCountsOverwrites: once the lifecycle firehose laps its
+// rings, TraceStats reports the overwritten events as dropped, so
+// recorded minus dropped is exactly what a snapshot still holds.
+func TestTraceStatsCountsOverwrites(t *testing.T) {
+	rt := newRT(t, 1)
+	rt.EnableTracing(true)
+	obj := NewObject(0)
+	for i := 0; i < 3*traceRingSize; i++ {
+		if err := rt.Run(func(c *Ctx) {
+			_ = c.Atomic(func(c *Ctx) error { c.Store(obj, i); return nil })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorded, dropped := rt.TraceStats()
+	retained := uint64(len(rt.TraceSnapshot()))
+	if dropped == 0 || recorded-dropped != retained {
+		t.Fatalf("recorded %d, dropped %d, but a snapshot retains %d", recorded, dropped, retained)
+	}
+	if s := rt.Stats(); s.TraceEvents != recorded || s.TraceDropped != dropped {
+		t.Fatalf("Stats reports %d recorded, %d dropped; TraceStats %d, %d", s.TraceEvents, s.TraceDropped, recorded, dropped)
 	}
 }
 
@@ -107,7 +121,7 @@ func TestTraceLifecycleEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, _ := rt.TraceRead(nil)
+	events := rt.TraceSnapshot()
 	var begins, commits int
 	roots := make(map[uint64]bool)
 	maxDepth := uint8(0)
@@ -154,8 +168,8 @@ func TestTraceLifecycleEvents(t *testing.T) {
 }
 
 // TestTraceConcurrentWriters: many goroutines tracing concurrently
-// never lose an event (no drops at this volume) and every recorded
-// event is drained exactly once across polls.
+// never lose an event at this volume: with a snapshotter reading beside
+// them, one final snapshot holds every recorded event, none twice.
 func TestTraceConcurrentWriters(t *testing.T) {
 	rt := newRT(t, 4)
 	rt.EnableTracing(true)
@@ -163,17 +177,13 @@ func TestTraceConcurrentWriters(t *testing.T) {
 	for i := range objs {
 		objs[i] = NewObject(0)
 	}
-	var writers, drainer sync.WaitGroup
+	var writers, reader sync.WaitGroup
 	var stop atomic.Bool
-	var drained []Event
-	cursors := make([]uint64, rt.TraceRings())
-	drainer.Add(1)
-	go func() { // concurrent drainer keeps the rings from lapping
-		defer drainer.Done()
+	reader.Add(1)
+	go func() { // reads race the writers
+		defer reader.Done()
 		for !stop.Load() {
-			var ev []Event
-			ev, cursors = rt.TraceRead(cursors)
-			drained = append(drained, ev...)
+			_ = rt.TraceSnapshot()
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -194,24 +204,22 @@ func TestTraceConcurrentWriters(t *testing.T) {
 	}
 	writers.Wait()
 	stop.Store(true)
-	drainer.Wait()
-	var tail []Event
-	tail, _ = rt.TraceRead(cursors)
-	drained = append(drained, tail...)
+	reader.Wait()
 
+	events := rt.TraceSnapshot()
 	recorded, dropped := rt.TraceStats()
 	if dropped != 0 {
 		t.Fatalf("%d events dropped at this volume", dropped)
 	}
-	if uint64(len(drained)) != recorded {
-		t.Fatalf("drained %d events, recorder counted %d", len(drained), recorded)
+	if uint64(len(events)) != recorded {
+		t.Fatalf("snapshot holds %d events, recorder counted %d", len(events), recorded)
 	}
-	// Per (ring, seq) uniqueness: no event delivered twice.
-	seen := make(map[string]bool, len(drained))
-	for _, ev := range drained {
+	// Per (root, seq, ts) uniqueness: no event held twice.
+	seen := make(map[string]bool, len(events))
+	for _, ev := range events {
 		key := fmt.Sprintf("%d/%d/%d", ev.Root, ev.Seq, ev.TS)
 		if seen[key] {
-			t.Fatalf("event delivered twice: %+v", ev)
+			t.Fatalf("event held twice: %+v", ev)
 		}
 		seen[key] = true
 	}
@@ -352,7 +360,7 @@ func TestTraceSampling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	events, _ := rt.TraceRead(nil)
+	events := rt.TraceSnapshot()
 	sampledRoots := make(map[uint64]bool)
 	for _, ev := range events {
 		if ev.Kind == EvBegin {
@@ -388,7 +396,7 @@ func TestTraceSampling(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	conflicts, _ := rt2.TraceReadConflicts(nil)
+	conflicts := rt2.TraceConflicts()
 	var aborts int
 	for _, ev := range conflicts {
 		if ev.Kind == EvAbort {
@@ -402,8 +410,7 @@ func TestTraceSampling(t *testing.T) {
 		t.Fatal("no abort events in the conflict rings under full sampling skip")
 	}
 	// And the lifecycle rings hold no begin/commit noise for rt2.
-	lifecycle, _ := rt2.TraceRead(nil)
-	for _, ev := range lifecycle {
+	for _, ev := range rt2.TraceSnapshot() {
 		if ev.Kind == EvBegin || ev.Kind == EvCommit {
 			t.Fatalf("unsampled lineage leaked a lifecycle event: %+v", ev)
 		}

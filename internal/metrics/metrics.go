@@ -202,14 +202,12 @@ type series struct {
 	hist   *Histogram
 }
 
-// family groups series sharing a metric name. samples, when set,
-// additionally produces a dynamic series set at scrape time.
+// family groups series sharing a metric name.
 type family struct {
-	name    string
-	help    string
-	kind    kind
-	sers    []series
-	samples func() []Sample
+	name string
+	help string
+	kind kind
+	sers []series
 }
 
 // Registry holds the metric families and renders them. Registration
@@ -290,24 +288,6 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	f.sers = append(f.sers, series{labels: renderLabels(labels), value: fn})
 }
 
-// Sample is one dynamically-labelled sample produced at scrape time.
-type Sample struct {
-	Labels Labels
-	Value  float64
-}
-
-// CounterSamples registers a counter family whose series set is
-// produced fresh at each scrape — for label values the server cannot
-// enumerate at construction time (per-hot-key conflict counts). The
-// samples are rendered sorted by label block, so scrapes are
-// deterministic for a given state.
-func (r *Registry) CounterSamples(name, help string, fn func() []Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindCounter)
-	f.samples = fn
-}
-
 // Histogram registers and returns a histogram series over bounds.
 func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
 	h := NewHistogram(bounds)
@@ -348,19 +328,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range fams {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
-		}
-		if f.samples != nil {
-			samples := f.samples()
-			rendered := make([]string, len(samples))
-			for i, sm := range samples {
-				rendered[i] = fmt.Sprintf("%s%s %s\n", f.name, renderLabels(sm.Labels), fmtFloat(sm.Value))
-			}
-			sort.Strings(rendered)
-			for _, line := range rendered {
-				if _, err := io.WriteString(w, line); err != nil {
-					return err
-				}
-			}
 		}
 		for _, s := range f.sers {
 			if f.kind != kindHistogram {

@@ -163,32 +163,20 @@ func (r *Runtime) SetTraceSampling(every uint64) { r.rt.SetTraceSampling(every) 
 // TraceSampling returns the lifecycle sampling divisor (≤1: all roots).
 func (r *Runtime) TraceSampling() uint64 { return r.rt.TraceSampling() }
 
-// TraceRings returns the recorder's ring count — the cursor-slice
-// length TraceRead expects.
-func (r *Runtime) TraceRings() int { return r.rt.TraceRings() }
-
-// TraceRead drains events recorded since the given per-ring cursors
-// (nil reads from each ring's start) and returns them with the
-// advanced cursors. Lock-free; safe to call concurrently with running
-// transactions.
-func (r *Runtime) TraceRead(cursors []uint64) ([]TraceEvent, []uint64) {
-	return r.rt.TraceRead(cursors)
-}
-
-// TraceReadConflicts drains only abort/escalate/crisis events (always
-// recorded regardless of lifecycle sampling) from the dedicated
-// conflict rings — the cheap poll for continuous consumers like the
-// hot-key profiler.
-func (r *Runtime) TraceReadConflicts(cursors []uint64) ([]TraceEvent, []uint64) {
-	return r.rt.TraceReadConflicts(cursors)
-}
-
-// TraceSnapshot returns every event the flight recorder currently
-// retains (for dumps).
+// TraceSnapshot returns every event the flight recorder's lifecycle
+// rings currently retain (for dumps). Lock-free; safe to call
+// concurrently with running transactions.
 func (r *Runtime) TraceSnapshot() []TraceEvent { return r.rt.TraceSnapshot() }
 
-// TraceStats reports events recorded and events dropped (overwritten
-// before any reader drained them).
+// TraceConflicts returns every abort/escalate/crisis event the
+// dedicated conflict rings currently retain. Conflict events are always
+// recorded regardless of lifecycle sampling, and the firehose never
+// laps them, so these rings hold far more conflict history than
+// TraceSnapshot.
+func (r *Runtime) TraceConflicts() []TraceEvent { return r.rt.TraceConflicts() }
+
+// TraceStats reports events recorded and events dropped (overwritten,
+// no longer retained).
 func (r *Runtime) TraceStats() (events, dropped uint64) { return r.rt.TraceStats() }
 
 // SetCrisisHook installs fn to run each time a root transaction takes

@@ -211,7 +211,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.ReplicaStatus())
 }
 
-// handleHotKeys serves the conflict profiler's ranked table (D36).
+// handleHotKeys serves the hot-key table ranked from the conflict rings (D36).
 // ?n=K bounds the entry count (default 32).
 func (s *Server) handleHotKeys(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

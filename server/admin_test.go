@@ -242,11 +242,11 @@ func TestConfigSurface(t *testing.T) {
 		}
 		return out
 	}
-	wantFields := []string{ // 23
+	wantFields := []string{ // 22
 		"Addr", "Shards", "Workers", "MaxBatch", "BatchDelay", "BatchFanout", "MaxInflight",
 		"Serial", "SharedReads", "Registry", "DataDir", "Fsync", "WALSyncDelay", "SnapshotEvery",
 		"WALSegmentBytes", "ReplicaOf", "ReplicaMaxStaleness", "AdminAddr",
-		"DisableTracing", "TraceSample", "AdminDebug", "ReapInterval", "Logger",
+		"DisableTracing", "AdminDebug", "ReapInterval", "Logger",
 	}
 	if got := names(reflect.TypeOf(server.Config{}), ""); !reflect.DeepEqual(got, wantFields) {
 		t.Errorf("server.Config fields changed:\n got  %v\n want %v", got, wantFields)

@@ -329,7 +329,7 @@ func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
 	if r.traced {
 		// Tag the context with the victim request's identity before its
 		// child begins: any abort inside carries name:key, which is what
-		// the hot-key profiler ranks on (D36).
+		// /debug/hotkeys ranks on (D36).
 		c.SetTraceTag(requestTraceTag(&p.req))
 	}
 	if b.wal == nil || !canMutate(&p.req) {

@@ -123,8 +123,8 @@ func newServerObs(s *Server) *serverObs {
 		}
 	}
 
-	// Conflict X-ray (D35–D37). s.prof is built after the shards, so
-	// every closure nil-checks it (a scrape can only arrive later, but
+	// Conflict X-ray (D35–D37). s.crisis is built after the shards, so
+	// the dump counter nil-checks it (a scrape can only arrive later, but
 	// cheap defense beats an ordering invariant).
 	r.GaugeFunc("pnstm_tracing", "1 while transaction-lifecycle tracing records into the flight recorder.",
 		nil, func() float64 {
@@ -133,25 +133,12 @@ func newServerObs(s *Server) *serverObs {
 			}
 			return 0
 		})
-	r.CounterSamples("pnstm_hotkey_aborts",
-		"Conflict aborts and escalations attributed per key (space-saving top-K; err_bound is the possible overcount).",
-		func() []metrics.Sample {
-			if s.prof == nil {
-				return nil
-			}
-			top := s.prof.sketch.top(32)
-			out := make([]metrics.Sample, len(top))
-			for i, hk := range top {
-				out[i] = metrics.Sample{Labels: metrics.Labels{"key": hk.Key}, Value: float64(hk.Count)}
-			}
-			return out
-		})
 	r.CounterFunc("pnstm_crisis_dumps_total", "Flight-recorder dump files written on crisis engagements.", nil,
 		func() float64 {
-			if s.prof == nil {
+			if s.crisis == nil {
 				return 0
 			}
-			return float64(s.prof.dumps.Load())
+			return float64(s.crisis.dumps.Load())
 		})
 
 	for i := 0; i < cfg.Shards; i++ {
@@ -202,7 +189,7 @@ func newServerObs(s *Server) *serverObs {
 				}
 				return 0
 			})
-		r.CounterFunc("pnstm_trace_dropped_total", "Flight-recorder events overwritten before any reader drained them.", lbl,
+		r.CounterFunc("pnstm_trace_dropped_total", "Flight-recorder events overwritten (no longer retained).", lbl,
 			func() float64 {
 				if sh := sh(); sh != nil {
 					_, d := sh.rt.TraceStats()

@@ -139,22 +139,11 @@ type Config struct {
 
 	// DisableTracing turns conflict X-ray tracing OFF at boot (D35–D37).
 	// By default every shard's runtime records transaction-lifecycle
-	// events into per-slot flight-recorder rings, the profiler ranks
-	// abort attributions into the /debug/hotkeys table, and a crisis
-	// engagement dumps the recorder to DataDir. Disable it to reclaim
-	// the recording cost entirely, or live via PUT /config
-	// {"tracing": false}.
+	// events into per-slot flight-recorder rings, /debug/hotkeys ranks
+	// the aborts they retain by key, and a crisis engagement dumps the
+	// recorder to DataDir. Disable it to reclaim the recording cost
+	// entirely, or live via PUT /config {"tracing": false}.
 	DisableTracing bool
-
-	// TraceSample is the lifecycle sampling divisor: begin/commit events
-	// are recorded for 1 in TraceSample root transactions (batches).
-	// Conflict events — abort, escalate, crisis — are ALWAYS recorded,
-	// so /debug/hotkeys attribution stays exact; sampling only thins the
-	// steady-state begin/commit firehose, which is what keeps default-on
-	// tracing inside its ≤5% overhead budget (D38). 0 picks the default
-	// (8); 1 records every root — full-fidelity tracing for debugging
-	// sessions, at a measurably higher cost.
-	TraceSample int
 
 	// AdminDebug additionally mounts net/http/pprof under /debug/pprof/
 	// on the admin listener. Off by default: profiling endpoints can
@@ -195,21 +184,20 @@ func (c *Config) fillDefaults() {
 	if c.BatchFanout <= 0 {
 		c.BatchFanout = c.Workers
 	}
-	if c.TraceSample <= 0 {
-		c.TraceSample = defaultTraceSample
-	}
 	if c.ReplicaOf != "" && c.ReplicaMaxStaleness <= 0 {
 		c.ReplicaMaxStaleness = 10 * time.Second
 	}
 }
 
-// defaultTraceSample is the default lifecycle sampling divisor: 1 in 8
-// batches gets full begin/commit tracing. Chosen so default-on tracing
-// stays within its ≤5% throughput budget on an all-point-op workload
-// (enforced by the CI benchgate's tracing_overhead_ratio ceiling) while
-// /debug/trace still shows a fresh batch tree every few milliseconds
-// under any real load.
-const defaultTraceSample = 8
+// traceSample is the lifecycle sampling divisor: 1 in 8 batches gets
+// full begin/commit tracing. Conflict events — abort, escalate, crisis
+// — are always recorded, so /debug/hotkeys attribution stays exact;
+// sampling only thins the steady-state firehose. Chosen so default-on
+// tracing stays within its ≤5% throughput budget on an all-point-op
+// workload (enforced by the CI benchgate's tracing_overhead_ratio
+// ceiling) while /debug/trace still shows a fresh batch tree every few
+// milliseconds under any real load.
+const traceSample = 8
 
 // ShardStats is one engine partition's slice of ServerStats.
 type ShardStats struct {
@@ -328,12 +316,12 @@ type Server struct {
 	// server fails fast with a retryable error.
 	crossSem chan struct{}
 
-	// obs is the observability plane; prof is the conflict profiler
-	// draining the shards' flight recorders (D36); log receives
+	// obs is the observability plane; crisis writes the flight-recorder
+	// dump when a shard takes the crisis token (D37); log receives
 	// structured operational records.
-	obs  *serverObs
-	prof *traceProfiler
-	log  *slog.Logger
+	obs    *serverObs
+	crisis *crisisDumper
+	log    *slog.Logger
 
 	// repl is the replication engine, non-nil iff Config.ReplicaOf was
 	// set; recovered flips once the store holds its durable state (the
@@ -405,13 +393,12 @@ func New(cfg Config) (*Server, error) {
 		sh.b.shardID = uint8(i)
 	}
 	// Conflict X-ray (D35–D37): tracing goes live only after recovery so
-	// the flight recorder holds served traffic, not replay; the profiler
-	// and the crisis hooks run regardless (a PUT /config can turn
-	// tracing on later).
-	s.prof = newTraceProfiler(s)
+	// the flight recorder holds served traffic, not replay; the crisis
+	// hooks run regardless (a PUT /config can turn tracing on later).
+	s.crisis = newCrisisDumper(s)
 	for _, sh := range s.shards {
-		sh.rt.SetCrisisHook(s.prof.noteCrisis)
-		sh.rt.SetTraceSampling(uint64(cfg.TraceSample))
+		sh.rt.SetCrisisHook(s.crisis.noteCrisis)
+		sh.rt.SetTraceSampling(traceSample)
 		if !cfg.DisableTracing {
 			sh.rt.EnableTracing(true)
 		}
@@ -730,7 +717,7 @@ func (s *Server) Close() {
 	if s.repl != nil {
 		s.repl.stop()
 	}
-	s.prof.close()
+	s.crisis.close()
 	s.stopReaper()
 	if s.ckStop != nil {
 		close(s.ckStop)
@@ -808,7 +795,7 @@ func (s *Server) Kill() {
 	if s.repl != nil {
 		s.repl.stop()
 	}
-	s.prof.close()
+	s.crisis.close()
 	s.stopReaper()
 	if s.ckStop != nil {
 		close(s.ckStop)

@@ -6,220 +6,98 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"pnstm"
 )
 
-// The conflict profiler (D36) turns the runtimes' flight-recorder
-// streams into an operator-facing answer to "WHAT is aborting": a
-// background goroutine drains every shard's trace rings on a short
-// cadence, attributes each abort/escalation to a key — the victim
+// Conflict X-ray, server side (D36, D37). GET /debug/hotkeys answers
+// "WHAT is aborting" from the shards' conflict rings on request: each
+// retained abort/escalation is attributed to a key — the victim
 // request's name:key tag when the batcher stamped one, else the label
-// of the object that failed validation — and folds the attributions
-// into a space-saving top-K sketch. GET /debug/hotkeys serves the
-// ranked table; /metrics exports it as pnstm_hotkey_aborts. The same
-// goroutine owns the crisis dump (D37): when any shard's runtime takes
-// the crisis token, the whole flight recorder is written to a
-// timestamped JSON file in the data directory.
-
-// profilePollInterval is the ring-drain cadence. Each per-slot ring
-// holds 4096 events, so even a shard aborting 100k times a second
-// stays well inside a ring between polls.
-const profilePollInterval = 250 * time.Millisecond
-
-// hotKeyCapacity is the space-saving sketch's entry budget. The sketch
-// guarantees any key with true count > N/capacity (N = total
-// attributed aborts) is present, which is far finer than "top handful
-// of hot keys" needs.
-const hotKeyCapacity = 256
+// of the object that failed validation — and the keys are ranked by
+// count. Nothing is counted between requests. The crisis dump is event
+// driven: when any shard's runtime takes the crisis token, the whole
+// flight recorder is written to a timestamped JSON file in the data
+// directory.
 
 // crisisDumpDebounce is the minimum gap between flight-recorder dump
 // files: a livelocked shard can take the crisis token repeatedly, and
 // each dump snapshots the same recent history anyway.
 const crisisDumpDebounce = 5 * time.Second
 
-// HotKey is one entry of the ranked conflict table: Count aborts and
-// escalations were attributed to Key; the true count lies in
-// [Count-Err, Count] (Err is the space-saving overcount bound, nonzero
-// only for keys that inherited an evicted entry's count).
+// HotKey is one entry of the ranked conflict table: Count of the
+// retained aborts and escalations name Key.
 type HotKey struct {
 	Key   string `json:"key"`
 	Count uint64 `json:"count"`
-	Err   uint64 `json:"err,omitempty"`
 }
 
-// hotEntry is one live sketch slot.
-type hotEntry struct {
-	key  string
-	n, e uint64
-}
-
-// spaceSaving is the Metwally et al. top-K frequency sketch: a bounded
-// key table where an unseen key evicts the current minimum and
-// inherits its count as an error bound. O(capacity) per eviction —
-// fine off the hot path (only the profiler goroutine observes).
-type spaceSaving struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*hotEntry
-}
-
-func newSpaceSaving(capacity int) *spaceSaving {
-	return &spaceSaving{cap: capacity, m: make(map[string]*hotEntry, capacity)}
-}
-
-func (t *spaceSaving) observe(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e := t.m[key]; e != nil {
-		e.n++
-		return
-	}
-	if len(t.m) < t.cap {
-		t.m[key] = &hotEntry{key: key, n: 1}
-		return
-	}
-	var min *hotEntry
-	for _, e := range t.m {
-		if min == nil || e.n < min.n {
-			min = e
-		}
-	}
-	delete(t.m, min.key)
-	t.m[key] = &hotEntry{key: key, n: min.n + 1, e: min.n}
-}
-
-// top returns the n highest-count entries, count-descending (key
-// ascending on ties, so the ranking is deterministic).
-func (t *spaceSaving) top(n int) []HotKey {
-	t.mu.Lock()
-	out := make([]HotKey, 0, len(t.m))
-	for _, e := range t.m {
-		out = append(out, HotKey{Key: e.key, Count: e.n, Err: e.e})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// traceProfiler owns the ring cursors, the sketch and the crisis dump.
-type traceProfiler struct {
+// crisisDumper writes the crisis dump off the struggling root's
+// goroutine.
+type crisisDumper struct {
 	s *Server
 
-	pollMu  sync.Mutex // serializes poll (loop tick vs on-demand HotKeys)
-	cursors [][]uint64 // per shard, per ring
-
-	sketch              *spaceSaving
-	aborts, escalations atomic.Uint64 // attributed events folded so far
-
-	crisisCh chan struct{}
-	dumps    atomic.Uint64 // dump files written
+	last    atomic.Int64  // unix nanoseconds of the last accepted signal
+	pending chan struct{} // an accepted signal not yet dumped
+	dumps   atomic.Uint64 // dump files written
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-func newTraceProfiler(s *Server) *traceProfiler {
-	p := &traceProfiler{
-		s:        s,
-		cursors:  make([][]uint64, len(s.shards)),
-		sketch:   newSpaceSaving(hotKeyCapacity),
-		crisisCh: make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+func newCrisisDumper(s *Server) *crisisDumper {
+	d := &crisisDumper{
+		s:       s,
+		pending: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	for i, sh := range s.shards {
-		p.cursors[i] = make([]uint64, sh.rt.TraceRings())
-	}
-	go p.loop()
-	return p
+	go d.loop()
+	return d
 }
 
-func (p *traceProfiler) close() {
-	close(p.stop)
-	<-p.done
+// close stops the dumper; a signal still pending is dumped first.
+func (d *crisisDumper) close() {
+	close(d.stop)
+	<-d.done
 }
 
 // noteCrisis is each shard runtime's crisis hook. It must not block —
-// it runs on the struggling root's goroutine — so the signal collapses
-// into a single pending dump.
-func (p *traceProfiler) noteCrisis() {
+// it runs on the struggling root's goroutine. The debounce is decided
+// here, so a refused signal never reaches the dumper goroutine; an
+// accepted one collapses into a dump still pending.
+func (d *crisisDumper) noteCrisis() {
+	now, last := time.Now().UnixNano(), d.last.Load()
+	if now-last < int64(crisisDumpDebounce) || !d.last.CompareAndSwap(last, now) {
+		return
+	}
 	select {
-	case p.crisisCh <- struct{}{}:
+	case d.pending <- struct{}{}:
 	default:
 	}
 }
 
-func (p *traceProfiler) loop() {
-	defer close(p.done)
-	ticker := time.NewTicker(profilePollInterval)
-	defer ticker.Stop()
-	var lastDump time.Time
+func (d *crisisDumper) loop() {
+	defer close(d.done)
 	for {
 		select {
-		case <-ticker.C:
-			p.poll()
-		case <-p.crisisCh:
-			p.poll() // the events leading into the crisis belong in the dump
-			if time.Since(lastDump) >= crisisDumpDebounce {
-				lastDump = time.Now()
-				p.dumpFlightRecorder()
+		case <-d.pending:
+			d.dumpFlightRecorder()
+		case <-d.stop:
+			select {
+			case <-d.pending:
+				d.dumpFlightRecorder()
+			default:
 			}
-		case <-p.stop:
-			p.poll()
 			return
 		}
 	}
 }
 
-// poll drains every shard's conflict rings since the last poll and
-// folds each abort/escalation into the sketch. Only the conflict rings:
-// they carry abort/escalate/crisis events exclusively (recorded even
-// under lifecycle sampling), so the steady-state poll cost scales with
-// the conflict rate, not the transaction rate (D38). Attribution
-// prefers the victim request's tag (the name:key the batcher stamped —
-// exact per-key attribution) and falls back to the conflicting object's
-// label (bucket or stripe granularity, still actionable).
-func (p *traceProfiler) poll() {
-	p.pollMu.Lock()
-	defer p.pollMu.Unlock()
-	for i, sh := range p.s.shards {
-		events, cursors := sh.rt.TraceReadConflicts(p.cursors[i])
-		p.cursors[i] = cursors
-		for j := range events {
-			ev := &events[j]
-			switch ev.Kind {
-			case pnstm.EvAbort:
-				p.aborts.Add(1)
-			case pnstm.EvEscalate:
-				p.escalations.Add(1)
-			default:
-				continue
-			}
-			key := ev.Tag
-			if key == "" {
-				key = ev.Obj
-			}
-			if key == "" {
-				continue
-			}
-			p.sketch.observe(key)
-		}
-	}
-}
-
-// HotKeysReport is the GET /debug/hotkeys payload.
+// HotKeysReport is the GET /debug/hotkeys payload. Aborts and
+// Escalations count the conflict events the rings retain.
 type HotKeysReport struct {
 	Tracing      bool     `json:"tracing"`
 	Top          []HotKey `json:"top"`
@@ -230,26 +108,49 @@ type HotKeysReport struct {
 	Dumps        uint64   `json:"crisis_dumps"`
 }
 
-// HotKeys polls the rings synchronously (so the report reflects
-// everything recorded before the call, not the last tick) and renders
-// the ranked table.
+// HotKeys ranks the n keys with the most aborts and escalations among
+// those the shards' conflict rings still retain — the newest 4096 per
+// worker slot per shard, not everything since boot. Counts within that
+// window are exact; ties rank by key.
 func (s *Server) HotKeys(n int) HotKeysReport {
-	s.prof.poll()
-	var events, dropped uint64
+	rep := HotKeysReport{Tracing: s.TracingEnabled(), Dumps: s.crisis.dumps.Load()}
+	counts := make(map[string]uint64)
 	for _, sh := range s.shards {
-		e, d := sh.rt.TraceStats()
-		events += e
-		dropped += d
+		events, dropped := sh.rt.TraceStats()
+		rep.TraceEvents += events
+		rep.TraceDropped += dropped
+		for _, ev := range sh.rt.TraceConflicts() {
+			switch ev.Kind {
+			case pnstm.EvAbort:
+				rep.Aborts++
+			case pnstm.EvEscalate:
+				rep.Escalations++
+			default:
+				continue
+			}
+			key := ev.Tag
+			if key == "" {
+				key = ev.Obj
+			}
+			if key != "" {
+				counts[key]++
+			}
+		}
 	}
-	return HotKeysReport{
-		Tracing:      s.TracingEnabled(),
-		Top:          s.prof.sketch.top(n),
-		Aborts:       s.prof.aborts.Load(),
-		Escalations:  s.prof.escalations.Load(),
-		TraceEvents:  events,
-		TraceDropped: dropped,
-		Dumps:        s.prof.dumps.Load(),
+	rep.Top = make([]HotKey, 0, len(counts))
+	for key, count := range counts {
+		rep.Top = append(rep.Top, HotKey{Key: key, Count: count})
 	}
+	sort.Slice(rep.Top, func(i, j int) bool {
+		if rep.Top[i].Count != rep.Top[j].Count {
+			return rep.Top[i].Count > rep.Top[j].Count
+		}
+		return rep.Top[i].Key < rep.Top[j].Key
+	})
+	if n > 0 && len(rep.Top) > n {
+		rep.Top = rep.Top[:n]
+	}
+	return rep
 }
 
 // ShardTrace is one shard's slice of a trace dump: its retained events
@@ -295,10 +196,10 @@ type flightDump struct {
 
 // dumpFlightRecorder writes the full retained trace to a timestamped
 // file in the data directory (memory-only servers skip the file; the
-// evidence is still live on /debug/trace). Runs on the profiler
+// evidence is still live on /debug/trace). Runs on the dumper
 // goroutine only.
-func (p *traceProfiler) dumpFlightRecorder() {
-	s := p.s
+func (d *crisisDumper) dumpFlightRecorder() {
+	s := d.s
 	dir := s.cfg.Load().DataDir
 	if dir == "" {
 		return
@@ -320,11 +221,11 @@ func (p *traceProfiler) dumpFlightRecorder() {
 		s.log.Error("flight recorder dump failed to write", "path", path, "err", err)
 		return
 	}
-	p.dumps.Add(1)
+	d.dumps.Add(1)
 	s.log.Warn("crisis: flight recorder dumped", "path", path, "shards", len(dump.Shards))
 }
 
 // TracingEnabled reports whether the shards record lifecycle events
-// (the PUT /config "tracing" knob; the profiler keeps running either
-// way — with tracing off the rings simply stay quiet).
+// (the PUT /config "tracing" knob; with tracing off the rings simply
+// stay quiet).
 func (s *Server) TracingEnabled() bool { return !s.cfg.Load().DisableTracing }

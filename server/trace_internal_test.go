@@ -6,27 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
-// White-box tests for the conflict profiler's crisis-dump path (D37):
-// the crisis hook must produce exactly one timestamped flight-*.json in
-// the data directory per debounce window, and a memory-only server must
-// skip the file quietly.
-
-// waitForDumps polls until the profiler reports n dump files (or fails
-// the test after a generous deadline — the profiler goroutine handles
-// the signal asynchronously).
-func waitForDumps(t *testing.T, p *traceProfiler, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.dumps.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("profiler wrote %d dumps, want %d", p.dumps.Load(), n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
+// White-box tests for the crisis-dump path (D37): the crisis hook must
+// produce exactly one timestamped flight-*.json in the data directory
+// per debounce window, and a memory-only server must skip the file
+// quietly. The debounce is decided in the hook and Close dumps a signal
+// still pending, so each test learns the outcome by closing the server.
 
 func flightFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -53,11 +39,16 @@ func TestCrisisDumpWritesFlightFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	go s.Serve() //nolint:errcheck // torn down via Close below
-	defer s.Close()
 
-	s.prof.noteCrisis()
-	waitForDumps(t, s.prof, 1)
-
+	// A second crisis inside the debounce window must NOT write another
+	// file — a livelocked shard re-taking the token would otherwise spam
+	// the data directory with near-identical snapshots.
+	s.crisis.noteCrisis()
+	s.crisis.noteCrisis()
+	s.Close()
+	if n := s.crisis.dumps.Load(); n != 1 {
+		t.Fatalf("dump counter = %d after back-to-back crises, want 1 (debounced)", n)
+	}
 	files := flightFiles(t, dir)
 	if len(files) != 1 {
 		t.Fatalf("data dir holds %d flight files, want 1: %v", len(files), files)
@@ -76,18 +67,6 @@ func TestCrisisDumpWritesFlightFile(t *testing.T) {
 	if len(dump.Shards) != 1 {
 		t.Fatalf("dump covers %d shards, want 1", len(dump.Shards))
 	}
-
-	// A second crisis inside the debounce window must NOT write another
-	// file — a livelocked shard re-taking the token would otherwise spam
-	// the data directory with near-identical snapshots.
-	s.prof.noteCrisis()
-	time.Sleep(3 * profilePollInterval)
-	if got := flightFiles(t, dir); len(got) != 1 {
-		t.Fatalf("debounce failed: %d flight files after back-to-back crises: %v", len(got), got)
-	}
-	if n := s.prof.dumps.Load(); n != 1 {
-		t.Fatalf("dump counter = %d, want 1 (debounced)", n)
-	}
 }
 
 func TestCrisisDumpSkippedWithoutDataDir(t *testing.T) {
@@ -99,13 +78,12 @@ func TestCrisisDumpSkippedWithoutDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	go s.Serve() //nolint:errcheck // torn down via Close below
-	defer s.Close()
 
-	s.prof.noteCrisis()
-	// Give the profiler goroutine time to handle the signal; the dump
-	// counter must stay zero because there is nowhere to write.
-	time.Sleep(3 * profilePollInterval)
-	if n := s.prof.dumps.Load(); n != 0 {
+	// Close handles the pending signal; the dump counter must stay zero
+	// because there is nowhere to write.
+	s.crisis.noteCrisis()
+	s.Close()
+	if n := s.crisis.dumps.Load(); n != 0 {
 		t.Fatalf("memory-only server wrote %d dumps", n)
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // TestHotKeyProfilerE2E plants two hot keys in a sea of cold ones and
-// demands the conflict profiler find them. Served traffic no longer
+// demands /debug/hotkeys find them. Served traffic no longer
 // conflicts on a key — a shard commits one batch at a time and the
 // planner runs one key's requests as one chain (D58) — so the test makes
 // the conflicts itself, from two concurrent roots on the shard's runtime.
@@ -22,12 +22,12 @@ import (
 // writes the map; the first holds its write open until the second has
 // aborted on it. Four rounds in five go to hot:m:h0 and hot:m:h1 in turn,
 // the fifth to a fresh cold key, so /debug/hotkeys must rank the planted
-// keys above the long tail.
+// keys above the long tail, each with exactly the count its events in
+// the conflict rings add up to.
 func TestHotKeyProfilerE2E(t *testing.T) {
 	s := startServer(t, server.Config{
-		Workers:     4,
-		TraceSample: 1, // full lifecycle fidelity; attribution is exact either way
-		AdminAddr:   "127.0.0.1:0",
+		Workers:   4,
+		AdminAddr: "127.0.0.1:0",
 	})
 	rt, m := s.Runtime(), s.Registry().Map("hot:m")
 	put := func(key string, written chan<- struct{}, hold func()) error {
@@ -107,14 +107,18 @@ func TestHotKeyProfilerE2E(t *testing.T) {
 		t.Fatalf("rank 1 is %q, not a planted hot key (table: %+v)", first, rep.Top)
 	}
 
-	// The same ranking is exported on /metrics as pnstm_hotkey_aborts.
-	code, metrics := adminGET(t, adminURL(t, s, "/metrics"))
-	if code != 200 {
-		t.Fatalf("GET /metrics = %d", code)
-	}
-	if !strings.Contains(metrics, `pnstm_hotkey_aborts{key="hot:m:h0"}`) &&
-		!strings.Contains(metrics, `pnstm_hotkey_aborts{key="hot:m:h1"}`) {
-		t.Fatal("pnstm_hotkey_aborts missing the planted keys")
+	// The counts are exact: each is the number of abort and escalate
+	// events tagged with the key that the conflict rings retain.
+	for _, key := range []string{"hot:m:h0", "hot:m:h1"} {
+		var want uint64
+		for _, ev := range rt.TraceConflicts() {
+			if (ev.Kind == pnstm.EvAbort || ev.Kind == pnstm.EvEscalate) && ev.Tag == key {
+				want++
+			}
+		}
+		if counts[key] != want {
+			t.Fatalf("%s ranked with count %d, but the conflict rings hold %d of its aborts and escalations", key, counts[key], want)
+		}
 	}
 
 	// And the raw event window on /debug/trace carries abort events
