@@ -10,7 +10,7 @@
 # orchestrator stops routing to a replica that can no longer commit.
 # Durable deployments mount a volume and add -data-dir /data.
 
-FROM golang:1.23-alpine AS build
+FROM golang:1.24-alpine AS build
 WORKDIR /src
 # No third-party modules: go.mod alone pins the toolchain, and the
 # source tree is the entire dependency closure.

@@ -33,7 +33,7 @@ import (
 // transactions, which is the baseline the load generator compares
 // against.
 //
-// A sharded server runs one batcher PER SHARD, each against its shard's
+// A sharded server runs one loop PER SHARD, each against its shard's
 // private runtime, registry and WAL: the commit-ticket sequence below
 // orders requests within one shard's log, and batches on different
 // shards — disjoint structure sets by construction — execute, fsync and
@@ -50,9 +50,9 @@ import (
 // (req.Tx points at it), so a reader-minted envelope reuses its op list.
 //
 // A pending belongs to whoever holds it — the connection's reader until
-// it hands the request off, the batcher until finish. A reader-minted
+// it hands the request off, the shard's loop until finish. A reader-minted
 // pending comes from pendings and goes back in exactly one place,
-// batchRun.execute after finish, when nothing else can reach it; the
+// shard.runBatch after finish, when nothing else can reach it; the
 // reader keeps it across the frames it answers itself and lets go at every
 // hand-off. Every other pending — handed to a fan-out, a coordinator or a
 // replication stream, or minted by fan-out, the reaper or replay — stays
@@ -111,146 +111,15 @@ func (p *pending) finish(resp Response) {
 // batch (checkout precondition).
 var errRejected = errors.New("server: rejected")
 
-// batcher coalesces submitted requests into group commits.
-type batcher struct {
-	rt  *pnstm.Runtime
-	reg *stmlib.Registry
-	wal *wal.Log // nil: in-memory only
-	in  chan *pending
-	// cfg is the server's configuration pointer. A batch loads it once,
-	// when it is collected, so a PUT /config retunes a running shard at
-	// the next batch boundary and a batch never sees two configurations.
-	cfg  *atomic.Pointer[Config]
-	stop chan struct{}
-	done chan struct{}
-
-	// smu/stopped fence submit against close: see submit.
-	smu     sync.RWMutex
-	stopped bool
-
-	// pl is the shard's one commit slot: a batch executes, logs and acks
-	// before the next one starts (D20).
-	pl     *pipeline
-	execWG sync.WaitGroup
-
-	// idle holds finished batchRuns for the loop to refill, so a batch
-	// costs no slice, closure or ticket allocation of its own. Both ends
-	// are non-blocking: an empty list means a new batchRun, a full one
-	// means the finished run is dropped. At most two runs exist at once —
-	// one executing while the loop collects the next — hence the capacity.
-	idle chan *batchRun
-
-	obs *batchObs // nil: uninstrumented
-
-	// shardID and batchSeq stamp trace identity (D35): with tracing on,
-	// every batch draws a ticket and stamps (batch, shard) onto its root
-	// context, so a request's events can be followed wire → batch root →
-	// nested child → commit/abort across the whole store.
-	shardID  uint8
-	batchSeq atomic.Uint64
-
-	mu       sync.Mutex
-	batches  uint64
-	requests uint64
-	sizeSum  uint64 // sum of batch sizes (mean = sizeSum / batches)
-	largest  int
-}
-
-func newBatcher(rt *pnstm.Runtime, reg *stmlib.Registry, wl *wal.Log, cfg *atomic.Pointer[Config]) *batcher {
-	boot := cfg.Load()
-	b := &batcher{
-		rt:  rt,
-		reg: reg,
-		wal: wl,
-		cfg: cfg,
-		// The queue buffer is sized off the boot MaxBatch and stays fixed:
-		// raising the knob live still works (collect drains whatever is
-		// queued), the channel is just a smaller staging area.
-		in:   make(chan *pending, 4*boot.MaxBatch),
-		pl:   newPipeline(),
-		idle: make(chan *batchRun, 2),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go b.loop()
-	return b
-}
-
-// submit hands a request to the batcher; returns false when the batcher
-// is shutting down (callers answer StatusErr themselves). The smu/
-// stopped handshake makes every successful send happen-before close's
-// stop signal — so the loop's final drain pass provably sees it, and no
-// request can slip into the queue after the drain and hang unanswered.
-func (b *batcher) submit(p *pending) bool {
-	b.smu.RLock()
-	defer b.smu.RUnlock()
-	if b.stopped {
-		return false
-	}
-	select {
-	case b.in <- p:
-		return true
-	case <-b.stop:
-		return false
-	}
-}
-
-// submitOrFail is submit for callers with nothing else to do on refusal:
-// a request the batcher will not take is answered "server closing".
-func (b *batcher) submitOrFail(p *pending) {
-	if !b.submit(p) {
-		p.finish(Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"})
-	}
-}
-
-// close stops the loop and fails whatever was still queued. Setting
-// stopped (under the write lock) before closing stop waits out every
-// in-flight submit — the loop is still consuming at that point, so
-// those sends cannot block indefinitely.
-func (b *batcher) close() {
-	b.smu.Lock()
-	b.stopped = true
-	b.smu.Unlock()
-	close(b.stop)
-	<-b.done
-}
-
-func (b *batcher) loop() {
-	defer close(b.done)
-	for {
-		select {
-		case p := <-b.in:
-			formStart := time.Now()
-			r := b.newRun()
-			r.collect(p)
-			b.pl.acquire() // wait for the previous batch to finish
-			b.obs.observeBatch(len(r.batch), time.Since(formStart))
-			b.execWG.Add(1)
-			go r.exec()
-		case <-b.stop:
-			b.execWG.Wait() // the running batch delivers before the drain
-			// Drain: connections stop submitting once stop is closed, so
-			// this empties in one pass.
-			for {
-				select {
-				case p := <-b.in:
-					p.finish(Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"})
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// batchRun is one group commit from collection to delivery. Its batch
-// slice, its commit-order ticket and the two functions the runtime and
-// the go statement need are allocated once and reused: the loop takes a
-// finished run from batcher.idle, refills it and starts it again.
+// batchRun is one group commit from collection to delivery: a batch of
+// requests, run against reg under cfg and logged to wal. The shard's loop
+// owns one and refills it for every batch, so a batch costs no slice,
+// closure or ticket allocation of its own; replay builds one per record.
 type batchRun struct {
-	b     *batcher
+	reg   *stmlib.Registry
+	cfg   *Config
+	wal   *wal.Log // nil: the batch is not logged (memory shards, replay)
 	batch []*pending
-	cfg   *Config // the configuration this batch was collected under
 
 	// seq stamps the batch's commit order for the WAL: each mutating
 	// request takes a ticket as the LAST step inside its (wrapping)
@@ -260,8 +129,12 @@ type batchRun struct {
 	// reproduces a valid serialization of the batch on replay.
 	seq atomic.Uint64
 
-	// traced is one TracingEnabled load per batch, not per request;
-	// batchID is the batch's trace ticket when it is set.
+	// shardID, traced and batchID stamp trace identity (D35): with
+	// tracing on (one TracingEnabled load per batch, not per request),
+	// every batch takes the next ticket and stamps (batch, shard) onto its
+	// root context, so a request's events can be followed wire → batch
+	// root → nested child → commit/abort across the whole store.
+	shardID uint8
 	traced  bool
 	batchID uint64
 
@@ -271,76 +144,32 @@ type batchRun struct {
 	body   []byte
 	plan   plan
 
-	exec func()           // r.execute, bound once
 	root func(*pnstm.Ctx) // r.runRoot, bound once
 }
 
-// newRun returns an idle batchRun, or a new one when none is idle.
-func (b *batcher) newRun() *batchRun {
-	select {
-	case r := <-b.idle:
-		return r
-	default:
-	}
-	r := &batchRun{b: b}
-	r.exec, r.root = r.execute, r.runRoot
+func newBatchRun(reg *stmlib.Registry, cfg *Config, wl *wal.Log) *batchRun {
+	r := &batchRun{reg: reg, cfg: cfg, wal: wl}
+	r.root = r.runRoot
 	return r
-}
-
-// collect gathers a batch around the first request: everything already
-// queued, then — if there is still room — whatever arrives within the
-// batching window. A zero window means "only what is already in flight",
-// which keeps unloaded latency at the floor while still group-committing
-// under concurrency.
-func (r *batchRun) collect(first *pending) {
-	b := r.b
-	r.cfg = b.cfg.Load()
-	maxBatch, delay := r.cfg.MaxBatch, r.cfg.BatchDelay
-	r.batch = append(r.batch[:0], first)
-	for len(r.batch) < maxBatch {
-		select {
-		case p := <-b.in:
-			r.batch = append(r.batch, p)
-			continue
-		default:
-		}
-		break
-	}
-	if delay <= 0 || len(r.batch) >= maxBatch {
-		return
-	}
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	for len(r.batch) < maxBatch {
-		select {
-		case p := <-b.in:
-			r.batch = append(r.batch, p)
-		case <-timer.C:
-			return
-		case <-b.stop:
-			return
-		}
-	}
 }
 
 // apply runs one request of the batch in block context c.
 func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
-	b := r.b
 	if r.traced {
 		// Tag the context with the victim request's identity before its
 		// child begins: any abort inside carries name:key, which is what
 		// /debug/hotkeys ranks on (D36).
 		c.SetTraceTag(requestTraceTag(&p.req))
 	}
-	if b.wal == nil || !canMutate(&p.req) {
+	if r.wal == nil || !canMutate(&p.req) {
 		// Pure reads never log, so they skip the ticket-stamping
 		// wrapper transaction entirely.
-		applyRequest(c, b.reg, r.cfg.BatchFanout, &p.req, &p.resp)
+		applyRequest(c, r.reg, r.cfg.BatchFanout, &p.req, &p.resp)
 		return
 	}
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		p.logged = false // retried attempts must re-decide
-		applyRequest(c, b.reg, r.cfg.BatchFanout, &p.req, &p.resp)
+		applyRequest(c, r.reg, r.cfg.BatchFanout, &p.req, &p.resp)
 		if mutating(&p.req, &p.resp) {
 			p.seq = r.seq.Add(1)
 			p.logged = true
@@ -358,9 +187,9 @@ func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
 // inline: with MaxBatch 1 this is the batch-size-1 baseline shape.
 func (r *batchRun) runRoot(c *pnstm.Ctx) {
 	if r.traced {
-		c.StampTrace(r.batchID, r.b.shardID)
+		c.StampTrace(r.batchID, r.shardID)
 	}
-	r.plan.batch(r.b.reg, r.batch, r.cfg.BatchFanout)
+	r.plan.batch(r.reg, r.batch, r.cfg.BatchFanout)
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		if r.plan.chains() < 2 {
 			for _, p := range r.batch {
@@ -375,69 +204,6 @@ func (r *batchRun) runRoot(c *pnstm.Ctx) {
 		})
 		return nil
 	})
-}
-
-// execute runs the collected batch as a single root transaction, makes it
-// durable, delivers every response and hands the run back for reuse.
-func (r *batchRun) execute() {
-	b, batch := r.b, r.batch
-	defer b.execWG.Done()
-	defer b.pl.release()
-
-	r.seq.Store(0)
-	r.traced = b.rt.TracingEnabled()
-	if r.traced {
-		r.batchID = b.batchSeq.Add(1)
-	}
-	err := b.rt.Run(r.root)
-
-	// Make the batch durable before any of its acks leave: one record,
-	// one fsync, covering every mutating request in commit order.
-	if err == nil && b.wal != nil {
-		if werr := r.logBatch(wal.MaxBody); werr != nil {
-			// The store applied the batch but the log did not: nothing
-			// acked here may claim durability, so every request fails.
-			// The wal latches itself shut on append failure (memory is
-			// now ahead of the durable history, and logging further
-			// batches over the hole would recover divergent state), so
-			// subsequent mutating batches fail too until a restart
-			// re-opens a consistent prefix.
-			for _, p := range batch {
-				p.resp = Response{ID: p.req.ID, Status: StatusErr, Msg: "wal: " + werr.Error()}
-			}
-		}
-	}
-
-	b.mu.Lock()
-	b.batches++
-	b.requests += uint64(len(batch))
-	b.sizeSum += uint64(len(batch))
-	if len(batch) > b.largest {
-		b.largest = len(batch)
-	}
-	b.mu.Unlock()
-
-	for i, p := range batch {
-		resp := p.resp
-		resp.ID = p.req.ID
-		if err != nil {
-			resp = Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"}
-		} else if resp.Status == 0 {
-			resp = Response{ID: p.req.ID, Status: StatusErr, Msg: "internal: request not executed"}
-		}
-		if resp.Status == StatusRejected {
-			b.obs.observeRejected()
-		}
-		batch[i] = nil // the idle run must not keep the request alive
-		p.finish(resp)
-		if _, fromReader := p.reply.(*conn); fromReader {
-			p.release() // the writer got its own copy of resp
-		}
-	}
-	select {
-	case b.idle <- r:
-	default:
-	}
 }
 
 const maxRetainedBody = 1 << 20 // the largest r.body kept for the next batch (D56)
@@ -462,7 +228,7 @@ func (r *batchRun) logBatch(maxBody int) error {
 	slices.SortFunc(r.logged, func(a, b *pending) int { return cmp.Compare(a.seq, b.seq) })
 	body := r.body[:0]
 	defer func() {
-		clear(r.logged) // the idle run must not keep the requests alive
+		clear(r.logged) // the run must not keep the requests alive
 		if r.logged, r.body = r.logged[:0], body[:0]; cap(body) > maxRetainedBody {
 			r.body = nil
 		}
@@ -474,17 +240,17 @@ func (r *batchRun) logBatch(maxBody int) error {
 			// In memory but unencodable: latch the wal shut ourselves
 			// (Append latches its own failures), or the next batch would
 			// append over a hole in the durable history.
-			r.b.wal.Fail(err)
+			r.wal.Fail(err)
 			return err
 		}
 		if start > 0 && len(body) > maxBody { // the frame opens the next record
-			if _, err := r.b.wal.Append(body[:start]); err != nil {
+			if _, err := r.wal.Append(body[:start]); err != nil {
 				return err
 			}
 			body = body[:copy(body, body[start:])]
 		}
 	}
-	_, err := r.b.wal.Append(body)
+	_, err := r.wal.Append(body)
 	return err
 }
 
@@ -701,15 +467,4 @@ func judgeCounterGuard(op *TxOp, total int64) (msg string, ok bool) {
 		}
 	}
 	return "", true
-}
-
-// batchStats is the batcher's contribution to ServerStats.
-func (b *batcher) stats() (batches, requests uint64, mean float64, largest int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	mean = 0
-	if b.batches > 0 {
-		mean = float64(b.sizeSum) / float64(b.batches)
-	}
-	return b.batches, b.requests, mean, b.largest
 }

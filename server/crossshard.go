@@ -15,7 +15,7 @@ import (
 // locks, in the style of deterministic predefined-order databases. A
 // global sequencer assigns the envelope a monotone global sequence
 // number (GSN) while the coordinator holds a reserved commit-ticket
-// position — every in-flight group-commit slot — on EVERY participant
+// position — a reservation its loop is parked in — on EVERY participant
 // shard, so the GSN's position in each shard's local commit order is
 // pinned before anything executes. Each participant then runs its slice
 // of the envelope as a nested child inside its own root transaction
@@ -205,7 +205,7 @@ func executeSlice(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, slice []sliceI
 }
 
 // beginCross admits one cross-shard commit, fencing against shutdown
-// the same way batcher.submit fences against close: a successful
+// the same way shard.submit fences against close: a successful
 // beginCross happens-before Close/Kill set crossStopped, so their
 // crossWG.Wait provably covers it.
 func (s *Server) beginCross() bool {
@@ -219,8 +219,8 @@ func (s *Server) beginCross() bool {
 }
 
 // stopCross refuses new cross-shard commits and waits out the in-flight
-// ones. Called by Close after the batchers flushed (a coordinator may
-// be waiting on commit slots a draining batch still holds) and before
+// ones. Called by Close after the loops stopped (a coordinator a closed
+// shard refused is still releasing its other reservations) and before
 // the final WAL sync/close and runtime teardown; by Kill after the
 // WALs are abandoned (pending cross appends then fail fast).
 func (s *Server) stopCross() {
@@ -267,19 +267,19 @@ func (s *Server) commitCrossShard(req *Request, plan txPlan, deliver func(Respon
 func (s *Server) runCrossShard(req *Request, plan *txPlan) Response {
 	ops := req.Tx.Ops
 
-	// Reserve: every participant's whole commit pipeline, in ascending
-	// shard-id order — the same resource order Export uses, so
-	// coordinators, checkpoints and exports can never deadlock, and any
-	// two envelopes sharing a shard fully serialize.
-	releases := make([]func(), 0, len(plan.participants))
-	defer func() {
-		for i := len(releases) - 1; i >= 0; i-- {
-			releases[i]()
-		}
-	}()
-	for _, id := range plan.participants {
-		releases = append(releases, s.shards[id].pauseCommits())
+	// Reserve: park every participant's loop, in ascending shard-id
+	// order — the same order Export uses, so coordinators, checkpoints
+	// and exports can never deadlock, and any two envelopes sharing a
+	// shard fully serialize.
+	parts := make([]*shard, len(plan.participants))
+	for i, id := range plan.participants {
+		parts[i] = s.shards[id]
 	}
+	release, err := pauseAll(parts)
+	if err != nil {
+		return Response{ID: req.ID, Status: StatusErr, Msg: "server closing"}
+	}
+	defer release()
 
 	// The GSN is taken only AFTER all slots are held: any envelope that
 	// logged on a shared shard earlier held that shard's slots earlier,
@@ -290,10 +290,11 @@ func (s *Server) runCrossShard(req *Request, plan *txPlan) Response {
 
 	// Gather: each participant runs its slice as a nested child of its
 	// own root transaction and blocks inside the child on the verdict.
-	// The pipeline slots are held (and checkpoints queue on the same
-	// slots), so each root runs ALONE on its shard's runtime: the child
-	// cannot conflict with anything, hence executes exactly once — which
-	// is what lets it report and await a verdict from inside its body.
+	// The loops are parked (and checkpoints queue behind the same
+	// reservations), so each root runs ALONE on its shard's runtime: the
+	// child cannot conflict with anything, hence executes exactly once —
+	// which is what lets it report and await a verdict from inside its
+	// body.
 	nPart := len(plan.participants)
 	reports := make(chan crossReport, nPart)
 	verdicts := make([]chan bool, nPart)

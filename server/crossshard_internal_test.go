@@ -214,13 +214,13 @@ func crossCommit(t *testing.T, s *Server, ops []TxOp) Response {
 	return s.runCrossShard(req, &plan)
 }
 
-// submitOne pushes one request through a shard's batcher and waits for
+// submitOne pushes one request through a shard's loop and waits for
 // its response — interleaving plain batch records between GSN records.
 func submitOne(t *testing.T, s *Server, req *Request) Response {
 	t.Helper()
 	done := make(chan Response, 1)
 	sh := s.shardFor(req.Name)
-	if !sh.b.submit(&pending{req: *req, reply: replyFunc(func(r Response) { done <- r })}) {
+	if !sh.submit(&pending{req: *req, reply: replyFunc(func(r Response) { done <- r })}) {
 		t.Fatal("submit refused")
 	}
 	return <-done

@@ -11,14 +11,14 @@ import (
 )
 
 // execHarness is the rung between stmlib and the loopback wire: a shard's
-// runtime, registry and batcher with no loop, no socket and no reply
+// runtime, registry and batch run with no loop, no socket and no reply
 // route, so one run is exactly one batch root executing its requests
-// through the real executor. With durable set the batcher holds a WAL, so
-// every request that can mutate rides the commit-ticket wrapper
+// through the real executor. With durable set the shard and its run hold
+// a WAL, so every request that can mutate rides the commit-ticket wrapper
 // transaction the way it does on a durable shard; nothing is appended
 // unless the caller asks (logBatch).
 type execHarness struct {
-	b *batcher
+	b *shard
 	r *batchRun
 }
 
@@ -33,7 +33,7 @@ func newExecHarness(tb testing.TB, durable bool, tune ...func(*pnstm.Config)) *e
 		tb.Fatal(err)
 	}
 	tb.Cleanup(rt.Close)
-	b := &batcher{rt: rt, reg: stmlib.NewRegistry(stmlib.RegistryConfig{})}
+	b := &shard{rt: rt, reg: stmlib.NewRegistry(stmlib.RegistryConfig{})}
 	if durable {
 		wl, err := wal.Open(wal.Options{Dir: tb.TempDir()})
 		if err != nil {
@@ -42,8 +42,7 @@ func newExecHarness(tb testing.TB, durable bool, tune ...func(*pnstm.Config)) *e
 		tb.Cleanup(func() { wl.Close() })
 		b.wal = wl
 	}
-	r := b.newRun()
-	r.cfg = &Config{MaxBatch: 64, BatchFanout: 8}
+	r := newBatchRun(b.reg, &Config{MaxBatch: 64, BatchFanout: 8}, b.wal)
 	return &execHarness{b: b, r: r}
 }
 

@@ -8,7 +8,7 @@ package server
 func (s *Server) ConfigPointer() *Config { return s.cfg.Load() }
 
 // ApplyReplicaRecord replays one WAL record body into shard i the way a
-// replica's tailing loop does (shard.applyRecord).
+// replica's tailing loop does, on the shard's loop (shard.applyShipped).
 func (s *Server) ApplyReplicaRecord(i int, body []byte) error {
-	return s.shards[i].applyRecord(body, nil)
+	return s.shards[i].applyShipped(body)
 }

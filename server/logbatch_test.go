@@ -14,8 +14,9 @@ import (
 	"pnstm/internal/wal"
 )
 
-// logRun returns a batchRun whose batcher logs to a fresh WAL in a temp
-// dir (Fsync off), with no runtime behind it: logBatch needs neither.
+// logRun returns a batchRun that logs to a fresh WAL in a temp dir
+// (Fsync off), with no runtime or registry behind it: logBatch needs
+// neither.
 func logRun(t *testing.T) (*batchRun, *wal.Log, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -24,7 +25,7 @@ func logRun(t *testing.T) (*batchRun, *wal.Log, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wl.Close() })
-	return (&batcher{wal: wl}).newRun(), wl, dir
+	return newBatchRun(nil, nil, wl), wl, dir
 }
 
 // goldenBatch is a fixed batch in arrival order: three mutating requests

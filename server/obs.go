@@ -20,14 +20,14 @@ const (
 // serverObs holds every instrument the server exports. It is built
 // BEFORE the shards (instrument closures read s.shards lazily, and the
 // first scrape can only happen once the admin listener serves, after
-// New returns), so the WAL open path and the batchers can take their
+// New returns), so the WAL open path and the shard loops can take their
 // hooks from it.
 type serverObs struct {
 	reg *metrics.Registry
 
 	latency map[string]*metrics.Histogram // per op class
 	fsync   []*metrics.Histogram          // per shard
-	batch   []*batchObs                   // per shard, handed to newBatcher
+	batch   []*batchObs                   // per shard, handed to its shard
 }
 
 // newServerObs registers the pnstm_* metric families. s.shards may
@@ -153,16 +153,16 @@ func newServerObs(s *Server) *serverObs {
 
 		r.CounterFunc("pnstm_requests_total", "Requests executed through the group-commit path.", lbl,
 			func() float64 {
-				if sh := sh(); sh != nil && sh.b != nil {
-					_, reqs, _, _ := sh.b.stats()
+				if sh := sh(); sh != nil {
+					_, reqs, _, _ := sh.stats()
 					return float64(reqs)
 				}
 				return 0
 			})
 		r.CounterFunc("pnstm_batches_total", "Group commits executed.", lbl,
 			func() float64 {
-				if sh := sh(); sh != nil && sh.b != nil {
-					batches, _, _, _ := sh.b.stats()
+				if sh := sh(); sh != nil {
+					batches, _, _, _ := sh.stats()
 					return float64(batches)
 				}
 				return 0

@@ -378,12 +378,12 @@ func TestShardedCounterSumShardClosing(t *testing.T) {
 		t.Fatalf("fanned sum = %+v, want StatusOK Num 5 and no envelope results", resp)
 	}
 
-	// Shard 1 refuses new work the way a closing batcher does (stopped is
+	// Shard 1 refuses new work the way a closing shard does (stopped is
 	// what submit tests; Close sets it again and does the rest).
-	b := s.shards[1].b
-	b.smu.Lock()
-	b.stopped = true
-	b.smu.Unlock()
+	sh := s.shards[1]
+	sh.smu.Lock()
+	sh.stopped = true
+	sh.smu.Unlock()
 	resp := roundTrip(&Request{ID: 3, Op: OpCounterSum, Name: "hits"})
 	if resp.Status != StatusErr || resp.Msg != "server closing" {
 		t.Fatalf("sum with a closing shard = %+v, want StatusErr \"server closing\"", resp)

@@ -32,7 +32,7 @@ import (
 
 // decodeBatch parses a wal record body — a sequence of protocol
 // request frames, the same length-prefixed framing the wire uses (see
-// batcher.logBatch for the encoder) — back into requests.
+// batchRun.logBatch for the encoder) — back into requests.
 func decodeBatch(body []byte) ([]*Request, error) {
 	var reqs []*Request
 	off := 0
@@ -67,8 +67,7 @@ func decodeBatch(body []byte) ([]*Request, error) {
 // divergence (a lost record, an ordering bug), and the boot must fail
 // rather than serve it.
 func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, cfg *Config, reqs []*Request) error {
-	r := (&batcher{rt: rt, reg: reg}).newRun()
-	r.cfg = cfg
+	r := newBatchRun(reg, cfg, nil)
 	for _, req := range reqs {
 		r.batch = append(r.batch, &pending{req: *req})
 	}
@@ -97,8 +96,8 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, cfg *Config, reqs []*R
 // record replays as one batch; a cross-shard record replays its write-only
 // sub-envelope at its logged position and advances the GSN watermark,
 // unless its GSN is in dropped (recovery's incomplete cross-shard commits;
-// nil on a replica). Both run through the runtime directly, not the
-// batcher's commit pipeline, at the live BatchFanout.
+// nil on a replica). Both run at the live BatchFanout; recovery calls it
+// before the shard's loop starts, a replica on the loop (applyShipped).
 func (sh *shard) applyRecord(body []byte, dropped map[uint64]bool) error {
 	var (
 		gsn  uint64
@@ -566,22 +565,6 @@ func (sh *shard) replayStore(scan *shardScan, dropped map[uint64]bool) error {
 	})
 }
 
-// pauseCommits reserves the shard's whole commit pipeline (see
-// pipeline.reserveAll) and returns the release function. Checkpoint,
-// Export, cross-shard coordinators and a replica's image install all
-// take their position in the shard's commit order through here; pauseMu
-// queues them, so they reach the pipeline one at a time and in the
-// mutex's order (see shard.pauseMu). Callers pausing several shards take
-// them in ascending shard id.
-func (sh *shard) pauseCommits() func() {
-	sh.pauseMu.Lock()
-	release := sh.b.pl.reserveAll()
-	return func() {
-		release()
-		sh.pauseMu.Unlock()
-	}
-}
-
 // checkpoint captures this shard's snapshot bound to its current WAL
 // tail and persists it, letting the covered log segments be truncated.
 // It holds the shard's group-commit slot while the image is captured,
@@ -600,11 +583,14 @@ func (sh *shard) checkpoint() error {
 	if st := sh.wal.Stats(); st.TailLSN == st.SnapshotLSN {
 		return nil
 	}
-	release := sh.pauseCommits()
+	release, err := sh.pauseCommits()
+	if err != nil {
+		return err
+	}
 	lsn := sh.wal.TailLSN()
 	gsn := sh.maxGSN.Load() // stable under the pause, like the tail LSN
 	var img *stmlib.RegistryImage
-	err := sh.rt.Run(func(c *pnstm.Ctx) { img = sh.reg.Export(c) })
+	err = sh.rt.Run(func(c *pnstm.Ctx) { img = sh.reg.Export(c) })
 	release()
 	if err != nil {
 		return fmt.Errorf("server: checkpoint export: %w", err)
@@ -612,8 +598,8 @@ func (sh *shard) checkpoint() error {
 	return sh.wal.WriteSnapshot(encodeImage(img, gsn), lsn)
 }
 
-// Checkpoint snapshots every shard, concurrently: each shard pauses its
-// own commit pipeline for the duration of its parallel-nested bulk
+// Checkpoint snapshots every shard, concurrently: each shard parks its
+// own loop for the duration of its parallel-nested bulk
 // read, captures its image at its own WAL tail, and writes (and fsyncs)
 // its snapshot file independently — the same multiplication sharding
 // gives group commits. No-op without a data directory.
@@ -633,9 +619,9 @@ func (s *Server) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// Export captures a stitched whole-store image: every shard pauses its
-// group-commit pipeline, exports its registry via the parallel-nested
-// bulk read, and the per-shard images are merged into one (counter
+// Export captures a stitched whole-store image: every shard parks its
+// loop, exports its registry via the parallel-nested bulk read, and the
+// per-shard images are merged into one (counter
 // partials summing — see stmlib.RegistryImage.Merge). The returned
 // watermarks hold each shard's WAL tail LSN at capture time (zero
 // without a data directory): the image is exactly the state after
@@ -643,15 +629,11 @@ func (s *Server) Checkpoint() error {
 // before any exports begin, no group commit anywhere in the store
 // overlaps the capture — the stitched image is a consistent cut.
 func (s *Server) Export() (*stmlib.RegistryImage, []uint64, error) {
-	releases := make([]func(), len(s.shards))
-	for i, sh := range s.shards {
-		releases[i] = sh.pauseCommits()
+	release, err := pauseAll(s.shards)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: export: %w", err)
 	}
-	defer func() {
-		for _, release := range releases {
-			release()
-		}
-	}()
+	defer release()
 
 	images := make([]*stmlib.RegistryImage, len(s.shards))
 	watermarks := make([]uint64, len(s.shards))

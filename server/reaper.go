@@ -138,7 +138,7 @@ func (s *Server) reapShard(sh *shard, cutoff int64) (expired, reclaimed int) {
 		}
 		req := Request{Op: OpTx, Tx: &Tx{Ops: ops[lo:hi]}}
 		done := make(chan Response, 1)
-		if !sh.b.submit(&pending{req: req, reply: replyFunc(func(r Response) { done <- r })}) {
+		if !sh.submit(&pending{req: req, reply: replyFunc(func(r Response) { done <- r })}) {
 			return expired, reclaimed // shutting down
 		}
 		resp := <-done

@@ -15,9 +15,9 @@ import (
 // WAL-shipping replica (D39, D41–D42). A replica is an in-memory server
 // whose per-shard stores are driven not by client mutations but by the
 // primary's WAL streams: one tailing connection per shard subscribes
-// from applied+1, applies every record the way recovery replays one
-// (shard.applyRecord: a batch record runs as a batch, planned like a live
-// one, D58), and tracks a staleness watermark (applied LSN vs. the
+// from applied+1, applies every record on the shard's loop, between two
+// read batches, the way recovery replays one (shard.applyShipped: a batch
+// record runs as a batch, planned like a live one, D58), and tracks a staleness watermark (applied LSN vs. the
 // primary's head, freshness-stamped by heartbeats). Read-only envelopes
 // are served from local state off the normal group-commit read path —
 // multiplying the primary's read capacity, which is the point — while
@@ -263,7 +263,7 @@ func (r *replicator) stream(i int) error {
 			}
 			body := recBuf
 			recBuf = nil
-			if err := r.s.shards[i].applyRecord(body, nil); err != nil {
+			if err := r.s.shards[i].applyShipped(body); err != nil {
 				// Replay diverged: local state can no longer be trusted to
 				// extend. Wipe and resync from scratch on the next connect.
 				sr.mu.Lock()
@@ -295,8 +295,8 @@ func (r *replicator) observe(i int, applied, head uint64, setApplied bool) {
 
 // installImage swaps shard i's store for a fresh registry loaded with
 // img (nil: empty — the divergence wipe). The fill happens on a private
-// registry outside the pause; only the pointer swap holds the shard's
-// commit pipeline, so reads stall for microseconds, not for the import.
+// registry outside the loop; only the pointer swap parks it, so reads
+// stall for microseconds, not for the import.
 func (r *replicator) installImage(i int, img *stmlib.RegistryImage, watermark, covered uint64) error {
 	sh := r.s.shards[i]
 	fresh := stmlib.NewRegistry(r.s.cfg.Load().Registry)
@@ -305,9 +305,11 @@ func (r *replicator) installImage(i int, img *stmlib.RegistryImage, watermark, c
 			return fmt.Errorf("install snapshot: %w", err)
 		}
 	}
-	release := sh.pauseCommits()
+	release, err := sh.pauseCommits()
+	if err != nil {
+		return err
+	}
 	sh.reg = fresh
-	sh.b.reg = fresh
 	sh.maxGSN.Store(watermark)
 	release()
 	sr := r.shards[i]

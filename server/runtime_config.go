@@ -91,7 +91,7 @@ func (c *Config) validate() error {
 			return fmt.Errorf("a replica is in-memory (the primary at %s owns durability); drop DataDir", c.ReplicaOf)
 		}
 		if c.Serial {
-			return fmt.Errorf("replica mode replays concurrently with serving; Serial is unsupported")
+			return fmt.Errorf("a replica imports snapshots outside the shard's loop, beside its read batches; Serial is unsupported")
 		}
 	}
 	return nil

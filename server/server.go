@@ -49,7 +49,7 @@ type Config struct {
 	// against.
 	MaxBatch int
 
-	// BatchDelay is how long the batcher waits for stragglers after the
+	// BatchDelay is how long a shard waits for stragglers after the
 	// first request of a batch (default 0: group only what is already in
 	// flight, keeping unloaded latency at the floor).
 	BatchDelay time.Duration
@@ -248,35 +248,6 @@ type ServerStats struct {
 	WAL *wal.Stats `json:"wal,omitempty"`
 }
 
-// shard is one engine partition: a private runtime, structure registry,
-// batching loop and (durable servers) write-ahead log. Shards share
-// nothing — group commits on different shards run fully in parallel,
-// fsyncs included.
-type shard struct {
-	id  int
-	rt  *pnstm.Runtime
-	reg *stmlib.Registry
-	b   *batcher
-	wal *wal.Log                // nil without DataDir
-	cfg *atomic.Pointer[Config] // the server's configuration
-
-	// pauseMu queues pauseCommits callers (Checkpoint, Export,
-	// cross-shard coordinators, a replica's image install) so that one
-	// at a time contends with the batcher for the pipeline. It is not
-	// what excludes them — pipeline.reserveAll's paused flag does — it
-	// orders them: a condition variable wakes its waiters in no order,
-	// the mutex hands over to whoever has waited longest, so a
-	// checkpoint cannot be overtaken forever by a stream of
-	// coordinators.
-	pauseMu sync.Mutex
-
-	// maxGSN is the highest cross-shard GSN this shard's log holds a
-	// record for (D30) — snapshots capture it as their watermark so
-	// recovery can tell "this GSN's record was truncated by a
-	// checkpoint" from "this shard never logged it".
-	maxGSN atomic.Uint64
-}
-
 // Server owns the listener, the shard engines and the connection
 // handling. Create with New, start with Serve or ListenAndServe, stop
 // with Close.
@@ -302,7 +273,7 @@ type Server struct {
 	gsn atomic.Uint64
 
 	// crossMu/crossStopped/crossWG fence cross-shard coordinators
-	// against shutdown, mirroring the batcher's submit/close handshake
+	// against shutdown, mirroring the shard's submit/close handshake
 	// (see beginCross/stopCross).
 	crossMu      sync.RWMutex
 	crossStopped bool
@@ -310,7 +281,7 @@ type Server struct {
 
 	// crossSem bounds in-flight cross-shard coordinators (one goroutine
 	// each, see commitCrossShard): envelopes sharing a shard serialize
-	// on its commit pipeline anyway, so past a generous cap extra
+	// on its loop anyway, so past a generous cap extra
 	// coordinators only queue — a flood would otherwise accumulate
 	// unbounded goroutines and pending responses. Beyond the cap the
 	// server fails fast with a retryable error.
@@ -340,7 +311,7 @@ type Server struct {
 	closed atomic.Bool
 }
 
-// New creates a server (shard runtimes, registries, batchers) without
+// New creates a server (shard runtimes, registries, loops) without
 // touching the network yet. With Config.DataDir set it also checks the
 // directory's shard manifest, opens every shard's write-ahead log and
 // recovers the store — snapshot import plus WAL tail replay, all shards
@@ -379,6 +350,7 @@ func New(cfg Config) (*Server, error) {
 			rt:  rt,
 			reg: stmlib.NewRegistry(cfg.Registry),
 			cfg: &s.cfg,
+			obs: s.obs.batch[i],
 		})
 	}
 	if cfg.DataDir != "" {
@@ -387,10 +359,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	for i, sh := range s.shards {
-		sh.b = newBatcher(sh.rt, sh.reg, sh.wal, sh.cfg)
-		sh.b.obs = s.obs.batch[i]
-		sh.b.shardID = uint8(i)
+	for _, sh := range s.shards {
+		sh.start()
 	}
 	// Conflict X-ray (D35–D37): tracing goes live only after recovery so
 	// the flight recorder holds served traffic, not replay; the crisis
@@ -421,7 +391,7 @@ func New(cfg Config) (*Server, error) {
 		s.repl = newReplicator(s, cfg.ReplicaOf)
 	}
 	// The reaper starts only after recovery: its expire/reclaim envelopes
-	// go through the batchers like client traffic, and a reap minted
+	// go through the shard loops like client traffic, and a reap minted
 	// during replay would double-apply. Primary-only — replicas replay
 	// the primary's logged reaps (and refuse mutations anyway).
 	if cfg.ReapInterval > 0 && cfg.ReplicaOf == "" {
@@ -699,7 +669,7 @@ func (s *Server) ListenAndServe() error {
 }
 
 // Close shuts down gracefully: stop accepting, stop the checkpointer,
-// flush every shard's batcher — every in-flight batch executes, logs
+// flush every shard's loop — every running batch executes, logs
 // and delivers its responses — then issue each WAL's final fsync, and
 // only then tear down connections and the runtimes. Every response
 // acked before Close returns is durable (with Fsync it already was,
@@ -735,20 +705,20 @@ func (s *Server) Close() {
 		nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	}
 	s.mu.Unlock()
-	// Shard flushes overlap: each batcher drains its own pipeline.
+	// Shard flushes overlap: each loop drains its own queues.
 	var flush sync.WaitGroup
 	for _, sh := range s.shards {
 		flush.Add(1)
 		go func(sh *shard) {
 			defer flush.Done()
-			sh.b.close()
+			sh.close()
 		}(sh)
 	}
 	flush.Wait()
-	// Cross-shard coordinators append to several logs outside any
-	// batcher: refuse new ones and drain the in-flight ones before the
-	// final WAL sync/close (a coordinator may have been queued on commit
-	// slots a draining batch held until just now).
+	// Cross-shard coordinators append to several logs outside any loop:
+	// refuse new ones and wait out the in-flight ones before the final
+	// WAL sync/close (a coordinator whose reservation a closed shard
+	// refused is still releasing the ones it held).
 	s.stopCross()
 	for _, sh := range s.shards {
 		if sh.wal == nil {
@@ -817,7 +787,7 @@ func (s *Server) Kill() {
 	// their slices run on.
 	s.stopCross()
 	for _, sh := range s.shards {
-		sh.b.close()
+		sh.close()
 		sh.rt.Close()
 	}
 }
@@ -834,7 +804,7 @@ func (s *Server) Stats() ServerStats {
 	var rts pnstm.Stats
 	var ws *wal.Stats
 	for i, sh := range s.shards {
-		b, r, mean, l := sh.b.stats()
+		b, r, mean, l := sh.stats()
 		rt := sh.rt.Stats()
 		per[i] = ShardStats{
 			Shard:        i,
@@ -984,7 +954,7 @@ func (s *Server) fanTx(req *Request, deliver func(Response)) {
 			mu.Unlock()
 			wg.Done()
 		})}
-		if !s.shards[sh].b.submit(p) {
+		if !s.shards[sh].submit(p) {
 			mu.Lock()
 			if errMsg == "" {
 				errMsg = "server closing"
@@ -1042,7 +1012,7 @@ func (s *Server) fanTx(req *Request, deliver func(Response)) {
 type conn struct {
 	out        chan Response
 	closed     chan struct{} // reader gone: stop routing responses here
-	writerDone chan struct{} // writer gone: never block the batcher on a dead conn
+	writerDone chan struct{} // writer gone: never block a shard on a dead conn
 }
 
 func (cn *conn) deliver(resp Response) {
@@ -1083,7 +1053,7 @@ func (cn *conn) writeLoop(nc net.Conn) {
 }
 
 // handleConn runs one connection: a reader loop decoding frames and
-// submitting them to their shard's batcher, and a writer goroutine
+// submitting them to their shard's loop, and a writer goroutine
 // serializing responses (responses may complete out of order across
 // batches and shards; clients match by request id).
 //
@@ -1094,7 +1064,7 @@ func (cn *conn) writeLoop(nc net.Conn) {
 // reader holds one pending from pendings at a time: it decodes frame
 // after frame into it while it answers them itself, and lets go of it
 // when it hands the request off — after that the pending is the
-// batcher's, a fan-out's, a coordinator's or a replication stream's.
+// shard's, a fan-out's, a coordinator's or a replication stream's.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -1207,7 +1177,7 @@ func (s *Server) handleConn(nc net.Conn) {
 				})
 				continue
 			}
-			s.shards[0].b.submitOrFail(p)
+			s.shards[0].submitOrFail(p)
 		case OpTx:
 			if len(req.Tx.Ops) == 0 {
 				cn.deliver(Response{ID: req.ID, Status: StatusOK})
@@ -1224,12 +1194,12 @@ func (s *Server) handleConn(nc net.Conn) {
 				s.commitCrossShard(req, plan, p.finish)
 			default:
 				p.lat = latTx
-				s.shards[plan.target].b.submitOrFail(p)
+				s.shards[plan.target].submitOrFail(p)
 			}
 		default:
 			held = nil
 			p.lat = latPoint
-			s.shardFor(req.Name).b.submitOrFail(p)
+			s.shardFor(req.Name).submitOrFail(p)
 		}
 	}
 }

@@ -316,9 +316,9 @@ func TestShardMissingManifestRefused(t *testing.T) {
 
 // TestConcurrentExportsDoNotDeadlock: every Export pauses every shard,
 // so concurrent Exports contend for each shard's reservation. They must
-// all finish — each shard's pauseMu and the pipeline's paused flag admit
-// one at a time, and all take the shards in ascending id — and leave the
-// pipelines usable.
+// all finish — each shard's loop grants reservations one at a time, in
+// the order they queued, and all take the shards in ascending id — and
+// leave the loops usable.
 func TestConcurrentExportsDoNotDeadlock(t *testing.T) {
 	s := startServer(t, server.Config{Shards: 2, Workers: 2, MaxBatch: 8, SharedReads: true})
 	cl := dial(t, s, 1)
