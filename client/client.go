@@ -27,6 +27,13 @@
 // counter reads with the cross-shard total, and responses still match
 // by id whatever shard they committed on. Stats() exposes the
 // per-shard breakdown via ServerStats.PerShard.
+//
+// Returned bytes are the caller's and never change, but they may share
+// memory. A reply value of up to 512 bytes (a MapGet value, a QueuePop
+// payload, TxResults.Bytes) is carved from its connection's 8 KiB reply
+// slab, so keeping one pins at most that slab; copy a small value that is
+// kept for long. An Entry's bytes belong to the scan result it came from
+// (see TxResults.Entries).
 package client
 
 import (
@@ -223,15 +230,16 @@ func (cl *Client) pickReplica() *conn {
 // readLoop demultiplexes responses to their waiting callers.
 func (c *conn) readLoop() {
 	br := bufio.NewReader(c.nc)
-	var fb server.FrameBuf   // DecodeResponse copies what it keeps, so frames share one buffer
-	var resp server.Response // every frame is decoded here; each call gets a copy
+	var fb server.FrameBuf    // nothing decoded points into it, so frames share one buffer
+	var slab server.ReplySlab // where small reply values are copied to
+	var resp server.Response  // every frame is decoded here; each call gets a copy
 	for {
 		frame, err := server.ReadFrame(br, &fb)
 		if err != nil {
 			c.fail(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		if err := server.DecodeResponse(frame, &resp); err != nil {
+		if err := slab.DecodeResponse(frame, &resp); err != nil {
 			c.fail(err)
 			c.nc.Close()
 			return

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -177,6 +178,39 @@ func TestEntriesAllocCeiling(t *testing.T) {
 		}
 		if off := 4 + i*(2+8+4+64) + 2 + 8 + 4; &e.Value[0] != &payload[off] {
 			t.Errorf("entry %d: value is a copy, not a slice of the result's payload at %d", i, off)
+		}
+	}
+}
+
+// TestReplyValueAllocCeiling pins what a connection's reader pays for the
+// values of point-read replies: 64 MapGet replies with 64-byte values,
+// decoded the way readLoop decodes them, cost at most one slab refill.
+// Each value is its own bytes, capped at its length, and a refill leaves
+// the values already handed out as they were.
+func TestReplyValueAllocCeiling(t *testing.T) {
+	var frames [][]byte
+	for i := range 64 {
+		resp := &server.Response{ID: uint64(i), Status: server.StatusOK, Found: true, Value: bytes.Repeat([]byte{byte(i)}, 64)}
+		frames = append(frames, server.AppendResponse(nil, resp)[4:])
+	}
+	var slab server.ReplySlab
+	var resp server.Response
+	values := make([][]byte, 0, 3*len(frames))
+	decode := func() {
+		for _, f := range frames {
+			if err := slab.DecodeResponse(f, &resp); err != nil {
+				t.Fatal(err)
+			}
+			values = append(values, resp.Value)
+		}
+	}
+	decode()
+	if got := testing.AllocsPerRun(1, decode); got > 1 {
+		t.Errorf("decoding 64 MapGet replies with 64-byte values: %.0f allocs, ceiling 1 (a slab refill)", got)
+	}
+	for i, v := range values {
+		if len(v) != 64 || cap(v) != 64 || !bytes.Equal(v, bytes.Repeat([]byte{byte(i % 64)}, 64)) {
+			t.Errorf("value %d: %d bytes, cap %d, %x", i, len(v), cap(v), v)
 		}
 	}
 }

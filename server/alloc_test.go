@@ -11,10 +11,12 @@ import (
 )
 
 // TestCodecAllocCeilings pins the request path's codec costs: encoding
-// into a warm buffer allocates nothing, decoding a point read into a
-// caller's Request costs its key and nothing else once the connection's
-// decoder has seen the structure name, and decoding a transfer envelope
-// into a pending's warmed envelope scratch costs its three keys.
+// into a warm buffer allocates nothing. A connection's decoder, once it
+// has seen the structure name, borrows a read's key from the frame: a
+// point read costs nothing, and a transfer envelope decoded into a
+// pending's warmed scratch costs the keys of its two MapAdds, the ops that
+// keep theirs. The copying decoder ParseRequest runs costs the key of
+// each op instead.
 func TestCodecAllocCeilings(t *testing.T) {
 	req := &Request{ID: 7, Op: OpMapGet, Name: "kv", Key: "key-000042"}
 	resp := &Response{ID: 7, Status: StatusOK, Found: true, Value: bytes.Repeat([]byte{0x5a}, 64)}
@@ -31,18 +33,6 @@ func TestCodecAllocCeilings(t *testing.T) {
 		t.Errorf("AppendResponse into a warm buffer: %.0f allocs, want 0", got)
 	}
 
-	dec := requestDecoder{names: make(map[string]string)}
-	var into Request
-	if err := dec.parse(buf[4:], &into, nil); err != nil { // interns "kv"
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(100, func() { _ = dec.parse(buf[4:], &into, nil) }); got > 1 {
-		t.Errorf("decoding a MapGet with its name interned: %.0f allocs, ceiling 1 (the key)", got)
-	}
-	if !reflect.DeepEqual(&into, req) {
-		t.Errorf("decoded %+v, want %+v", &into, req)
-	}
-
 	transfer := &Request{ID: 8, Op: OpTx, Tx: &Tx{Ops: []TxOp{
 		{Op: OpAssertGE, Name: "acct", Key: "a0001", Delta: 1},
 		{Op: OpMapAdd, Name: "acct", Key: "a0001", Delta: -1},
@@ -53,48 +43,70 @@ func TestCodecAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p pending
-	if err := dec.parse(tbuf[4:], &p.req, &p.tx); err != nil { // interns the names, sizes the scratch
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(100, func() { _ = dec.parse(tbuf[4:], &p.req, &p.tx) }); got > 3 {
-		t.Errorf("decoding a 4-op transfer envelope into a warmed scratch: %.0f allocs, ceiling 3 (its keys)", got)
-	}
-	if !reflect.DeepEqual(&p.req, transfer) || p.req.Tx != &p.tx {
-		t.Errorf("decoded %+v, want %+v in the pending's scratch", &p.req, transfer)
+	for _, c := range []struct {
+		borrow            bool
+		mapGet, envelope4 float64
+	}{
+		{borrow: true, mapGet: 0, envelope4: 2},
+		{borrow: false, mapGet: 1, envelope4: 3},
+	} {
+		dec := requestDecoder{names: make(map[string]string), borrow: c.borrow}
+		var into Request
+		if err := dec.parse(buf[4:], &into, nil); err != nil { // interns "kv"
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = dec.parse(buf[4:], &into, nil) }); got != c.mapGet {
+			t.Errorf("borrow %v: decoding a MapGet with its name interned: %.0f allocs, want %.0f", c.borrow, got, c.mapGet)
+		}
+		if !reflect.DeepEqual(&into, req) {
+			t.Errorf("borrow %v: decoded %+v, want %+v", c.borrow, &into, req)
+		}
+		var p pending
+		if err := dec.parse(tbuf[4:], &p.req, &p.tx); err != nil { // interns the names, sizes the scratch
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = dec.parse(tbuf[4:], &p.req, &p.tx) }); got != c.envelope4 {
+			t.Errorf("borrow %v: decoding a 4-op transfer envelope into a warmed scratch: %.0f allocs, want %.0f", c.borrow, got, c.envelope4)
+		}
+		if !reflect.DeepEqual(&p.req, transfer) || p.req.Tx != &p.tx {
+			t.Errorf("borrow %v: decoded %+v, want %+v in the pending's scratch", c.borrow, &p.req, transfer)
+		}
 	}
 
-	// Reading frames through a connection's buffer allocates per frame
-	// only what the decoder keeps.
+	// Reading frames into a pending's buffer and decoding them there
+	// allocates nothing per point read.
+	dec := requestDecoder{names: make(map[string]string), borrow: true}
 	stream := bytes.Repeat(buf, 64)
 	br := bufio.NewReader(bytes.NewReader(nil))
 	src := bytes.NewReader(nil)
-	var fb FrameBuf
+	var p pending
 	if got := testing.AllocsPerRun(20, func() {
 		src.Reset(stream)
 		br.Reset(src)
 		for i := 0; i < 64; i++ {
-			frame, err := ReadFrame(br, &fb)
+			frame, err := ReadFrame(br, &p.frame)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dec.parse(frame, &into, nil); err != nil {
+			if err := dec.parse(frame, &p.req, &p.tx); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}); got > 64 {
-		t.Errorf("reading and decoding 64 MapGet frames: %.0f allocs, ceiling 64 (one key each)", got)
+	}); got != 0 {
+		t.Errorf("reading and decoding 64 MapGet frames: %.0f allocs, want 0", got)
 	}
 }
 
 // TestFrameBufferReuseLeavesRequestsIntact reads a stream of every kind of
-// request through one connection buffer, as handleConn does, overwrites
-// the buffer after each parse and checks that the request just decoded —
-// sub-ops, Hello and ReplSubscribe bodies included — did not change: a
-// pending outlives its frame. A second pass decodes the stream into one
-// recycled pending, released between frames as execute releases it, with
-// a 64-op envelope right before a 1-op one: the envelope scratch must take
-// each frame's length, and what it holds must not be the frame's bytes.
+// request the way handleConn does: each frame into the frame buffer of the
+// pending it is decoded into, while the pending before it is still held.
+// The request the previous pending decoded — sub-ops, Hello and
+// ReplSubscribe bodies included — must not change when the next frame is
+// read: frames read into one pending never touch what another decoded,
+// borrowed bytes included. A pending is released only once the next one
+// has its frame, and released pendings come back from the pool, so a 64-op
+// envelope right before a 1-op one checks that the envelope scratch takes
+// each frame's length.
 func TestFrameBufferReuseLeavesRequestsIntact(t *testing.T) {
 	var stream []byte
 	var want []*Request
@@ -106,6 +118,7 @@ func TestFrameBufferReuseLeavesRequestsIntact(t *testing.T) {
 	for _, req := range []*Request{
 		{ID: 20, Op: OpTx, Tx: &Tx{Ops: wide}},
 		{ID: 21, Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpMapGet, Name: "m", Key: "w00"}}}},
+		{ID: 22, Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpRangeScan, Name: "s", Key: "a", Value: []byte("z"), Delta: 8}}}},
 	} {
 		frame, err := AppendRequest(nil, req)
 		if err != nil {
@@ -124,58 +137,51 @@ func TestFrameBufferReuseLeavesRequestsIntact(t *testing.T) {
 	}
 
 	br := bufio.NewReader(bytes.NewReader(stream))
-	dec := requestDecoder{names: make(map[string]string)}
-	var fb FrameBuf
+	dec := requestDecoder{names: make(map[string]string), borrow: true}
+	var prev *pending
 	for i, w := range want {
-		frame, err := ReadFrame(br, &fb)
+		p := pendings.Get().(*pending)
+		frame, err := ReadFrame(br, &p.frame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if len(frame) > 0 && &frame[0] != &fb.b[0] {
-			t.Fatalf("frame %d (%d bytes) did not land in the connection's buffer", i, len(frame))
-		}
-		var got Request
-		if err := dec.parse(frame, &got, nil); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		poison(fb.b[:cap(fb.b)])
-		if !reflect.DeepEqual(&got, w) {
-			t.Errorf("request %d changed when the frame buffer was overwritten:\n  want %+v\n  got  %+v", i, w, &got)
-		}
-	}
-
-	br.Reset(bytes.NewReader(stream))
-	p := pendings.Get().(*pending)
-	for i, w := range want {
-		frame, err := ReadFrame(br, &fb)
-		if err != nil {
-			t.Fatalf("pass 2, frame %d: %v", i, err)
+		if len(frame) > 0 && &frame[0] != &p.frame.b[0] {
+			t.Fatalf("frame %d (%d bytes) did not land in its pending's buffer", i, len(frame))
 		}
 		if err := dec.parse(frame, &p.req, &p.tx); err != nil {
-			t.Fatalf("pass 2, frame %d: %v", i, err)
+			t.Fatalf("frame %d: %v", i, err)
 		}
-		poison(fb.b[:cap(fb.b)])
 		if !reflect.DeepEqual(&p.req, w) {
-			t.Errorf("pass 2, request %d decoded into a recycled pending:\n  want %+v\n  got  %+v", i, w, &p.req)
+			t.Errorf("request %d decoded into a recycled pending:\n  want %+v\n  got  %+v", i, w, &p.req)
 		}
-		p.release()
-		p = pendings.Get().(*pending)
+		if prev != nil {
+			if !reflect.DeepEqual(&prev.req, want[i-1]) {
+				t.Errorf("request %d changed when frame %d was read into another pending:\n  want %+v\n  got  %+v", i-1, i, want[i-1], &prev.req)
+			}
+			prev.release()
+		}
+		prev = p
 	}
+	prev.release()
 
-	// A frame past the retention bound gets a buffer of its own and
-	// leaves the connection's alone.
-	big := &Request{ID: 1, Op: OpMapPut, Name: "m", Key: "k", Value: make([]byte, maxRetainedFrame+1)}
+	// A frame past a pooled pending's retention bound lands in its buffer
+	// but does not go back to the pool with it.
+	p := pendings.Get().(*pending)
+	big := &Request{ID: 1, Op: OpMapPut, Name: "m", Key: "k", Value: make([]byte, maxRetainedFrameBuf)}
 	frame, err := AppendRequest(nil, big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := cap(fb.b)
-	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), &fb)
+	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), &p.frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(fb.b) != before || (before > 0 && &payload[0] == &fb.b[0]) {
-		t.Errorf("a %d-byte frame was retained by the connection buffer (cap %d -> %d)", len(payload), before, cap(fb.b))
+	if &payload[0] != &p.frame.b[0] {
+		t.Fatalf("a %d-byte frame did not land in its pending's buffer", len(payload))
+	}
+	p.release()
+	if p.frame.b != nil {
+		t.Errorf("a released pending kept a %d-byte frame buffer, over the %d-byte bound", cap(p.frame.b), maxRetainedFrameBuf)
 	}
 }
 
@@ -220,7 +226,7 @@ func TestScanCodecAllocCeilings(t *testing.T) {
 }
 
 // TestScanResultSurvivesFrameBufferReuse is the poisoned-buffer test for
-// the one decoder that borrows: a scan response is read through a
+// DecodeKVs, which borrows from its input: a scan response is read through a
 // connection's FrameBuf and parsed, its entries decoded by reference,
 // and then the frame buffer is overwritten as the next frame would. The
 // entries alias the result's own copy of the payload, never the frame.

@@ -47,7 +47,10 @@ import (
 // its transaction, see batchRun.apply), logged whether it mutated the
 // store and therefore goes to the WAL, where batchRun.logBatch encodes it
 // in seq order. tx is the envelope scratch an OpTx body is decoded into
-// (req.Tx points at it), so a reader-minted envelope reuses its op list.
+// (req.Tx points at it), so a reader-minted envelope reuses its op list,
+// and frame is the buffer the request's frame was read into: the keys and
+// values of its read-only ops borrow from it (D48), so it is the
+// pending's until release.
 //
 // A pending belongs to whoever holds it — the connection's reader until
 // it hands the request off, the shard's loop until finish. A reader-minted
@@ -66,25 +69,38 @@ type pending struct {
 	seq    uint64
 	logged bool
 	tx     Tx
+	frame  FrameBuf
 }
 
 // pendings recycles the pendings connection readers mint (D48).
 var pendings = sync.Pool{New: func() any { return new(pending) }}
 
-// maxRetainedOps is the largest envelope op list a pooled pending keeps
-// for the next request, as maxRetainedBody is for a batch's log body.
-const maxRetainedOps = 64
+// maxRetainedOps and maxRetainedFrameBuf are the largest envelope op list
+// and frame buffer a pooled pending keeps for the next request, as
+// maxRetainedBody is for a batch's log body.
+const (
+	maxRetainedOps      = 64
+	maxRetainedFrameBuf = 4 << 10
+)
 
 // release returns a reader-minted pending to pendings. It clears the op
-// list up to its capacity and zeroes everything else, so a pooled pending
-// pins no key, value, name, response or connection.
+// list up to its capacity and zeroes everything but its two buffers, so a
+// pooled pending pins no key, value, name, response or connection. Under
+// the pnstmcheck build tag it first overwrites the frame buffer and the
+// op list with 0xA5, so that a borrowed byte read after release reads as
+// poison.
 func (p *pending) release() {
-	tx := p.tx
-	clear(tx.Ops[:cap(tx.Ops)])
+	tx, frame := p.tx, p.frame
+	ops := tx.Ops[:cap(tx.Ops)]
+	clear(ops)
+	poisonReleased(frame.b[:cap(frame.b)], ops)
 	if cap(tx.Ops) > maxRetainedOps {
 		tx.Ops = nil
 	}
-	*p = pending{tx: tx}
+	if cap(frame.b) > maxRetainedFrameBuf {
+		frame.b = nil
+	}
+	*p = pending{tx: tx, frame: frame}
 	pendings.Put(p)
 }
 

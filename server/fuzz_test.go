@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // Fuzz harnesses for the frame codecs (`go test -fuzz=FuzzRequest ./server`;
@@ -105,7 +107,40 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(req, aliased) {
 			t.Fatalf("request changed when its frame buffer was overwritten (err %v):\n  want %+v\n  got  %+v", err, req, aliased)
 		}
+		// A connection's decoder borrows the key and value of an op that
+		// keeps nothing; every op that can change the store owns its own.
+		scratch = bytes.Clone(payload)
+		var borrowed Request
+		if err := (&requestDecoder{borrow: true}).parse(scratch, &borrowed, nil); err != nil || !reflect.DeepEqual(req, &borrowed) {
+			t.Fatalf("the borrowing decoder disagrees (err %v):\n  want %+v\n  got  %+v", err, req, &borrowed)
+		}
+		ops := []TxOp{borrowed.pointOp()}
+		if borrowed.Tx != nil {
+			ops = borrowed.Tx.Ops
+		}
+		before := make([]TxOp, len(ops))
+		for i, op := range ops {
+			if Mutates(op.Op) && (pointsInto(scratch, unsafe.StringData(op.Key)) || pointsInto(scratch, unsafe.SliceData(op.Value))) {
+				t.Fatalf("op %d, which can change the store, borrows from the frame: %+v", op.Op, op)
+			}
+			before[i] = TxOp{Key: strings.Clone(op.Key), Value: bytes.Clone(op.Value)}
+		}
+		poison(scratch)
+		for i, op := range ops {
+			if Mutates(op.Op) && (op.Key != before[i].Key || !bytes.Equal(op.Value, before[i].Value)) {
+				t.Fatalf("op %d changed when its frame was overwritten: %q %x, want %q %x", op.Op, op.Key, op.Value, before[i].Key, before[i].Value)
+			}
+		}
 	})
+}
+
+// pointsInto reports whether p points into frame.
+func pointsInto[T any](frame []byte, p *T) bool {
+	if p == nil || len(frame) == 0 {
+		return false
+	}
+	lo, at := uintptr(unsafe.Pointer(&frame[0])), uintptr(unsafe.Pointer(p))
+	return at >= lo && at < lo+uintptr(len(frame))
 }
 
 // checkoutSeedTx is the envelope client.Checkout sends for a one-line

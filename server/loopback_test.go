@@ -86,7 +86,7 @@ func BenchmarkLoopbackRangeScan(b *testing.B) {
 // layer — a closure per request, a boxed key, a frame per read — shows up
 // as a step of one or more.
 func TestLoopbackMapGetAllocCeiling(t *testing.T) {
-	const ceiling = 8 // reads 3; 5 before recycled pendings and by-value replies, 6 before pooled fork frames, 9 while each dispatch started a goroutine
+	const ceiling = 8 // reads 1; 3 before borrowed keys and slab-carved values, 5 before recycled pendings and by-value replies, 6 before pooled fork frames, 9 while each dispatch started a goroutine
 	cl, key, want := loopbackMapGet(t)
 	got := testing.AllocsPerRun(500, func() {
 		v, found, err := cl.MapGet("kv", key)
@@ -106,7 +106,7 @@ func TestLoopbackMapGetAllocCeiling(t *testing.T) {
 // measured 272 here, most of it entries collected and thrown away and a
 // string and a slice per entry on the client.
 func TestLoopbackRangeScanAllocCeiling(t *testing.T) {
-	const ceiling = 49 // reads 24; 28 before recycled pendings and by-value replies, 31 before pooled fork frames, 37 while each dispatch started a goroutine
+	const ceiling = 49 // reads 21; 24 before borrowed keys and slab-carved values, 28 before recycled pendings and by-value replies, 31 before pooled fork frames, 37 while each dispatch started a goroutine
 	cl, lo, hi := loopbackRangeScan(t)
 	got := testing.AllocsPerRun(200, func() {
 		es, err := cl.RangeScan("lb", lo, hi, 64)

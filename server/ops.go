@@ -195,7 +195,8 @@ func execOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp) (res TxResult, msg str
 		// fans them into parallel-nested children per leaf subrange; a
 		// conflicting point write restarts only the one child whose
 		// subrange it hit. Scans are reads (never logged), so clamping
-		// the entry count is invisible to replay.
+		// the entry count is invisible to replay. Neither bound is kept,
+		// so the upper one borrows op.Value's bytes.
 		limit := int(op.Delta)
 		if limit <= 0 || limit > maxRangeScanEntries {
 			limit = maxRangeScanEntries
@@ -204,7 +205,7 @@ func execOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp) (res TxResult, msg str
 		if len(op.Value) == 0 {
 			es = reg.SortedMap(op.Name).RangeFrom(c, op.Key, limit)
 		} else {
-			es = reg.SortedMap(op.Name).RangeScan(c, op.Key, string(op.Value), limit)
+			es = reg.SortedMap(op.Name).RangeScan(c, op.Key, borrowString(op.Value), limit)
 		}
 		res.Num = int64(len(es))
 		res.Value, err = encodeScan(es)
@@ -212,7 +213,7 @@ func execOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp) (res TxResult, msg str
 		if len(op.Value) == 0 {
 			res.Num = int64(reg.SortedMap(op.Name).RangeCountFrom(c, op.Key))
 		} else {
-			res.Num = int64(reg.SortedMap(op.Name).RangeCount(c, op.Key, string(op.Value)))
+			res.Num = int64(reg.SortedMap(op.Name).RangeCount(c, op.Key, borrowString(op.Value)))
 		}
 	case OpSortedExpire:
 		res.Found = reg.SortedMap(op.Name).ExpireThrough(c, op.Key, op.Delta)

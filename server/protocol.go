@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unsafe"
 )
 
 // Wire format, all integers big-endian. A frame is a uint32 payload
@@ -499,16 +500,15 @@ func txResultSize(r *TxResult) int { return 1 + 1 + 8 + 4 + len(r.Value) }
 // Decoding
 // ---------------------------------------------------------------------------
 
-// FrameBuf is a connection's reusable frame payload buffer, owned by the
-// one goroutine that reads the connection. Every frame decoder in this
-// package copies what it keeps out of the payload, so the buffer may be
-// refilled as soon as a frame is parsed. (DecodeKVs borrows, but it
-// decodes a parsed result's Value, never a frame.)
+// FrameBuf is a reusable frame payload buffer. On the server each pending
+// has one, and the keys and values of its read-only ops borrow from it
+// until the pending is released (D48); a client connection's reader keeps
+// one for the connection, and its decoder copies what it keeps.
 type FrameBuf struct{ b []byte }
 
 // maxRetainedFrame bounds the payload a FrameBuf holds on to: larger
 // frames get a buffer of their own, so one multi-megabyte request does
-// not stay pinned for the connection's life.
+// not stay pinned by the buffer it was read into.
 const maxRetainedFrame = 64 << 10
 
 // ReadFrame reads one frame's payload from r. With fb non-nil the payload
@@ -600,6 +600,18 @@ func (c *cursor) raw16() []byte { return c.take(int(c.u16())) }
 
 func (c *cursor) str16() string { return string(c.raw16()) }
 
+// borrowString is b as a string without a copy. The rule for borrowed
+// bytes (D48): they live in a pending's frame until the pending's
+// release, so only ops that keep nothing — reads and guards, whose
+// opTable effect is effectNever — get them, and nothing may hold them
+// past finish.
+func borrowString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
 func (c *cursor) raw32() []byte {
 	b := c.take(4)
 	if b == nil {
@@ -608,13 +620,16 @@ func (c *cursor) raw32() []byte {
 	return c.take(int(binary.BigEndian.Uint32(b)))
 }
 
-func (c *cursor) bytes32() []byte {
-	raw := c.raw32()
-	if len(raw) == 0 {
+func (c *cursor) bytes32() []byte { return copyBytes(c.raw32()) }
+
+// copyBytes returns a copy of b of exactly its length, nil when b is
+// empty.
+func copyBytes(b []byte) []byte {
+	if len(b) == 0 {
 		return nil
 	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }
 
@@ -636,10 +651,28 @@ const maxInternedNames = 256
 // requestDecoder decodes request frames. It is the one request decoder:
 // a connection keeps one with a names table, so the structure names its
 // requests repeat are shared strings instead of a copy per request;
-// ParseRequest runs the zero value, which shares nothing. Everything a
-// decoded Request holds is copied out of the frame.
+// ParseRequest runs the zero value, which shares nothing and copies
+// everything. A borrowing decoder — the connection's — leaves the key and
+// value of an op that cannot change the store in the frame (see
+// borrowString); every op that can gets copies, and so does every name.
 type requestDecoder struct {
-	names map[string]string // nil: no interning
+	names  map[string]string // nil: no interning
+	borrow bool
+}
+
+// keyValue decodes an op's key and value: views of the frame when the
+// decoder borrows and op keeps nothing, copies otherwise. A borrowed
+// value is capped at its own length, so an append reallocates rather
+// than writing into the frame.
+func (d *requestDecoder) keyValue(c *cursor, op uint8) (string, []byte) {
+	if !d.borrow || opTable[op].effect != effectNever {
+		return c.str16(), c.bytes32()
+	}
+	key := borrowString(c.raw16())
+	if v := c.raw32(); len(v) > 0 {
+		return key, v[:len(v):len(v)]
+	}
+	return key, nil
 }
 
 func (d *requestDecoder) name(c *cursor) string {
@@ -676,8 +709,7 @@ func (d *requestDecoder) parse(frame []byte, req *Request, tx *Tx) error {
 		Op: c.u8(),
 	}
 	req.Name = d.name(&c)
-	req.Key = c.str16()
-	req.Value = c.bytes32()
+	req.Key, req.Value = d.keyValue(&c, req.Op)
 	req.Delta = c.i64()
 	if req.Op == opRemovedCheckout && c.err == nil {
 		// Before the trailing-bytes check: an old client's frame still
@@ -698,13 +730,10 @@ func (d *requestDecoder) parse(frame []byte, req *Request, tx *Tx) error {
 			tx.Ops = tx.Ops[:0]
 		}
 		for i := 0; i < n && c.err == nil; i++ {
-			tx.Ops = append(tx.Ops, TxOp{
-				Op:    c.u8(),
-				Name:  d.name(&c),
-				Key:   c.str16(),
-				Value: c.bytes32(),
-				Delta: c.i64(),
-			})
+			op := TxOp{Op: c.u8(), Name: d.name(&c)}
+			op.Key, op.Value = d.keyValue(&c, op.Op)
+			op.Delta = c.i64()
+			tx.Ops = append(tx.Ops, op)
 		}
 		req.Tx = tx
 	}
@@ -785,17 +814,40 @@ func ParseResponse(frame []byte) (*Response, error) {
 // overwriting it, and rejects status bytes no server produces: at top
 // level anything but the four live statuses (the reserved 4 included),
 // per sub-op result anything past StatusRejected (0 is legal there: the
-// op never executed). Like every decoder here it copies what it keeps,
-// and the results list is a fresh slice each time: a caller may hand the
-// decoded value on and decode the next frame into the same Response.
+// op never executed). It copies what it keeps, and the results list is a
+// fresh slice each time: a caller may hand the decoded value on and
+// decode the next frame into the same Response.
 func DecodeResponse(frame []byte, resp *Response) error {
+	return decodeResponse(frame, resp, nil)
+}
+
+// ReplySlab is an append-only arena for the small reply values one
+// connection's reader decodes: a Value of up to 512 bytes is copied into
+// the tail of an 8 KiB slab instead of into an allocation of its own, and
+// a full slab is replaced, never rewritten. So nothing handed out
+// changes, and a caller that keeps one value pins at most one slab. The
+// zero value is ready to use.
+type ReplySlab struct{ b []byte }
+
+const (
+	replySlabSize = 8 << 10
+	maxSlabValue  = 512
+)
+
+// DecodeResponse is the package's DecodeResponse with every value of up
+// to 512 bytes carved from s.
+func (s *ReplySlab) DecodeResponse(frame []byte, resp *Response) error {
+	return decodeResponse(frame, resp, s)
+}
+
+func decodeResponse(frame []byte, resp *Response, s *ReplySlab) error {
 	c := &cursor{b: frame}
 	*resp = Response{
 		ID:     c.u64(),
 		Status: c.u8(),
 		Found:  c.u8() == 1,
 		Num:    c.i64(),
-		Value:  c.bytes32(),
+		Value:  s.carve(c.raw32()),
 		Msg:    c.str16(),
 	}
 	if n := int(c.u16()); n > 0 && c.err == nil {
@@ -805,7 +857,7 @@ func DecodeResponse(frame []byte, resp *Response) error {
 				Status: c.u8(),
 				Found:  c.u8() == 1,
 				Num:    c.i64(),
-				Value:  c.bytes32(),
+				Value:  s.carve(c.raw32()),
 			})
 		}
 	}
@@ -821,4 +873,19 @@ func DecodeResponse(frame []byte, resp *Response) error {
 		}
 	}
 	return nil
+}
+
+// carve returns a copy of raw (nil when empty): in the slab's tail,
+// capped at its own length so an append reallocates, when raw is small
+// and s is not nil; in an allocation of its own otherwise.
+func (s *ReplySlab) carve(raw []byte) []byte {
+	if s == nil || len(raw) == 0 || len(raw) > maxSlabValue {
+		return copyBytes(raw)
+	}
+	if len(raw) > cap(s.b)-len(s.b) {
+		s.b = make([]byte, 0, replySlabSize)
+	}
+	at := len(s.b)
+	s.b = append(s.b, raw...)
+	return s.b[at:len(s.b):len(s.b)]
 }

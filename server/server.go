@@ -1057,14 +1057,15 @@ func (cn *conn) writeLoop(nc net.Conn) {
 // serializing responses (responses may complete out of order across
 // batches and shards; clients match by request id).
 //
-// The reader owns the frame buffer and the decoder's name table; each
-// request is decoded into the pending that carries it to its batch and
-// back, and nothing a pending holds points into the frame buffer, so the
-// next frame may overwrite it while the request is still queued. The
-// reader holds one pending from pendings at a time: it decodes frame
-// after frame into it while it answers them itself, and lets go of it
-// when it hands the request off — after that the pending is the
-// shard's, a fan-out's, a coordinator's or a replication stream's.
+// The reader owns the decoder's name table and holds one pending from
+// pendings at a time: it reads each frame into that pending's own frame
+// buffer and decodes it into the pending, which carries the request to its
+// batch and back. The keys and values of read-only ops borrow from the
+// frame (D48), so a frame is overwritten only by the next frame read into
+// the same pending. The reader keeps its pending across the frames it
+// answers itself, and lets go of it when it hands the request off — after
+// that the pending, frame included, is the shard's, a fan-out's, a
+// coordinator's or a replication stream's.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -1093,20 +1094,19 @@ func (s *Server) handleConn(nc net.Conn) {
 	var connMaxStale time.Duration
 
 	latPoint, latTx, latCross := s.obs.latency[classPoint], s.obs.latency[classTx], s.obs.latency[classCross]
-	dec := requestDecoder{names: make(map[string]string)}
-	var fb FrameBuf
+	dec := requestDecoder{names: make(map[string]string), borrow: true}
 	var held *pending // the reader's pending; nil once handed off
 	br := bufio.NewReader(nc)
 	for {
-		frame, err := ReadFrame(br, &fb)
-		if err != nil {
-			return // EOF, forced close, or an unrecoverable framing error
-		}
 		if held == nil {
 			held = pendings.Get().(*pending)
 			held.reply = cn
 		}
 		p := held
+		frame, err := ReadFrame(br, &p.frame)
+		if err != nil {
+			return // EOF, forced close, or an unrecoverable framing error
+		}
 		req := &p.req
 		if err := dec.parse(frame, req, &p.tx); err != nil {
 			// The id is the payload's leading u64, so it usually survives
