@@ -95,6 +95,38 @@ func TestCodecAllocCeilings(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("reading and decoding 64 MapGet frames: %.0f allocs, want 0", got)
 	}
+
+	// A frame well over the 512 bytes a buffer starts at, but under
+	// maxRetainedFrame, stays in its pending's buffer across release: 64
+	// 8 KiB MapPuts, each read into a pending from the pool and released
+	// after decoding as runBatch releases it, cost the copies of their
+	// keys and values and no buffer. The race build's pool drops some of
+	// what is put back, so the row runs without it.
+	if raceEnabled {
+		return
+	}
+	put, err := AppendRequest(nil, &Request{ID: 9, Op: OpMapPut, Name: "kv", Key: "key-000042", Value: make([]byte, 8<<10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream = bytes.Repeat(put, 64)
+	if got := testing.AllocsPerRun(20, func() {
+		src.Reset(stream)
+		br.Reset(src)
+		for i := 0; i < 64; i++ {
+			p := pendings.Get().(*pending)
+			frame, err := ReadFrame(br, &p.frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.parse(frame, &p.req, &p.tx); err != nil {
+				t.Fatal(err)
+			}
+			p.release()
+		}
+	}); got != 128 {
+		t.Errorf("reading and decoding 64 8 KiB MapPut frames into pooled pendings: %.0f allocs, want 128 (a key and a value each)", got)
+	}
 }
 
 // TestFrameBufferReuseLeavesRequestsIntact reads a stream of every kind of
@@ -164,25 +196,41 @@ func TestFrameBufferReuseLeavesRequestsIntact(t *testing.T) {
 	}
 	prev.release()
 
-	// A frame past a pooled pending's retention bound lands in its buffer
-	// but does not go back to the pool with it.
+	// A frame up to the retention bound lands in its pending's buffer,
+	// which goes back to the pool with it.
 	p := pendings.Get().(*pending)
-	big := &Request{ID: 1, Op: OpMapPut, Name: "m", Key: "k", Value: make([]byte, maxRetainedFrameBuf)}
-	frame, err := AppendRequest(nil, big)
-	if err != nil {
-		t.Fatal(err)
+	frameOf := func(valueLen int) []byte {
+		frame, err := AppendRequest(nil, &Request{ID: 1, Op: OpMapPut, Name: "m", Key: "k", Value: make([]byte, valueLen)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
 	}
-	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), &p.frame)
+	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(frameOf(maxRetainedFrame-64))), &p.frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &payload[0] != &p.frame.b[0] {
 		t.Fatalf("a %d-byte frame did not land in its pending's buffer", len(payload))
 	}
+	grown := cap(p.frame.b)
 	p.release()
-	if p.frame.b != nil {
-		t.Errorf("a released pending kept a %d-byte frame buffer, over the %d-byte bound", cap(p.frame.b), maxRetainedFrameBuf)
+	if cap(p.frame.b) != grown {
+		t.Errorf("a released pending kept a %d-byte frame buffer, want the %d bytes it grew to", cap(p.frame.b), grown)
 	}
+
+	// A frame past the retention bound gets a buffer of its own and
+	// leaves the pending's alone.
+	p = pendings.Get().(*pending)
+	before := cap(p.frame.b)
+	payload, err = ReadFrame(bufio.NewReader(bytes.NewReader(frameOf(maxRetainedFrame+1))), &p.frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(p.frame.b) != before || (before > 0 && &payload[0] == &p.frame.b[0]) {
+		t.Errorf("a %d-byte frame was retained by the pending's buffer (cap %d -> %d)", len(payload), before, cap(p.frame.b))
+	}
+	p.release()
 }
 
 // scanEntries is a 64-entry scan result in the benchmark's shape: 8-byte

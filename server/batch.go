@@ -75,13 +75,11 @@ type pending struct {
 // pendings recycles the pendings connection readers mint (D48).
 var pendings = sync.Pool{New: func() any { return new(pending) }}
 
-// maxRetainedOps and maxRetainedFrameBuf are the largest envelope op list
-// and frame buffer a pooled pending keeps for the next request, as
-// maxRetainedBody is for a batch's log body.
-const (
-	maxRetainedOps      = 64
-	maxRetainedFrameBuf = 4 << 10
-)
+// maxRetainedOps is the largest envelope op list a pooled pending keeps
+// for the next request, as maxRetainedBody is for a batch's log body. Its
+// frame buffer needs no bound of its own: ReadFrame never grows one past
+// maxRetainedFrame, the bound a connection's buffer had.
+const maxRetainedOps = 64
 
 // release returns a reader-minted pending to pendings. It clears the op
 // list up to its capacity and zeroes everything but its two buffers, so a
@@ -96,9 +94,6 @@ func (p *pending) release() {
 	poisonReleased(frame.b[:cap(frame.b)], ops)
 	if cap(tx.Ops) > maxRetainedOps {
 		tx.Ops = nil
-	}
-	if cap(frame.b) > maxRetainedFrameBuf {
-		frame.b = nil
 	}
 	*p = pending{tx: tx, frame: frame}
 	pendings.Put(p)

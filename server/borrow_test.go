@@ -22,10 +22,11 @@ import (
 // reads and envelopes on one shard, the read-only fan and the cross-shard
 // commit, and reads served by the replica. They are interleaved on one
 // connection with the writes that must not borrow, so every pending is
-// recycled between the two kinds, and then pipelined on it. Then the test checks byte for byte what
-// could have kept a borrowed byte: the store of both servers against the
-// test's model, scan results, and the /debug/hotkeys tag of a read that
-// aborted. Run with -tags pnstmcheck, a released pending's bytes read as
+// recycled between the two kinds, and then pipelined on it; one read-only
+// fan comes in a frame too large for a pending to keep. Then the test
+// checks byte for byte what could have kept a borrowed byte: the store of
+// both servers against the test's model, scan results, and the
+// /debug/hotkeys tag of a read that aborted. Run with -tags pnstmcheck, a released pending's bytes read as
 // 0xA5, so a byte kept past its pending shows in every run.
 func TestBorrowedBytesNeverOutliveTheirPending(t *testing.T) {
 	const rounds = 24
@@ -118,6 +119,25 @@ func TestBorrowedBytesNeverOutliveTheirPending(t *testing.T) {
 			t.Fatalf("RangeCount [%s, %s) = %d, want %d", lo, hi, n, i+1-i/2)
 		}
 	}
+
+	// A read-only fan in a frame over maxRetainedFrame, which ReadFrame
+	// gives an allocation of its own: the scans' upper bound is padded
+	// past it, and sorts between the last key and the next.
+	last := fmt.Sprintf("key-%03d", rounds-1)
+	padded := last + strings.Repeat("\xff", 70<<10)
+	res, err := cl.Txn().
+		AssertEq(a, last, model[a][last]).
+		MapGet(b, "acct-00").
+		RangeScan(sorted, "key-000", padded, 0).
+		RangeCount(sorted, "key-000", padded).
+		Commit()
+	must("large-frame fan", err)
+	if !bytes.Equal(res.Bytes(1), model[b]["acct-00"]) || res.Num(3) != rounds {
+		t.Fatalf("large-frame fan: MapGet %x, RangeCount %d; want %x, %d", res.Bytes(1), res.Num(3), model[b]["acct-00"], rounds)
+	}
+	es, err := res.Entries(2)
+	must("large-frame scan", err)
+	checkScan("large-frame RangeScan", es, "key-000", padded)
 
 	// The same reads pipelined on the one connection: the reader decodes
 	// the next frame while a fan or a batch still reads the last one.
