@@ -7,8 +7,9 @@
 // ordered sub-ops with read-your-writes and guard assertions, executed
 // as one nested child whose per-structure groups fan out as
 // parallel-nested grandchildren. Mutating transactions are atomic
-// within one shard (cross-shard mutators are refused); read-only
-// transactions fan shards.
+// across shards too: one spanning several commits through the ordered
+// cross-shard protocol (each participant runs its slice in the same
+// global order); read-only transactions fan shards.
 //
 // Usage:
 //

@@ -57,8 +57,8 @@ import (
 // pending comes from pendings and goes back in exactly one place,
 // shard.runBatch after finish, when nothing else can reach it; the
 // reader keeps it across the frames it answers itself and lets go at every
-// hand-off. Every other pending — handed to a fan-out, a coordinator or a
-// replication stream, or minted by fan-out, the reaper or replay — stays
+// hand-off. Every other pending — handed to a fan-out, a cross-shard
+// envelope or a replication stream, or minted by fan-out, the reaper or replay — stays
 // with the garbage collector.
 type pending struct {
 	req    Request

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pnstm"
 	"pnstm/stmlib"
@@ -12,36 +13,35 @@ import (
 
 // Cross-shard ordered commit (D29–D31): a mutating OpTx envelope whose
 // structures live on several shards commits atomically WITHOUT 2PC
-// locks, in the style of deterministic predefined-order databases. A
-// global sequencer assigns the envelope a monotone global sequence
-// number (GSN) while the coordinator holds a reserved commit-ticket
-// position — a reservation its loop is parked in — on EVERY participant
-// shard, so the GSN's position in each shard's local commit order is
-// pinned before anything executes. Each participant then runs its slice
-// of the envelope as a nested child inside its own root transaction
-// (the same shape a group commit uses), execution split into three
-// phases:
+// locks, in the style of deterministic predefined-order databases. The
+// envelope's position is fixed before anything executes: queueAll draws
+// its global sequence number (GSN) and queues one task on EVERY
+// participant shard's loop in one call, so any two multi-shard items
+// sit in the same relative order on every shard they share. Each
+// participant's task runs its slice of the envelope as a nested child
+// inside its own root transaction (the same shape a group commit uses),
+// execution split into three phases:
 //
 //	gather  — every shard executes its slice (map/queue ops, map
 //	          guards, counter adds) and reads the counter partials any
-//	          global counter read needs, reporting results to the
-//	          coordinator while its child transaction stays open;
-//	judge   — the coordinator sums the partials, evaluates counter
-//	          guards on the global totals, and combines them with the
-//	          shards' local guard verdicts into one commit/abort
-//	          decision (lowest failing envelope index wins, exactly
-//	          like a single-shard envelope);
-//	apply   — the verdict is broadcast: on commit every child commits
-//	          its writes and each shard that wrote appends ONE
-//	          GSN-stamped WAL record holding its write-only slice; on
-//	          abort every child returns errRejected and rolls back,
-//	          leaving ZERO WAL residue on every shard.
+//	          global counter read needs, reporting results while its
+//	          child transaction stays open;
+//	judge   — the report that completes the set sums the partials,
+//	          evaluates counter guards on the global totals, and
+//	          combines them with the shards' local guard verdicts into
+//	          one commit/abort decision (lowest failing envelope index
+//	          wins, exactly like a single-shard envelope);
+//	apply   — every child reads the verdict: on commit it commits its
+//	          writes and each shard that wrote appends ONE GSN-stamped
+//	          WAL record holding its write-only slice; on abort every
+//	          child returns errRejected and rolls back, leaving ZERO WAL
+//	          residue on every shard.
 //
 // Recovery replays GSN records at their logged positions. Because the
-// sequencer takes the GSN only after all participant slots are held,
-// any two envelopes sharing a shard are fully serialized, so the GSNs
-// in every shard's log are strictly increasing: replaying each log in
-// order reproduces the same relative cross-shard positions everywhere.
+// GSN is drawn under the same lock that queues the tasks, and each loop
+// runs its tasks in queue order, the GSNs in every shard's log are
+// strictly increasing: replaying each log in order reproduces the same
+// relative cross-shard positions everywhere.
 
 // Routing outcomes for an OpTx envelope (classifyTx).
 const (
@@ -54,7 +54,7 @@ const (
 // cross-shard envelope, in envelope order: either one of the envelope's
 // own sub-ops (executed on this shard) or a partial read serving a
 // global counter read (every shard contributes its partial; the
-// coordinator sums and judges).
+// judging report sums them).
 type sliceItem struct {
 	idx     int  // envelope index
 	partial bool // read this shard's counter partial instead of executing
@@ -169,7 +169,6 @@ func (s *Server) routeTx(req *Request) txPlan {
 // first local failure (a false map guard → errRejected, a malformed
 // sub-op → anything else), envelope-lowest first within the slice.
 type crossReport struct {
-	shard    int
 	results  map[int]TxResult
 	partials map[int]int64
 	failIdx  int // -1: clean
@@ -180,11 +179,10 @@ type crossReport struct {
 // executeSlice runs one shard's slice inside its open child
 // transaction, in envelope order. On a local failure the rest of the
 // slice is abandoned (the envelope is aborting), so partials at
-// indices past the failure are missing — the coordinator never uses
-// totals past the lowest failing index.
-func executeSlice(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, slice []sliceItem, shardID int) crossReport {
+// indices past the failure are missing — judge never uses totals past
+// the lowest failing index.
+func executeSlice(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, slice []sliceItem) crossReport {
 	rep := crossReport{
-		shard:    shardID,
 		results:  make(map[int]TxResult, len(slice)),
 		partials: make(map[int]int64),
 		failIdx:  -1,
@@ -204,175 +202,144 @@ func executeSlice(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, slice []sliceI
 	return rep
 }
 
-// beginCross admits one cross-shard commit, fencing against shutdown
-// the same way shard.submit fences against close: a successful
-// beginCross happens-before Close/Kill set crossStopped, so their
-// crossWG.Wait provably covers it.
-func (s *Server) beginCross() bool {
-	s.crossMu.RLock()
-	defer s.crossMu.RUnlock()
-	if s.crossStopped {
-		return false
-	}
-	s.crossWG.Add(1)
-	return true
-}
+// crossRun is one cross-shard envelope in flight, shared by its
+// participants' tasks. The report that completes the set judges; the
+// last task to finish delivers.
+type crossRun struct {
+	s       *Server
+	req     *Request
+	plan    *txPlan
+	gsn     uint64 // drawn by queueAll before any task runs
+	deliver func(Response)
 
-// stopCross refuses new cross-shard commits and waits out the in-flight
-// ones. Called by Close after the loops stopped (a coordinator a closed
-// shard refused is still releasing its other reservations) and before
-// the final WAL sync/close and runtime teardown; by Kill after the
-// WALs are abandoned (pending cross appends then fail fast).
-func (s *Server) stopCross() {
-	s.crossMu.Lock()
-	s.crossStopped = true
-	s.crossMu.Unlock()
-	s.crossWG.Wait()
-}
+	mu       sync.Mutex
+	reported int
+	merged   []TxResult
+	totals   map[int]int64
+	first    *txOpFailure
+	resp     Response // the verdict's answer; a failed append replaces it
+	judged   chan struct{}
+	commit   bool       // set before judged closes
+	logSet   []int      // shards whose slice wrote, ascending
+	logReqs  []*Request // per shard id: its GSN record's write slice
 
-// maxCrossInflight caps concurrent cross-shard coordinators. Well above
-// what a closed-loop client population reaches (loadgen's default is 16
-// issuing goroutines), so only a pathological flood — an open-loop
-// client pipelining cross-shard envelopes faster than the per-shard
-// commit pipelines drain them — ever sees the fast-fail.
-const maxCrossInflight = 256
+	rooted, logged sync.WaitGroup // every root returned; every append done or latched
+	left           atomic.Int32   // tasks still running; the last delivers
+}
 
 // commitCrossShard answers a mutating multi-shard envelope via the
-// ordered-commit protocol, asynchronously (the coordinator blocks on
-// every participant's commit slot, which can take a group commit's
-// latency per shard — the connection's reader loop must not). In-flight
-// coordinators are bounded by crossSem; past the cap the envelope is
-// refused with a retryable error rather than queued without limit.
+// ordered-commit protocol: one task per participant, queued in the one
+// order every shard shares (queueAll), which also draws the GSN. It
+// returns once the tasks are queued; the last of them delivers.
 func (s *Server) commitCrossShard(req *Request, plan txPlan, deliver func(Response)) {
-	select {
-	case s.crossSem <- struct{}{}:
-	default:
-		deliver(Response{ID: req.ID, Status: StatusErr, Msg: "too many in-flight cross-shard transactions; retry"})
-		return
+	n := len(plan.participants)
+	x := &crossRun{
+		s: s, req: req, plan: &plan, deliver: deliver,
+		merged: make([]TxResult, len(req.Tx.Ops)),
+		totals: make(map[int]int64),
+		judged: make(chan struct{}),
 	}
-	if !s.beginCross() {
-		<-s.crossSem
+	x.rooted.Add(n)
+	x.logged.Add(n)
+	x.left.Store(int32(n))
+	if err := s.queueAll(plan.participants, &x.gsn, x.run); err != nil {
 		deliver(Response{ID: req.ID, Status: StatusErr, Msg: "server closing"})
-		return
 	}
-	go func() {
-		defer func() {
-			<-s.crossSem
-			s.crossWG.Done()
-		}()
-		deliver(s.runCrossShard(req, &plan))
-	}()
 }
 
-func (s *Server) runCrossShard(req *Request, plan *txPlan) Response {
-	ops := req.Tx.Ops
-
-	// Reserve: park every participant's loop, in ascending shard-id
-	// order — the same order Export uses, so coordinators, checkpoints
-	// and exports can never deadlock, and any two envelopes sharing a
-	// shard fully serialize.
-	parts := make([]*shard, len(plan.participants))
-	for i, id := range plan.participants {
-		parts[i] = s.shards[id]
-	}
-	release, err := pauseAll(parts)
-	if err != nil {
-		return Response{ID: req.ID, Status: StatusErr, Msg: "server closing"}
-	}
-	defer release()
-
-	// The GSN is taken only AFTER all slots are held: any envelope that
-	// logged on a shared shard earlier held that shard's slots earlier,
-	// hence drew its (smaller) GSN before this one — so the GSNs in each
-	// shard's log are strictly increasing, and replaying every log in
-	// order reproduces the same relative cross-shard positions (D30).
-	gsn := s.gsn.Add(1)
-
-	// Gather: each participant runs its slice as a nested child of its
-	// own root transaction and blocks inside the child on the verdict.
-	// The loops are parked (and checkpoints queue behind the same
-	// reservations), so each root runs ALONE on its shard's runtime: the
-	// child cannot conflict with anything, hence executes exactly once —
-	// which is what lets it report and await a verdict from inside its
-	// body.
-	nPart := len(plan.participants)
-	reports := make(chan crossReport, nPart)
-	verdicts := make([]chan bool, nPart)
-	runErrs := make([]error, nPart)
-	var wg sync.WaitGroup
-	for pi, id := range plan.participants {
-		pi, sh := pi, s.shards[id]
-		verdicts[pi] = make(chan bool, 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reported := false
-			err := sh.rt.Run(func(c *pnstm.Ctx) {
-				if sh.rt.TracingEnabled() {
-					// Trace identity: the GSN is the envelope's batch ticket
-					// on every participant, so one cross-shard commit's events
-					// correlate across all the shards' recorders (D35).
-					c.StampTrace(gsn, uint8(sh.id))
-					c.SetTraceTag(requestTraceTag(req))
-				}
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					rep := executeSlice(c, sh.reg, ops, plan.slices[sh.id], sh.id)
-					reported = true
-					reports <- rep
-					if <-verdicts[pi] {
-						return nil
-					}
-					return errRejected // whole-envelope rollback: zero residue
-				})
-			})
-			runErrs[pi] = err
-			if !reported {
-				// The runtime refused the root (shutting down): stand in for
-				// the missing report so the coordinator cannot block.
-				if err == nil {
-					err = fmt.Errorf("shard %d did not execute its slice", sh.id)
-				}
-				reports <- crossReport{shard: sh.id, failIdx: 0, failErr: err}
+// run is the envelope's task on one participant's loop. Every task
+// queued before it on this shard has run, and — tasks sharing one order
+// across shards — each partner's loop reaches its own task without
+// waiting on this one, so the rendezvous below always completes.
+func (x *crossRun) run(sh *shard) {
+	// Gather: run the slice as a nested child of the shard's root and
+	// block inside the child on the verdict. The root runs alone on the
+	// shard's runtime — every root on the live registry runs on this
+	// loop — so the child cannot conflict with anything, hence executes
+	// exactly once: that is what lets it report and await a verdict from
+	// inside its body.
+	err := sh.rt.Run(func(c *pnstm.Ctx) {
+		if sh.rt.TracingEnabled() {
+			// Trace identity: the GSN is the envelope's batch ticket on
+			// every participant, so one cross-shard commit's events
+			// correlate across all the shards' recorders (D35).
+			c.StampTrace(x.gsn, uint8(sh.id))
+			c.SetTraceTag(requestTraceTag(x.req))
+		}
+		_ = c.Atomic(func(c *pnstm.Ctx) error {
+			x.report(executeSlice(c, sh.reg, x.req.Tx.Ops, x.plan.slices[sh.id]))
+			<-x.judged
+			if x.commit {
+				return nil
 			}
-		}()
+			return errRejected // whole-envelope rollback: zero residue
+		})
+	})
+	if err != nil {
+		// Run fails only with ErrClosed, and Close, Kill and New's
+		// teardown close a shard's runtime only after its loop has
+		// stopped: a bug alone gets here, and the partners would wait
+		// for this slice's report forever.
+		panic(fmt.Sprintf("server: shard %d: cross-shard root: %v", sh.id, err))
 	}
+	x.rooted.Done()
+	x.rooted.Wait()
 
-	// Judge: collect every report, sum the partials, evaluate counter
-	// guards on the global totals, pick the lowest failing envelope
-	// index across local (map guard, malformed) and global (counter
-	// guard) failures — the same deterministic rule a single-shard
-	// envelope applies.
-	merged := make([]TxResult, len(ops))
-	totals := make(map[int]int64)
-	var first *txOpFailure
-	for i := 0; i < nPart; i++ {
-		rep := <-reports
-		for idx, res := range rep.results {
-			merged[idx] = res
-		}
-		for idx, p := range rep.partials {
-			totals[idx] += p
-		}
-		if rep.failErr != nil && (first == nil || rep.failIdx < first.idx) {
-			first = &txOpFailure{idx: rep.failIdx, err: rep.failErr, msg: rep.failMsg}
-		}
+	// Log: each shard whose slice wrote appends its own GSN record. No
+	// task returns before every append is done or latched, so no
+	// checkpoint behind it captures a GSN a partner failed to log.
+	if x.commit && sh.wal != nil && x.logReqs[sh.id] != nil {
+		x.appendGSN(sh)
 	}
+	x.logged.Done()
+	x.logged.Wait()
+	if x.left.Add(-1) == 0 {
+		x.deliver(x.resp)
+	}
+}
+
+// report merges one participant's gather-phase report; the one that
+// completes the set judges and releases every waiting child.
+func (x *crossRun) report(rep crossReport) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for idx, res := range rep.results {
+		x.merged[idx] = res
+	}
+	for idx, p := range rep.partials {
+		x.totals[idx] += p
+	}
+	if rep.failErr != nil && (x.first == nil || rep.failIdx < x.first.idx) {
+		x.first = &txOpFailure{idx: rep.failIdx, err: rep.failErr, msg: rep.failMsg}
+	}
+	if x.reported++; x.reported == len(x.plan.participants) {
+		x.judge()
+		close(x.judged)
+	}
+}
+
+// judge sums the partials, evaluates counter guards on the global
+// totals and picks the lowest failing envelope index across local (map
+// guard, malformed) and global (counter guard) failures — the same
+// deterministic rule a single-shard envelope applies.
+func (x *crossRun) judge() {
+	ops, merged := x.req.Tx.Ops, x.merged
 	for i := range ops {
-		t, global := totals[i]
+		t, global := x.totals[i]
 		if !global {
 			continue
 		}
-		if first != nil && first.idx < i {
+		if x.first != nil && x.first.idx < i {
 			break // totals past the failure are incomplete AND irrelevant
 		}
 		merged[i] = TxResult{Status: StatusOK, Num: t}
 		if msg, ok := judgeCounterGuard(&ops[i], t); !ok {
 			merged[i].Status = StatusRejected
-			first = &txOpFailure{idx: i, err: errRejected, msg: msg}
+			x.first = &txOpFailure{idx: i, err: errRejected, msg: msg}
 			break
 		}
 	}
-
+	first := x.first
 	if first != nil {
 		for j := first.idx + 1; j < len(merged); j++ {
 			merged[j] = TxResult{} // rolled back; mirror fanTx's abort shape
@@ -382,50 +349,27 @@ func (s *Server) runCrossShard(req *Request, plan *txPlan) Response {
 	// by maxReplyBytes); merged they may not. An answer that cannot reach
 	// its caller must not commit — the rule applyTx keeps for one shard.
 	sizeErr := checkReplySize(merged)
-
-	// Apply: broadcast the verdict and wait for every child to commit
-	// (or roll back) and its root to return.
-	commit := first == nil && sizeErr == nil
-	for _, v := range verdicts {
-		v <- commit
-	}
-	wg.Wait()
-
+	id := x.req.ID
 	switch {
 	case first != nil && !errors.Is(first.err, errRejected):
-		return Response{ID: req.ID, Status: StatusErr, Msg: fmt.Sprintf("op %d: %v", first.idx, first.err)}
+		x.resp = Response{ID: id, Status: StatusErr, Msg: fmt.Sprintf("op %d: %v", first.idx, first.err)}
 	case sizeErr != nil:
-		return Response{ID: req.ID, Status: StatusErr, Msg: sizeErr.Error()}
+		x.resp = Response{ID: id, Status: StatusErr, Msg: sizeErr.Error()}
 	case first != nil:
-		return Response{ID: req.ID, Status: StatusRejected, Num: int64(first.idx), Msg: first.msg, TxResults: merged}
-	}
-	for _, err := range runErrs {
-		if err != nil {
-			// A participant's root failed AFTER the commit verdict (runtime
-			// tearing down): other participants may have committed their
-			// slices, so memory can no longer be trusted to match any log.
-			// Latch every participant's WAL rather than log a half-applied
-			// envelope.
-			s.failWALs(plan.participants, err)
-			return Response{ID: req.ID, Status: StatusErr, Msg: "cross-shard commit: " + err.Error()}
-		}
-	}
-
-	// Log: one GSN record per shard whose slice actually wrote.
-	if s.shards[0].wal != nil {
-		logSet := make([]int, 0, nPart)
-		logReqs := make(map[int]*Request, nPart)
-		for _, id := range plan.participants {
-			if sub := crossWriteSlice(ops, plan.slices[id], merged); sub != nil {
-				logSet = append(logSet, id)
-				logReqs[id] = sub
+		x.resp = Response{ID: id, Status: StatusRejected, Num: int64(first.idx), Msg: first.msg, TxResults: merged}
+	default:
+		x.resp = Response{ID: id, Status: StatusOK, TxResults: merged}
+		x.commit = true
+		if x.s.shards[0].wal != nil {
+			x.logReqs = make([]*Request, len(x.s.shards))
+			for _, sid := range x.plan.participants {
+				if sub := crossWriteSlice(ops, x.plan.slices[sid], merged); sub != nil {
+					x.logSet = append(x.logSet, sid)
+					x.logReqs[sid] = sub
+				}
 			}
 		}
-		if err := s.appendGSNRecords(gsn, logSet, logReqs); err != nil {
-			return Response{ID: req.ID, Status: StatusErr, Msg: "wal: " + err.Error()}
-		}
 	}
-	return Response{ID: req.ID, Status: StatusOK, TxResults: merged}
 }
 
 // crossWriteSlice strips one participant's slice to its effective
@@ -448,55 +392,31 @@ func crossWriteSlice(ops []TxOp, slice []sliceItem, merged []TxResult) *Request 
 	return &Request{Op: OpTx, Tx: &Tx{Ops: sub}}
 }
 
-// appendGSNRecords makes one committed cross-shard envelope durable:
-// every writing shard appends its GSN record — same GSN, same logging
-// set, its own write slice — concurrently, each append fsyncing its own
-// shard's log per Options.Fsync before returning. All-or-error: a
-// failed append latches EVERY writing shard's log (wal.Fail), not only
-// its own, because the envelope is already applied in every shard's
-// memory — a shard that kept logging (or checkpointing) past a GSN its
-// peers never made durable would recover divergent state. Recovery
-// reconciles a torn tail instead: a GSN present on some shards but
-// missing (and not snapshot-covered) on another is dropped everywhere
-// (see reconcileGSNs).
-func (s *Server) appendGSNRecords(gsn uint64, logSet []int, logReqs map[int]*Request) error {
-	if len(logSet) == 0 {
-		return nil
+// appendGSN makes sh's share of a committed cross-shard envelope
+// durable: its GSN record — same GSN and logging set on every writing
+// shard, its own write slice — fsynced per Options.Fsync. A failed
+// append latches EVERY writing shard's log (wal.Fail), not only its
+// own, because the envelope is already applied in every shard's memory
+// — a shard that kept logging (or checkpointing) past a GSN its peers
+// never made durable would recover divergent state. Recovery reconciles
+// a torn tail instead: a GSN present on some shards but missing (and
+// not snapshot-covered) on another is dropped everywhere (see
+// reconcileGSNs).
+func (x *crossRun) appendGSN(sh *shard) {
+	body, err := encodeGSNRecord(x.gsn, x.logSet, x.logReqs[sh.id])
+	if err == nil {
+		_, err = sh.wal.Append(body)
 	}
-	bodies := make(map[int][]byte, len(logSet))
-	for _, id := range logSet {
-		body, err := encodeGSNRecord(gsn, logSet, logReqs[id])
-		if err != nil {
-			s.failWALs(logSet, err)
-			return err
-		}
-		bodies[id] = body
+	if err != nil {
+		x.s.failWALs(x.logSet, err)
+		x.mu.Lock()
+		x.resp = Response{ID: x.req.ID, Status: StatusErr, Msg: "wal: " + err.Error()}
+		x.mu.Unlock()
+		return
 	}
-	errs := make([]error, len(logSet))
-	var wg sync.WaitGroup
-	for i, id := range logSet {
-		i, sh := i, s.shards[id]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := sh.wal.Append(bodies[sh.id]); err != nil {
-				errs[i] = err
-				return
-			}
-			// Safe to publish per shard: this shard's GSN sequence is
-			// strictly increasing (see runCrossShard), and the slots are
-			// still held, so no checkpoint can capture the watermark early.
-			sh.maxGSN.Store(gsn)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.failWALs(logSet, err)
-			return err
-		}
-	}
-	return nil
+	// Safe to publish: this shard's GSN records are appended in queue
+	// order, which is GSN order (queueAll).
+	sh.maxGSN.Store(x.gsn)
 }
 
 // failWALs latches the listed shards' logs shut (no-op per shard

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"pnstm/internal/wal"
 	"pnstm/stmlib"
@@ -202,8 +205,9 @@ func TestSnapshotWatermarkRoundTrip(t *testing.T) {
 	}
 }
 
-// crossCommit drives one mutating multi-shard envelope through the
-// coordinator directly (the white-box equivalent of a wire OpTx).
+// crossCommit drives one mutating multi-shard envelope through
+// commitCrossShard directly (the white-box equivalent of a wire OpTx)
+// and waits for its answer.
 func crossCommit(t *testing.T, s *Server, ops []TxOp) Response {
 	t.Helper()
 	req := &Request{Op: OpTx, Tx: &Tx{Ops: ops}}
@@ -211,7 +215,9 @@ func crossCommit(t *testing.T, s *Server, ops []TxOp) Response {
 	if plan.kind != planCross {
 		t.Fatalf("envelope did not classify as cross: %+v", plan)
 	}
-	return s.runCrossShard(req, &plan)
+	done := make(chan Response, 1)
+	s.commitCrossShard(req, plan, func(r Response) { done <- r })
+	return <-done
 }
 
 // submitOne pushes one request through a shard's loop and waits for
@@ -327,7 +333,7 @@ func TestGSNRelativeOrderOnDisk(t *testing.T) {
 // TestIncompleteGSNReconciliation: a crash can land between the
 // participants' fsyncs, leaving a GSN record on some shards' logs and
 // not others. Recovery must drop the envelope EVERYWHERE (it was never
-// acked — the coordinator's append had not returned) AND physically
+// acked — the participants' appends had not all returned) AND physically
 // erase the dropped record, so later boots neither refuse on the stale
 // orphan once new batches append past it nor resurrect it when the
 // missing peer's snapshot watermark advances past its GSN. A dropped
@@ -496,45 +502,69 @@ func TestIncompleteGSNReconciliation(t *testing.T) {
 	}
 }
 
-// TestCrossShardInflightCap: coordinators are one goroutine each and
-// envelopes sharing a shard serialize on its commit pipeline, so a
-// flood past maxCrossInflight must fail fast instead of accumulating
-// unbounded goroutines.
-func TestCrossShardInflightCap(t *testing.T) {
-	s, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 8})
+// TestCrossShardPipelinedFlood: a connection that pipelines far more
+// cross-shard envelopes than the shards can run at once is held back by
+// the shards' task queues, not refused. 512 transfers between two
+// shards go out in one write on one connection; every one must commit,
+// and the ledger must come out exactly as the transfers say — zero-sum.
+func TestCrossShardPipelinedFlood(t *testing.T) {
+	const (
+		transfers = 512
+		accounts  = 8
+	)
+	s := bootServer(t, Config{Shards: 2, Workers: 2, MaxBatch: 8})
+	names := namesFor(t, "fl", 2, []int{0, 1})
+	want := map[[2]string]int64{}
+	var frames []byte
+	for i := 0; i < transfers; i++ {
+		from := [2]string{names[0], fmt.Sprintf("a%d", i%accounts)}
+		to := [2]string{names[1], fmt.Sprintf("a%d", i*3%accounts)}
+		amt := int64(1 + i%5)
+		want[from] -= amt
+		want[to] += amt
+		var err error
+		frames, err = AppendRequest(frames, &Request{ID: uint64(i + 1), Op: OpTx, Tx: &Tx{Ops: []TxOp{
+			{Op: OpMapAdd, Name: from[0], Key: from[1], Delta: -amt},
+			{Op: OpMapAdd, Name: to[0], Key: to[1], Delta: amt},
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	nc, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	names := namesFor(t, "cap", 2, []int{0, 1})
-	ops := []TxOp{
-		{Op: OpMapAdd, Name: names[0], Key: "bal", Delta: 1},
-		{Op: OpMapAdd, Name: names[1], Key: "bal", Delta: 1},
+	defer nc.Close()
+	if _, err := nc.Write(frames); err != nil {
+		t.Fatal(err)
 	}
-	req := &Request{Op: OpTx, Tx: &Tx{Ops: ops}}
-	plan := classifyTx(req.Tx, 2)
-	if plan.kind != planCross {
-		t.Fatalf("plan = %+v", plan)
-	}
-
-	// Saturate the semaphore as if maxCrossInflight coordinators were
-	// already parked, then submit one more: it must be refused, not
-	// queued.
-	for i := 0; i < maxCrossInflight; i++ {
-		s.crossSem <- struct{}{}
-	}
-	done := make(chan Response, 1)
-	s.commitCrossShard(req, plan, func(r Response) { done <- r })
-	if r := <-done; r.Status != StatusErr {
-		t.Fatalf("saturated coordinator pool answered %+v, want StatusErr", r)
-	}
-	for i := 0; i < maxCrossInflight; i++ {
-		<-s.crossSem
+	nc.SetReadDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(nc)
+	for i := 0; i < transfers; i++ {
+		frame, err := ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("after %d replies: %v", i, err)
+		}
+		resp, err := ParseResponse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != StatusOK {
+			t.Fatalf("transfer %d: %+v", resp.ID, resp)
+		}
 	}
 
-	// With capacity back, the same envelope commits.
-	s.commitCrossShard(req, plan, func(r Response) { done <- r })
-	if r := <-done; r.Status != StatusOK {
-		t.Fatalf("post-drain cross commit: %+v", r)
+	var sum int64
+	for acct, bal := range want {
+		resp := submitOne(t, s, &Request{Op: OpMapGet, Name: acct[0], Key: acct[1]})
+		got, err := DecodeInt64(resp.Value)
+		if resp.Status != StatusOK || err != nil || got != bal {
+			t.Errorf("%s[%s] = %d (%+v, %v), want %d", acct[0], acct[1], got, resp, err, bal)
+		}
+		sum += got
+	}
+	if sum != 0 {
+		t.Errorf("ledger sums to %d, want 0", sum)
 	}
 }

@@ -201,7 +201,7 @@ func TestSameOpSameAnswerPointVsEnvelope(t *testing.T) {
 
 // TestSameOpSameAnswerEnvelopeVsSlice runs every sub opcode as a
 // single-shard one-op envelope and as a cross-shard slice (executeSlice,
-// committed or rolled back on its own report as the coordinator would):
+// committed or rolled back on its own report as judge would):
 // same result, same failure, same redo verdict.
 func TestSameOpSameAnswerEnvelopeVsSlice(t *testing.T) {
 	env, cross := newExecHarness(t, false), newExecHarness(t, false)
@@ -223,7 +223,7 @@ func TestSameOpSameAnswerEnvelopeVsSlice(t *testing.T) {
 			var rep crossReport
 			if err := cross.b.rt.Run(func(c *pnstm.Ctx) {
 				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					rep = executeSlice(c, cross.b.reg, ops, slice, 0)
+					rep = executeSlice(c, cross.b.reg, ops, slice)
 					return rep.failErr
 				})
 			}); err != nil {

@@ -135,7 +135,7 @@ func (w *wireConn) call(req Request) (Response, bool) {
 // from 16 goroutines at once: the frames the reader answers itself (parse
 // errors, Ping, Stats, an empty envelope), where it keeps its pending for
 // the next frame, and every hand-off — a shard's batcher, the read-only
-// fan (fanTx), the cross-shard coordinator and the multi-shard CounterSum
+// fan (fanTx), a cross-shard envelope and the multi-shard CounterSum
 // fan — where it must let go. A pending reused while a hand-off still
 // reads it, or recycled while a reply still needs it, answers somebody
 // else's request: here every reply must answer its own. Run with -race.
@@ -233,7 +233,7 @@ func exchangeOwnRequests(t *testing.T, w *wireConn, g, rounds int, mapA, mapB st
 				gotKey(r.TxResults[0]) && gotKey(r.TxResults[1]) && r.TxResults[3].Num == sum
 		})
 
-		// A transfer between shards: the cross-shard coordinator.
+		// A transfer between shards: a cross-shard envelope.
 		resp, ok = w.call(Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
 			{Op: OpMapAdd, Name: mapA, Key: acct, Delta: -1},
 			{Op: OpMapAdd, Name: mapB, Key: acct, Delta: 1},

@@ -494,20 +494,20 @@ func (sh *shard) scanStore(shards int) (*shardScan, error) {
 // cross-shard envelopes the directory holds COMPLETELY. A GSN g with
 // logging set L is complete iff every member of L either holds g's
 // record in its log or has a snapshot watermark ≥ g (its copy was
-// applied and then truncated by a checkpoint — appendGSNRecords latches
-// all logs on partial failure precisely so a checkpoint can never
+// applied and then truncated by a checkpoint — appendGSN latches all
+// logs on partial failure precisely so a checkpoint can never
 // cover a GSN its peers missed). An incomplete GSN — the crash landed
 // between the participants' fsyncs — is dropped on EVERY shard, which
 // is sound only because nothing after it in any log can depend on it:
-// the coordinator held every participant's commit slots until all
-// appends returned, so a lost append means the record is the very last
-// thing its log ever received. Any shard holding a dropped GSN
-// anywhere but its tail is divergence, and the boot fails. A dropped
-// record is then physically truncated from its log (openDurability
-// phase B′) before the server serves: left on disk it would sit at a
-// non-tail position after the next append — failing every later boot —
-// or be resurrected by the watermark rule once the missing peer's
-// snapshot advances past its GSN.
+// no participant's task returns, so nothing runs after it on its shard,
+// until every append is done or latched, so a lost append means the
+// record is the very last thing its log ever received. Any shard
+// holding a dropped GSN anywhere but its tail is divergence, and the
+// boot fails. A dropped record is then physically truncated from its
+// log (openDurability phase B′) before the server serves: left on disk
+// it would sit at a non-tail position after the next append — failing
+// every later boot — or be resurrected by the watermark rule once the
+// missing peer's snapshot advances past its GSN.
 func reconcileGSNs(scans []*shardScan) (dropped map[uint64]bool, maxGSN uint64, err error) {
 	present := make([]map[uint64]bool, len(scans))
 	for i, sc := range scans {
@@ -567,11 +567,11 @@ func (sh *shard) replayStore(scan *shardScan, dropped map[uint64]bool) error {
 
 // checkpoint captures this shard's snapshot bound to its current WAL
 // tail and persists it, letting the covered log segments be truncated.
-// It holds the shard's group-commit slot while the image is captured,
-// so the snapshot is exactly the state after the shard's last logged
-// batch; the pause is one parallel-nested bulk read — the paper's
-// mechanism keeping the stop-the-world window short — and
-// encoding/writing happen after the slot is released (D22).
+// The image is captured in a task on the shard's loop, so the snapshot
+// is exactly the state after the shard's last logged batch; the task is
+// one parallel-nested bulk read — the paper's mechanism keeping the
+// stop-the-world window short — and encoding/writing happen after it,
+// off the loop (D22).
 func (sh *shard) checkpoint() error {
 	if sh.wal == nil {
 		return nil
@@ -583,26 +583,23 @@ func (sh *shard) checkpoint() error {
 	if st := sh.wal.Stats(); st.TailLSN == st.SnapshotLSN {
 		return nil
 	}
-	release, err := sh.pauseCommits()
-	if err != nil {
-		return err
-	}
-	lsn := sh.wal.TailLSN()
-	gsn := sh.maxGSN.Load() // stable under the pause, like the tail LSN
-	var img *stmlib.RegistryImage
-	err = sh.rt.Run(func(c *pnstm.Ctx) { img = sh.reg.Export(c) })
-	release()
-	if err != nil {
+	var (
+		lsn, gsn uint64
+		img      *stmlib.RegistryImage
+	)
+	if err := sh.do(func() error {
+		lsn, gsn = sh.wal.TailLSN(), sh.maxGSN.Load()
+		return sh.rt.Run(func(c *pnstm.Ctx) { img = sh.reg.Export(c) })
+	}); err != nil {
 		return fmt.Errorf("server: checkpoint export: %w", err)
 	}
 	return sh.wal.WriteSnapshot(encodeImage(img, gsn), lsn)
 }
 
-// Checkpoint snapshots every shard, concurrently: each shard parks its
-// own loop for the duration of its parallel-nested bulk
-// read, captures its image at its own WAL tail, and writes (and fsyncs)
-// its snapshot file independently — the same multiplication sharding
-// gives group commits. No-op without a data directory.
+// Checkpoint snapshots every shard, concurrently: each shard's loop runs
+// its parallel-nested bulk read as a task, capturing its image at its
+// own WAL tail, and each shard writes (and fsyncs) its snapshot file
+// independently — the same multiplication sharding gives group commits. No-op without a data directory.
 func (s *Server) Checkpoint() error {
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -619,35 +616,35 @@ func (s *Server) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// Export captures a stitched whole-store image: every shard parks its
-// loop, exports its registry via the parallel-nested bulk read, and the
-// per-shard images are merged into one (counter
-// partials summing — see stmlib.RegistryImage.Merge). The returned
-// watermarks hold each shard's WAL tail LSN at capture time (zero
-// without a data directory): the image is exactly the state after
-// watermark[i] logged batches on shard i. Because every shard is paused
-// before any exports begin, no group commit anywhere in the store
-// overlaps the capture — the stitched image is a consistent cut.
+// Export captures a stitched whole-store image: a task on every shard's
+// loop exports its registry via the parallel-nested bulk read, and the
+// per-shard images are merged into one (counter partials summing — see
+// stmlib.RegistryImage.Merge). The returned watermarks hold each
+// shard's WAL tail LSN at capture time (zero without a data directory):
+// the image is exactly the state after watermark[i] logged batches on
+// shard i. The tasks are queued in one call (queueAll), so every
+// cross-shard envelope runs before the export on all its participants
+// or after it on all of them — the stitched image is a consistent cut,
+// though each shard captures at its own moment.
 func (s *Server) Export() (*stmlib.RegistryImage, []uint64, error) {
-	release, err := pauseAll(s.shards)
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: export: %w", err)
+	n := len(s.shards)
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	defer release()
-
-	images := make([]*stmlib.RegistryImage, len(s.shards))
-	watermarks := make([]uint64, len(s.shards))
-	errs := make([]error, len(s.shards))
+	images := make([]*stmlib.RegistryImage, n)
+	watermarks := make([]uint64, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			if sh.wal != nil {
-				watermarks[i] = sh.wal.TailLSN()
-			}
-			errs[i] = sh.rt.Run(func(c *pnstm.Ctx) { images[i] = sh.reg.Export(c) })
-		}(i, sh)
+	wg.Add(n)
+	if err := s.queueAll(ids, nil, func(sh *shard) {
+		defer wg.Done()
+		if sh.wal != nil {
+			watermarks[sh.id] = sh.wal.TailLSN()
+		}
+		errs[sh.id] = sh.rt.Run(func(c *pnstm.Ctx) { images[sh.id] = sh.reg.Export(c) })
+	}); err != nil {
+		return nil, nil, fmt.Errorf("server: export: %w", err)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {

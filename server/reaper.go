@@ -97,10 +97,13 @@ func (s *Server) reapShard(sh *shard, cutoff int64) (expired, reclaimed int) {
 	// the apply are separate transactions on purpose — the apply ops
 	// re-judge every deadline (ExpireThrough/ReclaimExpired are no-ops
 	// for entries that were deleted or re-TTL'd in between), so the gap
-	// costs at most a wasted op, never a wrong removal.
+	// costs at most a wasted op, never a wrong removal. The scan is a
+	// task on the loop, like every root on the live registry.
 	var due []stmlib.SortedEntry[string, []byte]
-	err := sh.rt.Run(func(c *pnstm.Ctx) {
-		due = sh.reg.ExpiryIndex().RangeScan(c, "", stmlib.ExpiryCutoffKey(cutoff), 0)
+	err := sh.do(func() error {
+		return sh.rt.Run(func(c *pnstm.Ctx) {
+			due = sh.reg.ExpiryIndex().RangeScan(c, "", stmlib.ExpiryCutoffKey(cutoff), 0)
+		})
 	})
 	if err != nil || len(due) == 0 {
 		return 0, 0

@@ -295,8 +295,8 @@ func (r *replicator) observe(i int, applied, head uint64, setApplied bool) {
 
 // installImage swaps shard i's store for a fresh registry loaded with
 // img (nil: empty — the divergence wipe). The fill happens on a private
-// registry outside the loop; only the pointer swap parks it, so reads
-// stall for microseconds, not for the import.
+// registry outside the loop; only the pointer swap is a task on it, so
+// reads stall for microseconds, not for the import.
 func (r *replicator) installImage(i int, img *stmlib.RegistryImage, watermark, covered uint64) error {
 	sh := r.s.shards[i]
 	fresh := stmlib.NewRegistry(r.s.cfg.Load().Registry)
@@ -305,13 +305,13 @@ func (r *replicator) installImage(i int, img *stmlib.RegistryImage, watermark, c
 			return fmt.Errorf("install snapshot: %w", err)
 		}
 	}
-	release, err := sh.pauseCommits()
-	if err != nil {
+	if err := sh.do(func() error {
+		sh.reg = fresh
+		sh.maxGSN.Store(watermark)
+		return nil
+	}); err != nil {
 		return err
 	}
-	sh.reg = fresh
-	sh.maxGSN.Store(watermark)
-	release()
 	sr := r.shards[i]
 	sr.mu.Lock()
 	sr.applied = covered

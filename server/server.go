@@ -266,26 +266,14 @@ type Server struct {
 	reapDone chan struct{}
 	reapObs  reaperStats
 
-	// gsn is the global sequencer for cross-shard envelopes (D29):
-	// each mutating multi-shard OpTx draws one monotone global sequence
-	// number while holding every participant shard's commit slots.
-	// Recovery seeds it past every GSN the logs and snapshots mention.
-	gsn atomic.Uint64
-
-	// crossMu/crossStopped/crossWG fence cross-shard coordinators
-	// against shutdown, mirroring the shard's submit/close handshake
-	// (see beginCross/stopCross).
-	crossMu      sync.RWMutex
-	crossStopped bool
-	crossWG      sync.WaitGroup
-
-	// crossSem bounds in-flight cross-shard coordinators (one goroutine
-	// each, see commitCrossShard): envelopes sharing a shard serialize
-	// on its loop anyway, so past a generous cap extra
-	// coordinators only queue — a flood would otherwise accumulate
-	// unbounded goroutines and pending responses. Beyond the cap the
-	// server fails fast with a retryable error.
-	crossSem chan struct{}
+	// queueMu orders queueAll's calls: tasks queued on several shards
+	// at once sit in one relative order on all of them (D20). gsn is the
+	// global sequencer for cross-shard envelopes (D29): each mutating
+	// multi-shard OpTx draws the next global sequence number under
+	// queueMu, as its tasks are queued. Recovery seeds it past every GSN
+	// the logs and snapshots mention.
+	queueMu sync.Mutex
+	gsn     atomic.Uint64
 
 	// obs is the observability plane; crisis writes the flight-recorder
 	// dump when a shard takes the crisis token (D37); log receives
@@ -321,10 +309,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, fmt.Errorf("server: config: %w", err)
 	}
-	s := &Server{
-		conns:    make(map[net.Conn]struct{}),
-		crossSem: make(chan struct{}, maxCrossInflight),
-	}
+	s := &Server{conns: make(map[net.Conn]struct{})}
 	s.cfg.Store(&cfg)
 	s.log = cfg.Logger
 	if s.log == nil {
@@ -715,11 +700,6 @@ func (s *Server) Close() {
 		}(sh)
 	}
 	flush.Wait()
-	// Cross-shard coordinators append to several logs outside any loop:
-	// refuse new ones and wait out the in-flight ones before the final
-	// WAL sync/close (a coordinator whose reservation a closed shard
-	// refused is still releasing the ones it held).
-	s.stopCross()
 	for _, sh := range s.shards {
 		if sh.wal == nil {
 			continue
@@ -782,10 +762,6 @@ func (s *Server) Kill() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	// In-flight cross-shard coordinators fail their appends against the
-	// abandoned logs; wait them out before tearing down the runtimes
-	// their slices run on.
-	s.stopCross()
 	for _, sh := range s.shards {
 		sh.close()
 		sh.rt.Close()
@@ -1065,7 +1041,7 @@ func (cn *conn) writeLoop(nc net.Conn) {
 // the same pending. The reader keeps its pending across the frames it
 // answers itself, and lets go of it when it hands the request off — after
 // that the pending, frame included, is the shard's, a fan-out's, a
-// coordinator's or a replication stream's.
+// cross-shard envelope's or a replication stream's.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {

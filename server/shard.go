@@ -19,10 +19,12 @@ import (
 //
 // The shard is one goroutine (loop, D20). It takes one work item at a
 // time and runs it to its end before it takes the next: a batch of
-// requests (root, log, acks) or a task — a reservation a checkpoint,
-// Export, replica image install or cross-shard coordinator parks it in,
-// or a record shipped to a replica. A waiting task goes before the next
-// batch, and tasks run in the order they were queued.
+// requests (root, log, acks) or a task — a checkpoint's capture, an
+// Export's, a replica's image swap or shipped record, a reaper's scan,
+// or one shard's part of a cross-shard envelope. A waiting task goes
+// before the next batch, and tasks run in the order they were queued;
+// tasks queued on several shards at once share one order (queueAll).
+// Every root on the shard's live registry runs here.
 type shard struct {
 	id  int
 	rt  *pnstm.Runtime
@@ -62,9 +64,10 @@ func (sh *shard) start() {
 	// raising the knob live still works (collect drains whatever is
 	// queued), the channel is just a smaller staging area.
 	sh.in = make(chan *pending, 4*sh.cfg.Load().MaxBatch)
-	// Tasks are few (one per reserver or tailing replica stream); the
-	// buffer lets a sender queue and go on to wait for its grant, and a
-	// test see what is queued. Past 16, senders block in order too.
+	// Tasks come from do, Export and cross-shard envelopes. The buffer
+	// lets a test see what is queued; past 16, senders block in order,
+	// so a connection pipelining cross-shard envelopes is held back the
+	// way a full in holds back point requests.
 	sh.tasks = make(chan func(), 16)
 	sh.stop = make(chan struct{})
 	sh.done = make(chan struct{})
@@ -107,53 +110,54 @@ func (sh *shard) enqueue(t func()) bool {
 	return true
 }
 
-// pauseCommits queues a reservation and returns once the loop is parked
-// in it: no batch runs on the shard until the returned release does. The
-// caller owns the position between two group commits in this shard's
-// commit order — a checkpoint's bulk read, an Export, a replica's image
-// install or a cross-shard envelope's slice. Reservations are granted in
-// the order they queued; callers pausing several shards take them in
-// ascending shard id, so two of them can never wait on each other.
-func (sh *shard) pauseCommits() (release func(), err error) {
-	parked, resume := make(chan struct{}), make(chan struct{})
-	if !sh.enqueue(func() {
-		close(parked)
-		<-resume
-	}) {
-		return nil, errShardClosed
+// do runs f as a task on the loop and returns its result: behind the
+// tasks already waiting and ahead of the next batch, so f holds the
+// position between two group commits in this shard's commit order — a
+// checkpoint's capture, a replica's image swap or shipped record, a
+// reaper's scan. errShardClosed once the shard is shutting down.
+func (sh *shard) do(f func() error) error {
+	errc := make(chan error, 1)
+	if !sh.enqueue(func() { errc <- f() }) {
+		return errShardClosed
 	}
-	<-parked
-	return func() { close(resume) }, nil
-}
-
-// pauseAll pauses shards in slice order and returns one release for all
-// of them; on error it holds none.
-func pauseAll(shards []*shard) (release func(), err error) {
-	releases := make([]func(), 0, len(shards))
-	release = func() {
-		for i := len(releases) - 1; i >= 0; i-- {
-			releases[i]()
-		}
-	}
-	for _, sh := range shards {
-		r, err := sh.pauseCommits()
-		if err != nil {
-			release()
-			return nil, err
-		}
-		releases = append(releases, r)
-	}
-	return release, nil
+	return <-errc
 }
 
 // applyShipped applies a record shipped from the primary on the loop,
 // between two read batches (shard.applyRecord).
 func (sh *shard) applyShipped(body []byte) error {
-	errc := make(chan error, 1)
-	if !sh.enqueue(func() { errc <- sh.applyRecord(body, nil) }) {
-		return errShardClosed
+	return sh.do(func() error { return sh.applyRecord(body, nil) })
+}
+
+// queueAll queues task once on each shard in ids, as one item in the
+// single order all shards share (D20): the calls are serialized by
+// queueMu, so the tasks of any two calls sit in the same relative order
+// on every shard both touch. A task may wait on the other tasks of its
+// own call, never on anything queued later, so no tasks can wait on each
+// other in a ring — which is also why holding queueMu while a full queue
+// blocks the send is safe: every loop keeps draining. With gsn non-nil
+// the next GSN is drawn into it first, so each shard's log holds its GSN
+// records in increasing order (D30). If any shard has stopped, nothing
+// is queued and the result is errShardClosed.
+func (s *Server) queueAll(ids []int, gsn *uint64, task func(*shard)) error {
+	s.queueMu.Lock()
+	defer s.queueMu.Unlock()
+	for _, id := range ids {
+		sh := s.shards[id]
+		sh.smu.RLock()
+		defer sh.smu.RUnlock()
+		if sh.stopped {
+			return errShardClosed
+		}
 	}
-	return <-errc
+	if gsn != nil {
+		*gsn = s.gsn.Add(1)
+	}
+	for _, id := range ids {
+		sh := s.shards[id]
+		sh.tasks <- func() { task(sh) }
+	}
+	return nil
 }
 
 // close stops the loop: tasks already queued still run, requests still

@@ -314,38 +314,128 @@ func TestShardMissingManifestRefused(t *testing.T) {
 	}
 }
 
-// TestConcurrentExportsDoNotDeadlock: every Export pauses every shard,
-// so concurrent Exports contend for each shard's reservation. They must
-// all finish — each shard's loop grants reservations one at a time, in
-// the order they queued, and all take the shards in ascending id — and
-// leave the loops usable.
+// TestConcurrentExportsDoNotDeadlock: Exports, checkpoints and
+// cross-shard transfers all queue tasks on the shards' loops. Run
+// together on 4 durable shards they must all finish, and every Export
+// must be a consistent cut: each transfer runs before an Export on both
+// of its shards or after it on both, so every exported ledger sums to
+// exactly zero. The loops stay usable afterwards.
 func TestConcurrentExportsDoNotDeadlock(t *testing.T) {
-	s := startServer(t, server.Config{Shards: 2, Workers: 2, MaxBatch: 8, SharedReads: true})
-	cl := dial(t, s, 1)
+	const (
+		shards    = 4
+		exporters = 4
+		exportsBy = 8
+	)
+	s := startServer(t, server.Config{
+		Shards: shards, Workers: 2, MaxBatch: 8, SharedReads: true,
+		DataDir: t.TempDir(), Fsync: true,
+	})
+	cl := dial(t, s, 2)
 	if err := cl.CounterAdd("c", 7); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 4)
-	for i := 0; i < 4; i++ {
+	// One account map per shard.
+	accts := make([]string, shards)
+	for i, found := 0, 0; found < shards; i++ {
+		n := fmt.Sprintf("acct%d", i)
+		if sh := shardOfName(n, shards); accts[sh] == "" {
+			accts[sh] = n
+			found++
+		}
+	}
+	ledger := func(img *stmlib.RegistryImage) (sum int64) {
+		for _, a := range accts {
+			if v, ok := img.Maps[a]["bal"]; ok {
+				n, err := server.DecodeInt64(v)
+				if err != nil {
+					t.Errorf("%s: %v", a, err)
+				}
+				sum += n
+			}
+		}
+		return sum
+	}
+
+	var (
+		stop      atomic.Bool
+		committed atomic.Int64
+		load      sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		load.Add(1)
 		go func() {
-			_, _, err := s.Export()
-			done <- err
+			defer load.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for !stop.Load() {
+				from := rng.Intn(shards)
+				to := (from + 1 + rng.Intn(shards-1)) % shards
+				amt := int64(1 + rng.Intn(9))
+				if _, err := cl.Txn().MapAddInt(accts[from], "bal", -amt).MapAddInt(accts[to], "bal", amt).Commit(); err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+				committed.Add(1)
+			}
 		}()
 	}
-	timeout := time.After(10 * time.Second)
-	for i := 0; i < 4; i++ {
+	load.Add(1)
+	go func() {
+		defer load.Done()
+		for !stop.Load() {
+			if err := s.Checkpoint(); err != nil {
+				t.Errorf("checkpoint: %v", err)
+				return
+			}
+		}
+	}()
+	for committed.Load() < 16 {
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan error, exporters)
+	for i := 0; i < exporters; i++ {
+		go func() {
+			for j := 0; j < exportsBy; j++ {
+				img, _, err := s.Export()
+				if err != nil {
+					done <- err
+					return
+				}
+				if sum := ledger(img); sum != 0 {
+					done <- fmt.Errorf("export %d: ledger sums to %d, want 0", j, sum)
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	var exportErr error
+	timeout := time.After(30 * time.Second)
+	for i := 0; i < exporters; i++ {
 		select {
 		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+			if exportErr == nil {
+				exportErr = err
 			}
 		case <-timeout:
 			t.Fatal("concurrent Export() calls deadlocked")
 		}
 	}
-	// The pipelines must still be usable afterwards (slots released).
+	stop.Store(true)
+	load.Wait()
+	if exportErr != nil {
+		t.Fatal(exportErr)
+	}
+	// The pipelines must still be usable afterwards.
 	if sum, err := cl.CounterSum("c"); err != nil || sum != 7 {
 		t.Fatalf("counter after exports = %d,%v want 7", sum, err)
+	}
+	img, _, err := s.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := ledger(img); sum != 0 {
+		t.Fatalf("final ledger sums to %d after %d transfers, want 0", sum, committed.Load())
 	}
 }
 

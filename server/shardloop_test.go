@@ -8,9 +8,10 @@ import (
 )
 
 // The shard loop's ordering rules (D20), asserted on counts and queue
-// lengths rather than on timing: a reservation parks the loop, a waiting
-// reservation goes before the next batch, reservations are granted in
-// the order they queued, and a closed shard answers work with an error.
+// lengths rather than on timing: a task holds the loop while it runs, a
+// waiting task goes before the next batch, tasks run in the order they
+// queued — whether do or queueAll queued them — and a closed shard
+// answers work with an error.
 
 // newLoopServer returns an in-memory server of n shards whose loops run,
 // with no listener.
@@ -24,21 +25,37 @@ func newLoopServer(t *testing.T, shards int) *Server {
 	return s
 }
 
-// released wraps a reservation's release so that it runs once, at the
+// park queues a task that holds sh's loop until the returned release
+// runs, and returns once the loop is in it. release runs once, at the
 // latest when the test ends: a failed assertion must not leave the loop
-// parked under the server's Close.
-func released(t *testing.T, release func()) func() {
-	once := sync.OnceFunc(release)
-	t.Cleanup(once)
-	return once
+// held under the server's Close.
+func park(t *testing.T, sh *shard) (release func()) {
+	t.Helper()
+	parked, resume := make(chan struct{}), make(chan struct{})
+	go func() {
+		if err := sh.do(func() error {
+			close(parked)
+			<-resume
+			return nil
+		}); err != nil {
+			t.Error(err)
+			close(parked)
+		}
+	}()
+	<-parked
+	release = sync.OnceFunc(func() { close(resume) })
+	t.Cleanup(release)
+	return release
 }
 
-// submitAsync queues req on sh and returns where its response arrives.
+// submitAsync queues req on sh and returns where its response arrives;
+// it may run on any goroutine.
 func submitAsync(t *testing.T, sh *shard, req Request) <-chan Response {
 	t.Helper()
 	done := make(chan Response, 1)
 	if !sh.submit(&pending{req: req, reply: replyFunc(func(r Response) { done <- r })}) {
-		t.Fatal("submit refused")
+		t.Error("submit refused")
+		done <- Response{Status: StatusErr, Msg: "submit refused"}
 	}
 	return done
 }
@@ -59,51 +76,44 @@ func putReq(id uint64, key string) Request {
 	return Request{ID: id, Op: OpMapPut, Name: "m", Key: key, Value: []byte("v")}
 }
 
-// notAnswered fails the test if done already holds a response.
+// notAnswered reports an error if done already holds a response.
 func notAnswered(t *testing.T, done <-chan Response, what string) {
 	t.Helper()
 	select {
 	case resp := <-done:
-		t.Fatalf("%s answered while the loop was parked: %+v", what, resp)
+		t.Errorf("%s answered while a task held the loop: %+v", what, resp)
 	default:
 	}
 }
 
-// TestShardLoopHoldsBatchesDuringReservation: a request submitted while a
-// reservation is held stays queued — no batch runs — and is answered once
-// the reservation is released.
-func TestShardLoopHoldsBatchesDuringReservation(t *testing.T) {
-	sh := newLoopServer(t, 1).shards[0]
-	release, err := sh.pauseCommits()
-	if err != nil {
-		t.Fatal(err)
+// crossPair returns a transfer envelope between shards 0 and 1 of s
+// and its plan.
+func crossPair(t *testing.T, s *Server, prefix string) (*Request, txPlan) {
+	t.Helper()
+	names := namesFor(t, prefix, len(s.shards), []int{0, 1})
+	req := &Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
+		{Op: OpMapAdd, Name: names[0], Key: "bal", Delta: 1},
+		{Op: OpMapAdd, Name: names[1], Key: "bal", Delta: -1},
+	}}}
+	plan := classifyTx(req.Tx, len(s.shards))
+	if plan.kind != planCross {
+		t.Fatalf("envelope did not classify as cross: %+v", plan)
 	}
-	release = released(t, release)
-	before := batchCount(sh)
-	done := submitAsync(t, sh, putReq(1, "a"))
-	if n := batchCount(sh); n != before || len(sh.in) != 1 {
-		t.Fatalf("during the reservation: %d batches (want %d), %d queued (want 1)", n, before, len(sh.in))
-	}
-	notAnswered(t, done, "the request")
-	release()
-	if resp := <-done; resp.Status != StatusOK {
-		t.Fatalf("after release: %+v", resp)
-	}
-	if n := batchCount(sh); n != before+1 {
-		t.Fatalf("after release: %d batches, want %d", n, before+1)
-	}
+	return req, plan
 }
 
-// TestShardLoopReservationBeforeNextBatch: a reservation that queues
-// while a batch runs is granted when that batch ends, before a batch of
-// the requests that queued behind it.
-func TestShardLoopReservationBeforeNextBatch(t *testing.T) {
+// TestShardLoopTaskBeforeNextBatch: a task that queues while a batch
+// runs goes when that batch ends, before a batch of the requests that
+// queued behind it; while it runs no batch does, even of requests
+// submitted during it; once it returns they are all answered.
+func TestShardLoopTaskBeforeNextBatch(t *testing.T) {
 	sh := newLoopServer(t, 1).shards[0]
 	before := batchCount(sh)
 
 	// Batch A holds the loop in its delivery until proceed closes.
 	delivering, gate := make(chan struct{}), make(chan struct{})
-	proceed := released(t, func() { close(gate) })
+	proceed := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(proceed)
 	aDone := make(chan Response, 1)
 	if !sh.submit(&pending{req: putReq(1, "a"), reply: replyFunc(func(r Response) {
 		close(delivering)
@@ -114,102 +124,108 @@ func TestShardLoopReservationBeforeNextBatch(t *testing.T) {
 	}
 	<-delivering
 
-	granted := make(chan func(), 1)
+	var bDone, cDone <-chan Response
+	taskDone := make(chan error, 1)
 	go func() {
-		release, err := sh.pauseCommits()
-		if err != nil {
-			t.Error(err)
-			release = func() {}
-		}
-		granted <- release
+		taskDone <- sh.do(func() error {
+			if n := batchCount(sh); n != before+1 || len(sh.in) != 1 {
+				t.Errorf("task ran after %d batches with %d queued, want 1 and 1", n-before, len(sh.in))
+			}
+			cDone = submitAsync(t, sh, putReq(3, "c"))
+			notAnswered(t, bDone, "the batch behind the task")
+			notAnswered(t, cDone, "a request submitted during the task")
+			if n := batchCount(sh); n != before+1 {
+				t.Errorf("%d batches ran during the task, want none", n-before-1)
+			}
+			return nil
+		})
 	}()
 	waitQueued(sh, 1)
-	bDone := submitAsync(t, sh, putReq(2, "b"))
+	bDone = submitAsync(t, sh, putReq(2, "b"))
 	proceed()
-
-	release := released(t, <-granted)
-	if n := batchCount(sh); n != before+1 || len(sh.in) != 1 {
-		t.Fatalf("reservation granted after %d batches with %d queued, want %d and 1", n-before, len(sh.in), 1)
+	if err := <-taskDone; err != nil {
+		t.Fatal(err)
 	}
-	notAnswered(t, bDone, "the batch behind the reservation")
-	release()
-	for _, done := range []<-chan Response{aDone, bDone} {
+	for _, done := range []<-chan Response{aDone, bDone, cDone} {
 		if resp := <-done; resp.Status != StatusOK {
 			t.Fatalf("response %+v", resp)
 		}
 	}
-	if n := batchCount(sh); n != before+2 {
-		t.Fatalf("%d batches, want %d", n-before, 2)
-	}
 }
 
-// TestShardLoopReservationsInArrivalOrder: reservations waiting behind a
-// held one are granted one at a time, in the order they queued.
-func TestShardLoopReservationsInArrivalOrder(t *testing.T) {
-	sh := newLoopServer(t, 1).shards[0]
-	hold, err := sh.pauseCommits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold = released(t, hold)
-	const waiters = 4
+// TestShardLoopTasksInArrivalOrder: tasks waiting behind a running one
+// run one at a time, in the order they queued, whether do or queueAll
+// queued them.
+func TestShardLoopTasksInArrivalOrder(t *testing.T) {
+	s := newLoopServer(t, 2)
+	sh := s.shards[0]
+	release := park(t, sh)
+	const waiters = 6
 	order := make(chan int, waiters)
 	var wg sync.WaitGroup
 	for i := 1; i <= waiters; i++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			release, err := sh.pauseCommits()
-			if err != nil {
-				t.Error(err)
-				return
+		if i%2 == 0 {
+			if err := s.queueAll([]int{0, 1}, nil, func(q *shard) {
+				if q == sh {
+					order <- i
+					wg.Done()
+				}
+			}); err != nil {
+				t.Fatal(err)
 			}
-			order <- i
-			release()
-		}()
+		} else {
+			go func() {
+				defer wg.Done()
+				if err := sh.do(func() error { order <- i; return nil }); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
 		waitQueued(sh, i)
 	}
-	hold()
+	release()
 	wg.Wait()
 	close(order)
 	want := 1
 	for got := range order {
 		if got != want {
-			t.Fatalf("reservation %d granted in position %d", got, want)
+			t.Fatalf("task %d ran in position %d", got, want)
 		}
 		want++
 	}
 }
 
 // TestShardLoopClosedShardRefuses: work offered to a closed shard gets an
-// error, not a hang — a reservation, a replica's record, Export after
-// Close, and a coordinator whose second participant has closed, which
-// releases the first.
+// error, not a hang — a task, a replica's record, a set of tasks one of
+// whose shards has closed (which queues nothing on the others, and
+// draws no GSN), a cross-shard envelope, and Export after Close.
 func TestShardLoopClosedShardRefuses(t *testing.T) {
 	s := newLoopServer(t, 2)
-	names := namesFor(t, "cl", 2, []int{0, 1})
-	req := &Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
-		{Op: OpMapAdd, Name: names[0], Key: "bal", Delta: 1},
-		{Op: OpMapAdd, Name: names[1], Key: "bal", Delta: -1},
-	}}}
-	plan := classifyTx(req.Tx, 2)
-	if plan.kind != planCross {
-		t.Fatalf("envelope did not classify as cross: %+v", plan)
-	}
+	req, plan := crossPair(t, s, "cl")
 
 	// Shard 1 refuses new work the way a closing shard does.
 	sh1 := s.shards[1]
 	sh1.smu.Lock()
 	sh1.stopped = true
 	sh1.smu.Unlock()
-	if resp := s.runCrossShard(req, &plan); resp.Status != StatusErr || resp.Msg != "server closing" {
-		t.Fatalf("coordinator with a closing participant: %+v", resp)
+	gsn := s.gsn.Load()
+	release := park(t, s.shards[0])
+	if err := s.queueAll([]int{0, 1}, new(uint64), func(*shard) {}); !errors.Is(err, errShardClosed) {
+		t.Fatalf("queueAll with a closing shard: %v, want errShardClosed", err)
 	}
-	release, err := s.shards[0].pauseCommits()
-	if err != nil {
-		t.Fatalf("shard 0 after the refused coordinator: %v", err)
+	done := make(chan Response, 1)
+	s.commitCrossShard(req, plan, func(r Response) { done <- r })
+	if resp := <-done; resp.Status != StatusErr || resp.Msg != "server closing" {
+		t.Fatalf("envelope with a closing participant: %+v", resp)
+	}
+	if n := len(s.shards[0].tasks); n != 0 || s.gsn.Load() != gsn {
+		t.Fatalf("refused sets left %d tasks on shard 0 and moved the GSN %d → %d", n, gsn, s.gsn.Load())
 	}
 	release()
+	if err := s.shards[0].do(func() error { return nil }); err != nil {
+		t.Fatalf("shard 0 after the refused envelope: %v", err)
+	}
 
 	s.Close()
 	body, err := AppendRequest(nil, &Request{Op: OpMapPut, Name: "m", Key: "k", Value: []byte("v")})
@@ -217,11 +233,14 @@ func TestShardLoopClosedShardRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range s.shards {
-		if _, err := sh.pauseCommits(); !errors.Is(err, errShardClosed) {
-			t.Errorf("shard %d: reservation after Close: %v, want errShardClosed", sh.id, err)
+		if err := sh.do(func() error { return nil }); !errors.Is(err, errShardClosed) {
+			t.Errorf("shard %d: task after Close: %v, want errShardClosed", sh.id, err)
 		}
 		if err := sh.applyShipped(body); !errors.Is(err, errShardClosed) {
 			t.Errorf("shard %d: replica record after Close: %v, want errShardClosed", sh.id, err)
+		}
+		if err := s.queueAll([]int{sh.id}, nil, func(*shard) {}); !errors.Is(err, errShardClosed) {
+			t.Errorf("shard %d: queueAll after Close: %v, want errShardClosed", sh.id, err)
 		}
 	}
 	if _, _, err := s.Export(); !errors.Is(err, errShardClosed) {
@@ -229,29 +248,18 @@ func TestShardLoopClosedShardRefuses(t *testing.T) {
 	}
 }
 
-// TestShardLoopCloseWithCoordinatorWaiting: Close returns while a
-// cross-shard coordinator holds its reservation on shard 0 and waits for
-// shard 1; its queued reservation still runs, so the envelope commits.
-func TestShardLoopCloseWithCoordinatorWaiting(t *testing.T) {
+// TestShardLoopCloseWithPartnerWaiting: Close returns while a cross-shard
+// envelope's task on shard 0 waits for its partner's task on shard 1,
+// which is queued behind a task holding shard 1's loop; the partner
+// still runs, so the envelope commits.
+func TestShardLoopCloseWithPartnerWaiting(t *testing.T) {
 	s := newLoopServer(t, 2)
-	names := namesFor(t, "cw", 2, []int{0, 1})
-	req := &Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
-		{Op: OpMapAdd, Name: names[0], Key: "bal", Delta: 1},
-		{Op: OpMapAdd, Name: names[1], Key: "bal", Delta: -1},
-	}}}
-	plan := classifyTx(req.Tx, 2)
-	if plan.kind != planCross {
-		t.Fatalf("envelope did not classify as cross: %+v", plan)
-	}
-	hold, err := s.shards[1].pauseCommits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold = released(t, hold)
+	req, plan := crossPair(t, s, "cw")
+	release := park(t, s.shards[1])
 	resp := make(chan Response, 1)
-	go func() { resp <- s.runCrossShard(req, &plan) }()
-	// Participants are taken in ascending id: one reservation queued on
-	// shard 1 means the coordinator holds shard 0.
+	s.commitCrossShard(req, plan, func(r Response) { resp <- r })
+	// Shard 0's loop has taken its task; shard 1's waits behind the park.
+	waitQueued(s.shards[0], 0)
 	waitQueued(s.shards[1], 1)
 
 	closed := make(chan struct{})
@@ -259,9 +267,9 @@ func TestShardLoopCloseWithCoordinatorWaiting(t *testing.T) {
 		s.Close()
 		close(closed)
 	}()
-	hold()
+	release()
 	<-closed
 	if r := <-resp; r.Status != StatusOK {
-		t.Fatalf("coordinator: %+v", r)
+		t.Fatalf("envelope: %+v", r)
 	}
 }
