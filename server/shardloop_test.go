@@ -102,11 +102,33 @@ func crossPair(t *testing.T, s *Server, prefix string) (*Request, txPlan) {
 	return req, plan
 }
 
-// TestShardLoopTaskBeforeNextBatch: a task that queues while a batch
-// runs goes when that batch ends, before a batch of the requests that
-// queued behind it; while it runs no batch does, even of requests
-// submitted during it; once it returns they are all answered.
-func TestShardLoopTaskBeforeNextBatch(t *testing.T) {
+// TestShardLoopHoldsBatchesDuringReservation: a request submitted while
+// a task holds the loop (the form a reservation takes) stays queued — no
+// batch runs — and is answered once the task returns.
+func TestShardLoopHoldsBatchesDuringReservation(t *testing.T) {
+	sh := newLoopServer(t, 1).shards[0]
+	release := park(t, sh)
+	before := batchCount(sh)
+	done := submitAsync(t, sh, putReq(1, "a"))
+	if n := batchCount(sh); n != before || len(sh.in) != 1 {
+		t.Fatalf("during the task: %d batches (want %d), %d queued (want 1)", n, before, len(sh.in))
+	}
+	notAnswered(t, done, "the request")
+	release()
+	if resp := <-done; resp.Status != StatusOK {
+		t.Fatalf("after the task: %+v", resp)
+	}
+	if n := batchCount(sh); n != before+1 {
+		t.Fatalf("after the task: %d batches, want %d", n, before+1)
+	}
+}
+
+// TestShardLoopReservationBeforeNextBatch: a task (the form a
+// reservation takes) that queues while a batch runs goes when that batch
+// ends, before a batch of the requests that queued behind it; while it
+// runs no batch does, even of requests submitted during it; once it
+// returns they are all answered.
+func TestShardLoopReservationBeforeNextBatch(t *testing.T) {
 	sh := newLoopServer(t, 1).shards[0]
 	before := batchCount(sh)
 
