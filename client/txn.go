@@ -40,9 +40,9 @@ func (e *ErrTxAborted) Error() string {
 // whole envelope runs as one nested child of a group-commit batch, its
 // per-structure op groups fanned as parallel-nested grandchildren. On a
 // sharded server an envelope whose structures span several shards is
-// still one atomic commit: reads fan, and writes go through the
-// cross-shard ordered-commit path (one global sequence number, all
-// slices commit or none do).
+// still one atomic commit: it goes through the cross-shard
+// ordered-commit path (one global sequence number, all slices commit or
+// none do), and its reads see every shard at that one position.
 // Build errors (oversize fields) are deferred to Commit, so chains
 // never need intermediate checks:
 //
@@ -140,8 +140,8 @@ func (t *Txn) CounterAdd(name string, delta int64) *Txn {
 
 // CounterSum reads the named counter (result: Num). Inside a
 // transaction pinned to one shard this is that shard's partial — exact
-// on a 1-shard server; in a fanned read-only transaction it is the
-// exact cross-shard total.
+// on a 1-shard server; in a transaction spanning shards it is the exact
+// cross-shard total.
 func (t *Txn) CounterSum(name string) *Txn {
 	return t.add(server.TxOp{Op: server.OpCounterSum, Name: name})
 }
@@ -173,13 +173,14 @@ func (t *Txn) AssertGE(name, key string, min int64) *Txn {
 }
 
 // AssertCounterEq guards the transaction on a counter's sum (the
-// executing shard's partial on a sharded server; exact when fanned
-// read-only or on a 1-shard server).
+// executing shard's partial in a transaction pinned to one shard; the
+// exact total on a 1-shard server or in a transaction spanning shards).
 func (t *Txn) AssertCounterEq(name string, v int64) *Txn {
 	return t.add(server.TxOp{Op: server.OpAssertEq, Name: name, Delta: v})
 }
 
-// AssertCounterGE guards the transaction on a counter's sum being ≥ min.
+// AssertCounterGE guards the transaction on a counter's sum being ≥ min
+// (which sum: see AssertCounterEq).
 func (t *Txn) AssertCounterGE(name string, min int64) *Txn {
 	return t.add(server.TxOp{Op: server.OpAssertGE, Name: name, Delta: min})
 }

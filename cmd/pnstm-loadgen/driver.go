@@ -53,7 +53,7 @@ var workloads = []workload{
 		partCheckout, (*driver).opCheckout},
 	{"mixed", "all of the above interleaved",
 		partReadMap | partQueues | partCounter | partCheckout, (*driver).opMixed},
-	{"txmix", "multi-op wire transactions (client.Txn envelopes): checkout orders, atomic queue-to-queue transfers (cross-shard pairs preferred), guarded compare-and-swap bumps (lost guards tallied as rejections) and read-only cross-structure audits that fan shards — transfer/CAS/conservation ledgers verified",
+	{"txmix", "multi-op wire transactions (client.Txn envelopes): checkout orders, atomic queue-to-queue transfers (cross-shard pairs preferred), guarded compare-and-swap bumps (lost guards tallied as rejections) and read-only cross-structure audits, cross-shard on a sharded server — transfer/CAS/conservation ledgers verified",
 		partCheckout | partTx, (*driver).opTxMix},
 	{"crossshard", "guarded balance transfers between account maps on different shards — every mutating envelope rides the cross-shard ordered-commit path — with the zero-sum ledger total verified exactly",
 		partLedger, (*driver).opCrossShard},
@@ -587,7 +587,8 @@ func (d *driver) opAcctTransfer(rng *rand.Rand) error {
 }
 
 // opAcctRead is the read side: one balance point-read plus a read-only
-// two-map envelope (which fans on a sharded server).
+// two-map envelope (which takes the cross-shard ordered path on a
+// sharded server).
 func (d *driver) opAcctRead(rng *rand.Rand) error {
 	src := rng.Intn(acctMaps)
 	dst := d.acctPartners[src]
@@ -650,7 +651,7 @@ func (d *driver) opTxCas(rng *rand.Rand) error {
 }
 
 // opTxAudit is a read-only envelope spanning structures (and, on a
-// sharded server, shards — it exercises the read-only fan): point
+// sharded server, shards — a read-only cross-shard envelope): point
 // reads, lengths and a globally-summed counter guard.
 func (d *driver) opTxAudit(rng *rand.Rand) error {
 	pair := d.txPairs[rng.Intn(len(d.txPairs))]

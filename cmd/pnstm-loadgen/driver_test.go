@@ -29,8 +29,8 @@ func testCfg(t *testing.T, name string) genCfg {
 }
 
 // bootTest starts an embedded 2-shard in-memory server: two shards so the
-// fanned counter reads, the cross-shard transfers and the read-only
-// envelope fan are all on the verifiers' path.
+// global counter reads, the cross-shard transfers and the read-only
+// cross-shard envelopes are all on the verifiers' path.
 func bootTest(t *testing.T) *client.Client {
 	t.Helper()
 	env, err := bootLeg(server.Config{Addr: "127.0.0.1:0", Shards: 2, Workers: 4, SharedReads: true}, false, 2)

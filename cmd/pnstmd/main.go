@@ -6,10 +6,11 @@
 // multi-structure operations as OpTx wire transactions (client.Txn):
 // ordered sub-ops with read-your-writes and guard assertions, executed
 // as one nested child whose per-structure groups fan out as
-// parallel-nested grandchildren. Mutating transactions are atomic
-// across shards too: one spanning several commits through the ordered
-// cross-shard protocol (each participant runs its slice in the same
-// global order); read-only transactions fan shards.
+// parallel-nested grandchildren. Transactions are atomic across shards
+// too: one spanning several commits through the ordered cross-shard
+// protocol (each participant runs its slice in the same global order),
+// and a read-only one reads one consistent cut at its place in that
+// order.
 //
 // Usage:
 //

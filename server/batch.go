@@ -57,9 +57,9 @@ import (
 // pending comes from pendings and goes back in exactly one place,
 // shard.runBatch after finish, when nothing else can reach it; the
 // reader keeps it across the frames it answers itself and lets go at every
-// hand-off. Every other pending — handed to a fan-out, a cross-shard
-// envelope or a replication stream, or minted by fan-out, the reaper or replay — stays
-// with the garbage collector.
+// hand-off. Every other pending — handed to a cross-shard envelope or a
+// replication stream, or minted by the reaper or replay — stays with the
+// garbage collector.
 type pending struct {
 	req    Request
 	resp   Response
@@ -463,9 +463,9 @@ func encodeScan(es []stmlib.SortedEntry[string, []byte]) ([]byte, error) {
 
 // judgeCounterGuard evaluates a counter guard against an observed sum —
 // the ONE implementation shared by the single-shard execution path
-// (execOp, shard-local partial) and the read-only fan's merge step
-// (fanTx, global total), so the two paths cannot drift in semantics or
-// failure text.
+// (execOp, shard-local partial) and the cross-shard judge (crossRun.judge,
+// global total), so the two paths cannot drift in semantics or failure
+// text.
 func judgeCounterGuard(op *TxOp, total int64) (msg string, ok bool) {
 	switch op.Op {
 	case OpAssertEq:

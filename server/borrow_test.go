@@ -19,11 +19,11 @@ import (
 // TestBorrowedBytesNeverOutliveTheirPending drives every read-only op,
 // whose key and value borrow from the frame of the pending that carries
 // it (D48), through a durable two-shard primary and its replica: point
-// reads and envelopes on one shard, the read-only fan and the cross-shard
-// commit, and reads served by the replica. They are interleaved on one
+// reads and envelopes on one shard, read-only and mutating cross-shard
+// envelopes, and reads served by the replica. They are interleaved on one
 // connection with the writes that must not borrow, so every pending is
 // recycled between the two kinds, and then pipelined on it; one read-only
-// fan comes in a frame too large for a pending to keep. Then the test
+// cross-shard envelope comes in a frame too large for a pending to keep. Then the test
 // checks byte for byte what could have kept a borrowed byte: the store of
 // both servers against the test's model, scan results, and the
 // /debug/hotkeys tag of a read that aborted. Run with -tags pnstmcheck, a released pending's bytes read as
@@ -101,9 +101,9 @@ func TestBorrowedBytesNeverOutliveTheirPending(t *testing.T) {
 		balB := res.Num(2)
 		model[a][acct], model[b][acct] = server.EncodeInt64(res.Num(1)), server.EncodeInt64(balB)
 
-		// The read-only fan over both shards.
+		// A read-only envelope over both shards.
 		res, err = cl.Txn().MapGet(a, key).MapGet(b, acct).AssertGE(b, acct, balB).Commit()
-		must("fanned envelope", err)
+		must("read-only cross-shard envelope", err)
 		if !bytes.Equal(res.Bytes(0), val) || !bytes.Equal(res.Bytes(1), model[b][acct]) {
 			t.Fatalf("round %d fan reads: %q %x", i, res.Bytes(0), res.Bytes(1))
 		}
@@ -120,7 +120,7 @@ func TestBorrowedBytesNeverOutliveTheirPending(t *testing.T) {
 		}
 	}
 
-	// A read-only fan in a frame over maxRetainedFrame, which ReadFrame
+	// A read-only cross-shard envelope in a frame over maxRetainedFrame, which ReadFrame
 	// gives an allocation of its own: the scans' upper bound is padded
 	// past it, and sorts between the last key and the next.
 	last := fmt.Sprintf("key-%03d", rounds-1)
@@ -140,7 +140,8 @@ func TestBorrowedBytesNeverOutliveTheirPending(t *testing.T) {
 	checkScan("large-frame RangeScan", es, "key-000", padded)
 
 	// The same reads pipelined on the one connection: the reader decodes
-	// the next frame while a fan or a batch still reads the last one.
+	// the next frame while a cross-shard task or a batch still reads the
+	// last one.
 	var wg sync.WaitGroup
 	for g := range 8 {
 		wg.Add(1)

@@ -11,7 +11,7 @@ import (
 	"pnstm/stmlib"
 )
 
-// Cross-shard ordered commit (D29–D31): a mutating OpTx envelope whose
+// Cross-shard ordered commit (D27, D29–D31): an OpTx envelope whose
 // structures live on several shards commits atomically WITHOUT 2PC
 // locks, in the style of deterministic predefined-order databases. The
 // envelope's position is fixed before anything executes: queueAll draws
@@ -37,6 +37,12 @@ import (
 //	          child returns errRejected and rolls back, leaving ZERO WAL
 //	          residue on every shard.
 //
+// A read-only envelope — a sharded top-level OpCounterSum among them —
+// takes the same route and stops after gather: its queue position
+// already fixes what every slice reads, so the answer is one consistent
+// cut across its shards, and with nothing to commit, roll back or log
+// each task returns as soon as it has reported.
+//
 // Recovery replays GSN records at their logged positions. Because the
 // GSN is drawn under the same lock that queues the tasks, and each loop
 // runs its tasks in queue order, the GSNs in every shard's log are
@@ -46,8 +52,7 @@ import (
 // Routing outcomes for an OpTx envelope (classifyTx).
 const (
 	planSingle = iota // the envelope rides shards[target]'s group-commit pipeline
-	planFan           // read-only multi-shard: fan the sub-ops (fanTx)
-	planCross         // mutating multi-shard: ordered cross-shard commit
+	planCross         // multi-shard: ordered cross-shard commit
 )
 
 // sliceItem is one entry of a participant shard's slice of a
@@ -68,6 +73,7 @@ type txPlan struct {
 	// planCross only:
 	participants []int         // shard ids running a slice, ascending
 	slices       [][]sliceItem // per shard id (nil for non-participants)
+	readOnly     bool          // no sub-op can write: no verdict to wait for
 }
 
 // crossShardHome places one sub-op of a cross-shard envelope. Sub-ops
@@ -89,51 +95,50 @@ func crossShardHome(op *TxOp, n int) (int, bool) {
 	return 0, false
 }
 
-// classifyTx resolves an OpTx envelope's route (D27, D29). The
-// single-shard and read-only-fan decisions are exactly the pre-D29
-// routeTx rules: every map/queue sub-op pins its structure's home
-// shard; one pinned shard (or none — a counter-only envelope, routed
-// by the first op's name so identical envelopes meet on one shard)
-// executes on that shard's pipeline; several pinned shards without
-// writes fan. A MUTATING envelope pinned to several shards — refused
-// before D29 — now gets a cross plan: each
-// participant's slice holds its sub-ops in envelope order, and any
-// global counter read inserts a partial item into EVERY shard's slice
-// (making all shards participants). Pure function of the envelope and
-// the shard count, so it is fuzzable in isolation.
+// classifyTx resolves an OpTx envelope's route (D27, D29): every
+// map/queue sub-op pins its structure's home shard; one pinned shard (or
+// none — a counter-only envelope, routed by the first op's name so
+// identical envelopes meet on one shard) executes on that shard's
+// pipeline, and several pinned shards — read-only or not — get a cross
+// plan (crossPlan). Pure function of the envelope and the shard count,
+// so it is fuzzable in isolation.
 func classifyTx(tx *Tx, n int) txPlan {
 	if tx == nil || len(tx.Ops) == 0 || n <= 1 {
 		return txPlan{kind: planSingle, target: 0}
 	}
 	pinned := make(map[int]bool)
-	writes := false
 	first := -1
 	for i := range tx.Ops {
-		op := &tx.Ops[i]
-		if Mutates(op.Op) {
-			writes = true
-		}
-		if sh, ok := txPinnedShard(op, n); ok {
+		if sh, ok := txPinnedShard(&tx.Ops[i], n); ok {
 			pinned[sh] = true
 			if first < 0 {
 				first = sh
 			}
 		}
 	}
-	switch {
-	case len(pinned) == 1:
-		return txPlan{kind: planSingle, target: first}
-	case len(pinned) == 0:
+	switch len(pinned) {
+	case 0:
 		return txPlan{kind: planSingle, target: stmlib.ShardIndex(tx.Ops[0].Name, n)}
-	case !writes:
-		return txPlan{kind: planFan}
+	case 1:
+		return txPlan{kind: planSingle, target: first}
 	}
+	return crossPlan(tx, n)
+}
 
-	plan := txPlan{kind: planCross, slices: make([][]sliceItem, n)}
+// crossPlan is the cross plan of an envelope over n shards: each
+// participant's slice holds its sub-ops in envelope order, and any
+// global counter read inserts a partial item into EVERY shard's slice
+// (making all shards participants) — which is all a sharded top-level
+// OpCounterSum, as the one-op envelope [{OpCounterSum, name}], is.
+func crossPlan(tx *Tx, n int) txPlan {
+	plan := txPlan{kind: planCross, slices: make([][]sliceItem, n), readOnly: true}
 	part := make(map[int]bool)
 	global := false
 	for i := range tx.Ops {
 		op := &tx.Ops[i]
+		if Mutates(op.Op) {
+			plan.readOnly = false
+		}
 		if sh, ok := crossShardHome(op, n); ok {
 			plan.slices[sh] = append(plan.slices[sh], sliceItem{idx: i})
 			part[sh] = true
@@ -157,11 +162,6 @@ func classifyTx(tx *Tx, n int) txPlan {
 	}
 	sort.Ints(plan.participants)
 	return plan
-}
-
-// routeTx resolves an OpTx envelope's route; see classifyTx.
-func (s *Server) routeTx(req *Request) txPlan {
-	return classifyTx(req.Tx, len(s.shards))
 }
 
 // crossReport is one participant's gather-phase report: the results of
@@ -227,10 +227,11 @@ type crossRun struct {
 	left           atomic.Int32   // tasks still running; the last delivers
 }
 
-// commitCrossShard answers a mutating multi-shard envelope via the
-// ordered-commit protocol: one task per participant, queued in the one
-// order every shard shares (queueAll), which also draws the GSN. It
-// returns once the tasks are queued; the last of them delivers.
+// commitCrossShard answers a multi-shard envelope via the ordered-commit
+// protocol: one task per participant, queued in the one order every
+// shard shares (queueAll), which also draws the GSN. It returns once the
+// tasks are queued; the last of them to finish (read-only: to report)
+// delivers.
 func (s *Server) commitCrossShard(req *Request, plan txPlan, deliver func(Response)) {
 	n := len(plan.participants)
 	x := &crossRun{
@@ -257,7 +258,9 @@ func (x *crossRun) run(sh *shard) {
 	// shard's runtime — every root on the live registry runs on this
 	// loop — so the child cannot conflict with anything, hence executes
 	// exactly once: that is what lets it report and await a verdict from
-	// inside its body.
+	// inside its body. A read-only slice runs in the root itself and
+	// reports once the root has returned.
+	var read crossReport
 	err := sh.rt.Run(func(c *pnstm.Ctx) {
 		if sh.rt.TracingEnabled() {
 			// Trace identity: the GSN is the envelope's batch ticket on
@@ -265,6 +268,10 @@ func (x *crossRun) run(sh *shard) {
 			// correlate across all the shards' recorders (D35).
 			c.StampTrace(x.gsn, uint8(sh.id))
 			c.SetTraceTag(requestTraceTag(x.req))
+		}
+		if x.plan.readOnly {
+			read = executeSlice(c, sh.reg, x.req.Tx.Ops, x.plan.slices[sh.id])
+			return
 		}
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
 			x.report(executeSlice(c, sh.reg, x.req.Tx.Ops, x.plan.slices[sh.id]))
@@ -281,6 +288,15 @@ func (x *crossRun) run(sh *shard) {
 		// stopped: a bug alone gets here, and the partners would wait
 		// for this slice's report forever.
 		panic(fmt.Sprintf("server: shard %d: cross-shard root: %v", sh.id, err))
+	}
+	if x.plan.readOnly {
+		// Nothing to commit, roll back or log: the slice's position in
+		// the queue fixed what it read, so the task returns without
+		// waiting for the verdict.
+		if x.report(read) {
+			x.deliver(x.resp)
+		}
+		return
 	}
 	x.rooted.Done()
 	x.rooted.Wait()
@@ -299,8 +315,9 @@ func (x *crossRun) run(sh *shard) {
 }
 
 // report merges one participant's gather-phase report; the one that
-// completes the set judges and releases every waiting child.
-func (x *crossRun) report(rep crossReport) {
+// completes the set judges, releases every waiting child and returns
+// true.
+func (x *crossRun) report(rep crossReport) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for idx, res := range rep.results {
@@ -312,10 +329,12 @@ func (x *crossRun) report(rep crossReport) {
 	if rep.failErr != nil && (x.first == nil || rep.failIdx < x.first.idx) {
 		x.first = &txOpFailure{idx: rep.failIdx, err: rep.failErr, msg: rep.failMsg}
 	}
-	if x.reported++; x.reported == len(x.plan.participants) {
-		x.judge()
-		close(x.judged)
+	if x.reported++; x.reported < len(x.plan.participants) {
+		return false
 	}
+	x.judge()
+	close(x.judged)
+	return true
 }
 
 // judge sums the partials, evaluates counter guards on the global
@@ -342,7 +361,7 @@ func (x *crossRun) judge() {
 	first := x.first
 	if first != nil {
 		for j := first.idx + 1; j < len(merged); j++ {
-			merged[j] = TxResult{} // rolled back; mirror fanTx's abort shape
+			merged[j] = TxResult{} // rolled back, as a single-shard abort leaves them
 		}
 	}
 	// Every slice's results fit a frame on their own (each scan is bounded

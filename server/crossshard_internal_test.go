@@ -58,12 +58,12 @@ func TestClassifyTx(t *testing.T) {
 		t.Errorf("counter-only plan = %+v", plan)
 	}
 
-	// Multi-shard, read-only → fan.
+	// Multi-shard, read-only → cross too, marked read-only.
 	plan = classifyTx(&Tx{Ops: []TxOp{
 		{Op: OpMapGet, Name: names[0], Key: "k"},
 		{Op: OpMapGet, Name: names[1], Key: "k"},
 	}}, n)
-	if plan.kind != planFan {
+	if plan.kind != planCross || !plan.readOnly || !reflect.DeepEqual(plan.participants, []int{0, 1}) {
 		t.Errorf("read-only multi-shard plan = %+v", plan)
 	}
 
@@ -73,7 +73,7 @@ func TestClassifyTx(t *testing.T) {
 		{Op: OpMapAdd, Name: names[0], Key: "bal", Delta: -5},
 		{Op: OpMapAdd, Name: names[3], Key: "bal", Delta: 5},
 	}}, n)
-	if plan.kind != planCross {
+	if plan.kind != planCross || plan.readOnly {
 		t.Fatalf("mutating multi-shard plan = %+v", plan)
 	}
 	if !reflect.DeepEqual(plan.participants, []int{0, 3}) {

@@ -258,6 +258,76 @@ func TestCrossShardCounterGuardSpansShards(t *testing.T) {
 	}
 }
 
+// TestCrossShardReadOnlyEnvelopeSeesConsistentCut: a read-only envelope
+// over two shards takes its position in the cross-shard order like a
+// transfer does, so it reads both balances at one cut — every read sums
+// to the ledger total, never a transfer's debit without its credit.
+// Transfers and reads run concurrently for a fixed number of ops each.
+func TestCrossShardReadOnlyEnvelopeSeesConsistentCut(t *testing.T) {
+	const (
+		shards       = 2
+		transferrers = 4
+		transfers    = 150
+		readers      = 4
+		reads        = 150
+		total        = int64(1000)
+	)
+	s := startServer(t, server.Config{Workers: 2, MaxBatch: 16, Shards: shards})
+	a, b, _ := namesOnDistinctShards(t, "cut_", shards)
+	if _, err := dial(t, s, 1).Txn().MapPutInt(a, "bal", total).MapPutInt(b, "bal", 0).Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	var torn, done atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < transferrers; g++ {
+		cl := dial(t, s, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g) + 1))
+			for i := 0; i < transfers; i++ {
+				amt := int64(1 + rng.Intn(20))
+				if rng.Intn(2) == 0 {
+					amt = -amt
+				}
+				if _, err := cl.Txn().MapAddInt(a, "bal", -amt).MapAddInt(b, "bal", amt).Commit(); err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < readers; g++ {
+		cl := dial(t, s, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				res, err := cl.Txn().MapGet(a, "bal").MapGet(b, "bal").Commit()
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				va, _, errA := res.Int(0)
+				vb, _, errB := res.Int(1)
+				if errA != nil || errB != nil {
+					t.Errorf("read: %v %v", errA, errB)
+					return
+				}
+				done.Add(1)
+				if va+vb != total {
+					torn.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d of %d read-only envelopes saw a torn cut (balances not summing to %d)", n, done.Load(), total)
+	}
+}
+
 // TestCrossShardCrashAtomicity is the kill -9 drill: cross-shard
 // transfers (and single-shard traffic, so GSN records interleave with
 // plain batch records in every log) run full tilt, the server dies

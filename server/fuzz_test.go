@@ -229,8 +229,9 @@ func FuzzGSNRecordRoundTrip(f *testing.F) {
 // classifier for every small shard count. classifyTx gates which commit
 // path runs; a panic or a malformed plan here would take down the
 // connection handler, so the property is total: any envelope the wire
-// codec accepts must classify, and a cross plan must name ≥2 sorted
-// participants whose slices cover the envelope in order.
+// codec accepts must classify, and a cross plan — read-only or not —
+// must name ≥2 sorted participants whose slices cover the envelope in
+// order, and be marked read-only exactly when no sub-op writes.
 func FuzzClassifyTx(f *testing.F) {
 	for _, seed := range fuzzSeedRequests() {
 		f.Add(seed)
@@ -247,11 +248,16 @@ func FuzzClassifyTx(f *testing.F) {
 				if plan.target < 0 || plan.target >= n {
 					t.Fatalf("n=%d: single plan targets shard %d", n, plan.target)
 				}
-			case planFan:
-				// Read-only fan: no slices to check.
 			case planCross:
 				if n < 2 || len(plan.participants) < 2 {
 					t.Fatalf("n=%d: cross plan with participants %v", n, plan.participants)
+				}
+				writes := false
+				for i := range req.Tx.Ops {
+					writes = writes || Mutates(req.Tx.Ops[i].Op)
+				}
+				if plan.readOnly == writes {
+					t.Fatalf("n=%d: cross plan readOnly=%v for an envelope that writes=%v", n, plan.readOnly, writes)
 				}
 				covered, partials := 0, 0
 				for i, sh := range plan.participants {

@@ -7,8 +7,8 @@ import (
 )
 
 // Op classes for the request latency histograms: a point op (map/queue/
-// counter single op), a single-shard or read-only-fanned OpTx envelope,
-// and a cross-shard ordered commit. Measured in handleConn from parse
+// counter single op), a single-shard OpTx envelope, and a multi-shard
+// one — read-only or not — on the cross-shard ordered path. Measured in handleConn from parse
 // to delivery, so batching delay, execution and WAL fsync are all
 // inside the number — what a client actually waits.
 const (

@@ -328,10 +328,11 @@ func TestRemovedOpcodeOnTheWire(t *testing.T) {
 }
 
 // TestShardedCounterSumShardClosing: a top-level counter read on a
-// sharded server rides fanTx as the one-op envelope [{OpCounterSum}] and
-// answers the summed partials in Num; once a shard has stopped taking
-// requests the whole read fails "server closing" under the caller's id —
-// never a partial total, never a hang.
+// sharded server is the one-op read-only cross-shard envelope
+// [{OpCounterSum}] (commitCrossShard) and answers the summed partials in
+// Num; once a shard has stopped taking work the whole read fails "server
+// closing" under the caller's id — queueAll queues nothing, so never a
+// partial total, never a hang.
 func TestShardedCounterSumShardClosing(t *testing.T) {
 	s, err := New(Config{Addr: "127.0.0.1:0", Shards: 2, Workers: 2})
 	if err != nil {
@@ -375,7 +376,7 @@ func TestShardedCounterSumShardClosing(t *testing.T) {
 		t.Fatalf("add: %+v", resp)
 	}
 	if resp := roundTrip(&Request{ID: 2, Op: OpCounterSum, Name: "hits"}); resp.Status != StatusOK || resp.Num != 5 || len(resp.TxResults) != 0 {
-		t.Fatalf("fanned sum = %+v, want StatusOK Num 5 and no envelope results", resp)
+		t.Fatalf("sharded sum = %+v, want StatusOK Num 5 and no envelope results", resp)
 	}
 
 	// Shard 1 refuses new work the way a closing shard does (stopped is

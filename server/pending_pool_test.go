@@ -134,9 +134,9 @@ func (w *wireConn) call(req Request) (Response, bool) {
 // connection's reader handles through ONE connection of a 4-shard server,
 // from 16 goroutines at once: the frames the reader answers itself (parse
 // errors, Ping, Stats, an empty envelope), where it keeps its pending for
-// the next frame, and every hand-off — a shard's batcher, the read-only
-// fan (fanTx), a cross-shard envelope and the multi-shard CounterSum
-// fan — where it must let go. A pending reused while a hand-off still
+// the next frame, and every hand-off — a shard's batcher, a read-only
+// and a mutating cross-shard envelope and the multi-shard CounterSum
+// (commitCrossShard, all three) — where it must let go. A pending reused while a hand-off still
 // reads it, or recycled while a reply still needs it, answers somebody
 // else's request: here every reply must answer its own. Run with -race.
 func TestRecycledPendingNeverCrossesRequests(t *testing.T) {
@@ -221,14 +221,15 @@ func exchangeOwnRequests(t *testing.T, w *wireConn, g, rounds int, mapA, mapB st
 			return true
 		})
 
-		// A read-only envelope over two shards with a counter guard: fanTx.
+		// A read-only envelope over two shards with a counter guard: a
+		// read-only cross-shard envelope.
 		resp, ok = w.call(Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
 			{Op: OpMapGet, Name: mapA, Key: key},
 			{Op: OpMapGet, Name: mapB, Key: key},
 			{Op: OpAssertGE, Name: ctr, Delta: sum},
 			{Op: OpCounterSum, Name: ctr},
 		}}})
-		check("fanned envelope", resp, ok, func(r Response) bool {
+		check("read-only cross-shard envelope", resp, ok, func(r Response) bool {
 			return r.Status == StatusOK && len(r.TxResults) == 4 &&
 				gotKey(r.TxResults[0]) && gotKey(r.TxResults[1]) && r.TxResults[3].Num == sum
 		})
@@ -243,7 +244,7 @@ func exchangeOwnRequests(t *testing.T, w *wireConn, g, rounds int, mapA, mapB st
 				r.TxResults[0].Num == -int64(i+1) && r.TxResults[1].Num == int64(i+1)
 		})
 
-		// A credit, then the multi-shard CounterSum fan.
+		// A credit, then the multi-shard CounterSum.
 		resp, ok = w.call(Request{Op: OpCounterAdd, Name: ctr, Delta: int64(g + 1)})
 		check("CounterAdd", resp, ok, func(r Response) bool { return r.Status == StatusOK })
 		sum += int64(g + 1)

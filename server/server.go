@@ -33,10 +33,10 @@ type Config struct {
 	// (stmlib.ShardIndex): a request touches exactly the shard its named
 	// structure lives on, so single-structure requests never cross
 	// shards. Cross-structure checkouts run atomically on their stock
-	// map's shard (crediting counter partials there); counter reads fan
-	// across all shards and sum the partials. The shard count is pinned
-	// into a durable data directory's manifest — reopening with a
-	// different count is refused.
+	// map's shard (crediting counter partials there); a counter read sums
+	// every shard's partial at one position in the cross-shard order.
+	// The shard count is pinned into a durable data directory's
+	// manifest — reopening with a different count is refused.
 	Shards int
 
 	// Workers is the runtime's worker-slot count P (default 8, max 32),
@@ -836,149 +836,13 @@ func (s *Server) Stats() ServerStats {
 // touching one pins it there. Counter sub-ops never pin: counter state
 // is per-shard partials (D24) — adds credit the envelope's resolved
 // shard, and in-envelope sums/guards read that shard's partial (exact
-// on a 1-shard server; a global counter read is the top-level
-// OpCounterSum, which fans).
+// on a 1-shard server; the global total is a cross-shard read — a
+// multi-shard envelope's counter read or the top-level OpCounterSum).
 func txPinnedShard(op *TxOp, n int) (int, bool) {
 	if kind := structKind(op); kind == 0 || kind == 'c' {
 		return 0, false
 	}
 	return stmlib.ShardIndex(op.Name, n), true
-}
-
-// fanTx answers a read-only multi-shard OpTx envelope: each pinned
-// sub-op rides its home shard's group-commit pipeline (batched with one
-// per-shard sub-envelope), counter reads fan EVERY shard as
-// OpCounterSum and sum their partials (exact totals — a top-level
-// sharded OpCounterSum is routed here as a one-op envelope), and counter
-// guards are evaluated on those summed totals at merge time. The
-// combined answer is not one consistent cut across shards — each
-// shard's slice is atomic on that shard — which is the documented
-// read-only-fan contract (D27).
-func (s *Server) fanTx(req *Request, deliver func(Response)) {
-	ops := req.Tx.Ops
-	n := len(s.shards)
-	perShard := make([][]TxOp, n) // sub-envelope per shard
-	slots := make([][]int, n)     // perShard[i][j] answers ops[slots[i][j]]
-	counterOps := make([]bool, len(ops))
-	for i := range ops {
-		op := ops[i]
-		if sh, ok := txPinnedShard(&op, n); ok {
-			perShard[sh] = append(perShard[sh], op)
-			slots[sh] = append(slots[sh], i)
-			continue
-		}
-		// Counter read (sum or guard): ask every shard for its partial;
-		// the guard itself is applied to the merged total below.
-		counterOps[i] = true
-		read := TxOp{Op: OpCounterSum, Name: op.Name}
-		for sh := 0; sh < n; sh++ {
-			perShard[sh] = append(perShard[sh], read)
-			slots[sh] = append(slots[sh], i)
-		}
-	}
-
-	var (
-		mu     sync.Mutex
-		merged = make([]TxResult, len(ops))
-		errMsg string
-		rejIdx = -1 // lowest envelope index of a failed pinned (map) guard
-		rejMsg string
-		wg     sync.WaitGroup
-	)
-	for sh := 0; sh < n; sh++ {
-		if len(perShard[sh]) == 0 {
-			continue
-		}
-		sub := Request{ID: req.ID, Op: OpTx, Tx: &Tx{Ops: perShard[sh]}}
-		shardSlots := slots[sh]
-		wg.Add(1)
-		p := &pending{req: sub, reply: replyFunc(func(resp Response) {
-			mu.Lock()
-			switch resp.Status {
-			case StatusOK:
-			case StatusRejected:
-				// A pinned map guard failed on its home shard: map the
-				// sub-envelope-local failing index back to envelope order
-				// so the caller's ErrTxAborted points at the right op.
-				gi := len(ops)
-				if i := int(resp.Num); i >= 0 && i < len(shardSlots) {
-					gi = shardSlots[i]
-				}
-				if rejIdx < 0 || gi < rejIdx {
-					rejIdx, rejMsg = gi, resp.Msg
-				}
-			default:
-				if errMsg == "" {
-					errMsg = resp.Msg
-					if errMsg == "" {
-						errMsg = "shard error"
-					}
-				}
-			}
-			for j, i := range shardSlots {
-				if j >= len(resp.TxResults) {
-					break
-				}
-				r := resp.TxResults[j]
-				if counterOps[i] {
-					merged[i].Status = StatusOK
-					merged[i].Num += r.Num // sum of per-shard partials
-				} else {
-					merged[i] = r
-				}
-			}
-			mu.Unlock()
-			wg.Done()
-		})}
-		if !s.shards[sh].submit(p) {
-			mu.Lock()
-			if errMsg == "" {
-				errMsg = "server closing"
-			}
-			mu.Unlock()
-			wg.Done()
-		}
-	}
-	go func() {
-		wg.Wait()
-		if errMsg != "" {
-			deliver(Response{ID: req.ID, Status: StatusErr, Msg: errMsg})
-			return
-		}
-		// Evaluate counter guards on the merged totals, then report the
-		// LOWEST failing guard across both kinds — pinned map guards
-		// (judged on their home shard above) and counter guards (judged
-		// here) — clearing later results like a single-shard abort would
-		// leave them. (Being a read-only envelope there is nothing to
-		// roll back.)
-		for i := range ops {
-			if !counterOps[i] {
-				continue
-			}
-			msg, ok := judgeCounterGuard(&ops[i], merged[i].Num)
-			if ok {
-				continue
-			}
-			if rejIdx < 0 || i < rejIdx {
-				rejIdx, rejMsg = i, msg
-				merged[i].Status = StatusRejected
-			}
-			break // later counter guards cannot lower the index
-		}
-		resp := Response{ID: req.ID, Status: StatusOK, TxResults: merged}
-		if rejIdx >= 0 && rejIdx < len(ops) {
-			for j := rejIdx + 1; j < len(merged); j++ {
-				merged[j] = TxResult{}
-			}
-			resp.Status, resp.Num, resp.Msg = StatusRejected, int64(rejIdx), rejMsg
-		}
-		// Every shard's part passed checkReplySize on its own; the parts
-		// together may still not fit one frame.
-		if err := checkReplySize(merged); err != nil {
-			resp = Response{ID: req.ID, Status: StatusErr, Msg: err.Error()}
-		}
-		deliver(resp)
-	}()
 }
 
 // conn is the route responses take back to one client connection: any
@@ -1040,8 +904,8 @@ func (cn *conn) writeLoop(nc net.Conn) {
 // frame (D48), so a frame is overwritten only by the next frame read into
 // the same pending. The reader keeps its pending across the frames it
 // answers itself, and lets go of it when it hands the request off — after
-// that the pending, frame included, is the shard's, a fan-out's, a
-// cross-shard envelope's or a replication stream's.
+// that the pending, frame included, is the shard's, a cross-shard
+// envelope's or a replication stream's.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -1141,11 +1005,12 @@ func (s *Server) handleConn(nc net.Conn) {
 			if len(s.shards) > 1 {
 				// Checkouts credit their counters on the stock map's shard,
 				// so a counter's total is the sum of per-shard partials
-				// (D24) — which is what fanTx computes for the one-op
-				// read-only envelope [{OpCounterSum, name}]: exact on a
-				// quiesced store, which the workload verifiers rely on.
-				env := Request{ID: req.ID, Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpCounterSum, Name: req.Name}}}}
-				s.fanTx(&env, func(resp Response) {
+				// (D24): the one-op envelope [{OpCounterSum, name}] reads
+				// every partial at one position in the cross-shard order,
+				// so the total is exact, which the workload verifiers rely
+				// on.
+				env := &Request{ID: req.ID, Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpCounterSum, Name: req.Name}}}}
+				s.commitCrossShard(env, crossPlan(env.Tx, len(s.shards)), func(resp Response) {
 					if resp.Status == StatusOK {
 						resp = Response{ID: resp.ID, Status: StatusOK, Num: resp.TxResults[0].Num}
 					}
@@ -1160,15 +1025,10 @@ func (s *Server) handleConn(nc net.Conn) {
 				continue
 			}
 			held = nil
-			plan := s.routeTx(req)
-			switch plan.kind {
-			case planFan:
-				p.lat = latTx
-				s.fanTx(req, p.finish)
-			case planCross:
+			if plan := classifyTx(req.Tx, len(s.shards)); plan.kind == planCross {
 				p.lat = latCross
 				s.commitCrossShard(req, plan, p.finish)
-			default:
+			} else {
 				p.lat = latTx
 				s.shards[plan.target].submitOrFail(p)
 			}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,10 +22,11 @@ import (
 // time and runs it to its end before it takes the next: a batch of
 // requests (root, log, acks) or a task — a checkpoint's capture, an
 // Export's, a replica's image swap or shipped record, a reaper's scan,
-// or one shard's part of a cross-shard envelope. A waiting task goes
-// before the next batch, and tasks run in the order they were queued;
-// tasks queued on several shards at once share one order (queueAll).
-// Every root on the shard's live registry runs here.
+// or one shard's part of a cross-shard envelope. At each boundary the
+// tasks already waiting run first, then a waiting batch, then whichever
+// item arrives; tasks run in the order they were queued, and tasks
+// queued on several shards at once share one order (queueAll). Every
+// root on the shard's live registry runs here.
 type shard struct {
 	id  int
 	rt  *pnstm.Runtime
@@ -97,8 +99,9 @@ func (sh *shard) submitOrFail(p *pending) {
 	}
 }
 
-// enqueue queues t for the loop, behind the tasks already waiting and
-// ahead of the next batch; false when the shard is shutting down. A
+// enqueue queues t for the loop, behind the tasks already waiting; it
+// runs at the next boundary, or after at most one batch when tasks are
+// running as it queues (loop). False when the shard is shutting down. A
 // queued task always runs, the loop's final pass included.
 func (sh *shard) enqueue(t func()) bool {
 	sh.smu.RLock()
@@ -110,8 +113,7 @@ func (sh *shard) enqueue(t func()) bool {
 	return true
 }
 
-// do runs f as a task on the loop and returns its result: behind the
-// tasks already waiting and ahead of the next batch, so f holds the
+// do runs f as a task on the loop and returns its result: f holds a
 // position between two group commits in this shard's commit order — a
 // checkpoint's capture, a replica's image swap or shipped record, a
 // reaper's scan. errShardClosed once the shard is shutting down.
@@ -178,9 +180,15 @@ func (sh *shard) loop() {
 	r := newBatchRun(nil, nil, sh.wal)
 	r.shardID = uint8(sh.id)
 	for {
+		// The tasks waiting at this boundary, then a waiting batch: a task
+		// that queues meanwhile waits for the next boundary, so neither a
+		// stream of tasks nor a stream of requests starves the other.
+		for n := len(sh.tasks); n > 0; n-- {
+			(<-sh.tasks)()
+		}
 		select {
-		case t := <-sh.tasks: // a waiting task goes before the next batch
-			t()
+		case p := <-sh.in:
+			sh.runBatch(r, p)
 			continue
 		default:
 		}
@@ -223,11 +231,16 @@ func (sh *shard) runBatch(r *batchRun, first *pending) {
 	if r.traced {
 		r.batchID++
 	}
-	err := sh.rt.Run(r.root)
+	if err := sh.rt.Run(r.root); err != nil {
+		// Run fails only with ErrClosed, and Close, Kill and New's
+		// teardown close a shard's runtime only after its loop has
+		// stopped: a bug alone gets here.
+		panic(fmt.Sprintf("server: shard %d: batch root: %v", sh.id, err))
+	}
 
 	// Make the batch durable before any of its acks leave: one record,
 	// one fsync, covering every mutating request in commit order.
-	if err == nil && sh.wal != nil {
+	if sh.wal != nil {
 		if werr := r.logBatch(wal.MaxBody); werr != nil {
 			// The store applied the batch but the log did not: nothing
 			// acked here may claim durability, so every request fails.
@@ -253,9 +266,7 @@ func (sh *shard) runBatch(r *batchRun, first *pending) {
 	for i, p := range batch {
 		resp := p.resp
 		resp.ID = p.req.ID
-		if err != nil {
-			resp = Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"}
-		} else if resp.Status == 0 {
+		if resp.Status == 0 {
 			resp = Response{ID: p.req.ID, Status: StatusErr, Msg: "internal: request not executed"}
 		}
 		if resp.Status == StatusRejected {

@@ -70,7 +70,7 @@ func TestShardedMixedTrafficOracle(t *testing.T) {
 // "sold"→3, "revenue"→1 — pinned by TestShardIndexStable). Checkouts
 // execute atomically on the stock map's shard, crediting counter
 // partials there; concurrent direct CounterAdds to "sold" land on its
-// own home shard. The fanned counter read must stitch the partials so
+// own home shard. The cross-shard counter read must stitch the partials so
 // that units are neither created nor destroyed.
 func TestShardedCheckoutConservationAcrossShards(t *testing.T) {
 	const shards = 4
@@ -138,7 +138,7 @@ func TestShardedCheckoutConservationAcrossShards(t *testing.T) {
 		}()
 	}
 	// Concurrent direct adds to "sold" route to ITS home shard — a
-	// second partial the fanned sum must fold in.
+	// second partial the cross-shard sum must fold in.
 	adder := dial(t, s, 1)
 	wg.Add(1)
 	go func() {
@@ -189,7 +189,7 @@ func TestShardedCheckoutConservationAcrossShards(t *testing.T) {
 
 // TestShardedCounterPartialsSum pins the partial mechanism down
 // narrowly: credits from a checkout (stock's shard) and direct adds
-// (the counter's home shard) are distinct partials, and the fanned read
+// (the counter's home shard) are distinct partials, and the global read
 // returns their exact sum.
 func TestShardedCounterPartialsSum(t *testing.T) {
 	const shards = 4
@@ -209,7 +209,7 @@ func TestShardedCounterPartialsSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sum, err := cl.CounterSum("sold"); err != nil || sum != 42 {
-		t.Fatalf("fanned counter sum = %d, %v; want 42 (5 checkout-credited + 37 direct)", sum, err)
+		t.Fatalf("global counter sum = %d, %v; want 42 (5 checkout-credited + 37 direct)", sum, err)
 	}
 }
 

@@ -2,16 +2,18 @@ package server
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 )
 
 // The shard loop's ordering rules (D20), asserted on counts and queue
-// lengths rather than on timing: a task holds the loop while it runs, a
-// waiting task goes before the next batch, tasks run in the order they
-// queued — whether do or queueAll queued them — and a closed shard
-// answers work with an error.
+// lengths rather than on timing: a task holds the loop while it runs,
+// the tasks waiting at a boundary go before the next batch and a task
+// they queue goes after it, tasks run in the order they queued — whether
+// do or queueAll queued them — and a closed shard answers work with an
+// error.
 
 // newLoopServer returns an in-memory server of n shards whose loops run,
 // with no listener.
@@ -172,6 +174,54 @@ func TestShardLoopReservationBeforeNextBatch(t *testing.T) {
 		if resp := <-done; resp.Status != StatusOK {
 			t.Fatalf("response %+v", resp)
 		}
+	}
+}
+
+// TestShardLoopBatchAfterWaitingTasks: at a boundary the loop runs the
+// tasks already waiting, then a waiting batch, and only then a task one
+// of them queued. Task T1 and request R queue while a batch holds the
+// loop, and T1 queues T2: the order is T1, R's batch, T2, so tasks that
+// each queue the next cannot starve the batches.
+func TestShardLoopBatchAfterWaitingTasks(t *testing.T) {
+	sh := newLoopServer(t, 1).shards[0]
+
+	// Batch A holds the loop in its delivery until proceed runs; a batch
+	// always ends at a boundary. (A task held by park may have been
+	// taken at a boundary itself, and then T1, queued behind it, waits
+	// for R's batch as T2 does.)
+	delivering, gate := make(chan struct{}), make(chan struct{})
+	proceed := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(proceed)
+	if !sh.submit(&pending{req: putReq(1, "a"), reply: replyFunc(func(Response) {
+		close(delivering)
+		<-gate
+	})}) {
+		t.Fatal("submit refused")
+	}
+	<-delivering
+
+	order := make(chan string, 3)
+	if !sh.enqueue(func() {
+		order <- "T1"
+		if !sh.enqueue(func() { order <- "T2" }) {
+			t.Error("T1 could not queue T2")
+			order <- "no T2"
+		}
+	}) {
+		t.Fatal("enqueue refused")
+	}
+	if !sh.submit(&pending{req: putReq(2, "r"), reply: replyFunc(func(r Response) {
+		if r.Status != StatusOK {
+			t.Errorf("R: %+v", r)
+		}
+		order <- "R"
+	})}) {
+		t.Fatal("submit refused")
+	}
+	proceed()
+	got := []string{<-order, <-order, <-order}
+	if want := []string{"T1", "R", "T2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
 	}
 }
 

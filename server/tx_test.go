@@ -175,7 +175,7 @@ func namesOnDistinctShards(t *testing.T, prefix string, n int) (a, b, sameAsA st
 // atomically through the ordered-commit path (D29) — no StatusCrossShard
 // — and its guards judge global state; the same envelope confined to
 // one shard rides that shard's pipeline; a read-only envelope spanning
-// shards fans and answers.
+// shards answers through the same ordered path.
 func TestTxCrossShardRules(t *testing.T) {
 	const shards = 4
 	s := startServer(t, server.Config{Workers: 2, MaxBatch: 8, Shards: shards})
@@ -225,7 +225,7 @@ func TestTxCrossShardRules(t *testing.T) {
 		t.Errorf("counter after single-shard tx = %d,%v want 3", sum, err)
 	}
 
-	// Read-only across shards: fans, each result from its home shard.
+	// Read-only across shards: each result from its home shard.
 	res, err := cl.Txn().
 		MapGet(mapA, "k").
 		MapGet(mapB, "k").
@@ -250,7 +250,7 @@ func TestTxCrossShardRules(t *testing.T) {
 }
 
 // TestTxFannedCounterReadsAreGlobal: checkouts credit counter partials
-// on their stock map's shard, so a fanned read-only envelope must sum
+// on their stock map's shard, so a read-only cross-shard envelope must sum
 // partials across ALL shards — and its counter guards must judge that
 // global total, not any one partial.
 func TestTxFannedCounterReadsAreGlobal(t *testing.T) {
@@ -273,10 +273,10 @@ func TestTxFannedCounterReadsAreGlobal(t *testing.T) {
 		}
 	}
 	if sum, err := cl.CounterSum("fsold"); err != nil || sum != 8 {
-		t.Fatalf("top-level fanned sum = %d,%v want 8", sum, err)
+		t.Fatalf("top-level sum = %d,%v want 8", sum, err)
 	}
 
-	// Fanned read-only envelope: the sum is the global 8, and a guard
+	// Read-only cross-shard envelope: the sum is the global 8, and a guard
 	// requiring ≥ 8 holds even though no single shard holds 8.
 	res, err := cl.Txn().
 		MapGet(mapA, "sku").
@@ -285,10 +285,10 @@ func TestTxFannedCounterReadsAreGlobal(t *testing.T) {
 		AssertCounterGE("fsold", 8).
 		Commit()
 	if err != nil {
-		t.Fatalf("fanned envelope: %v", err)
+		t.Fatalf("cross-shard envelope: %v", err)
 	}
 	if res.Num(2) != 8 {
-		t.Errorf("fanned counter sum = %d want 8 (global total)", res.Num(2))
+		t.Errorf("cross-shard counter sum = %d want 8 (global total)", res.Num(2))
 	}
 	// And a guard above the total fails with the right index.
 	_, err = cl.Txn().
@@ -298,13 +298,12 @@ func TestTxFannedCounterReadsAreGlobal(t *testing.T) {
 		Commit()
 	var aborted *client.ErrTxAborted
 	if !errors.As(err, &aborted) || aborted.FailedOpIndex != 1 {
-		t.Fatalf("fanned guard: want ErrTxAborted at op 1, got %v", err)
+		t.Fatalf("cross-shard guard: want ErrTxAborted at op 1, got %v", err)
 	}
 
-	// A pinned MAP guard failing inside a fanned envelope must also come
-	// back as a typed abort — with the failing index mapped from the
-	// shard's sub-envelope back to envelope order — not as a generic
-	// server error.
+	// A pinned MAP guard failing inside a read-only cross-shard envelope
+	// must also come back as a typed abort — with the failing index in
+	// envelope order — not as a generic server error.
 	_, err = cl.Txn().
 		MapGet(mapA, "sku").
 		MapGet(mapB, "sku").
@@ -312,10 +311,10 @@ func TestTxFannedCounterReadsAreGlobal(t *testing.T) {
 		Commit()
 	aborted = nil
 	if !errors.As(err, &aborted) {
-		t.Fatalf("fanned map guard: want ErrTxAborted, got %v", err)
+		t.Fatalf("cross-shard map guard: want ErrTxAborted, got %v", err)
 	}
 	if aborted.FailedOpIndex != 2 {
-		t.Errorf("fanned map guard FailedOpIndex = %d want 2", aborted.FailedOpIndex)
+		t.Errorf("cross-shard map guard FailedOpIndex = %d want 2", aborted.FailedOpIndex)
 	}
 	// And the lowest index wins when a map guard and a counter guard
 	// both fail: the counter guard sits earlier in the envelope.
@@ -326,7 +325,7 @@ func TestTxFannedCounterReadsAreGlobal(t *testing.T) {
 		Commit()
 	aborted = nil
 	if !errors.As(err, &aborted) || aborted.FailedOpIndex != 0 {
-		t.Fatalf("mixed fanned guards: want ErrTxAborted at op 0, got %v (idx %v)", err, aborted)
+		t.Fatalf("mixed cross-shard guards: want ErrTxAborted at op 0, got %v (idx %v)", err, aborted)
 	}
 }
 
