@@ -42,7 +42,12 @@ func (e *ErrTxAborted) Error() string {
 // sharded server an envelope whose structures span several shards is
 // still one atomic commit: it goes through the cross-shard
 // ordered-commit path (one global sequence number, all slices commit or
-// none do), and its reads see every shard at that one position.
+// none do). Its reads see every shard at one position in the order
+// cross-shard envelopes share, so a read-only envelope never sees half
+// of a cross-shard commit. That cut is serializable, not real-time
+// ordered against single-shard writes: a read-only envelope answers
+// each shard as that shard reaches it, so it may miss a single-shard
+// write acknowledged on one shard yet see a later one on another.
 // Build errors (oversize fields) are deferred to Commit, so chains
 // never need intermediate checks:
 //

@@ -34,7 +34,8 @@ type Config struct {
 	// structure lives on, so single-structure requests never cross
 	// shards. Cross-structure checkouts run atomically on their stock
 	// map's shard (crediting counter partials there); a counter read sums
-	// every shard's partial at one position in the cross-shard order.
+	// every shard's partial at one position in the cross-shard order
+	// (serializable, not real-time ordered against single-shard adds).
 	// The shard count is pinned into a durable data directory's
 	// manifest — reopening with a different count is refused.
 	Shards int
@@ -1007,8 +1008,8 @@ func (s *Server) handleConn(nc net.Conn) {
 				// so a counter's total is the sum of per-shard partials
 				// (D24): the one-op envelope [{OpCounterSum, name}] reads
 				// every partial at one position in the cross-shard order,
-				// so the total is exact, which the workload verifiers rely
-				// on.
+				// so the total is exact on a quiesced store, which the
+				// workload verifiers rely on.
 				env := &Request{ID: req.ID, Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpCounterSum, Name: req.Name}}}}
 				s.commitCrossShard(env, crossPlan(env.Tx, len(s.shards)), func(resp Response) {
 					if resp.Status == StatusOK {
