@@ -186,7 +186,7 @@ type driver struct {
 	adds     atomic.Int64 // counter workload: sum of issued deltas
 	pushed   atomic.Int64
 	popped   atomic.Int64
-	accepted atomic.Int64
+	sold     atomic.Int64 // checkout: units in accepted orders
 	rejected atomic.Int64
 	mapPuts  atomic.Int64
 
@@ -236,12 +236,12 @@ const (
 	soldName    = "bench:sold"
 	revenueName = "bench:revenue"
 
-	// metaName records each setup's provisioning epoch in the store
-	// itself (durably, on a persistent server): the sold/revenue
-	// baselines at the moment stock was re-provisioned, and the stock
-	// total. -recovery-check reads these back, so its conservation law
-	// holds across restarts AND across repeated load runs on one data
-	// dir — the law is over the deltas since the last provisioning.
+	// metaName holds each part's provisioning record in the store
+	// itself (durably, on a persistent server): what setup provisioned
+	// and the baselines it measured, written in one envelope per setup.
+	// -recovery-check takes every bound from it (laws.go), so its laws
+	// hold across restarts AND across repeated load runs on one data
+	// dir — each law is over the deltas since the last provisioning.
 	metaName = "bench:meta"
 
 	// txmix: CAS slots live in their own map (guard-contended version
@@ -258,6 +258,7 @@ const (
 	acctMaps    = 8
 	acctPerMap  = 16
 	acctInitial = int64(1000)
+	acctTotal   = acctMaps * acctPerMap * acctInitial
 )
 
 func queueName(i int) string   { return fmt.Sprintf("bench:q%d", i) }
@@ -268,16 +269,19 @@ func casKey(i int) string      { return fmt.Sprintf("slot%02d", i) }
 func acctMapName(i int) string { return fmt.Sprintf("bench:acct%d", i) }
 func acctKeyName(j int) string { return fmt.Sprintf("acct%02d", j) }
 
-// txQueueNames is the txmix transfer-queue pool: four queues per
-// configured -queues unit, so co-sharded partners usually exist and
-// sibling transfers in one batch usually hit distinct pairs.
-func (c *genCfg) txQueueNames() []string {
-	names := make([]string, 4*c.queues)
+// nameList is name(0), …, name(n−1).
+func nameList(n int, name func(int) string) []string {
+	names := make([]string, n)
 	for i := range names {
-		names[i] = txQueueName(i)
+		names[i] = name(i)
 	}
 	return names
 }
+
+// txQueueNames is the txmix transfer-queue pool: four queues per
+// configured -queues unit, so co-sharded partners usually exist and
+// sibling transfers in one batch usually hit distinct pairs.
+func (c *genCfg) txQueueNames() []string { return nameList(4*c.queues, txQueueName) }
 
 // pairTxQueues pairs the transfer queues, preferring partners on
 // DIFFERENT shards: a mutating two-queue envelope spanning shards
@@ -346,9 +350,11 @@ func acctPartnerOf(i, shards int) int {
 // provisioned, baselined and verified).
 func (d *driver) has(p part) bool { return d.wl.parts&p != 0 }
 
-// setup provisions the structures the run reads from.
+// setup provisions the structures the run reads from, then writes each
+// part's provisioning record into bench:meta in one envelope.
 func (d *driver) setup() error {
 	c := d.cfg
+	meta := map[string]int64{}
 	if d.has(partReadMap) {
 		for i := 0; i < c.keys; i++ {
 			if err := d.cl.MapPut(mapName, keyName(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -369,16 +375,14 @@ func (d *driver) setup() error {
 				return fmt.Errorf("setup cas slots: %w", err)
 			}
 		}
-		// Pair queues across shards where possible (same-shard otherwise):
-		// ask the server how many partitions it runs (1 when stats are
-		// unavailable — a sharded server always answers stats).
+		// Pair queues across shards where possible (same-shard otherwise).
 		d.txPairs = pairTxQueues(c.txQueueNames(), d.serverShards())
 	}
 	if d.has(partZipf) {
 		d.hotCDF = zipfCDF(c.keys, hotKeyExponent)
 	}
 	if d.has(partPipeline) {
-		if err := d.setupPipeline(); err != nil {
+		if err := d.setupPipeline(meta); err != nil {
 			return err
 		}
 	}
@@ -393,33 +397,24 @@ func (d *driver) setup() error {
 				}
 			}
 		}
-		// Durable provisioning record, like the checkout meta: lets
-		// -recovery-check re-derive the ledger's conservation law after
-		// an out-of-process kill -9 with no memory of this run.
-		for k, v := range map[string]int64{
-			"acct_maps":    int64(acctMaps),
-			"acct_per_map": int64(acctPerMap),
-			"acct_total":   int64(acctMaps) * int64(acctPerMap) * acctInitial,
-		} {
-			if err := d.cl.MapPutInt(metaName, k, v); err != nil {
-				return fmt.Errorf("setup ledger meta: %w", err)
-			}
-		}
+		meta["acct_maps"], meta["acct_per_map"], meta["acct_total"] = acctMaps, acctPerMap, acctTotal
 	}
 	if err := d.snapshotBaselines(); err != nil {
 		return err
 	}
+	if d.has(partReadMap) {
+		meta["map_keys"] = d.base.mapLen
+	}
 	if d.has(partCheckout) {
-		for k, v := range map[string]int64{
-			"sold0":       d.base.sold,
-			"revenue0":    d.base.revenue,
-			"skus":        int64(c.skus),
-			"stock_total": int64(c.skus) * c.stockPer,
-		} {
-			if err := d.cl.MapPutInt(metaName, k, v); err != nil {
-				return fmt.Errorf("setup meta: %w", err)
-			}
-		}
+		meta["skus"], meta["stock_total"] = int64(c.skus), int64(c.skus)*c.stockPer
+		meta["sold0"], meta["revenue0"] = d.base.sold, d.base.revenue
+	}
+	tx := d.cl.Txn()
+	for k, v := range meta {
+		tx.MapPutInt(metaName, k, v)
+	}
+	if _, err := tx.Commit(); err != nil {
+		return fmt.Errorf("setup meta: %w", err)
 	}
 	return nil
 }
@@ -449,12 +444,7 @@ func (d *driver) snapshotBaselines() error {
 		read(&d.base.mapLen, func() (int64, error) { return d.cl.MapLen(mapName) })
 	}
 	if d.has(partQueues) {
-		for i := 0; i < c.queues; i++ {
-			i := i
-			var n int64
-			read(&n, func() (int64, error) { return d.cl.QueueLen(queueName(i)) })
-			d.base.queues += n
-		}
+		read(&d.base.queues, func() (int64, error) { return queuesHeld(d.cl, nameList(c.queues, queueName)) })
 	}
 	if d.has(partCounter) {
 		read(&d.base.counter, func() (int64, error) { return d.cl.CounterSum(counterName) })
@@ -464,12 +454,7 @@ func (d *driver) snapshotBaselines() error {
 		read(&d.base.revenue, func() (int64, error) { return d.cl.CounterSum(revenueName) })
 	}
 	if d.has(partTx) {
-		for _, q := range c.txQueueNames() {
-			q := q
-			var n int64
-			read(&n, func() (int64, error) { return d.cl.QueueLen(q) })
-			d.base.txQueues += n
-		}
+		read(&d.base.txQueues, func() (int64, error) { return queuesHeld(d.cl, c.txQueueNames()) })
 	}
 	if err != nil {
 		return fmt.Errorf("setup baselines: %w", err)
@@ -737,141 +722,48 @@ func (d *driver) opCheckout(rng *rand.Rand) error {
 		return err
 	}
 	if ok {
-		d.accepted.Add(1)
+		d.sold.Add(units)
 	} else {
 		d.rejected.Add(1)
 	}
 	return nil
 }
 
-// verify checks the workload's closed-form invariants against the
-// server's final state and returns the violations.
+// verify checks the workload's laws (laws.go) against the server's final
+// state, bounded by the baselines setup measured and the run's tallies,
+// and returns the violations.
 func (d *driver) verify() []string {
-	var out []string
-	c := d.cfg
-	fail := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
-
+	c, ck := d.cfg, &check{cl: d.cl}
 	if d.has(partReadMap) {
-		n, err := d.cl.MapLen(mapName)
-		if err != nil {
-			fail("map len: %v", err)
-		} else if n != d.base.mapLen {
-			fail("map len %d, want %d (puts only overwrite preloaded keys)", n, d.base.mapLen)
-		}
+		ck.mapPopulation(d.base.mapLen)
 	}
 	if d.has(partQueues) {
-		var remaining int64
-		for i := 0; i < c.queues; i++ {
-			n, err := d.cl.QueueLen(queueName(i))
-			if err != nil {
-				fail("queue len: %v", err)
-				break
-			}
-			remaining += n
-		}
-		if want := d.base.queues + d.pushed.Load() - d.popped.Load(); remaining != want {
-			fail("queues hold %d elements, want baseline+pushed−popped = %d", remaining, want)
-		}
+		ck.queueTotal("queues", nameList(c.queues, queueName), d.base.queues+d.pushed.Load()-d.popped.Load())
 	}
 	if d.has(partCounter) {
-		sum, err := d.cl.CounterSum(counterName)
-		if err != nil {
-			fail("counter sum: %v", err)
-		} else if sum != d.base.counter+d.adds.Load() {
-			fail("counter = %d, want %d (baseline + issued adds)", sum, d.base.counter+d.adds.Load())
-		}
+		want := d.base.counter + d.adds.Load()
+		ck.counter(want, want)
 	}
 	if d.has(partTx) {
-		// Transfer conservation: every committed envelope pushed exactly
-		// once and popped at most once, atomically.
-		var remaining int64
-		for _, q := range c.txQueueNames() {
-			n, err := d.cl.QueueLen(q)
-			if err != nil {
-				fail("tx queue len: %v", err)
-				break
-			}
-			remaining += n
-		}
-		if want := d.base.txQueues + d.txPushed.Load() - d.txPopped.Load(); remaining != want {
-			fail("transfer queues hold %d elements, want baseline+pushed−popped = %d", remaining, want)
-		}
-		// CAS ledger: each slot only ever moves by guarded +1, so the pool
-		// total equals the number of wins the clients tallied.
-		var sum int64
-		for i := 0; i < casSlots; i++ {
-			v, ok, err := d.cl.MapGetInt(casMapName, casKey(i))
-			if err != nil || !ok {
-				fail("cas slot %s: ok=%v err=%v", casKey(i), ok, err)
-				return out
-			}
-			sum += v
-		}
-		if sum != d.casApplied.Load() {
-			fail("cas slots total %d, want %d applied increments", sum, d.casApplied.Load())
-		}
+		ck.queueTotal("transfer queues", c.txQueueNames(), d.base.txQueues+d.txPushed.Load()-d.txPopped.Load())
+		ck.casTotal(d.casApplied.Load())
 	}
 	if d.has(partLedger) {
-		// The strongest law in the suite: transfers are zero-sum and the
-		// run issues nothing else, so the recovered ledger total equals
-		// the provisioned total EXACTLY — any torn cross-shard commit
-		// (one shard's slice applied without the other) shows up here.
-		var total int64
-		for i := 0; i < acctMaps; i++ {
-			for j := 0; j < acctPerMap; j++ {
-				v, ok, err := d.cl.MapGetInt(acctMapName(i), acctKeyName(j))
-				if err != nil || !ok {
-					fail("ledger %s/%s: ok=%v err=%v", acctMapName(i), acctKeyName(j), ok, err)
-					return out
-				}
-				if v < 0 {
-					fail("ledger %s/%s overdrawn: %d (a guard was bypassed)", acctMapName(i), acctKeyName(j), v)
-				}
-				total += v
-			}
-		}
-		if want := int64(acctMaps) * int64(acctPerMap) * acctInitial; total != want {
-			fail("ledger total %d, want %d: a cross-shard transfer split", total, want)
-		}
+		ck.ledger(acctMaps, acctPerMap, acctTotal)
 	}
 	if d.has(partPipeline) {
-		out = append(out, d.verifyPipeline()...)
+		// Exactly-once acks: the done counter moved once per ack this
+		// client got committed; a reclaimed lease's ack aborted with its
+		// counter op.
+		done, ok := ck.pipeline(int64(c.keys), c.queues, permSessions, expSessions)
+		if got, want := done-d.base.pipeDone, d.pipeAcked.Load(); ok && got != want {
+			ck.fail("done counter moved %d, want %d acked (an ack double-counted or vanished)", got, want)
+		}
 	}
 	if d.has(partCheckout) {
-		var remaining int64
-		for i := 0; i < c.skus; i++ {
-			v, ok, err := d.cl.MapGetInt(stockName, skuName(i))
-			if err != nil || !ok {
-				fail("stock %s: ok=%v err=%v", skuName(i), ok, err)
-				return out
-			}
-			if v < 0 {
-				fail("stock %s oversold: %d", skuName(i), v)
-			}
-			remaining += v
-		}
-		soldAbs, err := d.cl.CounterSum(soldName)
-		if err != nil {
-			fail("sold sum: %v", err)
-			return out
-		}
-		revenueAbs, err := d.cl.CounterSum(revenueName)
-		if err != nil {
-			fail("revenue sum: %v", err)
-			return out
-		}
-		// Stock was re-provisioned by setup; sold/revenue persist, so the
-		// conservation law is over this run's deltas.
-		sold := soldAbs - d.base.sold
-		revenue := revenueAbs - d.base.revenue
-		if total, want := remaining+sold, int64(c.skus)*c.stockPer; total != want {
-			fail("conservation violated: remaining %d + sold %d = %d, want %d", remaining, sold, total, want)
-		}
-		if revenue != sold*100 {
-			fail("revenue %d inconsistent with %d units sold", revenue, sold)
-		}
+		ck.checkout(c.skus, int64(c.skus)*c.stockPer, d.base.sold, d.base.revenue)
 	}
-	return out
+	return ck.out
 }
 
 // runLoad drives the configured workload against the client and collects

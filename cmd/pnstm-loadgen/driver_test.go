@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,7 +70,8 @@ func TestWorkloadsRunClean(t *testing.T) {
 // verify() is clean, plant exactly one discrepancy — a client tally
 // bumped without the op ever being sent, or one unit of server state
 // changed behind the tally's back — and require a violation naming that
-// law.
+// law. A law -recovery-check also holds (recovery set) must fail there
+// too, bounded by bench:meta alone.
 func TestVerifyCatchesPlantedDiscrepancy(t *testing.T) {
 	bumpInt := func(t *testing.T, d *driver, name, key string, by int64) {
 		t.Helper()
@@ -84,36 +88,47 @@ func TestVerifyCatchesPlantedDiscrepancy(t *testing.T) {
 		workload string
 		plant    func(t *testing.T, d *driver)
 		want     string // substring of the violation
+		recovery bool   // runRecoveryCheck must catch it too
 	}{
-		{"counter adds", "counter", func(t *testing.T, d *driver) { d.adds.Add(1) }, "baseline + issued adds"},
-		{"queue pushes", "queue", func(t *testing.T, d *driver) { d.pushed.Add(1) }, "queues hold"},
-		{"cas ledger", "txmix", func(t *testing.T, d *driver) { d.casApplied.Add(1) }, "cas slots total"},
-		{"transfer conservation", "txmix", func(t *testing.T, d *driver) { d.txPushed.Add(1) }, "transfer queues hold"},
+		{"counter adds", "counter", func(t *testing.T, d *driver) { d.adds.Add(1) }, "baseline + issued adds", false},
+		{"queue pushes", "queue", func(t *testing.T, d *driver) { d.pushed.Add(1) }, "queues hold", false},
+		{"cas ledger", "txmix", func(t *testing.T, d *driver) { d.casApplied.Add(1) }, "cas slots total", false},
+		{"transfer conservation", "txmix", func(t *testing.T, d *driver) { d.txPushed.Add(1) }, "transfer queues hold", false},
 		{"cross-shard ledger", "crossshard", func(t *testing.T, d *driver) {
 			bumpInt(t, d, acctMapName(3), acctKeyName(5), 1)
-		}, "a cross-shard transfer split"},
+		}, "a cross-shard transfer split", true},
 		{"ledger overdraft", "crossshard", func(t *testing.T, d *driver) {
 			bumpInt(t, d, acctMapName(0), acctKeyName(0), -acctInitial-1)
-		}, "overdrawn"},
+		}, "overdrawn", true},
 		{"stock conservation", "checkout", func(t *testing.T, d *driver) {
 			bumpInt(t, d, stockName, skuName(1), -1)
-		}, "conservation violated"},
+		}, "conservation violated", true},
 		{"revenue consistency", "checkout", func(t *testing.T, d *driver) {
 			if err := d.cl.CounterAdd(revenueName, 1); err != nil {
 				t.Fatal(err)
 			}
-		}, "revenue"},
+		}, "revenue", true},
 		{"map population", "readmap", func(t *testing.T, d *driver) {
 			if err := d.cl.MapPut(mapName, "stray", []byte("x")); err != nil {
 				t.Fatal(err)
 			}
-		}, "map len"},
-		{"exactly-once acks", "pipeline", func(t *testing.T, d *driver) { d.pipeAcked.Add(1) }, "done counter moved"},
+		}, "map len", true},
+		{"exactly-once acks", "pipeline", func(t *testing.T, d *driver) { d.pipeAcked.Add(1) }, "done counter moved", false},
 		{"lease conservation", "pipeline", func(t *testing.T, d *driver) {
 			if err := d.cl.CounterAdd(producedName, 1); err != nil {
 				t.Fatal(err)
 			}
-		}, "lease conservation violated"},
+		}, "lease conservation violated", true},
+		{"expired session resurrected", "pipeline", func(t *testing.T, d *driver) {
+			if err := d.cl.MapPut(sessionsName, expSessionKey(3), []byte("back")); err != nil {
+				t.Fatal(err)
+			}
+		}, "resurrected", true},
+		{"done > produced", "pipeline", func(t *testing.T, d *driver) {
+			if err := d.cl.CounterAdd(doneName, 1); err != nil {
+				t.Fatal(err)
+			}
+		}, "done 1 > produced 0", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.law, func(t *testing.T) {
@@ -125,14 +140,86 @@ func TestVerifyCatchesPlantedDiscrepancy(t *testing.T) {
 			if v := d.verify(); len(v) != 0 {
 				t.Fatalf("freshly provisioned store already violates: %q", v)
 			}
-			tc.plant(t, d)
-			got := d.verify()
-			for _, v := range got {
-				if strings.Contains(v, tc.want) {
-					return
+			if tc.recovery {
+				if err := runRecoveryCheck(d.cl); err != nil {
+					t.Fatalf("freshly provisioned store fails -recovery-check: %v", err)
 				}
 			}
-			t.Fatalf("planted discrepancy not caught: violations %q, want one containing %q", got, tc.want)
+			tc.plant(t, d)
+			if got := d.verify(); !slices.ContainsFunc(got, func(v string) bool { return strings.Contains(v, tc.want) }) {
+				t.Errorf("planted discrepancy not caught: violations %q, want one containing %q", got, tc.want)
+			}
+			if !tc.recovery {
+				return
+			}
+			var got violations
+			if err := runRecoveryCheck(d.cl); !errors.As(err, &got) ||
+				!slices.ContainsFunc(got, func(v string) bool { return strings.Contains(v, tc.want) }) {
+				t.Errorf("planted discrepancy not caught by -recovery-check: %v, want a violation containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRecoveryCheckReadsProvisionedKeys: -recovery-check bounds bench:m's
+// population by the key count the load provisioned, recorded in
+// bench:meta, not by the -keys flag: a mixed load with a non-default
+// -keys followed by a plain -recovery-check is clean.
+func TestRecoveryCheckReadsProvisionedKeys(t *testing.T) {
+	cfg := testCfg(t, "mixed")
+	cfg.keys = 256
+	cl := bootTest(t)
+	if _, err := runLoad(cl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := runRecoveryCheck(cl); err != nil {
+		t.Fatalf("-recovery-check after a -keys %d load: %v", cfg.keys, err)
+	}
+}
+
+// TestLawReadErrorsStayTheirOwn: against a closed client every law's
+// read fails, and each law reports its own error once — no law is
+// skipped because an earlier one could not read, and none turns a
+// failed or partial read into a violation of its law.
+func TestLawReadErrorsStayTheirOwn(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		laws     int // laws verify runs for the workload
+	}{
+		{"mixed", 4},      // map population, queues, counter, checkout
+		{"txmix", 3},      // transfer queues, cas slots, checkout
+		{"crossshard", 1}, // ledger
+		{"pipeline", 1},   // leases, board and sessions
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			t.Parallel()
+			d, err := prepare(bootTest(t), testCfg(t, tc.workload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Tallies as if ops had run, so a partial read compared
+			// against them would fake a violation.
+			for _, n := range []*atomic.Int64{&d.adds, &d.pushed, &d.txPushed, &d.casApplied, &d.pipeAcked} {
+				n.Add(3)
+			}
+			d.cl.Close()
+			onlyReadErrors := func(from string, got []string, want int) {
+				t.Helper()
+				if len(got) != want {
+					t.Errorf("%s reported %d verdicts, want one read error for each of %d laws: %q", from, len(got), want, got)
+				}
+				for _, v := range got {
+					if !strings.HasPrefix(v, "cannot read ") || !strings.Contains(v, "client: closed") {
+						t.Errorf("%s reported %q, want only read errors", from, v)
+					}
+				}
+			}
+			onlyReadErrors("verify", d.verify(), tc.laws)
+			var got violations
+			if err := runRecoveryCheck(d.cl); !errors.As(err, &got) {
+				t.Fatalf("-recovery-check on a closed client: %v, want violations", err)
+			}
+			onlyReadErrors("-recovery-check", got, 4) // one bench:meta read per recoverable part
 		})
 	}
 }

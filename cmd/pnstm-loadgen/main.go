@@ -3,7 +3,10 @@
 // (throughput, latency percentiles, abort rate from the server's
 // runtime stats) through the shared internal/bench encoder. Every run
 // verifies its workload's closed-form invariants against the final
-// server state and exits nonzero on a violation.
+// server state and exits nonzero on a violation. Each invariant is
+// stated once, in laws.go: live verify, the crash drill and
+// -recovery-check call the same laws, and the drill's recovered store
+// gets exactly the check -recovery-check runs.
 //
 // It runs in one of four shapes:
 //
@@ -14,10 +17,11 @@
 //	        # in-process servers, reported as a ratio and gated on it
 //	pnstm-loadgen -kill-after 3s -shards 4 -json .
 //	        # crash-recovery drill: hard-kill an embedded durable server
-//	        # mid-load, restart it on the same data dir, verify
+//	        # mid-load, restart it on the same data dir, run the
+//	        # -recovery-check laws plus its acked-vs-attempted bounds
 //	pnstm-loadgen -recovery-check -addr localhost:7455
-//	        # after an out-of-process kill -9 + restart: verify the
-//	        # recovered store's conservation invariants
+//	        # after an out-of-process kill -9 + restart: check every law
+//	        # whose provisioning record bench:meta holds
 //
 // The workloads (driver.go's workloads table) and the A/B modes (ab.go's
 // abModes table) are listed, with every flag, by pnstm-loadgen -h.
@@ -139,7 +143,11 @@ func run(args []string, stderr io.Writer) int {
 
 	switch {
 	case o.recoveryCheck:
-		err = runRecoveryCheck(o.addr, o.cfg)
+		var cl *client.Client
+		if cl, err = client.Connect(client.Options{Addrs: []string{o.addr}, PoolSize: 1}); err == nil {
+			err = runRecoveryCheck(cl)
+			cl.Close()
+		}
 	case o.killAfter > 0:
 		err = runCrash(&o)
 	case spec != nil:

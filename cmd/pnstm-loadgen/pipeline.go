@@ -54,9 +54,9 @@ func sessionKey(i int) string     { return fmt.Sprintf("sess%04d", i) }
 func permSessionKey(i int) string { return fmt.Sprintf("perm%02d", i) }
 func expSessionKey(i int) string  { return fmt.Sprintf("exp%02d", i) }
 
-// setupPipeline provisions the board, the session sets and the durable
-// meta -recovery-check reads back after a crash.
-func (d *driver) setupPipeline() error {
+// setupPipeline provisions the board and the session sets, and adds
+// their provisioning record to meta.
+func (d *driver) setupPipeline(meta map[string]int64) error {
 	c := d.cfg
 	for i := 0; i < c.keys; i++ {
 		if err := d.cl.SortedPut(boardName, playerKey(i), server.EncodeInt64(int64(i))); err != nil {
@@ -74,18 +74,8 @@ func (d *driver) setupPipeline() error {
 			return fmt.Errorf("setup expired sessions: %w", err)
 		}
 	}
-	// Durable provisioning record: board_players doubles as the marker
-	// that a pipeline load ran on this data dir.
-	for k, v := range map[string]int64{
-		"board_players": int64(c.keys),
-		"pipe_queues":   int64(c.queues),
-		"perm_sessions": permSessions,
-		"exp_sessions":  expSessions,
-	} {
-		if err := d.cl.MapPutInt(metaName, k, v); err != nil {
-			return fmt.Errorf("setup pipeline meta: %w", err)
-		}
-	}
+	meta["board_players"], meta["pipe_queues"] = int64(c.keys), int64(c.queues)
+	meta["perm_sessions"], meta["exp_sessions"] = permSessions, expSessions
 	var err error
 	if d.base.pipeDone, err = d.cl.CounterSum(doneName); err != nil {
 		return fmt.Errorf("setup pipeline baselines: %w", err)
@@ -158,141 +148,6 @@ func (d *driver) opPipeline(rng *rand.Rand) error {
 		d.pipeAcked.Add(1)
 		return nil
 	}
-}
-
-// verifyPipeline checks the pipeline invariants against the final
-// server state.
-func (d *driver) verifyPipeline() []string {
-	var out []string
-	c := d.cfg
-	fail := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
-
-	// Board: score writes only overwrite provisioned players, so the
-	// physical population is exact, and a scan comes back ordered.
-	if cnt, err := d.cl.RangeCount(boardName, "", ""); err != nil {
-		fail("board count: %v", err)
-	} else if cnt != int64(c.keys) {
-		fail("board holds %d players, want %d", cnt, c.keys)
-	}
-	if es, err := d.cl.RangeScan(boardName, "", "", pipeTopK); err != nil {
-		fail("board top-K: %v", err)
-	} else {
-		want := pipeTopK
-		if c.keys < want {
-			want = c.keys
-		}
-		if len(es) != want {
-			fail("board top-K returned %d entries, want %d", len(es), want)
-		}
-	}
-
-	// Queue-lease conservation, the store's own ledger: every element
-	// ever pushed bumped produced in the same envelope, every element
-	// ever destroyed bumped done likewise, so whatever subset of
-	// deliveries, abandons and reclaims happened, produced − done must
-	// equal what the queues still hold (queued + leased).
-	produced, err := d.cl.CounterSum(producedName)
-	if err != nil {
-		fail("produced sum: %v", err)
-		return out
-	}
-	done, err := d.cl.CounterSum(doneName)
-	if err != nil {
-		fail("done sum: %v", err)
-		return out
-	}
-	var held int64
-	for i := 0; i < c.queues; i++ {
-		res, err := d.cl.Txn().QueueLen(pipeQueueName(i)).LeaseLen(pipeQueueName(i)).Commit()
-		if err != nil {
-			fail("pipe queue %d: %v", i, err)
-			return out
-		}
-		held += res.Num(0) + res.Num(1)
-	}
-	if produced-done != held {
-		fail("lease conservation violated: produced %d − done %d = %d, but queues hold %d (queued+leased)",
-			produced, done, produced-done, held)
-	}
-	// Exactly-once acks: the done counter moved once per ack THIS client
-	// got committed — a reclaimed lease's ack aborted with its counter op.
-	if got, want := done-d.base.pipeDone, d.pipeAcked.Load(); got != want {
-		fail("done counter moved %d, want %d acked (an ack double-counted or vanished)", got, want)
-	}
-
-	// Sessions: the permanent set survives anything; the pre-expired set
-	// must never become readable again.
-	for i := 0; i < permSessions; i++ {
-		if _, ok, err := d.cl.MapGet(sessionsName, permSessionKey(i)); err != nil || !ok {
-			fail("permanent session %s gone: ok=%v err=%v", permSessionKey(i), ok, err)
-		}
-	}
-	for i := 0; i < expSessions; i++ {
-		if _, ok, err := d.cl.MapGet(sessionsName, expSessionKey(i)); err != nil {
-			fail("expired session %s: %v", expSessionKey(i), err)
-		} else if ok {
-			fail("expired session %s is readable (resurrected)", expSessionKey(i))
-		}
-	}
-	return out
-}
-
-// verifyPipelineRecovery re-derives the pipeline invariants on a
-// recovered store from the durable meta alone (called by
-// -recovery-check when a pipeline load provisioned this data dir).
-// The conservation law needs no pre-crash tallies: both counters moved
-// atomically with the queue mutations they describe.
-func verifyPipelineRecovery(cl *client.Client, boardPlayers int64, meta func(string, int64) int64) []string {
-	var out []string
-	fail := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
-
-	if cnt, err := cl.RangeCount(boardName, "", ""); err != nil {
-		fail("board count: %v", err)
-	} else if cnt != boardPlayers {
-		fail("board holds %d players after recovery, want %d", cnt, boardPlayers)
-	}
-
-	produced, err := cl.CounterSum(producedName)
-	if err != nil {
-		fail("produced sum: %v", err)
-		return out
-	}
-	done, err := cl.CounterSum(doneName)
-	if err != nil {
-		fail("done sum: %v", err)
-		return out
-	}
-	if done > produced {
-		fail("done %d > produced %d after recovery: jobs acked more often than delivered", done, produced)
-	}
-	queues := int(meta("pipe_queues", 4))
-	var held int64
-	for i := 0; i < queues; i++ {
-		res, err := cl.Txn().QueueLen(pipeQueueName(i)).LeaseLen(pipeQueueName(i)).Commit()
-		if err != nil {
-			fail("pipe queue %d: %v", i, err)
-			return out
-		}
-		held += res.Num(0) + res.Num(1)
-	}
-	if produced-done != held {
-		fail("lease conservation violated after recovery: produced %d − done %d = %d, but queues hold %d — a lease was double-delivered into the done count or a job vanished",
-			produced, done, produced-done, held)
-	}
-
-	for i := 0; i < int(meta("perm_sessions", permSessions)); i++ {
-		if _, ok, err := cl.MapGet(sessionsName, permSessionKey(i)); err != nil || !ok {
-			fail("permanent session %s gone after recovery: ok=%v err=%v", permSessionKey(i), ok, err)
-		}
-	}
-	for i := 0; i < int(meta("exp_sessions", expSessions)); i++ {
-		if _, ok, err := cl.MapGet(sessionsName, expSessionKey(i)); err != nil {
-			fail("expired session %s: %v", expSessionKey(i), err)
-		} else if ok {
-			fail("expired session %s resurrected by recovery", expSessionKey(i))
-		}
-	}
-	return out
 }
 
 // scanLoad is the load of both rangescan A/B legs (see the table row in
