@@ -44,10 +44,9 @@ func (e *ErrTxAborted) Error() string {
 // ordered-commit path (one global sequence number, all slices commit or
 // none do). Its reads see every shard at one position in the order
 // cross-shard envelopes share, so a read-only envelope never sees half
-// of a cross-shard commit. That cut is serializable, not real-time
-// ordered against single-shard writes: a read-only envelope answers
-// each shard as that shard reaches it, so it may miss a single-shard
-// write acknowledged on one shard yet see a later one on another.
+// of a cross-shard commit. On a primary that order is real time: a read
+// sees every write acknowledged before it was sent, on every shard
+// (strict serializability). A replica answers from what it has applied.
 // Build errors (oversize fields) are deferred to Commit, so chains
 // never need intermediate checks:
 //

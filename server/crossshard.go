@@ -41,12 +41,10 @@ import (
 // takes the same route and stops after gather: its queue position
 // already fixes what every slice reads, so no cross-shard envelope is
 // seen in part, and with nothing to commit, roll back or log each task
-// returns as soon as it has reported. The cut is consistent with the
-// cross-shard order (serializable), not real-time ordered against
-// single-shard batches: a shard whose task has reported runs its next
-// batch while a partner shard still has batches ahead of its task, so
-// the read may miss a single-shard write acknowledged on one shard yet
-// see a later one on the other.
+// returns as soon as it has reported. The read is strictly
+// serializable: each shard runs its one queue in arrival order, and no
+// slice runs before every slice is queued, so a single-shard write sent
+// after any slice has run queues behind the read on every shard.
 //
 // Recovery replays GSN records at their logged positions. Because the
 // GSN is drawn under the same lock that queues the tasks, and each loop

@@ -328,6 +328,66 @@ func TestCrossShardReadOnlyEnvelopeSeesConsistentCut(t *testing.T) {
 	}
 }
 
+// TestCrossShardReadsFollowAcknowledgedWrites: read-only envelopes are
+// ordered in real time against single-shard writes. One writer sets
+// A.v = i, waits for the ack, then sets B.v = i, with A and B on
+// different shards; readers send {A.v, B.v} envelopes meanwhile. A read
+// that sees B.v = i saw a write sent after A.v = i was acknowledged, so
+// it must see A.v ≥ i: B.v > A.v is an inversion. The writer's op count
+// bounds the run.
+func TestCrossShardReadsFollowAcknowledgedWrites(t *testing.T) {
+	const (
+		shards  = 2
+		writes  = 1500
+		readers = 4
+	)
+	s := startServer(t, server.Config{Workers: 2, MaxBatch: 16, Shards: shards})
+	a, b, _ := namesOnDistinctShards(t, "rt_", shards)
+
+	var writing atomic.Bool
+	writing.Store(true)
+	var inverted, reads atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		cl := dial(t, s, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for writing.Load() {
+				res, err := cl.Txn().MapGet(a, "v").MapGet(b, "v").Commit()
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				va, _, errA := res.Int(0)
+				vb, _, errB := res.Int(1)
+				if errA != nil || errB != nil {
+					t.Errorf("read: %v %v", errA, errB)
+					return
+				}
+				reads.Add(1)
+				if vb > va {
+					inverted.Add(1)
+				}
+			}
+		}()
+	}
+	cl := dial(t, s, 1)
+	for i := int64(1); i <= writes; i++ {
+		if err := cl.MapPutInt(a, "v", i); err != nil {
+			t.Fatalf("A.v = %d: %v", i, err)
+		}
+		if err := cl.MapPutInt(b, "v", i); err != nil {
+			t.Fatalf("B.v = %d: %v", i, err)
+		}
+	}
+	writing.Store(false)
+	wg.Wait()
+	if n := inverted.Load(); n != 0 {
+		t.Fatalf("%d of %d reads saw B.v > A.v, a write acknowledged on A missing beside a later one on B", n, reads.Load())
+	}
+}
+
 // TestCrossShardCrashAtomicity is the kill -9 drill: cross-shard
 // transfers (and single-shard traffic, so GSN records interleave with
 // plain batch records in every log) run full tilt, the server dies

@@ -383,7 +383,7 @@ func TestShardedCounterSumShardClosing(t *testing.T) {
 	// what submit tests; Close sets it again and does the rest).
 	sh := s.shards[1]
 	sh.smu.Lock()
-	sh.stopped = true
+	sh.stopped.Store(true)
 	sh.smu.Unlock()
 	resp := roundTrip(&Request{ID: 3, Op: OpCounterSum, Name: "hits"})
 	if resp.Status != StatusErr || resp.Msg != "server closing" {

@@ -34,8 +34,8 @@ type Config struct {
 	// structure lives on, so single-structure requests never cross
 	// shards. Cross-structure checkouts run atomically on their stock
 	// map's shard (crediting counter partials there); a counter read sums
-	// every shard's partial at one position in the cross-shard order
-	// (serializable, not real-time ordered against single-shard adds).
+	// every shard's partial at one position in the cross-shard order,
+	// strictly serializable against single-shard adds too.
 	// The shard count is pinned into a durable data directory's
 	// manifest — reopening with a different count is refused.
 	Shards int
@@ -691,7 +691,7 @@ func (s *Server) Close() {
 		nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	}
 	s.mu.Unlock()
-	// Shard flushes overlap: each loop drains its own queues.
+	// Shard flushes overlap: each loop drains its own queue.
 	var flush sync.WaitGroup
 	for _, sh := range s.shards {
 		flush.Add(1)

@@ -18,15 +18,14 @@ import (
 // group commits on different shards run fully in parallel, fsyncs
 // included.
 //
-// The shard is one goroutine (loop, D20). It takes one work item at a
-// time and runs it to its end before it takes the next: a batch of
-// requests (root, log, acks) or a task — a checkpoint's capture, an
-// Export's, a replica's image swap or shipped record, a reaper's scan,
-// or one shard's part of a cross-shard envelope. At each boundary the
-// tasks already waiting run first, then a waiting batch, then whichever
-// item arrives; tasks run in the order they were queued, and tasks
-// queued on several shards at once share one order (queueAll). Every
-// root on the shard's live registry runs here.
+// The shard is one goroutine (loop, D20) reading one FIFO queue. Each
+// item is a request or a task — a checkpoint's capture, an Export's, a
+// replica's image swap or shipped record, a reaper's scan, or one
+// shard's part of a cross-shard envelope — and the loop runs the work
+// in arrival order, one item to its end before the next: consecutive
+// requests form one batch (root, log, acks), and a task runs alone.
+// Tasks queued on several shards at once share one order (queueAll).
+// Every root on the shard's live registry runs here.
 type shard struct {
 	id  int
 	rt  *pnstm.Runtime
@@ -35,14 +34,13 @@ type shard struct {
 	cfg *atomic.Pointer[Config] // the server's configuration
 	obs *batchObs               // nil: uninstrumented
 
-	in    chan *pending // requests, collected into batches
-	tasks chan func()   // work that is not a batch, in arrival order
-	stop  chan struct{}
-	done  chan struct{}
+	q    chan item // arrivals, in order; closed by close
+	done chan struct{}
 
-	// smu/stopped fence submit and enqueue against close: see submit.
+	// smu/stopped fence put against close (see put); the loop reads
+	// stopped alone, to fail the requests still queued at close.
 	smu     sync.RWMutex
-	stopped bool
+	stopped atomic.Bool
 
 	mu       sync.Mutex
 	batches  uint64
@@ -56,6 +54,12 @@ type shard struct {
 	maxGSN atomic.Uint64
 }
 
+// item is one arrival on a shard's queue: a request (p) or a task.
+type item struct {
+	p    *pending
+	task func()
+}
+
 // errShardClosed answers work offered to a shard whose loop has stopped.
 var errShardClosed = errors.New("server: shard closed")
 
@@ -64,32 +68,31 @@ var errShardClosed = errors.New("server: shard closed")
 func (sh *shard) start() {
 	// The queue buffer is sized off the boot MaxBatch and stays fixed:
 	// raising the knob live still works (collect drains whatever is
-	// queued), the channel is just a smaller staging area.
-	sh.in = make(chan *pending, 4*sh.cfg.Load().MaxBatch)
-	// Tasks come from do, Export and cross-shard envelopes. The buffer
-	// lets a test see what is queued; past 16, senders block in order,
-	// so a connection pipelining cross-shard envelopes is held back the
-	// way a full in holds back point requests.
-	sh.tasks = make(chan func(), 16)
-	sh.stop = make(chan struct{})
+	// queued), the channel is just a smaller staging area. Past it,
+	// senders block in order, so a connection pipelining cross-shard
+	// envelopes is held back the way one pipelining point requests is.
+	sh.q = make(chan item, 4*sh.cfg.Load().MaxBatch)
 	sh.done = make(chan struct{})
 	go sh.loop()
 }
 
-// submit hands a request to the loop; returns false when the shard is
-// shutting down (callers answer StatusErr themselves). The smu/stopped
-// handshake makes every successful send happen-before close's stop
-// signal — so the loop's final drain pass provably sees it, and no
-// request can slip into the queue after the drain and hang unanswered.
-func (sh *shard) submit(p *pending) bool {
+// put queues it behind everything already queued; false once the shard
+// is shutting down. The smu/stopped handshake makes every successful
+// send happen before close closes the queue, so the loop's range sees
+// it, and nothing is sent on a closed queue.
+func (sh *shard) put(it item) bool {
 	sh.smu.RLock()
 	defer sh.smu.RUnlock()
-	if sh.stopped {
+	if sh.stopped.Load() {
 		return false
 	}
-	sh.in <- p
+	sh.q <- it
 	return true
 }
+
+// submit hands a request to the loop; false when the shard is shutting
+// down (callers answer StatusErr themselves).
+func (sh *shard) submit(p *pending) bool { return sh.put(item{p: p}) }
 
 // submitOrFail is submit for callers with nothing else to do on refusal:
 // a request the shard will not take is answered "server closing".
@@ -99,19 +102,9 @@ func (sh *shard) submitOrFail(p *pending) {
 	}
 }
 
-// enqueue queues t for the loop, behind the tasks already waiting; it
-// runs at the next boundary, or after at most one batch when tasks are
-// running as it queues (loop). False when the shard is shutting down. A
-// queued task always runs, the loop's final pass included.
-func (sh *shard) enqueue(t func()) bool {
-	sh.smu.RLock()
-	defer sh.smu.RUnlock()
-	if sh.stopped {
-		return false
-	}
-	sh.tasks <- t
-	return true
-}
+// enqueue queues t for the loop; false when the shard is shutting down.
+// A queued task always runs, after close included.
+func (sh *shard) enqueue(t func()) bool { return sh.put(item{task: t}) }
 
 // do runs f as a task on the loop and returns its result: f holds a
 // position between two group commits in this shard's commit order — a
@@ -134,13 +127,18 @@ func (sh *shard) applyShipped(body []byte) error {
 // queueAll queues task once on each shard in ids, as one item in the
 // single order all shards share (D20): the calls are serialized by
 // queueMu, so the tasks of any two calls sit in the same relative order
-// on every shard both touch. A task may wait on the other tasks of its
-// own call, never on anything queued later, so no tasks can wait on each
-// other in a ring — which is also why holding queueMu while a full queue
-// blocks the send is safe: every loop keeps draining. With gsn non-nil
-// the next GSN is drawn into it first, so each shard's log holds its GSN
-// records in increasing order (D30). If any shard has stopped, nothing
-// is queued and the result is errShardClosed.
+// on every shard both touch. Each task first waits until its call has
+// queued them all, so nothing queued on one shard after a partner's task
+// has run can overtake the task on another: the shared order is also
+// real-time order. A task may wait on the other tasks of its own call,
+// never on anything queued later, so no tasks wait on each other in a
+// ring — which is also why holding queueMu while a full queue blocks the
+// send is safe: every loop ahead of a task keeps draining. The sends go
+// under the fences this call holds, not through put, whose second read
+// lock would wait behind a pending close. With gsn non-nil the next GSN
+// is drawn into it first, so each shard's log holds its GSN records in
+// increasing order (D30). If any shard has stopped, nothing is queued
+// and the result is errShardClosed.
 func (s *Server) queueAll(ids []int, gsn *uint64, task func(*shard)) error {
 	s.queueMu.Lock()
 	defer s.queueMu.Unlock()
@@ -148,81 +146,66 @@ func (s *Server) queueAll(ids []int, gsn *uint64, task func(*shard)) error {
 		sh := s.shards[id]
 		sh.smu.RLock()
 		defer sh.smu.RUnlock()
-		if sh.stopped {
+		if sh.stopped.Load() {
 			return errShardClosed
 		}
 	}
 	if gsn != nil {
 		*gsn = s.gsn.Add(1)
 	}
+	placed := make(chan struct{})
+	defer close(placed)
 	for _, id := range ids {
 		sh := s.shards[id]
-		sh.tasks <- func() { task(sh) }
+		sh.q <- item{task: func() { <-placed; task(sh) }}
 	}
 	return nil
 }
 
 // close stops the loop: tasks already queued still run, requests still
-// queued are failed. Setting stopped (under the write lock) before
-// closing stop waits out every in-flight submit and enqueue — the loop
-// is still consuming at that point, so those sends cannot block
-// indefinitely.
+// queued fail with "server closing". Setting stopped under the write
+// lock waits out every in-flight put — the loop is still consuming, so
+// those sends cannot block indefinitely — and then nothing more can be
+// sent, so the queue can close.
 func (sh *shard) close() {
 	sh.smu.Lock()
-	sh.stopped = true
+	sh.stopped.Store(true)
+	close(sh.q)
 	sh.smu.Unlock()
-	close(sh.stop)
 	<-sh.done
 }
 
+// loop runs the queue in arrival order: a task alone, a request with the
+// requests queued behind it as one batch, then the task that ended the
+// batch, if one did.
 func (sh *shard) loop() {
 	defer close(sh.done)
 	r := newBatchRun(nil, nil, sh.wal)
 	r.shardID = uint8(sh.id)
-	for {
-		// The tasks waiting at this boundary, then a waiting batch: a task
-		// that queues meanwhile waits for the next boundary, so neither a
-		// stream of tasks nor a stream of requests starves the other.
-		for n := len(sh.tasks); n > 0; n-- {
-			(<-sh.tasks)()
-		}
-		select {
-		case p := <-sh.in:
-			sh.runBatch(r, p)
-			continue
+	for it := range sh.q {
+		switch {
+		case it.task != nil:
+			it.task()
+		case sh.stopped.Load():
+			it.p.finish(Response{ID: it.p.req.ID, Status: StatusErr, Msg: "server closing"})
 		default:
-		}
-		select {
-		case t := <-sh.tasks:
-			t()
-		case p := <-sh.in:
-			sh.runBatch(r, p)
-		case <-sh.stop:
-			// Drain: nothing is submitted or enqueued once stop is closed,
-			// so this empties both queues in one pass.
-			for {
-				select {
-				case t := <-sh.tasks:
-					t()
-				case p := <-sh.in:
-					p.finish(Response{ID: p.req.ID, Status: StatusErr, Msg: "server closing"})
-				default:
-					return
-				}
+			if t := sh.runBatch(r, it.p); t != nil {
+				t()
 			}
 		}
 	}
 }
 
 // runBatch collects a batch around first and runs it as a single root
-// transaction, makes it durable and delivers every response.
-func (sh *shard) runBatch(r *batchRun, first *pending) {
+// transaction, makes it durable and delivers every response. It returns
+// the task that ended the batch, if one did; the loop runs it next.
+func (sh *shard) runBatch(r *batchRun, first *pending) (next func()) {
 	formStart := time.Now()
 	// A batch loads the registry and the configuration once, when it is
 	// collected: a PUT /config retunes a running shard at the next batch
 	// boundary, and a batch never sees two configurations.
 	r.reg, r.cfg = sh.reg, sh.cfg.Load()
-	sh.collect(r, first)
+	next = sh.collect(r, first)
 	sh.obs.observeBatch(len(r.batch), time.Since(formStart))
 	batch := r.batch
 
@@ -278,40 +261,45 @@ func (sh *shard) runBatch(r *batchRun, first *pending) {
 			p.release() // the writer got its own copy of resp
 		}
 	}
+	return next
 }
 
-// collect gathers a batch around the first request: everything already
-// queued, then — if there is still room — whatever arrives within the
-// batching window. A zero window means "only what is already in flight",
-// which keeps unloaded latency at the floor while still group-committing
-// under concurrency.
-func (sh *shard) collect(r *batchRun, first *pending) {
+// collect gathers a batch around the first request: the requests queued
+// behind it, then — if there is still room — those that arrive within
+// the batching window. A zero window means "only what is already in
+// flight", which keeps unloaded latency at the floor while still
+// group-committing under concurrency. The first task behind the requests
+// ends the batch; collect returns it (nil if none did), so it runs before
+// anything queued after it.
+func (sh *shard) collect(r *batchRun, first *pending) func() {
 	maxBatch, delay := r.cfg.MaxBatch, r.cfg.BatchDelay
 	r.batch = append(r.batch[:0], first)
+	var window <-chan time.Time // nil until the queue runs dry
 	for len(r.batch) < maxBatch {
+		var it item
 		select {
-		case p := <-sh.in:
-			r.batch = append(r.batch, p)
-			continue
+		case it = <-sh.q:
 		default:
+			if delay <= 0 {
+				return nil
+			}
+			if window == nil {
+				timer := time.NewTimer(delay)
+				defer timer.Stop()
+				window = timer.C
+			}
+			select {
+			case it = <-sh.q:
+			case <-window:
+				return nil
+			}
 		}
-		break
-	}
-	if delay <= 0 || len(r.batch) >= maxBatch {
-		return
-	}
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	for len(r.batch) < maxBatch {
-		select {
-		case p := <-sh.in:
-			r.batch = append(r.batch, p)
-		case <-timer.C:
-			return
-		case <-sh.stop:
-			return
+		if it.p == nil {
+			return it.task // nil once the queue is closed
 		}
+		r.batch = append(r.batch, it.p)
 	}
+	return nil
 }
 
 // stats is the shard's contribution to ServerStats.

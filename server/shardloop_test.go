@@ -6,14 +6,15 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The shard loop's ordering rules (D20), asserted on counts and queue
 // lengths rather than on timing: a task holds the loop while it runs,
-// the tasks waiting at a boundary go before the next batch and a task
-// they queue goes after it, tasks run in the order they queued — whether
-// do or queueAll queued them — and a closed shard answers work with an
-// error.
+// requests and tasks run in the order they queued — a batch ends at the
+// first task queued behind its requests, and tasks keep their order
+// whether do or queueAll queued them — and a closed shard answers work
+// with an error.
 
 // newLoopServer returns an in-memory server of n shards whose loops run,
 // with no listener.
@@ -62,9 +63,10 @@ func submitAsync(t *testing.T, sh *shard, req Request) <-chan Response {
 	return done
 }
 
-// waitQueued yields until n tasks wait in sh's queue.
+// waitQueued yields until n items (requests and tasks) wait in sh's
+// queue.
 func waitQueued(sh *shard, n int) {
-	for len(sh.tasks) != n {
+	for len(sh.q) != n {
 		runtime.Gosched()
 	}
 }
@@ -112,8 +114,8 @@ func TestShardLoopHoldsBatchesDuringReservation(t *testing.T) {
 	release := park(t, sh)
 	before := batchCount(sh)
 	done := submitAsync(t, sh, putReq(1, "a"))
-	if n := batchCount(sh); n != before || len(sh.in) != 1 {
-		t.Fatalf("during the task: %d batches (want %d), %d queued (want 1)", n, before, len(sh.in))
+	if n := batchCount(sh); n != before || len(sh.q) != 1 {
+		t.Fatalf("during the task: %d batches (want %d), %d queued (want 1)", n, before, len(sh.q))
 	}
 	notAnswered(t, done, "the request")
 	release()
@@ -152,8 +154,8 @@ func TestShardLoopReservationBeforeNextBatch(t *testing.T) {
 	taskDone := make(chan error, 1)
 	go func() {
 		taskDone <- sh.do(func() error {
-			if n := batchCount(sh); n != before+1 || len(sh.in) != 1 {
-				t.Errorf("task ran after %d batches with %d queued, want 1 and 1", n-before, len(sh.in))
+			if n := batchCount(sh); n != before+1 || len(sh.q) != 1 {
+				t.Errorf("task ran after %d batches with %d queued, want 1 and 1", n-before, len(sh.q))
 			}
 			cDone = submitAsync(t, sh, putReq(3, "c"))
 			notAnswered(t, bDone, "the batch behind the task")
@@ -177,18 +179,16 @@ func TestShardLoopReservationBeforeNextBatch(t *testing.T) {
 	}
 }
 
-// TestShardLoopBatchAfterWaitingTasks: at a boundary the loop runs the
-// tasks already waiting, then a waiting batch, and only then a task one
-// of them queued. Task T1 and request R queue while a batch holds the
+// TestShardLoopBatchAfterWaitingTasks: the loop runs its queue in
+// arrival order, so a task one task queues goes behind the requests
+// already waiting. Task T1 and request R queue while a batch holds the
 // loop, and T1 queues T2: the order is T1, R's batch, T2, so tasks that
 // each queue the next cannot starve the batches.
 func TestShardLoopBatchAfterWaitingTasks(t *testing.T) {
 	sh := newLoopServer(t, 1).shards[0]
 
-	// Batch A holds the loop in its delivery until proceed runs; a batch
-	// always ends at a boundary. (A task held by park may have been
-	// taken at a boundary itself, and then T1, queued behind it, waits
-	// for R's batch as T2 does.)
+	// Batch A holds the loop in its delivery until proceed runs, so T1
+	// and R queue behind it in that order.
 	delivering, gate := make(chan struct{}), make(chan struct{})
 	proceed := sync.OnceFunc(func() { close(gate) })
 	t.Cleanup(proceed)
@@ -279,7 +279,7 @@ func TestShardLoopClosedShardRefuses(t *testing.T) {
 	// Shard 1 refuses new work the way a closing shard does.
 	sh1 := s.shards[1]
 	sh1.smu.Lock()
-	sh1.stopped = true
+	sh1.stopped.Store(true)
 	sh1.smu.Unlock()
 	gsn := s.gsn.Load()
 	release := park(t, s.shards[0])
@@ -291,7 +291,7 @@ func TestShardLoopClosedShardRefuses(t *testing.T) {
 	if resp := <-done; resp.Status != StatusErr || resp.Msg != "server closing" {
 		t.Fatalf("envelope with a closing participant: %+v", resp)
 	}
-	if n := len(s.shards[0].tasks); n != 0 || s.gsn.Load() != gsn {
+	if n := len(s.shards[0].q); n != 0 || s.gsn.Load() != gsn {
 		t.Fatalf("refused sets left %d tasks on shard 0 and moved the GSN %d → %d", n, gsn, s.gsn.Load())
 	}
 	release()
@@ -343,5 +343,116 @@ func TestShardLoopCloseWithPartnerWaiting(t *testing.T) {
 	<-closed
 	if r := <-resp; r.Status != StatusOK {
 		t.Fatalf("envelope: %+v", r)
+	}
+}
+
+// TestShardLoopCloseRunsTaskFailsRequestBehind: Close while a batch holds
+// the loop — a batch whose window a queued task ended — with a request
+// queued behind that task. The batch's request is answered, the task
+// still runs, and the request behind it gets "server closing".
+func TestShardLoopCloseRunsTaskFailsRequestBehind(t *testing.T) {
+	s, err := New(Config{Workers: 2, MaxBatch: 4, BatchDelay: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	sh := s.shards[0]
+
+	delivering, gate := make(chan struct{}), make(chan struct{})
+	proceed := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(proceed)
+	first := make(chan Response, 1)
+	if !sh.submit(&pending{req: putReq(1, "a"), reply: replyFunc(func(r Response) {
+		close(delivering)
+		<-gate
+		first <- r
+	})}) {
+		t.Fatal("submit refused")
+	}
+	waitQueued(sh, 0) // the request waits in its batch's window
+	ran := make(chan struct{})
+	if !sh.enqueue(func() { close(ran) }) {
+		t.Fatal("enqueue refused")
+	}
+	<-delivering // the task ended the window
+	behind := submitAsync(t, sh, putReq(2, "b"))
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for !sh.stopped.Load() {
+		runtime.Gosched()
+	}
+	proceed()
+	<-closed
+	if r := <-first; r.Status != StatusOK {
+		t.Fatalf("the batch's request: %+v", r)
+	}
+	select {
+	case <-ran:
+	default:
+		t.Fatal("the task queued before Close did not run")
+	}
+	if r := <-behind; r.Status != StatusErr || r.Msg != "server closing" {
+		t.Fatalf("the request behind the task: %+v, want \"server closing\"", r)
+	}
+}
+
+// TestCrossShardReadOnlyEnvelopeMissesLaterWrites: a read-only envelope
+// R over shards A and B is ordered in real time against single-shard
+// writes. B's loop holds a batch window open around a put W when R
+// queues, and R's slice on A runs at once. Then X puts A.v and is
+// acknowledged, and only then does Y put B.v (each with a filler that
+// fills its batch). Y queues behind R on B, so R sees neither X nor Y.
+// With requests and tasks on separate queues, B's open batch took Y
+// ahead of R, and R saw Y but not X.
+func TestCrossShardReadOnlyEnvelopeMissesLaterWrites(t *testing.T) {
+	s, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 2, BatchDelay: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	names := namesFor(t, "rt", 2, []int{0, 1})
+	a, b := s.shards[0], s.shards[1]
+	put := func(sh *shard, key string) <-chan Response {
+		return submitAsync(t, sh, Request{Op: OpMapPut, Name: names[sh.id], Key: key, Value: []byte("v")})
+	}
+
+	w := put(b, "w")
+	waitQueued(b, 0) // W waits in its batch's window
+	req := &Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
+		{Op: OpMapGet, Name: names[0], Key: "v"},
+		{Op: OpMapGet, Name: names[1], Key: "v"},
+	}}}
+	plan := classifyTx(req.Tx, len(s.shards))
+	if plan.kind != planCross || !plan.readOnly {
+		t.Fatalf("envelope did not classify as a read-only cross plan: %+v", plan)
+	}
+	read := make(chan Response, 1)
+	s.commitCrossShard(req, plan, func(r Response) { read <- r })
+	if err := a.do(func() error { return nil }); err != nil {
+		t.Fatal(err) // R's slice on A has run
+	}
+	x := put(a, "v")
+	put(a, "filler")
+	if r := <-x; r.Status != StatusOK {
+		t.Fatalf("X: %+v", r)
+	}
+	y := put(b, "v")
+	put(b, "filler")
+
+	r := <-read
+	if r.Status != StatusOK || len(r.TxResults) != 2 {
+		t.Fatalf("R: %+v", r)
+	}
+	if r.TxResults[0].Found || r.TxResults[1].Found {
+		t.Fatalf("R saw A.v %v and B.v %v, want neither: Y was sent after X's ack, and X after R's slice on A",
+			r.TxResults[0].Found, r.TxResults[1].Found)
+	}
+	for _, done := range []<-chan Response{w, y} {
+		if resp := <-done; resp.Status != StatusOK {
+			t.Fatalf("put: %+v", resp)
+		}
 	}
 }
