@@ -15,8 +15,9 @@
 //     enclosing transaction: the batch commits or aborts as a unit, but
 //     the per-order work runs on all worker slots.
 //  3. The nightly restock is a bulk operation: TMap.BulkUpdate forks one
-//     nested child per bucket group, and the whole restock is still a
-//     single atomic step that no audit (Snapshot + Sum) can see half of.
+//     nested child per group of the buckets it touches, and the whole
+//     restock is still a single atomic step that no audit (Snapshot +
+//     Sum) can see half of.
 //
 // Run with:
 //
@@ -138,7 +139,7 @@ func main() {
 	if err := rt.Run(func(c *pnstm.Ctx) {
 		if err := c.Atomic(func(c *pnstm.Ctx) error {
 			snap := stock.Snapshot(c) // parallel bucket-group reads
-			cents := revenue.Sum(c)   // parallel stripe reads
+			cents := revenue.Sum(c)   // every stripe in one nested child
 			stock.BulkUpdate(c, skus, func(sku string, have int, ok bool) (int, bool) {
 				if have < 10 {
 					return 10, true // top every SKU back up

@@ -263,9 +263,9 @@ func runProducerConsumer(rt *pnstm.Runtime, cfg StructureConfig) (int, error) {
 }
 
 // runHotCounter: Children parallel children each Add Span times per
-// round; the round transaction finishes with a parallel-nested Sum.
+// round; the round transaction finishes with a Sum.
 func runHotCounter(rt *pnstm.Runtime, cfg StructureConfig) (int, error) {
-	ctr := stmlib.NewTCounterFanout(cfg.Buckets, cfg.Fanout)
+	ctr := stmlib.NewTCounter(cfg.Buckets)
 	ops := 0
 	perRound := int64(cfg.Children * cfg.Span)
 	for r := 0; r < cfg.Rounds; r++ {

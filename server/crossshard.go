@@ -192,7 +192,7 @@ func executeSlice(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, slice []sliceI
 	}
 	for _, it := range slice {
 		if it.partial {
-			rep.partials[it.idx] = reg.Counter(ops[it.idx].Name).SumInline(c)
+			rep.partials[it.idx] = reg.Counter(ops[it.idx].Name).Sum(c)
 			continue
 		}
 		res, msg, err := execOp(c, reg, &ops[it.idx])

@@ -100,13 +100,13 @@ func TestLoopbackMapGetAllocCeiling(t *testing.T) {
 }
 
 // TestLoopbackRangeScanAllocCeiling is the same bound for a limit-64
-// scan answered with 64 entries: the sorted map's three first-wave
-// children and their exactly-sized parts, one encode buffer, the wire,
-// and a decode by reference. The parent of the scan limit pushdown (D49)
-// measured 272 here, most of it entries collected and thrown away and a
-// string and a slice per entry on the client.
+// scan answered with 64 entries: the sorted map's one first-wave child
+// and its exactly-sized part, one encode buffer, the wire, and a decode
+// by reference. The parent of the scan limit pushdown (D49) measured 272
+// here, most of it entries collected and thrown away and a string and a
+// slice per entry on the client.
 func TestLoopbackRangeScanAllocCeiling(t *testing.T) {
-	const ceiling = 49 // reads 21; 24 before borrowed keys and slab-carved values, 28 before recycled pendings and by-value replies, 31 before pooled fork frames, 37 while each dispatch started a goroutine
+	const ceiling = 20 // reads 13 (15 under -race); 21 while the first wave forked a child per leaf, 24 before borrowed keys and slab-carved values, 28 before recycled pendings and by-value replies, 31 before pooled fork frames, 37 while each dispatch started a goroutine
 	cl, lo, hi := loopbackRangeScan(t)
 	got := testing.AllocsPerRun(200, func() {
 		es, err := cl.RangeScan("lb", lo, hi, 64)

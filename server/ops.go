@@ -154,16 +154,13 @@ func execOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp) (res TxResult, msg str
 	case OpCounterAdd:
 		reg.Counter(op.Name).Add(c, op.Delta)
 	case OpCounterSum:
-		// Inline stripe reads: the request's batch siblings and the
-		// envelope's groups are the parallelism; per-read forks would only
-		// cost dispatch.
-		res.Num = reg.Counter(op.Name).SumInline(c)
+		res.Num = reg.Counter(op.Name).Sum(c)
 
 	case OpAssertEq, OpAssertGE:
 		var raw []byte
 		if op.Key == "" {
 			// A counter guard, judged on this shard's partial.
-			res.Num = reg.Counter(op.Name).SumInline(c)
+			res.Num = reg.Counter(op.Name).Sum(c)
 			if gmsg, ok := judgeCounterGuard(op, res.Num); !ok {
 				msg, err = gmsg, errRejected
 			}

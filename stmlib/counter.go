@@ -11,9 +11,8 @@ import (
 // rotor, so parallel sibling transactions that increment the counter
 // usually land on different stripes and do not conflict; the rotor
 // advances on every attempt, so a retry after a collision moves to
-// another stripe. Sum reads every stripe as one atomic step, forking one
-// nested child transaction per stripe group via Ctx.Parallel — the
-// parallel-nested read the runtime makes cheap.
+// another stripe. Sum reads every stripe as one atomic step in one nested
+// child.
 //
 // The counter composes like every stmlib structure: an Atomic body that
 // calls Add joins the caller's transaction, and the increment is undone
@@ -22,7 +21,6 @@ import (
 // Create with NewTCounter; the zero value is not usable.
 type TCounter struct {
 	stripes []*pnstm.TVar[int64]
-	fanout  int
 	rotor   atomic.Uint64
 }
 
@@ -31,17 +29,7 @@ type TCounter struct {
 // between concurrent adders at the cost of a wider Sum; the worker count
 // is a good default.
 func NewTCounter(stripes int) *TCounter {
-	return NewTCounterFanout(stripes, DefaultFanout)
-}
-
-// NewTCounterFanout is NewTCounter with an explicit Sum/Reset fanout: the
-// maximum number of parallel nested children the bulk operations fork.
-func NewTCounterFanout(stripes, fanout int) *TCounter {
-	n := ceilPow2(stripes)
-	if fanout < 1 {
-		fanout = 1
-	}
-	t := &TCounter{stripes: make([]*pnstm.TVar[int64], n), fanout: fanout}
+	t := &TCounter{stripes: make([]*pnstm.TVar[int64], ceilPow2(stripes))}
 	for i := range t.stripes {
 		t.stripes[i] = pnstm.NewTVar[int64](0)
 	}
@@ -76,77 +64,38 @@ func (t *TCounter) Add(c *pnstm.Ctx, delta int64) {
 // Inc adds 1.
 func (t *TCounter) Inc(c *pnstm.Ctx) { t.Add(c, 1) }
 
-// Sum returns the counter's value: one nested child per stripe group
-// reads its stripes in parallel, and the partial sums are combined after
-// the join. The result is a consistent atomic snapshot — concurrent
-// non-ancestor adders conflict with the read and serialize around it.
+// Sum returns the counter's value, every stripe read in one nested
+// child: a stripe is one load, so no stripe count pays for a second
+// child, inside a parallel composition (a server batch, a wire
+// transaction's group) or outside one. The result is a consistent atomic
+// snapshot — concurrent non-ancestor adders conflict with the read and
+// serialize around it.
 func (t *TCounter) Sum(c *pnstm.Ctx) int64 {
 	var total int64
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		bounds := groupBounds(len(t.stripes), t.fanout)
-		parts := make([]int64, len(bounds)-1)
-		fns := make([]func(*pnstm.Ctx), len(parts))
-		for g := range fns {
-			g := g
-			fns[g] = func(c *pnstm.Ctx) {
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					var s int64
-					for i := bounds[g]; i < bounds[g+1]; i++ {
-						s += pnstm.Load(c, t.stripes[i])
-					}
-					parts[g] = s
-					return nil
-				})
-			}
-		}
-		c.Parallel(fns...)
 		total = 0
-		for _, s := range parts {
-			total += s
-		}
+		forEachGroup(c, len(t.stripes), len(t.stripes), DefaultFanout, jobFunc[int64](func(c *pnstm.Ctx, lo, hi int) int64 {
+			var sum int64
+			for _, s := range t.stripes[lo:hi] {
+				sum += pnstm.Load(c, s)
+			}
+			return sum
+		}), func(sum int64) { total += sum })
 		return nil
 	})
 	return total
 }
 
-// SumInline returns the counter's value by reading the stripes
-// sequentially in the caller's transaction — same atomic snapshot as
-// Sum, none of Sum's parallel-block forks. This is the right read
-// inside an already-parallel composition (a server batch child, a wire
-// transaction's per-structure group): there the caller's siblings keep
-// the workers busy, and per-read forks are pure dispatch overhead.
-func (t *TCounter) SumInline(c *pnstm.Ctx) int64 {
-	var total int64
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		var s int64
-		for _, stripe := range t.stripes {
-			s += pnstm.Load(c, stripe)
-		}
-		total = s
-		return nil
-	})
-	return total
-}
-
-// Reset sets the counter to zero, one nested child per stripe group.
+// Reset sets the counter to zero in one nested child, priced like Sum.
 func (t *TCounter) Reset(c *pnstm.Ctx) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		bounds := groupBounds(len(t.stripes), t.fanout)
-		fns := make([]func(*pnstm.Ctx), len(bounds)-1)
-		for g := range fns {
-			g := g
-			fns[g] = func(c *pnstm.Ctx) {
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					for i := bounds[g]; i < bounds[g+1]; i++ {
-						if pnstm.Load(c, t.stripes[i]) != 0 {
-							pnstm.Store(c, t.stripes[i], 0)
-						}
-					}
-					return nil
-				})
+		forEachGroup(c, len(t.stripes), len(t.stripes), DefaultFanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+			for _, s := range t.stripes[lo:hi] {
+				if pnstm.Load(c, s) != 0 {
+					pnstm.Store(c, s, 0)
+				}
 			}
-		}
-		c.Parallel(fns...)
+		}), nil)
 		return nil
 	})
 }

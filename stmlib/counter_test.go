@@ -66,30 +66,57 @@ func TestTCounterParallelAdders(t *testing.T) {
 	})
 }
 
-// TestTCounterSumInlineAgreesWithSum: the sequential read is the same
-// atomic snapshot as the parallel-fanned one, in and out of enclosing
-// transactions, serial and parallel runtimes.
-func TestTCounterSumInlineAgreesWithSum(t *testing.T) {
+// TestTCounterSumNarrowAndWide: Sum is the same atomic snapshot on a
+// counter narrow enough to read inline and on one wide enough that a
+// child per stripe group would fork the whole fanout, in and out of
+// enclosing transactions, on serial and parallel runtimes.
+func TestTCounterSumNarrowAndWide(t *testing.T) {
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
 			rt := newRT(t, 4, serial)
-			ctr := stmlib.NewTCounter(8)
-			run(t, rt, func(c *pnstm.Ctx) {
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					for i := 0; i < 30; i++ {
-						ctr.Add(c, int64(i))
-					}
-					if a, b := ctr.Sum(c), ctr.SumInline(c); a != b || a != 435 {
-						t.Errorf("Sum = %d, SumInline = %d, want 435", a, b)
-					}
-					return nil
+			for _, stripes := range []int{1, 256} {
+				ctr := stmlib.NewTCounter(stripes)
+				run(t, rt, func(c *pnstm.Ctx) {
+					_ = c.Atomic(func(c *pnstm.Ctx) error {
+						for i := 0; i < 30; i++ {
+							ctr.Add(c, int64(i))
+						}
+						if s := ctr.Sum(c); s != 435 {
+							t.Errorf("%d stripes: Sum = %d, want 435", stripes, s)
+						}
+						return nil
+					})
 				})
-			})
-			run(t, rt, func(c *pnstm.Ctx) {
-				if a, b := ctr.Sum(c), ctr.SumInline(c); a != b || a != 435 {
-					t.Errorf("top-level Sum = %d, SumInline = %d, want 435", a, b)
-				}
-			})
+				run(t, rt, func(c *pnstm.Ctx) {
+					if s := ctr.Sum(c); s != 435 {
+						t.Errorf("%d stripes: top-level Sum = %d, want 435", stripes, s)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestTCounterSumDoesNotFork: a stripe is one load, so Sum reads every
+// stripe in one nested child whatever the width — its own transaction
+// and that child, and no block dispatched.
+func TestTCounterSumDoesNotFork(t *testing.T) {
+	rt := newRT(t, 4, false)
+	for _, stripes := range []int{8, 256} {
+		ctr := stmlib.NewTCounter(stripes)
+		run(t, rt, func(c *pnstm.Ctx) {
+			ctr.Add(c, 7)
+			before := rt.Stats()
+			if s := ctr.Sum(c); s != 7 {
+				t.Errorf("Sum = %d, want 7", s)
+			}
+			d := rt.Stats().Sub(before)
+			if d.Begun != 2 {
+				t.Errorf("Sum over %d stripes began %d transactions, want 2", stripes, d.Begun)
+			}
+			if n := d.Dispatches + d.BorrowDispatch; n != 0 {
+				t.Errorf("Sum over %d stripes dispatched %d blocks, want 0", stripes, n)
+			}
 		})
 	}
 }

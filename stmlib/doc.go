@@ -7,10 +7,13 @@
 // compose — an Atomic body may touch a TMap, a TQueue, a TCounter and
 // plain TVars and the whole body commits or aborts as one unit. What this
 // runtime uniquely adds is the paper's parallel nesting: a single bulk
-// operation (TMap.Range, TMap.Clear, TMap.BulkUpdate, TCounter.Sum) forks
-// one child transaction per bucket group via Ctx.Parallel, so the bulk
-// work runs on all worker slots while still being one atomic step of the
-// enclosing transaction.
+// operation (TMap.Range, TMap.Clear, TMap.BulkUpdate, a TSortedMap scan)
+// forks one child transaction per group of buckets or leaves via
+// Ctx.Parallel, so the bulk work runs on all worker slots while still
+// being one atomic step of the enclosing transaction. Every fork site is
+// priced by one rule (fork.go): a group must carry enough work to pay
+// for its child, so a short scan wave and a counter's Sum run as one
+// nested child instead.
 //
 // Three structures ship today:
 //
@@ -20,8 +23,8 @@
 //   - TQueue[T]: a two-stack FIFO queue over persistent (immutable) cons
 //     lists, so aborts never alias live state.
 //   - TCounter: a striped counter. Add touches one stripe (concurrent
-//     non-ancestor adders rarely collide); Sum reads all stripes with
-//     parallel nested children.
+//     non-ancestor adders rarely collide); Sum reads all stripes in one
+//     nested child.
 //
 // Every operation takes the caller's *pnstm.Ctx and may be called either
 // inside an enclosing Atomic (the operation becomes a nested child and

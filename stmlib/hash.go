@@ -78,25 +78,6 @@ func hashString(s string) uint64 {
 	return mix64(h)
 }
 
-// groupBounds splits n buckets into at most maxGroups contiguous ranges of
-// near-equal size and returns the range boundaries: group g covers buckets
-// [bounds[g], bounds[g+1]). Bulk operations fork one nested child per
-// group.
-func groupBounds(n, maxGroups int) []int {
-	g := maxGroups
-	if g > n {
-		g = n
-	}
-	if g < 1 {
-		g = 1
-	}
-	bounds := make([]int, g+1)
-	for i := 0; i <= g; i++ {
-		bounds[i] = i * n / g
-	}
-	return bounds
-}
-
 // ceilPow2 rounds n up to a power of two (used to make bucket masking
 // cheap).
 func ceilPow2(n int) int {

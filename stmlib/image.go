@@ -58,8 +58,8 @@ func (r *Registry) Export(c *pnstm.Ctx) *RegistryImage {
 	sortedOut := make([][]SortedEntry[string, []byte], len(sortedNames))
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		// One task per structure; tasks are spread over ≤ fanout parallel
-		// children, mirroring the bucket-group idiom. Each task's bulk
-		// read forks further nested children of its group's transaction.
+		// children (forEachGroup). Each task's bulk read forks further
+		// nested children of its group's transaction.
 		var tasks []func(*pnstm.Ctx)
 		for i, name := range mapNames {
 			i, name := i, name
@@ -85,7 +85,7 @@ func (r *Registry) Export(c *pnstm.Ctx) *RegistryImage {
 			i, name := i, name
 			tasks = append(tasks, func(c *pnstm.Ctx) { sortedOut[i] = r.SortedMap(name).ExportEntries(c) })
 		}
-		parallelTasks(c, r.fanout, tasks)
+		forEachGroup(c, len(tasks), tasksPerChild, r.fanout, runTasks(tasks), nil)
 		return nil
 	})
 	for i, name := range mapNames {
@@ -168,31 +168,16 @@ func (r *Registry) Import(c *pnstm.Ctx, img *RegistryImage) {
 			q, seq := r.Queue(name), seq
 			tasks = append(tasks, func(c *pnstm.Ctx) { q.ImportLeases(c, nil, seq) })
 		}
-		parallelTasks(c, r.fanout, tasks)
+		forEachGroup(c, len(tasks), tasksPerChild, r.fanout, runTasks(tasks), nil)
 		return nil
 	})
 }
 
-// parallelTasks spreads tasks over at most fanout parallel nested
-// children (the bucket-group idiom): each child runs its contiguous
-// slice of tasks sequentially inside its own transaction. Must be
-// called from inside an Atomic.
-func parallelTasks(c *pnstm.Ctx, fanout int, tasks []func(*pnstm.Ctx)) {
-	if len(tasks) == 0 {
-		return
-	}
-	bounds := groupBounds(len(tasks), fanout)
-	fns := make([]func(*pnstm.Ctx), len(bounds)-1)
-	for g := range fns {
-		g := g
-		fns[g] = func(c *pnstm.Ctx) {
-			_ = c.Atomic(func(c *pnstm.Ctx) error {
-				for i := bounds[g]; i < bounds[g+1]; i++ {
-					tasks[i](c)
-				}
-				return nil
-			})
+// runTasks is the job that runs a group's share of tasks in order.
+func runTasks(tasks []func(*pnstm.Ctx)) doFunc {
+	return func(c *pnstm.Ctx, lo, hi int) {
+		for _, task := range tasks[lo:hi] {
+			task(c)
 		}
 	}
-	c.Parallel(fns...)
 }

@@ -1,6 +1,7 @@
 package stmlib
 
 import (
+	"maps"
 	"slices"
 
 	"pnstm"
@@ -282,18 +283,14 @@ func (m *TMap[K, V]) Update(c *pnstm.Ctx, k K, f func(V, bool) (V, bool)) (V, bo
 func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
 	var total int
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		sums := make([]int, m.groupCount())
-		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
-			n := 0
-			for i := lo; i < hi; i++ {
-				n += len(pnstm.Load(c, m.buckets[i]))
-			}
-			sums[g] = n
-		})
 		total = 0
-		for _, n := range sums {
-			total += n
-		}
+		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
+			n := 0
+			for _, b := range m.buckets[lo:hi] {
+				n += len(pnstm.Load(c, b))
+			}
+			return n
+		}), func(n int) { total += n })
 		return nil
 	})
 	return total
@@ -306,13 +303,13 @@ func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
 // accumulation. For a plain consistent copy use Snapshot.
 func (m *TMap[K, V]) Range(c *pnstm.Ctx, f func(K, V)) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for _, e := range pnstm.Load(c, m.buckets[i]) {
+		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+			for _, b := range m.buckets[lo:hi] {
+				for _, e := range pnstm.Load(c, b) {
 					f(e.k, e.v)
 				}
 			}
-		})
+		}), nil)
 		return nil
 	})
 }
@@ -335,24 +332,18 @@ func (m *TMap[K, V]) TTLSnapshot(c *pnstm.Ctx) map[K]int64 {
 func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entry[K, V]) (T, bool)) map[K]T {
 	var out map[K]T
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		parts := make([]map[K]T, m.groupCount())
-		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
+		out = make(map[K]T)
+		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, jobFunc[map[K]T](func(c *pnstm.Ctx, lo, hi int) map[K]T {
 			part := make(map[K]T)
-			for i := lo; i < hi; i++ {
-				for _, e := range pnstm.Load(c, m.buckets[i]) {
+			for _, b := range m.buckets[lo:hi] {
+				for _, e := range pnstm.Load(c, b) {
 					if x, ok := pick(e); ok {
 						part[e.k] = x
 					}
 				}
 			}
-			parts[g] = part
-		})
-		out = make(map[K]T)
-		for _, part := range parts {
-			for k, x := range part {
-				out[k] = x
-			}
-		}
+			return part
+		}), func(part map[K]T) { maps.Copy(out, part) })
 		return nil
 	})
 	return out
@@ -362,16 +353,16 @@ func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entr
 // per bucket group.
 func (m *TMap[K, V]) Clear(c *pnstm.Ctx) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		m.forEachGroup(c, func(c *pnstm.Ctx, g, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if old := pnstm.Load(c, m.buckets[i]); old != nil {
-					pnstm.Store[[]entry[K, V]](c, m.buckets[i], nil)
+		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+			for _, b := range m.buckets[lo:hi] {
+				if old := pnstm.Load(c, b); old != nil {
+					pnstm.Store[[]entry[K, V]](c, b, nil)
 					for _, e := range old {
 						m.expire(c, e)
 					}
 				}
 			}
-		})
+		}), nil)
 		return nil
 	})
 }
@@ -415,115 +406,57 @@ func (m *TMap[K, V]) ImportTTLs(c *pnstm.Ctx, ttls map[K]int64) {
 	})
 }
 
-// BulkUpdate applies f to every key in keys as one atomic step. Keys are
-// grouped by bucket group and one nested child per non-empty group
-// applies its share in parallel; keys hashing to different groups are
-// updated by different child transactions. f has Update semantics:
-// (current value, present) in, (new value, keep) out; a deleted key's
-// deadline goes with it. Duplicate keys in keys are applied once per
-// occurrence in an unspecified order; f must be side-effect free
-// (children retry on conflict). Each touched bucket is copied once and
-// stored once, however many keys land in it; the copy is the child's own
-// until Store, so only it is ever written in place.
+// BulkUpdate applies f to every key in keys as one atomic step. The
+// buckets the keys touch are split into groups, and one nested child per
+// group applies its buckets' keys; keys in different groups are updated
+// by different child transactions. f has Update semantics: (current
+// value, present) in, (new value, keep) out; a deleted key's deadline
+// goes with it. Duplicate keys in keys are applied once per occurrence in
+// an unspecified order; f must be side-effect free (children retry on
+// conflict). Each touched bucket is copied once and stored once, however
+// many keys land in it; the copy is the child's own until Store, so only
+// it is ever written in place.
 func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, bool)) {
 	if len(keys) == 0 {
 		return
 	}
+	byBucket := make(map[uint64][]K)
+	for _, k := range keys {
+		b := hashKey(k) & m.mask
+		byBucket[b] = append(byBucket[b], k)
+	}
+	touched := slices.Sorted(maps.Keys(byBucket))
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		bounds := groupBounds(len(m.buckets), m.fanout)
-		groups := make([][]K, len(bounds)-1)
-		for _, k := range keys {
-			g := groupOf(bounds, int(hashKey(k)&m.mask))
-			groups[g] = append(groups[g], k)
-		}
-		var fns []func(*pnstm.Ctx)
-		for g := range groups {
-			g := g
-			if len(groups[g]) == 0 {
-				continue
+		forEachGroup(c, len(touched), bucketsPerChild, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+			for _, b := range touched[lo:hi] {
+				old := pnstm.Load(c, m.buckets[b])
+				next := append(make([]entry[K, V], 0, len(old)+len(byBucket[b])), old...)
+				dirty := false
+				for _, k := range byBucket[b] {
+					h := hashKey(k)
+					i, found := find(next, h, k)
+					e := entry[K, V]{h: h, k: k}
+					if found {
+						e = next[i]
+					}
+					var keep bool
+					e.v, keep = f(k, e.v, found)
+					switch {
+					case keep && found:
+						next[i] = e
+					case keep:
+						next = slices.Insert(next, i, e)
+					case found:
+						next = slices.Delete(next, i, i+1)
+						m.expire(c, e)
+					}
+					dirty = dirty || keep || found
+				}
+				if dirty {
+					pnstm.Store(c, m.buckets[b], next)
+				}
 			}
-			fns = append(fns, func(c *pnstm.Ctx) {
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					byBucket := make(map[uint64][]K)
-					for _, k := range groups[g] {
-						b := hashKey(k) & m.mask
-						byBucket[b] = append(byBucket[b], k)
-					}
-					for b, ks := range byBucket {
-						old := pnstm.Load(c, m.buckets[b])
-						next := append(make([]entry[K, V], 0, len(old)+len(ks)), old...)
-						dirty := false
-						for _, k := range ks {
-							h := hashKey(k)
-							i, found := find(next, h, k)
-							e := entry[K, V]{h: h, k: k}
-							if found {
-								e = next[i]
-							}
-							var keep bool
-							e.v, keep = f(k, e.v, found)
-							switch {
-							case keep && found:
-								next[i] = e
-							case keep:
-								next = slices.Insert(next, i, e)
-							case found:
-								next = slices.Delete(next, i, i+1)
-								m.expire(c, e)
-							}
-							dirty = dirty || keep || found
-						}
-						if dirty {
-							pnstm.Store(c, m.buckets[b], next)
-						}
-					}
-					return nil
-				})
-			})
-		}
-		c.Parallel(fns...)
+		}), nil)
 		return nil
 	})
-}
-
-// groupCount returns the number of bucket groups bulk operations use.
-func (m *TMap[K, V]) groupCount() int {
-	g := m.fanout
-	if g > len(m.buckets) {
-		g = len(m.buckets)
-	}
-	return g
-}
-
-// forEachGroup forks one nested child transaction per bucket group and
-// invokes body(g, lo, hi) inside it. It must be called from inside an
-// Atomic (the children become parallel children of that transaction).
-func (m *TMap[K, V]) forEachGroup(c *pnstm.Ctx, body func(c *pnstm.Ctx, g, lo, hi int)) {
-	bounds := groupBounds(len(m.buckets), m.fanout)
-	fns := make([]func(*pnstm.Ctx), len(bounds)-1)
-	for g := range fns {
-		g := g
-		fns[g] = func(c *pnstm.Ctx) {
-			_ = c.Atomic(func(c *pnstm.Ctx) error {
-				body(c, g, bounds[g], bounds[g+1])
-				return nil
-			})
-		}
-	}
-	c.Parallel(fns...)
-}
-
-// groupOf returns the group whose [bounds[g], bounds[g+1]) range contains
-// bucket b.
-func groupOf(bounds []int, b int) int {
-	lo, hi := 0, len(bounds)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if b >= bounds[mid] {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -38,7 +38,7 @@ type Registry struct {
 
 	buckets int // per-map bucket count
 	stripes int // per-counter stripe count
-	fanout  int // bulk-operation fanout for maps and counters
+	fanout  int // bulk-operation fanout for maps, sorted maps and Export/Import
 }
 
 // RegistryConfig sizes the structures a Registry creates. Zero fields
@@ -166,7 +166,7 @@ func (r *Registry) Counter(name string) *TCounter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = NewTCounterFanout(r.stripes, r.fanout)
+		c = NewTCounter(r.stripes)
 		c.SetLabel(name) // conflict attribution (D35)
 		r.counters[name] = c
 	}

@@ -2,7 +2,6 @@ package stmlib
 
 import (
 	"cmp"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -56,16 +55,16 @@ const smMaxLeaf = 64
 // transaction touching the root (read) and a single leaf, so operations
 // on different leaves by parallel siblings do not conflict. Range
 // operations (RangeScan, RangeFrom, RangeCount, Len, ExportEntries)
-// split the touched leaf span into at most fanout contiguous subranges
-// and fork one nested child per subrange via Ctx.Parallel — the paper's
-// parallel-nesting shape applied to an ordered structure. A scan with a
-// limit touches only the leaves expected to hold that many entries and
-// widens in waves if they fall short, so it neither reads nor conflicts
-// on the rest of [lo, hi). A concurrent writer that invalidates one
-// subrange aborts and retries only that child, not the whole scan; with
-// fanout 1 the scan is a single sequential child and any conflict
-// restarts it entirely (the serial baseline the rangescan A/B measures
-// against).
+// walk the touched leaf span in waves; a wave forks one nested child per
+// leavesPerChild leaves, at most fanout of them, via Ctx.Parallel — the
+// paper's parallel-nesting shape applied to an ordered structure — and
+// a wave too short to pay for a fork runs as one nested child. A scan
+// with a limit touches only the leaves expected to hold that many
+// entries and widens in waves if they fall short, so it neither reads
+// nor conflicts on the rest of [lo, hi). The retry unit is a wave's
+// child: a concurrent writer that invalidates its leaves aborts and
+// retries that child, not the whole scan. With fanout 1 every wave is
+// one child (the serial baseline the rangescan A/B measures against).
 //
 // TTL semantics: PutTTL attaches an absolute deadline; reads (Get,
 // RangeScan, RangeCount) hide entries past their deadline, while
@@ -95,9 +94,8 @@ func NewTSortedMap[K cmp.Ordered, V any]() *TSortedMap[K, V] {
 }
 
 // NewTSortedMapFanout is NewTSortedMap with an explicit range-operation
-// fanout: the maximum number of parallel nested children a range
-// operation forks. Fanout 1 makes every range operation one sequential
-// child.
+// fanout: the maximum number of parallel nested children a wave of a
+// range operation forks. Fanout 1 makes every wave one sequential child.
 func NewTSortedMapFanout[K cmp.Ordered, V any](fanout int) *TSortedMap[K, V] {
 	if fanout < 1 {
 		fanout = 1
@@ -296,8 +294,7 @@ func (m *TSortedMap[K, V]) ExpireThrough(c *pnstm.Ctx, k K, cutoff int64) bool {
 // RangeScan returns the live entries with lo <= key < hi in ascending
 // key order, at most limit of them (limit <= 0: unlimited). The leaf
 // span — with a limit, the leading part of it that holds the result — is
-// split into at most fanout subranges scanned by parallel nested
-// children.
+// scanned in waves of nested children (see scan).
 func (m *TSortedMap[K, V]) RangeScan(c *pnstm.Ctx, lo, hi K, limit int) []SortedEntry[K, V] {
 	if !cmp.Less(lo, hi) {
 		return nil
@@ -312,7 +309,7 @@ func (m *TSortedMap[K, V]) RangeFrom(c *pnstm.Ctx, lo K, limit int) []SortedEntr
 }
 
 // RangeCount returns the number of live entries with lo <= key < hi,
-// counted by parallel nested subrange children.
+// counted like RangeScan collects them.
 func (m *TSortedMap[K, V]) RangeCount(c *pnstm.Ctx, lo, hi K) int {
 	if !cmp.Less(lo, hi) {
 		return 0
@@ -325,11 +322,11 @@ func (m *TSortedMap[K, V]) RangeCountFrom(c *pnstm.Ctx, lo K) int {
 	return len(m.scan(c, lo, true, false, lo, 0, nowNanos(), false))
 }
 
-// scan is the shared subrange-fanning walk. With withValues false the
-// returned entries carry only keys (counting mode). now filters
-// lazily-expired entries; a cutoff of 0 disables filtering (export).
-// With hasLo false the walk starts at the first leaf (full-range
-// export).
+// scan is the shared walk behind every scan, count and export. With
+// withValues false the returned entries carry only keys (counting mode).
+// now filters lazily-expired entries; a cutoff of 0 disables filtering
+// (export). With hasLo false the walk starts at the first leaf
+// (full-range export).
 //
 // The touched leaf span is walked in waves inside the one enclosing
 // transaction (D49). With limit <= 0 a single wave covers the whole
@@ -337,9 +334,12 @@ func (m *TSortedMap[K, V]) RangeCountFrom(c *pnstm.Ctx, lo K) int {
 // expected to hold it — a split leaves both halves at least half full,
 // plus one for the partly covered first leaf — and a further wave, twice
 // as wide, runs only while the result is short and leaves remain
-// (deletes and expiry can leave leaves sparse or empty). Each wave is
-// divided into at most fanout contiguous subranges, one nested child
-// each.
+// (deletes and expiry can leave leaves sparse or empty). A wave is
+// priced like every stmlib fork (forEachGroup): a child per
+// leavesPerChild leaves, at most fanout, so a short wave is one nested
+// child and a long one fans out. A wave's child is the retry unit: a
+// concurrent writer that invalidates its leaves retries that child
+// alone.
 func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, limit int, now int64, withValues bool) []SortedEntry[K, V] {
 	var out []SortedEntry[K, V]
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
@@ -364,108 +364,95 @@ func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, l
 			}
 		}
 		for next < end && (limit <= 0 || len(out) < limit) {
-			i0, owed := next, limit-len(out)
-			next = min(end, next+width)
+			w := scanWave[K, V]{
+				leaves: t.leaves[next:min(end, next+width)],
+				lo:     lo, hi: hi, hasLo: hasLo, bounded: bounded,
+				owed: limit - len(out), now: now, withValues: withValues,
+			}
+			next += len(w.leaves)
 			width *= 2
-			bounds := groupBounds(next-i0, m.fanout)
-			parts := make([][]SortedEntry[K, V], len(bounds)-1)
-			fns := make([]func(*pnstm.Ctx), len(bounds)-1)
-			for g := range fns {
-				g := g
-				fns[g] = func(c *pnstm.Ctx) {
-					_ = c.Atomic(func(c *pnstm.Ctx) error {
-						// One Load per leaf: the loaded slices wait in a
-						// stack buffer while part is sized, once, from
-						// their sum clipped to what is owed.
-						var buf [8][]SortedEntry[K, V]
-						loaded, n := buf[:0], 0
-						for _, leaf := range t.leaves[i0+bounds[g] : i0+bounds[g+1]] {
-							es := pnstm.Load(c, leaf)
-							loaded, n = append(loaded, es), n+len(es)
-						}
-						if limit > 0 {
-							n = min(n, owed)
-						}
-						part := make([]SortedEntry[K, V], 0, n)
-					leafLoop:
-						for _, es := range loaded {
-							for _, e := range es {
-								if hasLo && cmp.Less(e.Key, lo) {
-									continue
-								}
-								if bounded && !cmp.Less(e.Key, hi) {
-									break leafLoop
-								}
-								if now > 0 && e.Exp > 0 && e.Exp <= now {
-									continue
-								}
-								if !withValues {
-									e.Value = *new(V)
-								}
-								part = append(part, e)
-								if len(part) == n {
-									break leafLoop // every entry taken, or all that is owed
-								}
-							}
-						}
-						parts[g] = part
-						return nil
-					})
+			forEachGroup(c, len(w.leaves), leavesPerChild, m.fanout, w, func(p []SortedEntry[K, V]) {
+				if limit > 0 {
+					p = p[:min(len(p), limit-len(out))]
 				}
-			}
-			c.Parallel(fns...)
-			total := len(out)
-			for _, p := range parts {
-				total += len(p)
-			}
-			if limit > 0 {
-				total = min(total, limit)
-			}
-			for _, p := range parts {
-				p = p[:min(len(p), total-len(out))]
 				switch {
 				case len(p) == 0:
 				case out == nil:
 					out = p // the first part is the result: no merge copy
 				default:
-					out = append(slices.Grow(out, total-len(out)), p...)
+					out = append(out, p...)
 				}
-			}
+			})
 		}
 		return nil
 	})
 	return out
 }
 
+// scanWave is one wave of a scan, a value so that a wave that does not
+// fork costs no object of its own: do collects the entries of
+// leaves[from:to] inside the scan's range, live at now (0: all), at most
+// owed of them when owed > 0.
+type scanWave[K cmp.Ordered, V any] struct {
+	leaves         []*pnstm.TVar[[]SortedEntry[K, V]]
+	lo, hi         K
+	hasLo, bounded bool
+	owed           int
+	now            int64
+	withValues     bool
+}
+
+func (w scanWave[K, V]) do(c *pnstm.Ctx, from, to int) []SortedEntry[K, V] {
+	// One Load per leaf: the loaded slices wait in a stack buffer while
+	// part is sized, once, from their sum clipped to what is owed.
+	var buf [8][]SortedEntry[K, V]
+	loaded, n := buf[:0], 0
+	for _, leaf := range w.leaves[from:to] {
+		es := pnstm.Load(c, leaf)
+		loaded, n = append(loaded, es), n+len(es)
+	}
+	if w.owed > 0 {
+		n = min(n, w.owed)
+	}
+	part := make([]SortedEntry[K, V], 0, n)
+	for _, es := range loaded {
+		for _, e := range es {
+			if w.hasLo && cmp.Less(e.Key, w.lo) {
+				continue
+			}
+			if w.bounded && !cmp.Less(e.Key, w.hi) {
+				return part
+			}
+			if w.now > 0 && e.Exp > 0 && e.Exp <= w.now {
+				continue
+			}
+			if !w.withValues {
+				e.Value = *new(V)
+			}
+			if part = append(part, e); len(part) == n {
+				return part // every entry taken, or all that is owed
+			}
+		}
+	}
+	return part
+}
+
 // Len returns the PHYSICAL entry count — expired-but-unswept entries
-// included — counted by one nested child per leaf subrange. (Reads hide
-// expired entries; Len deliberately does not, so sweeps are observable:
-// after the reaper runs, Len drops.)
+// included — counted by nested children over the leaves, priced like a
+// scan's wave. (Reads hide expired entries; Len deliberately does not,
+// so sweeps are observable: after the reaper runs, Len drops.)
 func (m *TSortedMap[K, V]) Len(c *pnstm.Ctx) int {
 	var total int
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		t := pnstm.Load(c, m.root)
-		bounds := groupBounds(len(t.leaves), m.fanout)
-		sums := make([]int, len(bounds)-1)
-		fns := make([]func(*pnstm.Ctx), len(bounds)-1)
-		for g := range fns {
-			g := g
-			fns[g] = func(c *pnstm.Ctx) {
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					n := 0
-					for li := bounds[g]; li < bounds[g+1]; li++ {
-						n += len(pnstm.Load(c, t.leaves[li]))
-					}
-					sums[g] = n
-					return nil
-				})
-			}
-		}
-		c.Parallel(fns...)
 		total = 0
-		for _, n := range sums {
-			total += n
-		}
+		forEachGroup(c, len(t.leaves), leavesPerChild, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
+			n := 0
+			for _, leaf := range t.leaves[lo:hi] {
+				n += len(pnstm.Load(c, leaf))
+			}
+			return n
+		}), func(n int) { total += n })
 		return nil
 	})
 	return total
@@ -473,7 +460,7 @@ func (m *TSortedMap[K, V]) Len(c *pnstm.Ctx) int {
 
 // ExportEntries captures every physical entry — deadlines included,
 // expired-unswept included — in ascending key order: the sorted map's
-// snapshot payload, collected by parallel subrange children.
+// snapshot payload, collected in one wave like an unlimited scan.
 func (m *TSortedMap[K, V]) ExportEntries(c *pnstm.Ctx) []SortedEntry[K, V] {
 	var zero K
 	return m.scan(c, zero, false, false, zero, 0, 0, true)

@@ -242,8 +242,9 @@ func hundredLeaves(t *testing.T, rt *pnstm.Runtime) (*TSortedMap[int, int], int)
 }
 
 // TestSortedScanLimitFootprint: a limit-10 scan from the first key of a
-// 100-leaf map begins its own transaction and one child per first-wave
-// leaf (two: ceil(10/32)+1) and reads nothing beyond them. So it runs to
+// 100-leaf map begins its own transaction and at most one child per
+// first-wave leaf (two: ceil(10/32)+1; both share one child since
+// leavesPerChild) and reads nothing beyond them. So it runs to
 // completion, conflict-free, while another transaction holds a write to
 // the last leaf open — a leaf inside the scan's [lo, +inf) range, which
 // a scan of the whole range could not get past until that writer ended.
@@ -278,7 +279,7 @@ func TestSortedScanLimitFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d.Begun > scans*(1+2) {
-		t.Errorf("%d limit-10 scans began %d transactions, want at most 3 each (the scan and two first-wave children)", scans, d.Begun)
+		t.Errorf("%d limit-10 scans began %d transactions, want at most 3 each (the scan and at most a child per first-wave leaf)", scans, d.Begun)
 	}
 	if d.Conflicts != 0 || d.Aborted != 0 {
 		t.Errorf("scans of the first leaves beside an open write to the last: %d conflicts, %d aborts, want none", d.Conflicts, d.Aborted)
@@ -308,6 +309,81 @@ func TestSortedScanUnlimitedPlan(t *testing.T) {
 		})
 		if want := uint64(1 + DefaultFanout); begun != want {
 			t.Errorf("%s over 100 leaves began %d transactions, want %d (itself and %d children)", name, begun, want, DefaultFanout)
+		}
+	}
+}
+
+// TestSortedScanFirstWaveInline: a limit-64 scan of a 256-key span of a
+// 16,384-key map (scan-mem's shape: ascending puts leave the leaves half
+// full) has a first wave of three leaves, short of two children's worth
+// (leavesPerChild), so it begins its own transaction and one nested
+// child, and dispatches no block.
+func TestSortedScanFirstWaveInline(t *testing.T) {
+	rt := scanTestRT(t)
+	m := NewTSortedMap[int, int]()
+	const keys = 16384
+	mustRun(t, rt, func(c *pnstm.Ctx) {
+		for k := 0; k < keys; k++ {
+			m.Put(c, k, k)
+		}
+	})
+	rt.Publisher().Drain() // see hundredLeaves
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		lo := rng.Intn(keys - 256)
+		var begun, dispatched uint64
+		mustRun(t, rt, func(c *pnstm.Ctx) {
+			before := rt.Stats()
+			if got := m.RangeScan(c, lo, lo+256, 64); len(got) != 64 || got[0].Key != lo {
+				t.Errorf("RangeScan(%d, %d, limit 64) = %d entries", lo, lo+256, len(got))
+			}
+			d := rt.Stats().Sub(before)
+			begun, dispatched = d.Begun, d.Dispatches+d.BorrowDispatch
+		})
+		if begun != 2 || dispatched != 0 {
+			t.Fatalf("limit-64 scan from %d began %d transactions and dispatched %d blocks, want 2 and 0", lo, begun, dispatched)
+		}
+	}
+}
+
+// BenchmarkScanWave is the rung behind leavesPerChild: one wave over 3
+// or 12 half-full leaves (32 entries each, as scan-mem's ascending
+// preload leaves them), collecting every entry, run as 1 to 8 nested
+// children inside its own transaction. A child costs its fork, its join
+// and its nested begin and commit; a leaf costs 32 loads' worth of
+// copying. The 3-leaf wave is a limit-64 scan's first.
+func BenchmarkScanWave(b *testing.B) {
+	rt := scanTestRT(b)
+	m := NewTSortedMap[int, int]()
+	mustRun(b, rt, func(c *pnstm.Ctx) {
+		for k := 0; k < 32*16+32; k++ {
+			m.Put(c, k, k)
+		}
+	})
+	rt.Publisher().Drain()
+	for _, leaves := range []int{3, 12} {
+		for _, children := range []int{1, 2, 3, 4, 8} {
+			if children > leaves {
+				continue
+			}
+			b.Run(fmt.Sprintf("leaves=%d/children=%d", leaves, children), func(b *testing.B) {
+				w := scanWave[int, int]{leaves: m.root.Peek().leaves[1 : 1+leaves], withValues: true}
+				b.ReportAllocs()
+				mustRun(b, rt, func(c *pnstm.Ctx) {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						n := 0
+						_ = c.Atomic(func(c *pnstm.Ctx) error {
+							n = 0
+							forEachGroup(c, leaves, 1, children, w, func(p []SortedEntry[int, int]) { n += len(p) })
+							return nil
+						})
+						if n != 32*leaves {
+							b.Fatalf("wave collected %d entries, want %d", n, 32*leaves)
+						}
+					}
+				})
+			})
 		}
 	}
 }
