@@ -37,8 +37,8 @@ func (e *ErrTxAborted) Error() string {
 // Txn builds one atomic multi-structure transaction — the wire OpTx
 // envelope. Ops execute in the order they are added, atomically, with
 // read-your-writes across ops on the same structure; on the server the
-// whole envelope runs as one nested child of a group-commit batch, its
-// per-structure op groups fanned as parallel-nested grandchildren. On a
+// whole envelope runs as one nested child of a group-commit batch, each
+// op a nested grandchild, 16 ops or more forked as per-key chains. On a
 // sharded server an envelope whose structures span several shards is
 // still one atomic commit: it goes through the cross-shard
 // ordered-commit path (one global sequence number, all slices commit or

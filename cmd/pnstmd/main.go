@@ -5,12 +5,12 @@
 // fork/join mechanism as a network server. Clients compose atomic
 // multi-structure operations as OpTx wire transactions (client.Txn):
 // ordered sub-ops with read-your-writes and guard assertions, executed
-// as one nested child whose per-structure groups fan out as
-// parallel-nested grandchildren. Transactions are atomic across shards
-// too: one spanning several commits through the ordered cross-shard
-// protocol (each participant runs its slice in the same global order),
-// and a read-only one reads one consistent cut at its place in that
-// order.
+// as one nested child whose sub-ops are nested grandchildren, forked as
+// parallel per-key chains when there are 16 or more. Transactions are
+// atomic across shards too: one spanning several commits through the
+// ordered cross-shard protocol (each participant runs its slice in the
+// same global order), and a read-only one reads one consistent cut at
+// its place in that order.
 //
 // Usage:
 //

@@ -75,9 +75,10 @@ func metricValue(t *testing.T, text, prefix string) (float64, bool) {
 
 // replayBlocks replays one batch record of 64 puts, each on a map of its
 // own, into shard 0 the way a replica does, and returns how many parallel
-// blocks the replay forked under its root. The planner gives 64 requests
-// min(8, batch_fanout) blocks, and 64 structures fill every one of them,
-// so the count is the fan-out replay was handed, seen from outside.
+// blocks the replay forked under its root. The planner gives 64 requests 8
+// blocks, 64 structures fill every one of them, and a fork runs at most
+// Workers blocks: so the count is min(8, Workers), seen from outside, and
+// 0 when that is one block, which runs inline.
 func replayBlocks(t *testing.T, s *server.Server, round int) uint64 {
 	t.Helper()
 	var body []byte
@@ -124,9 +125,9 @@ func TestAdminSurface(t *testing.T) {
 	if view.MaxBatch != 64 || view.Durable || view.Serial {
 		t.Fatalf("unexpected initial view: %+v", view)
 	}
-	// At the boot fan-out (Workers, 8) a 64-request record forks 8 blocks.
+	// At the default Workers, 8, a 64-request record forks 8 blocks.
 	if n := replayBlocks(t, s, 0); n != 8 {
-		t.Fatalf("replay at batch_fanout %d forked %d blocks for 64 requests, want 8", view.BatchFanout, n)
+		t.Fatalf("replay at Workers 8 forked %d blocks for 64 requests, want 8", n)
 	}
 
 	// Drive some traffic so every instrument has observations.
@@ -141,16 +142,16 @@ func TestAdminSurface(t *testing.T) {
 		}
 	}
 
-	// PUT /config retunes the fan-out live — no restart.
-	code, body = adminPUT(t, adminURL(t, s, "/config"), `{"batch_fanout": 2}`)
+	// PUT /config retunes tracing live — no restart.
+	code, body = adminPUT(t, adminURL(t, s, "/config"), `{"tracing": false}`)
 	if code != 200 {
 		t.Fatalf("PUT /config = %d %q", code, body)
 	}
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.BatchFanout != 2 {
-		t.Fatalf("PUT did not change batch_fanout: %+v", view)
+	if view.Tracing || view.MaxBatch != 64 {
+		t.Fatalf("PUT did not turn tracing off alone: %+v", view)
 	}
 	// The server still works after the retune.
 	if err := cl.MapPut("adm:m", "after", []byte("retune")); err != nil {
@@ -175,8 +176,12 @@ func TestAdminSurface(t *testing.T) {
 	if v, ok := metricValue(t, scrape, "pnstm_ready"); !ok || v != 1 {
 		t.Fatalf("pnstm_ready = %v (found %v)", v, ok)
 	}
-	// One batch in flight per shard is not a knob, so nothing reports it.
-	for _, gone := range []string{"pnstm_max_inflight", "pnstm_controller_steps_total"} {
+	if v, ok := metricValue(t, scrape, "pnstm_tracing"); !ok || v != 0 {
+		t.Fatalf("pnstm_tracing = %v (found %v) after tracing was turned off", v, ok)
+	}
+	// One batch in flight per shard is not a knob, and the fork width is
+	// Workers, so nothing reports either.
+	for _, gone := range []string{"pnstm_max_inflight", "pnstm_controller_steps_total", "pnstm_batch_fanout"} {
 		if strings.Contains(scrape, gone) {
 			t.Fatalf("retired series %s is still exported", gone)
 		}
@@ -196,9 +201,9 @@ func TestAdminSurface(t *testing.T) {
 	}
 
 	// One snapshot, every reader: after a PUT the OpStats payload, GET
-	// /config, the gauge and a replica's replay all see the new values
-	// (OpStats and replay used to read the boot configuration).
-	if code, body := adminPUT(t, adminURL(t, s, "/config"), `{"max_batch": 4, "batch_fanout": 2}`); code != 200 {
+	// /config and the gauge all see the new values (OpStats used to read
+	// the boot configuration).
+	if code, body := adminPUT(t, adminURL(t, s, "/config"), `{"max_batch": 4, "tracing": true}`); code != 200 {
 		t.Fatalf("PUT /config = %d %q", code, body)
 	}
 	if st, err = cl.Stats(); err != nil || st.MaxBatch != 4 {
@@ -208,21 +213,27 @@ func TestAdminSurface(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.MaxBatch != 4 || view.BatchFanout != 2 {
+	if view.MaxBatch != 4 || !view.Tracing {
 		t.Fatalf("GET /config after PUT: %+v", view)
 	}
 	_, scrape = adminGET(t, adminURL(t, s, "/metrics"))
-	if v, ok := metricValue(t, scrape, `pnstm_batch_fanout{shard="0"}`); !ok || v != 2 {
-		t.Fatalf("pnstm_batch_fanout gauge = %v (found %v), want 2", v, ok)
+	if v, ok := metricValue(t, scrape, "pnstm_tracing"); !ok || v != 1 {
+		t.Fatalf("pnstm_tracing gauge = %v (found %v), want 1", v, ok)
 	}
-	if n := replayBlocks(t, s, 1); n != 2 {
-		t.Fatalf("replay at batch_fanout 2 forked %d blocks, want 2: it does not read the live value", n)
-	}
-	if code, body := adminPUT(t, adminURL(t, s, "/config"), `{"batch_fanout": 1}`); code != 200 {
-		t.Fatalf("PUT /config = %d %q", code, body)
-	}
-	if n := replayBlocks(t, s, 2); n != 0 {
-		t.Fatalf("replay at batch_fanout 1 forked %d blocks, want none", n)
+}
+
+// TestReplayForksWorkersBlocks: a replayed 64-map record forks
+// min(8, Workers) parallel blocks, none when that is one: the fork width
+// is the shard's worker count, not a knob.
+func TestReplayForksWorkersBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		want    uint64
+	}{{1, 0}, {2, 2}, {4, 4}} {
+		s := startServer(t, server.Config{Workers: tc.workers})
+		if n := replayBlocks(t, s, 0); n != tc.want {
+			t.Errorf("replay at Workers %d forked %d blocks for 64 requests, want %d", tc.workers, n, tc.want)
+		}
 	}
 }
 
@@ -242,8 +253,8 @@ func TestConfigSurface(t *testing.T) {
 		}
 		return out
 	}
-	wantFields := []string{ // 22
-		"Addr", "Shards", "Workers", "MaxBatch", "BatchDelay", "BatchFanout", "MaxInflight",
+	wantFields := []string{ // 21
+		"Addr", "Shards", "Workers", "MaxBatch", "BatchDelay", "MaxInflight",
 		"Serial", "SharedReads", "Registry", "DataDir", "Fsync", "WALSyncDelay", "SnapshotEvery",
 		"WALSegmentBytes", "ReplicaOf", "ReplicaMaxStaleness", "AdminAddr",
 		"DisableTracing", "AdminDebug", "ReapInterval", "Logger",
@@ -251,8 +262,8 @@ func TestConfigSurface(t *testing.T) {
 	if got := names(reflect.TypeOf(server.Config{}), ""); !reflect.DeepEqual(got, wantFields) {
 		t.Errorf("server.Config fields changed:\n got  %v\n want %v", got, wantFields)
 	}
-	wantKeys := []string{ // 5
-		"max_batch", "batch_delay_ms", "batch_fanout", "snapshot_every_ms", "tracing",
+	wantKeys := []string{ // 4
+		"max_batch", "batch_delay_ms", "snapshot_every_ms", "tracing",
 	}
 	if got := names(reflect.TypeOf(server.LiveConfig{}), "json"); !reflect.DeepEqual(got, wantKeys) {
 		t.Errorf("live /config keys changed:\n got  %v\n want %v", got, wantKeys)
@@ -280,21 +291,20 @@ func TestAdminConfigValidation(t *testing.T) {
 	published := s.ConfigPointer()
 	_, before := adminGET(t, url)
 	for _, bad := range []string{
-		`{"batch_fanout": -1}`,
-		`{"batch_fanout": 0}`,
+		`{"batch_fanout": 4}`, // retired: a fork runs at most Workers blocks
 		`{"max_inflight": 1}`, // retired: one batch in flight per shard is not a knob
 		`{"adaptive": true}`,  // retired with the controller it switched on
 		`{"max_batch": 0}`,
 		`{"batch_delay_ms": -1}`,
 		`{"snapshot_every_ms": -5}`,
-		`{"max_inflite": 4}`,                   // typoed knob must not silently no-op
-		`{"max_batch": 4, "batch_fanout": -1}`, // one bad field fails the whole update
+		`{"max_inflite": 4}`,                     // typoed knob must not silently no-op
+		`{"max_batch": 4, "batch_delay_ms": -1}`, // one bad field fails the whole update
 	} {
 		code, body := adminPUT(t, url, bad)
 		if code != 400 {
 			t.Fatalf("PUT %s = %d %q, want 400", bad, code, body)
 		}
-		for _, retired := range []string{"max_inflight", "adaptive"} {
+		for _, retired := range []string{"batch_fanout", "max_inflight", "adaptive"} {
 			if strings.Contains(bad, retired) && !strings.Contains(body, retired) {
 				t.Fatalf("PUT %s = %q: the refusal does not name the key", bad, body)
 			}
@@ -313,7 +323,7 @@ func TestAdminConfigValidation(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.MaxBatch != 64 || view.BatchFanout != 8 {
+	if view.MaxBatch != 64 || view.BatchDelayMs != 0 {
 		t.Fatalf("rejected updates leaked into config: %+v", view)
 	}
 	if code, _ := adminGET(t, adminURL(t, s, "/config")); code != 200 {
@@ -363,7 +373,7 @@ func TestAdminConcurrentConfigAndTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			body := fmt.Sprintf(`{"max_batch": %d, "batch_fanout": %d}`, 16+(i%3)*24, 1+i%8)
+			body := fmt.Sprintf(`{"max_batch": %d, "tracing": %t}`, 16+(i%3)*24, i%2 == 0)
 			if code, resp := adminPUT(t, cfgURL, body); code != 200 {
 				errs <- fmt.Errorf("PUT %s = %d %q", body, code, resp)
 				return

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pnstm"
+	"pnstm/internal/fork"
 	"pnstm/internal/metrics"
 	"pnstm/internal/wal"
 	"pnstm/stmlib"
@@ -20,7 +21,7 @@ import (
 // concurrent in-flight requests are coalesced into a group commit. Each
 // batch executes as ONE Runtime.Run root transaction whose body runs one
 // nested child transaction per request, forked over parallel blocks via
-// Ctx.Parallel — the shape of the paper's Figure 1 and of
+// fork.Each — the shape of the paper's Figure 1 and of
 // examples/inventory's order batches. The children conflict-check
 // against each other with the one-word ancestor test, a request whose
 // precondition fails (checkout without stock) rolls back alone as a
@@ -123,12 +124,13 @@ func (p *pending) finish(resp Response) {
 var errRejected = errors.New("server: rejected")
 
 // batchRun is one group commit from collection to delivery: a batch of
-// requests, run against reg under cfg and logged to wal. The shard's loop
-// owns one and refills it for every batch, so a batch costs no slice,
-// closure or ticket allocation of its own; replay builds one per record.
+// requests, collected under cfg, run against reg and logged to wal. The
+// shard's loop owns one and refills it for every batch, so a batch costs
+// no slice, closure or ticket allocation of its own; replay builds one per
+// record.
 type batchRun struct {
 	reg   *stmlib.Registry
-	cfg   *Config
+	cfg   *Config  // the shard's loop only: what collect reads
 	wal   *wal.Log // nil: the batch is not logged (memory shards, replay)
 	batch []*pending
 
@@ -158,8 +160,8 @@ type batchRun struct {
 	root func(*pnstm.Ctx) // r.runRoot, bound once
 }
 
-func newBatchRun(reg *stmlib.Registry, cfg *Config, wl *wal.Log) *batchRun {
-	r := &batchRun{reg: reg, cfg: cfg, wal: wl}
+func newBatchRun(reg *stmlib.Registry, wl *wal.Log) *batchRun {
+	r := &batchRun{reg: reg, wal: wl}
 	r.root = r.runRoot
 	return r
 }
@@ -175,12 +177,12 @@ func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
 	if r.wal == nil || !canMutate(&p.req) {
 		// Pure reads never log, so they skip the ticket-stamping
 		// wrapper transaction entirely.
-		applyRequest(c, r.reg, r.cfg.BatchFanout, &p.req, &p.resp)
+		applyRequest(c, r.reg, &p.req, &p.resp)
 		return
 	}
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		p.logged = false // retried attempts must re-decide
-		applyRequest(c, r.reg, r.cfg.BatchFanout, &p.req, &p.resp)
+		applyRequest(c, r.reg, &p.req, &p.resp)
 		if mutating(&p.req, &p.resp) {
 			p.seq = r.seq.Add(1)
 			p.logged = true
@@ -194,27 +196,26 @@ func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
 // into chains — the requests on one key, in arrival order, in one block;
 // chains that share no key in parallel blocks. A request aborts alone
 // (its own nested transaction) whichever chain it rides in. A batch too
-// small to fork, and every batch at BatchFanout 1, runs its children
-// inline: with MaxBatch 1 this is the batch-size-1 baseline shape.
+// small to fork runs its children inline: with MaxBatch 1 this is the
+// batch-size-1 baseline shape.
 func (r *batchRun) runRoot(c *pnstm.Ctx) {
 	if r.traced {
 		c.StampTrace(r.batchID, r.shardID)
 	}
-	r.plan.batch(r.reg, r.batch, r.cfg.BatchFanout)
+	r.plan.batch(r.reg, r.batch)
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		if r.plan.chains() < 2 {
-			for _, p := range r.batch {
-				r.apply(c, p)
-			}
-			return nil
-		}
-		r.plan.fork(c, func(c *pnstm.Ctx, _ int, chain []int32) {
-			for _, i := range chain {
-				r.apply(c, r.batch[i])
-			}
-		})
+		fork.Each(c, r.plan.chains(), 1, c.Runtime().Workers(), r, nil)
 		return nil
 	})
+}
+
+// Do is the batch's fork job: it runs the requests of chains [lo, hi).
+func (r *batchRun) Do(c *pnstm.Ctx, lo, hi int) struct{} {
+	from, to := r.plan.span(lo, hi)
+	for k := from; k < to; k++ {
+		r.apply(c, r.batch[r.plan.at(k)])
+	}
+	return struct{}{}
 }
 
 const maxRetainedBody = 1 << 20 // the largest r.body kept for the next batch (D56)
@@ -284,11 +285,11 @@ func requestTraceTag(req *Request) (name, key string) {
 // own: every stmlib operation is already atomic, so that call's
 // transaction IS the request's nested child. Only bodies that compose
 // several calls (a composite op, an envelope) wrap them in one.
-func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, fanout int, req *Request, resp *Response) {
+func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) {
 	*resp = Response{ID: req.ID, Status: StatusOK}
 	var err error
 	if d := &opTable[req.Op]; req.Op == OpTx {
-		err = applyTx(c, reg, fanout, req.Tx, resp)
+		err = applyTx(c, reg, req.Tx, resp)
 	} else if d.kind == 0 || !d.top {
 		err = errors.New("unbatchable or unknown opcode")
 	} else if d.composite {
@@ -315,7 +316,7 @@ func applyPoint(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response
 	return err
 }
 
-// txOpFailure is one chain's first failure inside an envelope: the
+// txOpFailure is the first failure of an envelope's chains: the
 // envelope-order index of the failing sub-op plus its error (errRejected
 // for a false guard, anything else for a malformed op). A nil err is no
 // failure.
@@ -325,18 +326,26 @@ type txOpFailure struct {
 	msg string
 }
 
+// earlier returns whichever of f and g envelope order meets first.
+func (f txOpFailure) earlier(g txOpFailure) txOpFailure {
+	if f.err == nil || (g.err != nil && g.idx < f.idx) {
+		return g
+	}
+	return f
+}
+
 // applyTx executes one OpTx envelope inside the request's nested child
 // transaction. The plan (D58) cuts the sub-ops into chains: sub-ops on one
 // key run in envelope order in one chain (so a get observes an earlier put
 // of the same envelope — read-your-writes), and an envelope large enough
-// to fork runs its chains as parallel-nested grandchild transactions. A
-// false guard or malformed sub-op aborts the WHOLE envelope — every
-// chain's writes roll back with the child transaction — reporting the
-// lowest failing op's index in resp.Num and the results of the ops before
-// it in resp.TxResults. So does a reply that would not fit a frame
-// (checkReplySize): an envelope whose answer cannot reach its caller never
-// commits.
-func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, fanout int, tx *Tx, resp *Response) error {
+// to fork runs its chains as parallel blocks, each sub-op its own
+// grandchild transaction. A false guard or malformed sub-op aborts the
+// WHOLE envelope — every chain's writes roll back with the child
+// transaction — reporting the lowest failing op's index in resp.Num and
+// the results of the ops before it in resp.TxResults. So does a reply
+// that would not fit a frame (checkReplySize): an envelope whose answer
+// cannot reach its caller never commits.
+func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 	if tx == nil || len(tx.Ops) == 0 {
 		return nil
 	}
@@ -349,35 +358,10 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, fanout int, tx *Tx, resp *Respo
 		// point-sized envelope plans nothing, and a larger one's plan is
 		// cheap next to its sub-ops.
 		var pl plan
-		pl.envelope(reg, ops, fanout)
+		pl.envelope(reg, ops)
 		var first txOpFailure
-		if pl.chains() < 2 {
-			for i := range ops {
-				if first = runTxOp(c, reg, ops, results, i); first.err != nil {
-					break
-				}
-			}
-		} else {
-			// Parallel chains report through disjoint slots; the lowest
-			// envelope index wins when several chains failed, the one that
-			// envelope order would have met first.
-			fails := make([]txOpFailure, pl.chains())
-			pl.fork(c, func(c *pnstm.Ctx, g int, chain []int32) {
-				_ = c.Atomic(func(c *pnstm.Ctx) error {
-					for _, i := range chain {
-						if fails[g] = runTxOp(c, reg, ops, results, int(i)); fails[g].err != nil {
-							break
-						}
-					}
-					return nil
-				})
-			})
-			for _, f := range fails {
-				if f.err != nil && (first.err == nil || f.idx < first.idx) {
-					first = f
-				}
-			}
-		}
+		fork.Each(c, pl.chains(), 1, c.Runtime().Workers(), txJob{reg, ops, results, pl.layout},
+			func(f txOpFailure) { first = first.earlier(f) })
 		if first.err == nil {
 			return checkReplySize(results)
 		}
@@ -395,11 +379,29 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, fanout int, tx *Tx, resp *Respo
 	})
 }
 
-// runTxOp executes sub-op i into its result slot; a failure carries i.
-func runTxOp(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, results []TxResult, i int) txOpFailure {
-	res, msg, err := execOp(c, reg, &ops[i])
-	results[i] = res
-	return txOpFailure{idx: i, err: err, msg: msg}
+// txJob is an envelope's fork job: Do runs chains [lo, hi), each up to
+// its first failure, and returns the one envelope order meets first.
+type txJob struct {
+	reg     *stmlib.Registry
+	ops     []TxOp
+	results []TxResult
+	chains  layout
+}
+
+func (j txJob) Do(c *pnstm.Ctx, lo, hi int) (first txOpFailure) {
+	for g := lo; g < hi; g++ {
+		from, to := j.chains.span(g, g+1)
+		for k := from; k < to; k++ {
+			i := j.chains.at(k)
+			res, msg, err := execOp(c, j.reg, &j.ops[i])
+			j.results[i] = res
+			if err != nil {
+				first = first.earlier(txOpFailure{idx: i, err: err, msg: msg})
+				break
+			}
+		}
+	}
+	return first
 }
 
 // resetTxResults clears what an earlier attempt of the envelope's body

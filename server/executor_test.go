@@ -42,7 +42,7 @@ func newExecHarness(tb testing.TB, durable bool, tune ...func(*pnstm.Config)) *e
 		tb.Cleanup(func() { wl.Close() })
 		b.wal = wl
 	}
-	r := newBatchRun(b.reg, &Config{MaxBatch: 64, BatchFanout: 8}, b.wal)
+	r := newBatchRun(b.reg, b.wal)
 	return &execHarness{b: b, r: r}
 }
 
@@ -161,7 +161,7 @@ func TestExecutorAllocCeilings(t *testing.T) {
 		{"CounterAdd", 2, 3},  // one more while a stripe's int64 was boxed (D52)
 		{"Transfer4", 10, 11}, // 18, 19 with Go-map buckets: two writes
 		{"RangeScan64", 15, 15},
-		{"Put64", 152, 153}, // 136, 137 while it ran as one chain; it forks 8 since D58
+		{"Put64", 143, 144}, // 152, 153 with a nested transaction per chain; 136, 137 while it ran as one chain
 	}
 	for _, durable := range []bool{false, true} {
 		h := newExecHarness(t, durable)

@@ -25,7 +25,7 @@ func logRun(t *testing.T) (*batchRun, *wal.Log, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wl.Close() })
-	return newBatchRun(nil, nil, wl), wl, dir
+	return newBatchRun(nil, wl), wl, dir
 }
 
 // goldenBatch is a fixed batch in arrival order: three mutating requests

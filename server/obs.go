@@ -234,9 +234,6 @@ func newServerObs(s *Server) *serverObs {
 				}
 				return 0
 			})
-
-		r.GaugeFunc("pnstm_batch_fanout", "Live parallel-block bound per batch.", lbl,
-			func() float64 { return float64(s.cfg.Load().BatchFanout) })
 	}
 	return o
 }

@@ -66,8 +66,8 @@ func decodeBatch(body []byte) ([]*Request, error) {
 // replay every request must succeed identically. Anything else is
 // divergence (a lost record, an ordering bug), and the boot must fail
 // rather than serve it.
-func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, cfg *Config, reqs []*Request) error {
-	r := newBatchRun(reg, cfg, nil)
+func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, reqs []*Request) error {
+	r := newBatchRun(reg, nil)
 	for _, req := range reqs {
 		r.batch = append(r.batch, &pending{req: *req})
 	}
@@ -96,8 +96,8 @@ func replayBatch(rt *pnstm.Runtime, reg *stmlib.Registry, cfg *Config, reqs []*R
 // record replays as one batch; a cross-shard record replays its write-only
 // sub-envelope at its logged position and advances the GSN watermark,
 // unless its GSN is in dropped (recovery's incomplete cross-shard commits;
-// nil on a replica). Both run at the live BatchFanout; recovery calls it
-// before the shard's loop starts, a replica on the loop (applyShipped).
+// nil on a replica). Recovery calls it before the shard's loop starts, a
+// replica on the loop (applyShipped).
 func (sh *shard) applyRecord(body []byte, dropped map[uint64]bool) error {
 	var (
 		gsn  uint64
@@ -115,7 +115,7 @@ func (sh *shard) applyRecord(body []byte, dropped map[uint64]bool) error {
 	if err != nil || dropped[gsn] {
 		return err // a dropped GSN: an incomplete cross-shard commit, skipped everywhere
 	}
-	if err := replayBatch(sh.rt, sh.reg, sh.cfg.Load(), reqs); err != nil {
+	if err := replayBatch(sh.rt, sh.reg, reqs); err != nil {
 		if gsn != 0 {
 			return fmt.Errorf("gsn %d: %w", gsn, err)
 		}

@@ -3,7 +3,7 @@ package server
 import (
 	"slices"
 
-	"pnstm"
+	"pnstm/internal/fork"
 	"pnstm/stmlib"
 )
 
@@ -24,36 +24,37 @@ import (
 //   - an op that moves a deadline or a lease: the registry's expiry index;
 //   - an envelope, as one request of a batch: every key of every sub-op.
 //
-// A list of n ops has min(n/opsPerBlock, BatchFanout, maxBlocks) blocks.
-// Each key maps to one block, and an op whose keys land in several blocks
-// merges them. A merged block is a chain: its ops in list order, run one
-// after another in one child. So ops on one key keep their order, and
-// sibling chains never meet on a key. Chains are numbered in first-touch
-// order; a list with one chain runs inline, in list order.
+// A list of n ops has min(n/fork.OpsPerBlock, maxBlocks) blocks. Each key
+// maps to one block, and an op whose keys land in several blocks merges
+// them. A merged block is a chain: its ops in list order, run one after
+// another. So ops on one key keep their order, and sibling chains never
+// meet on a key. Chains are numbered in first-touch order. fork.Each runs
+// them in at most Workers blocks, which open no transaction: every
+// request and sub-op is one already. One chain runs inline, in order.
 
-// opsPerBlock is how many ops a parallel block must carry before forking
-// it pays for a worker wakeup and a nested begin/commit: a point-sized
-// batch or envelope runs inline, a larger one forks at most one block per
-// opsPerBlock ops.
-const opsPerBlock = 8
-
-// maxBlocks caps the blocks of one plan whatever BatchFanout says, so that
-// merging blocks is a union-find over a few bytes.
+// maxBlocks caps the blocks of one plan, so that merging blocks is a
+// union-find over a few bytes.
 const maxBlocks = 32
 
 // plan is one op list cut into chains. Its slices are scratch that a
 // batchRun keeps from batch to batch.
 type plan struct {
+	layout
 	blocks int              // block ids in use
 	parent [maxBlocks]uint8 // union-find over block ids
 	block  []uint8          // per op: its block, then its chain
-	order  []int32          // op indices, chain after chain
-	bounds []int32          // chain g is order[bounds[g]:bounds[g+1]]; empty: one chain
+}
+
+// layout is a plan's chains: what a fork job reads, small enough to copy.
+type layout struct {
+	n      int     // ops in the list
+	order  []int32 // op indices, chain after chain
+	bounds []int32 // chain g is order[bounds[g]:bounds[g+1]]; empty: one chain
 }
 
 // batch plans a batch's requests.
-func (pl *plan) batch(reg *stmlib.Registry, batch []*pending, fanout int) {
-	if pl.reset(len(batch), fanout) {
+func (pl *plan) batch(reg *stmlib.Registry, batch []*pending) {
+	if pl.reset(len(batch)) {
 		for _, p := range batch {
 			pl.block = append(pl.block, uint8(pl.request(reg, &p.req)))
 		}
@@ -62,8 +63,8 @@ func (pl *plan) batch(reg *stmlib.Registry, batch []*pending, fanout int) {
 }
 
 // envelope plans an envelope's sub-ops.
-func (pl *plan) envelope(reg *stmlib.Registry, ops []TxOp, fanout int) {
-	if pl.reset(len(ops), fanout) {
+func (pl *plan) envelope(reg *stmlib.Registry, ops []TxOp) {
+	if pl.reset(len(ops)) {
 		for i := range ops {
 			pl.block = append(pl.block, uint8(pl.touch(reg, &ops[i])))
 		}
@@ -71,23 +72,27 @@ func (pl *plan) envelope(reg *stmlib.Registry, ops []TxOp, fanout int) {
 	}
 }
 
-// chains is the number of chains; below 2 the list runs inline, in order.
-func (pl *plan) chains() int { return max(len(pl.bounds)-1, 0) }
+func (l *layout) chains() int { return max(len(l.bounds)-1, 1) }
 
-// fork runs every chain as one parallel block of c: run(c, g, chain)
-// executes chain g, given as its ops' list indices in list order.
-func (pl *plan) fork(c *pnstm.Ctx, run func(c *pnstm.Ctx, g int, chain []int32)) {
-	fns := make([]func(*pnstm.Ctx), pl.chains())
-	for g := range fns {
-		chain := pl.order[pl.bounds[g]:pl.bounds[g+1]]
-		fns[g] = func(c *pnstm.Ctx) { run(c, g, chain) }
+// span returns the positions [from, to) of chains [lo, hi) in the layout;
+// at maps a position to its op's list index.
+func (l *layout) span(lo, hi int) (from, to int) {
+	if len(l.bounds) == 0 {
+		return 0, l.n
 	}
-	c.Parallel(fns...)
+	return int(l.bounds[lo]), int(l.bounds[hi])
+}
+
+func (l *layout) at(k int) int {
+	if len(l.bounds) == 0 {
+		return k
+	}
+	return int(l.order[k])
 }
 
 // reset starts a plan of n ops and reports whether it has blocks to fork.
-func (pl *plan) reset(n, fanout int) bool {
-	pl.blocks = min(n/opsPerBlock, fanout, maxBlocks)
+func (pl *plan) reset(n int) bool {
+	pl.n, pl.blocks = n, min(n/fork.OpsPerBlock, maxBlocks)
 	pl.bounds = pl.bounds[:0]
 	if pl.blocks < 2 {
 		return false

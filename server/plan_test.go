@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pnstm"
+	"pnstm/internal/fork"
 	"pnstm/stmlib"
 )
 
@@ -33,7 +34,7 @@ func TestPlanHotKeysDoNotConflict(t *testing.T) {
 		ps[i] = &pending{req: Request{Op: OpMapAdd, Name: "acct", Key: key, Delta: 1}}
 	}
 	var pl plan
-	if pl.batch(h.b.reg, ps, h.r.cfg.BatchFanout); pl.chains() < 2 {
+	if pl.batch(h.b.reg, ps); pl.chains() < 2 {
 		t.Fatalf("the batch plans %d chains; the test needs a fork", pl.chains())
 	}
 	conflicts := uint64(0)
@@ -77,7 +78,7 @@ func TestPlanForkedEnvelopeFailsAtLowestIndex(t *testing.T) {
 	ops[9] = TxOp{Op: OpAssertGE, Name: "m1", Key: "absent", Delta: 1}
 	ops[20] = TxOp{Op: OpAssertGE, Name: "m0", Key: "absent", Delta: 1}
 	var pl plan
-	if pl.envelope(h.b.reg, ops, h.r.cfg.BatchFanout); pl.chains() < 2 {
+	if pl.envelope(h.b.reg, ops); pl.chains() < 2 {
 		t.Fatalf("the envelope plans %d chains; the test needs a fork", pl.chains())
 	}
 	resp := h.do(t, txReq(ops...))
@@ -97,6 +98,66 @@ func TestPlanForkedEnvelopeFailsAtLowestIndex(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanGroupedChainsFailAtLowestIndex: with more chains than workers,
+// neighbouring chains share a block, and each still runs to its own first
+// failure. An envelope whose chain 0 fails late and whose chain 1 fails
+// early, both in one block, reports chain 1's failure: the one envelope
+// order meets first.
+func TestPlanGroupedChainsFailAtLowestIndex(t *testing.T) {
+	h := newExecHarness(t, false, func(c *pnstm.Config) { c.Workers = 2 })
+	ops := make([]TxOp, 32)
+	for i := range ops {
+		ops[i] = TxOp{Op: OpMapPut, Name: "m", Key: fmt.Sprintf("k%d", i), Value: []byte("v")}
+	}
+	var pl plan
+	if pl.envelope(h.b.reg, ops); pl.chains() < 4 {
+		t.Fatalf("the envelope plans %d chains; the test needs 4, two to a block", pl.chains())
+	}
+	late := int(pl.order[pl.bounds[1]-1]) // chain 0's last op
+	early := int(pl.order[pl.bounds[1]])  // chain 1's first op
+	if early > late {
+		t.Fatalf("chain 1 opens at op %d, after chain 0 closes at op %d", early, late)
+	}
+	for _, i := range []int{late, early} { // a false guard on the op's own key keeps the plan
+		ops[i] = TxOp{Op: OpAssertEq, Name: "m", Key: ops[i].Key, Value: []byte("absent")}
+	}
+	if resp := h.do(t, txReq(ops...)); resp.Status != StatusRejected || resp.Num != int64(early) {
+		t.Fatalf("envelope answered %+v, want rejected at op %d (chain 1), not %d (chain 0)", resp, early, late)
+	}
+}
+
+// TestPlanForkedEnvelopeOpensNoChainTransaction: a chain is a parallel
+// block, not a transaction. A forked 64-put envelope under a batch root
+// commits the root, the envelope's own child and one transaction per put:
+// 66, where a nested transaction per chain made it 74.
+func TestPlanForkedEnvelopeOpensNoChainTransaction(t *testing.T) {
+	h := newExecHarness(t, false, func(c *pnstm.Config) { c.DisableAggressiveRecycle = true })
+	ops := make([]TxOp, 64)
+	for i := range ops {
+		ops[i] = TxOp{Op: OpMapPut, Name: "bulk", Key: fmt.Sprintf("k%02d", i), Value: []byte("v")}
+	}
+	var pl plan
+	if pl.envelope(h.b.reg, ops); pl.chains() < 2 {
+		t.Fatalf("the envelope plans %d chains; the test needs a fork", pl.chains())
+	}
+	p := &pending{req: txReq(ops...)}
+	h.run(t, p) // warm: the map and its buckets exist
+	h.b.rt.Publisher().Drain()
+	before := h.b.rt.Stats()
+	h.run(t, p)
+	d := h.b.rt.Stats().Sub(before)
+	if p.resp.Status != StatusOK {
+		t.Fatalf("envelope answered %+v", p.resp)
+	}
+	const want = 1 + 1 + 64
+	if d.Committed != want || (d.Aborted == 0 && d.Begun != want) {
+		t.Fatalf("a forked 64-put envelope began %d and committed %d transactions (%d aborted), want %d", d.Begun, d.Committed, d.Aborted, want)
+	}
+	if d.Dispatches+d.BorrowDispatch+d.SerializedFork < 2 {
+		t.Fatalf("the envelope ran %d blocks of its own; the test needs a fork", d.Dispatches+d.BorrowDispatch+d.SerializedFork)
 	}
 }
 
@@ -211,15 +272,15 @@ func planKeys(reg *stmlib.Registry, op *TxOp) []string {
 // checkPlan holds a plan of n ops to its contract: one chain runs the list
 // inline; otherwise every op is in exactly one chain, each chain lists its
 // ops in list order, chains are numbered by first touch, there are at most
-// min(n/opsPerBlock, fanout) of them, and ops that share a key share a
-// chain.
-func checkPlan(t *testing.T, pl *plan, n, fanout int, keys func(i int) []string) {
+// min(n/fork.OpsPerBlock, maxBlocks) of them, and ops that share a key
+// share a chain.
+func checkPlan(t *testing.T, pl *plan, n int, keys func(i int) []string) {
 	t.Helper()
 	if pl.chains() < 2 {
 		return
 	}
-	if pl.chains() > min(n/opsPerBlock, fanout, maxBlocks) {
-		t.Fatalf("%d ops at fanout %d: %d chains", n, fanout, pl.chains())
+	if pl.chains() > min(n/fork.OpsPerBlock, maxBlocks) {
+		t.Fatalf("%d ops: %d chains", n, pl.chains())
 	}
 	chainOf := make([]int, n)
 	for i := range chainOf {
@@ -255,29 +316,29 @@ func checkPlan(t *testing.T, pl *plan, n, fanout int, keys func(i int) []string)
 }
 
 // TestPlanInvariants checks random batches and envelopes of every size
-// from 0 to 200 ops against the plan's contract, at fanouts from 1 past
-// maxBlocks, reusing one plan the way a batchRun does.
+// from 0 to 300 ops against the plan's contract, past maxBlocks blocks,
+// reusing one plan the way a batchRun does.
 func TestPlanInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	reg := stmlib.NewRegistry(stmlib.RegistryConfig{})
 	var pl plan
 	forked := 0
 	for round := 0; round < 2000; round++ {
-		n, fanout := rng.Intn(201), 1+rng.Intn(maxBlocks+8)
+		n := rng.Intn(301)
 		if round%2 == 0 {
 			ops := make([]TxOp, n)
 			for i := range ops {
 				ops[i] = randPlanOp(rng, false)
 			}
-			pl.envelope(reg, ops, fanout)
-			checkPlan(t, &pl, n, fanout, func(i int) []string { return planKeys(reg, &ops[i]) })
+			pl.envelope(reg, ops)
+			checkPlan(t, &pl, n, func(i int) []string { return planKeys(reg, &ops[i]) })
 		} else {
 			ps := make([]*pending, n)
 			for i := range ps {
 				ps[i] = randPlanRequest(rng, 3)
 			}
-			pl.batch(reg, ps, fanout)
-			checkPlan(t, &pl, n, fanout, func(i int) []string {
+			pl.batch(reg, ps)
+			checkPlan(t, &pl, n, func(i int) []string {
 				if ps[i].req.Op != OpTx {
 					op := ps[i].req.pointOp()
 					return planKeys(reg, &op)
@@ -334,7 +395,7 @@ func TestPlanLiveMatchesReplay(t *testing.T) {
 	forked, mutations := 0, 0
 	for b := 1; b <= batches; b++ {
 		ps := randPlanBatch(rng)
-		if live.r.plan.batch(live.b.reg, ps, live.r.cfg.BatchFanout); live.r.plan.chains() >= 2 {
+		if live.r.plan.batch(live.b.reg, ps); live.r.plan.chains() >= 2 {
 			forked++
 		}
 		live.run(t, ps...)
@@ -358,7 +419,7 @@ func TestPlanLiveMatchesReplay(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return replayBatch(rt, replayed, live.r.cfg, reqs)
+			return replayBatch(rt, replayed, reqs)
 		}); err != nil {
 			t.Fatalf("after batch %d: %v", b, err)
 		}

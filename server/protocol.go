@@ -3,7 +3,7 @@
 // length-prefixed binary protocol, with a group-commit batching engine
 // that coalesces concurrent in-flight requests into one root transaction
 // per batch — each request runs as a parallel nested child of the batch
-// transaction via Ctx.Parallel, so server throughput directly exercises
+// transaction via fork.Each, so server throughput directly exercises
 // the paper's parallel-nesting mechanism (batch = root transaction,
 // request = nested child).
 package server
@@ -57,10 +57,11 @@ const (
 	OpStats
 	// OpTx is the generalized transaction envelope: an ordered list of
 	// sub-ops executed as ONE atomic transaction (one nested child of the
-	// group-commit batch, sub-ops grouped by structure and fanned as
-	// parallel-nested grandchildren). Sub-ops see earlier writes of the
-	// same envelope on the same structure (read-your-writes); a failed
-	// guard or malformed sub-op aborts and rolls back the whole envelope.
+	// group-commit batch, each sub-op a nested grandchild; 16 or more fork
+	// their per-key chains as parallel blocks). Sub-ops see earlier writes
+	// of the same envelope on the same structure (read-your-writes); a
+	// failed guard or malformed sub-op aborts and rolls back the whole
+	// envelope.
 	OpTx
 
 	// Sub-opcodes valid inside an OpTx envelope (OpMapAdd is also a valid

@@ -60,7 +60,6 @@ func TestReplayPublishesEachRoot(t *testing.T) {
 			}
 			defer rt.Close()
 			reg := stmlib.NewRegistry(stmlib.RegistryConfig{})
-			cfg := &Config{BatchFanout: 8}
 			// Replay decodes the record body the batcher writes.
 			var body []byte
 			for _, req := range tc.record {
@@ -73,7 +72,7 @@ func TestReplayPublishesEachRoot(t *testing.T) {
 				ps[i] = &pending{req: *req}
 			}
 			var pl plan
-			if pl.batch(reg, ps, cfg.BatchFanout); (pl.chains() >= 2) != (tc.name == "forked") {
+			if pl.batch(reg, ps); (pl.chains() >= 2) != (tc.name == "forked") {
 				t.Fatalf("the record plans %d chains", pl.chains())
 			}
 			before := rt.Stats()
@@ -82,7 +81,7 @@ func TestReplayPublishesEachRoot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := replayBatch(rt, reg, cfg, reqs); err != nil {
+				if err := replayBatch(rt, reg, reqs); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,7 +116,7 @@ func TestReplayRecordsThroughOneApplier(t *testing.T) {
 	}
 	defer rt.Close()
 	var cfg atomic.Pointer[Config]
-	cfg.Store(&Config{BatchFanout: 8})
+	cfg.Store(&Config{})
 	sh := &shard{rt: rt, reg: stmlib.NewRegistry(stmlib.RegistryConfig{}), cfg: &cfg}
 	put := func(key string) *Request {
 		return &Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{{Op: OpMapPut, Name: "m", Key: key, Value: []byte(key)}}}}

@@ -21,7 +21,6 @@ import (
 type LiveConfig struct {
 	MaxBatch        int     `json:"max_batch"`
 	BatchDelayMs    float64 `json:"batch_delay_ms"`
-	BatchFanout     int     `json:"batch_fanout"`
 	SnapshotEveryMs float64 `json:"snapshot_every_ms"`
 	Tracing         bool    `json:"tracing"`
 }
@@ -47,7 +46,6 @@ func (c *Config) live() LiveConfig {
 	return LiveConfig{
 		MaxBatch:        c.MaxBatch,
 		BatchDelayMs:    msOf(c.BatchDelay),
-		BatchFanout:     c.BatchFanout,
 		SnapshotEveryMs: msOf(c.SnapshotEvery),
 		Tracing:         !c.DisableTracing,
 	}
@@ -58,7 +56,6 @@ func (c *Config) withLive(l LiveConfig) *Config {
 	next := *c
 	next.MaxBatch = l.MaxBatch
 	next.BatchDelay = durationOfMs(l.BatchDelayMs)
-	next.BatchFanout = l.BatchFanout
 	next.SnapshotEvery = durationOfMs(l.SnapshotEveryMs)
 	next.DisableTracing = !l.Tracing
 	return &next
@@ -79,9 +76,6 @@ func (c *Config) validate() error {
 	}
 	if c.BatchDelay < 0 {
 		return fmt.Errorf("batch_delay_ms must be >= 0, got %g", msOf(c.BatchDelay))
-	}
-	if c.BatchFanout < 1 {
-		return fmt.Errorf("batch_fanout must be >= 1, got %d", c.BatchFanout)
 	}
 	if c.SnapshotEvery < 0 {
 		return fmt.Errorf("snapshot_every_ms must be >= 0 (0 disables automatic checkpoints), got %g", msOf(c.SnapshotEvery))

@@ -41,7 +41,7 @@ type Config struct {
 	Shards int
 
 	// Workers is the runtime's worker-slot count P (default 8, max 32),
-	// per shard: every shard runs its own runtime with this many slots.
+	// per shard, and the most parallel blocks a batch or envelope forks.
 	Workers int
 
 	// MaxBatch bounds the number of requests coalesced into one group
@@ -54,12 +54,6 @@ type Config struct {
 	// first request of a batch (default 0: group only what is already in
 	// flight, keeping unloaded latency at the floor).
 	BatchDelay time.Duration
-
-	// BatchFanout bounds the parallel blocks one batch, envelope or
-	// replayed record forks; the planner cuts the requests into chains by
-	// conflict key, each request running as its own nested child
-	// transaction (default: Workers).
-	BatchFanout int
 
 	// MaxInflight is not a knob: every shard commits one batch at a time
 	// (D20), so requests only ever conflict with their own batch siblings,
@@ -181,9 +175,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.BatchFanout <= 0 {
-		c.BatchFanout = c.Workers
 	}
 	if c.ReplicaOf != "" && c.ReplicaMaxStaleness <= 0 {
 		c.ReplicaMaxStaleness = 10 * time.Second

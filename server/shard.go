@@ -180,7 +180,7 @@ func (sh *shard) close() {
 // batch, if one did.
 func (sh *shard) loop() {
 	defer close(sh.done)
-	r := newBatchRun(nil, nil, sh.wal)
+	r := newBatchRun(nil, sh.wal)
 	r.shardID = uint8(sh.id)
 	for it := range sh.q {
 		switch {

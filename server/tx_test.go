@@ -55,9 +55,9 @@ func TestTxReadYourWrites(t *testing.T) {
 }
 
 // TestTxGuardAbortsWholeEnvelope: a false guard rolls back EVERY write
-// of the envelope — including writes to other structures that may have
-// executed in parallel grandchildren — and the client sees a typed
-// ErrTxAborted naming the failing op.
+// of the envelope — including the committed grandchildren on other
+// structures — and the client sees a typed ErrTxAborted naming the
+// failing op.
 func TestTxGuardAbortsWholeEnvelope(t *testing.T) {
 	s := startServer(t, server.Config{Workers: 4, MaxBatch: 16})
 	cl := dial(t, s, 1)
@@ -65,8 +65,8 @@ func TestTxGuardAbortsWholeEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Large enough (≥8 ops, 4 structures) to take the parallel-
-	// grandchildren path.
+	// Eight sub-ops on four structures, each its own grandchild: too few
+	// to fork (that takes 16, TestPlanForkedEnvelopeFailsAtLowestIndex).
 	tx := cl.Txn().
 		MapPut("gm2", "x", []byte("poison")).
 		QueuePush("gq", []byte("poison")).

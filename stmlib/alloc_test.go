@@ -53,7 +53,7 @@ func TestTMapGetAllocCeiling(t *testing.T) {
 // preload, 32-entry leaves) pays for its one exactly-sized result and
 // what the core charges for its transactions and their reads — not for
 // the eight or nine leaves of the span (D49), and not for a fork: its
-// three-leaf first wave is one nested child (leavesPerChild), and the
+// three-leaf first wave is one nested child (fork.LeavesPerChild), and the
 // wave, a value, costs no object of its own. It reads 4, 5 under -race,
 // which is the ceiling; 13 while the first wave forked a child per leaf,
 // 16 before pooled fork frames (D53), 19 before recycled workers (D2)
@@ -95,8 +95,10 @@ func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
 // one its previous transaction left (D53). The counts start past the
 // runtime's preallocated small integers, where a box is a heap object. Each
 // ceiling is two below what the boxed representation measured (4 and 4).
+// A Sum is one plain loop of loads in one nested transaction and costs
+// nothing; it cost 2 while it ran its stripes as a fork job.
 func TestWordBackedStructureAllocCeilings(t *testing.T) {
-	const addCeiling, pushCeiling = 2, 2
+	const addCeiling, pushCeiling, sumCeiling = 2, 2, 0
 	rt := newRTConfig(t, pnstm.Config{Workers: 2})
 	ctr := stmlib.NewTCounter(1)
 	q := stmlib.NewTQueue[*int]()
@@ -109,12 +111,16 @@ func TestWordBackedStructureAllocCeilings(t *testing.T) {
 			}
 			add := testing.AllocsPerRun(200, func() { ctr.Add(c, 1) })
 			push := testing.AllocsPerRun(200, func() { q.Push(c, elem) })
-			t.Logf("TCounter.Add %.0f allocs, TQueue.Push %.0f allocs", add, push)
+			sum := testing.AllocsPerRun(200, func() { ctr.Sum(c) })
+			t.Logf("TCounter.Add %.0f allocs, TQueue.Push %.0f allocs, TCounter.Sum %.0f allocs", add, push, sum)
 			if add > addCeiling {
 				t.Errorf("TCounter.Add: %.0f allocs, ceiling %d", add, addCeiling)
 			}
 			if push > pushCeiling {
 				t.Errorf("TQueue.Push: %.0f allocs, ceiling %d", push, pushCeiling)
+			}
+			if sum > sumCeiling {
+				t.Errorf("TCounter.Sum: %.0f allocs, ceiling %d", sum, sumCeiling)
 			}
 			return nil
 		})

@@ -12,7 +12,7 @@ import (
 // usually land on different stripes and do not conflict; the rotor
 // advances on every attempt, so a retry after a collision moves to
 // another stripe. Sum reads every stripe as one atomic step in one nested
-// child.
+// transaction.
 //
 // The counter composes like every stmlib structure: an Atomic body that
 // calls Add joins the caller's transaction, and the increment is undone
@@ -65,37 +65,29 @@ func (t *TCounter) Add(c *pnstm.Ctx, delta int64) {
 func (t *TCounter) Inc(c *pnstm.Ctx) { t.Add(c, 1) }
 
 // Sum returns the counter's value, every stripe read in one nested
-// child: a stripe is one load, so no stripe count pays for a second
-// child, inside a parallel composition (a server batch, a wire
-// transaction's group) or outside one. The result is a consistent atomic
-// snapshot — concurrent non-ancestor adders conflict with the read and
-// serialize around it.
+// transaction: a stripe is one load, so no stripe count pays for a fork.
+// The result is a consistent atomic snapshot — concurrent non-ancestor
+// adders conflict with the read and serialize around it.
 func (t *TCounter) Sum(c *pnstm.Ctx) int64 {
 	var total int64
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		total = 0
-		forEachGroup(c, len(t.stripes), len(t.stripes), DefaultFanout, jobFunc[int64](func(c *pnstm.Ctx, lo, hi int) int64 {
-			var sum int64
-			for _, s := range t.stripes[lo:hi] {
-				sum += pnstm.Load(c, s)
-			}
-			return sum
-		}), func(sum int64) { total += sum })
+		for _, s := range t.stripes {
+			total += pnstm.Load(c, s)
+		}
 		return nil
 	})
 	return total
 }
 
-// Reset sets the counter to zero in one nested child, priced like Sum.
+// Reset sets the counter to zero in one nested transaction, like Sum.
 func (t *TCounter) Reset(c *pnstm.Ctx) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(t.stripes), len(t.stripes), DefaultFanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
-			for _, s := range t.stripes[lo:hi] {
-				if pnstm.Load(c, s) != 0 {
-					pnstm.Store(c, s, 0)
-				}
+		for _, s := range t.stripes {
+			if pnstm.Load(c, s) != 0 {
+				pnstm.Store(c, s, 0)
 			}
-		}), nil)
+		}
 		return nil
 	})
 }

@@ -98,8 +98,8 @@ func TestTCounterSumNarrowAndWide(t *testing.T) {
 }
 
 // TestTCounterSumDoesNotFork: a stripe is one load, so Sum reads every
-// stripe in one nested child whatever the width — its own transaction
-// and that child, and no block dispatched.
+// stripe in its own nested transaction whatever the width — one
+// transaction, and no block dispatched.
 func TestTCounterSumDoesNotFork(t *testing.T) {
 	rt := newRT(t, 4, false)
 	for _, stripes := range []int{8, 256} {
@@ -111,8 +111,8 @@ func TestTCounterSumDoesNotFork(t *testing.T) {
 				t.Errorf("Sum = %d, want 7", s)
 			}
 			d := rt.Stats().Sub(before)
-			if d.Begun != 2 {
-				t.Errorf("Sum over %d stripes began %d transactions, want 2", stripes, d.Begun)
+			if d.Begun != 1 {
+				t.Errorf("Sum over %d stripes began %d transactions, want 1", stripes, d.Begun)
 			}
 			if n := d.Dispatches + d.BorrowDispatch; n != 0 {
 				t.Errorf("Sum over %d stripes dispatched %d blocks, want 0", stripes, n)

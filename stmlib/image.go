@@ -28,9 +28,9 @@ type RegistryImage struct {
 // Export captures the whole catalog as one atomic bulk read. It is the
 // paper's nested-parallel shape applied to checkpointing: the export is
 // a single (sub)transaction, whose children — one per structure group,
-// forked via Ctx.Parallel — each run the structure's own parallel bulk
-// read (TMap.Snapshot over bucket groups, TQueue.Elements, TCounter.Sum
-// over stripe groups). The store pauses for one big atomic read whose
+// forked via fork.Each — each run the structure's own bulk read
+// (TMap.Snapshot over bucket groups, TQueue.Elements, TCounter.Sum over
+// its stripes). The store pauses for one big atomic read whose
 // latency shrinks with the worker count, instead of a long serial scan.
 //
 // Concurrent non-ancestor transactions serialize against the export
@@ -85,7 +85,7 @@ func (r *Registry) Export(c *pnstm.Ctx) *RegistryImage {
 			i, name := i, name
 			tasks = append(tasks, func(c *pnstm.Ctx) { sortedOut[i] = r.SortedMap(name).ExportEntries(c) })
 		}
-		forEachGroup(c, len(tasks), tasksPerChild, r.fanout, runTasks(tasks), nil)
+		forEachGroup(c, len(tasks), 1, r.fanout, runTasks(tasks), nil)
 		return nil
 	})
 	for i, name := range mapNames {
@@ -168,7 +168,7 @@ func (r *Registry) Import(c *pnstm.Ctx, img *RegistryImage) {
 			q, seq := r.Queue(name), seq
 			tasks = append(tasks, func(c *pnstm.Ctx) { q.ImportLeases(c, nil, seq) })
 		}
-		forEachGroup(c, len(tasks), tasksPerChild, r.fanout, runTasks(tasks), nil)
+		forEachGroup(c, len(tasks), 1, r.fanout, runTasks(tasks), nil)
 		return nil
 	})
 }

@@ -26,7 +26,7 @@ const DefaultFanout = 8
 // buckets by parallel sibling transactions do not conflict; a write
 // copies its bucket once, with the one entry inserted, replaced or
 // removed. Bulk operations (Len, Range, Snapshot, Clear, BulkUpdate) fork
-// one nested child transaction per bucket group via Ctx.Parallel: inside
+// one nested child transaction per bucket group via fork.Each: inside
 // an enclosing transaction the whole bulk step is atomic, yet its work
 // runs on every available worker slot. Under pnstm.Config{Serial: true}
 // the children run inline sequentially and the semantics are unchanged.
@@ -284,7 +284,7 @@ func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
 	var total int
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		total = 0
-		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
+		forEachGroup(c, len(m.buckets), 1, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
 			n := 0
 			for _, b := range m.buckets[lo:hi] {
 				n += len(pnstm.Load(c, b))
@@ -303,7 +303,7 @@ func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
 // accumulation. For a plain consistent copy use Snapshot.
 func (m *TMap[K, V]) Range(c *pnstm.Ctx, f func(K, V)) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+		forEachGroup(c, len(m.buckets), 1, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
 			for _, b := range m.buckets[lo:hi] {
 				for _, e := range pnstm.Load(c, b) {
 					f(e.k, e.v)
@@ -333,7 +333,7 @@ func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entr
 	var out map[K]T
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		out = make(map[K]T)
-		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, jobFunc[map[K]T](func(c *pnstm.Ctx, lo, hi int) map[K]T {
+		forEachGroup(c, len(m.buckets), 1, m.fanout, jobFunc[map[K]T](func(c *pnstm.Ctx, lo, hi int) map[K]T {
 			part := make(map[K]T)
 			for _, b := range m.buckets[lo:hi] {
 				for _, e := range pnstm.Load(c, b) {
@@ -353,7 +353,7 @@ func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entr
 // per bucket group.
 func (m *TMap[K, V]) Clear(c *pnstm.Ctx) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(m.buckets), bucketsPerChild, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+		forEachGroup(c, len(m.buckets), 1, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
 			for _, b := range m.buckets[lo:hi] {
 				if old := pnstm.Load(c, b); old != nil {
 					pnstm.Store[[]entry[K, V]](c, b, nil)
@@ -427,7 +427,7 @@ func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, b
 	}
 	touched := slices.Sorted(maps.Keys(byBucket))
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(touched), bucketsPerChild, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+		forEachGroup(c, len(touched), 1, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
 			for _, b := range touched[lo:hi] {
 				old := pnstm.Load(c, m.buckets[b])
 				next := append(make([]entry[K, V], 0, len(old)+len(byBucket[b])), old...)

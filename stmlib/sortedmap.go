@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pnstm"
+	"pnstm/internal/fork"
 )
 
 // SortedEntry is one key's record in a TSortedMap: the value plus the
@@ -56,7 +57,7 @@ const smMaxLeaf = 64
 // on different leaves by parallel siblings do not conflict. Range
 // operations (RangeScan, RangeFrom, RangeCount, Len, ExportEntries)
 // walk the touched leaf span in waves; a wave forks one nested child per
-// leavesPerChild leaves, at most fanout of them, via Ctx.Parallel — the
+// fork.LeavesPerChild leaves, at most fanout of them, via fork.Each — the
 // paper's parallel-nesting shape applied to an ordered structure — and
 // a wave too short to pay for a fork runs as one nested child. A scan
 // with a limit touches only the leaves expected to hold that many
@@ -335,8 +336,8 @@ func (m *TSortedMap[K, V]) RangeCountFrom(c *pnstm.Ctx, lo K) int {
 // plus one for the partly covered first leaf — and a further wave, twice
 // as wide, runs only while the result is short and leaves remain
 // (deletes and expiry can leave leaves sparse or empty). A wave is
-// priced like every stmlib fork (forEachGroup): a child per
-// leavesPerChild leaves, at most fanout, so a short wave is one nested
+// priced like every fork (fork.Each): a child per
+// fork.LeavesPerChild leaves, at most fanout, so a short wave is one nested
 // child and a long one fans out. A wave's child is the retry unit: a
 // concurrent writer that invalidates its leaves retries that child
 // alone.
@@ -371,7 +372,7 @@ func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, l
 			}
 			next += len(w.leaves)
 			width *= 2
-			forEachGroup(c, len(w.leaves), leavesPerChild, m.fanout, w, func(p []SortedEntry[K, V]) {
+			forEachGroup(c, len(w.leaves), fork.LeavesPerChild, m.fanout, w, func(p []SortedEntry[K, V]) {
 				if limit > 0 {
 					p = p[:min(len(p), limit-len(out))]
 				}
@@ -402,7 +403,7 @@ type scanWave[K cmp.Ordered, V any] struct {
 	withValues     bool
 }
 
-func (w scanWave[K, V]) do(c *pnstm.Ctx, from, to int) []SortedEntry[K, V] {
+func (w scanWave[K, V]) Do(c *pnstm.Ctx, from, to int) []SortedEntry[K, V] {
 	// One Load per leaf: the loaded slices wait in a stack buffer while
 	// part is sized, once, from their sum clipped to what is owed.
 	var buf [8][]SortedEntry[K, V]
@@ -446,7 +447,7 @@ func (m *TSortedMap[K, V]) Len(c *pnstm.Ctx) int {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		t := pnstm.Load(c, m.root)
 		total = 0
-		forEachGroup(c, len(t.leaves), leavesPerChild, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
+		forEachGroup(c, len(t.leaves), fork.LeavesPerChild, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
 			n := 0
 			for _, leaf := range t.leaves[lo:hi] {
 				n += len(pnstm.Load(c, leaf))

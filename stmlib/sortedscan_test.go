@@ -244,7 +244,7 @@ func hundredLeaves(t *testing.T, rt *pnstm.Runtime) (*TSortedMap[int, int], int)
 // TestSortedScanLimitFootprint: a limit-10 scan from the first key of a
 // 100-leaf map begins its own transaction and at most one child per
 // first-wave leaf (two: ceil(10/32)+1; both share one child since
-// leavesPerChild) and reads nothing beyond them. So it runs to
+// fork.LeavesPerChild) and reads nothing beyond them. So it runs to
 // completion, conflict-free, while another transaction holds a write to
 // the last leaf open — a leaf inside the scan's [lo, +inf) range, which
 // a scan of the whole range could not get past until that writer ended.
@@ -316,7 +316,7 @@ func TestSortedScanUnlimitedPlan(t *testing.T) {
 // TestSortedScanFirstWaveInline: a limit-64 scan of a 256-key span of a
 // 16,384-key map (scan-mem's shape: ascending puts leave the leaves half
 // full) has a first wave of three leaves, short of two children's worth
-// (leavesPerChild), so it begins its own transaction and one nested
+// (fork.LeavesPerChild), so it begins its own transaction and one nested
 // child, and dispatches no block.
 func TestSortedScanFirstWaveInline(t *testing.T) {
 	rt := scanTestRT(t)
@@ -342,48 +342,6 @@ func TestSortedScanFirstWaveInline(t *testing.T) {
 		})
 		if begun != 2 || dispatched != 0 {
 			t.Fatalf("limit-64 scan from %d began %d transactions and dispatched %d blocks, want 2 and 0", lo, begun, dispatched)
-		}
-	}
-}
-
-// BenchmarkScanWave is the rung behind leavesPerChild: one wave over 3
-// or 12 half-full leaves (32 entries each, as scan-mem's ascending
-// preload leaves them), collecting every entry, run as 1 to 8 nested
-// children inside its own transaction. A child costs its fork, its join
-// and its nested begin and commit; a leaf costs 32 loads' worth of
-// copying. The 3-leaf wave is a limit-64 scan's first.
-func BenchmarkScanWave(b *testing.B) {
-	rt := scanTestRT(b)
-	m := NewTSortedMap[int, int]()
-	mustRun(b, rt, func(c *pnstm.Ctx) {
-		for k := 0; k < 32*16+32; k++ {
-			m.Put(c, k, k)
-		}
-	})
-	rt.Publisher().Drain()
-	for _, leaves := range []int{3, 12} {
-		for _, children := range []int{1, 2, 3, 4, 8} {
-			if children > leaves {
-				continue
-			}
-			b.Run(fmt.Sprintf("leaves=%d/children=%d", leaves, children), func(b *testing.B) {
-				w := scanWave[int, int]{leaves: m.root.Peek().leaves[1 : 1+leaves], withValues: true}
-				b.ReportAllocs()
-				mustRun(b, rt, func(c *pnstm.Ctx) {
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						n := 0
-						_ = c.Atomic(func(c *pnstm.Ctx) error {
-							n = 0
-							forEachGroup(c, leaves, 1, children, w, func(p []SortedEntry[int, int]) { n += len(p) })
-							return nil
-						})
-						if n != 32*leaves {
-							b.Fatalf("wave collected %d entries, want %d", n, 32*leaves)
-						}
-					}
-				})
-			})
 		}
 	}
 }
