@@ -168,7 +168,7 @@ func TestRecycledVictimAbortUndoesItsWrites(t *testing.T) {
 func TestCase3ConflictResolvedByPublication(t *testing.T) {
 	rt := newRT(t, 4, func(c *Config) {
 		c.PublisherStartPaused = true
-		c.SpinRetries = 2
+		tinyWait(c)
 	})
 	x := NewObject(0)
 

@@ -24,7 +24,7 @@ func TestCrisisBreakerCrossRootWriteStorm(t *testing.T) {
 		objects = 32
 		rounds  = 20
 	)
-	rt := newRT(t, 4, func(c *Config) {
+	rt := newRT(t, 4, shortWait, func(c *Config) {
 		// Engage quickly so the test exercises the breaker, not just
 		// survives by luck of the backoff jitter.
 		c.CrisisAborts = 4

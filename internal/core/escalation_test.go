@@ -15,7 +15,7 @@ import (
 // management, paper §9).
 func TestCrossedTransfersDeadlockBreaking(t *testing.T) {
 	for round := 0; round < 10; round++ {
-		rt := newRT(t, 4)
+		rt := newRT(t, 4, shortWait)
 		a := NewObject(1000)
 		b := NewObject(1000)
 		transfer := func(from, to *Object, amt int) func(*Ctx) {
@@ -66,7 +66,7 @@ func TestCrossedTransfersDeadlockBreaking(t *testing.T) {
 func TestEscalationReleasesCommittedChildWrites(t *testing.T) {
 	rt := newRT(t, 4, func(c *Config) {
 		c.EscalateAfterAborts = 2 // escalate fast
-		c.SpinRetries = 1
+		tinyWait(c)
 	})
 	x := NewObject(0)
 	var commits atomic.Int64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"time"
 
 	"pnstm/internal/bitvec"
 	"pnstm/internal/epoch"
@@ -162,10 +163,12 @@ func (o *Object) dropDeadPrefix(rt *Runtime) {
 
 // access is the eager-validation access protocol (paper Fig. 3 `write`;
 // all accesses are treated as writes, §4.2). It returns the value the
-// object held before the access. On conflict it spins a bounded number of
-// times — the conflict may be a lazy-publication false positive that the
-// publisher resolves within microseconds (§5.1) — and then unwinds the
-// transaction body with a conflictSignal for rollback and retry.
+// object held before the access. On conflict it re-tests, yielding
+// between tests, for up to Config.ConflictWait of wall time — the
+// conflict may be a lazy-publication false positive that the publisher
+// resolves within microseconds (§5.1), or a live holder about to commit —
+// and then unwinds the transaction body with a conflictSignal for
+// rollback and retry.
 func (c *Ctx) access(o *Object, newVal Value, store bool) Value {
 	tx := c.cur
 	if tx == nil {
@@ -175,7 +178,7 @@ func (c *Ctx) access(o *Object, newVal Value, store bool) Value {
 		return c.serialAccess(o, newVal, store)
 	}
 	sharedRead := !store && c.rt.cfg.SharedReads
-	spins := 0
+	var waitFrom time.Time // the first failed test; zero until one fails
 	for {
 		o.mu.lock()
 		var granted bool
@@ -202,22 +205,21 @@ func (c *Ctx) access(o *Object, newVal Value, store bool) Value {
 				}
 				o.mu.unlock()
 			}
-			if spins > 0 {
+			if !waitFrom.IsZero() {
 				c.rt.stats.spinSaves.Add(1)
 			}
 			return old
 		}
 		o.mu.unlock()
-		if spins == 0 {
+		if waitFrom.IsZero() {
 			c.rt.stats.conflicts.Add(1)
-		}
-		if spins >= c.rt.cfg.SpinRetries {
+			waitFrom = time.Now()
+		} else if time.Since(waitFrom) >= c.rt.cfg.ConflictWait {
 			// Attribute the abort to the object that failed validation: the
 			// signal carries it to Atomic's recover, which records it and
 			// re-attaches it to any escalation it raises (D35).
 			panic(conflictSignal{obj: o})
 		}
-		spins++
 		runtime.Gosched()
 	}
 }

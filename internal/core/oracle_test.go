@@ -95,9 +95,12 @@ func (p *progSpec) run(t *testing.T, c *Ctx, objs []*Object) {
 }
 
 // execute runs the program on a fresh runtime and returns the final state.
-func executeProg(t *testing.T, p *progSpec, nObjs, workers int, serial bool) []int {
+func executeProg(t *testing.T, p *progSpec, nObjs, workers int, serial bool, mutate ...func(*Config)) []int {
 	t.Helper()
 	cfg := Config{Workers: workers, Serial: serial}
+	for _, m := range mutate {
+		m(&cfg)
+	}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +193,7 @@ func TestOracleCommutativeContention(t *testing.T) {
 			expect[o] = leaves * incs
 		}
 
-		got := executeProg(t, prog, nObjs, 4, false)
+		got := executeProg(t, prog, nObjs, 4, false, shortWait)
 		for o := 0; o < nObjs; o++ {
 			if got[o] != expect[o] {
 				t.Fatalf("seed %d: obj %d = %d, want %d (leaves=%d)", seed, o, got[o], expect[o], leaves)

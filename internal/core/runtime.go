@@ -39,10 +39,12 @@ type Config struct {
 	// lazy-publication window arbitrarily wide).
 	PublisherStartPaused bool
 
-	// SpinRetries bounds how many times an access re-tests a conflicted
-	// object before aborting; spinning rides out the publication latency
-	// of already committed transactions (§5.1). Default 64.
-	SpinRetries int
+	// ConflictWait bounds how long an access re-tests a conflicted object,
+	// by wall time from its first failed test, before it aborts. The wait
+	// rides out the publication latency of already committed transactions
+	// (§5.1) and a live holder that commits soon; a deadlock-shaped pair
+	// still aborts once it has waited this long. Default 1ms.
+	ConflictWait time.Duration
 
 	// EscalateAfterAborts is the number of consecutive aborts after which
 	// a nested transaction stops retrying locally and propagates the
@@ -88,8 +90,8 @@ func (c *Config) fillDefaults() error {
 	if 2*c.Workers > bitvec.Word {
 		return fmt.Errorf("core: Workers must be <= %d (bit-vector space is 2P bits)", bitvec.Word/2)
 	}
-	if c.SpinRetries <= 0 {
-		c.SpinRetries = 64
+	if c.ConflictWait <= 0 {
+		c.ConflictWait = time.Millisecond
 	}
 	if c.EscalateAfterAborts <= 0 {
 		c.EscalateAfterAborts = 8

@@ -228,7 +228,7 @@ func TestTraceConcurrentWriters(t *testing.T) {
 // TestTraceAbortAttribution: a conflict abort's event carries the label
 // of the object that failed validation, at the right depth.
 func TestTraceAbortAttribution(t *testing.T) {
-	rt := newRT(t, 2, func(c *Config) { c.SpinRetries = 1 })
+	rt := newRT(t, 2, tinyWait)
 	rt.EnableTracing(true)
 	hot := NewObject(0)
 	hot.SetLabel("m:hot/0")
@@ -268,7 +268,7 @@ func TestTraceAbortAttribution(t *testing.T) {
 // event — the dump-on-crisis trigger the server builds on.
 func TestCrisisHookAndEvent(t *testing.T) {
 	rt := newRT(t, 2, func(c *Config) {
-		c.SpinRetries = 1
+		tinyWait(c)
 		c.CrisisAborts = 1 // any root conflict abort engages the breaker
 		c.CrisisBackoff = 50 * time.Microsecond
 	})
@@ -375,7 +375,7 @@ func TestTraceSampling(t *testing.T) {
 
 	// Conflicts bypass sampling: hammer one object from two goroutines
 	// and demand abort events even though 3 in 4 lineages are unsampled.
-	rt2 := newRT(t, 2, func(c *Config) { c.SpinRetries = 1 })
+	rt2 := newRT(t, 2, tinyWait)
 	rt2.EnableTracing(true)
 	rt2.SetTraceSampling(1 << 20) // effectively: no lifecycle events at all
 	hot := NewObject(0)

@@ -297,7 +297,7 @@ func TestUndoRecycleSafety(t *testing.T) {
 		drivers  = 4
 		roots    = 60
 	)
-	rt := newRT(t, 4)
+	rt := newRT(t, 4, shortWait)
 	checkPoison := poisonUndo(t, rt)
 	objs := make([]*Object, accounts)
 	for i := range objs {

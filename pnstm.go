@@ -55,8 +55,9 @@ var ErrClosed = core.ErrClosed
 //     on spinning and committed-descendant notes, and deliberately do
 //     not help-publish (tests pause the publisher precisely to keep the
 //     window open).
-//   - Seed randomizes the retry backoff; the retry loop's spin, backoff
-//     and slot-yield limits are fixed.
+//   - Seed randomizes the retry backoff. The backoff and slot-yield
+//     limits are fixed, and a conflicted access re-tests for up to 1 ms
+//     of wall time before it aborts.
 type Config struct {
 	// Workers is the number of worker slots P (1..32). Transactions get
 	// identifiers out of a 2P-bit space, so P is bounded by half the

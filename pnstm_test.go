@@ -31,7 +31,7 @@ func TestRuntimeConfigSurface(t *testing.T) {
 		}},
 		{core.Config{}, []string{ // 10
 			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads", "PublisherStartPaused",
-			"SpinRetries", "EscalateAfterAborts", "CrisisAborts", "CrisisBackoff", "Seed",
+			"ConflictWait", "EscalateAfterAborts", "CrisisAborts", "CrisisBackoff", "Seed",
 		}},
 		{epoch.PublisherConfig{}, []string{ // 4
 			"Bitnums", "MaxEpoch", "Free", "StartPaused",

@@ -160,8 +160,8 @@ func TestExecutorAllocCeilings(t *testing.T) {
 		{"MapPut", 3, 4},      // 9, 10 while a bucket was a Go map rebuilt per write (D57)
 		{"CounterAdd", 2, 3},  // one more while a stripe's int64 was boxed (D52)
 		{"Transfer4", 10, 11}, // 18, 19 with Go-map buckets: two writes
-		{"RangeScan64", 15, 15},
-		{"Put64", 143, 144}, // 152, 153 with a nested transaction per chain; 136, 137 while it ran as one chain
+		{"RangeScan64", 6, 6}, // 15, 15 while its first wave forked (D49)
+		{"Put64", 143, 144},   // 152, 153 with a nested transaction per chain; 136, 137 while it ran as one chain
 	}
 	for _, durable := range []bool{false, true} {
 		h := newExecHarness(t, durable)
