@@ -257,11 +257,12 @@ func BenchmarkDepthScalingAccessChain(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkCase2ParentAccessAfterChildren(b *testing.B) {
-	rt, err := pnstm.New(pnstm.Config{Workers: 4, PublisherStartPaused: true})
+	rt, err := pnstm.New(pnstm.Config{Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer rt.Close()
+	rt.Publisher().Pause()
 	v := pnstm.NewTVar(0)
 	if err := rt.Run(func(c *pnstm.Ctx) {
 		b.ResetTimer()

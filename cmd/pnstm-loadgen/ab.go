@@ -264,30 +264,27 @@ var abModes = []abSpec{
 		// What the second-generation scan architecture buys over the
 		// serial baseline, with the same legs as the durable group A/B:
 		// scanners and score writers share one DURABLE leaderboard, and
-		// the serial leg (serial nesting, batch size 1, registry fanout 1
-		// — every scan one sequential leaf walk in its own root
+		// the serial leg (serial nesting, batch size 1, one worker —
+		// every scan one sequential leaf walk in its own root
 		// transaction, one fsync per score write) races the shipped
-		// configuration (parallel-nested subrange scans via the default
-		// fanout, riding group commit — one fsync per batch). Scans
+		// configuration (parallel-nested subrange scans, one child per
+		// worker, riding group commit — one fsync per batch). Scans
 		// between fsyncs queue behind the serial leg's one-at-a-time
 		// pipeline; in the parallel leg they ride alongside the writes
 		// they'd otherwise wait for. The measured ops are the scans
 		// (pipeline.go).
 		name:   "rangescan",
-		what:   "parallel-subrange scans vs sequential: scanners vs score writers on one durable sorted map, registry fanout 1 vs the default",
+		what:   "parallel-subrange scans vs sequential: scanners vs score writers on one durable sorted map, one worker vs the default",
 		report: "loadgen-rangescan-ab",
 		legs: []leg{
 			{label: "serial", load: scanLoad, tune: func(c *server.Config, o *abOpts) {
 				serialBaseline(c)
-				c.Registry.Fanout = 1
+				c.Workers = 1
 				o.fsynced(c)
 			}},
 			// Shared reads keep co-batched scans from false-conflicting on
 			// shared leaves.
-			{label: "parallel", load: scanLoad, tune: func(c *server.Config, o *abOpts) {
-				c.Registry.Fanout = stmlib.DefaultFanout
-				o.fsynced(c)
-			}},
+			{label: "parallel", load: scanLoad, tune: func(c *server.Config, o *abOpts) { o.fsynced(c) }},
 		},
 		ratios: []ratio{{"rangescan_speedup_ratio", "parallel", []string{"serial"}}},
 	},

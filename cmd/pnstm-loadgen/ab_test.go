@@ -246,8 +246,8 @@ var abGolden = []struct {
 		"replica": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
 	}},
 	{"rangescan", "mixed", false, "BENCH_loadgen-rangescan-ab.json", "rangescan_speedup_ratio", false, map[string]server.Config{
-		"serial":   {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 1, Serial: true, Registry: stmlib.RegistryConfig{MapBuckets: 128, Fanout: 1}, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
-		"parallel": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: stmlib.RegistryConfig{MapBuckets: 128, Fanout: stmlib.DefaultFanout}, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"serial":   {Addr: "127.0.0.1:0", Workers: 1, MaxBatch: 1, Serial: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"parallel": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
 	}},
 }
 

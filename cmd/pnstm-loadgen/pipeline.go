@@ -209,7 +209,7 @@ func scanLoad(env *legEnv, o *abOpts) (*genResult, error) {
 				// so it collides with an in-flight scan's ascending leaf
 				// walk instead of queueing behind it — the scan loses
 				// sometimes, and what a lost scan redoes is exactly what
-				// the fanout decides.
+				// the fork width decides.
 				tx := cl.Txn()
 				for i := 0; i < 4; i++ {
 					tx.SortedPut(boardName, playerKey(rng.Intn(cfg.keys)),

@@ -86,7 +86,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7455", "TCP listen address")
 		shards     = flag.Int("shards", 1, "independent engine partitions (each with its own runtime, batcher and WAL)")
-		workers    = flag.Int("workers", 8, "runtime worker slots P per shard (1..32)")
+		workers    = flag.Int("workers", 8, "runtime worker slots P per shard (1..32); every fork is at most P blocks wide")
 		batch      = flag.Int("batch", 64, "max requests per group commit (1 disables grouping)")
 		batchdelay = flag.Duration("batchdelay", 0, "how long a batch waits for stragglers (0: only coalesce what is already in flight)")
 		serial     = flag.Bool("serial", false, "serial-nesting baseline runtime (children run sequentially)")

@@ -150,7 +150,6 @@ func WorkloadReport(cfg StructureConfig, ser, par StructureResult) *Report {
 			"children": cfg.Children,
 			"span":     cfg.Span,
 			"buckets":  cfg.Buckets,
-			"fanout":   cfg.Fanout,
 			"seed":     cfg.Seed,
 		},
 		Metrics: metrics,

@@ -33,7 +33,6 @@ type StructureConfig struct {
 	Children int    // parallel children per round
 	Span     int    // per-child operations per round
 	Buckets  int    // map buckets / counter stripes (default 64 / 8)
-	Fanout   int    // bulk-operation fanout (default stmlib.DefaultFanout)
 	Seed     int64
 }
 
@@ -61,9 +60,6 @@ func (c *StructureConfig) fillDefaults() error {
 		} else {
 			c.Buckets = 64
 		}
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = stmlib.DefaultFanout
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -129,7 +125,7 @@ func RunStructure(cfg StructureConfig) (StructureResult, error) {
 // each into disjoint ranges, then the round transaction runs a bulk
 // increment over every key and a parallel Len.
 func runMapHeavy(rt *pnstm.Runtime, cfg StructureConfig) (int, error) {
-	m := stmlib.NewTMapFanout[int, int](cfg.Buckets, cfg.Fanout)
+	m := stmlib.NewTMap[int, int](cfg.Buckets)
 	total := cfg.Children * cfg.Span
 	allKeys := make([]int, total)
 	for i := range allKeys {

@@ -16,7 +16,8 @@ import (
 // its forked children commit must access their objects without a single
 // conflict, because the finishing blocks left comDesc notes.
 func TestCase2NoFalseConflictWithPausedPublisher(t *testing.T) {
-	rt := newRT(t, 4, func(c *Config) { c.PublisherStartPaused = true })
+	rt := newRT(t, 4)
+	rt.Publisher().Pause()
 	objs := make([]*Object, 6)
 	for i := range objs {
 		objs[i] = NewObject(0)
@@ -79,7 +80,8 @@ func TestCase2NoFalseConflictWithPausedPublisher(t *testing.T) {
 // to an object it wrote before the switch must not read as a conflict: a
 // bitnum with a pending discard counts as its base's (activeAncestors).
 func TestRecycledVictimKeepsItsOwnWrites(t *testing.T) {
-	rt := newRT(t, 4, func(c *Config) { c.PublisherStartPaused = true })
+	rt := newRT(t, 4)
+	rt.Publisher().Pause()
 	x := NewObject(0)
 	stored, done := make(chan struct{}), make(chan error, 1)
 	var once sync.Once // a retried root runs the block again
@@ -123,7 +125,8 @@ func TestRecycledVictimKeepsItsOwnWrites(t *testing.T) {
 // still not read as its own: a write in place over one logs no undo record,
 // and the transaction's abort then leaves the write behind (D4).
 func TestRecycledVictimAbortUndoesItsWrites(t *testing.T) {
-	rt := newRT(t, 4, func(c *Config) { c.PublisherStartPaused = true })
+	rt := newRT(t, 4)
+	rt.Publisher().Pause()
 	w, z := NewObject(0), NewObject(0)
 	errFail := errors.New("fail")
 	begun := make(chan struct{})
@@ -166,10 +169,8 @@ func TestRecycledVictimAbortUndoesItsWrites(t *testing.T) {
 // With the publisher paused the requester must keep failing; resuming the
 // publisher must unblock it.
 func TestCase3ConflictResolvedByPublication(t *testing.T) {
-	rt := newRT(t, 4, func(c *Config) {
-		c.PublisherStartPaused = true
-		tinyWait(c)
-	})
+	rt := newRT(t, 4, tinyWait)
+	rt.Publisher().Pause()
 	x := NewObject(0)
 
 	// Phase 1: a root transaction commits but is not published.

@@ -74,7 +74,8 @@ func TestForkJoinAllocCeiling(t *testing.T) {
 // the second; each round drains it after. Under -race it reads 5 to 7: a
 // dropped frame is remade and its buffers grow again.
 func TestWideForkWithNotesAllocCeiling(t *testing.T) {
-	rt := newRT(t, 16, func(c *Config) { c.PublisherStartPaused = true })
+	rt := newRT(t, 16)
+	rt.Publisher().Pause()
 	fns := make([]func(*Ctx), 8)
 	for i := range fns {
 		fns[i] = noop

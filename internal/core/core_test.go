@@ -147,7 +147,8 @@ func TestSequentialSiblingTransactions(t *testing.T) {
 	// Case 1 of §5.2: the second transaction in the same block accesses
 	// the first one's objects. Same bitnum + epoch window must grant the
 	// access with no conflict even before publication.
-	rt := newRT(t, 2, func(c *Config) { c.PublisherStartPaused = true })
+	rt := newRT(t, 2)
+	rt.Publisher().Pause()
 	x := NewObject(0)
 	err := rt.Run(func(c *Ctx) {
 		for i := 1; i <= 5; i++ {

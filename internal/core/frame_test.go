@@ -224,7 +224,8 @@ func forkWidthProgram(c *Ctx, objs []*Object, total *Object, atBarrier, afterFir
 func TestForkWidths(t *testing.T) {
 	for _, mode := range frameModes[:2] {
 		t.Run(mode.name, func(t *testing.T) {
-			rt := newRT(t, 16, mode.mutate, shortWait, func(c *Config) { c.PublisherStartPaused = true })
+			rt := newRT(t, 16, mode.mutate, shortWait)
+			rt.Publisher().Pause()
 			for _, width := range []int{9, 2, 3, 5, 2} {
 				t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 					newObjs := func() ([]*Object, *Object) {

@@ -94,7 +94,8 @@ func TestComNoteProperties(t *testing.T) {
 // cleanNotes drops exactly the notes whose bitnum is published at the note
 // epoch.
 func TestCleanNotesAgainstMasks(t *testing.T) {
-	rt := newRT(t, 2, func(c *Config) { c.PublisherStartPaused = true })
+	rt := newRT(t, 2)
+	rt.Publisher().Pause()
 	st := rt.st
 	st.Masks.Or(5, bitvec.Of(1))
 	st.Masks.Or(9, bitvec.Of(2))

@@ -16,10 +16,8 @@ func TestSharedReadersNeverConflict(t *testing.T) {
 	// allowed: readers must not block readers. (A paused publisher also
 	// never recycles bitnums, so the reader count must stay within the
 	// N = 2P identifier budget: 6 children + the root block fit in 8.)
-	rt := newRT(t, 4, func(c *Config) {
-		c.SharedReads = true
-		c.PublisherStartPaused = true
-	})
+	rt := newRT(t, 4, func(c *Config) { c.SharedReads = true })
+	rt.Publisher().Pause()
 	x := NewObject(42)
 	const readers = 6
 	var sum atomic.Int64
@@ -311,7 +309,8 @@ func TestReaderSetBoundedByLiveReaders(t *testing.T) {
 	// the doubling prune marks 8, 16, …, 1024 put the next mark exactly at
 	// the set's length, so the first read after the drain prunes.
 	const paused = 1024
-	rt = newRT(t, 2, func(c *Config) { c.SharedReads = true; c.PublisherStartPaused = true })
+	rt = newRT(t, 2, func(c *Config) { c.SharedReads = true })
+	rt.Publisher().Pause()
 	x = NewObject(1)
 	err = rt.Run(func(c *Ctx) {
 		for i := 0; i < paused; i++ {

@@ -35,10 +35,6 @@ type Config struct {
 	// (the default), every access is a write, as in the paper's evaluation.
 	SharedReads bool
 
-	// PublisherStartPaused creates the publisher paused (tests: opens the
-	// lazy-publication window arbitrarily wide).
-	PublisherStartPaused bool
-
 	// ConflictWait bounds how long an access re-tests a conflicted object,
 	// by wall time from its first failed test, before it aborts. The wait
 	// rides out the publication latency of already committed transactions
@@ -192,10 +188,9 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.sched = newScheduler(rt, rt.nbits, rt.slots)
 	rt.pub = epoch.NewPublisher(rt.st, epoch.PublisherConfig{
-		Bitnums:     rt.nbits,
-		MaxEpoch:    rt.maxEpoch,
-		Free:        rt.sched.freeBitnum,
-		StartPaused: cfg.PublisherStartPaused,
+		Bitnums:  rt.nbits,
+		MaxEpoch: rt.maxEpoch,
+		Free:     rt.sched.freeBitnum,
 	})
 	return rt, nil
 }

@@ -101,7 +101,8 @@ func (m *modelTx) descendsFrom(a *modelTx) bool {
 // plain-slice reference, with released chunks poisoned. Values are boxed or
 // word-carried at random, so one chunk holds records of both kinds.
 func TestUndoLogAgainstModel(t *testing.T) {
-	rt := newRT(t, 2, func(c *Config) { c.PublisherStartPaused = true })
+	rt := newRT(t, 2)
+	rt.Publisher().Pause()
 	checkPoison := poisonUndo(t, rt)
 	ctx := &Ctx{rt: rt, ancBase: bitvec.Of(0), ep: 1}
 

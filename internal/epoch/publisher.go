@@ -59,8 +59,6 @@ type PublisherConfig struct {
 	// Free returns a fully published bitnum to the free queue with the
 	// given minimum re-use epoch.
 	Free func(bn bitvec.Bitnum, minEp Epoch)
-	// StartPaused creates the publisher in the paused state (tests).
-	StartPaused bool
 }
 
 // NewPublisher attaches a publisher to st and starts it. st must not have
@@ -79,7 +77,6 @@ func NewPublisher(st *State, cfg PublisherConfig) *Publisher {
 		bitnums:  cfg.Bitnums,
 		stop:     make(chan struct{}),
 	}
-	p.paused.Store(cfg.StartPaused)
 	st.Masks.full = bitvec.Vec(^uint64(0) >> (bitvec.Word - cfg.Bitnums))
 	st.bell = make(chan struct{}, 1)
 	p.wg.Add(1)

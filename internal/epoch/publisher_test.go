@@ -29,12 +29,14 @@ func newHarness(t *testing.T, bitnums int, paused bool) (*pubHarness, *Publisher
 	t.Helper()
 	h := &pubHarness{freedC: make(chan freeEvent, 128)}
 	p := NewPublisher(&h.st, PublisherConfig{
-		Bitnums:     bitnums,
-		MaxEpoch:    func() Epoch { return Epoch(h.maxEp.Load()) },
-		Free:        h.onFree,
-		StartPaused: paused,
+		Bitnums:  bitnums,
+		MaxEpoch: func() Epoch { return Epoch(h.maxEp.Load()) },
+		Free:     h.onFree,
 	})
 	t.Cleanup(p.Close)
+	if paused {
+		p.Pause()
+	}
 	return h, p
 }
 

@@ -15,7 +15,7 @@ import "pnstm"
 // the rung that prices a group against loads per unit.
 const (
 	// LeavesPerChild prices a sorted-map wave: a limit-64 scan's 3-leaf
-	// first wave is one group, while 100 leaves still fork the fanout.
+	// first wave is one group, while 100 leaves still fork every worker.
 	LeavesPerChild = 4
 	// OpsPerBlock prices the server's planner: a batch or an envelope
 	// forks at most one block per OpsPerBlock ops.
@@ -28,15 +28,16 @@ type Job[T any] interface {
 	Do(c *pnstm.Ctx, lo, hi int) T
 }
 
-// Each splits units into n = max(1, min(fanout, units/perChild))
-// contiguous near-equal groups (perChild >= 1) and runs job over each:
-// one group as job.Do(c, 0, units) in the caller, several as parallel
-// sibling blocks of c. Only the fork copies job into closures, so a job
-// that is a value (not a closure) costs no object when it does not fork.
-// Once every group has finished, join (if not nil) receives their
-// results in group order.
-func Each[T any, J Job[T]](c *pnstm.Ctx, units, perChild, fanout int, job J, join func(T)) {
-	n := max(1, min(fanout, units/perChild))
+// Each splits units into n = max(1, min(P, units/perChild)) contiguous
+// near-equal groups (perChild >= 1), P the runtime's Workers — at most P
+// sibling blocks run at once (paper §3), so a wider fork only queues —
+// and runs job over each: one group as job.Do(c, 0, units) in the
+// caller, several as parallel sibling blocks of c. Only the fork copies
+// job into closures, so a job that is a value (not a closure) costs no
+// object when it does not fork. Once every group has finished, join (if
+// not nil) receives their results in group order.
+func Each[T any, J Job[T]](c *pnstm.Ctx, units, perChild int, job J, join func(T)) {
+	n := max(1, min(c.Runtime().Workers(), units/perChild))
 	if n == 1 {
 		r := job.Do(c, 0, units)
 		if join != nil {

@@ -50,18 +50,18 @@ func (r recorder) Do(c *pnstm.Ctx, lo, hi int) int {
 	return lo
 }
 
-// TestEachGroups: Each runs max(1, min(fanout, units/perChild)) groups,
+// TestEachGroups: Each runs max(1, min(Workers, units/perChild)) groups,
 // contiguous and near-equal, that cover [0, units) exactly once.
 func TestEachGroups(t *testing.T) {
-	rt := newRT(t, 4)
-	for units := 0; units <= 40; units++ {
-		for _, perChild := range []int{1, 2, 4, 8} {
-			for _, fanout := range []int{1, 2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
+		rt := newRT(t, workers)
+		for units := 0; units <= 40; units++ {
+			for _, perChild := range []int{1, 2, 4, 8} {
 				rec := newRecorder()
-				mustRun(t, rt, func(c *pnstm.Ctx) { fork.Each(c, units, perChild, fanout, rec, nil) })
+				mustRun(t, rt, func(c *pnstm.Ctx) { fork.Each(c, units, perChild, rec, nil) })
 				spans := *rec.spans
-				name := fmt.Sprintf("%d units, %d per child, fanout %d", units, perChild, fanout)
-				if want := max(1, min(fanout, units/perChild)); len(spans) != want {
+				name := fmt.Sprintf("%d units, %d per child, %d workers", units, perChild, workers)
+				if want := max(1, min(workers, units/perChild)); len(spans) != want {
 					t.Fatalf("%s: %d groups, want %d", name, len(spans), want)
 				}
 				slices.SortFunc(spans, func(a, b span) int { return a.lo - b.lo })
@@ -88,7 +88,7 @@ func TestEachOneGroupRunsInCaller(t *testing.T) {
 	mustRun(t, rt, func(c *pnstm.Ctx) {
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
 			before := rt.Stats()
-			fork.Each(c, 7, 4, 8, rec, nil) // 7/4: one group
+			fork.Each(c, 7, 4, rec, nil) // 7/4: one group
 			d := rt.Stats().Sub(before)
 			if n := d.Dispatches + d.BorrowDispatch + d.SerializedFork + d.InlineChildren; n != 0 {
 				t.Errorf("one group ran %d blocks, want 0", n)
@@ -107,18 +107,18 @@ func TestEachOneGroupRunsInCaller(t *testing.T) {
 // TestEachJoinsInGroupOrder: join receives the groups' results in group
 // order, however the groups were scheduled.
 func TestEachJoinsInGroupOrder(t *testing.T) {
-	rt := newRT(t, 4)
-	for _, fanout := range []int{1, 2, 5, 8} {
+	for _, workers := range []int{1, 2, 5, 8} {
+		rt := newRT(t, workers)
 		var got []int
 		mustRun(t, rt, func(c *pnstm.Ctx) {
-			fork.Each(c, 40, 1, fanout, newRecorder(), func(lo int) { got = append(got, lo) })
+			fork.Each(c, 40, 1, newRecorder(), func(lo int) { got = append(got, lo) })
 		})
 		var want []int
-		for g := range fanout {
-			want = append(want, g*40/fanout)
+		for g := range workers {
+			want = append(want, g*40/workers)
 		}
 		if !slices.Equal(got, want) {
-			t.Errorf("fanout %d joined %v, want %v", fanout, got, want)
+			t.Errorf("%d workers joined %v, want %v", workers, got, want)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestEachGroupIsNotATransaction(t *testing.T) {
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
 			rec := newRecorder()
 			before := rt.Stats()
-			fork.Each(c, 4, 1, 4, rec, nil)
+			fork.Each(c, 4, 1, rec, nil)
 			d := rt.Stats().Sub(before)
 			if len(*rec.spans) != 4 {
 				t.Fatalf("%d groups ran, want 4", len(*rec.spans))
@@ -152,7 +152,7 @@ func TestEachGroupIsNotATransaction(t *testing.T) {
 	mustRun(t, rt, func(c *pnstm.Ctx) {
 		err := c.Atomic(func(c *pnstm.Ctx) error {
 			before := rt.Stats()
-			fork.Each(c, 4, 1, 4, stores(vars), nil)
+			fork.Each(c, 4, 1, stores(vars), nil)
 			if d := rt.Stats().Sub(before); d.Begun != 4 {
 				t.Errorf("4 groups of one Atomic each began %d transactions, want 4", d.Begun)
 			}
@@ -204,14 +204,15 @@ func (l loads) Do(c *pnstm.Ctx, lo, hi int) (sum int) {
 }
 
 // BenchmarkForkPrice is the rung behind the price table: 8 units of W
-// loads each, run as 1, 2, 4 or 8 groups of one nested transaction each,
-// inside one transaction of a root of its own, as a served request runs.
-// A group costs its fork, its join and its nested begin and commit; a
-// unit costs W loads. The per-child minimum of a site is the least work
-// at which more groups stop losing to one.
+// loads each, run as 1, 2, 4 or 8 groups of one nested transaction each
+// (a per-child minimum of units/groups on an 8-worker runtime), inside
+// one transaction of a root of its own, as a served request runs. A
+// group costs its fork, its join and its nested begin and commit; a unit
+// costs W loads. The per-child minimum of a site is the least work at
+// which more groups stop losing to one.
 func BenchmarkForkPrice(b *testing.B) {
 	const units = 8
-	rt := newRT(b, 4)
+	rt := newRT(b, 8)
 	for _, w := range []int{4, 32, 256} {
 		job := make(loads, units)
 		for u := range job {
@@ -228,7 +229,7 @@ func BenchmarkForkPrice(b *testing.B) {
 					mustRun(b, rt, func(c *pnstm.Ctx) {
 						_ = c.Atomic(func(c *pnstm.Ctx) error {
 							n = 0
-							fork.Each(c, units, 1, groups, job, func(s int) { n += s })
+							fork.Each(c, units, units/groups, job, func(s int) { n += s })
 							return nil
 						})
 					})

@@ -37,10 +37,12 @@ var ErrClosed = core.ErrClosed
 // Field interactions:
 //
 //   - Serial overrides almost everything else: it disables the scheduler,
-//     the publisher and conflict detection, so Workers,
-//     DisableAggressiveRecycle, SharedReads and PublisherStartPaused have
-//     no effect, and Runtime.Publisher returns nil. A Serial runtime is
-//     single-threaded: concurrent Run calls are not safe in this mode.
+//     the publisher and conflict detection, so DisableAggressiveRecycle
+//     and SharedReads have no effect, and Runtime.Publisher returns nil.
+//     Workers still sets the fork width (stmlib and the server split bulk
+//     work into at most Workers groups), though the groups run inline
+//     one after another. A Serial runtime is single-threaded: concurrent
+//     Run calls are not safe in this mode.
 //   - DisableAggressiveRecycle turns off unilateral bitnum discards,
 //     which also eliminates borrow switches and merged-victim
 //     escalations; deep trees then lean harder on the publisher to
@@ -50,11 +52,6 @@ var ErrClosed = core.ErrClosed
 //     conflicting with reads), so results of racy programs may differ
 //     from the default write-only model; oracle-style comparisons against
 //     Serial still hold for deterministic programs.
-//   - PublisherStartPaused holds the lazy-publication window open until
-//     Publisher().Resume or a manual StepOnce/Drain; accessors then rely
-//     on spinning and committed-descendant notes, and deliberately do
-//     not help-publish (tests pause the publisher precisely to keep the
-//     window open).
 //   - Seed randomizes the retry backoff. The backoff and slot-yield
 //     limits are fixed, and a conflicted access re-tests for up to 1 ms
 //     of wall time before it aborts.
@@ -81,10 +78,6 @@ type Config struct {
 	// is the paper's §9 first future-work item.)
 	SharedReads bool
 
-	// PublisherStartPaused starts the publisher paused. Testing only: it
-	// holds the lazy-publication window open.
-	PublisherStartPaused bool
-
 	// Seed seeds backoff randomization. Default 1.
 	Seed int64
 }
@@ -103,7 +96,6 @@ func New(cfg Config) (*Runtime, error) {
 		Serial:                   cfg.Serial,
 		DisableAggressiveRecycle: cfg.DisableAggressiveRecycle,
 		SharedReads:              cfg.SharedReads,
-		PublisherStartPaused:     cfg.PublisherStartPaused,
 		Seed:                     cfg.Seed,
 	})
 	if err != nil {

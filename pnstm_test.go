@@ -9,10 +9,12 @@ import (
 	"pnstm"
 	"pnstm/internal/core"
 	"pnstm/internal/epoch"
+	"pnstm/stmlib"
 )
 
 // TestRuntimeConfigSurface is the runtime's knob census: a field added to
-// or deleted from a runtime configuration changes one of these lists.
+// or deleted from a runtime or structure-library configuration changes
+// one of these lists.
 func TestRuntimeConfigSurface(t *testing.T) {
 	names := func(v any) []string {
 		typ := reflect.TypeOf(v)
@@ -26,15 +28,18 @@ func TestRuntimeConfigSurface(t *testing.T) {
 		cfg  any
 		want []string
 	}{
-		{pnstm.Config{}, []string{ // 6
-			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads", "PublisherStartPaused", "Seed",
+		{pnstm.Config{}, []string{ // 5
+			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads", "Seed",
 		}},
-		{core.Config{}, []string{ // 10
-			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads", "PublisherStartPaused",
+		{core.Config{}, []string{ // 9
+			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads",
 			"ConflictWait", "EscalateAfterAborts", "CrisisAborts", "CrisisBackoff", "Seed",
 		}},
-		{epoch.PublisherConfig{}, []string{ // 4
-			"Bitnums", "MaxEpoch", "Free", "StartPaused",
+		{epoch.PublisherConfig{}, []string{ // 3
+			"Bitnums", "MaxEpoch", "Free",
+		}},
+		{stmlib.RegistryConfig{}, []string{ // 2
+			"MapBuckets", "CounterStripes",
 		}},
 	} {
 		if got := names(c.cfg); !reflect.DeepEqual(got, c.want) {

@@ -204,7 +204,7 @@ func (r *batchRun) runRoot(c *pnstm.Ctx) {
 	}
 	r.plan.batch(r.reg, r.batch)
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		fork.Each(c, r.plan.chains(), 1, c.Runtime().Workers(), r, nil)
+		fork.Each(c, r.plan.chains(), 1, r, nil)
 		return nil
 	})
 }
@@ -360,7 +360,7 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 		var pl plan
 		pl.envelope(reg, ops)
 		var first txOpFailure
-		fork.Each(c, pl.chains(), 1, c.Runtime().Workers(), txJob{reg, ops, results, pl.layout},
+		fork.Each(c, pl.chains(), 1, txJob{reg, ops, results, pl.layout},
 			func(f txOpFailure) { first = first.earlier(f) })
 		if first.err == nil {
 			return checkReplySize(results)

@@ -41,7 +41,8 @@ type Config struct {
 	Shards int
 
 	// Workers is the runtime's worker-slot count P (default 8, max 32),
-	// per shard, and the most parallel blocks a batch or envelope forks.
+	// per shard, and the width of every fork: a batch, an envelope or a
+	// stmlib bulk operation forks at most P parallel blocks.
 	Workers int
 
 	// MaxBatch bounds the number of requests coalesced into one group

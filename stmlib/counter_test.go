@@ -68,7 +68,7 @@ func TestTCounterParallelAdders(t *testing.T) {
 
 // TestTCounterSumNarrowAndWide: Sum is the same atomic snapshot on a
 // counter narrow enough to read inline and on one wide enough that a
-// child per stripe group would fork the whole fanout, in and out of
+// child per stripe group would fork every worker, in and out of
 // enclosing transactions, on serial and parallel runtimes.
 func TestTCounterSumNarrowAndWide(t *testing.T) {
 	for _, serial := range []bool{false, true} {

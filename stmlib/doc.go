@@ -9,11 +9,12 @@
 // runtime uniquely adds is the paper's parallel nesting: a single bulk
 // operation (TMap.Range, TMap.Clear, TMap.BulkUpdate, a TSortedMap scan)
 // forks one child transaction per group of buckets or leaves via
-// fork.Each, so the bulk work runs on all worker slots while still being
-// one atomic step of the enclosing transaction. Every fork site is
-// priced by one table (internal/fork): a group must carry enough work to
-// pay for its child, so a short scan wave runs as one nested child
-// instead, and a counter's Sum never forks.
+// fork.Each, at most one group per worker of the runtime, so the bulk
+// work runs on all worker slots while still being one atomic step of the
+// enclosing transaction. Every fork site is priced by one table
+// (internal/fork): a group must carry enough work to pay for its child,
+// so a short scan wave runs as one nested child instead, and a counter's
+// Sum never forks.
 //
 // Three structures ship today:
 //

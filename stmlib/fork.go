@@ -30,6 +30,6 @@ func (a inChild[T, J]) Do(c *pnstm.Ctx, lo, hi int) (r T) {
 // jobs load and store variables directly, and a group is a block, not a
 // transaction. Called from inside an Atomic, the groups are one atomic
 // step of it, and a conflict retries only the group it hit.
-func forEachGroup[T any, J fork.Job[T]](c *pnstm.Ctx, units, perChild, fanout int, j J, join func(T)) {
-	fork.Each(c, units, perChild, fanout, inChild[T, J]{j}, join)
+func forEachGroup[T any, J fork.Job[T]](c *pnstm.Ctx, units, perChild int, j J, join func(T)) {
+	fork.Each(c, units, perChild, inChild[T, J]{j}, join)
 }

@@ -57,9 +57,9 @@ func (r *Registry) Export(c *pnstm.Ctx) *RegistryImage {
 	counterOut := make([]int64, len(counterNames))
 	sortedOut := make([][]SortedEntry[string, []byte], len(sortedNames))
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		// One task per structure; tasks are spread over ≤ fanout parallel
-		// children (forEachGroup). Each task's bulk read forks further
-		// nested children of its group's transaction.
+		// One task per structure; tasks are spread over at most one
+		// parallel child per worker (forEachGroup). Each task's bulk read
+		// forks further nested children of its group's transaction.
 		var tasks []func(*pnstm.Ctx)
 		for i, name := range mapNames {
 			i, name := i, name
@@ -85,7 +85,7 @@ func (r *Registry) Export(c *pnstm.Ctx) *RegistryImage {
 			i, name := i, name
 			tasks = append(tasks, func(c *pnstm.Ctx) { sortedOut[i] = r.SortedMap(name).ExportEntries(c) })
 		}
-		forEachGroup(c, len(tasks), 1, r.fanout, runTasks(tasks), nil)
+		forEachGroup(c, len(tasks), 1, runTasks(tasks), nil)
 		return nil
 	})
 	for i, name := range mapNames {
@@ -168,7 +168,7 @@ func (r *Registry) Import(c *pnstm.Ctx, img *RegistryImage) {
 			q, seq := r.Queue(name), seq
 			tasks = append(tasks, func(c *pnstm.Ctx) { q.ImportLeases(c, nil, seq) })
 		}
-		forEachGroup(c, len(tasks), 1, r.fanout, runTasks(tasks), nil)
+		forEachGroup(c, len(tasks), 1, runTasks(tasks), nil)
 		return nil
 	})
 }

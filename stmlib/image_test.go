@@ -80,7 +80,7 @@ func TestRegistryExportImportRoundTrip(t *testing.T) {
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
 			rt := newRT(t, 4, serial)
-			reg := stmlib.NewRegistry(stmlib.RegistryConfig{MapBuckets: 16, CounterStripes: 4, Fanout: 4})
+			reg := stmlib.NewRegistry(stmlib.RegistryConfig{MapBuckets: 16, CounterStripes: 4})
 			want := populate(t, rt, reg)
 
 			var img *stmlib.RegistryImage
@@ -93,7 +93,7 @@ func TestRegistryExportImportRoundTrip(t *testing.T) {
 
 			// Import into a fresh registry and re-export: must round-trip.
 			rt2 := newRT(t, 4, serial)
-			reg2 := stmlib.NewRegistry(stmlib.RegistryConfig{MapBuckets: 8, CounterStripes: 2, Fanout: 2})
+			reg2 := stmlib.NewRegistry(stmlib.RegistryConfig{MapBuckets: 8, CounterStripes: 2})
 			if err := rt2.Run(func(c *pnstm.Ctx) { reg2.Import(c, img) }); err != nil {
 				t.Fatal(err)
 			}

@@ -7,14 +7,6 @@ import (
 	"pnstm"
 )
 
-// DefaultFanout is the default maximum number of parallel nested children
-// a bulk operation forks. Bulk operations split the bucket array into at
-// most this many contiguous groups and run one child transaction per
-// group; the runtime serializes children beyond its own capacity anyway
-// (parent-limiter degradation), so fanout only needs to be around the
-// worker count to saturate the machine.
-const DefaultFanout = 8
-
 // TMap is a transactional hash map from K to V, implemented as a fixed
 // array of buckets, each a transactional variable holding an immutable
 // slice of entries sorted by key hash. An entry carries its key's TTL
@@ -25,18 +17,19 @@ const DefaultFanout = 8
 // transaction touching a single bucket, so operations on different
 // buckets by parallel sibling transactions do not conflict; a write
 // copies its bucket once, with the one entry inserted, replaced or
-// removed. Bulk operations (Len, Range, Snapshot, Clear, BulkUpdate) fork
-// one nested child transaction per bucket group via fork.Each: inside
-// an enclosing transaction the whole bulk step is atomic, yet its work
-// runs on every available worker slot. Under pnstm.Config{Serial: true}
-// the children run inline sequentially and the semantics are unchanged.
+// removed. Bulk operations (Len, Range, Snapshot, Clear, BulkUpdate) split
+// their buckets into at most one contiguous group per worker of the
+// runtime and run each group as one nested child transaction via
+// fork.Each: inside an enclosing transaction the whole bulk step is
+// atomic, yet its work runs on every worker slot. Under
+// pnstm.Config{Serial: true} the children run inline sequentially and
+// the semantics are unchanged.
 //
 // A TMap must be created with NewTMap. It may be shared freely between
 // transactions; the zero value is not usable.
 type TMap[K comparable, V any] struct {
 	buckets []*pnstm.TVar[[]entry[K, V]]
 	mask    uint64
-	fanout  int
 
 	// hook, when set, is invoked inside the mutating transaction
 	// whenever a key's deadline changes (oldExp → newExp, either may be
@@ -55,26 +48,14 @@ type entry[K comparable, V any] struct {
 }
 
 // NewTMap returns a TMap with the given number of buckets (rounded up to
-// a power of two, minimum 1) and the default bulk fanout. More buckets
-// mean fewer false conflicts between point operations on distinct keys;
-// 2–4× the expected concurrency is a good start.
+// a power of two, minimum 1). More buckets mean fewer false conflicts
+// between point operations on distinct keys; 2–4× the expected
+// concurrency is a good start.
 func NewTMap[K comparable, V any](buckets int) *TMap[K, V] {
-	return NewTMapFanout[K, V](buckets, DefaultFanout)
-}
-
-// NewTMapFanout is NewTMap with an explicit bulk-operation fanout: the
-// maximum number of parallel nested children a bulk operation forks.
-// Fanout 1 makes every bulk operation a single sequential child, which is
-// useful to isolate the cost of parallel nesting itself.
-func NewTMapFanout[K comparable, V any](buckets, fanout int) *TMap[K, V] {
 	n := ceilPow2(buckets)
-	if fanout < 1 {
-		fanout = 1
-	}
 	m := &TMap[K, V]{
 		buckets: make([]*pnstm.TVar[[]entry[K, V]], n),
 		mask:    uint64(n - 1),
-		fanout:  fanout,
 	}
 	for i := range m.buckets {
 		m.buckets[i] = pnstm.NewTVar[[]entry[K, V]](nil)
@@ -284,7 +265,7 @@ func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
 	var total int
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		total = 0
-		forEachGroup(c, len(m.buckets), 1, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
+		forEachGroup(c, len(m.buckets), 1, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
 			n := 0
 			for _, b := range m.buckets[lo:hi] {
 				n += len(pnstm.Load(c, b))
@@ -303,7 +284,7 @@ func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
 // accumulation. For a plain consistent copy use Snapshot.
 func (m *TMap[K, V]) Range(c *pnstm.Ctx, f func(K, V)) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(m.buckets), 1, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+		forEachGroup(c, len(m.buckets), 1, doFunc(func(c *pnstm.Ctx, lo, hi int) {
 			for _, b := range m.buckets[lo:hi] {
 				for _, e := range pnstm.Load(c, b) {
 					f(e.k, e.v)
@@ -333,7 +314,7 @@ func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entr
 	var out map[K]T
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		out = make(map[K]T)
-		forEachGroup(c, len(m.buckets), 1, m.fanout, jobFunc[map[K]T](func(c *pnstm.Ctx, lo, hi int) map[K]T {
+		forEachGroup(c, len(m.buckets), 1, jobFunc[map[K]T](func(c *pnstm.Ctx, lo, hi int) map[K]T {
 			part := make(map[K]T)
 			for _, b := range m.buckets[lo:hi] {
 				for _, e := range pnstm.Load(c, b) {
@@ -353,7 +334,7 @@ func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entr
 // per bucket group.
 func (m *TMap[K, V]) Clear(c *pnstm.Ctx) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(m.buckets), 1, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+		forEachGroup(c, len(m.buckets), 1, doFunc(func(c *pnstm.Ctx, lo, hi int) {
 			for _, b := range m.buckets[lo:hi] {
 				if old := pnstm.Load(c, b); old != nil {
 					pnstm.Store[[]entry[K, V]](c, b, nil)
@@ -427,7 +408,7 @@ func (m *TMap[K, V]) BulkUpdate(c *pnstm.Ctx, keys []K, f func(K, V, bool) (V, b
 	}
 	touched := slices.Sorted(maps.Keys(byBucket))
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(touched), 1, m.fanout, doFunc(func(c *pnstm.Ctx, lo, hi int) {
+		forEachGroup(c, len(touched), 1, doFunc(func(c *pnstm.Ctx, lo, hi int) {
 			for _, b := range touched[lo:hi] {
 				old := pnstm.Load(c, m.buckets[b])
 				next := append(make([]entry[K, V], 0, len(old)+len(byBucket[b])), old...)

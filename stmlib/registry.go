@@ -38,15 +38,13 @@ type Registry struct {
 
 	buckets int // per-map bucket count
 	stripes int // per-counter stripe count
-	fanout  int // bulk-operation fanout for maps, sorted maps and Export/Import
 }
 
 // RegistryConfig sizes the structures a Registry creates. Zero fields
-// take defaults: 64 buckets, 8 stripes, DefaultFanout.
+// take defaults: 64 buckets, 8 stripes.
 type RegistryConfig struct {
 	MapBuckets     int
 	CounterStripes int
-	Fanout         int
 }
 
 // NewRegistry returns an empty catalog.
@@ -57,9 +55,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	if cfg.CounterStripes <= 0 {
 		cfg.CounterStripes = 8
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = DefaultFanout
-	}
 	r := &Registry{
 		maps:     make(map[string]*TMap[string, []byte]),
 		queues:   make(map[string]*TQueue[[]byte]),
@@ -67,9 +62,8 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 		sorted:   make(map[string]*TSortedMap[string, []byte]),
 		buckets:  cfg.MapBuckets,
 		stripes:  cfg.CounterStripes,
-		fanout:   cfg.Fanout,
 	}
-	r.expiry = NewTSortedMapFanout[string, []byte](cfg.Fanout)
+	r.expiry = NewTSortedMap[string, []byte]()
 	r.expiry.SetLabel("\x00expiry")
 	return r
 }
@@ -98,7 +92,7 @@ func (r *Registry) Map(name string) *TMap[string, []byte] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m = r.maps[name]; m == nil {
-		m = NewTMapFanout[string, []byte](r.buckets, r.fanout)
+		m = NewTMap[string, []byte](r.buckets)
 		m.SetLabel(name) // conflict attribution (D35)
 		m.SetExpiryHook(r.keyHook(ExpiryKindMap, name))
 		r.maps[name] = m
@@ -125,7 +119,7 @@ func (r *Registry) SortedMap(name string) *TSortedMap[string, []byte] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m = r.sorted[name]; m == nil {
-		m = NewTSortedMapFanout[string, []byte](r.fanout)
+		m = NewTSortedMap[string, []byte]()
 		m.SetLabel(name) // conflict attribution (D35)
 		m.SetExpiryHook(r.keyHook(ExpiryKindSorted, name))
 		r.sorted[name] = m

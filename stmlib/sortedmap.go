@@ -57,15 +57,16 @@ const smMaxLeaf = 64
 // on different leaves by parallel siblings do not conflict. Range
 // operations (RangeScan, RangeFrom, RangeCount, Len, ExportEntries)
 // walk the touched leaf span in waves; a wave forks one nested child per
-// fork.LeavesPerChild leaves, at most fanout of them, via fork.Each — the
+// fork.LeavesPerChild leaves, at most one per worker, via fork.Each — the
 // paper's parallel-nesting shape applied to an ordered structure — and
 // a wave too short to pay for a fork runs as one nested child. A scan
 // with a limit touches only the leaves expected to hold that many
 // entries and widens in waves if they fall short, so it neither reads
 // nor conflicts on the rest of [lo, hi). The retry unit is a wave's
 // child: a concurrent writer that invalidates its leaves aborts and
-// retries that child, not the whole scan. With fanout 1 every wave is
-// one child (the serial baseline the rangescan A/B measures against).
+// retries that child, not the whole scan. On a one-worker runtime every
+// wave is one child (the serial baseline the rangescan A/B measures
+// against).
 //
 // TTL semantics: PutTTL attaches an absolute deadline; reads (Get,
 // RangeScan, RangeCount) hide entries past their deadline, while
@@ -77,7 +78,6 @@ const smMaxLeaf = 64
 // Create with NewTSortedMap; the zero value is not usable.
 type TSortedMap[K cmp.Ordered, V any] struct {
 	root    *pnstm.TVar[*smTree[K, V]]
-	fanout  int
 	maxLeaf int
 
 	label   string
@@ -89,20 +89,10 @@ type TSortedMap[K cmp.Ordered, V any] struct {
 	hook func(c *pnstm.Ctx, oldExp, newExp int64, k K)
 }
 
-// NewTSortedMap returns an empty sorted map with the default fanout.
+// NewTSortedMap returns an empty sorted map.
 func NewTSortedMap[K cmp.Ordered, V any]() *TSortedMap[K, V] {
-	return NewTSortedMapFanout[K, V](DefaultFanout)
-}
-
-// NewTSortedMapFanout is NewTSortedMap with an explicit range-operation
-// fanout: the maximum number of parallel nested children a wave of a
-// range operation forks. Fanout 1 makes every wave one sequential child.
-func NewTSortedMapFanout[K cmp.Ordered, V any](fanout int) *TSortedMap[K, V] {
-	if fanout < 1 {
-		fanout = 1
-	}
 	var zero K
-	m := &TSortedMap[K, V]{fanout: fanout, maxLeaf: smMaxLeaf}
+	m := &TSortedMap[K, V]{maxLeaf: smMaxLeaf}
 	m.root = pnstm.NewTVar(&smTree[K, V]{
 		lows:   []K{zero},
 		leaves: []*pnstm.TVar[[]SortedEntry[K, V]]{pnstm.NewTVar[[]SortedEntry[K, V]](nil)},
@@ -337,10 +327,10 @@ func (m *TSortedMap[K, V]) RangeCountFrom(c *pnstm.Ctx, lo K) int {
 // as wide, runs only while the result is short and leaves remain
 // (deletes and expiry can leave leaves sparse or empty). A wave is
 // priced like every fork (fork.Each): a child per
-// fork.LeavesPerChild leaves, at most fanout, so a short wave is one nested
-// child and a long one fans out. A wave's child is the retry unit: a
-// concurrent writer that invalidates its leaves retries that child
-// alone.
+// fork.LeavesPerChild leaves, at most one per worker, so a short wave is
+// one nested child and a long one fans out. A wave's child is the retry
+// unit: a concurrent writer that invalidates its leaves retries that
+// child alone.
 func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, limit int, now int64, withValues bool) []SortedEntry[K, V] {
 	var out []SortedEntry[K, V]
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
@@ -372,7 +362,7 @@ func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, l
 			}
 			next += len(w.leaves)
 			width *= 2
-			forEachGroup(c, len(w.leaves), fork.LeavesPerChild, m.fanout, w, func(p []SortedEntry[K, V]) {
+			forEachGroup(c, len(w.leaves), fork.LeavesPerChild, w, func(p []SortedEntry[K, V]) {
 				if limit > 0 {
 					p = p[:min(len(p), limit-len(out))]
 				}
@@ -447,7 +437,7 @@ func (m *TSortedMap[K, V]) Len(c *pnstm.Ctx) int {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		t := pnstm.Load(c, m.root)
 		total = 0
-		forEachGroup(c, len(t.leaves), fork.LeavesPerChild, m.fanout, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
+		forEachGroup(c, len(t.leaves), fork.LeavesPerChild, jobFunc[int](func(c *pnstm.Ctx, lo, hi int) int {
 			n := 0
 			for _, leaf := range t.leaves[lo:hi] {
 				n += len(pnstm.Load(c, leaf))

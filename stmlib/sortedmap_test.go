@@ -51,7 +51,7 @@ func TestTSortedMapBasic(t *testing.T) {
 // complete, and that point lookups still land after the splits.
 func TestTSortedMapOrderAcrossSplits(t *testing.T) {
 	rt := newRT(t, 4, false)
-	m := stmlib.NewTSortedMapFanout[string, int](4)
+	m := stmlib.NewTSortedMap[string, int]()
 	const n = 1000
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]string, n)
@@ -146,8 +146,8 @@ func TestTSortedMapNegativeKeys(t *testing.T) {
 // claim means each scan child retries alone, and the committed scan
 // still sees a consistent cut.
 func TestTSortedMapParallelScanWriters(t *testing.T) {
-	rt := newRT(t, 4, false)
-	m := stmlib.NewTSortedMapFanout[string, int](8)
+	rt := newRT(t, 8, false)
+	m := stmlib.NewTSortedMap[string, int]()
 	const n = 400
 	run(t, rt, func(c *pnstm.Ctx) {
 		for i := 0; i < n; i++ {

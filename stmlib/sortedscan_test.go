@@ -17,9 +17,9 @@ import (
 // hundred keys make many leaves and every wave width down to the
 // half-leaf clamp is exercised.
 
-func scanTestRT(t testing.TB) *pnstm.Runtime {
+func scanTestRT(t testing.TB, workers int) *pnstm.Runtime {
 	t.Helper()
-	rt, err := pnstm.New(pnstm.Config{Workers: 4, SharedReads: true})
+	rt, err := pnstm.New(pnstm.Config{Workers: workers, SharedReads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +69,17 @@ func sameEntries(a, b []SortedEntry[int, int]) bool {
 // hidden by a passed deadline — every RangeScan, RangeFrom, RangeCount,
 // Len and ExportEntries answers exactly as a sorted slice would, for
 // limits from 1 past the population, for 0 and for MaxInt, with one child
-// or eight.
+// or eight: the fanout (fork width) is the runtime's Workers.
 func TestSortedScanMatchesModel(t *testing.T) {
-	rt := scanTestRT(t)
+	rts := map[int]*pnstm.Runtime{1: scanTestRT(t, 1), 8: scanTestRT(t, 8)}
 	past := time.Now().Add(-time.Hour).UnixNano()
 	future := time.Now().Add(time.Hour).UnixNano()
 	for _, maxLeaf := range []int{1, 2, 3, 5, 64} {
 		for _, fanout := range []int{1, 8} {
 			t.Run(fmt.Sprintf("maxLeaf=%d/fanout=%d", maxLeaf, fanout), func(t *testing.T) {
+				rt := rts[fanout]
 				rng := rand.New(rand.NewSource(int64(maxLeaf*100 + fanout)))
-				m := NewTSortedMapFanout[int, int](fanout)
+				m := NewTSortedMap[int, int]()
 				m.maxLeaf = maxLeaf
 				md := scanModel{}
 				const keySpace = 400
@@ -152,8 +153,8 @@ func TestSortedScanMatchesModel(t *testing.T) {
 // than its limit, and — the scan being one transaction — must hold every
 // stable key of the prefix it covers.
 func TestSortedScanUnderWriters(t *testing.T) {
-	rt := scanTestRT(t)
-	m := NewTSortedMapFanout[int, int](8)
+	rt := scanTestRT(t, 8)
+	m := NewTSortedMap[int, int]()
 	m.maxLeaf = 4
 	const keySpace = 200
 	mustRun(t, rt, func(c *pnstm.Ctx) {
@@ -249,7 +250,7 @@ func hundredLeaves(t *testing.T, rt *pnstm.Runtime) (*TSortedMap[int, int], int)
 // the last leaf open — a leaf inside the scan's [lo, +inf) range, which
 // a scan of the whole range could not get past until that writer ended.
 func TestSortedScanLimitFootprint(t *testing.T) {
-	rt := scanTestRT(t)
+	rt := scanTestRT(t, 4)
 	m, last := hundredLeaves(t, rt)
 
 	wrote, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
@@ -288,10 +289,10 @@ func TestSortedScanLimitFootprint(t *testing.T) {
 
 // TestSortedScanUnlimitedPlan pins the plan of the scans that have no
 // limit to push down: RangeCount, ExportEntries and Len over 100 leaves
-// are one wave of fanout children under one transaction, as they were
+// are one wave of a child per worker under one transaction, as they were
 // before waves existed — the rangescan A/B and snapshots depend on it.
 func TestSortedScanUnlimitedPlan(t *testing.T) {
-	rt := scanTestRT(t)
+	rt := scanTestRT(t, 4)
 	m, last := hundredLeaves(t, rt)
 	for name, op := range map[string]func(c *pnstm.Ctx) int{
 		"RangeCount":    func(c *pnstm.Ctx) int { return m.RangeCount(c, 0, last+1) },
@@ -307,8 +308,8 @@ func TestSortedScanUnlimitedPlan(t *testing.T) {
 			}
 			begun = rt.Stats().Sub(before).Begun
 		})
-		if want := uint64(1 + DefaultFanout); begun != want {
-			t.Errorf("%s over 100 leaves began %d transactions, want %d (itself and %d children)", name, begun, want, DefaultFanout)
+		if want := uint64(1 + rt.Workers()); begun != want {
+			t.Errorf("%s over 100 leaves began %d transactions, want %d (itself and %d children)", name, begun, want, rt.Workers())
 		}
 	}
 }
@@ -319,7 +320,7 @@ func TestSortedScanUnlimitedPlan(t *testing.T) {
 // (fork.LeavesPerChild), so it begins its own transaction and one nested
 // child, and dispatches no block.
 func TestSortedScanFirstWaveInline(t *testing.T) {
-	rt := scanTestRT(t)
+	rt := scanTestRT(t, 4)
 	m := NewTSortedMap[int, int]()
 	const keys = 16384
 	mustRun(t, rt, func(c *pnstm.Ctx) {
