@@ -7,13 +7,12 @@
 //
 // Connect is the construction path: it dials every address in
 // Options.Addrs, handshakes each connection (a versioned Hello with
-// feature bits — legacy servers that reject the unknown opcode are
-// classified as primaries with no features), and learns which endpoints
-// are primaries and which are read replicas. Writes always go to a
-// primary; read-only operations are routed by Options.ReadPreference,
-// within the Options.MaxStaleness bound the handshake declares — a
-// replica that cannot meet the bound answers StatusNotPrimary and the
-// client falls back or surfaces ErrNotPrimary.
+// feature bits; a peer that does not answer it fails Connect), and
+// learns which endpoints are primaries and which are read replicas.
+// Writes always go to a primary; read-only operations are routed by
+// Options.ReadPreference, within the Options.MaxStaleness bound the
+// handshake declares — a replica that cannot meet the bound answers
+// StatusNotPrimary and the client falls back or surfaces ErrNotPrimary.
 //
 // A Client is safe for concurrent use; that is the intended shape.
 // Every in-flight request from every goroutine rides one of the pooled
@@ -170,7 +169,7 @@ func Connect(opts Options) (*Client, error) {
 				return nil, fmt.Errorf("client: handshake %s: %w", addr, err)
 			}
 			cl.conns = append(cl.conns, c)
-			if info != nil && info.Role == server.RoleReplica {
+			if info.Role == server.RoleReplica {
 				cl.replicas = append(cl.replicas, c)
 			} else {
 				cl.primaries = append(cl.primaries, c)
@@ -182,9 +181,8 @@ func Connect(opts Options) (*Client, error) {
 
 // handshake sends the versioned Hello on one connection, declaring the
 // read-staleness bound the server will enforce for that connection's
-// reads. A legacy server rejects the unknown opcode with StatusErr —
-// a well-defined outcome meaning "version 0, no features, primary"
-// (nil info). Transport failures are real errors.
+// reads. Every pnstmd answers it (D40), so a refusal is an error like
+// a transport failure: the peer is not a server this client can route.
 func handshake(c *conn, maxStaleness time.Duration) (*server.HelloInfo, error) {
 	hello := &server.Hello{Version: server.ProtoVersion}
 	if maxStaleness > 0 {
@@ -192,9 +190,6 @@ func handshake(c *conn, maxStaleness time.Duration) (*server.HelloInfo, error) {
 	}
 	var resp server.Response
 	if err := c.do(&server.Request{Op: server.OpHello, Hello: hello}, &resp); err != nil {
-		if resp.Status == server.StatusErr {
-			return nil, nil // legacy peer: no handshake, primary semantics
-		}
 		return nil, err
 	}
 	return server.ParseHelloInfo(resp.Value)

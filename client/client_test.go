@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,9 +20,10 @@ import (
 // then in flight left unanswered and the last replies possibly still
 // unread by the client.
 type echoServer struct {
-	ln       net.Listener
-	cutAfter int
-	wg       sync.WaitGroup
+	ln          net.Listener
+	cutAfter    int
+	refuseHello atomic.Bool // answer OpHello with StatusErr, as a server without the handshake would
+	wg          sync.WaitGroup
 }
 
 func newEchoServer(t *testing.T, cutAfter int) *echoServer {
@@ -67,6 +69,10 @@ func (es *echoServer) serve(nc net.Conn) {
 		resp := server.Response{ID: req.ID, Status: server.StatusOK}
 		switch req.Op {
 		case server.OpHello:
+			if es.refuseHello.Load() {
+				resp.Status, resp.Msg = server.StatusErr, "unknown opcode"
+				break
+			}
 			resp.Value = server.EncodeHelloInfo(&server.HelloInfo{Version: server.ProtoVersion, Role: server.RolePrimary, Shards: 1})
 		case server.OpMapGet:
 			resp.Found, resp.Value = true, []byte(req.Key)
@@ -85,6 +91,23 @@ func (es *echoServer) serve(nc net.Conn) {
 		if _, err := nc.Write(buf); err != nil {
 			return
 		}
+	}
+}
+
+// TestConnectRefusesPeerWithoutHello: a peer that answers the Hello
+// with StatusErr is not a server this client can route, so Connect
+// fails and names the address instead of taking it for a primary.
+func TestConnectRefusesPeerWithoutHello(t *testing.T) {
+	es := newEchoServer(t, 1)
+	es.refuseHello.Store(true)
+	addr := es.ln.Addr().String()
+	cl, err := Connect(Options{Addrs: []string{addr}})
+	if err == nil {
+		cl.Close()
+		t.Fatal("Connect accepted a peer that refused the Hello")
+	}
+	if !strings.Contains(err.Error(), addr) {
+		t.Errorf("Connect error %q does not name %s", err, addr)
 	}
 }
 

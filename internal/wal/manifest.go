@@ -20,18 +20,10 @@ import (
 // scanning ignores it.
 const ManifestName = "MANIFEST.json"
 
-// ManifestVersion is the current manifest format version. History:
-//
-//	1 — sharded layout: per-shard logs under shard-<i>/, shard count
-//	    recorded.
-//	2 — cross-shard ordered commit: shard logs may carry GSN-stamped
-//	    cross-shard records and snapshots a trailing GSN watermark. A
-//	    version-1 reader would reject such a record as corrupt, so a
-//	    directory that may hold them declares version 2; openers must
-//	    refuse versions above the one they implement.
-//
-// Version-1 directories are upgraded in place on open (the v2 reader
-// understands everything v1 wrote).
+// ManifestVersion is the manifest format version, the only one openers
+// accept: shard logs may carry GSN-stamped cross-shard records and
+// snapshots a trailing GSN watermark. Openers must refuse any other
+// version — a newer one names formats they cannot read.
 const ManifestVersion = 2
 
 // Manifest records the store-level parameters a data directory was
@@ -42,13 +34,12 @@ type Manifest struct {
 
 	// Shards is the number of engine partitions the directory was
 	// created for; shard i logs under shard-<i>/ (a single-shard store
-	// logs in the directory root, the pre-sharding layout).
+	// logs in the directory root).
 	Shards int `json:"shards"`
 }
 
 // ReadManifest loads dir's manifest. ok is false — with nil error —
-// when the directory has none (a fresh directory, or one written by a
-// pre-manifest version, which is single-shard by construction).
+// when the directory has none.
 func ReadManifest(dir string) (m Manifest, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if os.IsNotExist(err) {

@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,16 +193,11 @@ func TestSnapshotWatermarkRoundTrip(t *testing.T) {
 	if mark != 99 || !reflect.DeepEqual(got, img) {
 		t.Errorf("decoded mark=%d img=%+v", mark, got)
 	}
-	// A pre-D31 payload ends right after the counters block: stripping
-	// the trailing watermark reproduces it, and it must decode with
-	// watermark 0.
-	legacy := data[:len(data)-8]
-	got, mark, err = decodeImage(legacy)
-	if err != nil {
-		t.Fatalf("legacy payload: %v", err)
-	}
-	if mark != 0 || !reflect.DeepEqual(got, img) {
-		t.Errorf("legacy decoded mark=%d img=%+v", mark, got)
+	// Without its trailing watermark the payload is refused: read as 0,
+	// a missing watermark would let reconcileGSNs drop a complete
+	// cross-shard commit.
+	if _, _, err := decodeImage(data[:len(data)-8]); err == nil || !strings.Contains(err.Error(), "watermark") {
+		t.Errorf("payload without its watermark: err = %v", err)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"pnstm/stmlib"
 )
 
 // Fuzz harnesses for the frame codecs (`go test -fuzz=FuzzRequest ./server`;
@@ -221,6 +223,45 @@ func FuzzGSNRecordRoundTrip(f *testing.F) {
 		if gsn2 != gsn || !reflect.DeepEqual(logSet2, logSet) || !reflect.DeepEqual(req2, req) {
 			t.Fatalf("GSN record round trip diverged:\n  first  %d %v %+v\n  second %d %v %+v",
 				gsn, logSet, req, gsn2, logSet2, req2)
+		}
+	})
+}
+
+// FuzzDecodeImage holds the snapshot codec to the same standard:
+// recovery and a replica's snapshot install feed disk or stream bytes
+// straight into decodeImage, so it must reject or round-trip — never
+// panic, and never size an allocation by a count the payload cannot
+// back. A payload without the IMG2 magic never decodes.
+func FuzzDecodeImage(f *testing.F) {
+	full := &stmlib.RegistryImage{
+		Maps:     map[string]map[string][]byte{"m": {"k1": []byte("v1"), "k2": []byte("v2")}},
+		Queues:   map[string][][]byte{"q": {[]byte("a"), []byte("b")}},
+		Counters: map[string]int64{"c": -7},
+		MapTTLs:  map[string]map[string]int64{"m": {"k2": 12345}},
+		Sorted: map[string][]stmlib.SortedEntry[string, []byte]{
+			"board": {{Key: "p1", Value: []byte("one")}, {Key: "p2", Value: []byte("two"), Exp: 999}},
+		},
+		Leases:    map[string][]stmlib.LeaseRecord[[]byte]{"q": {{ID: 3, Value: []byte("leased"), Deadline: 777}}},
+		LeaseSeqs: map[string]uint64{"q": 3},
+	}
+	f.Add(encodeImage(full, 42))
+	f.Add(encodeImage(&stmlib.RegistryImage{}, 0))
+	f.Add(oversizeCountImage())
+	f.Add(imageWithoutMagic())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, mark, err := decodeImage(data)
+		if err != nil {
+			return // rejected input: only property is "no panic"
+		}
+		if !bytes.HasPrefix(data, imageMagic) {
+			t.Fatalf("a payload without the magic decoded: % x", data)
+		}
+		back, backMark, err := decodeImage(encodeImage(img, mark))
+		if err != nil {
+			t.Fatalf("re-encoded image does not decode: %+v: %v", img, err)
+		}
+		if backMark != mark || !reflect.DeepEqual(img, back) {
+			t.Fatalf("image round trip diverged:\n  first  %d %+v\n  second %d %+v", mark, img, backMark, back)
 		}
 	})
 }

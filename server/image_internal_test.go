@@ -4,48 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pnstm/internal/wal"
 	"pnstm/stmlib"
 )
-
-// encodeImageV1 renders the pre-v2 snapshot payload (maps, queues,
-// counters, trailing GSN watermark — no magic, no version byte, no
-// sorted/TTL/lease blocks), byte-for-byte what the previous release
-// wrote. Kept in the tests as the frozen reference for back-compat.
-func encodeImageV1(img *stmlib.RegistryImage, maxGSN uint64) []byte {
-	var buf []byte
-	mapNames := sortedKeys(img.Maps)
-	buf = appendU32(buf, uint32(len(mapNames)))
-	for _, name := range mapNames {
-		buf = appendU16Str(buf, name)
-		entries := img.Maps[name]
-		keys := sortedKeys(entries)
-		buf = appendU32(buf, uint32(len(keys)))
-		for _, k := range keys {
-			buf = appendU16Str(buf, k)
-			buf = appendU32Bytes(buf, entries[k])
-		}
-	}
-	queueNames := sortedKeys(img.Queues)
-	buf = appendU32(buf, uint32(len(queueNames)))
-	for _, name := range queueNames {
-		buf = appendU16Str(buf, name)
-		elems := img.Queues[name]
-		buf = appendU32(buf, uint32(len(elems)))
-		for _, v := range elems {
-			buf = appendU32Bytes(buf, v)
-		}
-	}
-	counterNames := sortedKeys(img.Counters)
-	buf = appendU32(buf, uint32(len(counterNames)))
-	for _, name := range counterNames {
-		buf = appendU16Str(buf, name)
-		buf = appendI64(buf, img.Counters[name])
-	}
-	return binary.BigEndian.AppendUint64(buf, maxGSN)
-}
 
 // TestImageV2RoundTrip: a fully-populated image — TTLs, sorted entries,
 // outstanding leases, watermarks — survives encode/decode exactly.
@@ -82,31 +46,6 @@ func TestImageV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestImageV1BackCompatDecode: a payload in the old format (no magic)
-// still decodes — the v1 body intact, every v2 field absent.
-func TestImageV1BackCompatDecode(t *testing.T) {
-	img := &stmlib.RegistryImage{
-		Maps:     map[string]map[string][]byte{"m": {"k": []byte("v")}},
-		Queues:   map[string][][]byte{"q": {[]byte("a")}},
-		Counters: map[string]int64{"c": 9},
-	}
-	data := encodeImageV1(img, 17)
-	got, gsn, err := decodeImage(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gsn != 17 {
-		t.Fatalf("watermark = %d, want 17", gsn)
-	}
-	if !reflect.DeepEqual(got.Maps, img.Maps) || !reflect.DeepEqual(got.Queues, img.Queues) ||
-		!reflect.DeepEqual(got.Counters, img.Counters) {
-		t.Fatalf("v1 body mismatch: %+v", got)
-	}
-	if got.Sorted != nil || got.MapTTLs != nil || got.Leases != nil || got.LeaseSeqs != nil {
-		t.Fatalf("v1 decode fabricated v2 state: %+v", got)
-	}
-}
-
 // TestImageUnknownVersionRejected: a payload claiming a future format
 // must refuse to decode rather than misparse.
 func TestImageUnknownVersionRejected(t *testing.T) {
@@ -116,106 +55,108 @@ func TestImageUnknownVersionRejected(t *testing.T) {
 	}
 }
 
-// TestImageV1SnapshotRestoresE2E is the upgrade path end to end: a data
-// directory whose snapshot was written by the PREVIOUS release (v1
-// payload) boots on this binary — the old image restores, the WAL tail
-// replays on top, and the second-generation structures work on the
-// restored store.
-func TestImageV1SnapshotRestoresE2E(t *testing.T) {
-	dir := t.TempDir()
+// oversizeCountImage is an IMG2 payload of 28 bytes whose one sorted
+// map claims 2³¹−1 entries. Sized by that count, the entry slice alone
+// would take ~96 GiB.
+func oversizeCountImage() []byte {
+	p := append(append([]byte(nil), imageMagic...), imageVersion)
+	p = appendU32(p, 0) // maps
+	p = appendU32(p, 0) // queues
+	p = appendU32(p, 0) // counters
+	p = appendU32(p, 1) // sorted maps
+	p = appendU16Str(p, "s")
+	return appendU32(p, 1<<31-1)
+}
 
-	// Fabricate the old directory: record 1 is claimed covered by the v1
-	// snapshot (so replay must SKIP it), record 2 is the live WAL tail.
+// TestImageOversizeCountRefused: a count the rest of the payload cannot
+// hold is an error, not an allocation. A replica decodes the snapshot
+// chunks a primary ships with the same function.
+func TestImageOversizeCountRefused(t *testing.T) {
+	if _, _, err := decodeImage(oversizeCountImage()); err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Fatalf("oversize count decoded: %v", err)
+	}
+}
+
+// imageWithoutMagic is a snapshot payload as builds before IMG2 wrote
+// it: maps, queues and counters, then the watermark, with no magic and
+// no version byte.
+func imageWithoutMagic() []byte {
+	p := appendU32(nil, 1) // maps
+	p = appendU16Str(p, "m")
+	p = appendU32(p, 1)
+	p = appendU16Str(p, "k")
+	p = appendU32Bytes(p, []byte("old"))
+	p = appendU32(p, 0) // queues
+	p = appendU32(p, 0) // counters
+	return binary.BigEndian.AppendUint64(p, 0)
+}
+
+// bootOverImage writes a 1-shard store whose snapshot is payload and
+// boots a server on it, returning the boot error.
+func bootOverImage(t *testing.T, payload []byte) error {
+	t.Helper()
+	dir := t.TempDir()
+	if err := wal.WriteManifest(dir, wal.Manifest{Version: wal.ManifestVersion, Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
 	wl, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	covered, err := AppendRequest(nil, &Request{Op: OpMapPut, Name: "m", Key: "covered", Value: []byte("stale")})
+	frame, err := AppendRequest(nil, &Request{Op: OpMapPut, Name: "m", Key: "k", Value: []byte("old")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn, err := wl.Append(covered); err != nil || lsn != 1 {
-		t.Fatalf("append covered record: lsn %d, %v", lsn, err)
-	}
-	v1 := encodeImageV1(&stmlib.RegistryImage{
-		Maps:     map[string]map[string][]byte{"m": {"k": []byte("old")}},
-		Queues:   map[string][][]byte{"jobs": {[]byte("a"), []byte("b")}},
-		Counters: map[string]int64{"hits": 5},
-	}, 0)
-	if err := wl.WriteSnapshot(v1, 1); err != nil {
+	if _, err := wl.Append(frame); err != nil {
 		t.Fatal(err)
 	}
-	tail, err := AppendRequest(nil, &Request{Op: OpMapPut, Name: "m", Key: "k2", Value: []byte("new")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wl.Append(tail); err != nil {
+	if err := wl.WriteSnapshot(payload, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := wl.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	s, err := New(Config{DataDir: dir})
-	if err != nil {
-		t.Fatalf("boot over v1 snapshot: %v", err)
+	if err == nil {
+		s.Close()
 	}
-	defer s.Close()
+	return err
+}
 
-	// v1 body restored, tail replayed, covered record skipped.
-	if r := submitOne(t, s, &Request{Op: OpMapGet, Name: "m", Key: "k"}); !r.Found || string(r.Value) != "old" {
-		t.Fatalf("snapshot map entry = %q, %v", r.Value, r.Found)
+// TestImageWithoutMagicFailsBoot: a snapshot without the IMG2 magic is
+// refused at boot, and the error names the format and the way forward.
+func TestImageWithoutMagicFailsBoot(t *testing.T) {
+	err := bootOverImage(t, imageWithoutMagic())
+	if err == nil {
+		t.Fatal("a store whose image has no IMG2 magic booted")
 	}
-	if r := submitOne(t, s, &Request{Op: OpMapGet, Name: "m", Key: "k2"}); !r.Found || string(r.Value) != "new" {
-		t.Fatalf("tail-replayed entry = %q, %v", r.Value, r.Found)
+	for _, want := range []string{`"IMG2"`, "earlier pnstm build", "checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("boot error %q does not mention %q", err, want)
+		}
 	}
-	if r := submitOne(t, s, &Request{Op: OpMapGet, Name: "m", Key: "covered"}); r.Found {
-		t.Fatal("snapshot-covered record replayed anyway")
-	}
-	if r := submitOne(t, s, &Request{Op: OpCounterSum, Name: "hits"}); r.Num != 5 {
-		t.Fatalf("restored counter = %d", r.Num)
-	}
+}
 
-	// The restored store speaks v2: leases on the old queue (the id
-	// watermark starts fresh at 1), sorted maps, TTLs.
-	r := submitOne(t, s, &Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
-		{Op: OpLeaseConsume, Name: "jobs", Delta: 1 << 62},
-		{Op: OpSortedPut, Name: "board", Key: "p", Value: []byte("x")},
-		{Op: OpRangeCount, Name: "board"},
-	}}})
-	if r.Status != StatusOK {
-		t.Fatalf("v2 ops on restored store: %v %s", r.Status, r.Msg)
+// TestImageWithoutWatermarkFailsBoot: an IMG2 snapshot that ends before
+// its GSN watermark is refused at boot rather than read as watermark 0,
+// which reconcileGSNs would trust.
+func TestImageWithoutWatermarkFailsBoot(t *testing.T) {
+	img := &stmlib.RegistryImage{
+		Maps:     map[string]map[string][]byte{"m": {"k": []byte("old")}},
+		Queues:   map[string][][]byte{},
+		Counters: map[string]int64{},
 	}
-	if !r.TxResults[0].Found || string(r.TxResults[0].Value) != "a" || r.TxResults[0].Num != 1 {
-		t.Fatalf("lease on restored queue = %+v", r.TxResults[0])
+	data := encodeImage(img, 0)
+	err := bootOverImage(t, data[:len(data)-8])
+	if err == nil {
+		t.Fatal("a store whose image has no watermark booted")
 	}
-	if r.TxResults[2].Num != 1 {
-		t.Fatalf("range count = %d", r.TxResults[2].Num)
+	for _, want := range []string{"watermark", "earlier pnstm build", "checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("boot error %q does not mention %q", err, want)
+		}
 	}
-
-	// The next checkpoint rewrites the snapshot in v2 and the store
-	// reboots from it with the lease still outstanding.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := New(Config{DataDir: dir})
-	if err != nil {
-		t.Fatalf("reboot after v2 checkpoint: %v", err)
-	}
-	defer s2.Close()
-	r = submitOne(t, s2, &Request{Op: OpTx, Tx: &Tx{Ops: []TxOp{
-		{Op: OpLeaseLen, Name: "jobs"},
-		{Op: OpQueueLen, Name: "jobs"},
-		{Op: OpLeaseAck, Name: "jobs", Delta: 1},
-	}}})
-	if r.Status != StatusOK {
-		t.Fatalf("post-upgrade reboot: %v %s", r.Status, r.Msg)
-	}
-	if r.TxResults[0].Num != 1 || r.TxResults[1].Num != 1 {
-		t.Fatalf("leases=%d queued=%d after reboot", r.TxResults[0].Num, r.TxResults[1].Num)
-	}
-	if !r.TxResults[2].Found {
-		t.Fatal("lease id 1 not ackable after v2 reboot")
+	if err := bootOverImage(t, data); err != nil {
+		t.Fatalf("the same image with its watermark: %v", err)
 	}
 }

@@ -252,6 +252,9 @@ func TestSameOpSameAnswerEnvelopeVsSlice(t *testing.T) {
 // the way out.
 func TestRemovedOpcodeInWALFailsBoot(t *testing.T) {
 	dir := t.TempDir()
+	if err := wal.WriteManifest(dir, wal.Manifest{Version: wal.ManifestVersion, Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
 	wl, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)

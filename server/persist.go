@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -143,26 +144,33 @@ func appendU32(buf []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(buf, v)
 }
 
-// imageMagic opens a v2 snapshot payload. A v1 payload starts with its
-// u32 map count; read as that count, "IMG2" is ≈1.23e9 maps — orders of
+// imageMagic opens every snapshot payload. Read as the u32 map count an
+// older payload began with, "IMG2" is ≈1.23e9 maps — orders of
 // magnitude past what any real snapshot could hold (the first name
 // field alone would overrun the payload) — so the magic can never be
-// confused with a legal v1 image, and v1 images (whose first bytes are
-// a plausible small count) can never be mistaken for v2.
+// confused with such a count, nor such a payload with this format.
 var imageMagic = []byte("IMG2")
 
-// imageVersion is the current snapshot format: v2 appends sorted-map,
-// map-TTL and queue-lease blocks after the v1 body. decodeImage still
-// reads v1 (magic absent) so snapshots written before the bump restore.
+// imageVersion is the snapshot format encodeImage writes and the only
+// one decodeImage reads.
 const imageVersion = 2
+
+// oldStoreFix is how a data directory that only an earlier build opens
+// — an image without the magic or the watermark, a version-1 manifest —
+// is carried forward: that build rewrites both in the current format.
+const oldStoreFix = "open it once with an earlier pnstm build that still reads it, commit a write and let it checkpoint, then start this build again"
 
 // encodeImage renders a registry export as the snapshot payload
 // (deterministically: names and keys sorted), reusing the protocol's
-// length-prefixed primitives. maxGSN — the highest cross-shard GSN the
-// covered log prefix contained (0: none) — trails the payload as the
-// snapshot's watermark: recovery uses it to tell "this shard's copy of
-// a GSN record was truncated by a checkpoint" from "this shard never
-// logged it" (see reconcileGSNs).
+// length-prefixed primitives:
+//
+//	"IMG2" | version | maps | queues | counters | sorted maps |
+//	map TTLs | queue leases | lease-id watermarks | u64 watermark
+//
+// The watermark, maxGSN, is the highest cross-shard GSN the covered
+// log prefix contained (0: none): recovery uses it to tell "this
+// shard's copy of a GSN record was truncated by a checkpoint" from
+// "this shard never logged it" (see reconcileGSNs).
 func encodeImage(img *stmlib.RegistryImage, maxGSN uint64) []byte {
 	buf := append([]byte(nil), imageMagic...)
 	buf = append(buf, imageVersion)
@@ -194,9 +202,8 @@ func encodeImage(img *stmlib.RegistryImage, maxGSN uint64) []byte {
 		buf = appendU16Str(buf, name)
 		buf = appendI64(buf, img.Counters[name])
 	}
-	// v2 blocks: sorted maps (entries carry their deadline), map TTLs,
-	// outstanding queue leases, and lease-id watermarks. The expiry index
-	// is NOT serialized — Import's structure hooks rebuild it exactly.
+	// Sorted-map entries carry their deadline. The expiry index is NOT
+	// serialized — Import's structure hooks rebuild it exactly.
 	sortedNames := sortedKeys(img.Sorted)
 	buf = appendU32(buf, uint32(len(sortedNames)))
 	for _, name := range sortedNames {
@@ -243,105 +250,114 @@ func encodeImage(img *stmlib.RegistryImage, maxGSN uint64) []byte {
 	return buf
 }
 
+// count reads a u32 element count and refuses one the rest of the
+// payload cannot hold at minBytes per element, so a corrupt count fails
+// the decode instead of sizing an allocation.
+func (c *cursor) count(minBytes int) int {
+	n := int(c.u32())
+	if c.err == nil && n > (len(c.b)-c.off)/minBytes {
+		c.err = fmt.Errorf("server: count %d at offset %d overruns the payload", n, c.off)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
+}
+
 // decodeImage parses a snapshot payload, returning the image and its
-// cross-shard GSN watermark. Both live versions decode: v2 (magic
-// prefix, D46) and the v1 body written before the sorted/TTL/lease
-// blocks existed — a v1 image restores with those blocks empty.
-// Pre-D31 snapshots end right after the counters block — they decode
-// with watermark 0, which is exact (no GSN record existed when they
-// were written).
+// cross-shard GSN watermark. It reads only what encodeImage writes. A
+// payload without the magic or without the trailing watermark is
+// refused, never read with a default: reconcileGSNs decides whether a
+// cross-shard commit is complete by the watermark.
 func decodeImage(data []byte) (*stmlib.RegistryImage, uint64, error) {
-	c := &cursor{b: data}
-	v2 := len(data) > len(imageMagic) && string(data[:len(imageMagic)]) == string(imageMagic)
-	if v2 {
-		c.take(len(imageMagic))
-		if ver := c.u8(); ver != imageVersion {
-			return nil, 0, fmt.Errorf("server: snapshot: unknown image version %d", ver)
-		}
+	if !bytes.HasPrefix(data, imageMagic) {
+		return nil, 0, fmt.Errorf("server: snapshot: image does not open with %q, so an earlier build wrote it; %s", imageMagic, oldStoreFix)
+	}
+	c := &cursor{b: data, off: len(imageMagic)}
+	if ver := c.u8(); c.err == nil && ver != imageVersion {
+		return nil, 0, fmt.Errorf("server: snapshot: unknown image version %d", ver)
 	}
 	img := &stmlib.RegistryImage{
 		Maps:     make(map[string]map[string][]byte),
 		Queues:   make(map[string][][]byte),
 		Counters: make(map[string]int64),
 	}
-	for i, n := 0, int(c.u32()); i < n && c.err == nil; i++ {
+	for i, n := 0, c.count(6); i < n && c.err == nil; i++ {
 		name := c.str16()
 		entries := make(map[string][]byte)
-		for j, m := 0, int(c.u32()); j < m && c.err == nil; j++ {
+		for j, m := 0, c.count(6); j < m && c.err == nil; j++ {
 			k := c.str16()
 			entries[k] = c.bytes32()
 		}
 		img.Maps[name] = entries
 	}
-	for i, n := 0, int(c.u32()); i < n && c.err == nil; i++ {
+	for i, n := 0, c.count(6); i < n && c.err == nil; i++ {
 		name := c.str16()
 		var elems [][]byte
-		for j, m := 0, int(c.u32()); j < m && c.err == nil; j++ {
+		for j, m := 0, c.count(4); j < m && c.err == nil; j++ {
 			elems = append(elems, c.bytes32())
 		}
 		img.Queues[name] = elems
 	}
-	for i, n := 0, int(c.u32()); i < n && c.err == nil; i++ {
+	for i, n := 0, c.count(10); i < n && c.err == nil; i++ {
 		name := c.str16()
 		img.Counters[name] = c.i64()
 	}
-	if v2 {
-		for i, n := 0, int(c.u32()); i < n && c.err == nil; i++ {
-			name := c.str16()
-			m := int(c.u32())
-			entries := make([]stmlib.SortedEntry[string, []byte], 0, m)
-			for j := 0; j < m && c.err == nil; j++ {
-				var e stmlib.SortedEntry[string, []byte]
-				e.Key = c.str16()
-				e.Value = c.bytes32()
-				e.Exp = c.i64()
-				entries = append(entries, e)
-			}
-			if img.Sorted == nil {
-				img.Sorted = make(map[string][]stmlib.SortedEntry[string, []byte])
-			}
-			img.Sorted[name] = entries
+	for i, n := 0, c.count(6); i < n && c.err == nil; i++ {
+		name := c.str16()
+		m := c.count(14)
+		entries := make([]stmlib.SortedEntry[string, []byte], 0, m)
+		for j := 0; j < m && c.err == nil; j++ {
+			var e stmlib.SortedEntry[string, []byte]
+			e.Key = c.str16()
+			e.Value = c.bytes32()
+			e.Exp = c.i64()
+			entries = append(entries, e)
 		}
-		for i, n := 0, int(c.u32()); i < n && c.err == nil; i++ {
-			name := c.str16()
-			ttls := make(map[string]int64)
-			for j, m := 0, int(c.u32()); j < m && c.err == nil; j++ {
-				k := c.str16()
-				ttls[k] = c.i64()
-			}
-			if img.MapTTLs == nil {
-				img.MapTTLs = make(map[string]map[string]int64)
-			}
-			img.MapTTLs[name] = ttls
+		if img.Sorted == nil {
+			img.Sorted = make(map[string][]stmlib.SortedEntry[string, []byte])
 		}
-		for i, n := 0, int(c.u32()); i < n && c.err == nil; i++ {
-			name := c.str16()
-			m := int(c.u32())
-			recs := make([]stmlib.LeaseRecord[[]byte], 0, m)
-			for j := 0; j < m && c.err == nil; j++ {
-				var rec stmlib.LeaseRecord[[]byte]
-				rec.ID = c.u64()
-				rec.Value = c.bytes32()
-				rec.Deadline = c.i64()
-				recs = append(recs, rec)
-			}
-			if img.Leases == nil {
-				img.Leases = make(map[string][]stmlib.LeaseRecord[[]byte])
-			}
-			img.Leases[name] = recs
-		}
-		for i, n := 0, int(c.u32()); i < n && c.err == nil; i++ {
-			name := c.str16()
-			if img.LeaseSeqs == nil {
-				img.LeaseSeqs = make(map[string]uint64)
-			}
-			img.LeaseSeqs[name] = c.u64()
-		}
+		img.Sorted[name] = entries
 	}
-	var maxGSN uint64
-	if c.err == nil && len(c.b)-c.off == 8 {
-		maxGSN = c.u64() // trailing watermark; absent in pre-D31 payloads
+	for i, n := 0, c.count(6); i < n && c.err == nil; i++ {
+		name := c.str16()
+		ttls := make(map[string]int64)
+		for j, m := 0, c.count(10); j < m && c.err == nil; j++ {
+			k := c.str16()
+			ttls[k] = c.i64()
+		}
+		if img.MapTTLs == nil {
+			img.MapTTLs = make(map[string]map[string]int64)
+		}
+		img.MapTTLs[name] = ttls
 	}
+	for i, n := 0, c.count(6); i < n && c.err == nil; i++ {
+		name := c.str16()
+		m := c.count(20)
+		recs := make([]stmlib.LeaseRecord[[]byte], 0, m)
+		for j := 0; j < m && c.err == nil; j++ {
+			var rec stmlib.LeaseRecord[[]byte]
+			rec.ID = c.u64()
+			rec.Value = c.bytes32()
+			rec.Deadline = c.i64()
+			recs = append(recs, rec)
+		}
+		if img.Leases == nil {
+			img.Leases = make(map[string][]stmlib.LeaseRecord[[]byte])
+		}
+		img.Leases[name] = recs
+	}
+	for i, n := 0, c.count(10); i < n && c.err == nil; i++ {
+		name := c.str16()
+		if img.LeaseSeqs == nil {
+			img.LeaseSeqs = make(map[string]uint64)
+		}
+		img.LeaseSeqs[name] = c.u64()
+	}
+	if c.err == nil && c.off == len(c.b) {
+		return nil, 0, fmt.Errorf("server: snapshot: %s image ends without its GSN watermark, so an earlier build wrote it; %s", imageMagic, oldStoreFix)
+	}
+	maxGSN := c.u64()
 	if err := c.done(); err != nil {
 		return nil, 0, fmt.Errorf("server: snapshot: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -574,48 +575,31 @@ func TestPersistForcesSingleInflight(t *testing.T) {
 	}
 }
 
-// TestPersistManifestUpgradeAfterRecovery: opening a version-1 data
-// directory upgrades its manifest to the current version — but only
-// once recovery has succeeded. A failed recovery must leave the
-// manifest untouched, so the operator can still fall back to the
-// previous binary (whose version gate would refuse a prematurely
-// upgraded directory).
-func TestPersistManifestUpgradeAfterRecovery(t *testing.T) {
+// TestPersistManifestV1Refused: a version-1 manifest is refused at boot
+// with the way forward, and left as it was, so an earlier build can
+// still open the directory and rewrite it.
+func TestPersistManifestV1Refused(t *testing.T) {
 	dir := t.TempDir()
-	if err := wal.WriteManifest(dir, wal.Manifest{Version: 1, Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// A segment file with a garbage header makes recovery fail outright.
-	seg := filepath.Join(dir, "wal-0000000000000001.log")
-	if err := os.WriteFile(seg, []byte("not a wal segment"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	cfg := server.Config{Shards: 1, Workers: 2, DataDir: dir, Fsync: true}
-	if _, err := server.New(cfg); err == nil {
-		t.Fatal("recovery accepted a garbage segment")
-	}
-	m, ok, err := wal.ReadManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("manifest after failed recovery: %+v ok=%v err=%v", m, ok, err)
-	}
-	if m.Version != 1 {
-		t.Fatalf("failed recovery upgraded the manifest to version %d", m.Version)
-	}
-
-	// With the bad segment gone, recovery succeeds and the upgrade lands.
-	if err := os.Remove(seg); err != nil {
-		t.Fatal(err)
-	}
-	s, err := server.New(cfg)
-	if err != nil {
+	s := startServer(t, cfg)
+	if err := dial(t, s, 1).CounterAdd("c", 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	m, ok, err = wal.ReadManifest(dir)
-	if err != nil || !ok {
-		t.Fatalf("manifest after successful recovery: %+v ok=%v err=%v", m, ok, err)
+	if err := wal.WriteManifest(dir, wal.Manifest{Version: 1, Shards: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if m.Version != wal.ManifestVersion {
-		t.Fatalf("manifest version = %d, want %d after a successful open", m.Version, wal.ManifestVersion)
+	if s, err := server.New(cfg); err == nil {
+		s.Close()
+		t.Fatal("a version-1 manifest booted")
+	} else {
+		for _, want := range []string{"version-1 manifest", "earlier pnstm build"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("boot error %q does not mention %q", err, want)
+			}
+		}
+	}
+	if m, ok, err := wal.ReadManifest(dir); err != nil || !ok || m.Version != 1 {
+		t.Fatalf("manifest after the refusal: %+v ok=%v err=%v", m, ok, err)
 	}
 }

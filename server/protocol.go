@@ -85,10 +85,9 @@ const (
 	// protocol version, feature bits and read-staleness bound; the server
 	// answers with its own version/features, role (primary or replica),
 	// shard count and — on a replica — the primary's address, encoded in
-	// Response.Value (see EncodeHelloInfo). Optional: a client that never
-	// sends it gets legacy behaviour, and a LEGACY server rejects the
-	// unknown opcode with StatusErr echoing the request ID — which is
-	// itself a well-defined negotiation outcome (no features, primary).
+	// Response.Value (see EncodeHelloInfo). A raw-protocol client may
+	// skip it and is served as a primary's client; the Go client and a
+	// replica send it first and refuse a peer that does not answer it.
 	OpHello
 	// OpReplSubscribe opens a replication stream (D39): the requester
 	// names a shard and a resume LSN, and the server answers with a

@@ -6,12 +6,12 @@ import (
 )
 
 // Handshake and replication-stream framing (D39–D40). The Hello frame
-// is the version/feature negotiation point: a legacy server rejects the
-// unknown OpHello with StatusErr (echoing the request ID), which a new
-// client treats as "version 0, no features, primary" — so old and new
-// peers interoperate without a flag day. The replication stream rides
-// ordinary Response frames sharing the OpReplSubscribe request's ID,
-// with the payload in Response.Value encoded by the frame codecs below.
+// is the version/feature negotiation point: every server answers it
+// with its version, features, role and shard count, and the client and
+// the replica refuse a peer that answers StatusErr instead. The
+// replication stream rides ordinary Response frames sharing the
+// OpReplSubscribe request's ID, with the payload in Response.Value
+// encoded by the frame codecs below.
 
 // ProtoVersion is the wire-protocol version this build speaks.
 const ProtoVersion uint16 = 1

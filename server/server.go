@@ -381,8 +381,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // shardDataDir is where shard id of n keeps its log: the data directory
-// root for a single shard (the pre-sharding layout, so existing
-// directories keep working), shard-<i>/ otherwise.
+// root for a single shard, shard-<i>/ otherwise.
 func shardDataDir(base string, id, n int) string {
 	if n == 1 {
 		return base
@@ -402,7 +401,6 @@ func shardDataDir(base string, id, n int) string {
 func (s *Server) openDurability() error {
 	cfg := s.cfg.Load()
 	dir := cfg.DataDir
-	upgradeManifest := false
 	m, ok, err := wal.ReadManifest(dir)
 	if err != nil {
 		return err
@@ -418,31 +416,16 @@ func (s *Server) openDurability() error {
 		return fmt.Errorf("server: data dir %s manifest version %d is newer than this binary supports (max %d); upgrade the server",
 			dir, m.Version, wal.ManifestVersion)
 	case ok && m.Version < wal.ManifestVersion:
-		// Upgrade in place — but only after recovery succeeds (the write
-		// is at the end of this function). Stamping the new version first
-		// would brand a directory that still holds only old-format
-		// records: if recovery then failed, falling back to the previous
-		// binary would be refused by its own version gate for no reason.
-		// Deferring is safe because no GSN-stamped record can exist
-		// before the server starts accepting cross-shard commits, which
-		// is after openDurability returns.
-		upgradeManifest = true
+		return fmt.Errorf("server: data dir %s has a version-%d manifest, and this build opens only version %d; %s",
+			dir, m.Version, wal.ManifestVersion, oldStoreFix)
 	case !ok:
-		// No manifest: the directory is either fresh or written by a
-		// pre-manifest (single-shard) version. A sharded layout whose
-		// manifest went missing (partial restore, operator deletion)
-		// must be refused outright — without the recorded count the
-		// name→shard mapping cannot be re-established safely.
-		if orphans, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(orphans) > 0 {
-			return fmt.Errorf("server: data dir %s holds shard subdirectories but no %s; restore the manifest (it records the shard count the layout was written with)", dir, wal.ManifestName)
-		}
-		if len(s.shards) > 1 {
-			// Root-level segments are the pre-manifest single-shard
-			// layout; only a fresh directory may adopt a multi-shard one.
-			legacy, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-			snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-			if len(legacy)+len(snaps) > 0 {
-				return fmt.Errorf("server: data dir %s holds a single-shard store with no manifest; restart with Shards=1", dir)
+		// No manifest: only an empty directory gets one. Without the
+		// recorded shard count the name→shard mapping of a store found
+		// here cannot be re-established, whatever the configured count.
+		for _, pattern := range []string{"shard-*", "wal-*.log", "snap-*.snap"} {
+			if found, _ := filepath.Glob(filepath.Join(dir, pattern)); len(found) > 0 {
+				return fmt.Errorf("server: data dir %s holds %s but no %s; restore the manifest, or, if this is a 1-shard store from before manifests, open it once at Shards=1 with an earlier pnstm build, which writes one",
+					dir, filepath.Base(found[0]), wal.ManifestName)
 			}
 		}
 		if err := wal.WriteManifest(dir, wal.Manifest{Version: wal.ManifestVersion, Shards: len(s.shards)}); err != nil {
@@ -530,15 +513,7 @@ func (s *Server) openDurability() error {
 		}(i, sh)
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	if upgradeManifest {
-		if err := wal.WriteManifest(dir, wal.Manifest{Version: wal.ManifestVersion, Shards: len(s.shards)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // shardFor routes a structure name to its owning shard.

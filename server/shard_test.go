@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,27 +290,39 @@ func TestShardManifestGuard(t *testing.T) {
 	}
 }
 
-// TestShardMissingManifestRefused: a sharded layout whose manifest went
-// missing (partial restore) must be refused — without the recorded
-// count the name→shard mapping cannot be re-established, for ANY
-// configured shard count.
+// TestShardMissingManifestRefused: a store whose manifest is missing —
+// a sharded layout after a partial restore, or a 1-shard store in the
+// directory root — must be refused: without the recorded count the
+// name→shard mapping cannot be re-established, for ANY configured shard
+// count. Only an empty directory gets a new manifest.
 func TestShardMissingManifestRefused(t *testing.T) {
-	dir := t.TempDir()
-	cfg := server.Config{Shards: 2, Workers: 2, MaxBatch: 8, DataDir: dir, Fsync: true}
-	s := startServer(t, cfg)
-	if err := dial(t, s, 1).CounterAdd("c", 1); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		bad := cfg
-		bad.Addr = "127.0.0.1:0"
-		bad.Shards = shards
-		if _, err := server.New(bad); err == nil {
-			t.Errorf("manifest-less sharded dir accepted with Shards=%d", shards)
+	for _, written := range []int{2, 1} {
+		dir := t.TempDir()
+		cfg := server.Config{Shards: written, Workers: 2, MaxBatch: 8, DataDir: dir, Fsync: true}
+		s := startServer(t, cfg)
+		if err := dial(t, s, 1).CounterAdd("c", 1); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			bad := cfg
+			bad.Addr = "127.0.0.1:0"
+			bad.Shards = shards
+			s, err := server.New(bad)
+			if err == nil {
+				s.Close()
+				t.Errorf("manifest-less %d-shard dir accepted with Shards=%d", written, shards)
+				continue
+			}
+			if !strings.Contains(err.Error(), "MANIFEST.json") {
+				t.Errorf("boot error %q does not name the manifest", err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); !os.IsNotExist(err) {
+			t.Errorf("a refused %d-shard dir was given a manifest: %v", written, err)
 		}
 	}
 }
