@@ -112,3 +112,38 @@ func ExampleUpdate() {
 	// Output:
 	// 3
 }
+
+// Swap stores a new value and hands back the one it replaced, in one
+// access: here a job slot is taken and cleared at once.
+func ExampleSwap() {
+	rt, err := pnstm.New(pnstm.Config{Workers: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Close()
+
+	slot := pnstm.NewTVar("resize image")
+	_ = rt.Run(func(c *pnstm.Ctx) {
+		_ = c.Atomic(func(c *pnstm.Ctx) error {
+			fmt.Printf("took %q\n", pnstm.Swap(c, slot, ""))
+			return nil
+		})
+	})
+	fmt.Printf("left %q\n", slot.Peek())
+	// Output:
+	// took "resize image"
+	// left ""
+}
+
+// Workers is the fork width: stmlib's bulk operations split their work
+// into at most this many parallel children.
+func ExampleRuntime_Workers() {
+	rt, err := pnstm.New(pnstm.Config{Workers: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Close()
+	fmt.Println(rt.Workers())
+	// Output:
+	// 4
+}

@@ -123,19 +123,9 @@ func (l *Limiter) Release() {
 	l.inUse--
 }
 
-// InUse returns the number of held slots.
-func (l *Limiter) InUse() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inUse
-}
-
 // Peak returns the high-water mark of held slots.
 func (l *Limiter) Peak() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.peak
 }
-
-// Limit returns the configured maximum.
-func (l *Limiter) Limit() int { return l.limit }

@@ -64,20 +64,11 @@ func (v Vec) Add(b Bitnum) Vec { return v | b.Bit() }
 // Remove returns v with bitnum b cleared (the paper's x − b).
 func (v Vec) Remove(b Bitnum) Vec { return v &^ b.Bit() }
 
-// Union returns v ∪ o (the paper's x + y).
-func (v Vec) Union(o Vec) Vec { return v | o }
-
 // Minus returns v − o, i.e. v ∧ ¬o.
 func (v Vec) Minus(o Vec) Vec { return v &^ o }
 
-// Intersect returns v ∩ o.
-func (v Vec) Intersect(o Vec) Vec { return v & o }
-
 // Empty reports whether no bitnum is set.
 func (v Vec) Empty() bool { return v == 0 }
-
-// Count returns the number of set bitnums.
-func (v Vec) Count() int { return bits.OnesCount64(uint64(v)) }
 
 // SubsetOf reports whether v ⊆ o using the paper's two-operation test
 // (§ Overview): (v ∧ (v ⊕ o)) == 0. v ⊕ o keeps the bits on which the two
@@ -85,35 +76,11 @@ func (v Vec) Count() int { return bits.OnesCount64(uint64(v)) }
 // missing from o.
 func (v Vec) SubsetOf(o Vec) bool { return v&(v^o) == 0 }
 
-// Lowest returns the smallest set bitnum, or None if v is empty.
-func (v Vec) Lowest() Bitnum {
-	if v == 0 {
-		return None
-	}
-	return Bitnum(bits.TrailingZeros64(uint64(v)))
-}
-
-// Single reports whether exactly one bitnum is set, and returns it.
-func (v Vec) Single() (Bitnum, bool) {
-	if v != 0 && v&(v-1) == 0 {
-		return v.Lowest(), true
-	}
-	return None, false
-}
-
 // ForEach calls fn for every set bitnum in ascending order.
 func (v Vec) ForEach(fn func(Bitnum)) {
 	for w := uint64(v); w != 0; w &= w - 1 {
 		fn(Bitnum(bits.TrailingZeros64(w)))
 	}
-}
-
-// Slice returns the set bitnums in ascending order. Intended for tests and
-// diagnostics, not the hot path.
-func (v Vec) Slice() []Bitnum {
-	out := make([]Bitnum, 0, v.Count())
-	v.ForEach(func(b Bitnum) { out = append(out, b) })
-	return out
 }
 
 // String renders the vector as {b0,b1,...} for diagnostics.
@@ -133,13 +100,4 @@ func (v Vec) String() string {
 	})
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-// Of builds a vector from the given bitnums. Intended for tests.
-func Of(bs ...Bitnum) Vec {
-	var v Vec
-	for _, b := range bs {
-		v = v.Add(b)
-	}
-	return v
 }

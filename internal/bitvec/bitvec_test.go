@@ -145,24 +145,6 @@ func TestMinusUnionIntersect(t *testing.T) {
 	}
 }
 
-func TestLowestAndSingle(t *testing.T) {
-	if got := Vec(0).Lowest(); got != None {
-		t.Errorf("Lowest(empty) = %v", got)
-	}
-	if got := Of(7, 13).Lowest(); got != 7 {
-		t.Errorf("Lowest = %v", got)
-	}
-	if b, ok := Of(13).Single(); !ok || b != 13 {
-		t.Errorf("Single(Of(13)) = %v,%v", b, ok)
-	}
-	if _, ok := Of(13, 14).Single(); ok {
-		t.Error("Single on two-bit vec must be false")
-	}
-	if _, ok := Vec(0).Single(); ok {
-		t.Error("Single on empty vec must be false")
-	}
-}
-
 func TestForEachOrderAndSlice(t *testing.T) {
 	v := Of(63, 0, 17)
 	got := v.Slice()

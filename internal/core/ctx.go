@@ -80,12 +80,6 @@ type traceIdent struct {
 	traceSkip  bool
 }
 
-// Epoch returns the context's current epoch (diagnostics).
-func (c *Ctx) Epoch() uint64 { return uint64(c.ep) }
-
-// InTx reports whether an atomic block is active.
-func (c *Ctx) InTx() bool { return c.cur != nil }
-
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.rt }
 
@@ -645,15 +639,3 @@ func (c *Ctx) runInlineChild(fn func(*Ctx)) {
 	defer func() { c.baseTx = saved }()
 	fn(c)
 }
-
-// ---------------------------------------------------------------------------
-// Accesses
-// ---------------------------------------------------------------------------
-
-// Load reads an object inside the current transaction. Per the paper
-// (§4.2), every access is treated as a write for conflict purposes.
-func (c *Ctx) Load(o *Object) any { return c.access(o, Value{}, false).P }
-
-// Store writes an object inside the current transaction and returns the
-// previous value.
-func (c *Ctx) Store(o *Object, v any) any { return c.access(o, Value{P: v}, true).P }

@@ -85,9 +85,6 @@ func NewObject(initial any) *Object {
 // object; labels are read without synchronization afterwards.
 func (o *Object) SetLabel(label string) { o.label = label }
 
-// Label returns the attribution label ("" when unnamed).
-func (o *Object) Label() string { return o.label }
-
 // objLabel renders an object reference for an event, tolerating nil
 // (a conflict signal that crossed a block boundary loses nothing but
 // may have started unattributed).
@@ -98,33 +95,16 @@ func objLabel(o *Object) string {
 	return o.label
 }
 
-// Peek returns the object's current value without any transactional
-// bookkeeping. Only safe when no transactions are running (e.g. between
-// Run calls); used to read results out.
-func (o *Object) Peek() any { return o.val.P }
-
-// SetDirect overwrites the value without transactional bookkeeping. Only
-// safe when no transactions are running.
-func (o *Object) SetDirect(v any) { o.val = Value{P: v} }
-
-// PeekValue and SetValue are Peek and SetDirect for the typed front end,
-// which moves whole Values; Access is its Load (store false) and Store.
-// They are package functions, not methods, so that pnstm's aliases of Ctx
-// and Object do not export them.
+// PeekValue and SetValue read and overwrite the value without
+// transactional bookkeeping (only safe when no transactions are running);
+// Access is a transactional load (store false) or store. They are the
+// typed front end's whole interface to an Object, and package functions,
+// not methods, so that pnstm's alias of Ctx does not export them.
 func PeekValue(o *Object) Value { return o.val }
 
 func SetValue(o *Object, v Value) { o.val = v }
 
 func Access(c *Ctx, o *Object, v Value, store bool) Value { return c.access(o, v, store) }
-
-// StackDepth reports the current live access-stack depth
-// (diagnostics/tests).
-func (o *Object) StackDepth() int {
-	o.mu.lock()
-	d := len(o.stack) - o.head
-	o.mu.unlock()
-	return d
-}
 
 // compactThreshold is the live depth beyond which an access additionally
 // tries to drop dead bottom entries. Small enough to bound memory under

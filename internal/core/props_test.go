@@ -97,8 +97,8 @@ func TestCleanNotesAgainstMasks(t *testing.T) {
 	rt := newRT(t, 2)
 	rt.Publisher().Pause()
 	st := rt.st
-	st.Masks.Or(5, bitvec.Of(1))
-	st.Masks.Or(9, bitvec.Of(2))
+	st.Masks.Or(5, vecOf(1))
+	st.Masks.Or(9, vecOf(2))
 	notes := []comNote{
 		{bn: 1, ep: 5}, // published → dropped
 		{bn: 1, ep: 6}, // not published at 6 → kept
@@ -115,7 +115,7 @@ func TestCleanNotesAgainstMasks(t *testing.T) {
 // window and appends otherwise; retract removes exactly one entry.
 func TestReaderSetProperties(t *testing.T) {
 	var rs readerSet
-	anc := bitvec.Of(0, 3)
+	anc := vecOf(0, 3)
 	if !rs.recordReader(anc, 1, 5) {
 		t.Fatal("first record must append")
 	}
@@ -156,8 +156,8 @@ func TestRollbackOrderRobustness(t *testing.T) {
 	// record is the OLDER entry's, as can happen after a merged victim's abort
 	// splice races a sibling's commit splice.
 	o.stack = append(o.stack,
-		objEntry{anc: bitvec.Of(0), ep: 1, seq: 1},
-		objEntry{anc: bitvec.Of(0, 1), ep: 2, seq: 2},
+		objEntry{anc: vecOf(0), ep: 1, seq: 1},
+		objEntry{anc: vecOf(0, 1), ep: 2, seq: 2},
 	)
 	o.pushSeq = 2
 	o.val = Value{P: "v2", W: 2}
@@ -190,7 +190,7 @@ func TestRollbackShuffledRecordsProperty(t *testing.T) {
 		recs := make([]rec, k)
 		for i := 0; i < k; i++ {
 			seq := uint64(i + 1)
-			o.stack = append(o.stack, objEntry{anc: bitvec.Of(0), ep: epoch.Epoch(i), seq: seq})
+			o.stack = append(o.stack, objEntry{anc: vecOf(0), ep: epoch.Epoch(i), seq: seq})
 			// The value before push i was i: boxed in even rounds, in the
 			// word in odd ones.
 			if recs[i] = (rec{seq: seq, saved: Value{P: i}}); round%2 == 1 {

@@ -279,9 +279,6 @@ func (rt *Runtime) helpPublish() bool {
 // Workers returns the configured worker count P.
 func (rt *Runtime) Workers() int { return rt.cfg.Workers }
 
-// Bitnums returns the identifier space size N (0 in serial mode).
-func (rt *Runtime) Bitnums() int { return rt.nbits }
-
 // initCtx sets up, in place, the context a dispatched block runs in. Its
 // trace identity was written by the forker.
 func (b *block) initCtx(rt *Runtime) *Ctx {

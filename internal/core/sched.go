@@ -234,10 +234,3 @@ func (s *scheduler) popIdleLocked() *slot {
 	s.idle = s.idle[:len(s.idle)-1]
 	return sl
 }
-
-// freeBitnums reports the current number of free bitnums (tests).
-func (s *scheduler) freeBitnums() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.free.Len()
-}

@@ -33,23 +33,6 @@ const (
 	EvCrisis   // cross-root livelock breaker engaged by this root
 )
 
-// KindName renders an event kind for dumps and JSON.
-func KindName(k uint8) string {
-	switch k {
-	case EvBegin:
-		return "begin"
-	case EvCommit:
-		return "commit"
-	case EvAbort:
-		return "abort"
-	case EvEscalate:
-		return "escalate"
-	case EvCrisis:
-		return "crisis"
-	}
-	return "unknown"
-}
-
 // Event is one recorded transaction-lifecycle transition. Identity
 // fields make a request followable end to end: Root is the runtime's
 // ticket for the root transaction this event happened under (a server
@@ -70,9 +53,6 @@ type Event struct {
 	Obj   string `json:"obj,omitempty"`
 	Tag   string `json:"tag,omitempty"`
 }
-
-// KindString is Event's rendered kind (convenience for encoders).
-func (e *Event) KindString() string { return KindName(e.Kind) }
 
 // traceRingSize is each per-slot ring's capacity. Power of two; at
 // ~2.5k events per second per slot under a hot loadgen this holds a
@@ -237,9 +217,6 @@ func (rt *Runtime) TracingEnabled() bool { return rt.tracing() }
 // shrinks by the sampling factor (D38).
 func (rt *Runtime) SetTraceSampling(every uint64) { rt.rec.sample.Store(every) }
 
-// TraceSampling returns the lifecycle sampling divisor (≤1: all roots).
-func (rt *Runtime) TraceSampling() uint64 { return rt.rec.sample.Load() }
-
 // TraceSnapshot returns every event the lifecycle rings currently
 // retain (up to traceRingSize per ring), in per-ring order; callers
 // interleave by timestamp if they need a global order. Lock-free with
@@ -301,16 +278,9 @@ func (t traceTag) String() string {
 // recorded, so stamping costs two string headers.
 func (c *Ctx) SetTraceTag(name, key string) { c.traceTag = traceTag{name, key} }
 
-// TraceTag returns the current work label, rendered.
-func (c *Ctx) TraceTag() string { return c.traceTag.String() }
-
 // StampTrace sets the batch/shard identity carried by this context's
 // events (and inherited by forked blocks). The embedding server calls
 // it once per batch root.
 func (c *Ctx) StampTrace(batch uint64, shard uint8) {
 	c.traceBatch, c.traceShard = batch, shard
 }
-
-// TraceRoot returns the root ticket of the context's current root
-// transaction lineage (0 before the first traced begin).
-func (c *Ctx) TraceRoot() uint64 { return c.traceRoot }

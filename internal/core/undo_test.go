@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pnstm/internal/bitvec"
 )
 
 // Tests of the chunked, recycled undo log (ARCHITECTURE.md D6).
@@ -104,7 +102,7 @@ func TestUndoLogAgainstModel(t *testing.T) {
 	rt := newRT(t, 2)
 	rt.Publisher().Pause()
 	checkPoison := poisonUndo(t, rt)
-	ctx := &Ctx{rt: rt, ancBase: bitvec.Of(0), ep: 1}
+	ctx := &Ctx{rt: rt, ancBase: vecOf(0), ep: 1}
 
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -115,13 +115,3 @@ func (t *MaskTable) raiseFloor(floor Epoch) {
 		t.floor.Store(uint64(floor))
 	}
 }
-
-// Allocated returns the number of epochs the table currently has storage
-// for. Diagnostics only.
-func (t *MaskTable) Allocated() int {
-	dir := t.dir.Load()
-	if dir == nil {
-		return 0
-	}
-	return len(dir.chunks) * chunkLen
-}

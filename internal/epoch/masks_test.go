@@ -23,13 +23,13 @@ func TestMaskTableEmpty(t *testing.T) {
 
 func TestMaskTableOrGet(t *testing.T) {
 	var mt MaskTable
-	mt.Or(5, bitvec.Of(3))
-	mt.Or(5, bitvec.Of(7))
-	mt.Or(6, bitvec.Of(1))
-	if got := mt.Get(5); got != bitvec.Of(3, 7) {
+	mt.Or(5, vecOf(3))
+	mt.Or(5, vecOf(7))
+	mt.Or(6, vecOf(1))
+	if got := mt.Get(5); got != vecOf(3, 7) {
 		t.Fatalf("Get(5) = %v", got)
 	}
-	if got := mt.Get(6); got != bitvec.Of(1) {
+	if got := mt.Get(6); got != vecOf(1) {
 		t.Fatalf("Get(6) = %v", got)
 	}
 	if got := mt.Get(4); !got.Empty() {
@@ -42,10 +42,10 @@ func TestMaskTableGrowthAcrossChunks(t *testing.T) {
 	// Touch epochs in several chunks, including a far jump.
 	eps := []Epoch{0, 1, chunkLen - 1, chunkLen, 3*chunkLen + 17, 10 * chunkLen}
 	for i, e := range eps {
-		mt.Or(e, bitvec.Of(bitvec.Bitnum(i)))
+		mt.Or(e, vecOf(bitvec.Bitnum(i)))
 	}
 	for i, e := range eps {
-		if got := mt.Get(e); got != bitvec.Of(bitvec.Bitnum(i)) {
+		if got := mt.Get(e); got != vecOf(bitvec.Bitnum(i)) {
 			t.Fatalf("Get(%d) = %v, want bit %d", e, got, i)
 		}
 	}
@@ -57,8 +57,8 @@ func TestMaskTableGrowthAcrossChunks(t *testing.T) {
 
 func TestMaskTableOrRange(t *testing.T) {
 	var mt MaskTable
-	mt.OrRange(10, 20, bitvec.Of(2))
-	mt.OrRange(21, 20, bitvec.Of(3)) // empty range: no-op
+	mt.OrRange(10, 20, vecOf(2))
+	mt.OrRange(21, 20, vecOf(3)) // empty range: no-op
 	for e := Epoch(10); e <= 20; e++ {
 		if !mt.Get(e).Has(2) {
 			t.Fatalf("epoch %d missing bit", e)
@@ -91,7 +91,7 @@ func TestMaskTableConcurrentReadersDuringGrowth(t *testing.T) {
 				}
 				for e := Epoch(0); e < top; e += 97 {
 					v := mt.Get(e)
-					if !v.Empty() && v != bitvec.Of(1) {
+					if !v.Empty() && v != vecOf(1) {
 						t.Errorf("Get(%d) = %v", e, v)
 						return
 					}
@@ -100,7 +100,7 @@ func TestMaskTableConcurrentReadersDuringGrowth(t *testing.T) {
 		}()
 	}
 	for e := Epoch(0); e < top; e++ {
-		mt.Or(e, bitvec.Of(1))
+		mt.Or(e, vecOf(1))
 	}
 	close(stop)
 	wg.Wait()
@@ -133,13 +133,13 @@ func TestMaskMonotonicityProperty(t *testing.T) {
 // value the publisher's contiguous ranges leave there, and a directory grown
 // past it leaves the chunks it covers behind (D55).
 func TestMaskTableFloorCoversLeftBehindChunks(t *testing.T) {
-	mt := MaskTable{full: bitvec.Of(0, 1)}
+	mt := MaskTable{full: vecOf(0, 1)}
 	hi0, hi1, top := Epoch(10*chunkLen), Epoch(6*chunkLen), Epoch(40*chunkLen)
-	mt.OrRange(1, hi0, bitvec.Of(0))
-	mt.OrRange(1, hi1, bitvec.Of(1))
+	mt.OrRange(1, hi0, vecOf(0))
+	mt.OrRange(1, hi1, vecOf(1))
 	mt.raiseFloor(hi1)
 	mt.raiseFloor(hi1 - 5) // never moves down
-	mt.OrRange(hi1+1, top, bitvec.Of(1))
+	mt.OrRange(hi1+1, top, vecOf(1))
 	if base := mt.dir.Load().base; base != int(hi1>>chunkBits) {
 		t.Fatalf("directory base = chunk %d, want %d", base, hi1>>chunkBits)
 	}
@@ -161,7 +161,7 @@ func TestMaskTableFloorCoversLeftBehindChunks(t *testing.T) {
 // never see a published mask go missing, whether they read it from a chunk,
 // from the floor, or from a chunk left behind between the two.
 func TestMaskTableConcurrentReadersDuringRelease(t *testing.T) {
-	mt := MaskTable{full: bitvec.Of(1)}
+	mt := MaskTable{full: vecOf(1)}
 	const top, lag = 64 * chunkLen, 3 * chunkLen / 2
 	var published atomic.Uint64
 	var wg sync.WaitGroup
@@ -174,7 +174,7 @@ func TestMaskTableConcurrentReadersDuringRelease(t *testing.T) {
 				if hi == top {
 					return
 				}
-				if e <= hi && mt.Get(e) != bitvec.Of(1) {
+				if e <= hi && mt.Get(e) != vecOf(1) {
 					t.Errorf("Get(%d) = %v with epochs up to %d published", e, mt.Get(e), hi)
 					return
 				}
@@ -182,7 +182,7 @@ func TestMaskTableConcurrentReadersDuringRelease(t *testing.T) {
 		}(r)
 	}
 	for e := Epoch(1); e <= top; e++ {
-		mt.Or(e, bitvec.Of(1))
+		mt.Or(e, vecOf(1))
 		published.Store(uint64(e))
 		if e%1000 == 0 && e > lag {
 			mt.raiseFloor(e - lag)

@@ -217,10 +217,3 @@ func (p *Publisher) Stats() PublisherStats {
 		BitnumsFreed: p.freed.Load(),
 	}
 }
-
-// Frontier returns the publication frontier of bn (diagnostics/tests).
-func (p *Publisher) Frontier(bn bitvec.Bitnum) Epoch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastInMask[bn]
-}

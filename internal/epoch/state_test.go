@@ -3,8 +3,6 @@ package epoch
 import (
 	"sync"
 	"testing"
-
-	"pnstm/internal/bitvec"
 )
 
 func TestRecordCommitMonotone(t *testing.T) {
@@ -51,24 +49,24 @@ func TestDiscardRecordsLastEpoch(t *testing.T) {
 
 func TestEraseSubtractsDiscardingAndMasks(t *testing.T) {
 	var st State
-	st.Masks.Or(5, bitvec.Of(1))
-	st.Masks.Or(9, bitvec.Of(2))
+	st.Masks.Or(5, vecOf(1))
+	st.Masks.Or(9, vecOf(2))
 	st.beginDiscarding(7)
 	defer st.endDiscarding(7)
 
-	anc := bitvec.Of(1, 2, 7, 30)
+	anc := vecOf(1, 2, 7, 30)
 	got := st.Erase(anc, 5, 9)
-	if got != bitvec.Of(30) {
+	if got != vecOf(30) {
 		t.Fatalf("Erase = %v, want {30}", got)
 	}
 	// Without the second epoch, bit 2 survives.
 	got = st.Erase(anc, 5)
-	if got != bitvec.Of(2, 30) {
+	if got != vecOf(2, 30) {
 		t.Fatalf("Erase = %v, want {2,30}", got)
 	}
 	// No epochs: only discarding is subtracted.
 	got = st.Erase(anc)
-	if got != bitvec.Of(1, 2, 30) {
+	if got != vecOf(1, 2, 30) {
 		t.Fatalf("Erase = %v, want {1,2,30}", got)
 	}
 }
@@ -80,11 +78,11 @@ func TestDiscardingBracket(t *testing.T) {
 	}
 	st.beginDiscarding(3)
 	st.beginDiscarding(5)
-	if got := st.Discarding(); got != bitvec.Of(3, 5) {
+	if got := st.Discarding(); got != vecOf(3, 5) {
 		t.Fatalf("Discarding = %v", got)
 	}
 	st.endDiscarding(3)
-	if got := st.Discarding(); got != bitvec.Of(5) {
+	if got := st.Discarding(); got != vecOf(5) {
 		t.Fatalf("Discarding = %v", got)
 	}
 	st.endDiscarding(5)

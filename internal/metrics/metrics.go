@@ -1,7 +1,7 @@
 // Package metrics is the server's lock-cheap instrumentation layer:
-// atomic counters and gauges, fixed-bucket latency histograms, and a
-// registry that renders everything as Prometheus text exposition
-// format (the admin listener's /metrics payload).
+// atomic counters, read-at-scrape gauges, fixed-bucket latency
+// histograms, and a registry that renders everything as Prometheus text
+// exposition format (the admin listener's /metrics payload).
 //
 // Hot-path cost is one atomic add per observation — instruments are
 // created once at server construction and held directly by the code
@@ -32,20 +32,8 @@ type Counter struct{ v atomic.Uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // DefBuckets is the default latency histogram bucket layout: upper
 // bounds in SECONDS (the Prometheus convention for *_seconds series),
@@ -271,13 +259,6 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 	defer r.mu.Unlock()
 	f := r.familyFor(name, help, kindCounter)
 	f.sers = append(f.sers, series{labels: renderLabels(labels), value: fn})
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.GaugeFunc(name, help, labels, func() float64 { return float64(g.Load()) })
-	return g
 }
 
 // GaugeFunc registers a gauge read at scrape time.

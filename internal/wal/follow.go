@@ -9,11 +9,11 @@ import (
 )
 
 // Tail-follow reader: the replication stream's source. A Follower walks
-// the durable record sequence from a requested LSN and then blocks at
-// the tail, waking on every Append — the primary-side half of
-// WAL-shipping (D39). It reads through its own file handles, entirely
-// outside the append lock, so a replica stream never slows a group
-// commit; the only synchronization is the brief locate() lock that
+// the durable record sequence from a requested LSN and, at the tail,
+// hands out a channel that closes on the next Append — the primary-side
+// half of WAL-shipping (D39). It reads through its own file handles,
+// entirely outside the append lock, so a replica stream never slows a
+// group commit; the only synchronization is the brief locate() lock that
 // snapshots (tail, segment list, notify channel) together.
 //
 // Correctness rests on one invariant: a Follower only ever reads
@@ -29,9 +29,6 @@ var (
 	// a snapshot covered it and the segment was pruned. The caller
 	// resyncs from the snapshot and follows again from snapshotLSN+1.
 	ErrCompacted = errors.New("wal: follow: lsn compacted into a snapshot")
-
-	// ErrStopped is Next's return when the caller's stop channel fired.
-	ErrStopped = errors.New("wal: follow: stopped")
 
 	// ErrLogClosed reports that the followed log shut down (Close or
 	// Abandon); no further records will ever arrive.
@@ -161,25 +158,6 @@ func (f *Follower) TryNext() (lsn uint64, body []byte, wait <-chan struct{}, err
 			}
 			f.next++
 			return got, payload[8:], nil, nil
-		}
-	}
-}
-
-// Next blocks until a record is available (yielding it), the log closes
-// (ErrLogClosed), or stop fires (ErrStopped). stop may be nil.
-func (f *Follower) Next(stop <-chan struct{}) (uint64, []byte, error) {
-	for {
-		lsn, body, wait, err := f.TryNext()
-		if err != nil {
-			return 0, nil, err
-		}
-		if wait == nil {
-			return lsn, body, nil
-		}
-		select {
-		case <-wait:
-		case <-stop:
-			return 0, nil, ErrStopped
 		}
 	}
 }

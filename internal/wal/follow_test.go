@@ -28,6 +28,18 @@ func followCollect(t *testing.T, f *Follower) (lsns []uint64, bodies [][]byte) {
 	}
 }
 
+// next blocks on the follower until a record is available (yielding it)
+// or the log closes (ErrLogClosed).
+func next(f *Follower) (uint64, []byte, error) {
+	for {
+		lsn, body, wait, err := f.TryNext()
+		if err != nil || wait == nil {
+			return lsn, body, err
+		}
+		<-wait
+	}
+}
+
 // TestFollowerBlockedAtTail: a follower that has consumed everything
 // parks on the wait channel and wakes exactly when Append lands a new
 // record — no polling, no missed wakeup.
@@ -56,11 +68,11 @@ func TestFollowerBlockedAtTail(t *testing.T) {
 	default:
 	}
 
-	// Blocked Next must deliver the record an Append publishes.
+	// A blocked follower must deliver the record an Append publishes.
 	got := make(chan uint64, 1)
 	errc := make(chan error, 1)
 	go func() {
-		lsn, b, err := f.Next(nil)
+		lsn, b, err := next(f)
 		if err != nil {
 			errc <- err
 			return
@@ -81,7 +93,7 @@ func TestFollowerBlockedAtTail(t *testing.T) {
 			t.Fatalf("woke with lsn %d, want 6", lsn)
 		}
 	case err := <-errc:
-		t.Fatalf("Next: %v", err)
+		t.Fatalf("next: %v", err)
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower never woke on append")
 	}
@@ -89,7 +101,7 @@ func TestFollowerBlockedAtTail(t *testing.T) {
 	// Close wakes a parked follower with ErrLogClosed.
 	errc2 := make(chan error, 1)
 	go func() {
-		_, _, err := f.Next(nil)
+		_, _, err := next(f)
 		errc2 <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -97,7 +109,7 @@ func TestFollowerBlockedAtTail(t *testing.T) {
 	select {
 	case err := <-errc2:
 		if err != ErrLogClosed {
-			t.Fatalf("Next after Close: %v, want ErrLogClosed", err)
+			t.Fatalf("next after Close: %v, want ErrLogClosed", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower never woke on Close")
@@ -157,7 +169,7 @@ func TestFollowerWakesOnEveryTailEvent(t *testing.T) {
 			}
 			done := make(chan result, 1)
 			go func() {
-				lsn, b, err := f.Next(nil)
+				lsn, b, err := next(f)
 				done <- result{lsn, b, err}
 			}()
 			for deadline := time.Now().Add(5 * time.Second); !notifyMade(l); time.Sleep(time.Millisecond) {
@@ -220,7 +232,7 @@ func TestFollowerTailsLiveAppender(t *testing.T) {
 		errc <- nil
 	}()
 	for i := 1; i <= n; i++ {
-		lsn, b, err := f.Next(nil)
+		lsn, b, err := next(f)
 		if err != nil || lsn != uint64(i) || !bytes.Equal(b, body(i)) {
 			t.Fatalf("record %d: lsn=%d body=%q err=%v", i, lsn, b, err)
 		}
@@ -321,7 +333,7 @@ func TestFollowerTornTailMidFollow(t *testing.T) {
 	if lsn, err := l2.Append(body(99)); err != nil || lsn != 9 {
 		t.Fatalf("append after repair: lsn=%d err=%v", lsn, err)
 	}
-	lsn, b, err := f.Next(nil)
+	lsn, b, err := next(f)
 	if err != nil || lsn != 9 || !bytes.Equal(b, body(99)) {
 		t.Fatalf("follow past repaired tail: lsn=%d body=%q err=%v", lsn, b, err)
 	}

@@ -92,6 +92,8 @@ func WriteManifest(dir string, m Manifest) error {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: write manifest: %w", err)
 	}
-	syncDir(dir)
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("wal: write manifest: %w", err)
+	}
 	return nil
 }

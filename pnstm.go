@@ -9,10 +9,10 @@ import (
 )
 
 // Ctx is an execution context handed to block programs and transaction
-// bodies. It provides Atomic (begin a transaction, possibly nested),
-// Parallel (fork–join inside or outside a transaction) and the raw
-// Load/Store accessors; the generic Load/Store/Update package functions
-// are the typed front end.
+// bodies. It provides Atomic (begin a transaction, possibly nested) and
+// Parallel (fork–join inside or outside a transaction); variables are
+// read and written through TVar and the generic Load, Store, Swap and
+// Update functions.
 //
 // A Ctx belongs to the block it was handed to. Its storage is recycled
 // when the block ends, so a Ctx retained past that aliases the context of
@@ -22,12 +22,6 @@ type Ctx = core.Ctx
 // Stats is a snapshot of runtime activity counters; see the field
 // documentation in the core package.
 type Stats = core.Stats
-
-// Var is an untyped transactional variable. Prefer the generic TVar.
-type Var = core.Object
-
-// NewVar returns an untyped transactional variable holding initial.
-func NewVar(initial any) *Var { return core.NewObject(initial) }
 
 // ErrClosed is returned by Run after Close.
 var ErrClosed = core.ErrClosed
@@ -125,7 +119,7 @@ func (r *Runtime) Publisher() *epoch.Publisher { return r.rt.Publisher() }
 
 // TraceEvent is one recorded transaction-lifecycle event; see the core
 // package's Event documentation. Kinds are the EvBegin..EvCrisis
-// constants; TraceKindName renders them.
+// constants.
 type TraceEvent = core.Event
 
 // Trace event kinds.
@@ -136,9 +130,6 @@ const (
 	EvEscalate = core.EvEscalate
 	EvCrisis   = core.EvCrisis
 )
-
-// TraceKindName renders a trace-event kind ("begin", "abort", ...).
-func TraceKindName(k uint8) string { return core.KindName(k) }
 
 // EnableTracing switches lifecycle-event recording on or off (the
 // conflict X-ray flight recorder). Safe to flip at any time.
@@ -152,9 +143,6 @@ func (r *Runtime) TracingEnabled() bool { return r.rt.TracingEnabled() }
 // crisis — are always recorded regardless, so abort attribution stays
 // exact under sampling.
 func (r *Runtime) SetTraceSampling(every uint64) { r.rt.SetTraceSampling(every) }
-
-// TraceSampling returns the lifecycle sampling divisor (≤1: all roots).
-func (r *Runtime) TraceSampling() uint64 { return r.rt.TraceSampling() }
 
 // TraceSnapshot returns every event the flight recorder's lifecycle
 // rings currently retain (for dumps). Lock-free; safe to call
@@ -274,8 +262,7 @@ func (v *TVar[T]) SetDirect(val T) { core.SetValue(v.obj, v.pack(val)) }
 
 // SetLabel names the variable for conflict attribution (a stmlib map
 // bucket's "m:orders/3"). Call once at construction time, before any
-// transaction touches the variable. The untyped variable underneath is not
-// exposed: a word-backed value would read as nil through Ctx.Load.
+// transaction touches the variable.
 func (v *TVar[T]) SetLabel(label string) { v.obj.SetLabel(label) }
 
 // AtomicResult runs fn atomically and returns its result, a generic

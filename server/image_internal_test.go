@@ -160,3 +160,31 @@ func TestImageWithoutWatermarkFailsBoot(t *testing.T) {
 		t.Fatalf("the same image with its watermark: %v", err)
 	}
 }
+
+// TestRegistryImageMerge: stitching per-shard exports — maps union by
+// key, queues append, counters SUM (cross-structure transactions leave
+// counter partials on several shards).
+func TestRegistryImageMerge(t *testing.T) {
+	a := &stmlib.RegistryImage{
+		Maps:     map[string]map[string][]byte{"m1": {"k1": []byte("v1")}},
+		Queues:   map[string][][]byte{"q1": {[]byte("e1"), []byte("e2")}},
+		Counters: map[string]int64{"sold": 10, "only-a": 3},
+	}
+	b := &stmlib.RegistryImage{
+		Maps:     map[string]map[string][]byte{"m1": {"k2": []byte("v2")}, "m2": {"x": []byte("y")}},
+		Queues:   map[string][][]byte{"q1": {[]byte("e3")}, "q2": {[]byte("z")}},
+		Counters: map[string]int64{"sold": 32, "only-b": 7},
+	}
+	mergeImages(a, b)
+	mergeImages(a, nil) // nil other is a no-op
+
+	if len(a.Maps) != 2 || string(a.Maps["m1"]["k1"]) != "v1" || string(a.Maps["m1"]["k2"]) != "v2" || string(a.Maps["m2"]["x"]) != "y" {
+		t.Errorf("merged maps wrong: %v", a.Maps)
+	}
+	if len(a.Queues["q1"]) != 3 || string(a.Queues["q1"][2]) != "e3" || len(a.Queues["q2"]) != 1 {
+		t.Errorf("merged queues wrong: %v", a.Queues)
+	}
+	if a.Counters["sold"] != 42 || a.Counters["only-a"] != 3 || a.Counters["only-b"] != 7 {
+		t.Errorf("merged counters wrong (partials must sum): %v", a.Counters)
+	}
+}

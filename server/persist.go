@@ -632,47 +632,6 @@ func (s *Server) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// Export captures a stitched whole-store image: a task on every shard's
-// loop exports its registry via the parallel-nested bulk read, and the
-// per-shard images are merged into one (counter partials summing — see
-// stmlib.RegistryImage.Merge). The returned watermarks hold each
-// shard's WAL tail LSN at capture time (zero without a data directory):
-// the image is exactly the state after watermark[i] logged batches on
-// shard i. The tasks are queued in one call (queueAll), so every
-// cross-shard envelope runs before the export on all its participants
-// or after it on all of them — the stitched image is a consistent cut,
-// though each shard captures at its own moment.
-func (s *Server) Export() (*stmlib.RegistryImage, []uint64, error) {
-	n := len(s.shards)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	images := make([]*stmlib.RegistryImage, n)
-	watermarks := make([]uint64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	if err := s.queueAll(ids, nil, func(sh *shard) {
-		defer wg.Done()
-		if sh.wal != nil {
-			watermarks[sh.id] = sh.wal.TailLSN()
-		}
-		errs[sh.id] = sh.rt.Run(func(c *pnstm.Ctx) { images[sh.id] = sh.reg.Export(c) })
-	}); err != nil {
-		return nil, nil, fmt.Errorf("server: export: %w", err)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, nil, fmt.Errorf("server: export: %w", err)
-	}
-	img := images[0]
-	for _, other := range images[1:] {
-		img.Merge(other)
-	}
-	return img, watermarks, nil
-}
-
 // checkpointLoop runs Checkpoint on the LIVE cadence (Config's
 // SnapshotEvery, a PUT /config knob) until Close. The ticker fires on a
 // short base period and the loop decides whether the cadence has

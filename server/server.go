@@ -242,8 +242,8 @@ type ServerStats struct {
 }
 
 // Server owns the listener, the shard engines and the connection
-// handling. Create with New, start with Serve or ListenAndServe, stop
-// with Close.
+// handling. Create with New, start with Listen and Serve, stop with
+// Close.
 type Server struct {
 	// cfg is the configuration, whole: an immutable snapshot readers
 	// Load and UpdateConfig replaces (D51). cfgWrite orders the writers.
@@ -559,9 +559,6 @@ func (s *Server) Runtime() *pnstm.Runtime { return s.shards[0].rt }
 // Shards is 1 (in-process embedding, tests).
 func (s *Server) Registry() *stmlib.Registry { return s.shards[0].reg }
 
-// ShardCount reports how many engine partitions the server runs.
-func (s *Server) ShardCount() int { return len(s.shards) }
-
 // Listen binds the configured address (and the admin address, when
 // configured). Addr()/AdminAddr() are valid afterwards, which is how
 // tests bind ":0" and discover the ports before Serve.
@@ -611,14 +608,6 @@ func (s *Server) Serve() error {
 		s.wg.Add(1)
 		go s.handleConn(nc)
 	}
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // Close shuts down gracefully: stop accepting, stop the checkpointer,

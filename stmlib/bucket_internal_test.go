@@ -59,15 +59,12 @@ func TestBucketImmutableUnderAbort(t *testing.T) {
 		"PutTTL/replace":     func(c *pnstm.Ctx) { m.PutTTL(c, 3, 99, 7) },
 		"Delete":             func(c *pnstm.Ctx) { m.Delete(c, 1.25) },
 		"ExpireThrough":      func(c *pnstm.Ctx) { m.ExpireThrough(c, 0.5, 10) },
-		"Update/replace":     func(c *pnstm.Ctx) { m.Update(c, 2, func(v int, _ bool) (int, bool) { return v + 1, true }) },
-		"Update/delete":      func(c *pnstm.Ctx) { m.Update(c, 4, func(int, bool) (int, bool) { return 0, false }) },
 		"BulkUpdate/replace": func(c *pnstm.Ctx) { m.BulkUpdate(c, []float64{1.25, 1.75, 5}, replace) },
 		"BulkUpdate/insert":  func(c *pnstm.Ctx) { m.BulkUpdate(c, []float64{1.5, 7}, replace) },
 		"BulkUpdate/delete": func(c *pnstm.Ctx) {
 			m.BulkUpdate(c, keys[:3], func(float64, int, bool) (int, bool) { return 0, false })
 		},
 		"ImportTTLs": func(c *pnstm.Ctx) { m.ImportTTLs(c, map[float64]int64{2: 9, 6: 9}) },
-		"Clear":      func(c *pnstm.Ctx) { m.Clear(c) },
 	}
 	abort := errors.New("abort")
 	for name, write := range writes {

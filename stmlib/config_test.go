@@ -135,9 +135,8 @@ func TestConfigPathsCommutativeStructures(t *testing.T) {
 					return func(c *pnstm.Ctx) {
 						_ = c.Atomic(func(c *pnstm.Ctx) error {
 							ctr.Add(c, adds)
-							m.Update(c, "shared", func(v int, ok bool) (int, bool) {
-								return v + 1, true
-							})
+							v, _ := m.Get(c, "shared")
+							m.Put(c, "shared", v+1)
 							q.Push(c, 1)
 							return nil
 						})

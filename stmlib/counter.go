@@ -36,9 +36,6 @@ func NewTCounter(stripes int) *TCounter {
 	return t
 }
 
-// Stripes returns the stripe count (diagnostics and benchmarks).
-func (t *TCounter) Stripes() int { return len(t.stripes) }
-
 // SetLabel names the counter's stripes for conflict attribution (D35):
 // stripe i becomes "c:<name>/<i>" in flight-recorder events. Call once
 // at construction time, before transactions touch the counter.
@@ -78,16 +75,4 @@ func (t *TCounter) Sum(c *pnstm.Ctx) int64 {
 		return nil
 	})
 	return total
-}
-
-// Reset sets the counter to zero in one nested transaction, like Sum.
-func (t *TCounter) Reset(c *pnstm.Ctx) {
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		for _, s := range t.stripes {
-			if pnstm.Load(c, s) != 0 {
-				pnstm.Store(c, s, 0)
-			}
-		}
-		return nil
-	})
 }

@@ -7,7 +7,7 @@
 // compose — an Atomic body may touch a TMap, a TQueue, a TCounter and
 // plain TVars and the whole body commits or aborts as one unit. What this
 // runtime uniquely adds is the paper's parallel nesting: a single bulk
-// operation (TMap.Range, TMap.Clear, TMap.BulkUpdate, a TSortedMap scan)
+// operation (TMap.Snapshot, TMap.BulkUpdate, a TSortedMap scan)
 // forks one child transaction per group of buckets or leaves via
 // fork.Each, at most one group per worker of the runtime, so the bulk
 // work runs on all worker slots while still being one atomic step of the
@@ -19,7 +19,7 @@
 // Three structures ship today:
 //
 //   - TMap[K, V]: a bucketed hash map. Point operations (Get, Put,
-//     Delete, Contains) touch one bucket; bulk operations fan out one
+//     Delete) touch one bucket; bulk operations fan out one
 //     nested child per bucket group.
 //   - TQueue[T]: a two-stack FIFO queue over persistent (immutable) cons
 //     lists, so aborts never alias live state.

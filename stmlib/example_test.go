@@ -72,3 +72,12 @@ func ExampleTQueue_ConsumeLease() {
 	// working on "resize image" (lease 1)
 	// gave back "send email", queue holds 1
 }
+
+// A registry sizes every structure it creates from its config: maps get
+// MapBuckets buckets.
+func ExampleTMap_Buckets() {
+	r := stmlib.NewRegistry(stmlib.RegistryConfig{MapBuckets: 16})
+	fmt.Println(r.Map("orders").Buckets())
+	// Output:
+	// 16
+}

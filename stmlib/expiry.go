@@ -68,11 +68,3 @@ func LeaseRef(id uint64) string {
 	binary.BigEndian.PutUint64(b, id)
 	return string(b)
 }
-
-// ParseLeaseRef decodes a LeaseRef back into the lease id.
-func ParseLeaseRef(ref string) (uint64, bool) {
-	if len(ref) != 8 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64([]byte(ref)), true
-}

@@ -188,14 +188,13 @@ func TestRegistryImageV2RoundTrip(t *testing.T) {
 	})
 }
 
-// TestTMapDeleteTakesDeadlineAlong: a TTL'd key deleted through Update or
-// BulkUpdate loses its deadline with it. Re-inserted through Update, the
-// key is a plain key: visible past the old deadline, never swept, absent
-// from the expiry index.
+// TestTMapDeleteTakesDeadlineAlong: a TTL'd key deleted through BulkUpdate
+// loses its deadline with it. Re-inserted through BulkUpdate, which keeps
+// a kept key's deadline, the key is a plain key: visible past the old
+// deadline, never swept, absent from the expiry index.
 func TestTMapDeleteTakesDeadlineAlong(t *testing.T) {
 	drop := func(_ []byte, _ bool) ([]byte, bool) { return nil, false }
 	deletes := map[string]func(c *pnstm.Ctx, m *stmlib.TMap[string, []byte], k string){
-		"Update": func(c *pnstm.Ctx, m *stmlib.TMap[string, []byte], k string) { m.Update(c, k, drop) },
 		"BulkUpdate": func(c *pnstm.Ctx, m *stmlib.TMap[string, []byte], k string) {
 			m.BulkUpdate(c, []string{k}, func(_ string, v []byte, ok bool) ([]byte, bool) { return drop(v, ok) })
 		},
@@ -209,7 +208,7 @@ func TestTMapDeleteTakesDeadlineAlong(t *testing.T) {
 			run(t, rt, func(c *pnstm.Ctx) {
 				m.PutTTL(c, "k", []byte("old"), past)
 				del(c, m, "k")
-				m.Update(c, "k", func(_ []byte, ok bool) ([]byte, bool) {
+				m.BulkUpdate(c, []string{"k"}, func(_ string, _ []byte, ok bool) ([]byte, bool) {
 					if ok {
 						t.Error("deleted key still present")
 					}

@@ -13,12 +13,12 @@ import (
 // deadline beside the value, so a value and its deadline are written,
 // rolled back and deleted together.
 //
-// Point operations (Get, Put, Delete, Contains) run as one nested
+// Point operations (Get, Put, Delete) run as one nested
 // transaction touching a single bucket, so operations on different
 // buckets by parallel sibling transactions do not conflict; a write
 // copies its bucket once, with the one entry inserted, replaced or
-// removed. Bulk operations (Len, Range, Snapshot, Clear, BulkUpdate) split
-// their buckets into at most one contiguous group per worker of the
+// removed. Bulk operations (Len, Snapshot, BulkUpdate) split their
+// buckets into at most one contiguous group per worker of the
 // runtime and run each group as one nested child transaction via
 // fork.Each: inside an enclosing transaction the whole bulk step is
 // atomic, yet its work runs on every worker slot. Under
@@ -161,12 +161,6 @@ func (m *TMap[K, V]) Get(c *pnstm.Ctx, k K) (V, bool) {
 	return v, ok
 }
 
-// Contains reports whether k is present.
-func (m *TMap[K, V]) Contains(c *pnstm.Ctx, k K) bool {
-	_, ok := m.Get(c, k)
-	return ok
-}
-
 // Put stores v under k, replacing any previous value and clearing any
 // previous TTL deadline.
 func (m *TMap[K, V]) Put(c *pnstm.Ctx, k K, v V) {
@@ -229,36 +223,6 @@ func (m *TMap[K, V]) drop(c *pnstm.Ctx, k K, due func(entry[K, V]) bool) bool {
 	return had
 }
 
-// Update atomically transforms the value under k: f receives the current
-// value (or the zero V) and whether k was present, and returns the value
-// to store and whether to keep the key at all (false deletes it, deadline
-// included; a kept key keeps its deadline). Update returns the stored
-// value and the keep decision. f may run several times (transaction
-// retry) and must be side-effect free.
-func (m *TMap[K, V]) Update(c *pnstm.Ctx, k K, f func(V, bool) (V, bool)) (V, bool) {
-	h, tv := m.bucket(k)
-	var out V
-	var kept bool
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		b := pnstm.Load(c, tv)
-		i, found := find(b, h, k)
-		e := entry[K, V]{h: h, k: k}
-		if found {
-			e = b[i]
-		}
-		out, kept = f(e.v, found)
-		if kept {
-			e.v = out
-			pnstm.Store(c, tv, set(b, i, found, e))
-		} else if found {
-			pnstm.Store(c, tv, remove(b, i))
-			m.expire(c, e)
-		}
-		return nil
-	})
-	return out, kept
-}
-
 // Len returns the number of entries. It is a bulk read: one nested child
 // per bucket group counts its slice of the bucket array in parallel.
 func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
@@ -275,24 +239,6 @@ func (m *TMap[K, V]) Len(c *pnstm.Ctx) int {
 		return nil
 	})
 	return total
-}
-
-// Range calls f for every entry. One nested child per bucket group walks
-// its buckets, so f is called concurrently from parallel children (and
-// possibly more than once per entry if a child retries): f must be safe
-// for concurrent use and idempotent, or commutative like an atomic
-// accumulation. For a plain consistent copy use Snapshot.
-func (m *TMap[K, V]) Range(c *pnstm.Ctx, f func(K, V)) {
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(m.buckets), 1, doFunc(func(c *pnstm.Ctx, lo, hi int) {
-			for _, b := range m.buckets[lo:hi] {
-				for _, e := range pnstm.Load(c, b) {
-					f(e.k, e.v)
-				}
-			}
-		}), nil)
-		return nil
-	})
 }
 
 // Snapshot returns a consistent copy of the whole map, collected by one
@@ -328,24 +274,6 @@ func collect[K comparable, V, T any](c *pnstm.Ctx, m *TMap[K, V], pick func(entr
 		return nil
 	})
 	return out
-}
-
-// Clear removes every entry (and every TTL deadline), one nested child
-// per bucket group.
-func (m *TMap[K, V]) Clear(c *pnstm.Ctx) {
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		forEachGroup(c, len(m.buckets), 1, doFunc(func(c *pnstm.Ctx, lo, hi int) {
-			for _, b := range m.buckets[lo:hi] {
-				if old := pnstm.Load(c, b); old != nil {
-					pnstm.Store[[]entry[K, V]](c, b, nil)
-					for _, e := range old {
-						m.expire(c, e)
-					}
-				}
-			}
-		}), nil)
-		return nil
-	})
 }
 
 // ImportTTLs restores exported deadlines onto keys that already hold
@@ -390,9 +318,10 @@ func (m *TMap[K, V]) ImportTTLs(c *pnstm.Ctx, ttls map[K]int64) {
 // BulkUpdate applies f to every key in keys as one atomic step. The
 // buckets the keys touch are split into groups, and one nested child per
 // group applies its buckets' keys; keys in different groups are updated
-// by different child transactions. f has Update semantics: (current
-// value, present) in, (new value, keep) out; a deleted key's deadline
-// goes with it. Duplicate keys in keys are applied once per occurrence in
+// by different child transactions. f takes the key, its current value
+// and whether it is present, and returns the new value and whether to
+// keep the key (false deletes it, deadline included; a kept key keeps
+// its deadline). Duplicate keys in keys are applied once per occurrence in
 // an unspecified order; f must be side-effect free (children retry on
 // conflict). Each touched bucket is copied once and stored once, however
 // many keys land in it; the copy is the child's own until Store, so only

@@ -102,7 +102,6 @@ func (s leafScript) applyRef(ref map[int]int) {
 type oracleMap interface {
 	Put(c *pnstm.Ctx, k, v int)
 	Delete(c *pnstm.Ctx, k int) bool
-	Update(c *pnstm.Ctx, k int, f func(int, bool) (int, bool)) (int, bool)
 	Get(c *pnstm.Ctx, k int) (int, bool)
 	Snapshot(c *pnstm.Ctx) map[int]int
 }
@@ -117,9 +116,8 @@ func (s leafScript) applyTM(c *pnstm.Ctx, m oracleMap) {
 			case 1:
 				m.Delete(c, op.key)
 			case 2:
-				m.Update(c, op.key, func(v int, ok bool) (int, bool) {
-					return v + op.val, true
-				})
+				v, _ := m.Get(c, op.key)
+				m.Put(c, op.key, v+op.val)
 			}
 		}
 		return nil
@@ -208,8 +206,8 @@ func TestOracleTMapRandomProgramsMatchReference(t *testing.T) {
 // TestOracleTMapHashCollisions runs the oracle programs on keys that
 // collide: int key k is stored as float64 k/4, and hashKey truncates a
 // float to its integer part, so each run of four keys (1.25 and 1.75
-// among them) shares one hash and one bucket. Put, Delete, Update and Get
-// must each find the key's own entry in its run of equal hashes.
+// among them) shares one hash and one bucket. Put, Delete and Get must
+// each find the key's own entry in its run of equal hashes.
 func TestOracleTMapHashCollisions(t *testing.T) {
 	oracleTMap(t, 1, func() oracleMap { return collidingMap{stmlib.NewTMap[float64, int](8)} })
 }
@@ -256,9 +254,6 @@ func quarter(k int) float64 { return float64(k) / 4 }
 func (cm collidingMap) Put(c *pnstm.Ctx, k, v int)          { cm.m.Put(c, quarter(k), v) }
 func (cm collidingMap) Delete(c *pnstm.Ctx, k int) bool     { return cm.m.Delete(c, quarter(k)) }
 func (cm collidingMap) Get(c *pnstm.Ctx, k int) (int, bool) { return cm.m.Get(c, quarter(k)) }
-func (cm collidingMap) Update(c *pnstm.Ctx, k int, f func(int, bool) (int, bool)) (int, bool) {
-	return cm.m.Update(c, quarter(k), f)
-}
 func (cm collidingMap) Snapshot(c *pnstm.Ctx) map[int]int {
 	out := make(map[int]int)
 	for f, v := range cm.m.Snapshot(c) {
@@ -293,9 +288,8 @@ func TestOracleCommutativeAllStructures(t *testing.T) {
 				return func(c *pnstm.Ctx) {
 					_ = c.Atomic(func(c *pnstm.Ctx) error {
 						ctr.Add(c, adds)
-						m.Update(c, "shared", func(v int, ok bool) (int, bool) {
-							return v + 1, true
-						})
+						v, _ := m.Get(c, "shared")
+						m.Put(c, "shared", v+1)
 						q.Push(c, 1)
 						return nil
 					})

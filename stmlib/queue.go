@@ -138,20 +138,6 @@ func (q *TQueue[T]) Pop(c *pnstm.Ctx) (v T, ok bool) {
 	return v, ok
 }
 
-// Peek returns the front element without removing it; ok is false when
-// the queue is empty. (Peeking still counts as an access for conflict
-// detection — in this STM every access does, paper §4.2 — but it runs the
-// in-stack reversal at most once, like Pop.)
-func (q *TQueue[T]) Peek(c *pnstm.Ctx) (v T, ok bool) {
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		if head := q.flip(c); head != nil {
-			v, ok = head.v, true
-		}
-		return nil
-	})
-	return v, ok
-}
-
 // Len returns the number of queued elements.
 func (q *TQueue[T]) Len(c *pnstm.Ctx) int {
 	var n int

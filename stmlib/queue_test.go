@@ -23,9 +23,6 @@ func TestTQueueFIFO(t *testing.T) {
 				if n := q.Len(c); n != 10 {
 					t.Errorf("len = %d", n)
 				}
-				if v, ok := q.Peek(c); !ok || v != 0 {
-					t.Errorf("peek = %d,%v", v, ok)
-				}
 				for i := 0; i < 10; i++ {
 					v, ok := q.Pop(c)
 					if !ok || v != i {

@@ -20,8 +20,8 @@ import (
 //
 // The registry never deletes a structure; a name, once used, stays bound
 // to the same structure for the registry's lifetime. (Transactional
-// emptying — TMap.Clear, draining a queue, TCounter.Reset — is the
-// supported way to reclaim contents.)
+// emptying — deleting a map's keys, draining a queue — is the supported
+// way to reclaim contents.)
 type Registry struct {
 	mu       sync.RWMutex
 	maps     map[string]*TMap[string, []byte]

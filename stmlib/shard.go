@@ -39,67 +39,3 @@ func ShardIndex(name string, n int) int {
 	h ^= h >> 31
 	return int(h % uint64(n))
 }
-
-// Merge folds other into img — the stitching step of a sharded
-// whole-store export. Structures routed by ShardIndex live on exactly
-// one shard, so maps and queues from different shards are disjoint by
-// name (defensively, map entries overwrite by key and queue elements
-// append). Counters are the exception: a cross-structure transaction
-// (e.g. a checkout crediting a sold counter) materializes its counters
-// on ITS shard, so one counter name may hold partial totals on several
-// shards — Merge adds them, which is exact because counter state is a
-// commutative sum.
-func (img *RegistryImage) Merge(other *RegistryImage) {
-	if other == nil {
-		return
-	}
-	for name, entries := range other.Maps {
-		dst := img.Maps[name]
-		if dst == nil {
-			dst = make(map[string][]byte, len(entries))
-			img.Maps[name] = dst
-		}
-		for k, v := range entries {
-			dst[k] = v
-		}
-	}
-	for name, elems := range other.Queues {
-		img.Queues[name] = append(img.Queues[name], elems...)
-	}
-	for name, total := range other.Counters {
-		img.Counters[name] += total
-	}
-	for name, ttls := range other.MapTTLs {
-		if img.MapTTLs == nil {
-			img.MapTTLs = make(map[string]map[string]int64)
-		}
-		dst := img.MapTTLs[name]
-		if dst == nil {
-			dst = make(map[string]int64, len(ttls))
-			img.MapTTLs[name] = dst
-		}
-		for k, exp := range ttls {
-			dst[k] = exp
-		}
-	}
-	for name, entries := range other.Sorted {
-		if img.Sorted == nil {
-			img.Sorted = make(map[string][]SortedEntry[string, []byte])
-		}
-		img.Sorted[name] = append(img.Sorted[name], entries...)
-	}
-	for name, recs := range other.Leases {
-		if img.Leases == nil {
-			img.Leases = make(map[string][]LeaseRecord[[]byte])
-		}
-		img.Leases[name] = append(img.Leases[name], recs...)
-	}
-	for name, seq := range other.LeaseSeqs {
-		if img.LeaseSeqs == nil {
-			img.LeaseSeqs = make(map[string]uint64)
-		}
-		if seq > img.LeaseSeqs[name] {
-			img.LeaseSeqs[name] = seq
-		}
-	}
-}

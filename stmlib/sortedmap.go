@@ -119,9 +119,6 @@ func (m *TSortedMap[K, V]) SetExpiryHook(h func(c *pnstm.Ctx, oldExp, newExp int
 	m.hook = h
 }
 
-// Leaves returns the current leaf count (diagnostics and tests).
-func (m *TSortedMap[K, V]) Leaves() int { return len(m.root.Peek().leaves) }
-
 // newLeaf allocates a leaf variable holding es, labeled if the map is.
 func (m *TSortedMap[K, V]) newLeaf(es []SortedEntry[K, V]) *pnstm.TVar[[]SortedEntry[K, V]] {
 	tv := pnstm.NewTVar(es)
@@ -154,12 +151,6 @@ func (m *TSortedMap[K, V]) getAt(c *pnstm.Ctx, k K, now int64) (V, bool) {
 		return nil
 	})
 	return v, ok
-}
-
-// Contains reports whether k holds a live entry.
-func (m *TSortedMap[K, V]) Contains(c *pnstm.Ctx, k K) bool {
-	_, ok := m.Get(c, k)
-	return ok
 }
 
 // Put stores v under k with no TTL, replacing any previous value (and

@@ -35,7 +35,7 @@ func TestTSortedMapBasic(t *testing.T) {
 				if m.Delete(c, "a") {
 					t.Error("double delete a = true")
 				}
-				if m.Contains(c, "a") {
+				if _, ok := m.Get(c, "a"); ok {
 					t.Error("a still present after delete")
 				}
 				if n := m.Len(c); n != 2 {
@@ -224,7 +224,7 @@ func TestTSortedMapTTL(t *testing.T) {
 		if !m.ExpireThrough(c, "soon", now) {
 			t.Error("ExpireThrough missed a due key")
 		}
-		if m.Contains(c, "soon") {
+		if _, ok := m.Get(c, "soon"); ok {
 			t.Error("soon still present after expire")
 		}
 	})
