@@ -436,8 +436,8 @@ func runLeg(l *leg, o *abOpts) (*genResult, error) {
 			st0 := env.srv.Stats().Runtime
 			time.Sleep(2 * time.Second)
 			d := env.srv.Stats().Runtime.Sub(st0)
-			fmt.Printf("%s: 2s delta begun=%d committed=%d aborted=%d escalations=%d crises=%d\n",
-				l.label, d.Begun, d.Committed, d.Aborted, d.Escalations, d.Crises)
+			fmt.Printf("%s: 2s delta begun=%d committed=%d aborted=%d escalations=%d\n",
+				l.label, d.Begun, d.Committed, d.Aborted, d.Escalations)
 		}
 		return &genResult{notes: []string{fmt.Sprintf("wedged: no completion within %v (scored 0)", budget)}}, nil
 	}

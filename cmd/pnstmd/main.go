@@ -44,11 +44,10 @@
 // the final stats. Drive it with cmd/pnstm-loadgen.
 //
 // Conflict X-ray tracing (-trace, on by default) records the lifecycle
-// of 1 in 8 batches, and every abort, escalation and crisis, into
-// per-slot flight-recorder rings; the admin listener ranks the retained
-// aborts by key on GET /debug/hotkeys and serves the raw event window
-// on GET /debug/trace?secs=N, and a crisis-token engagement dumps the
-// recorder to a timestamped flight-*.json in the data directory.
+// of 1 in 8 batches, and every abort and escalation, into per-slot
+// flight-recorder rings; the admin listener ranks the retained aborts
+// by key on GET /debug/hotkeys and serves the raw event window on
+// GET /debug/trace?secs=N.
 package main
 
 import (
@@ -100,7 +99,7 @@ func main() {
 		syncDelay  = flag.Duration("syncdelay", 0, "artificial per-fsync latency floor (benchmark hook simulating slower stable storage, same knob as pnstm-loadgen -syncdelay; with -data-dir -fsync)")
 		adminAddr  = flag.String("admin", "", "HTTP admin listen address serving /metrics (Prometheus), /healthz, /readyz, GET/PUT /config, /debug/hotkeys and /debug/trace (empty: no admin listener)")
 		adminDebug = flag.Bool("admin-debug", false, "additionally mount net/http/pprof under /debug/pprof/ on the admin listener")
-		trace      = flag.Bool("trace", true, "conflict X-ray: record transaction-lifecycle events for /debug/hotkeys, /debug/trace and crisis dumps (togglable live via PUT /config)")
+		trace      = flag.Bool("trace", true, "conflict X-ray: record transaction-lifecycle events for /debug/hotkeys and /debug/trace (togglable live via PUT /config)")
 		reapEvery  = flag.Duration("reap-interval", 5*time.Second, "TTL/lease reaper cadence: physically remove expired map/sorted-map entries and requeue overdue queue leases (0 disables; primary only — replicas replay the primary's reaps)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		logFormat  = flag.String("log-format", "text", "log record format: text or json")

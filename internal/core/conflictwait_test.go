@@ -12,9 +12,9 @@ import (
 func tinyWait(c *Config) { c.ConflictWait = time.Nanosecond }
 
 // shortWait pins a 40 µs conflict wait, about what 64 yields take at
-// GOMAXPROCS=2. Tests that exist to drive rollback, escalation or the
-// crisis breaker under contention pin it: at the default wait many of
-// their conflicts would wait for the holder's commit instead of aborting.
+// GOMAXPROCS=2. Tests that exist to drive rollback, escalation or a
+// cross-root write storm under contention pin it: at the default wait many
+// of their conflicts would wait for the holder's commit instead of aborting.
 func shortWait(c *Config) { c.ConflictWait = 40 * time.Microsecond }
 
 // TestConflictWaitOutlastsHolder: a live conflict whose holder commits

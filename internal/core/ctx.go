@@ -160,12 +160,6 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 		return c.Atomic(fn)
 	}
 	c.aborts = 0
-	crisis := false
-	defer func() {
-		if crisis {
-			c.rt.crisisToken.Store(false)
-		}
-	}()
 	for {
 		tx := c.begin()
 		err, conflicted, confObj, pval, panicked := c.runBody(fn)
@@ -206,39 +200,6 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 					c.traceEvent(EvEscalate, tx.depth, objLabel(confObj))
 				}
 				panic(conflictSignal{obj: confObj})
-			}
-			if tx.parent == nil && !crisis && int(c.aborts) >= c.rt.cfg.CrisisAborts {
-				// Cross-root livelock breaker: concurrent roots with
-				// overlapping write sets can abort each other past any
-				// backoff backoffMax can provide. Race for the runtime's
-				// crisis token; the winner retries at full speed while
-				// every loser quiesces until the token frees — one sleep
-				// per attempt is not enough, because a single re-executing
-				// competitor subtree is active for long enough to keep
-				// aborting the holder. The wait is bounded (a stuck holder
-				// cannot wedge losers forever) and each exit re-contends,
-				// so the storm drains one committing root at a time.
-				if c.rt.crisisToken.CompareAndSwap(false, true) {
-					crisis = true
-					c.rt.stats.crises.Add(1)
-					if c.rt.tracing() {
-						c.traceEvent(EvCrisis, tx.depth, objLabel(confObj))
-					}
-					if hook := c.rt.crisisHook; hook != nil {
-						hook()
-					}
-				} else {
-					// The bound exists only for a pathologically stuck
-					// holder. It must dwarf the cost of one loser attempt
-					// (tens of ms of nested churn before the root unwinds):
-					// with a short bound, a handful of losers re-attacking
-					// every bound keeps the holder from ever running alone.
-					for waited := time.Duration(0); c.rt.crisisToken.Load() &&
-						waited < 512*c.rt.cfg.CrisisBackoff; {
-						waited += c.crisisSleep()
-					}
-					continue
-				}
 			}
 			c.backoff()
 		case panicked:
@@ -505,21 +466,6 @@ func (c *Ctx) backoff() {
 		d = time.Duration(c.slot.rng.Int63n(int64(d))) + 1
 	}
 	time.Sleep(d)
-}
-
-// crisisSleep quiesces a root that lost the crisis-token race: a long
-// randomized sleep (within [CrisisBackoff/2, CrisisBackoff), dwarfing a
-// root attempt's execution time) so the token holder runs effectively
-// alone. Pure sleep — no lock is held or waited on — so a slot pinned
-// through it delays, but can never deadlock, the scheduler. Returns the
-// interval actually slept so callers can bound their total wait.
-func (c *Ctx) crisisSleep() time.Duration {
-	d := c.rt.cfg.CrisisBackoff
-	if c.slot != nil && d > 1 {
-		d = d/2 + time.Duration(c.slot.rng.Int63n(int64(d/2))) + 1
-	}
-	time.Sleep(d)
-	return d
 }
 
 // yieldSlot releases the worker slot to the scheduler and re-acquires one,

@@ -54,27 +54,6 @@ type Config struct {
 	// merged children's entries. Default 8.
 	EscalateAfterAborts int
 
-	// CrisisAborts is the number of consecutive ROOT aborts after which
-	// the cross-root livelock breaker engages. Nested escalation (above)
-	// resolves contention inside one block tree, but concurrent root
-	// transactions with overlapping write sets can still abort each other
-	// forever: exponential backoff tops out at backoffMax, which is
-	// comparable to one root attempt's execution time, so staggering
-	// never separates them. A root that aborts this many times contends
-	// for the runtime's single crisis token: the winner keeps retrying
-	// with normal backoff while every loser sleeps CrisisBackoff-scale
-	// intervals between attempts — quiescing the system so the token
-	// holder commits, releases the token, and the next struggling root
-	// takes it. Token waiters only ever sleep (never block on a lock
-	// while holding a worker slot), so the breaker cannot deadlock the
-	// scheduler. Default 16.
-	CrisisAborts int
-
-	// CrisisBackoff is the sleep interval for roots that lost the crisis
-	// token race. It must dwarf a typical root attempt so the holder runs
-	// effectively alone. Default 2ms.
-	CrisisBackoff time.Duration
-
 	// Seed seeds the per-slot RNGs used for backoff jitter. Default 1.
 	Seed int64
 }
@@ -91,12 +70,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.EscalateAfterAborts <= 0 {
 		c.EscalateAfterAborts = 8
-	}
-	if c.CrisisAborts <= 0 {
-		c.CrisisAborts = 16
-	}
-	if c.CrisisBackoff <= 0 {
-		c.CrisisBackoff = 2 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -126,13 +99,6 @@ type Runtime struct {
 	// read as the root's own, and its first write would log no undo record.
 	serialEp epoch.Epoch
 
-	// crisisToken is the cross-root livelock breaker's exclusivity hint:
-	// held (true) while one root transaction that crossed CrisisAborts
-	// retries at full speed and its competitors quiesce. A hint, not a
-	// lock — losers keep retrying on a slow clock, so a stuck holder can
-	// never wedge the runtime.
-	crisisToken atomic.Bool
-
 	// rec is the lifecycle-event flight recorder (D35). Always built;
 	// records only while its enabled flag is set.
 	rec *recorder
@@ -140,10 +106,6 @@ type Runtime struct {
 	// rootSeq tickets traced root transactions so every event in one
 	// root's lineage shares an identity.
 	rootSeq atomic.Uint64
-
-	// crisisHook, when non-nil, runs on the goroutine of each root that
-	// takes the crisis token (the server dumps the flight recorder).
-	crisisHook func()
 
 	// testHook, when non-nil, receives diagnostic scheduling events
 	// (dispatch decisions, borrow conversions). Tests only. Call sites

@@ -13,7 +13,10 @@ type Stats struct {
 	Conflicts   uint64 // conflict detections (>= Aborted: spinning may resolve some)
 	SpinSaves   uint64 // conflicts that disappeared while re-testing (lazy-publication window)
 	Escalations uint64 // conflicts propagated to the parent transaction (nesting-aware CM)
-	Crises      uint64 // cross-root livelock-breaker engagements (crisis-token acquisitions)
+	// Crises always reads 0: the cross-root crisis breaker it counted is
+	// gone. It stays only for the benchmark's core.crises row and goes
+	// with that row (ROADMAP item 12).
+	Crises uint64
 
 	// Scheduling.
 	Dispatches     uint64 // blocks dispatched with a reserved bitnum
@@ -122,7 +125,7 @@ func (s Stats) AbortRate() float64 {
 // counters is the live, atomically updated form of Stats.
 type counters struct {
 	begun, committed, aborted, userAbort, conflicts, spinSaves       atomic.Uint64
-	escalations, crises                                              atomic.Uint64
+	escalations                                                      atomic.Uint64
 	dispatches, borrowDispatch, inlineChildren, serializedFork       atomic.Uint64
 	handoffs, slotYields, selfDiscards, remoteDiscards, borrowSwitch atomic.Uint64
 	helpPublishes, readerPrunes, readerDropped                       atomic.Uint64
@@ -137,7 +140,6 @@ func (c *counters) snapshot() Stats {
 		Conflicts:            c.conflicts.Load(),
 		SpinSaves:            c.spinSaves.Load(),
 		Escalations:          c.escalations.Load(),
-		Crises:               c.crises.Load(),
 		Dispatches:           c.dispatches.Load(),
 		BorrowDispatch:       c.borrowDispatch.Load(),
 		InlineChildren:       c.inlineChildren.Load(),

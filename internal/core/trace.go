@@ -30,7 +30,6 @@ const (
 	EvCommit
 	EvAbort    // conflict abort (the transaction retries)
 	EvEscalate // conflict propagated to the parent transaction
-	EvCrisis   // cross-root livelock breaker engaged by this root
 )
 
 // Event is one recorded transaction-lifecycle transition. Identity
@@ -57,7 +56,7 @@ type Event struct {
 // traceRingSize is each per-slot ring's capacity. Power of two; at
 // ~2.5k events per second per slot under a hot loadgen this holds a
 // couple of seconds of history per slot, which is what the trace
-// endpoint and the crisis dump want.
+// endpoint wants.
 const traceRingSize = 4096
 
 // traceChunkSize is the writer-side allocation batch: events are carved
@@ -118,7 +117,7 @@ func (r *traceRing) snapshot(out []Event) []Event {
 // line).
 //
 // Each slot gets TWO rings: the main lifecycle ring (the firehose) and
-// a conflict ring holding only abort/escalate/crisis events. Conflicts
+// a conflict ring holding only abort/escalate events. Conflicts
 // are orders of magnitude rarer than begins/commits, so a conflict ring
 // keeps the slot's recent conflicts long after the firehose has lapped
 // them: a reader ranking hot keys sees thousands of aborts, not the
@@ -212,7 +211,7 @@ func (rt *Runtime) TracingEnabled() bool { return rt.tracing() }
 
 // SetTraceSampling records full begin/commit lifecycle events for 1 in
 // every roots (by root ticket); 0 or 1 records every root. Conflict
-// events — abort, escalate, crisis — are ALWAYS recorded regardless,
+// events — abort, escalate — are ALWAYS recorded regardless,
 // so hot-key attribution stays exact while the steady-state firehose
 // shrinks by the sampling factor (D38).
 func (rt *Runtime) SetTraceSampling(every uint64) { rt.rec.sample.Store(every) }
@@ -224,7 +223,7 @@ func (rt *Runtime) SetTraceSampling(every uint64) { rt.rec.sample.Store(every) }
 func (rt *Runtime) TraceSnapshot() []Event { return snapshotRings(rt.rec.rings) }
 
 // TraceConflicts is TraceSnapshot over the conflict-only rings: just
-// abort/escalate/crisis events, recorded regardless of lifecycle
+// abort/escalate events, recorded regardless of lifecycle
 // sampling.
 func (rt *Runtime) TraceConflicts() []Event { return snapshotRings(rt.rec.conflicts) }
 
@@ -246,12 +245,6 @@ func (rt *Runtime) TraceStats() (events, dropped uint64) {
 	}
 	return events, dropped
 }
-
-// SetCrisisHook installs fn to be called (on the engaging root's
-// goroutine — it must not block) each time a root transaction takes
-// the crisis token. The server hooks its flight-recorder dump here.
-// Set before the runtime runs work; nil clears.
-func (rt *Runtime) SetCrisisHook(fn func()) { rt.crisisHook = fn }
 
 // ---------------------------------------------------------------------------
 // Per-context trace identity

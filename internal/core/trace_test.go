@@ -263,56 +263,6 @@ func TestTraceAbortAttribution(t *testing.T) {
 	}
 }
 
-// TestCrisisHookAndEvent: a forced cross-root livelock engages the
-// crisis token, which fires the installed hook and records an EvCrisis
-// event — the dump-on-crisis trigger the server builds on.
-func TestCrisisHookAndEvent(t *testing.T) {
-	rt := newRT(t, 2, func(c *Config) {
-		tinyWait(c)
-		c.CrisisAborts = 1 // any root conflict abort engages the breaker
-		c.CrisisBackoff = 50 * time.Microsecond
-	})
-	rt.EnableTracing(true)
-	var hookCalls atomic.Int64
-	rt.SetCrisisHook(func() { hookCalls.Add(1) })
-	hot := NewObject(0)
-	hot.SetLabel("c:crisis/0")
-	deadline := time.Now().Add(10 * time.Second)
-	for rt.Stats().Crises == 0 && time.Now().Before(deadline) {
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 300; i++ {
-					_ = rt.Run(func(c *Ctx) {
-						_ = c.Atomic(func(c *Ctx) error {
-							c.Store(hot, c.Load(hot).(int)+1)
-							return nil
-						})
-					})
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if rt.Stats().Crises == 0 {
-		t.Skip("no crisis provoked on this machine (no cross-root conflicts observed)")
-	}
-	if hookCalls.Load() == 0 {
-		t.Fatal("crisis engaged but the hook never fired")
-	}
-	var crisisEvents int
-	for _, ev := range rt.TraceSnapshot() {
-		if ev.Kind == EvCrisis {
-			crisisEvents++
-		}
-	}
-	if crisisEvents == 0 {
-		t.Fatal("crisis engaged but no EvCrisis event recorded")
-	}
-}
-
 // BenchmarkAtomicTracingOff measures the untraced hot path — the cost
 // the compiled-in instrumentation adds when the flag is off (one
 // atomic load per lifecycle site). Compare with BenchmarkAtomicTracingOn.

@@ -41,11 +41,7 @@ type Publisher struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	// Stats (atomic, readable concurrently).
-	cycles    atomic.Uint64
-	maskOrs   atomic.Uint64
-	published atomic.Uint64 // commit publications
-	freed     atomic.Uint64 // discards processed
+	cycles atomic.Uint64 // background cycles executed (Stats)
 }
 
 // PublisherConfig configures a Publisher.
@@ -127,10 +123,8 @@ func (p *Publisher) publishBitnum(bn bitvec.Bitnum) bool {
 	last := p.lastInMask[bn]
 	if lc := st.LastCommit(bn); lc > last {
 		st.Masks.OrRange(last+1, lc, bn.Bit())
-		p.maskOrs.Add(uint64(lc - last))
 		p.lastInMask[bn] = lc
 		last = lc
-		p.published.Add(1)
 		work = true
 	}
 	if st.IsDiscarded(bn) {
@@ -146,13 +140,11 @@ func (p *Publisher) publishBitnum(bn bitvec.Bitnum) bool {
 		}
 		if target > last {
 			st.Masks.OrRange(last+1, target, bn.Bit())
-			p.maskOrs.Add(uint64(target - last))
 			p.lastInMask[bn] = target
 		}
 		st.endDiscarding(bn)
 		st.clearDiscarded(bn)
 		p.free(bn, target+1)
-		p.freed.Add(1)
 		work = true
 	}
 	return work
@@ -202,18 +194,10 @@ func (p *Publisher) Close() {
 
 // PublisherStats is a snapshot of publisher activity counters.
 type PublisherStats struct {
-	Cycles       uint64 // background cycles executed
-	MaskWrites   uint64 // per-epoch mask OR operations
-	CommitFolds  uint64 // commit publications folded
-	BitnumsFreed uint64 // discards processed and freed
+	Cycles uint64 // background cycles executed
 }
 
 // Stats returns a snapshot of the publisher's counters.
 func (p *Publisher) Stats() PublisherStats {
-	return PublisherStats{
-		Cycles:       p.cycles.Load(),
-		MaskWrites:   p.maskOrs.Load(),
-		CommitFolds:  p.published.Load(),
-		BitnumsFreed: p.freed.Load(),
-	}
+	return PublisherStats{Cycles: p.cycles.Load()}
 }

@@ -171,9 +171,13 @@ func TestPublisherPublishesAllBitnums(t *testing.T) {
 			}
 		}
 	}
-	st := p.Stats()
-	if st.CommitFolds != bitvec.Word {
-		t.Fatalf("CommitFolds = %d", st.CommitFolds)
+	// Each frontier was folded up to its commit and no further: the floor
+	// is the lowest frontier, 6, and epoch 7 holds no bit.
+	if f := h.st.Masks.floor.Load(); f != 6 {
+		t.Fatalf("floor = %d after publishing every frontier at 6", f)
+	}
+	if m := h.st.Masks.Get(7); !m.Empty() {
+		t.Fatalf("epoch 7 holds %v past every frontier", m)
 	}
 }
 

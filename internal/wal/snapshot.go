@@ -106,19 +106,29 @@ func (l *Log) WriteSnapshot(data []byte, lsn uint64) error {
 		os.Remove(final)
 		return nil
 	}
-	old := l.snap
 	l.snap = lsn
 	l.stats.Snapshots++
 	l.stats.SnapshotLSN = lsn
 	l.pruneCoveredLocked()
-	// Drop superseded snapshot files (best-effort; extras are harmless —
-	// recovery always takes the newest valid one).
-	if old != lsn {
-		if prev := snapPath(l.opts.Dir, old); old > 0 {
-			os.Remove(prev)
+	l.pruneSnapshotsLocked()
+	return nil
+}
+
+// pruneSnapshotsLocked drops every snapshot file older than the published
+// one: the one it superseded, and any an earlier WriteSnapshot renamed
+// into place but never published because its directory fsync failed.
+// Best-effort; extras are harmless, since recovery takes the newest valid
+// one. Must hold l.mu.
+func (l *Log) pruneSnapshotsLocked() {
+	entries, err := os.ReadDir(l.opts.Dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if lsn, ok := parseSeq(e.Name(), "snap-", ".snap"); ok && lsn < l.snap {
+			os.Remove(filepath.Join(l.opts.Dir, e.Name()))
 		}
 	}
-	return nil
 }
 
 // Snapshot returns the newest valid snapshot's payload and coverage

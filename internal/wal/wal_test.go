@@ -626,6 +626,35 @@ func TestSnapshotDirSyncFailureKeepsHistory(t *testing.T) {
 	}
 }
 
+// TestSnapshotPublishRemovesUnpublished: a snapshot whose directory fsync
+// failed is on disk but was never published; the next published snapshot
+// removes it along with every other older snapshot file.
+func TestSnapshotPublishRemovesUnpublished(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
+	defer l.Close()
+	for i := 1; i <= 30; i++ {
+		if _, err := l.Append(body(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errSync := failDirSync(t)
+	if err := l.WriteSnapshot([]byte("store-image-at-25"), 25); !errors.Is(err, errSync) {
+		t.Fatalf("WriteSnapshot = %v, want the directory fsync error", err)
+	}
+	dirSync = (*os.File).Sync
+	if err := l.WriteSnapshot([]byte("store-image-at-28"), 28); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 || snaps[0] != snapPath(dir, 28) {
+		t.Fatalf("snapshot files after publishing 28: %v, want only snap-28", snaps)
+	}
+}
+
 // TestDirSyncFailureIsReported: a manifest write and a segment rotation
 // report a failed directory fsync, and the rotation latches the log shut
 // as a failed file fsync does.

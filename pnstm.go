@@ -118,7 +118,7 @@ func (r *Runtime) Workers() int { return r.rt.Workers() }
 func (r *Runtime) Publisher() *epoch.Publisher { return r.rt.Publisher() }
 
 // TraceEvent is one recorded transaction-lifecycle event; see the core
-// package's Event documentation. Kinds are the EvBegin..EvCrisis
+// package's Event documentation. Kinds are the EvBegin..EvEscalate
 // constants.
 type TraceEvent = core.Event
 
@@ -128,7 +128,6 @@ const (
 	EvCommit   = core.EvCommit
 	EvAbort    = core.EvAbort
 	EvEscalate = core.EvEscalate
-	EvCrisis   = core.EvCrisis
 )
 
 // EnableTracing switches lifecycle-event recording on or off (the
@@ -139,17 +138,17 @@ func (r *Runtime) EnableTracing(on bool) { r.rt.EnableTracing(on) }
 func (r *Runtime) TracingEnabled() bool { return r.rt.TracingEnabled() }
 
 // SetTraceSampling records the begin/commit lifecycle for 1 in every
-// roots (0 or 1: every root). Conflict events — abort, escalate,
-// crisis — are always recorded regardless, so abort attribution stays
-// exact under sampling.
+// roots (0 or 1: every root). Conflict events — abort and escalate —
+// are always recorded regardless, so abort attribution stays exact
+// under sampling.
 func (r *Runtime) SetTraceSampling(every uint64) { r.rt.SetTraceSampling(every) }
 
 // TraceSnapshot returns every event the flight recorder's lifecycle
-// rings currently retain (for dumps). Lock-free; safe to call
+// rings currently retain. Lock-free; safe to call
 // concurrently with running transactions.
 func (r *Runtime) TraceSnapshot() []TraceEvent { return r.rt.TraceSnapshot() }
 
-// TraceConflicts returns every abort/escalate/crisis event the
+// TraceConflicts returns every abort/escalate event the
 // dedicated conflict rings currently retain. Conflict events are always
 // recorded regardless of lifecycle sampling, and the firehose never
 // laps them, so these rings hold far more conflict history than
@@ -159,11 +158,6 @@ func (r *Runtime) TraceConflicts() []TraceEvent { return r.rt.TraceConflicts() }
 // TraceStats reports events recorded and events dropped (overwritten,
 // no longer retained).
 func (r *Runtime) TraceStats() (events, dropped uint64) { return r.rt.TraceStats() }
-
-// SetCrisisHook installs fn to run each time a root transaction takes
-// the cross-root crisis token (on that root's goroutine — it must not
-// block). The server dumps the flight recorder here.
-func (r *Runtime) SetCrisisHook(fn func()) { r.rt.SetCrisisHook(fn) }
 
 // TVar is a typed transactional variable. A variable of a pointer-free
 // type of at most 8 bytes (int, bool, float64, time.Duration, a named

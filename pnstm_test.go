@@ -31,9 +31,9 @@ func TestRuntimeConfigSurface(t *testing.T) {
 		{pnstm.Config{}, []string{ // 5
 			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads", "Seed",
 		}},
-		{core.Config{}, []string{ // 9
+		{core.Config{}, []string{ // 7
 			"Workers", "Serial", "DisableAggressiveRecycle", "SharedReads",
-			"ConflictWait", "EscalateAfterAborts", "CrisisAborts", "CrisisBackoff", "Seed",
+			"ConflictWait", "EscalateAfterAborts", "Seed",
 		}},
 		{epoch.PublisherConfig{}, []string{ // 3
 			"Bitnums", "MaxEpoch", "Free",

@@ -180,8 +180,12 @@ func TestAdminSurface(t *testing.T) {
 		t.Fatalf("pnstm_tracing = %v (found %v) after tracing was turned off", v, ok)
 	}
 	// One batch in flight per shard is not a knob, and the fork width is
-	// Workers, so nothing reports either.
-	for _, gone := range []string{"pnstm_max_inflight", "pnstm_controller_steps_total", "pnstm_batch_fanout"} {
+	// Workers, so nothing reports either. The cross-root crisis breaker
+	// and its flight dump are gone, and their counters with them.
+	for _, gone := range []string{
+		"pnstm_max_inflight", "pnstm_controller_steps_total", "pnstm_batch_fanout",
+		"pnstm_crises_total", "pnstm_crisis_dumps_total",
+	} {
 		if strings.Contains(scrape, gone) {
 			t.Fatalf("retired series %s is still exported", gone)
 		}

@@ -123,22 +123,13 @@ func newServerObs(s *Server) *serverObs {
 		}
 	}
 
-	// Conflict X-ray (D35–D37). s.crisis is built after the shards, so
-	// the dump counter nil-checks it (a scrape can only arrive later, but
-	// cheap defense beats an ordering invariant).
+	// Conflict X-ray (D35, D36).
 	r.GaugeFunc("pnstm_tracing", "1 while transaction-lifecycle tracing records into the flight recorder.",
 		nil, func() float64 {
 			if s.TracingEnabled() {
 				return 1
 			}
 			return 0
-		})
-	r.CounterFunc("pnstm_crisis_dumps_total", "Flight-recorder dump files written on crisis engagements.", nil,
-		func() float64 {
-			if s.crisis == nil {
-				return 0
-			}
-			return float64(s.crisis.dumps.Load())
 		})
 
 	for i := 0; i < cfg.Shards; i++ {
@@ -171,13 +162,6 @@ func newServerObs(s *Server) *serverObs {
 			func() float64 {
 				if sh := sh(); sh != nil {
 					return float64(sh.rt.Stats().Begun)
-				}
-				return 0
-			})
-		r.CounterFunc("pnstm_crises_total", "Cross-root livelock-breaker engagements (a struggling root took the crisis token and serialized the shard until it committed).", lbl,
-			func() float64 {
-				if sh := sh(); sh != nil {
-					return float64(sh.rt.Stats().Crises)
 				}
 				return 0
 			})

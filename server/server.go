@@ -133,12 +133,11 @@ type Config struct {
 	// knobs). Empty: no admin listener.
 	AdminAddr string
 
-	// DisableTracing turns conflict X-ray tracing OFF at boot (D35–D37).
+	// DisableTracing turns conflict X-ray tracing OFF at boot (D35, D36).
 	// By default every shard's runtime records transaction-lifecycle
-	// events into per-slot flight-recorder rings, /debug/hotkeys ranks
-	// the aborts they retain by key, and a crisis engagement dumps the
-	// recorder to DataDir. Disable it to reclaim the recording cost
-	// entirely, or live via PUT /config {"tracing": false}.
+	// events into per-slot flight-recorder rings, and /debug/hotkeys
+	// ranks the aborts they retain by key. Disable it to reclaim the
+	// recording cost entirely, or live via PUT /config {"tracing": false}.
 	DisableTracing bool
 
 	// AdminDebug additionally mounts net/http/pprof under /debug/pprof/
@@ -159,7 +158,7 @@ type Config struct {
 	ReapInterval time.Duration
 
 	// Logger receives the server's structured log records (shutdown
-	// durability failures, crisis dumps, admin-plane errors). Nil: the
+	// durability failures, admin-plane errors). Nil: the
 	// process-default slog logger.
 	Logger *slog.Logger
 }
@@ -183,8 +182,8 @@ func (c *Config) fillDefaults() {
 }
 
 // traceSample is the lifecycle sampling divisor: 1 in 8 batches gets
-// full begin/commit tracing. Conflict events — abort, escalate, crisis
-// — are always recorded, so /debug/hotkeys attribution stays exact;
+// full begin/commit tracing. Conflict events — abort and escalate — are
+// always recorded, so /debug/hotkeys attribution stays exact;
 // sampling only thins the steady-state firehose. Chosen so default-on
 // tracing stays within its ≤5% throughput budget on an all-point-op
 // workload (enforced by the CI benchgate's tracing_overhead_ratio
@@ -268,12 +267,10 @@ type Server struct {
 	queueMu sync.Mutex
 	gsn     atomic.Uint64
 
-	// obs is the observability plane; crisis writes the flight-recorder
-	// dump when a shard takes the crisis token (D37); log receives
-	// structured operational records.
-	obs    *serverObs
-	crisis *crisisDumper
-	log    *slog.Logger
+	// obs is the observability plane; log receives structured
+	// operational records.
+	obs *serverObs
+	log *slog.Logger
 
 	// repl is the replication engine, non-nil iff Config.ReplicaOf was
 	// set; recovered flips once the store holds its durable state (the
@@ -340,12 +337,9 @@ func New(cfg Config) (*Server, error) {
 	for _, sh := range s.shards {
 		sh.start()
 	}
-	// Conflict X-ray (D35–D37): tracing goes live only after recovery so
-	// the flight recorder holds served traffic, not replay; the crisis
-	// hooks run regardless (a PUT /config can turn tracing on later).
-	s.crisis = newCrisisDumper(s)
+	// Conflict X-ray (D35, D36): tracing goes live only after recovery so
+	// the flight recorder holds served traffic, not replay.
 	for _, sh := range s.shards {
-		sh.rt.SetCrisisHook(s.crisis.noteCrisis)
 		sh.rt.SetTraceSampling(traceSample)
 		if !cfg.DisableTracing {
 			sh.rt.EnableTracing(true)
@@ -629,7 +623,6 @@ func (s *Server) Close() {
 	if s.repl != nil {
 		s.repl.stop()
 	}
-	s.crisis.close()
 	s.stopReaper()
 	if s.ckStop != nil {
 		close(s.ckStop)
@@ -702,7 +695,6 @@ func (s *Server) Kill() {
 	if s.repl != nil {
 		s.repl.stop()
 	}
-	s.crisis.close()
 	s.stopReaper()
 	if s.ckStop != nil {
 		close(s.ckStop)
