@@ -357,6 +357,54 @@ func TestDeepBinaryTreeSaturatesParentLimit(t *testing.T) {
 	}
 }
 
+// TestLeafConflictEscalates: a nested transaction that conflicts on every
+// attempt escalates to its parent after EscalateAfterAborts aborts, and
+// the parent's retry lets it commit — a leaf in a forked block, or run
+// inline in Serial mode. The leaf's context may have no spare descriptor
+// left when it ends: a check that read the ended descriptor's parent
+// field would find the empty spare list there, take the leaf for a root
+// and retry it forever (D53). Serial mode makes that case certain, since
+// its context is new for every Run, where a pooled frame may carry spares
+// in. The stress tests below livelock rather than fail without
+// escalation, so this one runs ahead of them and gives the leaf 100 tries.
+func TestLeafConflictEscalates(t *testing.T) {
+	for _, mode := range frameModes {
+		t.Run(mode.name, func(t *testing.T) {
+			rt := newRT(t, 4, mode.mutate, func(c *Config) { c.EscalateAfterAborts = 2 })
+			var parentAttempts atomic.Int32
+			var stuck atomic.Bool
+			leaf := func(c *Ctx) {
+				tries := 0
+				_ = c.Atomic(func(c *Ctx) error {
+					if parentAttempts.Load() > 1 {
+						return nil
+					}
+					if tries++; tries > 100 {
+						stuck.Store(true)
+						return nil
+					}
+					panic(conflictSignal{})
+				})
+			}
+			if err := rt.Run(func(c *Ctx) {
+				_ = c.Atomic(func(c *Ctx) error {
+					parentAttempts.Add(1)
+					c.Parallel(leaf, noop)
+					return nil
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if stuck.Load() {
+				t.Fatal("the leaf conflicted 100 times without escalating to its parent")
+			}
+			if got := parentAttempts.Load(); got != 2 {
+				t.Fatalf("parent ran %d attempts, want 2: one escalated, one committed", got)
+			}
+		})
+	}
+}
+
 // TestStressBankInvariant hammers a shared bank with random nested
 // transfers and checks conservation of money throughout.
 func TestStressBankInvariant(t *testing.T) {

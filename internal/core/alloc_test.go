@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func emptyTx(*Ctx) error { return nil }
@@ -17,6 +19,23 @@ func pooledCeiling(plain, race float64) float64 {
 		return race
 	}
 	return plain
+}
+
+// exactAllocs is testing.AllocsPerRun without the rounding down: the heap
+// objects one call of f allocates on average, as a fraction, counted from
+// runtime.MemStats.Mallocs over runs calls under GOMAXPROCS(1) after one
+// warm-up call. AllocsPerRun divides in integers, so a path that allocates
+// 4.97 objects a run reads 4 there.
+func exactAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // inOpenTx runs body inside a root transaction of rt.
@@ -110,10 +129,52 @@ func TestRootRunAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestNestedDescriptorsReusedAcrossRuns: a root shaped like a served
+// envelope — four nested transactions in turn, each with a nested
+// grandchild — allocates nothing once its frame has run one: every depth
+// takes its descriptor from the context's spare list, and the frame
+// carries the list's heap part to the next Run (D53). Each Run's root,
+// child and grandchild are still three distinct descriptors. Under -race
+// a frame the pool drops takes its list with it, and the next Run makes
+// its frame and two descriptors again.
+func TestNestedDescriptorsReusedAcrossRuns(t *testing.T) {
+	rt := newRT(t, 2)
+	var root, child *txDesc
+	shared := 0
+	grandchild := func(c *Ctx) error {
+		if g := c.cur; g == child || g == root || child == root {
+			shared++
+		}
+		return nil
+	}
+	childFn := func(c *Ctx) error { child = c.cur; return c.Atomic(grandchild) }
+	rootFn := func(c *Ctx) error {
+		root = c.cur
+		for i := 0; i < 4; i++ {
+			_ = c.Atomic(childFn)
+		}
+		return nil
+	}
+	program := func(c *Ctx) { _ = c.Atomic(rootFn) }
+	for i := 0; i < 10; i++ { // the runtime's workers start on demand
+		_ = rt.Run(program)
+	}
+	got := exactAllocs(200, func() { _ = rt.Run(program) })
+	t.Logf("Run of an envelope-shaped root: %.3f allocs", got)
+	if shared != 0 {
+		t.Errorf("%d of %d grandchildren shared a descriptor with their parent or root", shared, 4*211)
+	}
+	if ceiling := pooledCeiling(0, 2); got > ceiling {
+		t.Errorf("Run of a root with 4 nested children and 4 grandchildren: %.2f allocs, ceiling %.2f", got, ceiling)
+	}
+}
+
 // TestTraceTagRenderedOnlyWhenRecorded: stamping a work label costs
 // nothing while no event records it — tracing on, but the lineage
-// unsampled, is the server's steady state — and the label an event does
-// carry is name:key, or the bare name for keyless work.
+// unsampled, is the server's steady state — and recording it costs
+// nothing either: an event keeps the label's two parts, and a snapshot
+// joins them. What a snapshot returns is name:key, or the bare name for
+// keyless work, in the lifecycle rings and the conflict rings alike.
 func TestTraceTagRenderedOnlyWhenRecorded(t *testing.T) {
 	name, key := "kv", "key-000042"
 
@@ -133,17 +194,45 @@ func TestTraceTagRenderedOnlyWhenRecorded(t *testing.T) {
 		t.Fatalf("unsampled lineage recorded %d events", len(events))
 	}
 
+	// Sampled at 1, the nested Atomic records a begin and a commit: two
+	// events of a 256-event chunk and two keys of a 4 KiB text chunk,
+	// under 0.015 objects; 2 more while each event joined its label. The
+	// key borrows a buffer that is poisoned once the tagged transactions
+	// are over, as a server's read-only op borrows its frame (D48): an
+	// event must keep a copy.
+	const sampledCeiling = 0.02
 	rt = newRT(t, 2)
 	rt.EnableTracing(true)
+	rt.SetTraceSampling(1)
+	buf := []byte(key)
+	borrowed := unsafe.String(&buf[0], len(buf))
+	attempt := 0
+	conflictOnce := func(c *Ctx) error {
+		if attempt++; attempt == 1 {
+			panic(conflictSignal{})
+		}
+		return nil
+	}
 	inOpenTx(t, rt, func(c *Ctx) {
-		c.SetTraceTag(name, key)
-		_ = c.Atomic(emptyTx)
+		got := exactAllocs(200, func() {
+			c.SetTraceTag(name, borrowed)
+			_ = c.Atomic(emptyTx)
+		})
+		t.Logf("tagged nested Atomic, sampled: %.3f allocs", got)
+		if got > sampledCeiling {
+			t.Errorf("tagged nested Atomic on a sampled lineage: %.3f allocs, ceiling %.2f", got, sampledCeiling)
+		}
+		c.SetTraceTag(name, borrowed)
+		_ = c.Atomic(conflictOnce)
 		c.SetTraceTag(name, "")
 		_ = c.Atomic(emptyTx)
 		if got := c.TraceTag(); got != name {
 			t.Errorf("TraceTag() = %q, want %q", got, name)
 		}
 	})
+	for i := range buf {
+		buf[i] = 0xA5
+	}
 	events := rt.TraceSnapshot()
 	var tags []string
 	for _, ev := range events {
@@ -151,7 +240,13 @@ func TestTraceTagRenderedOnlyWhenRecorded(t *testing.T) {
 			tags = append(tags, ev.Tag)
 		}
 	}
-	if len(tags) != 2 || tags[0] != name+":"+key || tags[1] != name {
-		t.Fatalf("nested begin events carry tags %q, want [%q %q]", tags, name+":"+key, name)
+	// 201 measured begins, the conflicting one's two attempts, the keyless one.
+	if n := len(tags); n != 204 || tags[0] != name+":"+key || tags[n-2] != name+":"+key || tags[n-1] != name {
+		t.Fatalf("%d nested begin events, first and last two carry %q, want 204 carrying [%q … %q %q]",
+			n, [][]string{tags[:min(n, 1)], tags[max(n-2, 0):]}, name+":"+key, name+":"+key, name)
+	}
+	conflicts := rt.TraceConflicts()
+	if len(conflicts) != 1 || conflicts[0].Kind != EvAbort || conflicts[0].Tag != name+":"+key {
+		t.Fatalf("conflict rings hold %+v, want one abort tagged %q", conflicts, name+":"+key)
 	}
 }

@@ -21,7 +21,8 @@ type block struct {
 	program func(*Ctx)
 
 	// ctx is the context the block runs in, set up in place at dispatch
-	// (initCtx); tx0 is what its first begin hands out.
+	// (initCtx); tx0 is what its first begin hands out, ahead of the spare
+	// descriptors the frame's earlier blocks left.
 	ctx Ctx
 	tx0 txDesc
 
@@ -121,8 +122,9 @@ type fork struct {
 }
 
 // frames recycles fork frames. A frame in the pool is clean: it pins no
-// program, closure, descriptor or panic value, but keeps the capacity its
-// wide blocks, live list and note buffers grew to.
+// program, closure, live descriptor or panic value, but keeps the capacity
+// its wide blocks, live list and note buffers grew to, and its contexts'
+// spare descriptors.
 var frames = sync.Pool{New: func() any {
 	f := new(fork)
 	f.live, f.comDesc = f.liveBuf[:0], f.noteBuf[:0]
@@ -161,11 +163,18 @@ func (f *fork) release() {
 	}
 }
 
-// reset zeroes a finished block, keeping only its context's note capacity.
+// reset zeroes a finished block, keeping only its context's note capacity
+// and spare descriptors. tx0 goes with the block: it is zeroed here and put
+// back in front by the next initCtx. A context's first begin takes tx0 at
+// the block's outermost level, so tx0 is the list's head when the block
+// finishes, or was forked under and is not on it.
 func (b *block) reset() {
-	notes := b.ctx.comDesc[:0]
+	notes, spare := b.ctx.comDesc[:0], b.ctx.spare
+	if spare == &b.tx0 {
+		spare = spare.parent
+	}
 	*b = block{}
-	b.ctx.comDesc = notes
+	b.ctx.comDesc, b.ctx.spare = notes, spare
 }
 
 // joinPayload is what the last finishing child hands to the parked

@@ -49,10 +49,14 @@ type Ctx struct {
 	comDesc []comNote
 	noteBuf [4]comNote
 
-	// spare is a descriptor the next begin may use instead of allocating:
-	// the block's tx0 at first, afterwards the last transaction this
-	// context finished without forking under it. No other goroutine ever
-	// held a pointer to such a descriptor (D53).
+	// spare heads the descriptors the next begins may use instead of
+	// allocating: a LIFO list linked through their parent fields, holding
+	// every transaction this context finished without forking under it,
+	// the block's tx0 in front until it forks. No other goroutine ever held
+	// a pointer to such a descriptor, so the list outlives the block: a
+	// recycled frame hands its heap part to the next block run in it
+	// (block.reset). It is never longer than the context's deepest
+	// non-forked nesting (D53).
 	spare *txDesc
 
 	// panicVal carries a panic out of the block program to finishBlock.
@@ -66,7 +70,7 @@ type Ctx struct {
 // the first traced root begin, inherited by forked blocks),
 // traceBatch/traceShard are server stamps, and traceTag labels the current
 // unit of work (the server stamps each request's structure and key; the
-// label is only rendered when an event is recorded). traceTS caches the
+// label is only rendered when a trace snapshot is read). traceTS caches the
 // root begin's wall clock so begin/commit events in the subtree skip the
 // clock read, and traceSkip marks a root the lifecycle sampler chose not to
 // record (conflict events record regardless, D38). Parallel copies the
@@ -162,6 +166,8 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 	c.aborts = 0
 	for {
 		tx := c.begin()
+		// popTx relinks tx.parent into the spare list: read it here.
+		nested := tx.parent != nil
 		err, conflicted, confObj, pval, panicked := c.runBody(fn)
 		switch {
 		case conflicted:
@@ -172,7 +178,7 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 			if c.rt.tracing() {
 				c.traceEvent(EvAbort, tx.depth, objLabel(confObj))
 			}
-			if c.mergedVictim() && tx.parent != nil {
+			if c.mergedVictim() && nested {
 				// This block's bitnum was unilaterally discarded: its
 				// transactions run under the base transaction's identity,
 				// so siblings may already have read its (now undone)
@@ -185,7 +191,7 @@ func (c *Ctx) Atomic(fn func(*Ctx) error) error {
 				}
 				panic(conflictSignal{obj: confObj})
 			}
-			if tx.parent != nil && int(c.aborts) >= c.rt.cfg.EscalateAfterAborts {
+			if nested && int(c.aborts) >= c.rt.cfg.EscalateAfterAborts {
 				// Nesting-aware contention management: retrying here can
 				// deadlock when the conflicting entry belongs to another
 				// parked parent's lineage (its committed child's write).
@@ -259,12 +265,13 @@ func (c *Ctx) begin() *txDesc {
 		// A freshly reserved bitnum is never stale; add it.
 		anc = c.ancBase.Add(c.bn)
 	}
-	// A spare descriptor is all zero apart from these six fields: it never
-	// forked, and its undo log was spliced away or released when it ended.
-	// Field by field — it holds a mutex and an atomic.
+	// A spare descriptor is all zero apart from these six fields, its
+	// parent the spare list's link: it never forked, and its undo log was
+	// spliced away or released when it ended. Field by field — it holds a
+	// mutex and an atomic.
 	tx := c.spare
 	if tx != nil {
-		c.spare = nil
+		c.spare = tx.parent
 	} else {
 		tx = new(txDesc)
 	}
@@ -346,12 +353,13 @@ func (c *Ctx) mergedVictim() bool {
 //
 // This is where every transaction ends, committed or rolled back, so it is
 // also where a descriptor no block was ever forked under — one no other
-// goroutine has seen — is parked for this context's next begin (D53).
+// goroutine has seen — goes on the context's spare list, its parent field
+// the link (D53). Past this call tx.parent is no longer the parent.
 func (c *Ctx) popTx(tx *txDesc) {
-	if !tx.forked {
-		c.spare = tx
-	}
 	c.cur = tx.parent
+	if !tx.forked {
+		tx.parent, c.spare = c.spare, tx
+	}
 	if c.cur != nil {
 		if c.rt.cfg.Serial {
 			c.ancBase = c.cur.anc

@@ -18,7 +18,7 @@ func (c *Ctx) Store(o *Object, v any) any { return c.access(o, Value{P: v}, true
 func (c *Ctx) InTx() bool { return c.cur != nil }
 
 // TraceTag returns the current work label, rendered.
-func (c *Ctx) TraceTag() string { return c.traceTag.String() }
+func (c *Ctx) TraceTag() string { return joinTag(c.traceTag.name, c.traceTag.key) }
 
 // Peek returns the object's current value without any transactional
 // bookkeeping. Only safe when no transactions are running.

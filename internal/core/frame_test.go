@@ -39,8 +39,8 @@ func TestForkFrameSize(t *testing.T) {
 // TestSpareDescriptorIdentity: the descriptor of a transaction that queued
 // blocks under itself is never handed out again, and the descriptor of one
 // that did not is what the context's next begin returns — whichever way
-// the transaction ended. In Serial mode nothing is ever forked, so every
-// descriptor comes back.
+// the transaction ended, and at every depth of a nest. In Serial mode
+// nothing is ever forked, so every descriptor comes back.
 func TestSpareDescriptorIdentity(t *testing.T) {
 	errBoom := errors.New("boom")
 	const (
@@ -121,6 +121,27 @@ func TestSpareDescriptorIdentity(t *testing.T) {
 									endings[ending], fork, reused, want)
 							}
 						}
+					}
+					// Three levels deep, twice in turn: each depth's next
+					// begin returns the descriptor that depth ended last,
+					// and no two depths share one.
+					var first [3]*txDesc
+					for round := 0; round < 2; round++ {
+						var got [3]*txDesc
+						_ = c.Atomic(func(c *Ctx) error {
+							got[0] = c.cur
+							return c.Atomic(func(c *Ctx) error {
+								got[1] = c.cur
+								return c.Atomic(func(c *Ctx) error { got[2] = c.cur; return nil })
+							})
+						})
+						if got[0] == got[1] || got[1] == got[2] || got[0] == got[2] {
+							t.Errorf("round %d: depths share a descriptor: %v", round, got)
+						}
+						if round == 1 && got != first {
+							t.Errorf("three levels: second round's descriptors %v, want the first's %v", got, first)
+						}
+						first = got
 					}
 				}
 				if err := rt.Run(func(c *Ctx) {

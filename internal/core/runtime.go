@@ -241,11 +241,13 @@ func (rt *Runtime) helpPublish() bool {
 // Workers returns the configured worker count P.
 func (rt *Runtime) Workers() int { return rt.cfg.Workers }
 
-// initCtx sets up, in place, the context a dispatched block runs in. Its
-// trace identity was written by the forker.
+// initCtx sets up, in place, the context a dispatched block runs in, its
+// tx0 in front of the spare descriptors the recycled frame kept. Its trace
+// identity was written by the forker.
 func (b *block) initCtx(rt *Runtime) *Ctx {
 	c := &b.ctx
-	c.rt, c.block, c.spare = rt, b, &b.tx0
+	c.rt, c.block = rt, b
+	b.tx0.parent, c.spare = c.spare, &b.tx0
 	c.baseTx, c.cur = b.baseTx, b.baseTx
 	// A copy: the context filters its notes in place, the snapshot is the
 	// parked forker's and its siblings'. A recycled context keeps the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -51,6 +52,12 @@ type Event struct {
 	Shard uint8  `json:"shard"`
 	Obj   string `json:"obj,omitempty"`
 	Tag   string `json:"tag,omitempty"`
+
+	// key is Tag's key part while the event sits in a ring: the writer
+	// stores the label's name and a copy of its key in the ring's text
+	// arena (traceRing.keep), and snapshot joins them into the copy it
+	// returns, so an event no reader asks for costs no string (D38).
+	key string
 }
 
 // traceRingSize is each per-slot ring's capacity. Power of two; at
@@ -68,11 +75,16 @@ const traceRingSize = 4096
 // sequence check.
 const traceChunkSize = 256
 
+// traceTextChunk is the size of the writer-side arena recorded keys are
+// copied into: at 16-byte keys, one event chunk's worth.
+const traceTextChunk = 4096
+
 // traceRing is one slot's event ring: single writer, many readers.
 type traceRing struct {
 	pos   atomic.Uint64 // next sequence number to write: events recorded so far
 	cells [traceRingSize]atomic.Pointer[Event]
-	chunk []Event // writer-private arena; see traceChunkSize
+	chunk []Event         // writer-private arena; see traceChunkSize
+	text  strings.Builder // writer-private arena of recorded keys; see keep
 }
 
 // alloc hands out the next event slot from the writer's arena. Only the
@@ -84,6 +96,25 @@ func (r *traceRing) alloc() *Event {
 	ev := &r.chunk[0]
 	r.chunk = r.chunk[1:]
 	return ev
+}
+
+// keep returns a copy of s from the writer's text arena. A tag's key may
+// borrow bytes its request gives back when it finishes — the server's
+// read-only ops borrow theirs from their frame (D48) — and a recorded event
+// outlives the request. Bytes once written are never changed: a full
+// arena is replaced, not grown, so a kept string stays valid for as long
+// as an event holds it. Only the ring's single writer calls this.
+func (r *traceRing) keep(s string) string {
+	if s == "" {
+		return ""
+	}
+	if r.text.Cap()-r.text.Len() < len(s) {
+		r.text = strings.Builder{}
+		r.text.Grow(max(traceTextChunk, len(s)))
+	}
+	start := r.text.Len()
+	r.text.WriteString(s)
+	return r.text.String()[start:]
 }
 
 func (r *traceRing) record(ev *Event) {
@@ -107,7 +138,9 @@ func (r *traceRing) snapshot(out []Event) []Event {
 		if ev == nil || ev.Seq != seq {
 			break
 		}
-		out = append(out, *ev)
+		e := *ev
+		e.Tag, e.key = joinTag(e.Tag, e.key), ""
+		out = append(out, e)
 	}
 	return out
 }
@@ -184,7 +217,8 @@ func (c *Ctx) traceEvent(kind, depth uint8, obj string) {
 		Depth: depth,
 		Shard: c.traceShard,
 		Obj:   obj,
-		Tag:   c.traceTag.String(),
+		Tag:   c.traceTag.name,
+		key:   ring.keep(c.traceTag.key),
 	}
 	ring.record(ev)
 	if kind >= EvAbort {
@@ -251,24 +285,25 @@ func (rt *Runtime) TraceStats() (events, dropped uint64) {
 // ---------------------------------------------------------------------------
 
 // traceTag is a context's work label, kept as the parts the caller
-// already holds: joining them costs a string per request, and almost no
-// request ever records an event that carries it.
+// already holds: joining them costs a string, and only a trace reader
+// ever looks at the joined label.
 type traceTag struct{ name, key string }
 
-// String renders the label: name:key for keyed work, the name otherwise.
-func (t traceTag) String() string {
-	if t.key == "" {
-		return t.name
+// joinTag renders a label: name:key for keyed work, the name otherwise.
+func joinTag(name, key string) string {
+	if key == "" {
+		return name
 	}
-	return t.name + ":" + t.key
+	return name + ":" + key
 }
 
 // SetTraceTag labels the context's current unit of work; subsequent
 // lifecycle events carry the label name:key (just name when key is
 // empty). The server stamps each request's structure and key here so
 // aborts attribute to the key that suffered them. Inherited by blocks
-// forked from this context. The label is rendered only when an event is
-// recorded, so stamping costs two string headers.
+// forked from this context. The label is rendered only when a snapshot
+// returns an event carrying it, so stamping and recording cost two string
+// headers each.
 func (c *Ctx) SetTraceTag(name, key string) { c.traceTag = traceTag{name, key} }
 
 // StampTrace sets the batch/shard identity carried by this context's

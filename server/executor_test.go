@@ -156,13 +156,20 @@ func TestExecutorAllocCeilings(t *testing.T) {
 		// recycled workers (D2): before those, every row read one more per
 		// dispatched block (its goroutine's closure), two more per root
 		// (Run's channel) and one more per fork and per root (its frame).
-		{"MapGet", 1, 1},
-		{"MapPut", 3, 4},      // 9, 10 while a bucket was a Go map rebuilt per write (D57)
-		{"CounterAdd", 2, 3},  // one more while a stripe's int64 was boxed (D52)
-		{"Transfer4", 10, 11}, // 18, 19 with Go-map buckets: two writes
-		{"RangeScan64", 6, 6}, // 15, 15 while its first wave forked (D49)
-		{"Put64", 143, 144},   // 152, 153 with a nested transaction per chain; 136, 137 while it ran as one chain
+		// Every nested descriptor comes off its context's spare list, which
+		// the pooled frame carries from root to root: the older value of
+		// each row is what it read while only one descriptor was kept.
+		{"MapGet", 0, 0},      // 1, 1
+		{"MapPut", 2, 2},      // 3, 4; 9, 10 while a bucket was a Go map rebuilt per write (D57)
+		{"CounterAdd", 1, 1},  // 2, 3; one more while a stripe's int64 was boxed (D52)
+		{"Transfer4", 8, 8},   // 10, 11; 18, 19 with Go-map buckets: two writes
+		{"RangeScan64", 3, 3}, // 6, 6; 15, 15 while its first wave forked (D49)
+		{"Put64", 143, 143},   // 143, 144; 152, 153 with a nested transaction per chain; 136, 137 while it ran as one chain
 	}
+	// Read exactly, a row is its whole objects plus up to 0.08 more: an
+	// undo chunk, a grown stack or a frame remade after a collection
+	// emptied the pools, on a few of the 200 runs.
+	const stray = 0.25
 	for _, durable := range []bool{false, true} {
 		h := newExecHarness(t, durable)
 		work := execWorkloads(t, h)
@@ -172,7 +179,7 @@ func TestExecutorAllocCeilings(t *testing.T) {
 				ceiling, shape = c.durable, "durable"
 			}
 			h.run(t, p) // warm: structures, pools, the run's batch slice
-			got := testing.AllocsPerRun(200, func() {
+			got := exactAllocs(200, func() {
 				// Publish the previous root first. A write that meets its
 				// entry unpublished spins out, aborts and backs off, and the
 				// backoff's first sleep allocates the goroutine's timer: one
@@ -184,9 +191,9 @@ func TestExecutorAllocCeilings(t *testing.T) {
 			if p.resp.Status != StatusOK {
 				t.Fatalf("%s/%s: %+v", shape, c.name, p.resp)
 			}
-			t.Logf("%s/%s: %.0f allocs/op", shape, c.name, got)
-			if got > ceiling {
-				t.Errorf("%s/%s: %.0f allocs/op, ceiling %.0f", shape, c.name, got, ceiling)
+			t.Logf("%s/%s: %.3f allocs/op", shape, c.name, got)
+			if got > ceiling+stray {
+				t.Errorf("%s/%s: %.3f allocs/op, ceiling %.0f and %.2f stray", shape, c.name, got, ceiling, stray)
 			}
 		}
 	}
