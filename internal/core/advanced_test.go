@@ -406,7 +406,9 @@ func TestLeafConflictEscalates(t *testing.T) {
 }
 
 // TestStressBankInvariant hammers a shared bank with random nested
-// transfers and checks conservation of money throughout.
+// transfers and checks conservation of money throughout. Each transfer is
+// a root with an attempt budget: a conflict that never escalates fails
+// the test instead of retrying until -timeout.
 func TestStressBankInvariant(t *testing.T) {
 	rt := newRT(t, 4)
 	const accounts = 16
@@ -417,6 +419,7 @@ func TestStressBankInvariant(t *testing.T) {
 	}
 	const groups = 8
 	const transfersPerGroup = 25
+	budget := &attemptBudget{t: t, perRoot: 1000}
 	err := rt.Run(func(c *Ctx) {
 		fns := make([]func(*Ctx), groups)
 		for g := 0; g < groups; g++ {
@@ -426,24 +429,25 @@ func TestStressBankInvariant(t *testing.T) {
 				for i := 0; i < transfersPerGroup; i++ {
 					from, to := rng.Intn(accounts), rng.Intn(accounts)
 					amt := rng.Intn(100)
-					_ = c.Atomic(func(c *Ctx) error {
+					budgeted := budget.root(fmt.Sprintf("group %d, transfer %d", seed, i))
+					_ = c.Atomic(budgeted(func(c *Ctx) error {
 						// Nested parallel debit/credit, Figure-1 style.
 						c.Parallel(
 							func(c *Ctx) {
-								_ = c.Atomic(func(c *Ctx) error {
+								_ = c.Atomic(budgeted(func(c *Ctx) error {
 									c.Store(objs[from], c.Load(objs[from]).(int)-amt)
 									return nil
-								})
+								}))
 							},
 							func(c *Ctx) {
-								_ = c.Atomic(func(c *Ctx) error {
+								_ = c.Atomic(budgeted(func(c *Ctx) error {
 									c.Store(objs[to], c.Load(objs[to]).(int)+amt)
 									return nil
-								})
+								}))
 							},
 						)
 						return nil
-					})
+					}))
 				}
 			}
 		}
@@ -451,6 +455,9 @@ func TestStressBankInvariant(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
 	}
 	sum := 0
 	for _, o := range objs {

@@ -1,9 +1,51 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
+
+// errOverBudget is what a body returns once its test's attempt budget is
+// spent.
+var errOverBudget = errors.New("attempt budget spent")
+
+// attemptBudget bounds the attempts of each root of a test that relies on
+// Atomic's unbounded retry, so that a broken liveness mechanism (a
+// conflict that never escalates, D16) fails the test by name in seconds
+// instead of retrying until -timeout. Every body of a root, nested ones
+// included, runs through the root's wrapper: once a root has made perRoot
+// attempts the test fails, and from then on every wrapped body of every
+// root returns errOverBudget without running, so every Atomic gives up and
+// the test ends. The tests give 1,000 attempts per root: twenty times the
+// most any root made (47) in twenty race runs of each with a CPU hog
+// beside them, at GOMAXPROCS 1 and 2.
+type attemptBudget struct {
+	t       *testing.T
+	perRoot int64
+	spent   atomic.Bool
+}
+
+// root returns the wrapper for the bodies of one root, named in the
+// failure.
+func (b *attemptBudget) root(name string) func(body func(*Ctx) error) func(*Ctx) error {
+	var n atomic.Int64
+	return func(body func(*Ctx) error) func(*Ctx) error {
+		return func(c *Ctx) error {
+			if b.spent.Load() {
+				return errOverBudget
+			}
+			if n.Add(1) > b.perRoot {
+				if b.spent.CompareAndSwap(false, true) {
+					b.t.Errorf("%s: over %d attempts in one root: escalation did not break the conflict", name, b.perRoot)
+				}
+				return errOverBudget
+			}
+			return body(c)
+		}
+	}
+}
 
 // TestCrossedTransfersDeadlockBreaking reproduces the parent-level
 // deadlock that plain requester-aborts cannot resolve: two transactions
@@ -18,25 +60,27 @@ func TestCrossedTransfersDeadlockBreaking(t *testing.T) {
 		rt := newRT(t, 4, shortWait)
 		a := NewObject(1000)
 		b := NewObject(1000)
+		budget := &attemptBudget{t: t, perRoot: 1000}
 		transfer := func(from, to *Object, amt int) func(*Ctx) {
+			budgeted := budget.root(fmt.Sprintf("round %d: transfer of %d", round, amt))
 			return func(c *Ctx) {
-				if err := c.Atomic(func(c *Ctx) error {
+				if err := c.Atomic(budgeted(func(c *Ctx) error {
 					c.Parallel(
 						func(c *Ctx) {
-							_ = c.Atomic(func(c *Ctx) error {
+							_ = c.Atomic(budgeted(func(c *Ctx) error {
 								c.Store(from, c.Load(from).(int)-amt)
 								return nil
-							})
+							}))
 						},
 						func(c *Ctx) {
-							_ = c.Atomic(func(c *Ctx) error {
+							_ = c.Atomic(budgeted(func(c *Ctx) error {
 								c.Store(to, c.Load(to).(int)+amt)
 								return nil
-							})
+							}))
 						},
 					)
 					return nil
-				}); err != nil {
+				})); err != nil && err != errOverBudget {
 					t.Error(err)
 				}
 			}
@@ -47,12 +91,13 @@ func TestCrossedTransfersDeadlockBreaking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if t.Failed() {
+			return
+		}
 		if got := a.Peek().(int) + b.Peek().(int); got != 2000 {
 			t.Fatalf("round %d: money not conserved: %d", round, got)
 		}
-		if a.Peek().(int) != 1000+15 && a.Peek().(int) != 1000-15+30 {
-			// a = 1000 - 10 + 25 = 1015 regardless of order.
-		}
+		// a = 1000 - 10 + 25 = 1015 regardless of order.
 		if a.Peek().(int) != 1015 || b.Peek().(int) != 985 {
 			t.Fatalf("round %d: a=%v b=%v", round, a.Peek(), b.Peek())
 		}

@@ -56,21 +56,23 @@ func TestSpareDescriptorIdentity(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/nested=%v", mode.name, nested), func(t *testing.T) {
 				rt := newRT(t, 4, mode.mutate, func(c *Config) { c.EscalateAfterAborts = 2 })
 				serial := rt.cfg.Serial
+				budget := &attemptBudget{t: t, perRoot: 1000}
 
 				// scenario ends one transaction the given way, with or
 				// without a real fork under it, and reports its descriptor
 				// and the one the next begin handed out.
 				scenario := func(c *Ctx, ending int, fork bool) (first, next *txDesc) {
 					attempt := 0
+					budgeted := budget.root(fmt.Sprintf("%s fork=%v", endings[ending], fork))
 					fail := func(c *Ctx) {
 						// A nested transaction that conflicts on every try of the
 						// parent's first attempt: two aborts, then it escalates.
-						_ = c.Atomic(func(c *Ctx) error {
+						_ = c.Atomic(budgeted(func(c *Ctx) error {
 							if attempt == 1 {
 								panic(conflictSignal{})
 							}
 							return nil
-						})
+						}))
 					}
 					err := c.Atomic(func(c *Ctx) error {
 						attempt++

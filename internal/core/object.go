@@ -49,9 +49,10 @@ type Object struct {
 }
 
 // Value is what an object holds and an undo record saves: a boxed value in
-// P, or one machine word in W. The core copies the pair whole and never
-// looks inside it; which half carries the value is the typed front end's
-// choice, made once per variable (pnstm.TVar, ARCHITECTURE.md D52). The
+// P, one machine word in W, or a slice's data pointer in P and its length
+// and capacity in W. The core copies the pair whole and never looks inside
+// it; which halves carry the value is the typed front end's choice, made
+// once per variable (pnstm.TVar, ARCHITECTURE.md D52). The
 // untyped accessors — NewObject, Ctx.Load/Store, Peek, SetDirect — always
 // use P.
 type Value struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -314,6 +315,7 @@ func TestUndoRecycleSafety(t *testing.T) {
 			c.Store(to, c.Load(to).(int)+1)
 		}
 	}
+	budget := &attemptBudget{t: t, perRoot: 1000}
 	var wg sync.WaitGroup
 	for d := 0; d < drivers; d++ {
 		wg.Add(1)
@@ -323,22 +325,23 @@ func TestUndoRecycleSafety(t *testing.T) {
 			for r := 0; r < roots; r++ {
 				// Every attempt of a transaction replays the same choices.
 				rootSeed := seeds.Int63()
+				budgeted := budget.root(fmt.Sprintf("driver %d, root %d", d, r))
 				err := rt.Run(func(c *Ctx) {
-					_ = c.Atomic(func(c *Ctx) error {
+					_ = c.Atomic(budgeted(func(c *Ctx) error {
 						rng := rand.New(rand.NewSource(rootSeed))
 						transfer(c, rng, undoBursts[rng.Intn(len(undoBursts))]/2)
 						children := make([]func(*Ctx), 3)
 						for i := range children {
 							childSeed := rng.Int63()
 							children[i] = func(c *Ctx) {
-								_ = c.Atomic(func(c *Ctx) error {
+								_ = c.Atomic(budgeted(func(c *Ctx) error {
 									rng := rand.New(rand.NewSource(childSeed))
 									transfer(c, rng, undoBursts[rng.Intn(len(undoBursts))]/2)
 									if rng.Intn(4) == 0 {
 										return errFail // undoes this child only
 									}
 									return nil
-								})
+								}))
 							}
 						}
 						c.Parallel(children...)
@@ -349,7 +352,7 @@ func TestUndoRecycleSafety(t *testing.T) {
 							return errFail // undoes the children's merged logs too
 						}
 						return nil
-					})
+					}))
 				})
 				if err != nil {
 					t.Error(err)

@@ -162,21 +162,25 @@ func (r *Runtime) TraceStats() (events, dropped uint64) { return r.rt.TraceStats
 // TVar is a typed transactional variable. A variable of a pointer-free
 // type of at most 8 bytes (int, bool, float64, time.Duration, a named
 // uint8, struct{ x, y int32 }, [8]byte, ...) keeps its value in a machine
-// word: loading and storing it allocates nothing. Every other type —
-// strings, slices, maps, pointers, interfaces, larger structs — is held as
-// an interface value, so storing a non-pointer one boxes it; hold a pointer
-// where that matters.
+// word, and a variable of a slice type keeps its slice's data pointer and
+// its length and capacity: loading and storing either allocates nothing.
+// Every other type — strings, maps, pointers, interfaces, larger structs —
+// is held as an interface value, so storing a non-pointer one boxes it;
+// hold a pointer where that matters.
 type TVar[T any] struct {
 	obj *core.Object
-	// word is the representation, decided once from T: the value travels
-	// in core.Value.W rather than boxed in core.Value.P (ARCHITECTURE.md D52).
-	word bool
+	// word and slice are the representation, decided once from T
+	// (ARCHITECTURE.md D52): a word-backed value travels in core.Value.W; a
+	// slice travels as its data pointer in core.Value.P and its length and
+	// capacity in W; anything else, and a slice of capacity 2³² or more,
+	// is boxed in P.
+	word, slice bool
 }
 
 // NewTVar returns a transactional variable holding initial.
 func NewTVar[T any](initial T) *TVar[T] {
 	t := reflect.TypeOf((*T)(nil)).Elem()
-	v := &TVar[T]{obj: core.NewObject(nil), word: t.Size() <= 8 && pointerFree(t)}
+	v := &TVar[T]{obj: core.NewObject(nil), word: t.Size() <= 8 && pointerFree(t), slice: t.Kind() == reflect.Slice}
 	v.SetDirect(initial)
 	return v
 }
@@ -202,23 +206,43 @@ func pointerFree(t reflect.Type) bool {
 	return false
 }
 
+// sliceHeader is the layout of every slice value.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
+}
+
 // pack and unpack move a T into and out of the variable's representation.
 // They hold the package's only unsafe code: a word-backed T is at most 8
 // bytes, at most 8-aligned and pointer-free, so it can be copied through
-// the address of a uint64. A nil interface in P reads back as the zero T.
+// the address of a uint64, and a slice T is a sliceHeader. The data
+// pointer goes into P as an unsafe.Pointer, which an interface holds
+// without a box; len | cap<<32 goes into W. A nil interface in P reads
+// back as the zero T.
 func (v *TVar[T]) pack(val T) (x core.Value) {
-	if !v.word {
-		return core.Value{P: val}
+	if v.word {
+		*(*T)(unsafe.Pointer(&x.W)) = val
+		return x
 	}
-	*(*T)(unsafe.Pointer(&x.W)) = val
-	return x
+	if v.slice {
+		if h := (*sliceHeader)(unsafe.Pointer(&val)); uint64(h.cap) < 1<<32 {
+			return core.Value{P: h.data, W: uint64(h.len) | uint64(h.cap)<<32}
+		}
+	}
+	return core.Value{P: val}
 }
 
-func (v *TVar[T]) unpack(x core.Value) T {
+func (v *TVar[T]) unpack(x core.Value) (val T) {
 	if v.word {
 		return *(*T)(unsafe.Pointer(&x.W))
 	}
-	val, _ := x.P.(T)
+	if v.slice {
+		if p, ok := x.P.(unsafe.Pointer); ok || x.P == nil {
+			*(*sliceHeader)(unsafe.Pointer(&val)) = sliceHeader{p, int(uint32(x.W)), int(x.W >> 32)}
+			return val
+		}
+	}
+	val, _ = x.P.(T)
 	return val
 }
 

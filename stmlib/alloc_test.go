@@ -116,17 +116,31 @@ func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
 	})
 }
 
+// allocSlack is what an exact count may read over its whole objects: an
+// undo chunk, a grown stack or a pooled frame remade after a collection
+// emptied the pools, on a few of the runs. Under -race, where sync.Pool
+// drops a quarter of what is put back, the counts read up to 0.42 over
+// and the slack is 0.5.
+func allocSlack() float64 {
+	if raceEnabled {
+		return 0.5
+	}
+	return 0.25
+}
+
 // TestWordBackedStructureAllocCeilings: a counter stripe and a queue's
 // size are word-backed variables (D52), so an Add and a Push inside an open
-// transaction cost their nested Atomic's closures — and the Push its node
-// — and neither a boxed integer nor a descriptor: the context reuses the
-// one its previous transaction left (D53). The counts start past the
-// runtime's preallocated small integers, where a box is a heap object. Each
-// ceiling is two below what the boxed representation measured (4 and 4).
-// A Sum is one plain loop of loads in one nested transaction and costs
-// nothing; it cost 2 while it ran its stripes as a fork job.
+// transaction cost neither a boxed integer nor a descriptor (the context
+// reuses the one its previous transaction left, D53) nor a closure: an Add
+// costs nothing, a Push its node. The counts start past the runtime's
+// preallocated small integers, where a box is a heap object. A Sum is one
+// plain loop of loads in one nested transaction and costs nothing. Read
+// exactly, Add reads 0.09, Push 1.11 and Sum 0.07: each ceiling is its
+// whole objects plus allocSlack. Add read 1.09 while it ran its stripe's
+// increment as an Update closure, 4 while the stripe was boxed; Push read
+// 4 boxed; Sum read 2 while it forked its stripes.
 func TestWordBackedStructureAllocCeilings(t *testing.T) {
-	const addCeiling, pushCeiling, sumCeiling = 2, 2, 0
+	const addCeiling, pushCeiling, sumCeiling = 0, 1, 0
 	rt := newRTConfig(t, pnstm.Config{Workers: 2})
 	ctr := stmlib.NewTCounter(1)
 	q := stmlib.NewTQueue[*int]()
@@ -137,18 +151,19 @@ func TestWordBackedStructureAllocCeilings(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				q.Push(c, elem)
 			}
-			add := testing.AllocsPerRun(200, func() { ctr.Add(c, 1) })
-			push := testing.AllocsPerRun(200, func() { q.Push(c, elem) })
-			sum := testing.AllocsPerRun(200, func() { ctr.Sum(c) })
-			t.Logf("TCounter.Add %.0f allocs, TQueue.Push %.0f allocs, TCounter.Sum %.0f allocs", add, push, sum)
-			if add > addCeiling {
-				t.Errorf("TCounter.Add: %.0f allocs, ceiling %d", add, addCeiling)
-			}
-			if push > pushCeiling {
-				t.Errorf("TQueue.Push: %.0f allocs, ceiling %d", push, pushCeiling)
-			}
-			if sum > sumCeiling {
-				t.Errorf("TCounter.Sum: %.0f allocs, ceiling %d", sum, sumCeiling)
+			add := exactAllocs(200, func() { ctr.Add(c, 1) })
+			push := exactAllocs(200, func() { q.Push(c, elem) })
+			sum := exactAllocs(200, func() { ctr.Sum(c) })
+			t.Logf("TCounter.Add %.3f allocs, TQueue.Push %.3f allocs, TCounter.Sum %.3f allocs", add, push, sum)
+			slack := allocSlack()
+			for _, r := range []struct {
+				name    string
+				got     float64
+				ceiling float64
+			}{{"TCounter.Add", add, addCeiling}, {"TQueue.Push", push, pushCeiling}, {"TCounter.Sum", sum, sumCeiling}} {
+				if r.got > r.ceiling+slack {
+					t.Errorf("%s: %.3f allocs, ceiling %.0f and %.2f slack", r.name, r.got, r.ceiling, slack)
+				}
 			}
 			return nil
 		})
@@ -157,11 +172,14 @@ func TestWordBackedStructureAllocCeilings(t *testing.T) {
 
 // TestTMapPutAllocFlat: a Put copies its bucket into one new slice, so it
 // costs the same objects into a 256-entry bucket as into a 1-entry one:
-// the array, the slice header boxed into the variable and the stack entry
-// the nested write pushes. A rebuilt Go map cost 4 objects past 8
-// entries where the slice costs 2.
+// the array, and nothing for the variable, which holds the slice's data
+// pointer, length and capacity unboxed (D52). Read exactly, both read
+// 1.04: the ceiling is 1 plus allocSlack, and the two may differ by
+// allocSlack. They read 2.02 and 2.04 while the slice header was boxed
+// into the variable, 3 (rounded down) while the nested write also pushed
+// a stack entry, and a rebuilt Go map cost 4 objects past 8 entries.
 func TestTMapPutAllocFlat(t *testing.T) {
-	const ceiling = 3
+	const ceiling = 1
 	rt := newRTConfig(t, pnstm.Config{Workers: 2})
 	small, big := stmlib.NewTMap[string, []byte](1), stmlib.NewTMap[string, []byte](1)
 	keys := make([]string, 256)
@@ -177,14 +195,15 @@ func TestTMapPutAllocFlat(t *testing.T) {
 	})
 	run(t, rt, func(c *pnstm.Ctx) {
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
-			put1 := testing.AllocsPerRun(200, func() { small.Put(c, keys[0], val) })
-			put256 := testing.AllocsPerRun(200, func() { big.Put(c, keys[42], val) })
-			t.Logf("Put into 1 entry: %.0f allocs, into 256 entries: %.0f", put1, put256)
-			if put256 != put1 {
-				t.Errorf("Put into 256 entries: %.0f allocs, into 1 entry: %.0f", put256, put1)
+			put1 := exactAllocs(200, func() { small.Put(c, keys[0], val) })
+			put256 := exactAllocs(200, func() { big.Put(c, keys[42], val) })
+			t.Logf("Put into 1 entry: %.3f allocs, into 256 entries: %.3f", put1, put256)
+			slack := allocSlack()
+			if put256 > put1+slack || put1 > put256+slack {
+				t.Errorf("Put into 256 entries: %.3f allocs, into 1 entry: %.3f, apart by more than %.2f", put256, put1, slack)
 			}
-			if put256 > ceiling {
-				t.Errorf("Put into 256 entries: %.0f allocs, ceiling %d", put256, ceiling)
+			if put256 > ceiling+slack {
+				t.Errorf("Put into 256 entries: %.3f allocs, ceiling %d and %.2f slack", put256, ceiling, slack)
 			}
 			return nil
 		})

@@ -53,7 +53,7 @@ func (t *TCounter) Add(c *pnstm.Ctx, delta int64) {
 		// equivalent, so the non-transactional read cannot affect the
 		// committed sum.
 		s := t.stripes[t.rotor.Add(1)&uint64(len(t.stripes)-1)]
-		pnstm.Update(c, s, func(v int64) int64 { return v + delta })
+		pnstm.Store(c, s, pnstm.Load(c, s)+delta)
 		return nil
 	})
 }
