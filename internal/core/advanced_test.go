@@ -406,67 +406,93 @@ func TestLeafConflictEscalates(t *testing.T) {
 }
 
 // TestStressBankInvariant hammers a shared bank with random nested
-// transfers and checks conservation of money throughout. Each transfer is
-// a root with an attempt budget: a conflict that never escalates fails
-// the test instead of retrying until -timeout.
+// transfers beside an auditor whose roots sum every account in one
+// transaction. Money is conserved, and every audit that reads all the
+// accounts sees the total: a granted read never observes a transfer
+// half done. It runs under both conflict models, so the writes and the
+// shared reads of admit both take part. Each root has an attempt budget:
+// a conflict that never escalates fails the test instead of retrying
+// until -timeout.
 func TestStressBankInvariant(t *testing.T) {
-	rt := newRT(t, 4)
-	const accounts = 16
-	const total = accounts * 1000
-	objs := make([]*Object, accounts)
-	for i := range objs {
-		objs[i] = NewObject(1000)
-	}
-	const groups = 8
-	const transfersPerGroup = 25
-	budget := &attemptBudget{t: t, perRoot: 1000}
-	err := rt.Run(func(c *Ctx) {
-		fns := make([]func(*Ctx), groups)
-		for g := 0; g < groups; g++ {
-			seed := int64(g + 1)
-			fns[g] = func(c *Ctx) {
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < transfersPerGroup; i++ {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					amt := rng.Intn(100)
-					budgeted := budget.root(fmt.Sprintf("group %d, transfer %d", seed, i))
-					_ = c.Atomic(budgeted(func(c *Ctx) error {
-						// Nested parallel debit/credit, Figure-1 style.
-						c.Parallel(
-							func(c *Ctx) {
-								_ = c.Atomic(budgeted(func(c *Ctx) error {
-									c.Store(objs[from], c.Load(objs[from]).(int)-amt)
-									return nil
-								}))
-							},
-							func(c *Ctx) {
-								_ = c.Atomic(budgeted(func(c *Ctx) error {
-									c.Store(objs[to], c.Load(objs[to]).(int)+amt)
-									return nil
-								}))
-							},
-						)
-						return nil
-					}))
-				}
+	for _, model := range []struct {
+		name        string
+		sharedReads bool
+	}{{"write-only", false}, {"sharedreads", true}} {
+		t.Run(model.name, func(t *testing.T) {
+			rt := newRT(t, 4, func(c *Config) { c.SharedReads = model.sharedReads })
+			const accounts = 16
+			const total = accounts * 1000
+			objs := make([]*Object, accounts)
+			for i := range objs {
+				objs[i] = NewObject(1000)
 			}
-		}
-		c.Parallel(fns...)
-	})
-	if err != nil {
-		t.Fatal(err)
+			const groups = 8
+			const transfersPerGroup = 25
+			const audits = 25
+			budget := &attemptBudget{t: t, perRoot: 1000}
+			err := rt.Run(func(c *Ctx) {
+				fns := make([]func(*Ctx), groups+1)
+				for g := 0; g < groups; g++ {
+					seed := int64(g + 1)
+					fns[g] = func(c *Ctx) {
+						rng := rand.New(rand.NewSource(seed))
+						for i := 0; i < transfersPerGroup; i++ {
+							from, to := rng.Intn(accounts), rng.Intn(accounts)
+							amt := rng.Intn(100)
+							budgeted := budget.root(fmt.Sprintf("group %d, transfer %d", seed, i))
+							_ = c.Atomic(budgeted(func(c *Ctx) error {
+								// Nested parallel debit/credit, Figure-1 style.
+								c.Parallel(
+									func(c *Ctx) {
+										_ = c.Atomic(budgeted(func(c *Ctx) error {
+											c.Store(objs[from], c.Load(objs[from]).(int)-amt)
+											return nil
+										}))
+									},
+									func(c *Ctx) {
+										_ = c.Atomic(budgeted(func(c *Ctx) error {
+											c.Store(objs[to], c.Load(objs[to]).(int)+amt)
+											return nil
+										}))
+									},
+								)
+								return nil
+							}))
+						}
+					}
+				}
+				fns[groups] = func(c *Ctx) {
+					for i := 0; i < audits; i++ {
+						_ = c.Atomic(budget.root(fmt.Sprintf("audit %d", i))(func(c *Ctx) error {
+							sum := 0
+							for _, o := range objs {
+								sum += c.Load(o).(int)
+							}
+							if sum != total {
+								t.Errorf("audit %d read %d, want %d", i, sum, total)
+							}
+							return nil
+						}))
+					}
+				}
+				c.Parallel(fns...)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if t.Failed() {
+				return
+			}
+			sum := 0
+			for _, o := range objs {
+				sum += o.Peek().(int)
+			}
+			if sum != total {
+				t.Fatalf("money not conserved: %d != %d (stats %+v)", sum, total, rt.Stats())
+			}
+			t.Logf("stats: %+v", rt.Stats())
+		})
 	}
-	if t.Failed() {
-		return
-	}
-	sum := 0
-	for _, o := range objs {
-		sum += o.Peek().(int)
-	}
-	if sum != total {
-		t.Fatalf("money not conserved: %d != %d (stats %+v)", sum, total, rt.Stats())
-	}
-	t.Logf("stats: %+v", rt.Stats())
 }
 
 // TestSerialModeBaseline checks the serial-nesting baseline executes the

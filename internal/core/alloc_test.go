@@ -1,9 +1,10 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 	"unsafe"
+
+	"pnstm/internal/alloctest"
 )
 
 func emptyTx(*Ctx) error { return nil }
@@ -19,23 +20,6 @@ func pooledCeiling(plain, race float64) float64 {
 		return race
 	}
 	return plain
-}
-
-// exactAllocs is testing.AllocsPerRun without the rounding down: the heap
-// objects one call of f allocates on average, as a fraction, counted from
-// runtime.MemStats.Mallocs over runs calls under GOMAXPROCS(1) after one
-// warm-up call. AllocsPerRun divides in integers, so a path that allocates
-// 4.97 objects a run reads 4 there.
-func exactAllocs(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // inOpenTx runs body inside a root transaction of rt.
@@ -159,7 +143,7 @@ func TestNestedDescriptorsReusedAcrossRuns(t *testing.T) {
 	for i := 0; i < 10; i++ { // the runtime's workers start on demand
 		_ = rt.Run(program)
 	}
-	got := exactAllocs(200, func() { _ = rt.Run(program) })
+	got := alloctest.Exact(200, func() { _ = rt.Run(program) })
 	t.Logf("Run of an envelope-shaped root: %.3f allocs", got)
 	if shared != 0 {
 		t.Errorf("%d of %d grandchildren shared a descriptor with their parent or root", shared, 4*211)
@@ -214,7 +198,7 @@ func TestTraceTagRenderedOnlyWhenRecorded(t *testing.T) {
 		return nil
 	}
 	inOpenTx(t, rt, func(c *Ctx) {
-		got := exactAllocs(200, func() {
+		got := alloctest.Exact(200, func() {
 			c.SetTraceTag(name, borrowed)
 			_ = c.Atomic(emptyTx)
 		})

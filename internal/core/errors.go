@@ -31,10 +31,3 @@ var ErrClosed = errors.New("core: runtime is closed")
 type conflictSignal struct {
 	obj *Object
 }
-
-// blockPanic wraps a panic value that crossed a block boundary so the
-// forking context can re-panic it without confusing it with internal
-// signals.
-type blockPanic struct {
-	val any
-}

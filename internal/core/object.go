@@ -76,6 +76,21 @@ func (o *Object) pushEntry(c *Ctx, tx *txDesc) {
 	tx.pushUndo(o, o.val, o.pushSeq)
 }
 
+// ownedBy reports whether the entry is the transaction's with live
+// ancestor set anc and active window [beginEp, ep]: the same set, pushed
+// within the window. The window is what tells it from an earlier
+// transaction that used the same bitnum (§5.2 case 1).
+func (e *objEntry) ownedBy(anc bitvec.Vec, beginEp, ep epoch.Epoch) bool {
+	return e.anc == anc && beginEp <= e.ep && e.ep <= ep
+}
+
+// dead reports whether every transaction in the entry's ancestor set has
+// committed and been published, by the committed mask of its epoch alone
+// (D7, D54).
+func (e *objEntry) dead(rt *Runtime) bool {
+	return e.anc.Minus(rt.st.Masks.Get(e.ep)).Empty()
+}
+
 // NewObject returns an object holding the given initial value.
 func NewObject(initial any) *Object {
 	return &Object{val: Value{P: initial}}
@@ -125,8 +140,7 @@ const helpPublishThreshold = 64
 // storage once the dead prefix dominates. Caller holds o.mu.
 func (o *Object) dropDeadPrefix(rt *Runtime) {
 	for o.head < len(o.stack) {
-		e := &o.stack[o.head]
-		if !e.anc.Minus(rt.st.Masks.Get(e.ep)).Empty() {
+		if !o.stack[o.head].dead(rt) {
 			break
 		}
 		o.stack[o.head] = objEntry{}
@@ -158,17 +172,11 @@ func (c *Ctx) access(o *Object, newVal Value, store bool) Value {
 	if c.rt.cfg.Serial {
 		return c.serialAccess(o, newVal, store)
 	}
-	sharedRead := !store && c.rt.cfg.SharedReads
+	write := store || !c.rt.cfg.SharedReads
 	var waitFrom time.Time // the first failed test; zero until one fails
 	for {
 		o.mu.lock()
-		var granted bool
-		if sharedRead {
-			granted = c.tryRead(o, tx)
-		} else {
-			granted = c.tryAccess(o, tx)
-		}
-		if granted {
+		if c.admit(o, tx, write) {
 			old := o.val
 			if store {
 				o.val = newVal
@@ -205,55 +213,65 @@ func (c *Ctx) access(o *Object, newVal Value, store bool) Value {
 	}
 }
 
-// tryAccess runs the conflict test under the object lock and, when the
-// access is safe, pushes the stack entry and undo record. It returns
-// false on conflict.
-func (c *Ctx) tryAccess(o *Object, tx *txDesc) bool {
-	if len(o.stack)-o.head > compactThreshold {
-		o.dropDeadPrefix(c.rt)
+// admit is the conflict verdict of one access (paper Fig. 3 write and
+// noConflict), run under the object lock. A write (every access unless
+// Config.SharedReads) first compacts a deep stack and must cover every
+// live shared reader (§9); then, unless the accessor owns the top entry,
+// it must cover that entry. A granted write pushes its stack entry and
+// undo record, a granted shared read its reader entry.
+func (c *Ctx) admit(o *Object, tx *txDesc, write bool) bool {
+	var refreshed bool
+	if write {
+		if len(o.stack)-o.head > compactThreshold {
+			o.dropDeadPrefix(c.rt)
+		}
+		if !c.readersCovered(&o.readers, &refreshed) {
+			return false
+		}
 	}
-	// A write must dominate every active shared reader (§9 extension);
-	// with SharedReads off the reader set is always empty and this is one
-	// length check.
-	if !c.readersAllAncestors(&o.readers, c.ancBase) {
-		return false
+	vacant := true // no live entry: the push starts the stack afresh (D7)
+	if n := len(o.stack); n > o.head {
+		top := &o.stack[n-1]
+		// Paper write() line 5: the accessor (or, for a shared read, an
+		// ancestor whose write it inherited) owns the top entry.
+		if top.ownedBy(c.ancBase, tx.beginEp, c.ep) {
+			return true
+		}
+		active := c.activeAncestors(top.anc, top.ep)
+		if !c.covers(top, active, &refreshed) {
+			return false
+		}
+		vacant = active.Empty()
 	}
-	if len(o.stack) == o.head {
-		// Paper write() lines 2–4: first accessor.
+	if !write {
+		c.recordRead(o, tx)
+		return true
+	}
+	if vacant {
 		o.stack, o.head = o.stack[:0], 0
-		o.pushEntry(c, tx)
+	}
+	o.pushEntry(c, tx)
+	return true
+}
+
+// covers is the paper's noConflict for one entry: every still-active
+// transaction in its ancestor set (active, as the caller filtered it) is
+// an ancestor of the accessor. Before a verdict's first subset test it
+// refreshes the accessor's own set: a unilaterally discarded ancestor
+// bitnum may have been re-used by a concurrent transaction, and a stale
+// bit on our side would make the test pass wrongly (ARCHITECTURE.md D11).
+// A bit the refresh drops was published (or is being) after active was
+// read, so a failed test filters the entry again before it calls the
+// access a conflict.
+func (c *Ctx) covers(e *objEntry, active bitvec.Vec, refreshed *bool) bool {
+	if active.Empty() {
 		return true
 	}
-	top := &o.stack[len(o.stack)-1]
-	// Paper write() line 5: the same transaction (same ancestor set, entry
-	// epoch within our active window) already owns the top entry; write in
-	// place. The epoch window is what distinguishes us from an earlier
-	// transaction that used the same bitnum (§5.2 case 1).
-	if top.anc == c.ancBase && tx.beginEp <= top.ep && top.ep <= c.ep {
-		return true
+	if !*refreshed {
+		c.refreshAnc()
+		*refreshed = true
 	}
-	xanc := c.activeAncestors(top.anc, top.ep)
-	if xanc.Empty() {
-		// Every transaction on the stack has committed and been published:
-		// the stack is dead metadata. Compact before pushing (D7).
-		o.stack, o.head = o.stack[:0], 0
-		o.pushEntry(c, tx)
-		return true
-	}
-	// Refresh our own ancestor set before the subset test: a unilaterally
-	// discarded ancestor bitnum may have been re-used by a concurrent
-	// transaction, and a stale bit on our side would make the test pass
-	// wrongly (ARCHITECTURE.md D11). A bit the refresh drops was published
-	// (or is being) after xanc was read, so a failed test reads xanc again
-	// before it calls the access a conflict.
-	c.refreshAnc()
-	// Paper noConflict: the access is safe iff every still-active
-	// transaction that accessed the object is our ancestor.
-	if xanc.SubsetOf(c.ancBase) || c.activeAncestors(top.anc, top.ep).SubsetOf(c.ancBase) {
-		o.pushEntry(c, tx)
-		return true
-	}
-	return false
+	return active.SubsetOf(c.ancBase) || c.activeAncestors(e.anc, e.ep).SubsetOf(c.ancBase)
 }
 
 // activeAncestors filters the committed transactions out of an entry's
@@ -307,7 +325,7 @@ func (c *Ctx) serialAccess(o *Object, newVal Value, store bool) Value {
 	if len(o.stack) == 0 {
 		o.stack = append(o.stack, objEntry{anc: c.ancBase, ep: c.ep})
 		tx.pushUndo(o, o.val, 0)
-	} else if top := &o.stack[len(o.stack)-1]; !(top.anc == c.ancBase && tx.beginEp <= top.ep && top.ep <= c.ep) {
+	} else if top := &o.stack[len(o.stack)-1]; !top.ownedBy(c.ancBase, tx.beginEp, c.ep) {
 		top.anc, top.ep = c.ancBase, c.ep
 		tx.pushUndo(o, o.val, 0)
 	}

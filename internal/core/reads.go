@@ -47,8 +47,7 @@ const minReaderPrune = 8
 // retraction record so an abort removes it, D16).
 func (rs *readerSet) recordReader(anc bitvec.Vec, beginEp, ep epoch.Epoch) (appended bool) {
 	for i := range rs.entries {
-		e := &rs.entries[i]
-		if e.anc == anc && beginEp <= e.ep && e.ep <= ep {
+		if e := &rs.entries[i]; e.ownedBy(anc, beginEp, ep) {
 			e.ep = ep
 			return false
 		}
@@ -80,7 +79,7 @@ func (rs *readerSet) retract(anc bitvec.Vec, ep epoch.Epoch) {
 func (rs *readerSet) dropDead(rt *Runtime) {
 	kept := rs.entries[:0]
 	for _, e := range rs.entries {
-		if !e.anc.Minus(rt.st.Masks.Get(e.ep)).Empty() {
+		if !e.dead(rt) {
 			kept = append(kept, e)
 		}
 	}
@@ -89,50 +88,32 @@ func (rs *readerSet) dropDead(rt *Runtime) {
 	rs.entries, rs.pruneAt = kept, max(2*len(kept), minReaderPrune)
 }
 
-// readersAllAncestors filters the reader set and reports whether every
-// active reader is an ancestor of the writer (refAnc). Dead entries are
-// dropped as a side effect and the read-path prune re-armed. Caller holds
-// the object lock.
-func (c *Ctx) readersAllAncestors(rs *readerSet, refAnc bitvec.Vec) bool {
+// readersCovered reports whether every live reader entry is covered by
+// the writer (covers, sharing the verdict's one refresh). Dead entries
+// are dropped on the way — by dead, the masks-only test, never by an
+// empty active set, which can be empty from the writer's view alone — and
+// the read-path prune re-armed. Caller holds the object lock.
+func (c *Ctx) readersCovered(rs *readerSet, refreshed *bool) bool {
 	if len(rs.entries) == 0 {
 		return true
 	}
 	ok := true
 	kept := rs.entries[:0]
 	for _, e := range rs.entries {
-		active := c.activeAncestors(e.anc, e.ep)
-		if active.Empty() {
-			continue // reader committed and published: drop
+		if e.dead(c.rt) {
+			continue
 		}
 		kept = append(kept, e)
-		if !active.SubsetOf(refAnc) {
-			ok = false
-		}
+		ok = ok && c.covers(&e, c.activeAncestors(e.anc, e.ep), refreshed)
 	}
 	rs.entries, rs.pruneAt = kept, max(2*len(kept), minReaderPrune)
 	return ok
 }
 
-// tryRead is the shared-read counterpart of tryAccess: it validates the
-// read against the write stack, prunes the reader set at its mark and
-// records the reader entry. Returns false on conflict. Caller holds the
-// object lock.
-func (c *Ctx) tryRead(o *Object, tx *txDesc) bool {
-	if n := len(o.stack); n > o.head {
-		top := &o.stack[n-1]
-		// Reading our own (or an ancestor's merged) write: covered by the
-		// write entry itself, no reader entry needed.
-		if top.anc == c.ancBase && tx.beginEp <= top.ep && top.ep <= c.ep {
-			return true
-		}
-		xanc := c.activeAncestors(top.anc, top.ep)
-		if !xanc.Empty() {
-			c.refreshAnc() // and read xanc again on a failed test, as tryAccess does
-			if !xanc.SubsetOf(c.ancBase) && !c.activeAncestors(top.anc, top.ep).SubsetOf(c.ancBase) {
-				return false // current value belongs to a non-ancestor
-			}
-		}
-	}
+// recordRead records a granted shared read: it prunes the reader set at
+// its mark and notes the reader entry, logging a retraction record when
+// the entry is new. Caller holds the object lock.
+func (c *Ctx) recordRead(o *Object, tx *txDesc) {
 	rs := &o.readers
 	if len(rs.entries) >= max(rs.pruneAt, minReaderPrune) {
 		rs.dropDead(c.rt)
@@ -140,5 +121,4 @@ func (c *Ctx) tryRead(o *Object, tx *txDesc) bool {
 	if rs.recordReader(c.ancBase, tx.beginEp, c.ep) {
 		tx.pushReadUndo(o, c.ancBase, c.ep)
 	}
-	return true
 }

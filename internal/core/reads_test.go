@@ -261,7 +261,7 @@ func readerCounts(rt *Runtime, o *Object) (n, live int) {
 	o.mu.lock()
 	defer o.mu.unlock()
 	for _, e := range o.readers.entries {
-		if !e.anc.Minus(rt.st.Masks.Get(e.ep)).Empty() {
+		if !e.dead(rt) {
 			live++
 		}
 	}

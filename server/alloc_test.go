@@ -5,28 +5,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"pnstm/stmlib"
 )
-
-// exactAllocs is testing.AllocsPerRun without the rounding down: the heap
-// objects one call of f allocates on average, as a fraction, counted from
-// runtime.MemStats.Mallocs over runs calls under GOMAXPROCS(1) after one
-// warm-up call. AllocsPerRun divides in integers, so a path that allocates
-// 4.97 objects a run reads 4 there.
-func exactAllocs(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
 
 // TestCodecAllocCeilings pins the request path's codec costs: encoding
 // into a warm buffer allocates nothing. A connection's decoder, once it

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pnstm"
+	"pnstm/internal/alloctest"
 	"pnstm/internal/wal"
 	"pnstm/stmlib"
 )
@@ -183,7 +184,7 @@ func TestExecutorAllocCeilings(t *testing.T) {
 				ceiling, shape = c.durable, "durable"
 			}
 			h.run(t, p) // warm: structures, pools, the run's batch slice
-			got := exactAllocs(200, func() {
+			got := alloctest.Exact(200, func() {
 				// Publish the previous root first. A write that meets its
 				// entry unpublished spins out, aborts and backs off, and the
 				// backoff's first sleep allocates the goroutine's timer: one

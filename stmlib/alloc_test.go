@@ -2,29 +2,12 @@ package stmlib_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"pnstm"
+	"pnstm/internal/alloctest"
 	"pnstm/stmlib"
 )
-
-// exactAllocs is testing.AllocsPerRun without the rounding down: the heap
-// objects one call of f allocates on average, as a fraction, counted from
-// runtime.MemStats.Mallocs over runs calls under GOMAXPROCS(1) after one
-// warm-up call. AllocsPerRun divides in integers, so a path that allocates
-// 4.97 objects a run reads 4 there.
-func exactAllocs(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
 
 // raceEnabled is set by race_test.go under -race.
 var raceEnabled bool
@@ -102,7 +85,7 @@ func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
 	})
 	run(t, rt, func(c *pnstm.Ctx) {
 		i := 0
-		scan := exactAllocs(200, func() {
+		scan := alloctest.Exact(200, func() {
 			lo := (i * 977) % 16384
 			i++
 			if es := m.RangeScan(c, keys[lo], keys[lo+256], 64); len(es) != min(64, 16384-lo) {
@@ -151,9 +134,9 @@ func TestWordBackedStructureAllocCeilings(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				q.Push(c, elem)
 			}
-			add := exactAllocs(200, func() { ctr.Add(c, 1) })
-			push := exactAllocs(200, func() { q.Push(c, elem) })
-			sum := exactAllocs(200, func() { ctr.Sum(c) })
+			add := alloctest.Exact(200, func() { ctr.Add(c, 1) })
+			push := alloctest.Exact(200, func() { q.Push(c, elem) })
+			sum := alloctest.Exact(200, func() { ctr.Sum(c) })
 			t.Logf("TCounter.Add %.3f allocs, TQueue.Push %.3f allocs, TCounter.Sum %.3f allocs", add, push, sum)
 			slack := allocSlack()
 			for _, r := range []struct {
@@ -195,8 +178,8 @@ func TestTMapPutAllocFlat(t *testing.T) {
 	})
 	run(t, rt, func(c *pnstm.Ctx) {
 		_ = c.Atomic(func(c *pnstm.Ctx) error {
-			put1 := exactAllocs(200, func() { small.Put(c, keys[0], val) })
-			put256 := exactAllocs(200, func() { big.Put(c, keys[42], val) })
+			put1 := alloctest.Exact(200, func() { small.Put(c, keys[0], val) })
+			put256 := alloctest.Exact(200, func() { big.Put(c, keys[42], val) })
 			t.Logf("Put into 1 entry: %.3f allocs, into 256 entries: %.3f", put1, put256)
 			slack := allocSlack()
 			if put256 > put1+slack || put1 > put256+slack {

@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"pnstm/internal/alloctest"
 	"pnstm/internal/core"
 )
 
@@ -293,22 +294,6 @@ func TestWordStoreAllocCeilings(t *testing.T) {
 	}
 }
 
-// exactAllocs is testing.AllocsPerRun without the rounding down: the heap
-// objects one call of f allocates on average, as a fraction, counted from
-// runtime.MemStats.Mallocs over runs calls under GOMAXPROCS(1) after one
-// warm-up call.
-func exactAllocs(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
-
 // sameSlice reports whether a and b have the same data pointer, length and
 // capacity: the same slice, not merely equal elements.
 func sameSlice[E any](a, b []E) bool {
@@ -332,7 +317,7 @@ func TestTVarSliceStoreAllocCeiling(t *testing.T) {
 		_ = c.Atomic(func(c *Ctx) error {
 			Store(c, v, bufs[0])
 			i := 0
-			if got := exactAllocs(1000, func() {
+			if got := alloctest.Exact(1000, func() {
 				i++
 				b := bufs[i%len(bufs)]
 				Store(c, v, b)
