@@ -468,62 +468,62 @@ func (cl *Client) CounterSum(name string) (int64, error) {
 
 // SortedPut stores value under key in the named sorted map.
 func (cl *Client) SortedPut(name, key string, value []byte) error {
-	_, err := cl.txn1().SortedPut(name, key, value).Commit()
+	_, err := cl.do1(server.TxOp{Op: server.OpSortedPut, Name: name, Key: key, Value: value})
 	return err
 }
 
 // SortedPutTTL stores value under key in the named sorted map, expiring
 // at deadline (UnixNano); deadline <= 0 stores without a deadline.
 func (cl *Client) SortedPutTTL(name, key string, value []byte, deadline int64) error {
-	_, err := cl.txn1().SortedPutTTL(name, key, value, deadline).Commit()
+	_, err := cl.do1(server.TxOp{Op: server.OpSortedPutTTL, Name: name, Key: key, Value: value, Delta: deadline})
 	return err
 }
 
 // SortedGet reads key from the named sorted map (expired entries read
 // as absent).
 func (cl *Client) SortedGet(name, key string) ([]byte, bool, error) {
-	res, err := cl.txn1().SortedGet(name, key).Commit()
+	res, err := cl.do1(server.TxOp{Op: server.OpSortedGet, Name: name, Key: key})
 	if err != nil {
 		return nil, false, err
 	}
-	return res.Bytes(0), res.Found(0), nil
+	return res.Value, res.Found, nil
 }
 
 // SortedDelete removes key from the named sorted map; reports whether
 // it was present.
 func (cl *Client) SortedDelete(name, key string) (bool, error) {
-	res, err := cl.txn1().SortedDelete(name, key).Commit()
+	res, err := cl.do1(server.TxOp{Op: server.OpSortedDelete, Name: name, Key: key})
 	if err != nil {
 		return false, err
 	}
-	return res.Found(0), nil
+	return res.Found, nil
 }
 
 // RangeScan reads the live entries of [lo, hi) from the named sorted
 // map in key order, at most limit entries (0: server cap; hi == ""
 // scans to the end of the key space).
 func (cl *Client) RangeScan(name, lo, hi string, limit int) ([]Entry, error) {
-	res, err := cl.txn1().RangeScan(name, lo, hi, limit).Commit()
+	res, err := cl.do1(server.TxOp{Op: server.OpRangeScan, Name: name, Key: lo, Value: hiBound(hi), Delta: int64(limit)})
 	if err != nil {
 		return nil, err
 	}
-	return res.Entries(0)
+	return entries(res)
 }
 
 // RangeCount counts the live entries of [lo, hi) in the named sorted
 // map (hi == "" counts to the end).
 func (cl *Client) RangeCount(name, lo, hi string) (int64, error) {
-	res, err := cl.txn1().RangeCount(name, lo, hi).Commit()
+	res, err := cl.do1(server.TxOp{Op: server.OpRangeCount, Name: name, Key: lo, Value: hiBound(hi)})
 	if err != nil {
 		return 0, err
 	}
-	return res.Num(0), nil
+	return res.Num, nil
 }
 
 // MapPutTTL stores value under key in the named map, expiring at
 // deadline (UnixNano); deadline <= 0 stores without a deadline.
 func (cl *Client) MapPutTTL(name, key string, value []byte, deadline int64) error {
-	_, err := cl.txn1().MapPutTTL(name, key, value, deadline).Commit()
+	_, err := cl.do1(server.TxOp{Op: server.OpMapPutTTL, Name: name, Key: key, Value: value, Delta: deadline})
 	return err
 }
 
@@ -532,12 +532,11 @@ func (cl *Client) MapPutTTL(name, key string, value []byte, deadline int64) erro
 // requeued by the server's reaper after the deadline). ok is false when
 // the queue had nothing to lease.
 func (cl *Client) LeaseConsume(name string, deadline int64) (id uint64, value []byte, ok bool, err error) {
-	res, err := cl.txn1().LeaseConsume(name, deadline).Commit()
+	res, err := cl.do1(server.TxOp{Op: server.OpLeaseConsume, Name: name, Delta: deadline})
 	if err != nil {
 		return 0, nil, false, err
 	}
-	id, value, ok = res.Lease(0)
-	return id, value, ok, nil
+	return uint64(res.Num), res.Value, res.Found, nil
 }
 
 // LeaseAck retires lease id. ok is false — with nil error — when the
@@ -546,7 +545,7 @@ func (cl *Client) LeaseConsume(name string, deadline int64) (id uint64, value []
 // at-least-once contract. To bundle the ack atomically with its side
 // effects, build a Txn with LeaseAck and the other ops instead.
 func (cl *Client) LeaseAck(name string, id uint64) (bool, error) {
-	_, err := cl.txn1().LeaseAck(name, id).Commit()
+	_, err := cl.do1(server.TxOp{Op: server.OpLeaseAck, Name: name, Delta: int64(id)})
 	var aborted *ErrTxAborted
 	if errors.As(err, &aborted) {
 		return false, nil
@@ -559,11 +558,11 @@ func (cl *Client) LeaseAck(name string, id uint64) (bool, error) {
 
 // LeaseNack returns lease id's element to the queue tail immediately.
 func (cl *Client) LeaseNack(name string, id uint64) (bool, error) {
-	res, err := cl.txn1().LeaseNack(name, id).Commit()
+	res, err := cl.do1(server.TxOp{Op: server.OpLeaseNack, Name: name, Delta: int64(id)})
 	if err != nil {
 		return false, err
 	}
-	return res.Found(0), nil
+	return res.Found, nil
 }
 
 // Checkout atomically decrements every line's stock in the named map and

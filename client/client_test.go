@@ -10,8 +10,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pnstm/internal/alloctest"
 	"pnstm/server"
 )
+
+// allocSlack is what an exact allocation reading (alloctest.Exact) may
+// carry over its whole objects, as in the server's ceilings.
+const allocSlack = 0.25
 
 // echoServer answers every MapGet, top-level or inside an envelope, with
 // the request's own key as the value, so a caller can tell its reply from
@@ -185,8 +190,8 @@ func TestEntriesAllocCeiling(t *testing.T) {
 	res := &TxResults{rs: []server.TxResult{{Status: server.StatusOK, Num: 64, Value: server.AppendKVs(nil, kvs)}}}
 	var es []Entry
 	var err error
-	if got := testing.AllocsPerRun(100, func() { es, err = res.Entries(0) }); got > 2 {
-		t.Errorf("Entries on 64 entries: %.0f allocs, ceiling 2 (the entry slice, the keys' string)", got)
+	if got := alloctest.Exact(100, func() { es, err = res.Entries(0) }); got > 2+allocSlack { // reads 2.00
+		t.Errorf("Entries on 64 entries: %.3f allocs, ceiling 2 (the entry slice, the keys' string) and %.2f slack", got, allocSlack)
 	}
 	if err != nil || len(es) != 64 {
 		t.Fatalf("Entries = %d entries, %v", len(es), err)
@@ -228,12 +233,61 @@ func TestReplyValueAllocCeiling(t *testing.T) {
 		}
 	}
 	decode()
-	if got := testing.AllocsPerRun(1, decode); got > 1 {
-		t.Errorf("decoding 64 MapGet replies with 64-byte values: %.0f allocs, ceiling 1 (a slab refill)", got)
+	if got := alloctest.Exact(1, decode); got > 1 { // reads 0 or 1: the 64 values fill half a slab
+		t.Errorf("decoding 64 MapGet replies with 64-byte values: %.3f allocs, ceiling 1 (a slab refill)", got)
 	}
 	for i, v := range values {
 		if len(v) != 64 || cap(v) != 64 || !bytes.Equal(v, bytes.Repeat([]byte{byte(i % 64)}, 64)) {
 			t.Errorf("value %d: %d bytes, cap %d, %x", i, len(v), cap(v), v)
+		}
+	}
+}
+
+// TestKeptTxResultsSurviveSlabRefills is TestReplyValueAllocCeiling for
+// envelope replies: 64 three-op replies, decoded the way readLoop decodes
+// them, carve their results lists and small values from the slabs, and
+// every list a caller keeps stays as it was decoded while later frames
+// refill both slabs several times over. A slab that started again at its
+// first slot when full, rather than being replaced, would rewrite them.
+func TestKeptTxResultsSurviveSlabRefills(t *testing.T) {
+	const rounds = 4 // 768 result slots and 26 KB of values: six result slabs, four value slabs
+	result := func(f, i int) server.TxResult {
+		return server.TxResult{Status: server.StatusOK, Found: i != 1, Num: int64(f*3 + i),
+			Value: bytes.Repeat([]byte{byte(f), byte(i)}, 16+i)}
+	}
+	var frames [][]byte
+	for f := range 64 {
+		resp := &server.Response{ID: uint64(f), Status: server.StatusOK,
+			TxResults: []server.TxResult{result(f, 0), result(f, 1), result(f, 2)}}
+		frames = append(frames, server.AppendResponse(nil, resp)[4:])
+	}
+	var slab server.ReplySlab
+	var resp server.Response
+	kept := make([][]server.TxResult, 0, rounds*len(frames))
+	decode := func() {
+		for _, f := range frames {
+			if err := slab.DecodeResponse(f, &resp); err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, resp.TxResults)
+		}
+	}
+	decode()
+	// 192 slots and 6,528 value bytes a round: at most two result slab
+	// refills and one value slab refill.
+	if got := alloctest.Exact(rounds-2, decode); got > 3 { // reads 2.50
+		t.Errorf("decoding 64 three-op envelope replies: %.3f allocs, ceiling 3 (two result slabs, a value slab)", got)
+	}
+	for k, rs := range kept {
+		f := k % len(frames)
+		if len(rs) != 3 || cap(rs) != 3 {
+			t.Fatalf("reply %d: %d results, cap %d, want 3 capped at 3", k, len(rs), cap(rs))
+		}
+		for i, r := range rs {
+			want := result(f, i)
+			if r.Status != want.Status || r.Found != want.Found || r.Num != want.Num || !bytes.Equal(r.Value, want.Value) {
+				t.Errorf("reply %d result %d = %+v, want %+v: rewritten by a later decode", k, i, r, want)
+			}
 		}
 	}
 }

@@ -154,3 +154,36 @@ func ExampleTxn() {
 	// board: 42, deleted true
 	// nacked: true reclaimed: 0
 }
+
+// A scan and a count of a sorted map ride one envelope with a write:
+// Entries decodes the scan's result in key order.
+func ExampleTxn_scan() {
+	cl, stop := connect()
+	defer stop()
+
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := cl.SortedPut("idx", k, []byte(k+k)); err != nil {
+			panic(err)
+		}
+	}
+	tx := cl.Txn()
+	tx.MapPutTTL("sessions", "alice", []byte("cart"), 0)
+	scan := tx.At()
+	tx.RangeScan("idx", "b", "d", 0).RangeCount("idx", "a", "")
+	res, err := tx.Commit()
+	if err != nil {
+		panic(err)
+	}
+	es, err := res.Entries(scan)
+	if err != nil {
+		panic(err)
+	}
+	for _, e := range es {
+		fmt.Printf("%s=%s\n", e.Key, e.Value)
+	}
+	fmt.Println("count:", res.Num(scan+1))
+	// Output:
+	// b=bb
+	// c=cc
+	// count: 4
+}

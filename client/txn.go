@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"pnstm/server"
 )
@@ -63,14 +64,17 @@ type Txn struct {
 	cl  *Client
 	ops []server.TxOp
 	err error
+
+	// first holds the first four ops, and results the first four results
+	// behind res, what Commit returns: an envelope of up to four ops costs
+	// the builder and nothing else.
+	first   [4]server.TxOp
+	results [4]server.TxResult
+	res     TxResults
 }
 
 // Txn starts an empty transaction builder.
 func (cl *Client) Txn() *Txn { return &Txn{cl: cl} }
-
-// txn1 starts a builder for exactly one op: the single-op wrappers keep
-// an exactly-sized slice instead of add's four-op reserve.
-func (cl *Client) txn1() *Txn { return &Txn{cl: cl, ops: make([]server.TxOp, 0, 1)} }
 
 // At returns the index the NEXT op will occupy — capture it before
 // adding an op to address that op's result in the committed TxResults.
@@ -78,8 +82,7 @@ func (t *Txn) At() int { return len(t.ops) }
 
 func (t *Txn) add(op server.TxOp) *Txn {
 	if t.ops == nil {
-		// Room for a transfer's four ops at once, not grown 1 → 2 → 4.
-		t.ops = make([]server.TxOp, 0, 4)
+		t.ops = t.first[:0]
 	}
 	t.ops = append(t.ops, op)
 	return t
@@ -226,13 +229,13 @@ func (t *Txn) SortedLen(name string) *Txn {
 // hit. Large ranges page: pass the last returned key + "\x00" as the
 // next lo.
 func (t *Txn) RangeScan(name, lo, hi string, limit int) *Txn {
-	return t.add(server.TxOp{Op: server.OpRangeScan, Name: name, Key: lo, Value: []byte(hi), Delta: int64(limit)})
+	return t.add(server.TxOp{Op: server.OpRangeScan, Name: name, Key: lo, Value: hiBound(hi), Delta: int64(limit)})
 }
 
 // RangeCount counts the live entries of [lo, hi) — hi == "" counts to
 // the end — without materializing values (result: Num).
 func (t *Txn) RangeCount(name, lo, hi string) *Txn {
-	return t.add(server.TxOp{Op: server.OpRangeCount, Name: name, Key: lo, Value: []byte(hi)})
+	return t.add(server.TxOp{Op: server.OpRangeCount, Name: name, Key: lo, Value: hiBound(hi)})
 }
 
 // MapPutTTL stores value under key in the named map expiring at
@@ -298,28 +301,60 @@ func (t *Txn) Commit() (*TxResults, error) {
 		return nil, t.err
 	}
 	if len(t.ops) == 0 {
-		return &TxResults{}, nil
+		return &t.res, nil
 	}
-	req := &server.Request{Op: server.OpTx, Tx: &server.Tx{Ops: t.ops}}
-	// A pure-read envelope — every sub-op a read or a guard, by the
-	// server's own table — is eligible for replica routing under the
-	// pool's read preference; anything mutating is primary-only.
 	var resp server.Response
-	var err error
-	if slices.ContainsFunc(t.ops, func(op server.TxOp) bool { return server.Mutates(op.Op) }) {
-		err = t.cl.roundTrip(req, &resp)
-	} else {
-		err = t.cl.roundTripRead(req, &resp)
-	}
-	if resp.Status == server.StatusRejected {
-		return &TxResults{rs: resp.TxResults},
-			&ErrTxAborted{FailedOpIndex: int(resp.Num), Reason: resp.Msg}
-	}
-	if err != nil {
+	err := t.cl.envelope(t.ops, &resp)
+	if err != nil && resp.Status != server.StatusRejected {
 		return nil, err
 	}
-	return &TxResults{rs: resp.TxResults}, nil
+	t.res.rs = append(t.results[:0], resp.TxResults...)
+	clear(resp.TxResults) // see do1
+	return &t.res, err
 }
+
+// envelope sends ops as one OpTx envelope and leaves the reply in *resp.
+// A pure-read envelope — every sub-op a read or a guard, by the server's
+// own table — is eligible for replica routing under the pool's read
+// preference; anything mutating is primary-only. A rejected envelope
+// comes back as *ErrTxAborted, with *resp holding the partial results.
+// The request lives on this frame: the connection only encodes it.
+func (cl *Client) envelope(ops []server.TxOp, resp *server.Response) error {
+	req := server.Request{Op: server.OpTx, Tx: &server.Tx{Ops: ops}}
+	var err error
+	if slices.ContainsFunc(ops, func(op server.TxOp) bool { return server.Mutates(op.Op) }) {
+		err = cl.roundTrip(&req, resp)
+	} else {
+		err = cl.roundTripRead(&req, resp)
+	}
+	if resp.Status == server.StatusRejected {
+		return &ErrTxAborted{FailedOpIndex: int(resp.Num), Reason: resp.Msg}
+	}
+	return err
+}
+
+// do1 sends op as a one-op envelope with no builder: the op's list and
+// the reply live on this frame, and the op's result is read straight out
+// of the reply (the zero TxResult when the reply holds none). The results
+// list is a slot of the reader's result slab, which keeps it as long as
+// the slab lives, and this call is its only holder: it clears the slot once
+// read, so the slab does not pin the value.
+func (cl *Client) do1(op server.TxOp) (server.TxResult, error) {
+	ops := [1]server.TxOp{op}
+	var resp server.Response
+	err := cl.envelope(ops[:], &resp)
+	if len(resp.TxResults) == 0 {
+		return server.TxResult{}, err
+	}
+	res := resp.TxResults[0]
+	clear(resp.TxResults)
+	return res, err
+}
+
+// hiBound is a scan's upper bound as its op's Value: a view of hi's
+// bytes, not a copy. A request's op list is only ever encoded, never
+// written to, so the view is never written through.
+func hiBound(hi string) []byte { return unsafe.Slice(unsafe.StringData(hi), len(hi)) }
 
 // TxResults is the per-op outcome vector of a committed (or, partially,
 // an aborted) transaction, indexed by op order.
@@ -373,8 +408,9 @@ type Entry = server.KVEntry
 // a slice of the result's payload — the buffer Bytes(i) hands out — so a
 // retained Value keeps that whole payload alive, and the keys share one
 // string. Copy what must outlive the result.
-func (r *TxResults) Entries(i int) ([]Entry, error) {
-	res := r.at(i)
+func (r *TxResults) Entries(i int) ([]Entry, error) { return entries(r.at(i)) }
+
+func entries(res server.TxResult) ([]Entry, error) {
 	if len(res.Value) == 0 {
 		return nil, nil
 	}

@@ -157,6 +157,9 @@ type batchRun struct {
 	body   []byte
 	plan   plan
 
+	// results is where carveResults takes every envelope's result slots.
+	results resultSlab
+
 	root func(*pnstm.Ctx) // r.runRoot, bound once
 }
 
@@ -164,6 +167,24 @@ func newBatchRun(reg *stmlib.Registry, wl *wal.Log) *batchRun {
 	r := &batchRun{reg: reg, wal: wl}
 	r.root = r.runRoot
 	return r
+}
+
+// carveResults gives every envelope of the batch its result slots from
+// the run's slab, before the root forks. The slots outlive the batch: a
+// reader-minted pending is released right after finish, and the
+// connection's writer encodes its copy of the Response later (D48), so
+// they cannot live in the pending, and the slab is replaced when full,
+// never rewritten. Every other request's list is cleared, so no results
+// list of an earlier request is written again. A slot's value lives as long
+// as its slab, so whoever drops a carved list unsent, and the connection's
+// writer once it has encoded one, clears it first.
+func (r *batchRun) carveResults() {
+	for _, p := range r.batch {
+		p.resp.TxResults = nil
+		if p.req.Op == OpTx && p.req.Tx != nil && len(p.req.Tx.Ops) > 0 {
+			p.resp.TxResults = r.results.carve(len(p.req.Tx.Ops))
+		}
+	}
 }
 
 // apply runs one request of the batch in block context c.
@@ -285,8 +306,12 @@ func requestTraceTag(req *Request) (name, key string) {
 // own: every stmlib operation is already atomic, so that call's
 // transaction IS the request's nested child. Only bodies that compose
 // several calls (a composite op, an envelope) wrap them in one.
+//
+// An envelope's results go into the slots resp.TxResults holds on entry
+// (batchRun.carveResults), or into a list of their own when it holds
+// none of the envelope's length.
 func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) {
-	*resp = Response{ID: req.ID, Status: StatusOK}
+	*resp = Response{ID: req.ID, Status: StatusOK, TxResults: resp.TxResults}
 	var err error
 	if d := &opTable[req.Op]; req.Op == OpTx {
 		err = applyTx(c, reg, req.Tx, resp)
@@ -303,6 +328,7 @@ func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Respon
 		*resp = Response{ID: req.ID, Status: StatusRejected, Found: resp.Found,
 			Num: resp.Num, Msg: resp.Msg, TxResults: resp.TxResults}
 	default:
+		clear(resp.TxResults) // the reply drops them, so the slab must not keep their values
 		*resp = Response{ID: req.ID, Status: StatusErr, Msg: err.Error()}
 	}
 }
@@ -350,8 +376,11 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 		return nil
 	}
 	ops := tx.Ops
-	results := make([]TxResult, len(ops))
-	resp.TxResults = results
+	results := resp.TxResults
+	if len(results) != len(ops) {
+		results = make([]TxResult, len(ops))
+		resp.TxResults = results
+	}
 	return c.Atomic(func(c *pnstm.Ctx) error {
 		resetTxResults(resp)
 		// The plan lives on this frame and a retried attempt redoes it: a

@@ -12,6 +12,14 @@ import (
 // Hooks for the external (server_test) tests: where what a test must see
 // is not on the public surface.
 
+// RaceEnabled reports whether the race detector is on: the loopback
+// ceilings hold a higher value there, where the race build's pools drop
+// some of what is put back.
+func RaceEnabled() bool { return raceEnabled }
+
+// AllocSlack is allocSlack, for the loopback ceilings.
+const AllocSlack = allocSlack
+
 // ConfigPointer is the published configuration snapshot itself, so a test
 // can tell "the same value" from "an equal value published again".
 func (s *Server) ConfigPointer() *Config { return s.cfg.Load() }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pnstm/internal/alloctest"
 	"pnstm/internal/wal"
 )
 
@@ -229,7 +230,7 @@ func TestLogBatchAllocCeiling(t *testing.T) {
 	}
 	h := logBatchHarness(t)
 	before := h.b.wal.TailLSN()
-	got := testing.AllocsPerRun(100, func() {
+	got := alloctest.Exact(100, func() {
 		if err := h.r.logBatch(wal.MaxBody); err != nil {
 			t.Fatal(err)
 		}
@@ -237,9 +238,7 @@ func TestLogBatchAllocCeiling(t *testing.T) {
 	if n := h.b.wal.TailLSN() - before; n != 101 {
 		t.Fatalf("%d records appended, want 101 (one per batch)", n)
 	}
-	if got != 0 {
-		t.Fatalf("logBatch + Append of 5 transfers: %.0f allocs/op, want 0", got)
-	}
+	checkExact(t, "logBatch + Append of 5 transfers", got, 0) // reads 0.00
 }
 
 // BenchmarkLogBatch is TestLogBatchAllocCeiling's body: one 5-request

@@ -814,20 +814,25 @@ func ParseResponse(frame []byte) (*Response, error) {
 // overwriting it, and rejects status bytes no server produces: at top
 // level anything but the four live statuses (the reserved 4 included),
 // per sub-op result anything past StatusRejected (0 is legal there: the
-// op never executed). It copies what it keeps, and the results list is a
-// fresh slice each time: a caller may hand the decoded value on and
-// decode the next frame into the same Response.
+// op never executed). It copies what it keeps, values and results list
+// alike, into memory no later decode writes (fresh slices here; the tails
+// of a ReplySlab's slabs with ReplySlab.DecodeResponse): a caller may hand
+// the decoded value on and decode the next frame into the same Response.
 func DecodeResponse(frame []byte, resp *Response) error {
 	return decodeResponse(frame, resp, nil)
 }
 
-// ReplySlab is an append-only arena for the small reply values one
-// connection's reader decodes: a Value of up to 512 bytes is copied into
-// the tail of an 8 KiB slab instead of into an allocation of its own, and
-// a full slab is replaced, never rewritten. So nothing handed out
-// changes, and a caller that keeps one value pins at most one slab. The
-// zero value is ready to use.
-type ReplySlab struct{ b []byte }
+// ReplySlab holds the append-only arenas one connection's reader decodes
+// into: a Value of up to 512 bytes is copied into the tail of an 8 KiB
+// byte slab, and an envelope's results list of up to 16 slots is carved
+// from a 128-slot result slab, instead of each into an allocation of its
+// own. A full slab is replaced, never rewritten, so nothing handed out
+// changes, and a caller that keeps a value or a results list pins at
+// most one slab. The zero value is ready to use.
+type ReplySlab struct {
+	b  []byte
+	rs resultSlab
+}
 
 const (
 	replySlabSize = 8 << 10
@@ -835,7 +840,7 @@ const (
 )
 
 // DecodeResponse is the package's DecodeResponse with every value of up
-// to 512 bytes carved from s.
+// to 512 bytes, and every results list of up to 16 slots, carved from s.
 func (s *ReplySlab) DecodeResponse(frame []byte, resp *Response) error {
 	return decodeResponse(frame, resp, s)
 }
@@ -851,7 +856,7 @@ func decodeResponse(frame []byte, resp *Response, s *ReplySlab) error {
 		Msg:    c.str16(),
 	}
 	if n := int(c.u16()); n > 0 && c.err == nil {
-		resp.TxResults = make([]TxResult, 0, min(n, 1024))
+		resp.TxResults = s.results(min(n, 1024))
 		for i := 0; i < n && c.err == nil; i++ {
 			resp.TxResults = append(resp.TxResults, TxResult{
 				Status: c.u8(),
@@ -888,4 +893,42 @@ func (s *ReplySlab) carve(raw []byte) []byte {
 	at := len(s.b)
 	s.b = append(s.b, raw...)
 	return s.b[at:len(s.b):len(s.b)]
+}
+
+// results returns an empty results list with room for n: carved from
+// s's result slab when s is not nil, a fresh slice otherwise.
+func (s *ReplySlab) results(n int) []TxResult {
+	if s == nil {
+		return make([]TxResult, 0, n)
+	}
+	return s.rs.carve(n)[:0]
+}
+
+// resultSlab is an append-only arena of envelope result slots, the
+// server's batch and the client's reader each keeping one: a list of up
+// to maxSlabResults slots is carved, zeroed and capped at its length,
+// from the tail of a resultSlabSlots-slot slab, and a full slab is
+// replaced, never rewritten, so a list handed on — a Response copy the
+// connection's writer encodes later, a call's reply — never changes under
+// its holder. A longer list gets an allocation of its own. A slot keeps
+// its value alive as long as the slab lives, so the last holder of a list
+// clears it when done (the server's connection writer, the client's call).
+// The zero value is ready to use.
+type resultSlab struct{ s []TxResult }
+
+const (
+	resultSlabSlots = 128 // 5 KiB
+	maxSlabResults  = 16
+)
+
+func (s *resultSlab) carve(n int) []TxResult {
+	if n > maxSlabResults {
+		return make([]TxResult, n)
+	}
+	if n > cap(s.s)-len(s.s) {
+		s.s = make([]TxResult, 0, resultSlabSlots)
+	}
+	at := len(s.s)
+	s.s = s.s[:at+n]
+	return s.s[at : at+n : at+n]
 }

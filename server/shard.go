@@ -209,6 +209,7 @@ func (sh *shard) runBatch(r *batchRun, first *pending) (next func()) {
 	sh.obs.observeBatch(len(r.batch), time.Since(formStart))
 	batch := r.batch
 
+	r.carveResults()
 	r.seq.Store(0)
 	r.traced = sh.rt.TracingEnabled()
 	if r.traced {
@@ -233,6 +234,7 @@ func (sh *shard) runBatch(r *batchRun, first *pending) (next func()) {
 			// subsequent mutating batches fail too until a restart
 			// re-opens a consistent prefix.
 			for _, p := range batch {
+				clear(p.resp.TxResults) // dropped unsent: see carveResults
 				p.resp = Response{ID: p.req.ID, Status: StatusErr, Msg: "wal: " + werr.Error()}
 			}
 		}

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -453,6 +456,64 @@ func TestCrossShardReadOnlyEnvelopeMissesLaterWrites(t *testing.T) {
 	for _, done := range []<-chan Response{w, y} {
 		if resp := <-done; resp.Status != StatusOK {
 			t.Fatalf("put: %+v", resp)
+		}
+	}
+}
+
+// TestKeptEnvelopeResultsSurviveLaterBatches keeps the Response copies of
+// one batch of envelopes, as a connection's writer holds them until it
+// encodes them, while 300 more envelope batches run on the same loop. The
+// result slots of every envelope come from the loop's slab
+// (batchRun.carveResults), which is replaced when full and never written
+// again: every kept result must still read as it was delivered.
+func TestKeptEnvelopeResultsSurviveLaterBatches(t *testing.T) {
+	s := newLoopServer(t, 1)
+	sh := s.shards[0]
+	envelope := func(id uint64, k int, delta int64) Request {
+		key := fmt.Sprintf("k%03d", k)
+		return Request{ID: id, Op: OpTx, Tx: &Tx{Ops: []TxOp{
+			{Op: OpMapAdd, Name: "m", Key: key, Delta: delta},
+			{Op: OpMapGet, Name: "m", Key: key},
+			{Op: OpCounterAdd, Name: "c", Delta: delta},
+		}}}
+	}
+
+	// One batch of 8 envelopes, queued while the loop is held.
+	release := park(t, sh)
+	before := batchCount(sh)
+	var dones []<-chan Response
+	for k := range 8 {
+		dones = append(dones, submitAsync(t, sh, envelope(uint64(k+1), k, int64(1000+k))))
+	}
+	waitQueued(sh, len(dones))
+	release()
+	kept := make([]Response, len(dones))
+	want := make([][]TxResult, len(dones))
+	for k, done := range dones {
+		kept[k] = <-done
+		rs := kept[k].TxResults
+		if kept[k].Status != StatusOK || len(rs) != 3 || rs[0].Num != int64(1000+k) ||
+			!rs[1].Found || !bytes.Equal(rs[1].Value, EncodeInt64(int64(1000+k))) {
+			t.Fatalf("envelope %d = %+v", k, kept[k])
+		}
+		want[k] = slices.Clone(rs)
+		for i := range want[k] {
+			want[k][i].Value = bytes.Clone(rs[i].Value)
+		}
+	}
+	if n := batchCount(sh) - before; n != 1 {
+		t.Fatalf("the 8 envelopes ran in %d batches, want 1", n)
+	}
+
+	// 300 batches more, 900 result slots: the slab is replaced 7 times.
+	for i := range 300 {
+		if resp := <-submitAsync(t, sh, envelope(uint64(100+i), 8+i%64, int64(i+1))); resp.Status != StatusOK {
+			t.Fatalf("batch %d: %+v", i, resp)
+		}
+	}
+	for k := range kept {
+		if !reflect.DeepEqual(kept[k].TxResults, want[k]) {
+			t.Errorf("envelope %d's delivered results changed under later batches:\n  got  %+v\n  want %+v", k, kept[k].TxResults, want[k])
 		}
 	}
 }
