@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,6 @@ import (
 	"pnstm/internal/alloctest"
 	"pnstm/server"
 )
-
-// allocSlack is what an exact allocation reading (alloctest.Exact) may
-// carry over its whole objects, as in the server's ceilings.
-const allocSlack = 0.25
 
 // echoServer answers every MapGet, top-level or inside an envelope, with
 // the request's own key as the value, so a caller can tell its reply from
@@ -190,8 +187,8 @@ func TestEntriesAllocCeiling(t *testing.T) {
 	res := &TxResults{rs: []server.TxResult{{Status: server.StatusOK, Num: 64, Value: server.AppendKVs(nil, kvs)}}}
 	var es []Entry
 	var err error
-	if got := alloctest.Exact(100, func() { es, err = res.Entries(0) }); got > 2+allocSlack { // reads 2.00
-		t.Errorf("Entries on 64 entries: %.3f allocs, ceiling 2 (the entry slice, the keys' string) and %.2f slack", got, allocSlack)
+	if got := alloctest.Exact(100, func() { es, err = res.Entries(0) }); got > 2+alloctest.Slack { // reads 2.00
+		t.Errorf("Entries on 64 entries: %.3f allocs, ceiling 2 (the entry slice, the keys' string) and %.2f slack", got, alloctest.Slack)
 	}
 	if err != nil || len(es) != 64 {
 		t.Fatalf("Entries = %d entries, %v", len(es), err)
@@ -288,6 +285,42 @@ func TestKeptTxResultsSurviveSlabRefills(t *testing.T) {
 			if r.Status != want.Status || r.Found != want.Found || r.Num != want.Num || !bytes.Equal(r.Value, want.Value) {
 				t.Errorf("reply %d result %d = %+v, want %+v: rewritten by a later decode", k, i, r, want)
 			}
+		}
+	}
+}
+
+// TestCommitDropsItsOps: the results Commit returns live in the builder,
+// so the builder must not hold the request's keys and values once it is
+// sent. After Commit every op in the builder is cleared, spilled past the
+// first four or not, At still counts them, and the results still read as
+// the reply said.
+func TestCommitDropsItsOps(t *testing.T) {
+	es := newEchoServer(t, 1<<20)
+	cl, err := Connect(Options{Addrs: []string{es.ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, n := range []int{2, 6} {
+		tx := cl.Txn()
+		for i := range n - 1 {
+			tx.MapPut("kv", fmt.Sprintf("k%d", i), make([]byte, 1<<10))
+		}
+		tx.MapGet("kv", "last")
+		res, err := tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx.At() != n {
+			t.Errorf("%d ops: At() = %d after Commit", n, tx.At())
+		}
+		for i, op := range append(tx.first[:], tx.ops...) {
+			if !reflect.DeepEqual(op, server.TxOp{}) {
+				t.Errorf("%d ops: op %d still held after Commit: %s %q", n, i, op.Name, op.Key)
+			}
+		}
+		if res.Len() != n || !res.Found(n-1) || string(res.Bytes(n-1)) != "last" {
+			t.Errorf("%d ops: %d results, last %q", n, res.Len(), res.Bytes(n-1))
 		}
 	}
 }

@@ -296,6 +296,10 @@ func (t *Txn) fail(err error) {
 //     The partial results show what the aborted attempt observed.
 //   - anything else: transport or server failure; for writes, assume
 //     unknown outcome (as with any RPC).
+//
+// The results live in the builder, so kept results keep the Txn. Commit
+// clears its ops once sent, so they do not keep the request's keys and
+// values too; At still counts them.
 func (t *Txn) Commit() (*TxResults, error) {
 	if t.err != nil {
 		return nil, t.err
@@ -305,6 +309,8 @@ func (t *Txn) Commit() (*TxResults, error) {
 	}
 	var resp server.Response
 	err := t.cl.envelope(t.ops, &resp)
+	clear(t.first[:])
+	clear(t.ops)
 	if err != nil && resp.Status != server.StatusRejected {
 		return nil, err
 	}

@@ -1,5 +1,6 @@
 // Package alloctest holds the exact allocation ruler that the allocation
-// ceilings of pnstm, internal/core, stmlib and server read.
+// ceilings of pnstm, internal/core, stmlib, server and client read, and
+// the slack those ceilings allow over their whole objects.
 package alloctest
 
 import "runtime"

@@ -175,9 +175,8 @@ func newBatchRun(reg *stmlib.Registry, wl *wal.Log) *batchRun {
 // connection's writer encodes its copy of the Response later (D48), so
 // they cannot live in the pending, and the slab is replaced when full,
 // never rewritten. Every other request's list is cleared, so no results
-// list of an earlier request is written again. A slot's value lives as long
-// as its slab, so whoever drops a carved list unsent, and the connection's
-// writer once it has encoded one, clears it first.
+// list of an earlier request is written again. Who clears a slot's value
+// is resultSlab's rule.
 func (r *batchRun) carveResults() {
 	for _, p := range r.batch {
 		p.resp.TxResults = nil
@@ -328,7 +327,6 @@ func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Respon
 		*resp = Response{ID: req.ID, Status: StatusRejected, Found: resp.Found,
 			Num: resp.Num, Msg: resp.Msg, TxResults: resp.TxResults}
 	default:
-		clear(resp.TxResults) // the reply drops them, so the slab must not keep their values
 		*resp = Response{ID: req.ID, Status: StatusErr, Msg: err.Error()}
 	}
 }

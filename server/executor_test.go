@@ -176,7 +176,7 @@ func TestExecutorAllocCeilings(t *testing.T) {
 	}
 	// Read exactly, a row is its whole objects plus up to 0.08 more: an
 	// undo chunk, a grown stack or a frame remade after a collection
-	// emptied the pools, on a few of the 200 runs (allocSlack).
+	// emptied the pools, on a few of the 200 runs (alloctest.Slack).
 	for _, durable := range []bool{false, true} {
 		h := newExecHarness(t, durable)
 		work := execWorkloads(t, h)
@@ -199,8 +199,8 @@ func TestExecutorAllocCeilings(t *testing.T) {
 				t.Fatalf("%s/%s: %+v", shape, c.name, p.resp)
 			}
 			t.Logf("%s/%s: %.3f allocs/op", shape, c.name, got)
-			if got > ceiling+allocSlack {
-				t.Errorf("%s/%s: %.3f allocs/op, ceiling %.0f and %.2f slack", shape, c.name, got, ceiling, allocSlack)
+			if got > ceiling+alloctest.Slack {
+				t.Errorf("%s/%s: %.3f allocs/op, ceiling %.0f and %.2f slack", shape, c.name, got, ceiling, alloctest.Slack)
 			}
 		}
 	}

@@ -17,9 +17,6 @@ import (
 // some of what is put back.
 func RaceEnabled() bool { return raceEnabled }
 
-// AllocSlack is allocSlack, for the loopback ceilings.
-const AllocSlack = allocSlack
-
 // ConfigPointer is the published configuration snapshot itself, so a test
 // can tell "the same value" from "an equal value published again".
 func (s *Server) ConfigPointer() *Config { return s.cfg.Load() }

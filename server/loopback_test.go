@@ -81,8 +81,8 @@ func BenchmarkLoopbackRangeScan(b *testing.B) {
 }
 
 // checkLoopbackCeiling reads f exactly over runs calls and fails the test
-// when it costs more than ceiling (raced under -race) plus the package's
-// slack (AllocSlack): the reply and result slabs' refills are a few
+// when it costs more than ceiling (raced under -race) plus
+// alloctest.Slack: the reply and result slabs' refills are a few
 // hundredths of an object per call. Under -race the pools drop some of
 // what is put back, so each row names its own race-build ceiling.
 func checkLoopbackCeiling(t *testing.T, what string, runs int, ceiling, raced float64, f func()) {
@@ -92,8 +92,8 @@ func checkLoopbackCeiling(t *testing.T, what string, runs int, ceiling, raced fl
 	}
 	got := alloctest.Exact(runs, f)
 	t.Logf("loopback %s: %.3f allocs/op", what, got)
-	if got > ceiling+server.AllocSlack {
-		t.Errorf("loopback %s: %.3f allocs/op, ceiling %.0f and %.2f slack", what, got, ceiling, server.AllocSlack)
+	if got > ceiling+alloctest.Slack {
+		t.Errorf("loopback %s: %.3f allocs/op, ceiling %.0f and %.2f slack", what, got, ceiling, alloctest.Slack)
 	}
 }
 

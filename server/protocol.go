@@ -911,9 +911,12 @@ func (s *ReplySlab) results(n int) []TxResult {
 // replaced, never rewritten, so a list handed on — a Response copy the
 // connection's writer encodes later, a call's reply — never changes under
 // its holder. A longer list gets an allocation of its own. A slot keeps
-// its value alive as long as the slab lives, so the last holder of a list
-// clears it when done (the server's connection writer, the client's call).
-// The zero value is ready to use.
+// its value alive as long as the slab lives, so the last holder of a
+// delivered list clears it when done: the server's connection writer once
+// it has encoded the reply, the client's call once it has copied the
+// results out. A list dropped unsent (a request that failed, a batch
+// whose WAL write failed) is not cleared, and keeps its values until its
+// slab is collected. The zero value is ready to use.
 type resultSlab struct{ s []TxResult }
 
 const (

@@ -822,10 +822,9 @@ func (cn *conn) writeLoop(nc net.Conn) {
 		select {
 		case resp := <-cn.out:
 			buf = AppendResponse(buf[:0], &resp)
-			// The writer is the last holder of what it encodes. An
-			// envelope's results are slots of its batch's result slab
-			// (carveResults), which the slab keeps until it is collected:
-			// dropping their values here keeps it from pinning them.
+			// The writer is the last holder of what it encodes: an
+			// envelope's results are slab slots, cleared once delivered
+			// (resultSlab).
 			clear(resp.TxResults)
 			if _, err := bw.Write(buf); err != nil {
 				return

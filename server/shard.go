@@ -234,7 +234,6 @@ func (sh *shard) runBatch(r *batchRun, first *pending) (next func()) {
 			// subsequent mutating batches fail too until a restart
 			// re-opens a consistent prefix.
 			for _, p := range batch {
-				clear(p.resp.TxResults) // dropped unsent: see carveResults
 				p.resp = Response{ID: p.req.ID, Status: StatusErr, Msg: "wal: " + werr.Error()}
 			}
 		}

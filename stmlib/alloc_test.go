@@ -42,8 +42,8 @@ func TestTMapGetAllocCeiling(t *testing.T) {
 							t.Error("Get missed the key just stored")
 						}
 					})
-					if get > base+allocSlack() {
-						t.Errorf("TMap.Get hit: %.3f allocs, a nested Atomic with one load: %.3f (%.2f slack)", get, base, allocSlack())
+					if get > base+alloctest.Slack {
+						t.Errorf("TMap.Get hit: %.3f allocs, a nested Atomic with one load: %.3f (%.2f slack)", get, base, alloctest.Slack)
 					}
 					return nil
 				})
@@ -99,18 +99,6 @@ func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
 	})
 }
 
-// allocSlack is what an exact count may read over its whole objects: an
-// undo chunk, a grown stack or a pooled frame remade after a collection
-// emptied the pools, on a few of the runs. Under -race, where sync.Pool
-// drops a quarter of what is put back, the counts read up to 0.42 over
-// and the slack is 0.5.
-func allocSlack() float64 {
-	if raceEnabled {
-		return 0.5
-	}
-	return 0.25
-}
-
 // TestWordBackedStructureAllocCeilings: a counter stripe and a queue's
 // size are word-backed variables (D52), so an Add and a Push inside an open
 // transaction cost neither a boxed integer nor a descriptor (the context
@@ -119,9 +107,9 @@ func allocSlack() float64 {
 // preallocated small integers, where a box is a heap object. A Sum is one
 // plain loop of loads in one nested transaction and costs nothing. Read
 // exactly, Add reads 0.09, Push 1.11 and Sum 0.07: each ceiling is its
-// whole objects plus allocSlack. Add read 1.09 while it ran its stripe's
-// increment as an Update closure, 4 while the stripe was boxed; Push read
-// 4 boxed; Sum read 2 while it forked its stripes.
+// whole objects plus alloctest.Slack. Add read 1.09 while it ran its
+// stripe's increment as an Update closure, 4 while the stripe was boxed;
+// Push read 4 boxed; Sum read 2 while it forked its stripes.
 func TestWordBackedStructureAllocCeilings(t *testing.T) {
 	const addCeiling, pushCeiling, sumCeiling = 0, 1, 0
 	rt := newRTConfig(t, pnstm.Config{Workers: 2})
@@ -138,14 +126,13 @@ func TestWordBackedStructureAllocCeilings(t *testing.T) {
 			push := alloctest.Exact(200, func() { q.Push(c, elem) })
 			sum := alloctest.Exact(200, func() { ctr.Sum(c) })
 			t.Logf("TCounter.Add %.3f allocs, TQueue.Push %.3f allocs, TCounter.Sum %.3f allocs", add, push, sum)
-			slack := allocSlack()
 			for _, r := range []struct {
 				name    string
 				got     float64
 				ceiling float64
 			}{{"TCounter.Add", add, addCeiling}, {"TQueue.Push", push, pushCeiling}, {"TCounter.Sum", sum, sumCeiling}} {
-				if r.got > r.ceiling+slack {
-					t.Errorf("%s: %.3f allocs, ceiling %.0f and %.2f slack", r.name, r.got, r.ceiling, slack)
+				if r.got > r.ceiling+alloctest.Slack {
+					t.Errorf("%s: %.3f allocs, ceiling %.0f and %.2f slack", r.name, r.got, r.ceiling, alloctest.Slack)
 				}
 			}
 			return nil
@@ -157,10 +144,11 @@ func TestWordBackedStructureAllocCeilings(t *testing.T) {
 // costs the same objects into a 256-entry bucket as into a 1-entry one:
 // the array, and nothing for the variable, which holds the slice's data
 // pointer, length and capacity unboxed (D52). Read exactly, both read
-// 1.04: the ceiling is 1 plus allocSlack, and the two may differ by
-// allocSlack. They read 2.02 and 2.04 while the slice header was boxed
-// into the variable, 3 (rounded down) while the nested write also pushed
-// a stack entry, and a rebuilt Go map cost 4 objects past 8 entries.
+// 1.04: the ceiling is 1 plus alloctest.Slack, and the two may differ
+// by alloctest.Slack. They read 2.02 and 2.04 while the slice header was
+// boxed into the variable, 3 (rounded down) while the nested write also
+// pushed a stack entry, and a rebuilt Go map cost 4 objects past 8
+// entries.
 func TestTMapPutAllocFlat(t *testing.T) {
 	const ceiling = 1
 	rt := newRTConfig(t, pnstm.Config{Workers: 2})
@@ -181,12 +169,11 @@ func TestTMapPutAllocFlat(t *testing.T) {
 			put1 := alloctest.Exact(200, func() { small.Put(c, keys[0], val) })
 			put256 := alloctest.Exact(200, func() { big.Put(c, keys[42], val) })
 			t.Logf("Put into 1 entry: %.3f allocs, into 256 entries: %.3f", put1, put256)
-			slack := allocSlack()
-			if put256 > put1+slack || put1 > put256+slack {
-				t.Errorf("Put into 256 entries: %.3f allocs, into 1 entry: %.3f, apart by more than %.2f", put256, put1, slack)
+			if put256 > put1+alloctest.Slack || put1 > put256+alloctest.Slack {
+				t.Errorf("Put into 256 entries: %.3f allocs, into 1 entry: %.3f, apart by more than %.2f", put256, put1, alloctest.Slack)
 			}
-			if put256 > ceiling+slack {
-				t.Errorf("Put into 256 entries: %.3f allocs, ceiling %d and %.2f slack", put256, ceiling, slack)
+			if put256 > ceiling+alloctest.Slack {
+				t.Errorf("Put into 256 entries: %.3f allocs, ceiling %d and %.2f slack", put256, ceiling, alloctest.Slack)
 			}
 			return nil
 		})
