@@ -546,8 +546,7 @@ func (cl *Client) LeaseConsume(name string, deadline int64) (id uint64, value []
 // effects, build a Txn with LeaseAck and the other ops instead.
 func (cl *Client) LeaseAck(name string, id uint64) (bool, error) {
 	_, err := cl.do1(server.TxOp{Op: server.OpLeaseAck, Name: name, Delta: int64(id)})
-	var aborted *ErrTxAborted
-	if errors.As(err, &aborted) {
+	if _, aborted := err.(*ErrTxAborted); aborted { // bare, see envelope
 		return false, nil
 	}
 	if err != nil {
@@ -582,8 +581,7 @@ func (cl *Client) Checkout(stockMap string, co server.Checkout) (ok bool, failed
 	tx := cl.Txn()
 	tx.ops = built.Ops
 	_, err = tx.Commit()
-	var aborted *ErrTxAborted
-	if errors.As(err, &aborted) {
+	if aborted, ok := err.(*ErrTxAborted); ok { // bare, see envelope
 		// Guards sit at the even indices, one per order line.
 		if i := aborted.FailedOpIndex / 2; i < len(co.Lines) {
 			return false, co.Lines[i].SKU, nil

@@ -323,7 +323,9 @@ func (t *Txn) Commit() (*TxResults, error) {
 // A pure-read envelope — every sub-op a read or a guard, by the server's
 // own table — is eligible for replica routing under the pool's read
 // preference; anything mutating is primary-only. A rejected envelope
-// comes back as *ErrTxAborted, with *resp holding the partial results.
+// comes back as a bare *ErrTxAborted, with *resp holding the partial
+// results: callers test for it with a type assertion, which, unlike
+// errors.As, takes no address and so moves nothing to the heap.
 // The request lives on this frame: the connection only encodes it.
 func (cl *Client) envelope(ops []server.TxOp, resp *server.Response) error {
 	req := server.Request{Op: server.OpTx, Tx: &server.Tx{Ops: ops}}

@@ -96,16 +96,14 @@ type abOpts struct {
 }
 
 // base is the configuration every leg starts from: the shipped serving
-// shape — group commit under the shared-read conflict model (§9; without
-// it read-mostly batch siblings false-conflict on shared buckets) — with
-// the maps sized to the key-space.
+// shape — group commit, which the server always runs under the shared-read
+// conflict model (§9) — with the maps sized to the key-space.
 func (o *abOpts) base() server.Config {
 	return server.Config{
-		Addr:        "127.0.0.1:0",
-		Workers:     o.workers,
-		MaxBatch:    o.maxBatch,
-		SharedReads: true,
-		Registry:    stmlib.RegistryConfig{MapBuckets: 4 * o.cfg.keys},
+		Addr:     "127.0.0.1:0",
+		Workers:  o.workers,
+		MaxBatch: o.maxBatch,
+		Registry: stmlib.RegistryConfig{MapBuckets: 4 * o.cfg.keys},
 	}
 }
 
@@ -113,7 +111,7 @@ func (o *abOpts) base() server.Config {
 // size 1 — every request its own root transaction. (It has no
 // concurrency to conflict, so the read model is irrelevant there.)
 func serialBaseline(c *server.Config) {
-	c.MaxBatch, c.Serial, c.SharedReads = 1, true, false
+	c.MaxBatch, c.Serial = 1, true
 }
 
 // fsynced makes c fsync once per commit over the -syncdelay floor, an

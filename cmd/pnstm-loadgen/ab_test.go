@@ -222,32 +222,32 @@ var abGolden = []struct {
 }{
 	{"group", "readmap", false, "BENCH_loadgen-readmap-compare.json", "speedup_ratio", false, map[string]server.Config{
 		"serial":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 1, Serial: true, Registry: goldenReg},
-		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg},
+		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg},
 	}},
 	{"group", "txmix", true, "BENCH_loadgen-txmix-compare.json", "speedup_ratio", false, map[string]server.Config{
 		"serial":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 1, Serial: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
-		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"batched": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
 	}},
 	{"persist", "counter", false, "BENCH_loadgen-counter-persist.json", "durable_retained_ratio", false, map[string]server.Config{
-		"memory":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg},
-		"nofsync": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg},
-		"fsync":   {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true},
+		"memory":  {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg},
+		"nofsync": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg},
+		"fsync":   {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg, Fsync: true},
 	}},
 	{"trace", "mixed", false, "BENCH_loadgen-mixed-traceab.json", "tracing_overhead_ratio", true, map[string]server.Config{
-		"untraced": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, DisableTracing: true},
-		"traced":   {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg},
+		"untraced": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg, DisableTracing: true},
+		"traced":   {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg},
 	}},
 	{"shards", "queue", false, "BENCH_loadgen-queue-shards.json", "shard_speedup_ratio", false, map[string]server.Config{
-		"single":  {Addr: "127.0.0.1:0", Shards: 1, Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
-		"sharded": {Addr: "127.0.0.1:0", Shards: 4, Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"single":  {Addr: "127.0.0.1:0", Shards: 1, Workers: 8, MaxBatch: 64, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"sharded": {Addr: "127.0.0.1:0", Shards: 4, Workers: 8, MaxBatch: 64, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
 	}},
 	{"replica", "mixed", false, "BENCH_loadgen-replica-ab.json", "replica_read_speedup_ratio", false, map[string]server.Config{
-		"primary": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
-		"replica": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"primary": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"replica": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
 	}},
 	{"rangescan", "mixed", false, "BENCH_loadgen-rangescan-ab.json", "rangescan_speedup_ratio", false, map[string]server.Config{
 		"serial":   {Addr: "127.0.0.1:0", Workers: 1, MaxBatch: 1, Serial: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
-		"parallel": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, SharedReads: true, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
+		"parallel": {Addr: "127.0.0.1:0", Workers: 8, MaxBatch: 64, Registry: goldenReg, Fsync: true, WALSyncDelay: 2 * time.Millisecond},
 	}},
 }
 

@@ -36,7 +36,7 @@ func testCfg(t *testing.T, name string) genCfg {
 // cross-shard envelopes are all on the verifiers' path.
 func bootTest(t *testing.T) *client.Client {
 	t.Helper()
-	env, err := bootLeg(server.Config{Addr: "127.0.0.1:0", Shards: 2, Workers: 4, SharedReads: true}, false, 2)
+	env, err := bootLeg(server.Config{Addr: "127.0.0.1:0", Shards: 2, Workers: 4}, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,14 @@
 // atomic across shards too: one spanning several commits through the
 // ordered cross-shard protocol (each participant runs its slice in the
 // same global order), and a read-only one reads one consistent cut at
-// its place in that order.
+// its place in that order. Every shard's runtime runs the shared-read
+// conflict model (the paper's §9 extension): requests in one batch that
+// only read the same map bucket never conflict with each other.
 //
 // Usage:
 //
 //	pnstmd                                  # listen on :7455, batch up to 64
 //	pnstmd -addr :9000 -workers 16 -batch 128 -batchdelay 200us
-//	pnstmd -batch 1 -serial                 # the no-batching serial baseline
 //	pnstmd -shards 4                        # 4 independent commit pipelines
 //	pnstmd -data-dir ./pnstm-data           # durable: WAL + snapshots, crash-safe
 //	pnstmd -data-dir ./pnstm-data -shards 4 # durable AND sharded: parallel fsyncs
@@ -88,8 +89,6 @@ func main() {
 		workers    = flag.Int("workers", 8, "runtime worker slots P per shard (1..32); every fork is at most P blocks wide")
 		batch      = flag.Int("batch", 64, "max requests per group commit (1 disables grouping)")
 		batchdelay = flag.Duration("batchdelay", 0, "how long a batch waits for stragglers (0: only coalesce what is already in flight)")
-		serial     = flag.Bool("serial", false, "serial-nesting baseline runtime (children run sequentially)")
-		sharedr    = flag.Bool("sharedreads", true, "shared-read conflict model (§9): batch siblings reading the same bucket do not conflict")
 		buckets    = flag.Int("buckets", 64, "buckets per named map")
 		stripes    = flag.Int("stripes", 8, "stripes per named counter")
 		dataDir    = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty: in-memory only")
@@ -103,7 +102,7 @@ func main() {
 		reapEvery  = flag.Duration("reap-interval", 5*time.Second, "TTL/lease reaper cadence: physically remove expired map/sorted-map entries and requeue overdue queue leases (0 disables; primary only — replicas replay the primary's reaps)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		logFormat  = flag.String("log-format", "text", "log record format: text or json")
-		replicaOf  = flag.String("replica-of", "", "run as a read-only replica tailing the durable primary at this address (incompatible with -data-dir and -serial); POST /promote on the admin listener to fail over")
+		replicaOf  = flag.String("replica-of", "", "run as a read-only replica tailing the durable primary at this address (incompatible with -data-dir); POST /promote on the admin listener to fail over")
 		maxStale   = flag.Duration("max-staleness", 0, "replica readiness bound: /readyz turns 503 when the replication watermark lags the primary by more than this (0: default 10s; with -replica-of)")
 	)
 	flag.Parse()
@@ -132,10 +131,6 @@ func main() {
 			log.Error("-replica-of and -data-dir are incompatible: a replica is in-memory (the primary owns durability)")
 			os.Exit(2)
 		}
-		if *serial {
-			log.Error("-replica-of and -serial are incompatible: replay needs the parallel-nesting runtime")
-			os.Exit(2)
-		}
 	} else if *maxStale != 0 {
 		log.Error("-max-staleness only applies with -replica-of")
 		os.Exit(2)
@@ -147,8 +142,6 @@ func main() {
 		Workers:             *workers,
 		MaxBatch:            *batch,
 		BatchDelay:          *batchdelay,
-		Serial:              *serial,
-		SharedReads:         *sharedr,
 		Registry:            stmlib.RegistryConfig{MapBuckets: *buckets, CounterStripes: *stripes},
 		DataDir:             *dataDir,
 		Fsync:               *fsync,
@@ -180,16 +173,12 @@ func main() {
 		log.Error("listen failed", "err", err)
 		os.Exit(1)
 	}
-	mode := "parallel"
-	if *serial {
-		mode = "serial"
-	}
 	if *replicaOf != "" {
 		log.Info("replica mode", "primary", *replicaOf,
 			"max_staleness_ms", s.ReplicaStatus().MaxStalenessMs)
 	}
 	log.Info("listening", "addr", s.Addr().String(), "shards", *shards, "workers", *workers,
-		"batch", *batch, "delay", *batchdelay, "runtime", mode, "tracing", *trace)
+		"batch", *batch, "delay", *batchdelay, "tracing", *trace)
 	if a := s.AdminAddr(); a != nil {
 		log.Info("admin listening", "addr", "http://"+a.String(),
 			"endpoints", "/metrics /healthz /readyz /config /debug/hotkeys /debug/trace",

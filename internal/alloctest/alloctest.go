@@ -1,6 +1,6 @@
-// Package alloctest holds the exact allocation ruler that the allocation
-// ceilings of pnstm, internal/core, stmlib, server and client read, and
-// the slack those ceilings allow over their whole objects.
+// Package alloctest holds the exact allocation ruler that every allocation
+// ceiling in the module reads, and the slack those ceilings allow over
+// their whole objects.
 package alloctest
 
 import "runtime"

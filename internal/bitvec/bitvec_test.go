@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pnstm/internal/alloctest"
 )
 
 func TestBitnumValid(t *testing.T) {
@@ -177,13 +179,13 @@ func TestString(t *testing.T) {
 // The ancestor test is the hot path; make sure it stays allocation-free.
 func TestSubsetNoAllocs(t *testing.T) {
 	a, b := Of(1, 2, 3), Of(1, 2, 3, 4)
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := alloctest.Exact(100, func() {
 		if !a.SubsetOf(b) {
 			t.Fatal("subset expected")
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("SubsetOf allocates: %v allocs/op", allocs)
+	if allocs > alloctest.Slack {
+		t.Fatalf("SubsetOf allocates: %.3f allocs/op, ceiling 0 and %.2f slack", allocs, alloctest.Slack)
 	}
 }
 

@@ -257,6 +257,8 @@ func TestConfigSurface(t *testing.T) {
 		}
 		return out
 	}
+	// MaxInflight and SharedReads are ignored or refused by New and go
+	// with the benchmark's lines that set them (ROADMAP item 12(e)).
 	wantFields := []string{ // 21
 		"Addr", "Shards", "Workers", "MaxBatch", "BatchDelay", "MaxInflight",
 		"Serial", "SharedReads", "Registry", "DataDir", "Fsync", "WALSyncDelay", "SnapshotEvery",

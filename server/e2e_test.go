@@ -255,12 +255,12 @@ func TestE2EGroupCommitForms(t *testing.T) {
 	t.Logf("batches=%d requests=%d mean=%.2f largest=%d", st.Batches, st.Requests, st.MeanBatch, st.LargestBatch)
 }
 
-// TestE2ESharedReadHeavy runs read-dominant traffic under SharedReads —
-// pnstmd's default serving shape, where batch siblings reading one bucket
-// do not conflict — and checks the read-your-writes oracle per key
+// TestE2ESharedReadHeavy runs read-dominant traffic under the shared-read
+// conflict model every server runs, where batch siblings reading one
+// bucket do not conflict, and checks the read-your-writes oracle per key
 // partition.
 func TestE2ESharedReadHeavy(t *testing.T) {
-	s := startServer(t, server.Config{Workers: 4, MaxBatch: 32, SharedReads: true})
+	s := startServer(t, server.Config{Workers: 4, MaxBatch: 32})
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {

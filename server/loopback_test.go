@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"pnstm/client"
 	"pnstm/internal/alloctest"
@@ -18,7 +19,7 @@ import (
 // → core → client.
 func loopbackMapGet(tb testing.TB) (cl *client.Client, key string, want []byte) {
 	tb.Helper()
-	s := startServer(tb, server.Config{SharedReads: true})
+	s := startServer(tb, server.Config{})
 	cl = dial(tb, s, 1)
 	key, want = "key-000042", bytes.Repeat([]byte{0x5a}, 64)
 	if err := cl.MapPut("kv", key, want); err != nil {
@@ -48,7 +49,7 @@ func BenchmarkLoopbackMapGet(b *testing.B) {
 // of a 256-key span in the middle of it.
 func loopbackRangeScan(tb testing.TB) (cl *client.Client, lo, hi string) {
 	tb.Helper()
-	s := startServer(tb, server.Config{SharedReads: true})
+	s := startServer(tb, server.Config{})
 	cl = dial(tb, s, 1)
 	key := func(i int) string { return fmt.Sprintf("k%07d", i) }
 	val := bytes.Repeat([]byte{0x5a}, 64)
@@ -171,6 +172,36 @@ func TestLoopbackTxnAllocCeiling(t *testing.T) {
 			Commit()
 		if err != nil || res.Len() != 3 || !res.Found(0) {
 			t.Fatalf("Txn = %v", err)
+		}
+	})
+}
+
+// TestLoopbackLeaseAckAllocCeiling bounds a successful one-op lease ack:
+// the call builds no Txn and tests the reply for a rejection without
+// taking an address, so the client pays nothing beyond the envelope and
+// the objects are the server's.
+func TestLoopbackLeaseAckAllocCeiling(t *testing.T) {
+	// Reads 7.14–7.17, 10.4–10.6 raced; 8.11 while the call passed the
+	// address of its error variable to errors.As, which moved it to the
+	// heap on every call.
+	const runs = 500
+	cl, _, _ := loopbackMapGet(t)
+	ids := make([]uint64, 0, runs+1) // Exact makes one warm-up call
+	for range runs + 1 {
+		if err := cl.QueuePush("jobs", []byte("job")); err != nil {
+			t.Fatal(err)
+		}
+		id, _, ok, err := cl.LeaseConsume("jobs", time.Now().Add(time.Hour).UnixNano())
+		if err != nil || !ok {
+			t.Fatalf("LeaseConsume = %v, %v", ok, err)
+		}
+		ids = append(ids, id)
+	}
+	checkLoopbackCeiling(t, "LeaseAck", runs, 7, 11, func() {
+		id := ids[0]
+		ids = ids[1:]
+		if ok, err := cl.LeaseAck("jobs", id); err != nil || !ok {
+			t.Fatalf("LeaseAck(%d) = %v, %v", id, ok, err)
 		}
 	})
 }

@@ -8,13 +8,14 @@ import (
 	"pnstm/server"
 )
 
-// TestFoundMapGetsPruneReaderSets: on a memory server with shared reads, a
-// found MapGet records one reader entry, on its bucket (whose entries
-// carry their deadlines, D57), and with no writes nothing but the read
-// path's prune (D54) ever removes it. 20,000 gets must therefore see at
+// TestFoundMapGetsPruneReaderSets: on a memory server booted from a
+// Config that does not set SharedReads (every server serves shared
+// reads), a found MapGet records one reader entry, on its bucket (whose
+// entries carry their deadlines, D57), and with no writes nothing but
+// the read path's prune (D54) ever removes it. 20,000 gets must therefore see at
 // least 90% of their 20,000 entries dropped — a count, not a timing.
 func TestFoundMapGetsPruneReaderSets(t *testing.T) {
-	s := startServer(t, server.Config{Workers: 4, SharedReads: true})
+	s := startServer(t, server.Config{Workers: 4})
 	const keys, gets, callers = 256, 20000, 4
 	cl := dial(t, s, callers)
 	for i := 0; i < keys; i++ {

@@ -64,15 +64,16 @@ type Config struct {
 	MaxInflight int
 
 	// Serial runs the runtime in the serial-nesting baseline mode: the
-	// batch's children execute sequentially in one context. For
-	// benchmarking the paper's comparison end to end.
+	// batch's children execute sequentially in one context, so there is
+	// no conflict model to choose. It is the load generator's A/B
+	// baseline for the paper's comparison end to end, not a serving mode.
 	Serial bool
 
-	// SharedReads enables the runtime's shared-read conflict model
-	// (paper §9): concurrent readers in one batch never conflict with
-	// each other. Strongly recommended for read-heavy serving — in the
-	// default write-only model two requests merely reading the same map
-	// bucket conflict and serialize on publication latency.
+	// SharedReads is not a knob: every shard's runtime runs the
+	// shared-read conflict model (paper §9), in which readers in one
+	// batch never conflict with each other, and New ignores the field.
+	// It stays only so that callers setting it still build; ROADMAP item
+	// 12(e) deletes it together with the benchmark's line that sets it.
 	SharedReads bool
 
 	// Registry sizes the named structures (zero = stmlib defaults),
@@ -315,7 +316,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		rt, err := pnstm.New(pnstm.Config{Workers: cfg.Workers, Serial: cfg.Serial, SharedReads: cfg.SharedReads})
+		rt, err := pnstm.New(pnstm.Config{Workers: cfg.Workers, Serial: cfg.Serial, SharedReads: true})
 		if err != nil {
 			teardown()
 			return nil, err

@@ -340,7 +340,7 @@ func TestConcurrentExportsDoNotDeadlock(t *testing.T) {
 		exportsBy = 8
 	)
 	s := startServer(t, server.Config{
-		Shards: shards, Workers: 2, MaxBatch: 8, SharedReads: true,
+		Shards: shards, Workers: 2, MaxBatch: 8,
 		DataDir: t.TempDir(), Fsync: true,
 	})
 	cl := dial(t, s, 2)
