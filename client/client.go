@@ -501,13 +501,15 @@ func (cl *Client) SortedDelete(name, key string) (bool, error) {
 
 // RangeScan reads the live entries of [lo, hi) from the named sorted
 // map in key order, at most limit entries (0: server cap; hi == ""
-// scans to the end of the key space).
+// scans to the end of the key space). The entries are views of the
+// reply's payload, which no one else holds: a Value is a slice of it and
+// a Key a string over it, so the list is the one object decoding costs.
 func (cl *Client) RangeScan(name, lo, hi string, limit int) ([]Entry, error) {
 	res, err := cl.do1(server.TxOp{Op: server.OpRangeScan, Name: name, Key: lo, Value: hiBound(hi), Delta: int64(limit)})
 	if err != nil {
 		return nil, err
 	}
-	return entries(res)
+	return entries(res, server.DecodeKVsInPlace)
 }
 
 // RangeCount counts the live entries of [lo, hi) in the named sorted

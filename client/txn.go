@@ -407,22 +407,24 @@ func (r *TxResults) Int(i int) (v int64, ok bool, err error) {
 }
 
 // Entry is one decoded RangeScan result: a key and its value, in key
-// order within the scan. Its bytes belong to the result it came from
-// (see Entries).
+// order within the scan. Its bytes belong to the reply it came from:
+// a Value is a slice of that reply's payload, so holding one keeps the
+// whole payload alive. Copy what must outlive the result.
 type Entry = server.KVEntry
 
 // Entries decodes op i's RangeScan result into its ordered entry list.
-// The entries borrow from the result rather than copy it: every Value is
-// a slice of the result's payload — the buffer Bytes(i) hands out — so a
-// retained Value keeps that whole payload alive, and the keys share one
-// string. Copy what must outlive the result.
-func (r *TxResults) Entries(i int) ([]Entry, error) { return entries(r.at(i)) }
+// Every Value is a slice of the result's payload — the buffer Bytes(i)
+// hands out — and the keys share one string of their own: a caller may
+// write into the payload Bytes(i) returns, and a key must not change
+// under its holder, so here the keys are copied (Client.RangeScan, whose
+// payload no caller can reach, makes them views of it too).
+func (r *TxResults) Entries(i int) ([]Entry, error) { return entries(r.at(i), server.DecodeKVs) }
 
-func entries(res server.TxResult) ([]Entry, error) {
+func entries(res server.TxResult, decode func([]byte) ([]server.KVEntry, error)) ([]Entry, error) {
 	if len(res.Value) == 0 {
 		return nil, nil
 	}
-	kvs, err := server.DecodeKVs(res.Value)
+	kvs, err := decode(res.Value)
 	if err != nil {
 		return nil, fmt.Errorf("client: range scan result: %w", err)
 	}

@@ -3,6 +3,8 @@ package pnstm_test
 import (
 	"fmt"
 	"log"
+	"math/rand"
+	"slices"
 
 	"pnstm"
 )
@@ -146,4 +148,98 @@ func ExampleRuntime_Workers() {
 	fmt.Println(rt.Workers())
 	// Output:
 	// 4
+}
+
+// parallelSum is a parallel library routine: it sums vars[lo:hi] with a
+// divide-and-conquer tree of nested transactions, and callers may invoke
+// it inside a transaction of their own.
+func parallelSum(c *pnstm.Ctx, vars []*pnstm.TVar[int], lo, hi int) int {
+	if hi-lo <= 32 {
+		total, _ := pnstm.AtomicResult(c, func(c *pnstm.Ctx) (int, error) {
+			s := 0
+			for _, v := range vars[lo:hi] {
+				s += pnstm.Load(c, v)
+			}
+			return s, nil
+		})
+		return total
+	}
+	mid := (lo + hi) / 2
+	var left, right int
+	c.Parallel(
+		func(c *pnstm.Ctx) { left = parallelSum(c, vars, lo, mid) },
+		func(c *pnstm.Ctx) { right = parallelSum(c, vars, mid, hi) },
+	)
+	return left + right
+}
+
+// The bank example shows composability, the property serial nesting
+// destroys (paper §1): eight groups of transfers, each a transaction
+// whose debit and credit are parallel nested children, run beside an
+// auditor whose transaction calls the parallel library routine
+// parallelSum. With serial nesting that call would serialize; here it is
+// a tree of parallel nested transactions, and every audit sees the total
+// conserved.
+func Example_bank() {
+	const accounts, initial, groups, transfers = 256, 1_000, 8, 200
+	rt, err := pnstm.New(pnstm.Config{Workers: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Close()
+
+	vars := make([]*pnstm.TVar[int], accounts)
+	for i := range vars {
+		vars[i] = pnstm.NewTVar(initial)
+	}
+	var audits []int
+	err = rt.Run(func(c *pnstm.Ctx) {
+		fns := make([]func(*pnstm.Ctx), groups+1)
+		for g := range groups {
+			rng := rand.New(rand.NewSource(int64(g) + 42))
+			fns[g] = func(c *pnstm.Ctx) {
+				for range transfers {
+					from, to, amt := rng.Intn(accounts), rng.Intn(accounts), rng.Intn(100)
+					_ = c.Atomic(func(c *pnstm.Ctx) error {
+						c.Parallel(
+							func(c *pnstm.Ctx) {
+								_ = c.Atomic(func(c *pnstm.Ctx) error {
+									pnstm.Update(c, vars[from], func(v int) int { return v - amt })
+									return nil
+								})
+							},
+							func(c *pnstm.Ctx) {
+								_ = c.Atomic(func(c *pnstm.Ctx) error {
+									pnstm.Update(c, vars[to], func(v int) int { return v + amt })
+									return nil
+								})
+							},
+						)
+						return nil
+					})
+				}
+			}
+		}
+		fns[groups] = func(c *pnstm.Ctx) { // the auditor
+			for range 10 {
+				sum, _ := pnstm.AtomicResult(c, func(c *pnstm.Ctx) (int, error) {
+					return parallelSum(c, vars, 0, accounts), nil
+				})
+				audits = append(audits, sum)
+			}
+		}
+		c.Parallel(fns...)
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	final := 0
+	for _, v := range vars {
+		final += v.Peek()
+	}
+	fmt.Println("audits:", len(audits), "conserved:", !slices.ContainsFunc(audits, func(s int) bool { return s != accounts*initial }))
+	fmt.Println("transfers:", groups*transfers, "final total:", final)
+	// Output:
+	// audits: 10 conserved: true
+	// transfers: 1600 final total: 256000
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"pnstm/internal/alloctest"
 	"pnstm/stmlib"
@@ -255,28 +256,45 @@ func scanEntries() []stmlib.SortedEntry[string, []byte] {
 
 // TestScanCodecAllocCeilings pins what a range-scan result costs on its
 // way out of the server and into the caller's hands (D49): the encoder
-// sizes the list first and writes it once; the decoder borrows the
-// values from its input and shares one string between the keys.
+// sizes the list first and writes it once, straight from the view of the
+// leaves the scan read, into a buffer carved from a warm slab; the
+// decoder borrows the values from its input and shares one string
+// between the keys, or, in place, makes the keys views of its input too.
 func TestScanCodecAllocCeilings(t *testing.T) {
 	es := scanEntries()
+	v, done := viewOf(es)
+	defer done()
+	var slab scanSlab
 	var enc []byte
-	checkExact(t, "encodeScan of 64 entries (the exactly-sized buffer)",
-		alloctest.Exact(100, func() { enc, _ = encodeScan(es) }), 1) // reads 1.00
+	// Reads 0.04: a 128 KiB slab holds 25 of these 5 KB results. The
+	// encoder allocated the buffer itself, 1 object a result, before it
+	// carved from a slab, and the scan a copy of the entries before it
+	// returned views.
+	checkExact(t, "encodeView of 64 entries into a warm slab",
+		alloctest.Exact(100, func() { enc, _, _ = encodeView(&v, &slab) }), 0)
 	if cap(enc) != len(enc) {
-		t.Errorf("encodeScan buffer: len %d, cap %d, want it exactly sized", len(enc), cap(enc))
+		t.Errorf("encodeView buffer: len %d, cap %d, want it exactly sized", len(enc), cap(enc))
 	}
 	kvs := make([]KVEntry, len(es))
 	for i, e := range es {
 		kvs[i] = KVEntry{Key: e.Key, Value: e.Value}
 	}
 	if want := AppendKVs(nil, kvs); !bytes.Equal(enc, want) {
-		t.Error("encodeScan and AppendKVs disagree on the encoding of the same entries")
+		t.Error("encodeView and AppendKVs disagree on the encoding of the same entries")
 	}
 	var dec []KVEntry
 	checkExact(t, "DecodeKVs of 64 entries (the entry slice, the key arena)",
 		alloctest.Exact(100, func() { dec, _ = DecodeKVs(enc) }), 2) // reads 2.00
 	if !reflect.DeepEqual(dec, kvs) {
-		t.Error("DecodeKVs did not return the entries encodeScan wrote")
+		t.Error("DecodeKVs did not return the entries encodeView wrote")
+	}
+	checkExact(t, "DecodeKVsInPlace of 64 entries (the entry slice)",
+		alloctest.Exact(100, func() { dec, _ = DecodeKVsInPlace(enc) }), 1) // reads 1.00
+	if !reflect.DeepEqual(dec, kvs) {
+		t.Error("DecodeKVsInPlace did not return the entries encodeView wrote")
+	}
+	if k := dec[5].Key; unsafe.StringData(k) != &enc[4+5*(2+8+4+64)+2] {
+		t.Errorf("DecodeKVsInPlace: key %q is a copy, not a view of its input", k)
 	}
 }
 

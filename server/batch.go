@@ -157,8 +157,10 @@ type batchRun struct {
 	body   []byte
 	plan   plan
 
-	// results is where carveResults takes every envelope's result slots.
+	// results is where carveResults takes every envelope's result slots,
+	// and scans where every OpRangeScan of the batch encodes its result.
 	results resultSlab
+	scans   scanSlab
 
 	root func(*pnstm.Ctx) // r.runRoot, bound once
 }
@@ -197,12 +199,12 @@ func (r *batchRun) apply(c *pnstm.Ctx, p *pending) {
 	if r.wal == nil || !canMutate(&p.req) {
 		// Pure reads never log, so they skip the ticket-stamping
 		// wrapper transaction entirely.
-		applyRequest(c, r.reg, &p.req, &p.resp)
+		applyRequest(c, r.reg, &r.scans, &p.req, &p.resp)
 		return
 	}
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		p.logged = false // retried attempts must re-decide
-		applyRequest(c, r.reg, &p.req, &p.resp)
+		applyRequest(c, r.reg, &r.scans, &p.req, &p.resp)
 		if mutating(&p.req, &p.resp) {
 			p.seq = r.seq.Add(1)
 			p.logged = true
@@ -308,18 +310,19 @@ func requestTraceTag(req *Request) (name, key string) {
 //
 // An envelope's results go into the slots resp.TxResults holds on entry
 // (batchRun.carveResults), or into a list of their own when it holds
-// none of the envelope's length.
-func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) {
+// none of the envelope's length. A range scan's result is carved from
+// scans.
+func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, scans *scanSlab, req *Request, resp *Response) {
 	*resp = Response{ID: req.ID, Status: StatusOK, TxResults: resp.TxResults}
 	var err error
 	if d := &opTable[req.Op]; req.Op == OpTx {
-		err = applyTx(c, reg, req.Tx, resp)
+		err = applyTx(c, reg, scans, req.Tx, resp)
 	} else if d.kind == 0 || !d.top {
 		err = errors.New("unbatchable or unknown opcode")
 	} else if d.composite {
-		err = c.Atomic(func(c *pnstm.Ctx) error { return applyPoint(c, reg, req, resp) })
+		err = c.Atomic(func(c *pnstm.Ctx) error { return applyPoint(c, reg, scans, req, resp) })
 	} else {
-		err = applyPoint(c, reg, req, resp)
+		err = applyPoint(c, reg, scans, req, resp)
 	}
 	switch {
 	case err == nil:
@@ -333,9 +336,9 @@ func applyRequest(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Respon
 
 // applyPoint runs a point request as the sub-op it is and renders the
 // result into resp.
-func applyPoint(c *pnstm.Ctx, reg *stmlib.Registry, req *Request, resp *Response) error {
+func applyPoint(c *pnstm.Ctx, reg *stmlib.Registry, scans *scanSlab, req *Request, resp *Response) error {
 	op := req.pointOp()
-	res, _, err := execOp(c, reg, &op)
+	res, _, err := execOp(c, reg, scans, &op)
 	resp.Found, resp.Num, resp.Value = res.Found, res.Num, res.Value
 	return err
 }
@@ -369,7 +372,7 @@ func (f txOpFailure) earlier(g txOpFailure) txOpFailure {
 // the results of the ops before it in resp.TxResults. So does a reply
 // that would not fit a frame (checkReplySize): an envelope whose answer
 // cannot reach its caller never commits.
-func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
+func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, scans *scanSlab, tx *Tx, resp *Response) error {
 	if tx == nil || len(tx.Ops) == 0 {
 		return nil
 	}
@@ -387,7 +390,7 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 		var pl plan
 		pl.envelope(reg, ops)
 		var first txOpFailure
-		fork.Each(c, pl.chains(), 1, txJob{reg, ops, results, pl.layout},
+		fork.Each(c, pl.chains(), 1, txJob{reg, scans, ops, results, pl.layout},
 			func(f txOpFailure) { first = first.earlier(f) })
 		if first.err == nil {
 			return checkReplySize(results)
@@ -410,6 +413,7 @@ func applyTx(c *pnstm.Ctx, reg *stmlib.Registry, tx *Tx, resp *Response) error {
 // its first failure, and returns the one envelope order meets first.
 type txJob struct {
 	reg     *stmlib.Registry
+	scans   *scanSlab
 	ops     []TxOp
 	results []TxResult
 	chains  layout
@@ -420,7 +424,7 @@ func (j txJob) Do(c *pnstm.Ctx, lo, hi int) (first txOpFailure) {
 		from, to := j.chains.span(g, g+1)
 		for k := from; k < to; k++ {
 			i := j.chains.at(k)
-			res, msg, err := execOp(c, j.reg, &j.ops[i])
+			res, msg, err := execOp(c, j.reg, j.scans, &j.ops[i])
 			j.results[i] = res
 			if err != nil {
 				first = first.earlier(txOpFailure{idx: i, err: err, msg: msg})
@@ -472,22 +476,59 @@ const maxRangeScanEntries = 8192
 // room for the response header and its message.
 const maxReplyBytes = MaxFrame - 64<<10
 
-// encodeScan is OpRangeScan's result Value: the AppendKVs encoding of es,
-// sized first and written once into a buffer of exactly that size.
-func encodeScan(es []stmlib.SortedEntry[string, []byte]) ([]byte, error) {
+// encodeView is OpRangeScan's result Value, the AppendKVs encoding of the
+// view's entries, and their count. It sizes the list first and writes it
+// once, straight from the views, into a buffer of exactly that size
+// carved from out (nil: an allocation of its own).
+func encodeView(v *stmlib.SortedView[string, []byte], out *scanSlab) (enc []byte, n int, err error) {
 	size := 4
-	for i := range es {
-		size += kvSize(es[i].Key, es[i].Value)
+	for e := range v.All() {
+		size += kvSize(e.Key, e.Value)
+		n++
 	}
 	if size > maxReplyBytes {
-		return nil, fmt.Errorf("range scan result of %d entries encodes to %d bytes, over the %d-byte reply limit: lower the limit and page by last key",
-			len(es), size, maxReplyBytes)
+		return nil, n, fmt.Errorf("range scan result of %d entries encodes to %d bytes, over the %d-byte reply limit: lower the limit and page by last key",
+			n, size, maxReplyBytes)
 	}
-	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(es)))
-	for i := range es {
-		buf = appendKV(buf, es[i].Key, es[i].Value)
+	enc = binary.BigEndian.AppendUint32(out.carve(size), uint32(n))
+	for e := range v.All() {
+		enc = appendKV(enc, e.Key, e.Value)
 	}
-	return buf, nil
+	return enc, n, nil
+}
+
+// scanSlab is an append-only byte arena OpRangeScan results are encoded
+// into, one per batchRun, under resultSlab's rule: a result of up to
+// maxSlabScan bytes is carved, capped at its length, from the tail of a
+// scanSlabSize-byte slab, and a full slab is replaced, never rewritten,
+// so a result handed on stays as it was until its last holder — the
+// connection's writer, once it has encoded the reply — drops it. A
+// batch's chains may run as parallel blocks, so a carve takes the lock;
+// what is written into a carved result is its carver's alone. A nil
+// slab, or a larger result, gets an allocation of its own.
+type scanSlab struct {
+	mu sync.Mutex
+	b  []byte
+}
+
+const (
+	scanSlabSize = 128 << 10
+	maxSlabScan  = 32 << 10
+)
+
+// carve returns an empty buffer with room for exactly n bytes.
+func (s *scanSlab) carve(n int) []byte {
+	if s == nil || n > maxSlabScan {
+		return make([]byte, 0, n)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n > cap(s.b)-len(s.b) {
+		s.b = make([]byte, 0, scanSlabSize)
+	}
+	at := len(s.b)
+	s.b = s.b[:at+n]
+	return s.b[at : at : at+n]
 }
 
 // judgeCounterGuard evaluates a counter guard against an observed sum —

@@ -195,7 +195,7 @@ func executeSlice(c *pnstm.Ctx, reg *stmlib.Registry, ops []TxOp, slice []sliceI
 			rep.partials[it.idx] = reg.Counter(ops[it.idx].Name).Sum(c)
 			continue
 		}
-		res, msg, err := execOp(c, reg, &ops[it.idx])
+		res, msg, err := execOp(c, reg, nil, &ops[it.idx])
 		rep.results[it.idx] = res
 		if err != nil {
 			rep.failIdx, rep.failMsg, rep.failErr = it.idx, msg, err

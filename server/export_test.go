@@ -131,3 +131,31 @@ func mergeImages(img, other *stmlib.RegistryImage) {
 		}
 	}
 }
+
+// encodeScan encodes es as OpRangeScan encodes a scan's result, into a
+// buffer of its own: es is stored in a sorted map, and the view of a scan
+// of all of it goes through encodeView.
+func encodeScan(es []stmlib.SortedEntry[string, []byte]) ([]byte, error) {
+	v, done := viewOf(es)
+	defer done()
+	enc, _, err := encodeView(&v, nil)
+	return enc, err
+}
+
+// viewOf stores es in a new sorted map and returns the view of an
+// unlimited scan of it, and a func that frees the runtime it ran in.
+func viewOf(es []stmlib.SortedEntry[string, []byte]) (stmlib.SortedView[string, []byte], func()) {
+	rt, err := pnstm.New(pnstm.Config{Workers: 1})
+	if err != nil {
+		panic(err)
+	}
+	m := stmlib.NewTSortedMap[string, []byte]()
+	var v stmlib.SortedView[string, []byte]
+	if err := rt.Run(func(c *pnstm.Ctx) {
+		m.ImportEntries(c, es)
+		v = m.RangeViewFrom(c, "", 0)
+	}); err != nil {
+		panic(err)
+	}
+	return v, rt.Close
+}

@@ -121,19 +121,23 @@ func TestLoopbackMapGetAllocCeiling(t *testing.T) {
 
 // TestLoopbackRangeScanAllocCeiling is the same bound for a limit-64
 // scan answered with 64 entries: the sorted map's one first-wave child
-// and its exactly-sized part, one encode buffer, the wire, and a decode
-// by reference. The parent of the scan limit pushdown (D49) measured 272
-// here, most of it entries collected and thrown away and a string and a
-// slice per entry on the client.
+// keeps views of the leaves it read, the server encodes them into its
+// batch's scan slab, and the client copies the payload off the wire and
+// decodes it in place into one entry list. The parent of the scan limit
+// pushdown (D49) measured 272 here, most of it entries collected and
+// thrown away and a string and a slice per entry on the client.
 func TestLoopbackRangeScanAllocCeiling(t *testing.T) {
-	// Reads 5.12–5.19, 8.0–9.1 raced. It read 10.18 exactly (13 floored,
-	// with a ceiling of 20) while the call built a Txn, its TxResults and a
-	// copy of hi and both sides made the results list; 21 while the first
-	// wave forked a child per leaf, 24 before borrowed keys and slab-carved
-	// values, 28 before recycled pendings and by-value replies, 31 before
-	// pooled fork frames, 37 while each dispatch started a goroutine.
+	// Reads 2.12–2.17, 5.1–5.3 raced. It read 5.12–5.19 (8.0–9.1 raced)
+	// while the scan copied its entries, the server allocated each
+	// encoding and the client copied the keys into a string of their own;
+	// 10.18 exactly (13 floored, with a ceiling of 20) while the call
+	// built a Txn, its TxResults and a copy of hi and both sides made the
+	// results list; 21 while the first wave forked a child per leaf, 24
+	// before borrowed keys and slab-carved values, 28 before recycled
+	// pendings and by-value replies, 31 before pooled fork frames, 37
+	// while each dispatch started a goroutine.
 	cl, lo, hi := loopbackRangeScan(t)
-	checkLoopbackCeiling(t, "RangeScan", 200, 5, 10, func() {
+	checkLoopbackCeiling(t, "RangeScan", 200, 2, 6, func() {
 		es, err := cl.RangeScan("lb", lo, hi, 64)
 		if err != nil || len(es) != 64 || es[0].Key != lo {
 			t.Fatalf("RangeScan = %d entries, %v", len(es), err)
@@ -179,11 +183,13 @@ func TestLoopbackTxnAllocCeiling(t *testing.T) {
 // TestLoopbackLeaseAckAllocCeiling bounds a successful one-op lease ack:
 // the call builds no Txn and tests the reply for a rejection without
 // taking an address, so the client pays nothing beyond the envelope and
-// the objects are the server's.
+// the objects are the server's. The ack copies the one bucket of the
+// lease table its id hashes to.
 func TestLoopbackLeaseAckAllocCeiling(t *testing.T) {
-	// Reads 7.14–7.17, 10.4–10.6 raced; 8.11 while the call passed the
-	// address of its error variable to errors.As, which moved it to the
-	// heap on every call.
+	// Reads 4.07, 7.6–7.7 raced; 7.14–7.17 (10.4–10.6 raced) while every
+	// lease op copied the queue's whole lease table, 8.11 while the call
+	// passed the address of its error variable to errors.As, which moved
+	// it to the heap on every call.
 	const runs = 500
 	cl, _, _ := loopbackMapGet(t)
 	ids := make([]uint64, 0, runs+1) // Exact makes one warm-up call
@@ -197,7 +203,7 @@ func TestLoopbackLeaseAckAllocCeiling(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	checkLoopbackCeiling(t, "LeaseAck", runs, 7, 11, func() {
+	checkLoopbackCeiling(t, "LeaseAck", runs, 4, 8, func() {
 		id := ids[0]
 		ids = ids[1:]
 		if ok, err := cl.LeaseAck("jobs", id); err != nil || !ok {

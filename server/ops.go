@@ -99,7 +99,7 @@ var opTable = [256]opDesc{
 // through a func value escape (two heap objects per call, measured, D50).
 // A false guard returns errRejected with msg describing it; any other
 // error is a malformed op.
-func execOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp) (res TxResult, msg string, err error) {
+func execOp(c *pnstm.Ctx, reg *stmlib.Registry, scans *scanSlab, op *TxOp) (res TxResult, msg string, err error) {
 	res.Status = StatusOK
 	switch op.Op {
 	case OpMapGet:
@@ -193,19 +193,21 @@ func execOp(c *pnstm.Ctx, reg *stmlib.Registry, op *TxOp) (res TxResult, msg str
 		// conflicting point write restarts only the one child whose
 		// subrange it hit. Scans are reads (never logged), so clamping
 		// the entry count is invisible to replay. Neither bound is kept,
-		// so the upper one borrows op.Value's bytes.
+		// so the upper one borrows op.Value's bytes. The result is encoded
+		// straight from the views of the leaves the scan read.
 		limit := int(op.Delta)
 		if limit <= 0 || limit > maxRangeScanEntries {
 			limit = maxRangeScanEntries
 		}
-		var es []stmlib.SortedEntry[string, []byte]
+		var v stmlib.SortedView[string, []byte]
 		if len(op.Value) == 0 {
-			es = reg.SortedMap(op.Name).RangeFrom(c, op.Key, limit)
+			v = reg.SortedMap(op.Name).RangeViewFrom(c, op.Key, limit)
 		} else {
-			es = reg.SortedMap(op.Name).RangeScan(c, op.Key, borrowString(op.Value), limit)
+			v = reg.SortedMap(op.Name).RangeView(c, op.Key, borrowString(op.Value), limit)
 		}
-		res.Num = int64(len(es))
-		res.Value, err = encodeScan(es)
+		var n int
+		res.Value, n, err = encodeView(&v, scans)
+		res.Num = int64(n)
 	case OpRangeCount:
 		if len(op.Value) == 0 {
 			res.Num = int64(reg.SortedMap(op.Name).RangeCountFrom(c, op.Key))

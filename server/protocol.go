@@ -357,7 +357,15 @@ func AppendKVs(buf []byte, kvs []KVEntry) []byte {
 // own for as long as it holds them — a TxResult.Value, which
 // ParseResponse copied out of the connection's frame buffer, is — and
 // the keys share one allocation. An empty value decodes as nil.
-func DecodeKVs(b []byte) ([]KVEntry, error) {
+func DecodeKVs(b []byte) ([]KVEntry, error) { return decodeKVs(b, false) }
+
+// DecodeKVsInPlace is DecodeKVs with the keys views of b as well, so the
+// list is its one allocation. b must never be written again while an
+// entry's key is held — a key is a string, and a string does not change —
+// so the caller gives b up: a reply payload no one else can reach.
+func DecodeKVsInPlace(b []byte) ([]KVEntry, error) { return decodeKVs(b, true) }
+
+func decodeKVs(b []byte, inPlace bool) ([]KVEntry, error) {
 	cur := cursor{b: b}
 	raw := cur.take(4)
 	if raw == nil {
@@ -377,12 +385,18 @@ func DecodeKVs(b []byte) ([]KVEntry, error) {
 	}
 	kvs := make([]KVEntry, n)
 	var keys strings.Builder
-	keys.Grow(keyBytes) // exact, so the substrings below never move
+	if !inPlace {
+		keys.Grow(keyBytes) // exact, so the substrings below never move
+	}
 	cur = cursor{b: b, off: 4}
 	for i := range kvs {
-		at := keys.Len()
-		keys.Write(cur.raw16())
-		kvs[i].Key = keys.String()[at:]
+		if k := cur.raw16(); inPlace {
+			kvs[i].Key = borrowString(k)
+		} else {
+			at := keys.Len()
+			keys.Write(k)
+			kvs[i].Key = keys.String()[at:]
+		}
 		if v := cur.raw32(); len(v) > 0 {
 			kvs[i].Value = v[:len(v):len(v)]
 		}

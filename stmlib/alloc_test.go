@@ -99,6 +99,48 @@ func TestTSortedMapRangeScanAllocCeiling(t *testing.T) {
 	})
 }
 
+// TestTSortedMapRangeCountAllocFree: a count over 256 keys (scan-mem's
+// preload shape: 32-entry leaves, so 8 or 9 of them) on a one-worker
+// runtime, where its one wave does not fork, counts over the views of the
+// leaves it read and copies no entry. In a root of its own, published
+// before the next, it costs nothing: the descriptors come off the pooled
+// frame (D53). The race build's sync.Pool drops some of what comes
+// back, so there the ceiling is 2. It reads 0.14 (1.6 to 1.8 under
+// -race), and read 2.22 while a count collected its entries into a slice
+// to take its length.
+func TestTSortedMapRangeCountAllocFree(t *testing.T) {
+	ceiling := 0.0
+	if raceEnabled {
+		ceiling = 2
+	}
+	rt := newRTConfig(t, pnstm.Config{Workers: 1, SharedReads: true})
+	m := stmlib.NewTSortedMap[string, []byte]()
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%07d", i)
+	}
+	val := make([]byte, 64)
+	run(t, rt, func(c *pnstm.Ctx) {
+		for _, k := range keys {
+			m.Put(c, k, val)
+		}
+	})
+	rt.Publisher().Drain()
+	var n int
+	count := func(c *pnstm.Ctx) { n = m.RangeCount(c, keys[1000], keys[1256]) }
+	got := alloctest.Exact(200, func() {
+		run(t, rt, count)
+		rt.Publisher().Drain()
+	})
+	t.Logf("RangeCount over 256 of 4096 keys, in a root of its own: %.3f allocs", got)
+	if n != 256 {
+		t.Errorf("RangeCount = %d, want 256", n)
+	}
+	if got > ceiling+alloctest.Slack {
+		t.Errorf("RangeCount over 256 keys: %.3f allocs, ceiling %.0f and %.2f slack", got, ceiling, alloctest.Slack)
+	}
+}
+
 // TestWordBackedStructureAllocCeilings: a counter stripe and a queue's
 // size are word-backed variables (D52), so an Add and a Push inside an open
 // transaction cost neither a boxed integer nor a descriptor (the context

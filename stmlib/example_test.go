@@ -31,6 +31,9 @@ func ExampleTSortedMap_RangeScan() {
 			fmt.Printf("%s: %d\n", e.Key, e.Value)
 		}
 		fmt.Println("players b..d:", board.RangeCount(c, "b", "d"))
+		for _, e := range board.RangeFrom(c, "c", 1) {
+			fmt.Printf("first from c: %s\n", e.Key)
+		}
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -39,6 +42,7 @@ func ExampleTSortedMap_RangeScan() {
 	// bob: 250
 	// cyd: 480
 	// players b..d: 2
+	// first from c: cyd
 }
 
 // A work queue with at-least-once delivery: ConsumeLease hands an

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pnstm"
+	"pnstm/internal/alloctest"
 	"pnstm/stmlib"
 )
 
@@ -197,3 +198,54 @@ func TestTQueueLeaseAbortRestores(t *testing.T) {
 type errSentinel struct{}
 
 func (errSentinel) Error() string { return "deliberate abort" }
+
+// TestLeaseAckAllocFlat: an ack copies the one bucket of the lease table
+// its id hashes to, so it costs the same objects with 1,000 leases
+// outstanding as with 10: the two may differ by alloctest.Slack. Read
+// exactly, they read 1.43 and 1.46 (2.0 and 2.2 under -race): the bucket
+// copy, which an ack that empties its bucket does not make, and the rest
+// of the transaction. While every lease op copied the whole table, they
+// read 4.01 and 6.04, and the copy's time grew with the table.
+func TestLeaseAckAllocFlat(t *testing.T) {
+	rt := newRTConfig(t, pnstm.Config{Workers: 2})
+	deadline := time.Now().Add(time.Hour).UnixNano()
+	ack := func(outstanding int) float64 {
+		const acks = 200
+		q := stmlib.NewTQueue[int]()
+		ids := make([]uint64, 0, outstanding+acks+1) // Exact makes one warm-up call
+		run(t, rt, func(c *pnstm.Ctx) {
+			for i := range cap(ids) {
+				q.Push(c, i)
+				id, _, ok := q.ConsumeLease(c, deadline)
+				if !ok {
+					t.Fatal("ConsumeLease found the queue empty")
+				}
+				ids = append(ids, id)
+			}
+		})
+		var got float64
+		run(t, rt, func(c *pnstm.Ctx) {
+			got = alloctest.Exact(acks, func() {
+				id := ids[len(ids)-1]
+				ids = ids[:len(ids)-1]
+				if !q.Ack(c, id) {
+					t.Fatalf("Ack(%d) = false", id)
+				}
+			})
+		})
+		if n := lenLeases(t, rt, q); n != outstanding {
+			t.Fatalf("%d leases outstanding after the acks, want %d", n, outstanding)
+		}
+		return got
+	}
+	few, many := ack(10), ack(1000)
+	t.Logf("Ack with 10 leases outstanding: %.3f allocs, with 1,000: %.3f", few, many)
+	if many > few+alloctest.Slack || few > many+alloctest.Slack {
+		t.Errorf("Ack with 1,000 leases outstanding: %.3f allocs, with 10: %.3f, apart by more than %.2f", many, few, alloctest.Slack)
+	}
+}
+
+func lenLeases(t *testing.T, rt *pnstm.Runtime, q *stmlib.TQueue[int]) (n int) {
+	run(t, rt, func(c *pnstm.Ctx) { n = q.LeaseLen(c) })
+	return n
+}

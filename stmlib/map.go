@@ -69,9 +69,12 @@ func (m *TMap[K, V]) Buckets() int { return len(m.buckets) }
 // SetLabel names the map's buckets for conflict attribution (D35):
 // bucket i becomes "m:<name>/<i>" in flight-recorder events. Call once
 // at construction time, before transactions touch the map.
-func (m *TMap[K, V]) SetLabel(name string) {
+func (m *TMap[K, V]) SetLabel(name string) { m.labelBuckets("m:" + name) }
+
+// labelBuckets labels bucket i "<prefix>/<i>".
+func (m *TMap[K, V]) labelBuckets(prefix string) {
 	for i, b := range m.buckets {
-		b.SetLabel("m:" + name + "/" + itoa(i))
+		b.SetLabel(prefix + "/" + itoa(i))
 	}
 }
 

@@ -1,7 +1,9 @@
 package stmlib
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"pnstm"
 )
@@ -42,11 +44,12 @@ type TQueue[T any] struct {
 	out  *pnstm.TVar[*qnode[T]] // oldest element first, ready to pop
 	size *pnstm.TVar[int]
 
-	// leases maps lease id → in-flight element; leaseSeq issues ids.
-	// Both are transactional, so consume/ack/reclaim replay
-	// deterministically (per-queue WAL replay preserves op order, and
-	// ids depend only on that order).
-	leases   *pnstm.TVar[map[uint64]lease[T]]
+	// leases maps lease id → in-flight element, in leaseBuckets buckets,
+	// so a lease op copies the one bucket its id hashes to, not the
+	// table; leaseSeq issues ids. Both are transactional, so
+	// consume/ack/reclaim replay deterministically (per-queue WAL replay
+	// preserves op order, and ids depend only on that order).
+	leases   *TMap[uint64, lease[T]]
 	leaseSeq *pnstm.TVar[uint64]
 
 	// leaseHook, when set, is invoked inside the mutating transaction
@@ -54,6 +57,9 @@ type TQueue[T any] struct {
 	// uses it to maintain its deadline index.
 	leaseHook func(c *pnstm.Ctx, oldDl, newDl int64, id uint64)
 }
+
+// leaseBuckets is the bucket count of a queue's lease table.
+const leaseBuckets = 64
 
 // lease is one in-flight (consumed, unacked) element.
 type lease[T any] struct {
@@ -74,20 +80,20 @@ func NewTQueue[T any]() *TQueue[T] {
 		in:       pnstm.NewTVar[*qnode[T]](nil),
 		out:      pnstm.NewTVar[*qnode[T]](nil),
 		size:     pnstm.NewTVar(0),
-		leases:   pnstm.NewTVar[map[uint64]lease[T]](nil),
+		leases:   NewTMap[uint64, lease[T]](leaseBuckets),
 		leaseSeq: pnstm.NewTVar[uint64](0),
 	}
 }
 
 // SetLabel names the queue's variables for conflict attribution (D35):
 // "q:<name>/in", "q:<name>/out", "q:<name>/size" and
-// "q:<name>/leases". Call once at construction time, before
+// "q:<name>/leases/<bucket>". Call once at construction time, before
 // transactions touch the queue.
 func (q *TQueue[T]) SetLabel(name string) {
 	q.in.SetLabel("q:" + name + "/in")
 	q.out.SetLabel("q:" + name + "/out")
 	q.size.SetLabel("q:" + name + "/size")
-	q.leases.SetLabel("q:" + name + "/leases")
+	q.leases.labelBuckets("q:" + name + "/leases")
 	q.leaseSeq.SetLabel("q:" + name + "/leaseseq")
 }
 
@@ -190,9 +196,7 @@ func (q *TQueue[T]) ConsumeLease(c *pnstm.Ctx, deadline int64) (id uint64, v T, 
 		pnstm.Update(c, q.size, func(n int) int { return n - 1 })
 		id = pnstm.Load(c, q.leaseSeq) + 1
 		pnstm.Store(c, q.leaseSeq, id)
-		next := cloneLeases(pnstm.Load(c, q.leases), 1)
-		next[id] = lease[T]{v: head.v, deadline: deadline}
-		pnstm.Store(c, q.leases, next)
+		q.leases.Put(c, id, lease[T]{v: head.v, deadline: deadline})
 		if q.leaseHook != nil {
 			q.leaseHook(c, 0, deadline, id)
 		}
@@ -210,17 +214,8 @@ func (q *TQueue[T]) ConsumeLease(c *pnstm.Ctx, deadline int64) (id uint64, v T, 
 func (q *TQueue[T]) Ack(c *pnstm.Ctx, id uint64) bool {
 	var had bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		had = false
-		old := pnstm.Load(c, q.leases)
-		l, ok := old[id]
-		if !ok {
-			return nil
-		}
-		had = true
-		next := cloneLeases(old, 0)
-		delete(next, id)
-		pnstm.Store(c, q.leases, next)
-		if q.leaseHook != nil {
+		var l lease[T]
+		if l, had = q.settle(c, id); had && q.leaseHook != nil {
 			q.leaseHook(c, l.deadline, 0, id)
 		}
 		return nil
@@ -228,21 +223,25 @@ func (q *TQueue[T]) Ack(c *pnstm.Ctx, id uint64) bool {
 	return had
 }
 
+// settle removes lease id from the table, returning it and whether it
+// was there.
+func (q *TQueue[T]) settle(c *pnstm.Ctx, id uint64) (lease[T], bool) {
+	l, ok := q.leases.Get(c, id)
+	if ok {
+		q.leases.Delete(c, id)
+	}
+	return l, ok
+}
+
 // Nack gives lease id's element back to the queue immediately (at the
 // back), reporting whether the lease was still held.
 func (q *TQueue[T]) Nack(c *pnstm.Ctx, id uint64) bool {
 	var had bool
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		had = false
-		old := pnstm.Load(c, q.leases)
-		l, ok := old[id]
-		if !ok {
+		var l lease[T]
+		if l, had = q.settle(c, id); !had {
 			return nil
 		}
-		had = true
-		next := cloneLeases(old, 0)
-		delete(next, id)
-		pnstm.Store(c, q.leases, next)
 		q.Push(c, l.v)
 		if q.leaseHook != nil {
 			q.leaseHook(c, l.deadline, 0, id)
@@ -260,29 +259,21 @@ func (q *TQueue[T]) Nack(c *pnstm.Ctx, id uint64) bool {
 func (q *TQueue[T]) ReclaimExpired(c *pnstm.Ctx, cutoff int64) int {
 	var n int
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		n = 0
-		old := pnstm.Load(c, q.leases)
-		var ids []uint64
-		for id, l := range old {
-			if l.deadline <= cutoff {
-				ids = append(ids, id)
-			}
-		}
-		if len(ids) == 0 {
+		due := collect(c, q.leases, func(e entry[uint64, lease[T]]) (lease[T], bool) {
+			return e.v, e.v.deadline <= cutoff
+		})
+		n = len(due)
+		if n == 0 {
 			return nil
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		next := cloneLeases(old, 0)
+		ids := slices.Sorted(maps.Keys(due))
+		q.leases.BulkUpdate(c, ids, func(uint64, lease[T], bool) (lease[T], bool) { return lease[T]{}, false })
 		for _, id := range ids {
-			l := next[id]
-			delete(next, id)
-			q.Push(c, l.v)
+			q.Push(c, due[id].v)
 			if q.leaseHook != nil {
-				q.leaseHook(c, l.deadline, 0, id)
+				q.leaseHook(c, due[id].deadline, 0, id)
 			}
 		}
-		pnstm.Store(c, q.leases, next)
-		n = len(ids)
 		return nil
 	})
 	return n
@@ -290,14 +281,7 @@ func (q *TQueue[T]) ReclaimExpired(c *pnstm.Ctx, cutoff int64) int {
 
 // LeaseLen returns the number of outstanding (consumed, unacked)
 // leases.
-func (q *TQueue[T]) LeaseLen(c *pnstm.Ctx) int {
-	var n int
-	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		n = len(pnstm.Load(c, q.leases))
-		return nil
-	})
-	return n
-}
+func (q *TQueue[T]) LeaseLen(c *pnstm.Ctx) int { return q.leases.Len(c) }
 
 // LeaseSnapshot returns every outstanding lease in ascending id order
 // plus the id sequence watermark — the lease side of the queue's
@@ -307,10 +291,10 @@ func (q *TQueue[T]) LeaseSnapshot(c *pnstm.Ctx) ([]LeaseRecord[T], uint64) {
 	var seq uint64
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
 		out = out[:0]
-		for id, l := range pnstm.Load(c, q.leases) {
+		for id, l := range q.leases.Snapshot(c) {
 			out = append(out, LeaseRecord[T]{ID: id, Value: l.v, Deadline: l.deadline})
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		slices.SortFunc(out, func(a, b LeaseRecord[T]) int { return cmp.Compare(a.ID, b.ID) })
 		seq = pnstm.Load(c, q.leaseSeq)
 		return nil
 	})
@@ -320,38 +304,26 @@ func (q *TQueue[T]) LeaseSnapshot(c *pnstm.Ctx) ([]LeaseRecord[T], uint64) {
 // ImportLeases restores exported leases and advances the id sequence
 // to at least seq, firing the lease hook so the registry's deadline
 // index — which snapshots deliberately do not serialize — is rebuilt.
+// A record whose id is already leased is skipped.
 func (q *TQueue[T]) ImportLeases(c *pnstm.Ctx, recs []LeaseRecord[T], seq uint64) {
 	if len(recs) == 0 && seq == 0 {
 		return
 	}
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		old := pnstm.Load(c, q.leases)
-		next := cloneLeases(old, len(recs))
 		for _, rec := range recs {
-			if _, dup := next[rec.ID]; dup {
+			if _, dup := q.leases.Get(c, rec.ID); dup {
 				continue
 			}
-			next[rec.ID] = lease[T]{v: rec.Value, deadline: rec.Deadline}
+			q.leases.Put(c, rec.ID, lease[T]{v: rec.Value, deadline: rec.Deadline})
 			if q.leaseHook != nil {
 				q.leaseHook(c, 0, rec.Deadline, rec.ID)
 			}
 		}
-		pnstm.Store(c, q.leases, next)
 		if cur := pnstm.Load(c, q.leaseSeq); seq > cur {
 			pnstm.Store(c, q.leaseSeq, seq)
 		}
 		return nil
 	})
-}
-
-// cloneLeases copies a lease table with room for extra more entries
-// (immutable like the map buckets, for by-reference rollback).
-func cloneLeases[T any](old map[uint64]lease[T], extra int) map[uint64]lease[T] {
-	next := make(map[uint64]lease[T], len(old)+extra)
-	for id, l := range old {
-		next[id] = l
-	}
-	return next
 }
 
 // flip returns the current out-stack head, reversing the in-stack into

@@ -2,6 +2,7 @@ package stmlib
 
 import (
 	"cmp"
+	"iter"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -274,40 +275,55 @@ func (m *TSortedMap[K, V]) ExpireThrough(c *pnstm.Ctx, k K, cutoff int64) bool {
 }
 
 // RangeScan returns the live entries with lo <= key < hi in ascending
-// key order, at most limit of them (limit <= 0: unlimited). The leaf
-// span — with a limit, the leading part of it that holds the result — is
-// scanned in waves of nested children (see scan).
+// key order, at most limit of them (limit <= 0: unlimited), in one slice
+// of exactly that length. The leaf span — with a limit, the leading part
+// of it that holds the result — is scanned in waves of nested children
+// (see scan).
 func (m *TSortedMap[K, V]) RangeScan(c *pnstm.Ctx, lo, hi K, limit int) []SortedEntry[K, V] {
-	if !cmp.Less(lo, hi) {
-		return nil
-	}
-	return m.scan(c, lo, true, true, hi, limit, nowNanos(), true)
+	v := m.RangeView(c, lo, hi, limit)
+	return v.entries()
 }
 
 // RangeFrom is RangeScan with no upper bound: live entries with
 // key >= lo.
 func (m *TSortedMap[K, V]) RangeFrom(c *pnstm.Ctx, lo K, limit int) []SortedEntry[K, V] {
-	return m.scan(c, lo, true, false, lo, limit, nowNanos(), true)
+	v := m.RangeViewFrom(c, lo, limit)
+	return v.entries()
+}
+
+// RangeView is RangeScan's answer without a copy: views of the leaves
+// the scan read (see SortedView), for a caller that only passes the
+// entries on.
+func (m *TSortedMap[K, V]) RangeView(c *pnstm.Ctx, lo, hi K, limit int) (v SortedView[K, V]) {
+	if cmp.Less(lo, hi) {
+		m.scan(c, &v, lo, true, true, hi, limit, nowNanos())
+	}
+	return v
+}
+
+// RangeViewFrom is RangeView with no upper bound.
+func (m *TSortedMap[K, V]) RangeViewFrom(c *pnstm.Ctx, lo K, limit int) (v SortedView[K, V]) {
+	m.scan(c, &v, lo, true, false, lo, limit, nowNanos())
+	return v
 }
 
 // RangeCount returns the number of live entries with lo <= key < hi,
-// counted like RangeScan collects them.
+// counted over the views a RangeScan would collect them from.
 func (m *TSortedMap[K, V]) RangeCount(c *pnstm.Ctx, lo, hi K) int {
-	if !cmp.Less(lo, hi) {
-		return 0
-	}
-	return len(m.scan(c, lo, true, true, hi, 0, nowNanos(), false))
+	v := m.RangeView(c, lo, hi, 0)
+	return v.Len()
 }
 
 // RangeCountFrom is RangeCount with no upper bound.
 func (m *TSortedMap[K, V]) RangeCountFrom(c *pnstm.Ctx, lo K) int {
-	return len(m.scan(c, lo, true, false, lo, 0, nowNanos(), false))
+	v := m.RangeViewFrom(c, lo, 0)
+	return v.Len()
 }
 
-// scan is the shared walk behind every scan, count and export. With
-// withValues false the returned entries carry only keys (counting mode).
-// now filters lazily-expired entries; a cutoff of 0 disables filtering
-// (export). With hasLo false the walk starts at the first leaf
+// scan is the shared walk behind every scan, count and export: it fills
+// v with views of the leaves it reads, each cut to the range, and sets
+// the cutoff v hides lazily-expired entries at (now; 0 hides nothing,
+// for export). With hasLo false the walk starts at the first leaf
 // (full-range export).
 //
 // The touched leaf span is walked in waves inside the one enclosing
@@ -321,11 +337,11 @@ func (m *TSortedMap[K, V]) RangeCountFrom(c *pnstm.Ctx, lo K) int {
 // fork.LeavesPerChild leaves, at most one per worker, so a short wave is
 // one nested child and a long one fans out. A wave's child is the retry
 // unit: a concurrent writer that invalidates its leaves retries that
-// child alone.
-func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, limit int, now int64, withValues bool) []SortedEntry[K, V] {
-	var out []SortedEntry[K, V]
+// child alone, and the child's views start again from nothing.
+func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, v *SortedView[K, V], lo K, hasLo, bounded bool, hi K, limit int, now int64) {
 	_ = c.Atomic(func(c *pnstm.Ctx) error {
-		out = nil // a retried body must not append to the last attempt's result
+		// A retried body must not keep the last attempt's views.
+		*v = SortedView[K, V]{now: now, tail: v.tail[:0]}
 		t := pnstm.Load(c, m.root)
 		next := 0
 		if hasLo {
@@ -345,78 +361,202 @@ func (m *TSortedMap[K, V]) scan(c *pnstm.Ctx, lo K, hasLo, bounded bool, hi K, l
 				width = w + 1
 			}
 		}
-		for next < end && (limit <= 0 || len(out) < limit) {
+		got := 0 // live entries taken, counted only under a limit
+		for next < end && (limit <= 0 || got < limit) {
 			w := scanWave[K, V]{
 				leaves: t.leaves[next:min(end, next+width)],
 				lo:     lo, hi: hi, hasLo: hasLo, bounded: bounded,
-				owed: limit - len(out), now: now, withValues: withValues,
+				owed: limit - got, now: now,
 			}
 			next += len(w.leaves)
 			width *= 2
-			forEachGroup(c, len(w.leaves), fork.LeavesPerChild, w, func(p []SortedEntry[K, V]) {
+			v.reserve(len(w.leaves)) // a view a leaf at most, so merge never regrows
+			forEachGroup(c, len(w.leaves), fork.LeavesPerChild, w, func(p SortedView[K, V]) {
 				if limit > 0 {
-					p = p[:min(len(p), limit-len(out))]
+					p.cut(limit - got)
+					got += p.counted
 				}
-				switch {
-				case len(p) == 0:
-				case out == nil:
-					out = p // the first part is the result: no merge copy
-				default:
-					out = append(out, p...)
-				}
+				v.merge(&p)
 			})
 		}
 		return nil
 	})
-	return out
 }
 
 // scanWave is one wave of a scan, a value so that a wave that does not
-// fork costs no object of its own: do collects the entries of
-// leaves[from:to] inside the scan's range, live at now (0: all), at most
-// owed of them when owed > 0.
+// fork costs no object of its own: Do returns views of leaves[from:to]
+// cut to the scan's range and, when owed > 0, to the first owed entries
+// live at now.
 type scanWave[K cmp.Ordered, V any] struct {
 	leaves         []*pnstm.TVar[[]SortedEntry[K, V]]
 	lo, hi         K
 	hasLo, bounded bool
 	owed           int
 	now            int64
-	withValues     bool
 }
 
-func (w scanWave[K, V]) Do(c *pnstm.Ctx, from, to int) []SortedEntry[K, V] {
-	// One Load per leaf: the loaded slices wait in a stack buffer while
-	// part is sized, once, from their sum clipped to what is owed.
-	var buf [8][]SortedEntry[K, V]
-	loaded, n := buf[:0], 0
+func (w scanWave[K, V]) Do(c *pnstm.Ctx, from, to int) SortedView[K, V] {
+	p := SortedView[K, V]{now: w.now}
+	p.reserve(to - from)
 	for _, leaf := range w.leaves[from:to] {
 		es := pnstm.Load(c, leaf)
-		loaded, n = append(loaded, es), n+len(es)
+		if w.hasLo && len(es) > 0 && cmp.Less(es[0].Key, w.lo) {
+			i, _ := findEntry(es, w.lo)
+			es = es[i:]
+		}
+		if w.bounded && len(es) > 0 && !cmp.Less(es[len(es)-1].Key, w.hi) {
+			i, _ := findEntry(es, w.hi)
+			es = es[:i]
+		}
+		if w.owed > 0 {
+			i, n := p.take(es, w.owed-p.counted)
+			es, p.counted = es[:i], p.counted+n
+		}
+		p.add(es)
+		if w.owed > 0 && p.counted == w.owed {
+			break // all that is owed: the rest of the wave is not read
+		}
 	}
-	if w.owed > 0 {
-		n = min(n, w.owed)
+	return p
+}
+
+// viewsInline is how many leaf views a SortedView holds in itself: a scan
+// of up to that many leaves — a limit-64 scan's first wave, a count over
+// a few hundred keys — keeps its views in its caller's frame, and only a
+// wider one allocates room for the rest.
+const viewsInline = 16
+
+// A SortedView is a range read's answer as views of the leaf slices the
+// scan loaded: no entry is copied. A leaf slice, once stored, is never
+// written — Put, the split and every removal store a new slice — so a
+// view keeps exactly what the scan read after its transaction ends. Each
+// view is already cut to the range and, for a limited read, to the
+// limit; entries past their deadline at the read's instant are hidden as
+// the view is read (Len, All). The zero value is an empty view.
+type SortedView[K cmp.Ordered, V any] struct {
+	now     int64 // the read's instant: entries expired by then are hidden (0: none)
+	n       int   // views held
+	counted int   // live entries a limited wave took (see scan)
+	head    [viewsInline][]SortedEntry[K, V]
+	tail    [][]SortedEntry[K, V] // views past the first viewsInline
+}
+
+// reserve makes room for k more views in one allocation at most.
+func (v *SortedView[K, V]) reserve(k int) {
+	if over := v.n + k - viewsInline; over > 0 && cap(v.tail)-len(v.tail) < over {
+		v.tail = append(make([][]SortedEntry[K, V], 0, len(v.tail)+over), v.tail...)
 	}
-	part := make([]SortedEntry[K, V], 0, n)
-	for _, es := range loaded {
-		for _, e := range es {
-			if w.hasLo && cmp.Less(e.Key, w.lo) {
-				continue
+}
+
+// add appends es as the next view; an empty one is dropped.
+func (v *SortedView[K, V]) add(es []SortedEntry[K, V]) {
+	switch {
+	case len(es) == 0:
+		return
+	case v.n < viewsInline:
+		v.head[v.n] = es
+	default:
+		v.tail = append(v.tail[:v.n-viewsInline], es)
+	}
+	v.n++
+}
+
+func (v *SortedView[K, V]) view(i int) []SortedEntry[K, V] {
+	if i < viewsInline {
+		return v.head[i]
+	}
+	return v.tail[i-viewsInline]
+}
+
+// merge appends p's views after v's.
+func (v *SortedView[K, V]) merge(p *SortedView[K, V]) {
+	v.reserve(p.n)
+	for i := 0; i < p.n; i++ {
+		v.add(p.view(i))
+	}
+}
+
+func (v *SortedView[K, V]) live(e *SortedEntry[K, V]) bool {
+	return v.now == 0 || e.Exp == 0 || e.Exp > v.now
+}
+
+// take returns how much of es holds its first k live entries (all of es
+// when it holds fewer) and how many live entries that is.
+func (v *SortedView[K, V]) take(es []SortedEntry[K, V], k int) (i, n int) {
+	for i = range es {
+		if v.live(&es[i]) {
+			if n == k {
+				return i, n
 			}
-			if w.bounded && !cmp.Less(e.Key, w.hi) {
-				return part
-			}
-			if w.now > 0 && e.Exp > 0 && e.Exp <= w.now {
-				continue
-			}
-			if !w.withValues {
-				e.Value = *new(V)
-			}
-			if part = append(part, e); len(part) == n {
-				return part // every entry taken, or all that is owed
+			n++
+		}
+	}
+	return len(es), n
+}
+
+// cut keeps the first k live entries of a limited wave's views.
+func (v *SortedView[K, V]) cut(k int) {
+	if v.counted <= k {
+		return
+	}
+	v.counted = k
+	for i := 0; i < v.n; i++ {
+		es := v.view(i)
+		j, n := v.take(es, k)
+		if k -= n; k == 0 {
+			v.n = i // drop view i and those after it, then keep i's head
+			v.add(es[:j])
+			return
+		}
+	}
+}
+
+// Len returns the number of entries in the view.
+func (v *SortedView[K, V]) Len() int {
+	n := 0
+	for i := 0; i < v.n; i++ {
+		es := v.view(i)
+		for j := range es {
+			if v.live(&es[j]) {
+				n++
 			}
 		}
 	}
-	return part
+	return n
+}
+
+// All yields the view's entries in ascending key order. An entry's Value
+// is the one stored in the map: a caller must not write through it.
+func (v *SortedView[K, V]) All() iter.Seq[SortedEntry[K, V]] {
+	return func(yield func(SortedEntry[K, V]) bool) {
+		for i := 0; i < v.n; i++ {
+			es := v.view(i)
+			for j := range es {
+				if v.live(&es[j]) && !yield(es[j]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// entries copies the view into one slice of exactly its length (nil when
+// it is empty).
+func (v *SortedView[K, V]) entries() []SortedEntry[K, V] {
+	n := v.Len()
+	if n == 0 {
+		return nil
+	}
+	out := make([]SortedEntry[K, V], 0, n)
+	for i := 0; i < v.n; i++ {
+		es := v.view(i)
+		for j := range es {
+			if v.live(&es[j]) {
+				out = append(out, es[j])
+			}
+		}
+	}
+	return out
 }
 
 // Len returns the PHYSICAL entry count — expired-but-unswept entries
@@ -445,7 +585,9 @@ func (m *TSortedMap[K, V]) Len(c *pnstm.Ctx) int {
 // snapshot payload, collected in one wave like an unlimited scan.
 func (m *TSortedMap[K, V]) ExportEntries(c *pnstm.Ctx) []SortedEntry[K, V] {
 	var zero K
-	return m.scan(c, zero, false, false, zero, 0, 0, true)
+	var v SortedView[K, V]
+	m.scan(c, &v, zero, false, false, zero, 0, 0)
+	return v.entries()
 }
 
 // ImportEntries merges exported entries back in (overwriting by key),

@@ -3,6 +3,7 @@ package stmlib_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -257,4 +258,82 @@ func TestTSortedMapExportImportRoundTrip(t *testing.T) {
 			t.Errorf("TTL lost across export/import: exp = %d", es2[1].Exp)
 		}
 	})
+}
+
+// TestSortedViewSurvivesLaterWrites: a view holds the leaf slices its scan
+// read, which no later write touches — Put, the split, Delete and the
+// reaper's sweep all store a new slice — so a view kept across writes to
+// every one of its leaves still yields exactly what the scan saw. A leaf
+// written in place would change under the view and fail here. Entries past
+// their deadline at the scan's instant stay hidden.
+func TestSortedViewSurvivesLaterWrites(t *testing.T) {
+	rt := newRT(t, 4, false)
+	m := stmlib.NewTSortedMap[int, string]()
+	past := time.Now().Add(-time.Hour).UnixNano()
+	run(t, rt, func(c *pnstm.Ctx) {
+		for k := 0; k < 1000; k++ {
+			if k%10 == 3 {
+				m.PutTTL(c, k, "expired", past)
+			} else {
+				m.Put(c, k, fmt.Sprint("v", k))
+			}
+		}
+	})
+	type kv struct {
+		k int
+		v string
+	}
+	collect := func(v *stmlib.SortedView[int, string]) (out []kv) {
+		for e := range v.All() {
+			out = append(out, kv{e.Key, e.Value})
+		}
+		return out
+	}
+	var want []kv
+	for k := 100; k < 900; k++ {
+		if k%10 != 3 {
+			want = append(want, kv{k, fmt.Sprint("v", k)})
+		}
+	}
+	for _, limit := range []int{0, 64, 500} {
+		var v stmlib.SortedView[int, string]
+		run(t, rt, func(c *pnstm.Ctx) { v = m.RangeView(c, 100, 900, limit) })
+		n := len(want)
+		if limit > 0 {
+			n = min(n, limit)
+		}
+		if got := collect(&v); v.Len() != n || !slices.Equal(got, want[:n]) {
+			t.Fatalf("limit %d: the view holds %d entries (Len %d), want %d", limit, len(got), v.Len(), n)
+		}
+		run(t, rt, func(c *pnstm.Ctx) {
+			for k := 0; k < 1000; k++ {
+				switch k % 4 {
+				case 0:
+					m.Put(c, k, "overwritten")
+				case 1:
+					m.Delete(c, k)
+				case 2:
+					m.Put(c, k*1000+1, "new") // splits leaves past the range
+					m.Put(c, k, "rewritten")
+				case 3:
+					m.ExpireThrough(c, k, past)
+				}
+			}
+		})
+		if got := collect(&v); v.Len() != n || !slices.Equal(got, want[:n]) {
+			t.Errorf("limit %d: after writes to every leaf the view holds %d entries (Len %d), want the %d it was taken with", limit, len(got), v.Len(), n)
+		}
+		run(t, rt, func(c *pnstm.Ctx) { // put the map back for the next limit
+			for k := 0; k < 1000; k++ {
+				if k%10 == 3 {
+					m.PutTTL(c, k, "expired", past)
+				} else {
+					m.Put(c, k, fmt.Sprint("v", k))
+				}
+				if k%4 == 2 {
+					m.Delete(c, k*1000+1)
+				}
+			}
+		})
+	}
 }
